@@ -17,13 +17,9 @@
 
    --jobs N spreads the experiments' independent repetitions over N domains
    (output is identical to --jobs 1; see Dgs_parallel.Pool).  --json PATH
-   additionally writes a machine-readable snapshot (schema 5) of the micro
-   ns/op numbers, a timed fuzz-campaign section, and a [vanet] section
-   timing a large highway scenario (10k nodes; 2k under --quick) through
-   the spatial-grid rebuild and incremental oracle, once at jobs=1 and
-   once sharded across domains (jobs/shards and the barrier overhead are
-   recorded per row) — BENCH_<date>.json files in the repo root are
-   committed snapshots of exactly this output. *)
+   additionally writes a machine-readable snapshot (schema 7) of the micro
+   ns/op numbers.  End-to-end timings come from perfbench/, the repository
+   benchmark. *)
 
 open Bechamel
 open Toolkit
@@ -75,8 +71,8 @@ let bench_compute =
 
 let bench_compute_traced =
   (* Tracing overhead on the E3 inner loop: the same compute() subject with
-     an explicit null sink (what an untraced run pays), a counting sink
-     (cheapest real sink) and a ring sink.  docs/OBSERVABILITY.md claims
+     an explicit null sink (what an untraced run pays) and a ring sink
+     (cheapest real sink).  docs/OBSERVABILITY.md claims
      < 5% overhead for the null sink against the untraced baseline above;
      EXPERIMENTS.md records the measured numbers.
 
@@ -108,8 +104,6 @@ let bench_compute_traced =
   in
   [
     subject ~name:"e3: compute() null trace" Trace.null;
-    subject ~name:"e3: compute() counting trace"
-      (Trace.Counting.sink (Trace.Counting.create ()));
     subject ~name:"e3: compute() ring trace provenance off"
       (Trace.Ring.sink (Trace.Ring.create ~capacity:4096));
     subject ~name:"e3: compute() ring trace provenance on"
@@ -345,69 +339,12 @@ let micro_benchmarks ~quick () =
         (Test.elements test))
     tests
 
-(* Timed fuzz campaign for the JSON snapshot: the same fixed workload at
-   jobs=1 and jobs=4 with metrics off, plus a jobs=1 metrics-on row, so
-   committed baselines track end-to-end campaign throughput (and the
-   whole-campaign metering cost) alongside the micro numbers. *)
-let campaign_timings ~quick () =
-  let runs = if quick then 50 else 500 in
-  let max_actions = 10 in
-  List.map
-    (fun (jobs, metrics) ->
-      let t0 = Unix.gettimeofday () in
-      let s =
-        Dgs_check.Fuzz.campaign ~jobs ~metrics ~seed:42 ~runs ~max_actions ()
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      (jobs, metrics, runs, max_actions, wall, List.length s.Dgs_check.Fuzz.failures))
-    [ (1, false); (4, false); (1, true) ]
-
-(* Large-scale VANET timing for the JSON snapshot: a highway run at scale
-   through the spatial-grid rebuild and the incremental oracle.  10k nodes
-   in a full run (the committed baseline row), 2k under --quick.  Two rows:
-   jobs=1, and the simulation sharded across the core count (at least two
-   shards, so the barrier path is exercised even on a single-core host —
-   the "cores" header field tells a reader how to weigh the speedup).
-   A third row runs 1k nodes with live per-shard ring sinks — the traced
-   end-to-end cost including provenance stamping (lid minting, cause
-   attribution, cross-shard lineage), against its untraced twin. *)
-let vanet_timings ~quick () =
-  let n = if quick then 2_000 else 10_000 in
-  let rounds = if quick then 10 else 20 in
-  let warmup = if quick then 2 else 5 in
-  let untraced =
-    List.map
-      (fun jobs ->
-        ( false,
-          Dgs_workload.Vanet.run ~scenario:Dgs_workload.Vanet.Highway ~n ~rounds
-            ~warmup ~oracle_every:5 ~jobs () ))
-      [ 1; max 2 (Dgs_parallel.Pool.default_jobs ()) ]
-  in
-  let traced_pair =
-    let n = if quick then 500 else 1_000 in
-    List.map
-      (fun traced ->
-        let make_trace =
-          if traced then
-            Some
-              (fun (_ : int) ->
-                Dgs_trace.Trace.Ring.sink
-                  (Dgs_trace.Trace.Ring.create ~capacity:65536))
-          else None
-        in
-        ( traced,
-          Dgs_workload.Vanet.run ~scenario:Dgs_workload.Vanet.Highway ~n ~rounds
-            ~warmup ~oracle_every:5 ~jobs:1 ?make_trace () ))
-      [ false; true ]
-  in
-  untraced @ traced_pair
-
-let write_json path ~micro ~campaigns ~vanet =
+let write_json path ~micro =
   let b = Buffer.create 2048 in
   let tm = Unix.gmtime (Unix.time ()) in
   Buffer.add_string b
     (Printf.sprintf
-       "{\n  \"schema\": 6,\n  \"date\": \"%04d-%02d-%02dT%02d:%02d:%02dZ\",\n"
+       "{\n  \"schema\": 7,\n  \"date\": \"%04d-%02d-%02dT%02d:%02d:%02dZ\",\n"
        (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
        tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec);
   Buffer.add_string b
@@ -419,52 +356,7 @@ let write_json path ~micro ~campaigns ~vanet =
         (Printf.sprintf "    %S: %.1f%s\n" name ns
            (if i = List.length micro - 1 then "" else ",")))
     micro;
-  Buffer.add_string b "  },\n  \"fuzz_campaign\": [\n";
-  List.iteri
-    (fun i (jobs, metrics, runs, max_actions, wall, failures) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"metrics\": %b, \"runs\": %d, \"max_actions\": \
-            %d, \"wall_s\": %.3f, \"scenarios_per_s\": %.1f, \"failures\": \
-            %d}%s\n"
-           jobs metrics runs max_actions wall
-           (float_of_int runs /. wall)
-           failures
-           (if i = List.length campaigns - 1 then "" else ",")))
-    campaigns;
-  Buffer.add_string b "  ],\n  \"vanet\": [\n";
-  List.iteri
-    (fun i ((traced : bool), (r : Dgs_workload.Vanet.report)) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"scenario\": %S, \"traced\": %b, \"nodes\": %d, \"rounds\": \
-            %d, \"jobs\": %d, \"shards\": %d, \"wall_s\": %.3f, \
-            \"events_per_s\": %.1f, \
-            \"node_steps_per_s\": %.1f, \"graph_build_s\": %.3f, \
-            \"set_graph_s\": %.3f, \"round_s\": %.3f, \"broadcast_s\": %.3f, \
-            \"deliver_s\": %.3f, \"oracle_s\": %.3f, \"barrier_s\": %.3f, \
-            \"oracle_polls\": %d, \"minor_words_per_round\": %.0f, \
-            \"messages\": %d, \"mean_degree\": %.2f, \
-            \"groups\": %d, \"legitimate\": %b}%s\n"
-           r.Dgs_workload.Vanet.scenario traced r.Dgs_workload.Vanet.nodes
-           r.Dgs_workload.Vanet.rounds r.Dgs_workload.Vanet.jobs
-           r.Dgs_workload.Vanet.shards r.Dgs_workload.Vanet.wall_s
-           r.Dgs_workload.Vanet.events_per_s
-           r.Dgs_workload.Vanet.node_steps_per_s
-           r.Dgs_workload.Vanet.graph_build_s
-           r.Dgs_workload.Vanet.set_graph_s r.Dgs_workload.Vanet.round_s
-           r.Dgs_workload.Vanet.broadcast_s r.Dgs_workload.Vanet.deliver_s
-           r.Dgs_workload.Vanet.oracle_s r.Dgs_workload.Vanet.barrier_s
-           r.Dgs_workload.Vanet.oracle_polls
-           r.Dgs_workload.Vanet.minor_words_per_round
-           r.Dgs_workload.Vanet.messages r.Dgs_workload.Vanet.mean_degree
-           r.Dgs_workload.Vanet.groups
-           (r.Dgs_workload.Vanet.agreement_ok
-           && r.Dgs_workload.Vanet.safety_ok
-           && r.Dgs_workload.Vanet.maximality_ok)
-           (if i = List.length vanet - 1 then "" else ",")))
-    vanet;
-  Buffer.add_string b "  ]\n}\n";
+  Buffer.add_string b "  }\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc;
@@ -492,49 +384,7 @@ let () =
     | [] -> 1
   in
   let jobs = jobs_value args in
-  (* The macro sections and bechamel poison each other's heap: bechamel
-     sets max_overhead to 1e6 and leaves a benchmark-sized heap that
-     inflated macro wall clocks ~5x (graph build 0.8 s -> 10 s at
-     n=10k), and a completed 10k macro run inflates the micro rows ~2x
-     the other way — on this runtime neither Gc.set nor Gc.compact
-     restores allocation performance.  So the macro sections run first,
-     in a forked child with the pristine startup heap (no domains exist
-     yet, so the fork is safe), and ship their results back via
-     Marshal; the parent's heap stays untouched for bechamel. *)
-  let macro =
-    match json_path with
-    | None -> None
-    | Some _ ->
-        let tmp = Filename.temp_file "bench_macro" ".bin" in
-        (match Unix.fork () with
-        | 0 ->
-            let campaigns = campaign_timings ~quick () in
-            let vanet = vanet_timings ~quick () in
-            let oc = open_out_bin tmp in
-            Marshal.to_channel oc (campaigns, vanet) [];
-            close_out oc;
-            exit 0
-        | pid -> (
-            match Unix.waitpid [] pid with
-            | _, Unix.WEXITED 0 -> ()
-            | _ ->
-                Sys.remove tmp;
-                prerr_endline "bench: macro timing child failed";
-                exit 1));
-        let ic = open_in_bin tmp in
-        let ((campaigns, vanet)
-              : (int * bool * int * int * float * int) list
-                * (bool * Dgs_workload.Vanet.report) list) =
-          Marshal.from_channel ic
-        in
-        close_in ic;
-        Sys.remove tmp;
-        Some (campaigns, vanet)
-  in
   let micro = if tables_only then [] else micro_benchmarks ~quick () in
   if not micro_only then
     List.iter (Experiments.run_and_print ~quick ~jobs) Experiments.all;
-  match (json_path, macro) with
-  | Some path, Some (campaigns, vanet) ->
-      write_json path ~micro ~campaigns ~vanet
-  | _ -> ()
+  Option.iter (write_json ~micro) json_path

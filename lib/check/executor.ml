@@ -67,15 +67,7 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
   let cfg = oracle in
   let m_poll = Registry.counter metrics Names.oracle_poll_total in
   let m_poll_ns = Registry.timer metrics Names.oracle_poll_ns in
-  let counting = Trace.Counting.create () in
-  let engine_trace =
-    (* The counting sink is the executor's own (engine-fire accounting);
-       an external trace tees in only when one was actually passed. *)
-    if Trace.enabled trace then
-      Trace.tee (Trace.Counting.sink counting) trace
-    else Trace.Counting.sink counting
-  in
-  let engine = Engine.create ~trace:engine_trace ~metrics () in
+  let engine = Engine.create ~trace ~metrics () in
   let rng = Rng.create sc.seed in
   (* Derived without advancing [rng]: mobility consumes its own stream, so
      scenarios (and their on-disk repros) that never install a model replay
@@ -416,7 +408,7 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
   Hashtbl.iter
     (fun _ t0 -> budget := !budget +. ((t_end -. t0) *. rate) +. 4.0)
     episodes;
-  let fires = Trace.Counting.count counting ~kind:"Event_fired" in
+  let fires = Engine.fired engine in
   let fire_budget =
     int_of_float (Float.ceil !budget) + m.Medium.deliveries + m.Medium.drops
   in

@@ -60,6 +60,7 @@ type 'msg t = {
      mixed record is boxed, and the clock is written on every fire. *)
   clock : float array;
   mutable backlog : int;
+  mutable fired : int;
   mutable next_seq : int;
   mutable next_id : int;
 }
@@ -93,6 +94,7 @@ let create ?(start = 0.0) ?(trace = Trace.null) ?(metrics = Registry.null) () =
     m_cancel = Registry.counter metrics Names.engine_cancel_total;
     clock = [| start |];
     backlog = 0;
+    fired = 0;
     next_seq = 0;
     next_id = 0;
   }
@@ -212,6 +214,7 @@ let cancel t id =
   end
 
 let cancelled_backlog t = t.backlog
+let fired t = t.fired
 let pending t = Calendar.length t.cal
 
 (* Consume one popped slot: reclaim a cancelled entry silently, or fire.
@@ -228,6 +231,7 @@ let consume t slot =
   end
   else begin
     t.clock.(0) <- t.cal_lt.(0);
+    t.fired <- t.fired + 1;
     Registry.Counter.incr t.m_fire;
     if Trace.enabled t.trace then begin
       let time = t.clock.(0) in

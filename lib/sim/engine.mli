@@ -88,6 +88,12 @@ val cancelled_backlog : 'msg t -> int
 val pending : 'msg t -> int
 (** Events still queued (including cancelled ones not yet skipped). *)
 
+val fired : 'msg t -> int
+(** Callbacks executed since creation — the [Event_fired] count a traced
+    twin of the run would record; cancelled entries skipped when popped
+    do not count.  Kept whether or not tracing or metrics are on: the
+    [dgs_check] fire-budget oracle reads it. *)
+
 val step : 'msg t -> bool
 (** Execute the next event; [false] when the agenda is empty. *)
 
@@ -102,5 +108,5 @@ val run_all : 'msg t -> max_events:int -> unit
     guard.  Cancelled entries reclaimed without firing count against the
     budget too — the guard bounds agenda {e work}, not just callbacks run —
     so a long cancelled prefix cannot do unbounded pops within it.  (The
-    [dgs_check] fire-budget oracle is unaffected: it counts [Event_fired]
-    trace events, which skipped entries never emit.) *)
+    [dgs_check] fire-budget oracle is unaffected: it reads {!fired},
+    which skipped entries never bump.) *)

@@ -109,10 +109,10 @@ val stats : 'msg t -> stats
 (** Aggregate counters since creation or the last {!reset_stats}. *)
 
 val stats_by_dest : 'msg t -> dest_stats list
-(** Per-receiver delivery/loss breakdown, sorted by node id — the ground
-    truth the {!Dgs_trace.Trace.Counting} sink's per-node [Msg_delivered]
-    counters are validated against.  Empty unless the medium was created
-    with [~per_dst_stats:true]. *)
+(** Per-receiver delivery/loss/drop breakdown, sorted by node id — the
+    ground truth a trace's per-destination [Msg_delivered] / [Msg_lost] /
+    [Msg_dropped] counts are validated against.  Empty unless the medium
+    was created with [~per_dst_stats:true]. *)
 
 val reset_stats : 'msg t -> unit
 (** Zero all counters, including the per-destination breakdown, and start

@@ -64,8 +64,7 @@ val create :
     delivery delay, required in (0, 1) so deliveries land strictly
     between round ticks.  [make_trace] / [make_metrics] (defaults: null)
     build one sink / registry per shard index; merge the per-shard
-    results with {!Dgs_metrics.Registry.merge} or by summing
-    {!Dgs_trace.Trace.Counting} totals.
+    registries with {!Dgs_metrics.Registry.merge}.
     @raise Invalid_argument on [shards < 1] or [delta] outside (0, 1). *)
 
 val config : t -> Dgs_core.Config.t

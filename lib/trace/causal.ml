@@ -183,20 +183,18 @@ let find_last t ?at p =
     t.events;
   !best
 
-(* The minimal causal chain behind [i]: follow the {e latest} parent at
-   each step (the most proximate cause), root first.  [stop_at] ends the
-   walk once a step at or before that time has been included — the hook
-   the livelock slice uses to cover exactly one rotation. *)
+let proximate t i =
+  match t.parents.(i) with [] -> None | ps -> Some (List.fold_left max min_int ps)
+
+(* The minimal causal chain behind [i]: follow the proximate cause at
+   each step, root first.  [stop_at] ends the walk once a step at or
+   before that time has been included — the hook the livelock slice uses
+   to cover exactly one rotation. *)
 let chain t ?stop_at i =
   let stop = match stop_at with Some s -> s | None -> neg_infinity in
   let rec go acc j =
     if t.times.(j) <= stop then acc
-    else
-      match t.parents.(j) with
-      | [] -> acc
-      | ps ->
-          let p = List.fold_left max min_int ps in
-          go (p :: acc) p
+    else match proximate t j with None -> acc | Some p -> go (p :: acc) p
   in
   go [ i ] i
 

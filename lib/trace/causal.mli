@@ -56,9 +56,13 @@ val find_last : t -> ?at:float -> (float -> Trace.event -> bool) -> int option
 (** Latest event satisfying the predicate, restricted to times [<= at]
     when given. *)
 
+val proximate : t -> int -> int option
+(** The event's most proximate cause: its {e latest} parent; [None] for
+    a root.  Parents always have smaller ids than their children. *)
+
 val chain : t -> ?stop_at:float -> int -> int list
 (** The minimal causal chain behind an event, root first: at each step
-    the {e latest} parent (the most proximate cause) is followed.  With
+    the {!proximate} cause is followed.  With
     [stop_at], the walk ends once a step at or before that time has been
     included — used to cover exactly one livelock rotation. *)
 

@@ -22,6 +22,7 @@ type t = {
   changes : view_change list;  (* in emission order *)
   (* per node: view changes in emission order *)
   by_node : view_change list Int_map.t;
+  dag : Causal.t Lazy.t;
 }
 
 let analyze events =
@@ -66,6 +67,7 @@ let analyze events =
     node_list = Hashtbl.fold (fun v () acc -> v :: acc) nodes [] |> List.sort compare;
     changes = List.rev !changes;
     by_node = Int_map.map List.rev !by_node;
+    dag = lazy (Causal.build events);
   }
 
 let event_count t = t.n_events
@@ -177,32 +179,39 @@ let stabilization t =
     t.node_list;
   table
 
+(* One pass in id order: edges point strictly backward, so every event's
+   chain length and root follow from its proximate cause's, already
+   filled in — [Causal.chain] per row would make long traces quadratic. *)
 let eviction_chains t =
+  let dag = Lazy.force t.dag in
+  let n = Causal.size dag in
+  let hops = Array.make n 1 and root = Array.init n Fun.id in
+  let step i = Format.asprintf "%a" Causal.pp_step (dag, i) in
   let table =
     Table.create ~title:"eviction chains"
-      ~columns:[ "t"; "node"; "evicted"; "view_after"; "double_marks_since_prev" ]
+      ~columns:[ "t"; "node"; "evicted"; "view_after"; "cause"; "hops"; "root" ]
   in
-  (* Per node: double marks set since that node's previous eviction. *)
-  let marks = Hashtbl.create 32 in
-  List.iter
-    (fun (time, ev) ->
-      match ev with
-      | Trace.Mark_set { node; mark = "double"; _ } ->
-          Hashtbl.replace marks node
-            (1 + Option.value ~default:0 (Hashtbl.find_opt marks node))
-      | Trace.View_changed { node; removed = _ :: _ as removed; view; _ } ->
-          let m = Option.value ~default:0 (Hashtbl.find_opt marks node) in
-          Hashtbl.replace marks node 0;
-          Table.add_row table
-            [
-              Table.cell_float ~decimals:2 time;
-              Table.cell_int node;
-              ids_to_string removed;
-              ids_to_string view;
-              Table.cell_int m;
-            ]
-      | _ -> ())
-    t.events;
+  for i = 0 to n - 1 do
+    let cause = Causal.proximate dag i in
+    Option.iter
+      (fun p ->
+        hops.(i) <- hops.(p) + 1;
+        root.(i) <- root.(p))
+      cause;
+    match Causal.event dag i with
+    | time, Trace.View_changed { node; removed = _ :: _ as removed; view; _ } ->
+        Table.add_row table
+          [
+            Table.cell_float ~decimals:2 time;
+            Table.cell_int node;
+            ids_to_string removed;
+            ids_to_string view;
+            Option.fold ~none:"-" ~some:step cause;
+            Table.cell_int hops.(i);
+            step root.(i);
+          ]
+    | _ -> ()
+  done;
   table
 
 let final_views t =

@@ -3,7 +3,8 @@
     Ingests the [(time, event)] list of a {!Trace.Jsonl} trace (or a
     {!Trace.Ring} dump) and derives the convergence story of the run
     without re-running the simulation: a bucketed convergence timeline,
-    the per-node view-stabilization table, the eviction chains, and
+    the per-node view-stabilization table, the eviction chains (read off
+    the {!Causal} lineage DAG), and
     group-size / group-lifetime distributions — the quantities Lauzier et
     al. report for live group detection, produced here from any replayed
     regression script.
@@ -36,9 +37,11 @@ val stabilization : t -> Dgs_metrics.Table.t
 
 val eviction_chains : t -> Dgs_metrics.Table.t
 (** Table "eviction chains": one row per [View_changed] with a non-empty
-    [removed], with the members evicted and the number of double marks the
-    node set since its previous eviction (the rejection activity leading
-    into the cut). *)
+    [removed], in {!Causal} id order, with the members evicted, the view
+    left, the eviction's proximate cause ({!Causal.proximate}, ["-"] for
+    a root) and the hop count and root of its {!Causal.chain} — the
+    chain [grp_sim explain --eviction] prints.  Cost is linear in the
+    DAG's edges after {!Causal.build}. *)
 
 val group_sizes : t -> Dgs_metrics.Histogram.t
 (** Distribution of final group sizes: the size of each {e distinct} final

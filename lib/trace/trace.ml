@@ -558,65 +558,3 @@ module Rotating = struct
     let t = create ~path ~max_bytes ~keep in
     Fun.protect ~finally:(fun () -> close t) (fun () -> f (sink t))
 end
-
-(* --- counting sink --- *)
-
-module Counting = struct
-
-  type t = {
-    counts : (int option * string, int ref) Hashtbl.t;
-    mutable total : int;
-  }
-
-  let create () = { counts = Hashtbl.create 64; total = 0 }
-
-  let bump c key =
-    match Hashtbl.find_opt c.counts key with
-    | Some r -> incr r
-    | None -> Hashtbl.replace c.counts key (ref 1)
-
-  let sink c =
-    make (fun ~time:_ ev ->
-        c.total <- c.total + 1;
-        bump c (node_of ev, kind ev))
-
-  let total c = c.total
-
-  let count c ~kind =
-    Hashtbl.fold
-      (fun (_, k) r acc -> if String.equal k kind then acc + !r else acc)
-      c.counts 0
-
-  let count_for c ~node ~kind =
-    match Hashtbl.find_opt c.counts (Some node, kind) with
-    | Some r -> !r
-    | None -> 0
-
-  let nodes c =
-    Hashtbl.fold
-      (fun (node, _) _ acc ->
-        match node with
-        | Some v when not (List.mem v acc) -> v :: acc
-        | _ -> acc)
-      c.counts []
-    |> List.sort compare
-
-  let table c =
-    let active = List.filter (fun k -> count c ~kind:k > 0) kinds in
-    let t =
-      Dgs_metrics.Table.create ~title:"trace event counts" ~columns:("node" :: active)
-    in
-    List.iter
-      (fun v ->
-        Dgs_metrics.Table.add_row t
-          (string_of_int v
-          :: List.map (fun k -> string_of_int (count_for c ~node:v ~kind:k)) active))
-      (nodes c);
-    Dgs_metrics.Table.add_row t
-      ("total" :: List.map (fun k -> string_of_int (count c ~kind:k)) active);
-    t
-
-  let clear c =
-    Hashtbl.reset c.counts;
-    c.total <- 0
-end

@@ -13,12 +13,12 @@
     clock of their own (notably {!Dgs_core.Grp_node}) emit at whatever time
     the driver last {!set_time}.
 
-    Four concrete sinks are provided: {!Ring} (bounded in-memory buffer,
+    Three concrete sinks are provided: {!Ring} (bounded in-memory buffer,
     for tests and post-mortem inspection), {!Jsonl} (newline-delimited JSON
-    to a channel, for offline analysis), {!Rotating} (size-capped JSONL
-    with keep-last-N rotation, for long traced runs), and {!Counting}
-    (per-node/per-type counters rendered as a {!Dgs_metrics.Table}).
-    Sinks compose with {!tee} and {!filter}. *)
+    to a channel, for offline analysis) and {!Rotating} (size-capped JSONL
+    with keep-last-N rotation, for long traced runs).  Sinks compose with
+    {!tee} and {!filter}.  Aggregate event counts come from the
+    {!Dgs_metrics.Registry} counters, not from a sink. *)
 
 (** {1 Event vocabulary}
 
@@ -113,7 +113,7 @@ val kinds : string list
 val node_of : event -> int option
 (** The node an event is attributed to ([dst] for deliveries and losses,
     [src] for sends, [node] for protocol events, [None] for engine and
-    topology events) — the row key of the {!Counting} sink. *)
+    topology events) — the node set {!Postmortem} reports on. *)
 
 val cause_of : event -> int
 (** The lineage id of the message that caused the event; [-1] when the
@@ -256,39 +256,4 @@ module Rotating : sig
 
   val with_file : string -> max_bytes:int -> keep:int -> (sink -> 'a) -> 'a
   (** Like {!Jsonl.with_file} with rotation. *)
-end
-
-(** {2 Counting sink}
-
-    Rolls events into per-node/per-kind counters — cheap enough to leave
-    on, and the bridge into the {!Dgs_metrics} reporting used by the
-    experiment tables. *)
-
-module Counting : sig
-  type sink := t
-
-  type t
-
-  val create : unit -> t
-  val sink : t -> sink
-
-  val total : t -> int
-  (** All events counted so far. *)
-
-  val count : t -> kind:string -> int
-  (** Events of one kind, across all nodes (including unattributed
-      ones). *)
-
-  val count_for : t -> node:int -> kind:string -> int
-  (** Events of one kind attributed (per {!node_of}) to one node. *)
-
-  val nodes : t -> int list
-  (** Nodes with at least one attributed event, sorted. *)
-
-  val table : t -> Dgs_metrics.Table.t
-  (** One row per node plus a ["total"] row; one column per event kind
-      that occurred at least once (columns for all-zero kinds are
-      omitted). *)
-
-  val clear : t -> unit
 end

@@ -4,6 +4,7 @@
    from the recorded events alone, without re-running the simulation. *)
 
 module Trace = Dgs_trace.Trace
+module Causal = Dgs_trace.Causal
 module Postmortem = Dgs_trace.Postmortem
 module Registry = Dgs_metrics.Registry
 module Table = Dgs_metrics.Table
@@ -64,14 +65,53 @@ let test_stabilization () =
   (* node 2 emitted an event but never a View_changed *)
   check "unknown view shown for silent node" true (Str_helpers.contains s "?")
 
+(* Eviction rows as CSV lines, header dropped. *)
+let eviction_rows events =
+  Postmortem.eviction_chains (Postmortem.analyze events)
+  |> Table.to_csv |> String.trim |> String.split_on_char '\n' |> List.tl
+
+(* Every row must carry what [Causal.chain] — the walk behind
+   [grp_sim explain --eviction] — finds for the same eviction: its hop
+   count and its root, as the row's last two cells. *)
+let check_rows_match_chains events =
+  let dag = Causal.build events in
+  let expected =
+    List.filter_map
+      (fun i ->
+        match Causal.event dag i with
+        | _, Trace.View_changed { removed = _ :: _; _ } ->
+            let ids = Causal.chain dag i in
+            let root = Format.asprintf "%a" Causal.pp_step (dag, List.hd ids) in
+            let root = if String.contains root ',' then "\"" ^ root ^ "\"" else root in
+            Some (Printf.sprintf ",%d,%s" (List.length ids) root)
+        | _ -> None)
+      (List.init (Causal.size dag) Fun.id)
+  in
+  let rows = eviction_rows events in
+  check_int "one row per eviction" (List.length expected) (List.length rows);
+  List.iter2
+    (fun suffix row ->
+      check
+        (Printf.sprintf "row %S ends with %S" row suffix)
+        true
+        (String.ends_with ~suffix row))
+    expected rows
+
+(* Without lineage ids the chain runs through the node's own decisions:
+   the double mark is the cut's proximate cause, the merge that first
+   shaped node 1's state its root. *)
 let test_eviction_chains () =
   let a = Lazy.force analyzed in
   let table = Postmortem.eviction_chains a in
   check_int "one eviction" 1 (Table.row_count table);
-  let s = Table.render table in
-  check "evicted member listed" true (Str_helpers.contains s "{2}");
-  (* exactly the one double mark since the (nonexistent) previous cut *)
-  check "double marks counted" true (Str_helpers.contains s "1")
+  Alcotest.(check (list string))
+    "cause, hops and root"
+    [
+      "4.00,1,{2},{0 1},\"[#6] t=3 Mark_set(node=1,peer=2,double)\",4,\"[#2] t=1 \
+       Merge_accepted(node=1,sender=0)\"";
+    ]
+    (eviction_rows sample_events);
+  check_rows_match_chains sample_events
 
 let test_distributions () =
   let a = Lazy.force analyzed in
@@ -115,91 +155,102 @@ let test_render_and_csv () =
       check (name ^ " non-empty") true (String.length content > 0))
     exports
 
-(* --- eviction-chain attribution edge cases ---
+(* --- eviction-chain attribution over lineage ids --- *)
 
-   Until now these paths were exercised only by the fixture replay; each
-   case pins one attribution rule of [eviction_chains]. *)
+let lid src k = (src lsl 20) lor k
 
-(* A double mark set before a topology snapshot boundary still attributes
-   to the node's next eviction: the counter survives Topology_change. *)
-let test_eviction_mark_across_snapshot_boundary () =
-  let a =
-    Postmortem.analyze
-      [
-        (1.0, Trace.Mark_set { node = 0; peer = 2; mark = "double"; cause = -1 });
-        (2.0, Trace.Topology_change { nodes = 3; edges = 2 });
-        ( 3.0,
-          Trace.View_changed
-            { node = 0; added = []; removed = [ 2 ]; view = [ 0; 1 ]; cause = -1 } );
-      ]
-  in
-  let table = Postmortem.eviction_chains a in
-  check_int "one eviction row" 1 (Table.row_count table);
-  check "mark set before the boundary is counted" true
-    (Str_helpers.contains (Table.render table) "1")
-
-(* The evictor itself departs right after cutting: its eviction row must
-   stay attributed to it, and a later eviction {e of} the departed node by
-   someone else counts only the marks the second evictor set. *)
-let test_eviction_by_departed_evictor () =
-  let a =
-    Postmortem.analyze
-      [
-        (1.0, Trace.Mark_set { node = 1; peer = 2; mark = "double"; cause = -1 });
-        ( 2.0,
-          Trace.View_changed
-            { node = 1; added = []; removed = [ 2 ]; view = [ 0; 1 ]; cause = -1 } );
-        (* node 1 falls silent; node 0 cuts it later without any double
-           mark of its own *)
-        ( 4.0,
-          Trace.View_changed
-            { node = 0; added = []; removed = [ 1 ]; view = [ 0 ]; cause = -1 } );
-      ]
-  in
-  let table = Postmortem.eviction_chains a in
-  check_int "both evictions listed" 2 (Table.row_count table);
-  let s = Table.render table in
-  check "departed evictor's cut attributed to it" true
-    (Str_helpers.contains s "{2}");
-  check "the cut of the departed node is its own row" true
-    (Str_helpers.contains s "{1}");
-  (* node 0 set no double marks: its row counts 0, not node 1's mark *)
-  check "no cross-node mark leakage" true (Str_helpers.contains s "0")
-
-(* Two nodes evicting each other at the same tick: both rows present,
-   each counting only its own node's double marks. *)
+(* Two nodes cutting each other at the same tick, each on the other's
+   broadcast: each row is attributed through its own cause lineage.
+   Node 4's double mark shaped the broadcast that cut it, so it roots
+   node 3's chain; node 3's later uncaused cut continues from its own
+   previous decision. *)
 let test_same_tick_eviction_pair () =
-  let a =
-    Postmortem.analyze
-      [
-        (1.0, Trace.Mark_set { node = 3; peer = 4; mark = "double"; cause = -1 });
-        (1.0, Trace.Mark_set { node = 4; peer = 3; mark = "double"; cause = -1 });
-        (1.5, Trace.Mark_set { node = 4; peer = 3; mark = "double"; cause = -1 });
-        ( 2.0,
-          Trace.View_changed
-            { node = 3; added = []; removed = [ 4 ]; view = [ 3 ]; cause = -1 } );
-        ( 2.0,
-          Trace.View_changed
-            { node = 4; added = []; removed = [ 3 ]; view = [ 4 ]; cause = -1 } );
-        (* a later pair of cuts sees reset counters *)
-        ( 5.0,
-          Trace.View_changed
-            { node = 3; added = []; removed = [ 5 ]; view = [ 3 ]; cause = -1 } );
-      ]
+  let events =
+    [
+      (0.5, Trace.Mark_set { node = 4; peer = 3; mark = "double"; cause = -1 });
+      (1.0, Trace.Msg_sent { src = 3; lid = lid 3 0 });
+      (1.0, Trace.Msg_sent { src = 4; lid = lid 4 0 });
+      (1.5, Trace.Msg_delivered { src = 3; dst = 4; cause = lid 3 0 });
+      (1.5, Trace.Msg_delivered { src = 4; dst = 3; cause = lid 4 0 });
+      ( 2.0,
+        Trace.View_changed
+          { node = 3; added = []; removed = [ 4 ]; view = [ 3 ]; cause = lid 4 0 } );
+      ( 2.0,
+        Trace.View_changed
+          { node = 4; added = []; removed = [ 3 ]; view = [ 4 ]; cause = lid 3 0 } );
+      ( 5.0,
+        Trace.View_changed
+          { node = 3; added = []; removed = [ 5 ]; view = [ 3 ]; cause = -1 } );
+    ]
   in
-  let table = Postmortem.eviction_chains a in
-  check_int "three eviction rows" 3 (Table.row_count table);
-  let csv = Table.to_csv table in
-  let rows = String.split_on_char '\n' (String.trim csv) in
-  (* rows: header, node 3 (1 mark), node 4 (2 marks), node 3 again (0 —
-     reset by its first cut) *)
-  let nth i = List.nth rows i in
-  check "node 3's first cut counts its one mark" true
-    (Str_helpers.contains (nth 1) "1");
-  check "node 4's same-tick cut counts its two marks" true
-    (Str_helpers.contains (nth 2) "2");
-  check "counter resets after the first cut" true
-    (Str_helpers.contains (nth 3) "0")
+  Alcotest.(check (list string))
+    "cause, hops and root per row"
+    [
+      "2.00,3,{4},{3},[#2] t=1 Msg_sent(src=4),3,\"[#0] t=0.5 \
+       Mark_set(node=4,peer=3,double)\"";
+      "2.00,4,{3},{4},[#1] t=1 Msg_sent(src=3),2,[#1] t=1 Msg_sent(src=3)";
+      "5.00,3,{5},{3},\"[#5] t=2 View_changed(node=3,+{},-{4},view={3})\",4,\"[#0] \
+       t=0.5 Mark_set(node=4,peer=3,double)\"";
+    ]
+    (eviction_rows events);
+  check_rows_match_chains events
+
+(* The evictor departs right after cutting: its row stays attributed to
+   the broadcast it acted on, and the later uncaused cut {e of} it by a
+   node with no prior decision is a root of its own — no chain leaks
+   across nodes. *)
+let test_eviction_by_departed_evictor () =
+  let events =
+    [
+      (1.0, Trace.Msg_sent { src = 2; lid = lid 2 0 });
+      ( 1.5,
+        Trace.View_changed
+          { node = 1; added = []; removed = [ 2 ]; view = [ 0; 1 ]; cause = lid 2 0 } );
+      ( 4.0,
+        Trace.View_changed
+          { node = 0; added = []; removed = [ 1 ]; view = [ 0 ]; cause = -1 } );
+    ]
+  in
+  Alcotest.(check (list string))
+    "rows"
+    [
+      "1.50,1,{2},{0 1},[#0] t=1 Msg_sent(src=2),2,[#0] t=1 Msg_sent(src=2)";
+      "4.00,0,{1},{0},-,1,\"[#2] t=4 View_changed(node=0,+{},-{1},view={0})\"";
+    ]
+    (eviction_rows events);
+  check_rows_match_chains events
+
+(* A topology snapshot between a broadcast and the cut it caused is not
+   a hop: Topology_change carries no provenance and stays out of the
+   DAG. *)
+let test_eviction_cause_across_snapshot_boundary () =
+  let events =
+    [
+      (1.0, Trace.Msg_sent { src = 2; lid = lid 2 0 });
+      (2.0, Trace.Topology_change { nodes = 3; edges = 2 });
+      ( 3.0,
+        Trace.View_changed
+          { node = 0; added = []; removed = [ 2 ]; view = [ 0; 1 ]; cause = lid 2 0 } );
+    ]
+  in
+  Alcotest.(check (list string))
+    "row"
+    [ "3.00,0,{2},{0 1},[#0] t=1 Msg_sent(src=2),2,[#0] t=1 Msg_sent(src=2)" ]
+    (eviction_rows events);
+  check_rows_match_chains events
+
+(* The committed fixture predates the lineage layer (no lid/cause
+   fields): its evictions still get rows, chained through each node's
+   own decisions. *)
+let test_pre_provenance_fixture () =
+  let events = Trace.Jsonl.load (Filename.concat "fixtures" "sample-trace.jsonl") in
+  check_int "fixture events" 5263 (List.length events);
+  check "no provenance recorded" true
+    (List.for_all
+       (fun (_, ev) -> Trace.cause_of ev = -1 && Trace.lid_of ev = -1)
+       events);
+  check_int "eviction rows" 11 (List.length (eviction_rows events));
+  check_rows_match_chains events
 
 let test_empty_trace () =
   let a = Postmortem.analyze [] in
@@ -248,11 +299,12 @@ let suite =
     ("convergence timeline", `Quick, test_timeline);
     ("stabilization table", `Quick, test_stabilization);
     ("eviction chains", `Quick, test_eviction_chains);
-    ( "eviction marks across a snapshot boundary",
+    ( "eviction cause across a snapshot boundary",
       `Quick,
-      test_eviction_mark_across_snapshot_boundary );
+      test_eviction_cause_across_snapshot_boundary );
     ("eviction by a departed evictor", `Quick, test_eviction_by_departed_evictor);
     ("same-tick eviction pair", `Quick, test_same_tick_eviction_pair);
+    ("pre-provenance fixture eviction rows", `Quick, test_pre_provenance_fixture);
     ("group size and lifetime distributions", `Quick, test_distributions);
     ("render and csv exports", `Quick, test_render_and_csv);
     ("empty trace", `Quick, test_empty_trace);

@@ -248,7 +248,7 @@ let test_prometheus () =
     (has "h_bucket{le=\"2\"} 1" && has "h_bucket{le=\"4\"} 3"
     && has "h_bucket{le=\"+Inf\"} 3" && has "h_count 3")
 
-(* --- cross-check: registry counters vs the counting trace sink --- *)
+(* --- cross-check: registry counters vs traced event counts --- *)
 
 let test_counters_match_trace () =
   (* One replayed regression scenario, observed simultaneously through
@@ -264,12 +264,16 @@ let test_counters_match_trace () =
     | Some sc -> sc
     | None -> Alcotest.failf "cannot load %s" path
   in
-  let counting = Trace.Counting.create () in
+  let ring = Trace.Ring.create ~capacity:65536 in
   let reg = Registry.create () in
-  ignore (Executor.run ~trace:(Trace.Counting.sink counting) ~metrics:reg sc);
+  ignore (Executor.run ~trace:(Trace.Ring.sink ring) ~metrics:reg sc);
+  check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
   let s = Registry.snapshot reg in
   let counter name = List.assoc name s.Registry.counters in
-  let traced kind = Trace.Counting.count counting ~kind in
+  let events = Trace.Ring.contents ring in
+  let traced kind =
+    List.length (List.filter (fun (_, ev) -> Trace.kind ev = kind) events)
+  in
   List.iter
     (fun (metric, kind) ->
       check_int
@@ -353,6 +357,6 @@ let suite =
     ("json round-trip", `Quick, test_json_round_trip);
     ("counters_to_json is the deterministic core", `Quick, test_counters_to_json);
     ("prometheus exposition", `Quick, test_prometheus);
-    ("counters agree with the counting sink", `Quick, test_counters_match_trace);
+    ("counters agree with traced event counts", `Quick, test_counters_match_trace);
     ("doc vocabulary", `Quick, test_doc_vocabulary);
   ]

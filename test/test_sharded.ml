@@ -112,11 +112,11 @@ let test_jobs_byte_identity () =
   let run jobs =
     let shards = 4 in
     let registries = Array.init shards (fun _ -> Registry.create ()) in
-    let countings = Array.init shards (fun _ -> Trace.Counting.create ()) in
+    let rings = Array.init shards (fun _ -> Trace.Ring.create ~capacity:65536) in
     let s =
       Sharded.create ~config ~shards ~jobs ~seed:7
         ~shard_of:(fun v -> v * shards / n)
-        ~make_trace:(fun sx -> Trace.Counting.sink countings.(sx))
+        ~make_trace:(fun sx -> Trace.Ring.sink rings.(sx))
         ~make_metrics:(fun sx -> registries.(sx))
         g0
     in
@@ -126,12 +126,14 @@ let test_jobs_byte_identity () =
     let merged =
       Registry.merge (Array.to_list (Array.map Registry.snapshot registries))
     in
+    Array.iter
+      (fun r -> check_int "ring kept every event" (Trace.Ring.seen r) (Trace.Ring.length r))
+      rings;
+    let events = Array.to_list rings |> List.concat_map Trace.Ring.contents in
     let counts =
       List.map
         (fun kind ->
-          Array.fold_left
-            (fun acc c -> acc + Trace.Counting.count c ~kind)
-            0 countings)
+          List.length (List.filter (fun (_, ev) -> Trace.kind ev = kind) events))
         kinds
     in
     ( pp_views (Sharded.views s),

@@ -117,23 +117,32 @@ let test_engine_run_until_cancelled_prefix () =
   Engine.run_until e 5.0;
   check "fires once in range" true !fired
 
-(* Skipped (cancelled) pops emit no [Event_fired] — the dgs_check
-   fire-budget oracle counts trace events, so its budget semantics are
-   unchanged by run_all counting cancelled pops. *)
+(* Skipped (cancelled) pops neither fire nor emit [Event_fired]:
+   [Engine.fired], the count the dgs_check fire-budget oracle reads,
+   equals the [Event_fired] count of a traced twin, so the budget
+   semantics are unchanged by run_all counting cancelled pops. *)
 let test_engine_skips_emit_no_fire_events () =
-  let counting = Trace.Counting.create () in
-  let e = Engine.create ~trace:(Trace.Counting.sink counting) () in
-  let ids =
-    List.init 3 (fun i ->
-        Engine.schedule_at e (float_of_int (i + 1)) (fun () -> ()))
+  let run trace =
+    let e = Engine.create ~trace () in
+    let ids =
+      List.init 3 (fun i ->
+          Engine.schedule_at e (float_of_int (i + 1)) (fun () -> ()))
+    in
+    ignore (Engine.schedule_at e 4.0 (fun () -> ()));
+    List.iter (Engine.cancel e) ids;
+    Engine.run_all e ~max_events:10;
+    Engine.fired e
   in
-  ignore (Engine.schedule_at e 4.0 (fun () -> ()));
-  List.iter (Engine.cancel e) ids;
-  Engine.run_all e ~max_events:10;
-  check_int "only real fires traced" 1
-    (Trace.Counting.count counting ~kind:"Event_fired");
-  check_int "all schedules traced" 4
-    (Trace.Counting.count counting ~kind:"Event_scheduled")
+  let ring = Trace.Ring.create ~capacity:64 in
+  let traced_fires = run (Trace.Ring.sink ring) in
+  let count kind =
+    List.length
+      (List.filter (fun (_, ev) -> Trace.kind ev = kind) (Trace.Ring.contents ring))
+  in
+  check_int "only real fires traced" 1 (count "Event_fired");
+  check_int "all schedules traced" 4 (count "Event_scheduled");
+  check_int "traced engine counts its fires" 1 traced_fires;
+  check_int "untraced twin fires as often" (count "Event_fired") (run Trace.null)
 
 (* --- medium --- *)
 
@@ -424,8 +433,7 @@ let test_net_deterministic () =
    deliveries. *)
 let test_net_deactivate_retires_timers () =
   let graph = Gen.line 3 in
-  let counting = Trace.Counting.create () in
-  let engine = Engine.create ~trace:(Trace.Counting.sink counting) () in
+  let engine = Engine.create () in
   let net =
     Net.create ~engine ~rng:(Rng.create 11)
       ~config:(Config.make ~dmax:2 ())
@@ -436,10 +444,10 @@ let test_net_deactivate_retires_timers () =
   Net.deactivate net 0;
   Net.deactivate net 1;
   Net.deactivate net 2;
-  let fired_before = Trace.Counting.count counting ~kind:"Event_fired" in
+  let fired_before = Engine.fired engine in
   let computes_before = (Net.stats net).Net.computes in
   Net.run_until net 110.0;
-  let extra = Trace.Counting.count counting ~kind:"Event_fired" - fired_before in
+  let extra = Engine.fired engine - fired_before in
   check "retired timers stop firing" true (extra <= 20);
   check_int "no computes while everyone is down" computes_before
     (Net.stats net).Net.computes
@@ -451,8 +459,7 @@ let test_net_deactivate_retires_timers () =
    times the remaining run time. *)
 let test_net_churn_event_budget () =
   let graph = Gen.line 3 in
-  let counting = Trace.Counting.create () in
-  let engine = Engine.create ~trace:(Trace.Counting.sink counting) () in
+  let engine = Engine.create () in
   let net =
     Net.create ~engine ~rng:(Rng.create 12)
       ~config:(Config.make ~dmax:2 ())
@@ -468,7 +475,7 @@ let test_net_churn_event_budget () =
     incr episodes
   done;
   Net.run_until net 60.0;
-  let fires = Trace.Counting.count counting ~kind:"Event_fired" in
+  let fires = Engine.fired engine in
   let m = (Net.stats net).Net.medium in
   let rate = (1.0 /. 1.0) +. (1.0 /. 0.4) in
   let budget =
@@ -514,12 +521,12 @@ let test_net_remove_node () =
    deliveries. *)
 let test_net_inflight_drop_accounting () =
   let graph = Gen.line 2 in
-  let counting = Trace.Counting.create () in
+  let ring = Trace.Ring.create ~capacity:65536 in
   let engine = Engine.create () in
   let net =
     Net.create ~engine ~rng:(Rng.create 14)
       ~config:(Config.make ~dmax:2 ())
-      ~trace:(Trace.Counting.sink counting)
+      ~trace:(Trace.Ring.sink ring)
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
   in
@@ -532,10 +539,16 @@ let test_net_inflight_drop_accounting () =
     (after.Medium.deliveries <= before.Medium.deliveries + 1);
   check "refused copies counted as drops" true
     (after.Medium.drops > before.Medium.drops);
-  check "Msg_dropped emitted" true
-    (Trace.Counting.count counting ~kind:"Msg_dropped" > 0);
-  check "trace agrees with the medium's drop counter" true
-    (Trace.Counting.count counting ~kind:"Msg_dropped" = after.Medium.drops)
+  check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
+  let traced_drops =
+    List.length
+      (List.filter
+         (fun (_, ev) -> match ev with Trace.Msg_dropped _ -> true | _ -> false)
+         (Trace.Ring.contents ring))
+  in
+  check "Msg_dropped emitted" true (traced_drops > 0);
+  check_int "trace agrees with the medium's drop counter" after.Medium.drops
+    traced_drops
 
 (* --- engine equivalence vs the vendored closure engine --- *)
 

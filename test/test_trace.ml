@@ -1,7 +1,7 @@
 (* Unit and integration tests for the dgs_trace event subsystem: sinks
-   (ring, JSONL, counting, null), the engine cancel-backlog regression,
-   agreement between the counting sink and the medium's own per-destination
-   stats, the E1 View_changed stream, and the doc-vocabulary diff that
+   (ring, JSONL, null), the engine cancel-backlog regression, agreement
+   between a trace's per-kind event counts and the medium's own
+   per-destination stats, the E1 View_changed stream, and the doc-vocabulary diff that
    keeps docs/OBSERVABILITY.md in sync with the event type. *)
 
 module Trace = Dgs_trace.Trace
@@ -184,15 +184,15 @@ let test_rotating_sink () =
       Alcotest.(check (list int)) "previous file" [ 16; 17; 18 ] (lids (path ^ ".1"));
       Alcotest.(check (list int)) "oldest kept file" [ 13; 14; 15 ] (lids (path ^ ".2")))
 
-(* --- counting sink vs. the medium's ground truth --- *)
+(* --- traced event counts vs. the medium's ground truth --- *)
 
-let test_counting_matches_medium () =
-  let counting = Trace.Counting.create () in
+let test_trace_counts_match_medium () =
+  let ring = Trace.Ring.create ~capacity:4096 in
   let engine = Engine.create () in
   let medium =
     Medium.create ~engine ~rng:(Rng.create 11) ~loss:0.4 ~delay_min:0.001
       ~delay_max:0.01 ~per_dst_stats:true
-      ~trace:(Trace.Counting.sink counting)
+      ~trace:(Trace.Ring.sink ring)
       ~audience:(fun _ -> [ 1; 2; 3 ])
       ~deliver:(fun ~dst ~lid:_ _ -> dst <> 3)
       ()
@@ -201,34 +201,37 @@ let test_counting_matches_medium () =
     ignore (Medium.broadcast medium ~src:0 "x")
   done;
   Engine.run_until engine 10.0;
+  check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
+  let count ?node kind =
+    List.length
+      (List.filter
+         (fun (_, ev) ->
+           Trace.kind ev = kind
+           && (node = None || Trace.node_of ev = node))
+         (Trace.Ring.contents ring))
+  in
   let s = Medium.stats medium in
-  check_int "sends" s.Medium.broadcasts (Trace.Counting.count counting ~kind:"Msg_sent");
-  check_int "deliveries" s.Medium.deliveries
-    (Trace.Counting.count counting ~kind:"Msg_delivered");
-  check_int "losses" s.Medium.losses (Trace.Counting.count counting ~kind:"Msg_lost");
-  check_int "drops" s.Medium.drops (Trace.Counting.count counting ~kind:"Msg_dropped");
+  check_int "sends" s.Medium.broadcasts (count "Msg_sent");
+  check_int "deliveries" s.Medium.deliveries (count "Msg_delivered");
+  check_int "losses" s.Medium.losses (count "Msg_lost");
+  check_int "drops" s.Medium.drops (count "Msg_dropped");
   List.iter
     (fun d ->
+      let node = d.Medium.dst in
       check_int
-        (Printf.sprintf "deliveries to %d" d.Medium.dst)
+        (Printf.sprintf "deliveries to %d" node)
         d.Medium.dst_deliveries
-        (Trace.Counting.count_for counting ~node:d.Medium.dst ~kind:"Msg_delivered");
+        (count ~node "Msg_delivered");
       check_int
-        (Printf.sprintf "losses to %d" d.Medium.dst)
-        d.Medium.dst_losses
-        (Trace.Counting.count_for counting ~node:d.Medium.dst ~kind:"Msg_lost");
+        (Printf.sprintf "losses to %d" node)
+        d.Medium.dst_losses (count ~node "Msg_lost");
       check_int
-        (Printf.sprintf "drops at %d" d.Medium.dst)
-        d.Medium.dst_drops
-        (Trace.Counting.count_for counting ~node:d.Medium.dst ~kind:"Msg_dropped"))
+        (Printf.sprintf "drops at %d" node)
+        d.Medium.dst_drops (count ~node "Msg_dropped"))
     (Medium.stats_by_dest medium);
   check "some of each" true
     (s.Medium.deliveries > 0 && s.Medium.losses > 0 && s.Medium.drops > 0);
-  check_int "node 3 consumed nothing"
-    0
-    (Trace.Counting.count_for counting ~node:3 ~kind:"Msg_delivered");
-  Trace.Counting.clear counting;
-  check_int "clear" 0 (Trace.Counting.total counting)
+  check_int "node 3 consumed nothing" 0 (count ~node:3 "Msg_delivered")
 
 (* --- engine cancel backlog (leak regression) --- *)
 
@@ -399,7 +402,7 @@ let suite =
     ("jsonl load skips garbage", `Quick, test_jsonl_load_skips_garbage);
     ("jsonl provenance backward-compat", `Quick, test_jsonl_provenance_compat);
     ("rotating sink", `Quick, test_rotating_sink);
-    ("counting sink matches medium stats", `Quick, test_counting_matches_medium);
+    ("traced counts match medium stats", `Quick, test_trace_counts_match_medium);
     ("engine cancel backlog regression", `Quick, test_engine_cancel_backlog);
     ("E1 View_changed sequence", `Quick, test_e1_view_changed_sequence);
     ("monitor timeline", `Quick, test_monitor_timeline);
