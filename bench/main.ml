@@ -17,8 +17,8 @@
 
    --jobs N spreads the experiments' independent repetitions over N domains
    (output is identical to --jobs 1; see Dgs_parallel.Pool).  --json PATH
-   additionally writes a machine-readable snapshot (schema 7) of the micro
-   ns/op numbers.  End-to-end timings come from perfbench/, the repository
+   additionally writes a machine-readable snapshot (schema 8) of the micro
+   rows: ns/op and the r² of its OLS fit.  End-to-end timings come from perfbench/, the repository
    benchmark. *)
 
 open Bechamel
@@ -323,8 +323,8 @@ let micro_benchmarks ~quick () =
   in
   let quota = Time.second (if quick then 0.05 else 0.5) in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 100) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  Printf.printf "== micro-benchmarks (ns per run) ==\n%!";
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  Printf.printf "== micro-benchmarks (ns per run, r² of the OLS fit) ==\n%!";
   List.concat_map
     (fun test ->
       List.map
@@ -334,8 +334,9 @@ let micro_benchmarks ~quick () =
           let ns =
             match Analyze.OLS.estimates est with Some [ x ] -> x | _ -> nan
           in
-          Printf.printf "%-45s %12.0f ns/run\n%!" (Test.Elt.name elt) ns;
-          (Test.Elt.name elt, ns))
+          let r2 = Option.value (Analyze.OLS.r_square est) ~default:nan in
+          Printf.printf "%-45s %12.0f ns/run  r² %.4f\n%!" (Test.Elt.name elt) ns r2;
+          (Test.Elt.name elt, ns, r2))
         (Test.elements test))
     tests
 
@@ -344,16 +345,19 @@ let write_json path ~micro =
   let tm = Unix.gmtime (Unix.time ()) in
   Buffer.add_string b
     (Printf.sprintf
-       "{\n  \"schema\": 7,\n  \"date\": \"%04d-%02d-%02dT%02d:%02d:%02dZ\",\n"
+       "{\n  \"schema\": 8,\n  \"date\": \"%04d-%02d-%02dT%02d:%02d:%02dZ\",\n"
        (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
        tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec);
   Buffer.add_string b
     (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string b "  \"micro_ns_per_op\": {\n";
   List.iteri
-    (fun i (name, ns) ->
+    (fun i (name, ns, r2) ->
+      (* A fit that produced no estimate is [null], not a bare [nan]. *)
+      let num fmt x = if Float.is_finite x then Printf.sprintf fmt x else "null" in
       Buffer.add_string b
-        (Printf.sprintf "    %S: %.1f%s\n" name ns
+        (Printf.sprintf "    %S: {\"ns\": %s, \"r2\": %s}%s\n" name
+           (num "%.1f" ns) (num "%.4f" r2)
            (if i = List.length micro - 1 then "" else ",")))
     micro;
   Buffer.add_string b "  }\n}\n";

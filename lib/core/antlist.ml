@@ -2,43 +2,17 @@ type entry = { id : Node_id.t; mark : Mark.t }
 
 (* Levels in distance order, each level a sorted-by-id array with unique ids
    within the level (across-level uniqueness is only guaranteed for values
-   built by [merge]/[ant], see [well_formed]).  Level arrays are never
-   mutated after construction, so suffixes and untouched levels are shared
-   freely between values ([merge]/[truncate]/[strip_marked] reuse input
-   arrays whenever a pass changes nothing — which is the common case once
-   the protocol has stabilized, and what makes the steady-state equality
-   checks in [Grp_node]'s fold cache O(1) physical comparisons).
+   built by [merge]/[ant], see [well_formed]).  Arrays are never mutated
+   after construction, so suffixes and untouched levels are shared freely
+   between values ([merge]/[truncate]/[strip_marked] reuse input arrays
+   whenever a pass changes nothing — which is the common case once the
+   protocol has stabilized, and what makes the steady-state equality checks
+   in [Grp_node]'s fold cache O(1) physical comparisons). *)
+type t = entry array array
 
-   Queries that historically rescanned the levels ([find]/[mem], [ids],
-   [clear_ids], [entries]) answer from per-value memo caches built on first
-   use.  A value is logically immutable, so the caches are write-once
-   derived data; values are domain-confined (each simulation task builds its
-   own nets and lists), so the caches need no synchronization. *)
-type cache = {
-  mutable index : (Node_id.t, int * Mark.t) Hashtbl.t option;
-      (* id -> (position, mark) of the FIRST (closest) occurrence *)
-  mutable entries_l : (Node_id.t * int * Mark.t) list option;
-  mutable ids_s : Node_id.Set.t option;
-  mutable clear_ids_s : Node_id.Set.t option;
-}
-
-type t = { lvls : entry array array; cache : cache }
-
-let mk lvls =
-  { lvls; cache = { index = None; entries_l = None; ids_s = None; clear_ids_s = None } }
-
-(* [empty] is the one [t] shared between domains (every other value is
-   built inside the task that uses it), so its memo cache is populated
-   eagerly here: no domain ever writes to it. *)
-let empty =
-  let t = mk [||] in
-  t.cache.index <- Some (Hashtbl.create 1);
-  t.cache.entries_l <- Some [];
-  t.cache.ids_s <- Some Node_id.Set.empty;
-  t.cache.clear_ids_s <- Some Node_id.Set.empty;
-  t
-let singleton id = mk [| [| { id; mark = Mark.Clear } |] |]
-let singleton_marked id mark = mk [| [| { id; mark } |] |]
+let empty = [||]
+let singleton id = [| [| { id; mark = Mark.Clear } |] |]
+let singleton_marked id mark = [| [| { id; mark } |] |]
 
 (* Sort a raw level by id and merge duplicate ids (most severe mark wins). *)
 let normalize_level es =
@@ -62,115 +36,106 @@ let normalize_level es =
   end
 
 let of_levels lvls =
-  mk
-    (Array.of_list
-       (List.map
-          (fun l -> normalize_level (List.map (fun (id, mark) -> { id; mark }) l))
-          lvls))
+  Array.of_list
+    (List.map
+       (fun l -> normalize_level (List.map (fun (id, mark) -> { id; mark }) l))
+       lvls)
 
-let levels t = Array.to_list (Array.map Array.to_list t.lvls)
-let size t = Array.length t.lvls
-let is_empty t = Array.length t.lvls = 0
+let levels t = Array.to_list (Array.map Array.to_list t)
+let size t = Array.length t
+let is_empty t = Array.length t = 0
 
 let clear_size t =
   let best = ref 0 in
   Array.iteri
     (fun i l -> if Array.exists (fun e -> e.mark = Mark.Clear) l then best := i + 1)
-    t.lvls;
+    t;
   !best
 
-let level t i =
-  if i < 0 || i >= Array.length t.lvls then [] else Array.to_list t.lvls.(i)
+let level t i = if i < 0 || i >= Array.length t then [] else Array.to_list t.(i)
 
 let level_ids t i =
-  if i < 0 || i >= Array.length t.lvls then Node_id.Set.empty
-  else
-    Array.fold_left
-      (fun acc e -> Node_id.Set.add e.id acc)
-      Node_id.Set.empty t.lvls.(i)
+  if i < 0 || i >= Array.length t then Node_id.Set.empty
+  else Array.fold_left (fun acc e -> Node_id.Set.add e.id acc) Node_id.Set.empty t.(i)
 
-let total_entries t = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.lvls
+(* The membership queries below are top-level recursions over the sorted
+   levels rather than closures over the list and the id, so that [mem] and
+   [well_formed] allocate nothing. *)
 
-let index t =
-  match t.cache.index with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create (max 8 (total_entries t)) in
-      Array.iteri
-        (fun pos l ->
-          Array.iter
-            (fun e -> if not (Hashtbl.mem h e.id) then Hashtbl.add h e.id (pos, e.mark))
-            l)
-        t.lvls;
-      t.cache.index <- Some h;
-      h
+(* Index of [id] in the sorted level [l] within [lo, hi), or -1. *)
+let rec search (l : entry array) id lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let c = Node_id.compare l.(mid).id id in
+    if c = 0 then mid else if c < 0 then search l id (mid + 1) hi else search l id lo mid
+  end
 
-let find t id = Hashtbl.find_opt (index t) id
-let mem t id = Hashtbl.mem (index t) id
+(* [id] occurs in none of the levels [0, i) of [lvls]. *)
+let rec absent_above (lvls : t) id i =
+  i = 0
+  || begin
+       let l = lvls.(i - 1) in
+       search l id 0 (Array.length l) < 0 && absent_above lvls id (i - 1)
+     end
 
-let fold_entries t ~init ~f =
-  let acc = ref init in
-  Array.iteri
-    (fun pos l -> Array.iter (fun e -> acc := f !acc e.id pos e.mark) l)
-    t.lvls;
-  !acc
+(* Levels are scanned in distance order, so the first hit is the closest
+   occurrence. *)
+let rec find_from t id pos =
+  if pos >= Array.length t then None
+  else begin
+    let l = t.(pos) in
+    let j = search l id 0 (Array.length l) in
+    if j >= 0 then Some (pos, l.(j).mark) else find_from t id (pos + 1)
+  end
+
+let find t id = find_from t id 0
+let mem t id = not (absent_above t id (Array.length t))
+
+let rec fold_level_entries f (l : entry array) pos j acc =
+  if j >= Array.length l then acc
+  else begin
+    let e = l.(j) in
+    fold_level_entries f l pos (j + 1) (f acc e.id pos e.mark)
+  end
+
+let rec fold_levels f t pos acc =
+  if pos >= Array.length t then acc
+  else fold_levels f t (pos + 1) (fold_level_entries f t.(pos) pos 0 acc)
+
+let fold_entries t ~init ~f = fold_levels f t 0 init
+
+let rec exists_level f (l : entry array) pos j =
+  j < Array.length l
+  && begin
+       let e = l.(j) in
+       f e.id pos e.mark || exists_level f l pos (j + 1)
+     end
+
+let rec exists_from f t pos =
+  pos < Array.length t && (exists_level f t.(pos) pos 0 || exists_from f t (pos + 1))
+
+let exists t ~f = exists_from f t 0
 
 let fold_level t i ~init ~f =
-  if i < 0 || i >= Array.length t.lvls then init
-  else Array.fold_left (fun acc e -> f acc e.id e.mark) init t.lvls.(i)
+  if i < 0 || i >= Array.length t then init
+  else Array.fold_left (fun acc e -> f acc e.id e.mark) init t.(i)
 
-let level_size t i =
-  if i < 0 || i >= Array.length t.lvls then 0 else Array.length t.lvls.(i)
+let level_size t i = if i < 0 || i >= Array.length t then 0 else Array.length t.(i)
 
-let ids t =
-  match t.cache.ids_s with
-  | Some s -> s
-  | None ->
-      let s =
-        fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ _ ->
-            Node_id.Set.add id acc)
-      in
-      t.cache.ids_s <- Some s;
-      s
+let ids t = fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ _ -> Node_id.Set.add id acc)
 
 let clear_ids t =
-  match t.cache.clear_ids_s with
-  | Some s -> s
-  | None ->
-      let s =
-        fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ mark ->
-            if mark = Mark.Clear then Node_id.Set.add id acc else acc)
-      in
-      t.cache.clear_ids_s <- Some s;
-      s
+  fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ mark ->
+      if mark = Mark.Clear then Node_id.Set.add id acc else acc)
 
 let entries t =
-  match t.cache.entries_l with
-  | Some l -> l
-  | None ->
-      let l =
-        List.rev
-          (fold_entries t ~init:[] ~f:(fun acc id pos mark -> (id, pos, mark) :: acc))
-      in
-      t.cache.entries_l <- Some l;
-      l
-
-(* The caches are write-once within one domain, but a value handed to
-   another domain (a boundary message in a sharded run) would race on
-   their population; warming them while still single-owner turns every
-   later access into a plain read. *)
-let warm t =
-  ignore (index t);
-  ignore (ids t);
-  ignore (clear_ids t);
-  ignore (entries t)
+  List.rev (fold_entries t ~init:[] ~f:(fun acc id pos mark -> (id, pos, mark) :: acc))
 
 (* Filter a level in one pass, sharing the input array when nothing is
    dropped.  The keep-set fits an int bitmask for every level the protocol
    actually produces (inline up to 62 entries); the boxed bool array only
-   appears on the synthetic giant levels of the scalability workloads.
-   The predicate may be stateful (merge's first-occurrence check), so it
-   is called exactly once per element in index order. *)
+   appears on the synthetic giant levels of the scalability workloads. *)
 let filter_level p l =
   let n = Array.length l in
   if n = 0 then l
@@ -223,20 +188,17 @@ let filter_level p l =
 
 let strip_marked ~keep t =
   let lvls' =
-    Array.map
-      (filter_level (fun e -> e.mark = Mark.Clear || Node_id.equal e.id keep))
-      t.lvls
+    Array.map (filter_level (fun e -> e.mark = Mark.Clear || Node_id.equal e.id keep)) t
   in
   let n = ref (Array.length lvls') in
   while !n > 0 && Array.length lvls'.(!n - 1) = 0 do
     decr n
   done;
-  let unchanged = ref (!n = Array.length t.lvls) in
-  if !unchanged then
-    Array.iteri (fun i l -> if l != t.lvls.(i) then unchanged := false) lvls';
-  if !unchanged then t else mk (Array.sub lvls' 0 !n)
+  let unchanged = ref (!n = Array.length t) in
+  if !unchanged then Array.iteri (fun i l -> if l != t.(i) then unchanged := false) lvls';
+  if !unchanged then t else Array.sub lvls' 0 !n
 
-let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t.lvls
+let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t
 
 (* The [⊕] operator: union the levels positionwise, then keep only the
    first occurrence of every id, walking levels in distance order.  A level
@@ -251,47 +213,21 @@ let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t.lvls
    the shift: [merge_off 1 a b] is [a ⊕ r(b)], the [ant] fold step, minus
    one array copy per application.
 
-   The first-occurrence set is a flat linear-scan buffer for the list
-   sizes the protocol actually produces (a handful of levels of a handful
-   of entries), falling back to a hashtable for the large lists the
-   scalability workloads build — allocating and hashing dominated the old
-   implementation on the common small case. *)
+   An id is a first occurrence when no level already emitted holds it:
+   those levels are sorted, and ids are unique within the level being
+   built, so a binary search per emitted level decides it without any
+   side table. *)
 let merge_off off a b =
-  let la = a.lvls and lb = b.lvls in
-  let na = Array.length la and nb = Array.length lb in
+  let na = Array.length a and nb = Array.length b in
   let n = max na (if nb = 0 then 0 else nb + off) in
-  let total = total_entries a + total_entries b in
-  let fresh =
-    if total > 48 then begin
-      let tbl = Hashtbl.create total in
-      fun id ->
-        if Hashtbl.mem tbl id then false
-        else begin
-          Hashtbl.replace tbl id ();
-          true
-        end
-    end
-    else begin
-      let buf = Array.make (max total 1) 0 in
-      let cnt = ref 0 in
-      fun id ->
-        let rec dup i = i < !cnt && (buf.(i) = id || dup (i + 1)) in
-        if dup 0 then false
-        else begin
-          buf.(!cnt) <- id;
-          incr cnt;
-          true
-        end
-    end
-  in
-  let pred e = fresh e.id in
+  let lvls = Array.make n [||] in
+  let emitted = ref 0 in
+  let pred e = absent_above lvls e.id !emitted in
   (* Overlapping levels fuse the positionwise union with the
      first-occurrence filter in the one two-pointer pass: the separate
      union array the historical code built was immediately consumed by the
      filter and thrown away, one allocation per level per merge on the ant
-     fold's hottest path.  The predicate sees the same merged entries in
-     the same order as the two-pass version, which is what keeps the
-     stateful first-occurrence check equivalent. *)
+     fold's hottest path. *)
   let union_filter a b =
     let ka = Array.length a and kb = Array.length b in
     let out = Array.make (ka + kb) a.(0) in
@@ -329,38 +265,31 @@ let merge_off off a b =
     done;
     if !k = ka + kb then out else Array.sub out 0 !k
   in
-  let out = ref [] in
-  let levels_out = ref 0 in
   (try
      for i = 0 to n - 1 do
        let bi = i - off in
        let l' =
          if i >= na then
-           if bi >= 0 && bi < nb then filter_level pred lb.(bi) else [||]
-         else if bi < 0 || bi >= nb then filter_level pred la.(i)
-         else if Array.length la.(i) = 0 then filter_level pred lb.(bi)
-         else if Array.length lb.(bi) = 0 then filter_level pred la.(i)
-         else union_filter la.(i) lb.(bi)
+           if bi >= 0 && bi < nb then filter_level pred b.(bi) else [||]
+         else if bi < 0 || bi >= nb then filter_level pred a.(i)
+         else if Array.length a.(i) = 0 then filter_level pred b.(bi)
+         else if Array.length b.(bi) = 0 then filter_level pred a.(i)
+         else union_filter a.(i) b.(bi)
        in
        if Array.length l' = 0 then raise Exit;
-       out := l' :: !out;
-       incr levels_out
+       lvls.(i) <- l';
+       incr emitted
      done
    with Exit -> ());
-  let arr = Array.make !levels_out [||] in
-  List.iteri (fun i l -> arr.(!levels_out - 1 - i) <- l) !out;
-  mk arr
+  if !emitted = n then lvls else Array.sub lvls 0 !emitted
 
 let merge a b = merge_off 0 a b
-
-let shift t =
-  if Array.length t.lvls = 0 then t else mk (Array.append [| [||] |] t.lvls)
-
+let shift t = if Array.length t = 0 then t else Array.append [| [||] |] t
 let ant l1 l2 = merge_off 1 l1 l2
 
 let truncate t k =
-  let n = Array.length t.lvls in
-  if k = 0 then empty else if k < 0 || k >= n then t else mk (Array.sub t.lvls 0 k)
+  let n = Array.length t in
+  if k = 0 then empty else if k < 0 || k >= n then t else Array.sub t 0 k
 
 (* Drop all marked entries AND compact every level that ends up (or was)
    empty, in one fused pass — the historical implementation filtered each
@@ -379,29 +308,34 @@ let restrict_clear t =
         out := l' :: !out;
         incr kept_levels
       end)
-    t.lvls;
+    t;
   if not !changed then t
   else begin
     let arr = Array.make !kept_levels [||] in
     List.iteri (fun i l -> arr.(!kept_levels - 1 - i) <- l) !out;
-    mk arr
+    arr
   end
 
-(* Single pass over the cached index instead of the historical
-   entries + [List.sort_uniq] rescan: ids are distinct iff the first-
-   occurrence index covers every entry. *)
-let well_formed t =
-  (not (has_empty_level t))
-  && Hashtbl.length (index t) = total_entries t
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun pos l ->
-           if pos > 1 then
-             Array.iter (fun e -> if e.mark <> Mark.Clear then ok := false) l)
-         t.lvls;
-       !ok
+(* Entries [j..] of level [pos] are first occurrences, and Clear beyond
+   position 1. *)
+let rec level_well_formed t pos (l : entry array) j =
+  j >= Array.length l
+  || begin
+       let e = l.(j) in
+       (pos <= 1 || e.mark = Mark.Clear)
+       && absent_above t e.id pos
+       && level_well_formed t pos l (j + 1)
      end
+
+let rec levels_well_formed t pos =
+  pos >= Array.length t
+  || (Array.length t.(pos) > 0
+     && level_well_formed t pos t.(pos) 0
+     && levels_well_formed t (pos + 1))
+
+(* Ids are unique within a level by construction, so checking each entry
+   against the levels above it covers uniqueness across the whole list. *)
+let well_formed t = levels_well_formed t 0
 
 (* Same order as [Stdlib.compare] over the historical
    list-of-levels-of-(id, mark) key: levels lexicographically, entries
@@ -409,14 +343,13 @@ let well_formed t =
 let compare a b =
   if a == b then 0
   else begin
-    let la = a.lvls and lb = b.lvls in
-    let na = Array.length la and nb = Array.length lb in
+    let na = Array.length a and nb = Array.length b in
     let rec go_level i =
       if i >= na && i >= nb then 0
       else if i >= na then -1
       else if i >= nb then 1
       else begin
-        let l1 = la.(i) and l2 = lb.(i) in
+        let l1 = a.(i) and l2 = b.(i) in
         let m1 = Array.length l1 and m2 = Array.length l2 in
         let rec go_entry j =
           if j >= m1 && j >= m2 then go_level (i + 1)

@@ -12,22 +12,21 @@
 
     Deduplication can transiently empty an interior level (a node known at
     distance [k] through one neighbor also appears closer through another).
-    The paper's [⊕] "deletes needless information"; we compact such empty
-    levels away, which keeps computed lists free of the [∅] sets that
-    [goodList] rejects (DESIGN.md Section 5 discusses this choice).  On a
-    fixed topology the fixpoint has no gaps, so compaction only smooths the
-    convergence phase. *)
+    The paper's [⊕] "deletes needless information"; we truncate the list at
+    such a gap — the deeper levels carry unreliable distance claims and are
+    dropped, not pulled closer — which keeps computed lists free of the [∅]
+    sets that [goodList] rejects (DESIGN.md Section 5 discusses this
+    choice).  On a fixed topology the fixpoint has no gaps, so truncation
+    only shapes the convergence phase. *)
 
 type entry = { id : Node_id.t; mark : Mark.t }
 
 type t
-(** Logically immutable.  Internally each level is a sorted array and the
-    membership queries ({!find}, {!mem}, {!ids}, {!clear_ids}, {!entries})
-    answer from per-value memo caches built on first use; unchanged levels
-    are shared structurally between values, so steady-state equality checks
-    degenerate to physical comparisons.  Values are domain-confined: build
-    and query a list within one domain (hand results across domains only
-    after a join), as the memo caches are unsynchronized. *)
+(** Immutable.  Each level is a sorted array of entries with unique ids;
+    the membership queries ({!find}, {!mem}) binary-search the levels in
+    distance order.  Unchanged levels are shared structurally between
+    values, so steady-state equality checks degenerate to physical
+    comparisons.  Values may be shared between domains freely. *)
 
 val empty : t
 (** The list with no levels (never sent; useful as a fold seed in tests). *)
@@ -70,9 +69,17 @@ val fold_level : t -> int -> init:'a -> f:('a -> Node_id.t -> Mark.t -> 'a) -> '
     replacement for [level] (which materializes an entry list per call). *)
 
 val mem : t -> Node_id.t -> bool
+(** Allocation-free. *)
 
 val find : t -> Node_id.t -> (int * Mark.t) option
-(** Position and mark of a node, if present. *)
+(** Position and mark of the closest occurrence of a node, if present. *)
+
+val fold_entries : t -> init:'a -> f:('a -> Node_id.t -> int -> Mark.t -> 'a) -> 'a
+(** Fold over all entries as [(id, position, mark)] in {!entries} order,
+    without materializing them. *)
+
+val exists : t -> f:(Node_id.t -> int -> Mark.t -> bool) -> bool
+(** Whether some entry satisfies [f]; stops at the first that does. *)
 
 val ids : t -> Node_id.Set.t
 
@@ -113,15 +120,8 @@ val restrict_clear : t -> t
 
 val well_formed : t -> bool
 (** Invariant of lists produced by [compute]: no duplicate ids across
-    levels, no empty levels, marked entries only at positions 0 or 1. *)
-
-val warm : t -> unit
-(** Populate every memo cache ({!mem}'s index, {!ids}, {!clear_ids},
-    {!entries}) now.  The caches are write-once and need no
-    synchronization {e within} one domain; a value about to be shared
-    {e across} domains (a boundary message in a sharded run) must have
-    them populated by its owner first, so that every later access is a
-    plain read. *)
+    levels, no empty levels, marked entries only at positions 0 or 1.
+    Allocation-free. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -246,6 +246,11 @@ let merge_priority_tables t =
     t.msg_set;
   !clock
 
+(* [v] has a Clear entry at some depth of [lst] (any occurrence, not just
+   the closest: raw lists may repeat an id across levels). *)
+let clear_anywhere lst v =
+  Antlist.exists lst ~f:(fun u _ mark -> Node_id.equal u v && mark = Mark.Clear)
+
 let clear_level_ids lst i =
   Antlist.fold_level lst i ~init:Node_id.Set.empty ~f:(fun acc id mark ->
       if mark = Mark.Clear then Node_id.Set.add id acc else acc)
@@ -261,9 +266,7 @@ let good_list t ~sender lst =
   let self_ok =
     Antlist.fold_level lst 1 ~init:false ~f:(fun acc id mark ->
         acc || (Node_id.equal id t.id && mark <> Mark.Double))
-    || List.exists
-         (fun (v, _, mark) -> Node_id.equal v t.id && mark = Mark.Clear)
-         (Antlist.entries lst)
+    || clear_anywhere lst t.id
   in
   self_ok
   && Antlist.level_size lst 0 = 1
@@ -290,11 +293,8 @@ let established_set t =
 (* Extent of my established group: farthest established clear node in my
    current list. *)
 let established_extent t ~established =
-  List.fold_left
-    (fun acc (v, pos, mark) ->
+  Antlist.fold_entries t.antlist ~init:0 ~f:(fun acc v pos mark ->
       if mark = Mark.Clear && Node_id.Set.mem v established then max acc pos else acc)
-    0
-    (Antlist.entries t.antlist)
 
 (* Extent of the sender's established group beyond mine: farthest of the
    sender's view members, at its position in the sender's list, that I do
@@ -305,18 +305,15 @@ let foreign_view_extent t ~sender_view lst =
      list, i.e. they are physically adjacent, so a sender echoing them back
      is not stretching the merge.  One max-tracking pass; -1 encodes "no
      foreign member" without materializing the position list. *)
-  let my_ids = Antlist.ids t.antlist in
   let best =
-    List.fold_left
-      (fun best (v, pos, mark) ->
+    Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
         if
           mark = Mark.Clear
           && Node_id.Set.mem v sender_view
           && (not (Node_id.equal v t.id))
-          && not (Node_id.Set.mem v my_ids)
+          && not (Antlist.mem t.antlist v)
         then max best pos
         else best)
-      (-1) (Antlist.entries lst)
   in
   if best < 0 then None else Some best
 
@@ -409,13 +406,7 @@ let check_each_incoming t =
             (Antlist.level raw 1)
         with
         | Some m -> Some m
-        | None ->
-            if
-              List.exists
-                (fun (v, _, mark) -> Node_id.equal v t.id && mark = Mark.Clear)
-                (Antlist.entries raw)
-            then Some Mark.Clear
-            else None
+        | None -> if clear_anywhere raw t.id then Some Mark.Clear else None
       in
       let incompatible () =
         (not (same_group t sender msg))
@@ -460,9 +451,10 @@ let cross_check t checked =
      replaced by a marked singleton) are not being admitted, so they
      neither need joint clearance nor may veto anybody else. *)
   let rejected lst sender =
-    match Antlist.entries lst with
-    | [ (v, 0, mark) ] -> Node_id.equal v sender && Mark.is_marked mark
-    | _ -> false
+    Antlist.size lst = 1
+    && Antlist.level_size lst 0 = 1
+    && Antlist.fold_level lst 0 ~init:false ~f:(fun _ v mark ->
+           Node_id.equal v sender && Mark.is_marked mark)
   in
   let mates sender =
     match Node_id.Map.find_opt sender t.msg_set with
@@ -501,10 +493,8 @@ let cross_check t checked =
   let my_level_tbl =
     lazy
       (let h = Hashtbl.create 16 in
-       List.iter
-         (fun (u, pos, mark) ->
-           if mark <> Mark.Double && not (Hashtbl.mem h u) then Hashtbl.add h u pos)
-         (Antlist.entries t.antlist);
+       Antlist.fold_entries t.antlist ~init:() ~f:(fun () u pos mark ->
+           if mark <> Mark.Double && not (Hashtbl.mem h u) then Hashtbl.add h u pos);
        h)
   in
   let my_level v = Hashtbl.find_opt (Lazy.force my_level_tbl) v in
@@ -534,9 +524,6 @@ let cross_check t checked =
            intermediate foreign/position lists it used to build were a top
            allocation site); -1 encodes "no established foreign member". *)
         let sender_level_of_me =
-          (* [Antlist.find] answers from the memoized first-occurrence
-             index — the same closest-position answer the entries scan
-             gave, without materializing the entry list. *)
           match Antlist.find msg.Message.antlist t.id with
           | Some (pos, _) -> Some pos
           | None -> None
@@ -548,14 +535,12 @@ let cross_check t checked =
         in
         let reach = ref Node_id.Set.empty in
         let ext = ref (-1) in
-        List.iter
-          (fun (v, pos, mark) ->
+        Antlist.fold_entries msg.Message.antlist ~init:() ~f:(fun () v pos mark ->
             if mark <> Mark.Double && not (Node_id.Set.mem v my_ids) then begin
               if not (echo v pos) then reach := Node_id.Set.add v !reach;
               if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then
                 ext := max !ext pos
-            end)
-          (Antlist.entries msg.Message.antlist);
+            end);
         if !ext < 0 then None else Some (!reach, max !ext 0)
   in
   let order_key sender =
@@ -762,8 +747,7 @@ let resolve_too_far t checked ~folded candidate =
 let update_quarantine t lst =
   let dmax = t.config.Config.dmax in
   let q =
-    List.fold_left
-      (fun acc (v, _, mark) ->
+    Antlist.fold_entries lst ~init:Node_id.Map.empty ~f:(fun acc v _ mark ->
         let remaining =
           if Node_id.equal v t.id then 0
           else if not t.config.Config.quarantine_enabled then 0
@@ -774,7 +758,6 @@ let update_quarantine t lst =
             | Some k -> max 0 (k - 1)
         in
         Node_id.Map.add v remaining acc)
-      Node_id.Map.empty (Antlist.entries lst)
   in
   t.quarantine <- q
 
@@ -790,11 +773,7 @@ let admission_evidence t =
   Node_id.Map.fold
     (fun sender msg acc ->
       let acc =
-        if
-          List.exists
-            (fun (v, _, mark) -> Node_id.equal v t.id && mark = Mark.Clear)
-            (Antlist.entries msg.Message.antlist)
-        then Node_id.Set.add sender acc
+        if clear_anywhere msg.Message.antlist t.id then Node_id.Set.add sender acc
         else acc
       in
       if Node_id.Set.mem sender t.view then Node_id.Set.union msg.Message.view acc
@@ -833,9 +812,8 @@ let update_conflicts t =
     Node_id.Map.filter_map
       (fun _ (n, age) -> if age >= window then None else Some (n, age + 1))
       t.conflict;
-  let clear_ids = Antlist.clear_ids t.antlist in
   let eligible v =
-    Node_id.Set.mem v clear_ids
+    clear_anywhere t.antlist v
     && match Node_id.Map.find_opt v t.quarantine with Some 0 -> true | _ -> false
   in
   Node_id.Map.iter
@@ -891,8 +869,7 @@ let starved_set t ~evidence =
     t.starve Node_id.Set.empty
 
 let compute_view t lst ~evidence ~conflicted =
-  List.fold_left
-    (fun acc (v, _, mark) ->
+  Antlist.fold_entries lst ~init:Node_id.Set.empty ~f:(fun acc v _ mark ->
       let quarantined =
         match Node_id.Map.find_opt v t.quarantine with Some 0 -> false | _ -> true
       in
@@ -904,7 +881,6 @@ let compute_view t lst ~evidence ~conflicted =
       in
       if mark = Mark.Clear && (not quarantined) && admissible then Node_id.Set.add v acc
       else acc)
-    Node_id.Set.empty (Antlist.entries lst)
 
 let update_priorities t lst ~clock =
   (* Oldness accrues only while the node is truly alone: in a group (view
@@ -915,7 +891,15 @@ let update_priorities t lst ~clock =
      as multi-thousand-round convergence tails on chains of groups
      (DESIGN.md Section 5). *)
   let in_group = Node_id.Set.cardinal t.view >= 2 in
-  let merging = Node_id.Set.cardinal (Antlist.clear_ids lst) >= 2 in
+  let merging =
+    (* At least two distinct Clear ids: the fold state is -1 (none yet),
+       the first Clear id, or -2 (a second one seen); ids are non-negative. *)
+    Antlist.fold_entries lst ~init:(-1) ~f:(fun acc v _ mark ->
+        if acc = -2 || mark <> Mark.Clear || acc = v then acc
+        else if acc = -1 then v
+        else -2)
+    = -2
+  in
   (match t.config.Config.priority_mode with
   | Config.Oldness ->
       (* A contest winner additionally holds through [oldness_hold]
@@ -925,9 +909,8 @@ let update_priorities t lst ~clock =
       else if not (in_group || merging) then
         t.own_priority <- Priority.bump (Priority.sync t.own_priority clock)
   | Config.Lowest_id -> ());
-  let keep = Node_id.Set.add t.id (Antlist.ids lst) in
   Hashtbl.filter_map_inplace
-    (fun v p -> if Node_id.Set.mem v keep then Some p else None)
+    (fun v p -> if Node_id.equal v t.id || Antlist.mem lst v then Some p else None)
     t.prio_table;
   Hashtbl.replace t.prio_table t.id t.own_priority
 
@@ -943,12 +926,10 @@ let emit_transitions t ~old_list ~old_q ~new_list =
     | Mark.Clear -> "clear"
   in
   let old_marks =
-    List.fold_left
-      (fun acc (v, _, m) -> Node_id.Map.add v m acc)
-      Node_id.Map.empty (Antlist.entries old_list)
+    Antlist.fold_entries old_list ~init:Node_id.Map.empty ~f:(fun acc v _ m ->
+        Node_id.Map.add v m acc)
   in
-  List.iter
-    (fun (v, _, m) ->
+  Antlist.fold_entries new_list ~init:() ~f:(fun () v _ m ->
       if not (Node_id.equal v t.id) then
         let old_m = Node_id.Map.find_opt v old_marks in
         match m with
@@ -966,8 +947,7 @@ let emit_transitions t ~old_list ~old_q ~new_list =
                      peer = v;
                      mark = mark_name m;
                      cause = lid_of_sender t v;
-                   }))
-    (Antlist.entries new_list);
+                   }));
   Node_id.Map.iter
     (fun v k ->
       if not (Node_id.equal v t.id) then
@@ -1093,12 +1073,10 @@ let compute t =
 
 let make_message t =
   let priorities =
-    Node_id.Set.fold
-      (fun v acc ->
+    Antlist.fold_entries t.antlist ~init:Node_id.Map.empty ~f:(fun acc v _ _ ->
         match Hashtbl.find_opt t.prio_table v with
         | None -> acc
         | Some p -> Node_id.Map.add v p acc)
-      (Antlist.ids t.antlist) Node_id.Map.empty
   in
   Message.make ~sender:t.id ~antlist:t.antlist ~priorities
     ~group_priority:(group_priority t) ~view:t.view

@@ -217,9 +217,7 @@ let medium_stats t =
 
 (* Phase A (parallel): at the round tick every local node builds its
    message and broadcasts it — local copies are scheduled on the shard's
-   own medium at [now + delta], boundary copies go to the outbox.  The
-   antlist caches of a boundary message are warmed here, while the value
-   is still single-owner, so other domains only ever read them. *)
+   own medium at [now + delta], boundary copies go to the outbox. *)
 let phase_broadcast t sh =
   let t0 = Unix.gettimeofday () in
   Engine.run_until sh.engine t.now;
@@ -228,14 +226,10 @@ let phase_broadcast t sh =
       let msg = Grp_node.make_message (Hashtbl.find sh.nodes v) in
       let lid = Medium.broadcast sh.medium ~src:v msg in
       let deg = ref 0 in
-      let remote = ref false in
       Graph.iter_neighbors t.graph v (fun dst ->
           incr deg;
-          if Hashtbl.find t.home dst <> sh.sx then begin
-            remote := true;
-            sh.outbox <- (v, dst, lid, msg) :: sh.outbox
-          end);
-      if !remote then Antlist.warm msg.Message.antlist;
+          if Hashtbl.find t.home dst <> sh.sx then
+            sh.outbox <- (v, dst, lid, msg) :: sh.outbox);
       sh.sent <- sh.sent + !deg)
     sh.locals;
   sh.last_broadcast_s <- Unix.gettimeofday () -. t0

@@ -227,6 +227,64 @@ let prop_shift_increments =
         (fun (id, pos, _) -> Antlist.find s id = Some (pos + 1, Mark.Clear))
         (Antlist.entries l))
 
+(* Raw lists with marks, ids repeated within and across levels and empty
+   levels — the shapes [Arbitrary] corruption feeds the protocol.  The
+   queries are checked against a naive scan of the raw levels: each level
+   deduplicated with its most severe mark, the first level holding an id
+   being its closest occurrence. *)
+let gen_raw_levels =
+  QCheck.Gen.(
+    let mark = oneofl [ Mark.Clear; Mark.Clear; Mark.Single; Mark.Double ] in
+    list_size (int_range 0 5) (list_size (int_range 0 4) (pair (int_bound 7) mark)))
+
+let print_raw_levels lvls =
+  String.concat "; "
+    (List.map
+       (fun l ->
+         "["
+         ^ String.concat ","
+             (List.map (fun (id, m) -> string_of_int id ^ Mark.to_string m) l)
+         ^ "]")
+       lvls)
+
+let prop_queries_match_scan =
+  QCheck.Test.make ~name:"queries agree with a naive scan of the levels" ~count:500
+    (QCheck.make ~print:print_raw_levels gen_raw_levels) (fun raw ->
+      let l = Antlist.of_levels raw in
+      let naive =
+        List.map
+          (fun lvl ->
+            List.sort_uniq compare (List.map fst lvl)
+            |> List.map (fun id ->
+                   ( id,
+                     List.fold_left
+                       (fun m (v, m') -> if v = id then Mark.max m m' else m)
+                       Mark.Clear lvl )))
+          raw
+      in
+      let entries =
+        List.concat
+          (List.mapi (fun pos lvl -> List.map (fun (id, m) -> (id, pos, m)) lvl) naive)
+      in
+      let find id =
+        List.find_map (fun (v, pos, m) -> if v = id then Some (pos, m) else None) entries
+      in
+      let set_of p = Node_id.Set.of_list (List.filter_map p entries) in
+      let ids = List.map (fun (id, _, _) -> id) entries in
+      let well_formed =
+        List.for_all (fun lvl -> lvl <> []) naive
+        && List.length ids = List.length (List.sort_uniq compare ids)
+        && List.for_all (fun (_, pos, m) -> pos <= 1 || m = Mark.Clear) entries
+      in
+      List.for_all
+        (fun id -> Antlist.find l id = find id && Antlist.mem l id = (find id <> None))
+        (List.init 10 Fun.id)
+      && Node_id.Set.equal (Antlist.ids l) (set_of (fun (id, _, _) -> Some id))
+      && Node_id.Set.equal (Antlist.clear_ids l)
+           (set_of (fun (id, _, m) -> if m = Mark.Clear then Some id else None))
+      && Antlist.entries l = entries
+      && Antlist.well_formed l = well_formed)
+
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -236,6 +294,7 @@ let qcheck_suite =
       prop_merge_no_duplicates;
       prop_merge_positions_min;
       prop_shift_increments;
+      prop_queries_match_scan;
     ]
 
 (* --- algebra laws over the fuzzer's generators --- *)
@@ -349,6 +408,22 @@ let test_arb_merge_dedup_on_junk () =
              pos >= best)
            all)
 
+(* [mem] and [well_formed] are plain searches over the levels: 10k calls
+   of each move [Gc.minor_words] by exactly zero. *)
+let test_queries_zero_alloc () =
+  let l = of_clear [ [ 0 ]; [ 3; 5; 9 ]; [ 1; 4; 7; 8 ]; [ 2; 6 ] ] in
+  check "well-formed" true (Antlist.well_formed l);
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if Antlist.mem l (i land 7) then incr hits;
+    if Antlist.mem l (10 + (i land 7)) then incr hits;
+    if Antlist.well_formed l then incr hits
+  done;
+  let delta = Gc.minor_words () -. w0 in
+  check_int "hits" 20_000 !hits;
+  Alcotest.(check (float 0.0)) "minor words delta" 0.0 delta
+
 let arbitrary_suite =
   [
     ("arb: merge well-formed", `Quick, test_arb_merge_well_formed);
@@ -381,5 +456,6 @@ let suite =
     ("well_formed", `Quick, test_well_formed);
     ("restrict_clear", `Quick, test_restrict_clear);
     ("compare/equal", `Quick, test_compare_equal);
+    ("mem and well_formed allocate nothing", `Quick, test_queries_zero_alloc);
   ]
   @ qcheck_suite @ arbitrary_suite
