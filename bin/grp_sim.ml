@@ -900,14 +900,33 @@ let vanet_cmd =
     Arg.conv (parse, fun ppf sc -> Format.pp_print_string ppf (Vanet.scenario_name sc))
   in
   let run scenario n dmax seed speed range rounds warmup oracle oracle_every naive_graph
-      jobs shards jitter profile profile_out =
+      jobs shards jitter profile profile_out metrics_file =
     let jobs = resolve_jobs jobs in
+    (* One registry per shard, each touched only by its own worker; the
+       merged counters are identical for every --jobs/--shards split of
+       the same run. *)
+    let regs = ref [] in
+    let make_metrics =
+      match metrics_file with
+      | None -> None
+      | Some _ ->
+          Some
+            (fun _ ->
+              let reg = Registry.create () in
+              regs := reg :: !regs;
+              reg)
+    in
     let r =
       Vanet.run ~seed ~dmax ~range ~speed ~rounds ~warmup ~oracle ~oracle_every
-        ~naive_graph ~jobs ?shards ~jitter ?profile_out ~scenario ~n ()
+        ~naive_graph ~jobs ?shards ~jitter ?make_metrics ?profile_out ~scenario ~n ()
     in
     if profile then Format.printf "%a@." Vanet.pp_profile r
     else Format.printf "%a@." Vanet.pp_report r;
+    (match metrics_file with
+    | Some path ->
+        write_metrics path
+          [ Registry.merge (List.map (Registry.snapshot ~jobs) !regs) ]
+    | None -> ());
     match profile_out with
     | Some path -> Printf.printf "profile written to %s\n" path
     | None -> ()
@@ -1008,7 +1027,7 @@ let vanet_cmd =
     Term.(
       const run $ scenario $ nodes $ dmax_arg $ seed_arg $ speed $ range $ rounds
       $ warmup $ oracle $ oracle_every $ naive_graph $ jobs_arg $ shards $ jitter
-      $ profile $ profile_out)
+      $ profile $ profile_out $ metrics_arg)
 
 let list_cmd =
   let run () =

@@ -100,9 +100,18 @@ type t = {
      collapses the map comparison to pointer checks.  See DESIGN.md
      Section 9. *)
   mutable fold_cache : (Antlist.t Node_id.Map.t * Antlist.t) option;
+  (* Compute elision (DESIGN.md Section 9): [msg_set] and result of the
+     last full compute if it left the state it reads unchanged; per node,
+     as [Sharded] runs nodes on several domains.  [restricts]: lists it
+     accepted. *)
+  mutable fixpoint : (Message.t Node_id.Map.t * step_info) option;
+  mutable restricts : int;
+  (* The last [make_message] result, [msg_fresh] while still current. *)
+  mutable last_msg : Message.t option;
+  mutable msg_fresh : bool;
 }
 
-type step_info = {
+and step_info = {
   view_added : Node_id.Set.t;
   view_removed : Node_id.Set.t;
   too_far_conflict : bool;
@@ -134,6 +143,10 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     contest_hold = Node_id.Map.empty;
     oldness_hold = 0;
     fold_cache = None;
+    fixpoint = None;
+    restricts = 0;
+    last_msg = None;
+    msg_fresh = false;
   }
 
 let id t = t.id
@@ -190,20 +203,26 @@ let receive t msg = receive_lid t ~lid:(-1) msg
    old incremental [Map.add]-per-receive produced, so everything
    downstream — including iteration order — is unchanged.  Entries are
    left in the buffer (overwritten by the next round's arrivals); only
-   the length is reset. *)
+   the length is reset.  Returns whether the new [msg_set] (built on the
+   empty one) maps the fixpoint's senders to physically its messages. *)
 let ingest t =
   let tracing = Trace.enabled t.trace in
   if tracing then Hashtbl.reset t.msg_lid;
-  let m = ref t.msg_set in
+  let prev = match t.fixpoint with Some (p, _) -> p | None -> Node_id.Map.empty in
+  let m = ref t.msg_set and same = ref (Option.is_some t.fixpoint) and kept = ref 0 in
   for i = t.inbox_n - 1 downto 0 do
     let msg = t.inbox.(i) in
     if not (Node_id.Map.mem msg.Message.sender !m) then begin
       m := Node_id.Map.add msg.Message.sender msg !m;
+      incr kept;
+      if !same then
+        same := (try Node_id.Map.find msg.Message.sender prev == msg with Not_found -> false);
       if tracing then Hashtbl.replace t.msg_lid msg.Message.sender t.inbox_lid.(i)
     end
   done;
   t.msg_set <- !m;
-  t.inbox_n <- 0
+  t.inbox_n <- 0;
+  !same && !kept = Node_id.Map.cardinal prev
 
 (* Lineage of the message [ingest] kept from [sender] this compute; -1
    when it sent nothing (or tracing is off).  Trace-branch only. *)
@@ -382,6 +401,7 @@ let same_group t sender (msg : Message.t) =
 let check_each_incoming t =
   let tracing = Trace.enabled t.trace in
   let env = compatible_env t in
+  t.restricts <- 0;
   Node_id.Map.mapi
     (fun sender msg ->
       if tracing && not (Node_id.Set.mem sender t.view) then
@@ -434,6 +454,7 @@ let check_each_incoming t =
                 (Trace.Merge_accepted
                    { node = t.id; sender; cause = lid_of_sender t sender });
             Registry.Counter.incr t.metrics.m_restrict;
+            t.restricts <- t.restricts + 1;
             Antlist.strip_marked ~keep:t.id raw
           end)
     t.msg_set
@@ -982,11 +1003,28 @@ let count_quarantine_transitions t ~old_q =
             else if ko = 0 && k > 0 then Registry.Counter.incr t.metrics.m_q_enter)
     t.quarantine
 
+(* Timer state ages on every compute, so a fixpoint has none of it. *)
+let settled t =
+  t.oldness_hold = 0 && Node_id.Map.is_empty t.contest_hold
+  && Node_id.Map.is_empty t.conflict && Node_id.Map.is_empty t.starve
+
+(* Elision: same inputs repeat a fixpoint, so return its result and replay
+   its counters (the fold cache would hit).  Off under tracing: a traced
+   fixpoint still emits events. *)
 let compute t =
   Registry.Counter.incr t.metrics.m_compute;
   let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
+  let same_inputs = ingest t in
+  match t.fixpoint with
+  | Some (_, step) when same_inputs && not (Trace.enabled t.trace) ->
+      Registry.Counter.incr t.metrics.m_cache_hit;
+      Registry.Counter.add t.metrics.m_restrict t.restricts;
+      t.msg_set <- Node_id.Map.empty;
+      Registry.Timer.stop t.metrics.m_compute_ns m_t0;
+      step
+  | _ ->
   let dmax = t.config.Config.dmax in
-  ingest t;
+  let old_priority = t.own_priority and was_settled = settled t in
   let clock = merge_priority_tables t in
   t.contest_hold <-
     Node_id.Map.filter_map
@@ -1055,9 +1093,17 @@ let compute t =
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
   update_priorities t final_list ~clock;
-  t.msg_set <- Node_id.Map.empty;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
+  let step = { view_added; view_removed; too_far_conflict; rejected_senders; contest_wins } in
+  (* A frozen contest leaves [oldness_hold > 0], so [settled] covers it. *)
+  t.fixpoint <-
+    (if was_settled && settled t && contest_wins = [] && t.antlist == old_list
+        && t.view == old_view && t.own_priority == old_priority
+        && Node_id.Map.equal Int.equal t.quarantine old_q
+     then Some (t.msg_set, step) else None);
+  t.msg_fresh <- false;
+  t.msg_set <- Node_id.Map.empty;
   if t.metrics.m_on then begin
     count_quarantine_transitions t ~old_q;
     if not (Node_id.Set.equal new_view old_view) then begin
@@ -1069,9 +1115,9 @@ let compute t =
     end
   end;
   Registry.Timer.stop t.metrics.m_compute_ns m_t0;
-  { view_added; view_removed; too_far_conflict; rejected_senders; contest_wins }
+  step
 
-let make_message t =
+let build_message t =
   let priorities =
     Antlist.fold_entries t.antlist ~init:Node_id.Map.empty ~f:(fun acc v _ _ ->
         match Hashtbl.find_opt t.prio_table v with
@@ -1081,18 +1127,40 @@ let make_message t =
   Message.make ~sender:t.id ~antlist:t.antlist ~priorities
     ~group_priority:(group_priority t) ~view:t.view
 
+(* The previous message is returned physically while nothing it is built
+   from changed, so receivers see [==] inputs and can elide in turn. *)
+let make_message t =
+  match t.last_msg with
+  | Some m when t.msg_fresh -> m
+  | prev -> (
+      let msg = build_message t in
+      t.msg_fresh <- true;
+      match prev with
+      | Some m
+        when m.Message.antlist == msg.Message.antlist
+             && m.Message.view == msg.Message.view
+             && Priority.equal m.Message.group_priority msg.Message.group_priority
+             && Node_id.Map.equal Priority.equal m.Message.priorities msg.Message.priorities ->
+          m
+      | _ -> t.last_msg <- Some msg; msg)
+
 let convictions t = conflicted_set t
 
-let corrupt_list t lst = t.antlist <- lst
-let corrupt_view t v = t.view <- v
+let invalidate t =
+  t.fixpoint <- None;
+  t.msg_fresh <- false
+
+let corrupt_list t lst = invalidate t; t.antlist <- lst
+let corrupt_view t v = invalidate t; t.view <- v
 
 let corrupt_quarantine t qs =
+  invalidate t;
   t.quarantine <- List.fold_left (fun acc (v, k) -> Node_id.Map.add v k acc) t.quarantine qs
 
-let corrupt_priority t p = t.own_priority <- p
+let corrupt_priority t p = invalidate t; t.own_priority <- p
 
 let corrupt_priority_table t ps =
-  List.iter (fun (v, p) -> Hashtbl.replace t.prio_table v p) ps
+  invalidate t; List.iter (fun (v, p) -> Hashtbl.replace t.prio_table v p) ps
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>node %a: list=%a@ view=%a pr=%a@]" Node_id.pp t.id Antlist.pp

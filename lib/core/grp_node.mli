@@ -33,7 +33,8 @@ val create :
 (** Fresh node: list [(v)], view [{v}], priority oldness 0.  [trace]
     (default {!Dgs_trace.Trace.null}) receives the node's protocol events
     — [View_changed], [Quarantine_enter]/[Quarantine_admit],
-    [Mark_set]/[Mark_cleared], [Merge_attempt]/[Merge_accepted] — emitted
+    [Mark_set]/[Mark_cleared], [Merge_attempt]/[Merge_accepted],
+    [Contest_win]/[Contest_freeze] and [Gate_conviction] — emitted
     during {!compute}; timestamps come from whatever clock the driving
     runtime last set on the sink.  [metrics] (default
     {!Dgs_metrics.Registry.null}) receives the node's counters, the
@@ -88,16 +89,37 @@ val compute : t -> step_info
 (** Procedure [compute()] of the paper: check incoming lists (goodList,
     compatibleList), fold the [ant] operator, resolve too-far conflicts by
     priority, update quarantines, the view and the priorities; finally reset
-    [msgSet]. *)
+    [msgSet].
+
+    {b Elision.}  A compute is a deterministic function of the node state
+    and [msgSet].  When the previous compute was a fixpoint (list, view,
+    quarantines and own priority unchanged, no contest, conflict,
+    starvation or cooldown state before or after) and this [msgSet] maps
+    the same senders to physically the same messages, the compute is
+    skipped: it returns the previous {!step_info} (physically) and
+    replays the counters the full compute would bump
+    ([grp_compute_total], [grp_compute_cache_hit_total],
+    [grp_restrict_clear_total]).  An elided compute allocates nothing
+    beyond the [msgSet] map.  An enabled trace sink disables the
+    elision, since a traced fixpoint compute still emits events, and
+    every [corrupt_*] hook invalidates it. *)
 
 val make_message : t -> Message.t
+(** The message to broadcast: list, view, group priority and the known
+    priorities of the list members.  While the state it is built from is
+    unchanged — after an elided {!compute}, or a full one that left an
+    equal message — the previous message is returned physically, so
+    receivers see [==] inputs; a repeated call on a quiet node allocates
+    nothing.  The [corrupt_*] hooks force a rebuild. *)
 
 (** {2 White-box admission tests} (exposed for unit tests) *)
 
 val good_list : t -> sender:Node_id.t -> Antlist.t -> bool
-(** The [goodList] test on an already-stripped list: the local node appears
-    unmarked or single-marked in [list.1], the sender heads the list, the
-    clear extent fits in [Dmax+1] and no level is empty. *)
+(** The [goodList] test on the sender's raw (still marked) list: the local
+    node appears unmarked or single-marked in [list.1], or Clear at any
+    depth (the sender already computes it as a group member); the sender
+    alone heads the list, the clear extent fits in [Dmax+1] and no level
+    is empty. *)
 
 val compatible_list : t -> sender_view:Node_id.Set.t -> Antlist.t -> bool
 (** The [compatibleList] admission test against the node's current state,
@@ -116,7 +138,8 @@ val convictions : t -> Node_id.Set.t
     (white-box inspection; empty when the gate is off). *)
 
 (** {2 Fault injection} (self-stabilization tests start from arbitrary
-    states) *)
+    states).  Each hook also clears the compute-elision record and the
+    {!make_message} cache. *)
 
 val corrupt_list : t -> Antlist.t -> unit
 val corrupt_view : t -> Node_id.Set.t -> unit

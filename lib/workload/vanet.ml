@@ -77,7 +77,7 @@ type report = {
 let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     ?(jitter = 0.1) ?(warmup = 10) ?(rounds = 50) ?(oracle = (`Incremental : oracle))
     ?(oracle_every = 5) ?(cross_check_limit = 64) ?(naive_graph = false)
-    ?(jobs = 1) ?shards ?make_trace ?profile_out ~scenario ~n () =
+    ?(jobs = 1) ?shards ?make_trace ?make_metrics ?profile_out ~scenario ~n () =
   let jobs = if jobs <= 0 then Dgs_parallel.Pool.default_jobs () else jobs in
   let shards = match shards with Some s -> max 1 s | None -> jobs in
   let rng = Rng.create seed in
@@ -92,7 +92,7 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     Sharded.spatial_partition ~shards ~range (Mobility.positions mob)
   in
   let t =
-    Sharded.create ~config ~shards ~jobs ~seed ~shard_of ?make_trace
+    Sharded.create ~config ~shards ~jobs ~seed ~shard_of ?make_trace ?make_metrics
       (build mob ~range)
   in
   Sharded.run ~jitter t warmup;

@@ -78,6 +78,7 @@ val run :
   ?jobs:int ->
   ?shards:int ->
   ?make_trace:(int -> Dgs_trace.Trace.t) ->
+  ?make_metrics:(int -> Dgs_metrics.Registry.t) ->
   ?profile_out:string ->
   scenario:scenario ->
   n:int ->
@@ -92,7 +93,10 @@ val run :
     configuration.
 
     [make_trace] builds one trace sink per shard index (default: null —
-    the zero-cost path), exactly as in {!Dgs_sim.Sharded.create}.
+    the zero-cost path), exactly as in {!Dgs_sim.Sharded.create};
+    [make_metrics] likewise builds one metrics registry per shard index
+    (default: null), covering warmup and measured rounds — merge their
+    snapshots with {!Dgs_metrics.Registry.merge}.
     [profile_out] writes the measured window's round-time profile as
     Chrome trace_event JSON ({!Dgs_trace.Chrome_trace}): per-round
     graph_build / set_graph / broadcast / barrier / deliver+compute

@@ -10,6 +10,7 @@ let () =
       ("wire", Test_wire.suite);
       ("sim", Test_sim.suite);
       ("sharded", Test_sharded.suite);
+      ("elision", Test_elision.suite);
       ("spec", Test_spec.suite);
       ("spatial", Test_spatial.suite);
       ("incremental", Test_incremental.suite);
