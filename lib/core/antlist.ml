@@ -1,73 +1,92 @@
 type entry = { id : Node_id.t; mark : Mark.t }
 
-(* Levels in distance order, each level a sorted-by-id array with unique ids
-   within the level (across-level uniqueness is only guaranteed for values
-   built by [merge]/[ant], see [well_formed]).  Arrays are never mutated
+(* Levels in distance order, each level a sorted int array of packed
+   entries [(id lsl 2) lor severity] (Clear 0, Single 1, Double 2), ids
+   unique within the level (across-level uniqueness is only guaranteed for
+   values built by [merge]/[ant], see [well_formed]).  Packed order is
+   (id, severity) order, so a level sorted by packed value is sorted by id
+   and [compare] is one integer comparison per entry; the unboxed arrays
+   carry no per-entry block, and a merge meeting one id twice keeps the
+   larger packed value without allocating.  Arrays are never mutated
    after construction, so suffixes and untouched levels are shared freely
    between values ([merge]/[truncate]/[strip_marked] reuse input arrays
    whenever a pass changes nothing — which is the common case once the
    protocol has stabilized, and what makes the steady-state equality checks
    in [Grp_node]'s fold cache O(1) physical comparisons). *)
-type t = entry array array
+type t = int array array
 
+let severity = function Mark.Clear -> 0 | Mark.Single -> 1 | Mark.Double -> 2
+let pack id mark = (id lsl 2) lor severity mark
+let id_of e = e asr 2
+let mark_of e = match e land 3 with 0 -> Mark.Clear | 1 -> Mark.Single | _ -> Mark.Double
+let is_clear e = e land 3 = 0
 let empty = [||]
-let singleton id = [| [| { id; mark = Mark.Clear } |] |]
-let singleton_marked id mark = [| [| { id; mark } |] |]
+let singleton id = [| [| pack id Mark.Clear |] |]
+let singleton_marked id mark = [| [| pack id mark |] |]
 
-(* Sort a raw level by id and merge duplicate ids (most severe mark wins). *)
+(* Per-domain scratch for the filters and the merge: a level is built in
+   it and copied out at its exact size, so a pass allocates only the
+   levels it returns.  Values are shared between domains but every pass
+   runs on one, so a buffer per domain is never contended. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref [||])
+
+let scratch n =
+  let r = Domain.DLS.get scratch_key in
+  if Array.length !r < n then r := Array.make n 0;
+  !r
+
+(* Sort a raw level and merge duplicate ids (most severe mark wins: for
+   one id the larger packed value). *)
 let normalize_level es =
   let a = Array.of_list es in
-  Array.sort (fun x y -> Node_id.compare x.id y.id) a;
+  Array.sort Int.compare a;
   let n = Array.length a in
-  let rec dups i = i < n - 1 && (Node_id.equal a.(i).id a.(i + 1).id || dups (i + 1)) in
-  if not (dups 0) then a
-  else begin
-    let out = Array.make n a.(0) in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if !k > 0 && Node_id.equal out.(!k - 1).id a.(i).id then
-        out.(!k - 1) <- { id = a.(i).id; mark = Mark.max out.(!k - 1).mark a.(i).mark }
-      else begin
-        out.(!k) <- a.(i);
-        incr k
-      end
-    done;
-    Array.sub out 0 !k
-  end
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if !k > 0 && id_of a.(!k - 1) = id_of a.(i) then a.(!k - 1) <- a.(i)
+    else begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  if !k = n then a else Array.sub a 0 !k
 
 let of_levels lvls =
   Array.of_list
-    (List.map
-       (fun l -> normalize_level (List.map (fun (id, mark) -> { id; mark }) l))
-       lvls)
+    (List.map (fun l -> normalize_level (List.map (fun (id, mark) -> pack id mark) l)) lvls)
 
-let levels t = Array.to_list (Array.map Array.to_list t)
+let decode e = { id = id_of e; mark = mark_of e }
+let levels t = Array.to_list (Array.map (fun l -> Array.to_list (Array.map decode l)) t)
 let size t = Array.length t
 let is_empty t = Array.length t = 0
 
+let rec has_clear (l : int array) j =
+  j < Array.length l && (is_clear l.(j) || has_clear l (j + 1))
+
 let clear_size t =
   let best = ref 0 in
-  Array.iteri
-    (fun i l -> if Array.exists (fun e -> e.mark = Mark.Clear) l then best := i + 1)
-    t;
+  for i = 0 to Array.length t - 1 do
+    if has_clear t.(i) 0 then best := i + 1
+  done;
   !best
 
-let level t i = if i < 0 || i >= Array.length t then [] else Array.to_list t.(i)
+let level t i =
+  if i < 0 || i >= Array.length t then [] else Array.to_list (Array.map decode t.(i))
 
 let level_ids t i =
   if i < 0 || i >= Array.length t then Node_id.Set.empty
-  else Array.fold_left (fun acc e -> Node_id.Set.add e.id acc) Node_id.Set.empty t.(i)
+  else Array.fold_left (fun acc e -> Node_id.Set.add (id_of e) acc) Node_id.Set.empty t.(i)
 
-(* The membership queries below are top-level recursions over the sorted
-   levels rather than closures over the list and the id, so that [mem] and
-   [well_formed] allocate nothing. *)
+(* The queries below are top-level recursions over the sorted levels
+   rather than closures over the list and the id, so that [mem], [find]
+   and [well_formed] allocate nothing (beyond [find]'s result). *)
 
 (* Index of [id] in the sorted level [l] within [lo, hi), or -1. *)
-let rec search (l : entry array) id lo hi =
+let rec search (l : int array) id lo hi =
   if lo >= hi then -1
   else begin
     let mid = (lo + hi) lsr 1 in
-    let c = Node_id.compare l.(mid).id id in
+    let c = Int.compare (id_of l.(mid)) id in
     if c = 0 then mid else if c < 0 then search l id (mid + 1) hi else search l id lo mid
   end
 
@@ -86,17 +105,17 @@ let rec find_from t id pos =
   else begin
     let l = t.(pos) in
     let j = search l id 0 (Array.length l) in
-    if j >= 0 then Some (pos, l.(j).mark) else find_from t id (pos + 1)
+    if j >= 0 then Some (pos, mark_of l.(j)) else find_from t id (pos + 1)
   end
 
 let find t id = find_from t id 0
 let mem t id = not (absent_above t id (Array.length t))
 
-let rec fold_level_entries f (l : entry array) pos j acc =
+let rec fold_level_entries f (l : int array) pos j acc =
   if j >= Array.length l then acc
   else begin
     let e = l.(j) in
-    fold_level_entries f l pos (j + 1) (f acc e.id pos e.mark)
+    fold_level_entries f l pos (j + 1) (f acc (id_of e) pos (mark_of e))
   end
 
 let rec fold_levels f t pos acc =
@@ -105,11 +124,11 @@ let rec fold_levels f t pos acc =
 
 let fold_entries t ~init ~f = fold_levels f t 0 init
 
-let rec exists_level f (l : entry array) pos j =
+let rec exists_level f (l : int array) pos j =
   j < Array.length l
   && begin
        let e = l.(j) in
-       f e.id pos e.mark || exists_level f l pos (j + 1)
+       f (id_of e) pos (mark_of e) || exists_level f l pos (j + 1)
      end
 
 let rec exists_from f t pos =
@@ -117,9 +136,15 @@ let rec exists_from f t pos =
 
 let exists t ~f = exists_from f t 0
 
+let rec fold_one_level f (l : int array) j acc =
+  if j >= Array.length l then acc
+  else begin
+    let e = l.(j) in
+    fold_one_level f l (j + 1) (f acc (id_of e) (mark_of e))
+  end
+
 let fold_level t i ~init ~f =
-  if i < 0 || i >= Array.length t then init
-  else Array.fold_left (fun acc e -> f acc e.id e.mark) init t.(i)
+  if i < 0 || i >= Array.length t then init else fold_one_level f t.(i) 0 init
 
 let level_size t i = if i < 0 || i >= Array.length t then 0 else Array.length t.(i)
 
@@ -132,64 +157,28 @@ let clear_ids t =
 let entries t =
   List.rev (fold_entries t ~init:[] ~f:(fun acc id pos mark -> (id, pos, mark) :: acc))
 
-(* Filter a level in one pass, sharing the input array when nothing is
-   dropped.  The keep-set fits an int bitmask for every level the protocol
-   actually produces (inline up to 62 entries); the boxed bool array only
-   appears on the synthetic giant levels of the scalability workloads. *)
-let filter_level p l =
+(* The first [k] entries of the scratch buffer [buf] as a level: the input
+   [l] itself when nothing was dropped. *)
+let cut buf (l : int array) k =
+  if k = Array.length l then l else if k = 0 then [||] else Array.sub buf 0 k
+
+(* Keep the Clear entries of [l], and those of id [keep] ([min_int]:
+   none — packed ids lie in [-2^60, 2^60)). *)
+let filter_clear ~keep (l : int array) =
   let n = Array.length l in
-  if n = 0 then l
-  else if n <= 62 then begin
-    let mask = ref 0 in
-    let kept = ref 0 in
-    for j = 0 to n - 1 do
-      if p l.(j) then begin
-        mask := !mask lor (1 lsl j);
-        incr kept
-      end
-    done;
-    if !kept = n then l
-    else if !kept = 0 then [||]
-    else begin
-      let out = Array.make !kept l.(0) in
-      let k = ref 0 in
-      for j = 0 to n - 1 do
-        if !mask land (1 lsl j) <> 0 then begin
-          out.(!k) <- l.(j);
-          incr k
-        end
-      done;
-      out
+  let buf = scratch n in
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    let e = l.(j) in
+    if is_clear e || id_of e = keep then begin
+      buf.(!k) <- e;
+      incr k
     end
-  end
-  else begin
-    let kept = ref 0 in
-    let keep = Array.make n false in
-    for j = 0 to n - 1 do
-      if p l.(j) then begin
-        keep.(j) <- true;
-        incr kept
-      end
-    done;
-    if !kept = n then l
-    else if !kept = 0 then [||]
-    else begin
-      let out = Array.make !kept l.(0) in
-      let k = ref 0 in
-      for j = 0 to n - 1 do
-        if keep.(j) then begin
-          out.(!k) <- l.(j);
-          incr k
-        end
-      done;
-      out
-    end
-  end
+  done;
+  cut buf l !k
 
 let strip_marked ~keep t =
-  let lvls' =
-    Array.map (filter_level (fun e -> e.mark = Mark.Clear || Node_id.equal e.id keep)) t
-  in
+  let lvls' = Array.map (filter_clear ~keep) t in
   let n = ref (Array.length lvls') in
   while !n > 0 && Array.length lvls'.(!n - 1) = 0 do
     decr n
@@ -199,6 +188,57 @@ let strip_marked ~keep t =
   if !unchanged then t else Array.sub lvls' 0 !n
 
 let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t
+
+(* Append [e] to the scratch level of [k] entries when it is a first
+   occurrence; the new entry count. *)
+let push_absent buf lvls emitted k e =
+  if absent_above lvls (id_of e) emitted then begin
+    buf.(k) <- e;
+    k + 1
+  end
+  else k
+
+(* The first occurrences in [l] — ids absent from the [emitted] levels
+   of [lvls] already built. *)
+let filter_absent buf lvls emitted (l : int array) =
+  let k = ref 0 in
+  for j = 0 to Array.length l - 1 do
+    k := push_absent buf lvls emitted !k l.(j)
+  done;
+  cut buf l !k
+
+(* Positionwise union of two non-empty levels fused with the
+   first-occurrence filter in one two-pointer pass.  One id in both keeps
+   the more severe mark: the larger packed value. *)
+let union_absent buf lvls emitted (a : int array) (b : int array) =
+  let ka = Array.length a and kb = Array.length b in
+  let k = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < ka && !j < kb do
+    let ea = a.(!i) and eb = b.(!j) in
+    let c = Int.compare (id_of ea) (id_of eb) in
+    if c < 0 then begin
+      k := push_absent buf lvls emitted !k ea;
+      incr i
+    end
+    else if c > 0 then begin
+      k := push_absent buf lvls emitted !k eb;
+      incr j
+    end
+    else begin
+      k := push_absent buf lvls emitted !k (if ea >= eb then ea else eb);
+      incr i;
+      incr j
+    end
+  done;
+  while !i < ka do
+    k := push_absent buf lvls emitted !k a.(!i);
+    incr i
+  done;
+  while !j < kb do
+    k := push_absent buf lvls emitted !k b.(!j);
+    incr j
+  done;
+  Array.sub buf 0 !k
 
 (* The [⊕] operator: union the levels positionwise, then keep only the
    first occurrence of every id, walking levels in distance order.  A level
@@ -221,66 +261,32 @@ let merge_off off a b =
   let na = Array.length a and nb = Array.length b in
   let n = max na (if nb = 0 then 0 else nb + off) in
   let lvls = Array.make n [||] in
-  let emitted = ref 0 in
-  let pred e = absent_above lvls e.id !emitted in
-  (* Overlapping levels fuse the positionwise union with the
-     first-occurrence filter in the one two-pointer pass: the separate
-     union array the historical code built was immediately consumed by the
-     filter and thrown away, one allocation per level per merge on the ant
-     fold's hottest path. *)
-  let union_filter a b =
-    let ka = Array.length a and kb = Array.length b in
-    let out = Array.make (ka + kb) a.(0) in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    let push e =
-      if pred e then begin
-        out.(!k) <- e;
-        incr k
-      end
+  let widest = ref 0 in
+  for i = 0 to na - 1 do
+    widest := max !widest (Array.length a.(i))
+  done;
+  for i = 0 to nb - 1 do
+    widest := max !widest (Array.length b.(i))
+  done;
+  let buf = scratch (2 * !widest) in
+  let emitted = ref 0 and gap = ref false in
+  while (not !gap) && !emitted < n do
+    let i = !emitted in
+    let bi = i - off in
+    let l' =
+      if i >= na then
+        if bi >= 0 && bi < nb then filter_absent buf lvls i b.(bi) else [||]
+      else if bi < 0 || bi >= nb then filter_absent buf lvls i a.(i)
+      else if Array.length a.(i) = 0 then filter_absent buf lvls i b.(bi)
+      else if Array.length b.(bi) = 0 then filter_absent buf lvls i a.(i)
+      else union_absent buf lvls i a.(i) b.(bi)
     in
-    while !i < ka && !j < kb do
-      let ea = a.(!i) and eb = b.(!j) in
-      let c = Node_id.compare ea.id eb.id in
-      if c < 0 then begin
-        push ea;
-        incr i
-      end
-      else if c > 0 then begin
-        push eb;
-        incr j
-      end
-      else begin
-        push { id = ea.id; mark = Mark.max ea.mark eb.mark };
-        incr i;
-        incr j
-      end
-    done;
-    while !i < ka do
-      push a.(!i);
-      incr i
-    done;
-    while !j < kb do
-      push b.(!j);
-      incr j
-    done;
-    if !k = ka + kb then out else Array.sub out 0 !k
-  in
-  (try
-     for i = 0 to n - 1 do
-       let bi = i - off in
-       let l' =
-         if i >= na then
-           if bi >= 0 && bi < nb then filter_level pred b.(bi) else [||]
-         else if bi < 0 || bi >= nb then filter_level pred a.(i)
-         else if Array.length a.(i) = 0 then filter_level pred b.(bi)
-         else if Array.length b.(bi) = 0 then filter_level pred a.(i)
-         else union_filter a.(i) b.(bi)
-       in
-       if Array.length l' = 0 then raise Exit;
-       lvls.(i) <- l';
-       incr emitted
-     done
-   with Exit -> ());
+    if Array.length l' = 0 then gap := true
+    else begin
+      lvls.(i) <- l';
+      incr emitted
+    end
+  done;
   if !emitted = n then lvls else Array.sub lvls 0 !emitted
 
 let merge a b = merge_off 0 a b
@@ -292,16 +298,14 @@ let truncate t k =
   if k = 0 then empty else if k < 0 || k >= n then t else Array.sub t 0 k
 
 (* Drop all marked entries AND compact every level that ends up (or was)
-   empty, in one fused pass — the historical implementation filtered each
-   level and then traversed again to compact, allocating a closure per
-   call. *)
+   empty, in one pass. *)
 let restrict_clear t =
   let out = ref [] in
   let kept_levels = ref 0 in
   let changed = ref false in
   Array.iter
     (fun l ->
-      let l' = filter_level (fun e -> e.mark = Mark.Clear) l in
+      let l' = filter_clear ~keep:min_int l in
       if l' != l then changed := true;
       if Array.length l' = 0 then changed := true
       else begin
@@ -318,12 +322,12 @@ let restrict_clear t =
 
 (* Entries [j..] of level [pos] are first occurrences, and Clear beyond
    position 1. *)
-let rec level_well_formed t pos (l : entry array) j =
+let rec level_well_formed t pos (l : int array) j =
   j >= Array.length l
   || begin
        let e = l.(j) in
-       (pos <= 1 || e.mark = Mark.Clear)
-       && absent_above t e.id pos
+       (pos <= 1 || is_clear e)
+       && absent_above t (id_of e) pos
        && level_well_formed t pos l (j + 1)
      end
 
@@ -337,36 +341,28 @@ let rec levels_well_formed t pos =
    against the levels above it covers uniqueness across the whole list. *)
 let well_formed t = levels_well_formed t 0
 
-(* Same order as [Stdlib.compare] over the historical
-   list-of-levels-of-(id, mark) key: levels lexicographically, entries
-   within a level lexicographically, a missing level/entry sorting first. *)
-let compare a b =
-  if a == b then 0
-  else begin
-    let na = Array.length a and nb = Array.length b in
-    let rec go_level i =
-      if i >= na && i >= nb then 0
-      else if i >= na then -1
-      else if i >= nb then 1
-      else begin
-        let l1 = a.(i) and l2 = b.(i) in
-        let m1 = Array.length l1 and m2 = Array.length l2 in
-        let rec go_entry j =
-          if j >= m1 && j >= m2 then go_level (i + 1)
-          else if j >= m1 then -1
-          else if j >= m2 then 1
-          else begin
-            let e1 = l1.(j) and e2 = l2.(j) in
-            let c = Stdlib.compare (e1.id, e1.mark) (e2.id, e2.mark) in
-            if c <> 0 then c else go_entry (j + 1)
-          end
-        in
-        go_entry 0
-      end
-    in
-    go_level 0
-  end
+(* Levels lexicographically, entries within a level lexicographically by
+   (id, mark) — one integer comparison of the packed values — and a
+   missing level/entry sorting first. *)
+let rec compare_entries (l1 : int array) (l2 : int array) j =
+  let m1 = Array.length l1 and m2 = Array.length l2 in
+  if j >= m1 && j >= m2 then 0
+  else if j >= m1 then -1
+  else if j >= m2 then 1
+  else
+    let c = Int.compare l1.(j) l2.(j) in
+    if c <> 0 then c else compare_entries l1 l2 (j + 1)
 
+let rec compare_levels (a : t) (b : t) i =
+  let na = Array.length a and nb = Array.length b in
+  if i >= na && i >= nb then 0
+  else if i >= na then -1
+  else if i >= nb then 1
+  else
+    let c = if a.(i) == b.(i) then 0 else compare_entries a.(i) b.(i) 0 in
+    if c <> 0 then c else compare_levels a b (i + 1)
+
+let compare a b = if a == b then 0 else compare_levels a b 0
 let equal a b = compare a b = 0
 
 let pp ppf t =

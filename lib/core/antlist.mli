@@ -20,13 +20,19 @@
     only shapes the convergence phase. *)
 
 type entry = { id : Node_id.t; mark : Mark.t }
+(** An entry as {!levels} and {!level} hand it out; values store none. *)
 
 type t
-(** Immutable.  Each level is a sorted array of entries with unique ids;
-    the membership queries ({!find}, {!mem}) binary-search the levels in
-    distance order.  Unchanged levels are shared structurally between
-    values, so steady-state equality checks degenerate to physical
-    comparisons.  Values may be shared between domains freely. *)
+(** Immutable.  Each level is a sorted [int array] of packed entries
+    [(id lsl 2) lor severity] with unique ids — no block per entry, and
+    (id, mark) order is integer order.  Ids must lie in [[0, 2^60)]
+    (negative ids down to [-2^60] also pack; {!Wire} enforces the
+    range).  The membership queries ({!find}, {!mem}) binary-search the
+    levels in distance order.  Unchanged levels are shared structurally
+    between values, so steady-state equality checks degenerate to
+    physical comparisons.  Passes build levels in a per-domain scratch
+    buffer and allocate only the arrays they return.  Values may be
+    shared between domains freely. *)
 
 val empty : t
 (** The list with no levels (never sent; useful as a fold seed in tests). *)
@@ -43,7 +49,8 @@ val of_levels : (Node_id.t * Mark.t) list list -> t
     injection; may violate {!well_formed}. *)
 
 val levels : t -> entry list list
-(** Levels in distance order; each level sorted by id. *)
+(** Levels in distance order; each level sorted by id.  Materializes an
+    entry per element: for tests, printing and cold callers. *)
 
 val size : t -> int
 (** Number of levels — [s(list)] in the paper. *)
@@ -65,8 +72,9 @@ val level_size : t -> int -> int
 (** Entry count of level [i]; 0 when out of range. *)
 
 val fold_level : t -> int -> init:'a -> f:('a -> Node_id.t -> Mark.t -> 'a) -> 'a
-(** Allocation-free fold over one level in id order — the hot-path
-    replacement for [level] (which materializes an entry list per call). *)
+(** Fold over one level in id order, decoding each entry on the fly — the
+    hot-path replacement for [level] (which materializes an entry list
+    per call). *)
 
 val mem : t -> Node_id.t -> bool
 (** Allocation-free. *)

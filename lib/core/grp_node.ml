@@ -24,6 +24,15 @@ type metrics = {
   m_view_size : Registry.Hist.t;
   m_compute_ns : Registry.Timer.t;
   m_fold_ns : Registry.Timer.t;
+  (* [grp_compute_ns] split into contiguous phases, each timed from the
+     previous boundary ([Registry.Timer.lap]), so they sum to it. *)
+  m_ingest_ns : Registry.Timer.t;
+  m_priority_ns : Registry.Timer.t;
+  m_admission_ns : Registry.Timer.t;
+  m_fold_phase_ns : Registry.Timer.t;
+  m_contest_ns : Registry.Timer.t;
+  m_update_ns : Registry.Timer.t;
+  m_message_ns : Registry.Timer.t;
 }
 
 let metrics_of reg =
@@ -45,6 +54,13 @@ let metrics_of reg =
     m_view_size = Registry.histogram reg Names.grp_view_size;
     m_compute_ns = Registry.timer reg Names.grp_compute_ns;
     m_fold_ns = Registry.timer reg Names.grp_fold_ns;
+    m_ingest_ns = Registry.timer reg Names.grp_compute_ingest_ns;
+    m_priority_ns = Registry.timer reg Names.grp_compute_priority_ns;
+    m_admission_ns = Registry.timer reg Names.grp_compute_admission_ns;
+    m_fold_phase_ns = Registry.timer reg Names.grp_compute_fold_ns;
+    m_contest_ns = Registry.timer reg Names.grp_compute_contest_ns;
+    m_update_ns = Registry.timer reg Names.grp_compute_update_ns;
+    m_message_ns = Registry.timer reg Names.grp_compute_message_ns;
   }
 
 type t = {
@@ -71,10 +87,15 @@ type t = {
   msg_lid : (Node_id.t, int) Hashtbl.t;
   mutable quarantine : int Node_id.Map.t;
   mutable view : Node_id.Set.t;
-  (* Reusable across computes: [merge_priority_tables] clears and refills
-     it instead of rebuilding a persistent map.  Every consumer reads it
-     by key, so the unordered representation is unobservable. *)
-  prio_table : (Node_id.t, Priority.t) Hashtbl.t;
+  (* The priority table: node ids, strictly increasing, and their known
+     priorities, parallel, in the first [prio_n] slots.  Between computes
+     the arrays are exact-size and never written again, so a message may
+     share them.  During a full compute they are the domain's merge
+     scratch ([merge_priority_tables]) until [update_priorities] copies
+     the surviving entries out. *)
+  mutable prio_ids : Node_id.t array;
+  mutable prio_vals : Priority.t array;
+  mutable prio_n : int;
   mutable own_priority : Priority.t;
   (* Membership re-validation testimony: sender -> (consecutive exclusion
      reports, computes since the last one).  See [update_conflicts]. *)
@@ -107,7 +128,7 @@ type t = {
   mutable fixpoint : (Message.t Node_id.Map.t * step_info) option;
   mutable restricts : int;
   (* The last [make_message] result, [msg_fresh] while still current. *)
-  mutable last_msg : Message.t option;
+  mutable last_msg : Message.t;
   mutable msg_fresh : bool;
 }
 
@@ -121,22 +142,24 @@ and step_info = {
 
 let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
   let own_priority = Priority.initial id in
-  let prio_table = Hashtbl.create 16 in
-  Hashtbl.replace prio_table id own_priority;
+  let antlist = Antlist.singleton id and view = Node_id.Set.singleton id in
+  let prio_ids = [| id |] and prio_vals = [| own_priority |] in
   {
     id;
     config;
     trace;
     metrics = metrics_of metrics;
-    antlist = Antlist.singleton id;
+    antlist;
     inbox = [||];
     inbox_n = 0;
     inbox_lid = [||];
     msg_set = Node_id.Map.empty;
     msg_lid = Hashtbl.create 16;
     quarantine = Node_id.Map.singleton id 0;
-    view = Node_id.Set.singleton id;
-    prio_table;
+    view;
+    prio_ids;
+    prio_vals;
+    prio_n = 1;
     own_priority;
     conflict = Node_id.Map.empty;
     starve = Node_id.Map.empty;
@@ -145,8 +168,11 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     fold_cache = None;
     fixpoint = None;
     restricts = 0;
-    last_msg = None;
-    msg_fresh = false;
+    (* What [make_message] builds for a fresh node. *)
+    last_msg =
+      Message.make ~sender:id ~antlist ~priority_ids:prio_ids ~priorities:prio_vals
+        ~group_priority:own_priority ~view;
+    msg_fresh = true;
   }
 
 let id t = t.id
@@ -156,7 +182,19 @@ let antlist t = t.antlist
 let own_priority t = t.own_priority
 let quarantine_of t v = Node_id.Map.find_opt v t.quarantine
 let quarantines t = t.quarantine
-let known_priority t v = Hashtbl.find_opt t.prio_table v
+
+(* Index of [v] in the strictly increasing slice [ids.(lo) .. ids.(hi - 1)],
+   or -1. *)
+let rec search (ids : Node_id.t array) v lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Node_id.compare ids.(mid) v in
+    if c = 0 then mid else if c < 0 then search ids v (mid + 1) hi else search ids v lo mid
+
+let known_priority t v =
+  let i = search t.prio_ids v 0 t.prio_n in
+  if i < 0 then None else Some t.prio_vals.(i)
 
 let pending_senders t =
   let acc = ref Node_id.Set.empty in
@@ -165,13 +203,14 @@ let pending_senders t =
   done;
   !acc
 
+(* The minimum over the view members' known priorities: a walk of the
+   table, which allocates nothing. *)
 let group_priority t =
-  Node_id.Set.fold
-    (fun member acc ->
-      match Hashtbl.find_opt t.prio_table member with
-      | None -> acc
-      | Some p -> Priority.min p acc)
-    t.view t.own_priority
+  let best = ref t.own_priority in
+  for i = 0 to t.prio_n - 1 do
+    if Node_id.Set.mem t.prio_ids.(i) t.view then best := Priority.min t.prio_vals.(i) !best
+  done;
+  !best
 
 (* [lid] is a required labelled int on purpose: an optional argument
    would box a [Some] per call and break the zero-alloc receive pin. *)
@@ -229,6 +268,62 @@ let ingest t =
 let lid_of_sender t sender =
   match Hashtbl.find_opt t.msg_lid sender with Some l -> l | None -> -1
 
+(* Per-domain scratch of the full compute path.  A domain runs one
+   compute at a time and nothing here outlives it (the own-list index is
+   keyed by the physical list it describes), so the buffers are shared by
+   every node the domain runs: per-node buffers would grow the live heap
+   with the network.
+   - [ids_a]/[vals_a]: the table the priority merge builds in place.
+   - [senders]/[msgs]/[standing]: this compute's msgSet in id order, and
+     how each sender's list holds the computing node
+     ([standing_of_list]).
+   - [own_*]: the index of [own_of] — every id of that list, in id order,
+     with its closest position not double-marked (-1: none).
+   - [ints]: a gather buffer (of the own list's levels, and of the cross
+     check's reach sets).
+   Buffers grow to the largest need seen, never shrink, and
+   [release] drops their references into a compute's messages, so
+   between computes they keep nothing else alive. *)
+type scratch = {
+  mutable ids_a : Node_id.t array;
+  mutable vals_a : Priority.t array;
+  mutable clock : int;
+  mutable table_n : int;
+  mutable senders : Node_id.t array;
+  mutable msgs : Message.t array;
+  mutable standing : int array;
+  mutable n_senders : int;
+  mutable own_of : Antlist.t;
+  mutable own_ids : Node_id.t array;
+  mutable own_usable : int array;
+  mutable own_n : int;
+  mutable ints : int array;
+}
+
+let no_msg =
+  Message.make ~sender:(-1) ~antlist:Antlist.empty ~priority_ids:[||] ~priorities:[||]
+    ~group_priority:Priority.lowest ~view:Node_id.Set.empty
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        ids_a = [||];
+        vals_a = [||];
+        clock = 0;
+        table_n = 0;
+        senders = [||];
+        msgs = [||];
+        standing = [||];
+        n_senders = 0;
+        own_of = Antlist.empty;
+        own_ids = [||];
+        own_usable = [||];
+        own_n = 0;
+        ints = [||];
+      })
+
+let grown a n fill = if Array.length a >= n then a else Array.make n fill
+
 (* The priority table is rebuilt from scratch out of the current round's
    reports: among gossiped entries the larger oldness wins (oldness only
    grows over a node's uncorrupted lifetime, so larger means fresher), but
@@ -240,30 +335,208 @@ let lid_of_sender t sender =
    gossip loops re-infect any node that corrects itself.  A rebuilt table
    with authoritative origins flushes stale entries within a network
    radius of rounds.  Returns the largest oldness heard, which is the
-   Lamport clock the node syncs its own counter to while solo. *)
-let merge_priority_tables t =
-  let clock = ref 0 in
-  let table = t.prio_table in
-  Hashtbl.clear table;
-  Hashtbl.replace table t.id t.own_priority;
-  Node_id.Map.iter
-    (fun _ msg ->
-      Node_id.Map.iter
-        (fun v p ->
-          if p.Priority.oldness > !clock then clock := p.Priority.oldness;
-          if not (Node_id.equal v t.id) then
-            match Hashtbl.find table v with
-            | q -> if q.Priority.oldness < p.Priority.oldness then Hashtbl.replace table v p
-            | exception Not_found -> Hashtbl.replace table v p)
-        msg.Message.priorities)
-    t.msg_set;
+   Lamport clock the node syncs its own counter to while solo.
+
+   The table is the linear merge of the senders' id-sorted arrays in
+   msgSet order into the own entry: on a shared id the larger oldness
+   wins and the earlier sender keeps a tie; the own entry is never
+   replaced by gossip. *)
+let merge_sender s ~me na (msg : Message.t) =
+  let im = msg.Message.priority_ids and vm = msg.Message.priorities in
+  let nm = Array.length im in
+  if Array.length s.ids_a < na + nm then begin
+    let ids = Array.make (na + nm) 0 and vals = Array.make (na + nm) Priority.lowest in
+    Array.blit s.ids_a 0 ids 0 na;
+    Array.blit s.vals_a 0 vals 0 na;
+    s.ids_a <- ids;
+    s.vals_a <- vals
+  end;
+  let ids = s.ids_a and vals = s.vals_a in
+  (* From the back, so the table is its own output: the write index stays
+     above every unread table slot while sender entries remain. *)
+  let i = ref (na - 1) and j = ref (nm - 1) and k = ref (na + nm - 1) in
+  while !j >= 0 do
+    if !i >= 0 && Node_id.compare ids.(!i) im.(!j) > 0 then begin
+      ids.(!k) <- ids.(!i);
+      vals.(!k) <- vals.(!i);
+      decr i
+    end
+    else begin
+      let p = vm.(!j) in
+      if p.Priority.oldness > s.clock then s.clock <- p.Priority.oldness;
+      if !i >= 0 && Node_id.equal ids.(!i) im.(!j) then begin
+        let q = vals.(!i) in
+        vals.(!k) <-
+          (if Node_id.equal ids.(!i) me || q.Priority.oldness >= p.Priority.oldness then q
+           else p);
+        ids.(!k) <- ids.(!i);
+        decr i
+      end
+      else begin
+        ids.(!k) <- im.(!j);
+        vals.(!k) <- p
+      end;
+      decr j
+    end;
+    decr k
+  done;
+  (* Slots [0, i] are untouched; close the gap of one slot per shared id
+     between them and the merged tail [k+1, na+nm). *)
+  let gap = !k - !i and tail = na + nm - 1 - !k in
+  if gap > 0 then begin
+    Array.blit ids (!k + 1) ids (!i + 1) tail;
+    Array.blit vals (!k + 1) vals (!i + 1) tail
+  end;
+  na + nm - gap
+
+let merge_priority_tables t s =
+  s.ids_a <- grown s.ids_a 1 0;
+  s.vals_a <- grown s.vals_a 1 Priority.lowest;
+  s.ids_a.(0) <- t.id;
+  s.vals_a.(0) <- t.own_priority;
+  s.clock <- 0;
+  let n = Node_id.Map.fold (fun _ msg n -> merge_sender s ~me:t.id n msg) t.msg_set 1 in
   Node_id.Map.iter
     (fun sender msg ->
-      match Node_id.Map.find sender msg.Message.priorities with
-      | p -> Hashtbl.replace table sender p
-      | exception Not_found -> ())
+      let ids = msg.Message.priority_ids in
+      let j = search ids sender 0 (Array.length ids) in
+      if j >= 0 then
+        s.vals_a.(search s.ids_a sender 0 n) <- msg.Message.priorities.(j))
     t.msg_set;
-  !clock
+  t.prio_ids <- s.ids_a;
+  t.prio_vals <- s.vals_a;
+  t.prio_n <- n;
+  s.table_n <- n;
+  s.clock
+
+(* How a sender's raw list holds me, from one walk over it, packed in an
+   int: bits 0-1 the severity of my level-1 entry (3: none there), bit 2
+   set when I appear Clear at some depth (raw lists may repeat an id
+   across levels), bits 4.. one plus the position of my closest
+   occurrence (0: absent).  [my_mark], [good_list], the admission
+   evidence and the cross check's split horizon all read it;
+   [fill_standings] adds bit 3 for a sender in my view. *)
+let standing_of_list me lst =
+  Antlist.fold_entries lst ~init:3 ~f:(fun st v pos mark ->
+      if not (Node_id.equal v me) then st
+      else begin
+        let st = if st lsr 4 = 0 then st lor ((pos + 1) lsl 4) else st in
+        let st = if mark = Mark.Clear then st lor 4 else st in
+        if pos <> 1 then st
+        else
+          (st land lnot 3)
+          lor match mark with Mark.Clear -> 0 | Mark.Single -> 1 | Mark.Double -> 2
+      end)
+
+let clear_somewhere st = st land 4 <> 0
+let closest_pos st = (st lsr 4) - 1
+
+(* How the sender acknowledges me: my level-1 mark, else Clear when it
+   lists me Clear deeper, else not at all. *)
+let my_mark st =
+  match st land 3 with
+  | 0 -> Some Mark.Clear
+  | 1 -> Some Mark.Single
+  | 2 -> Some Mark.Double
+  | _ -> if clear_somewhere st then Some Mark.Clear else None
+
+(* msgSet as arrays, with every sender's standing. *)
+let fill_standings t s =
+  let n = Node_id.Map.cardinal t.msg_set in
+  s.senders <- grown s.senders n 0;
+  s.standing <- grown s.standing n 0;
+  s.msgs <- grown s.msgs n no_msg;
+  s.n_senders <-
+    Node_id.Map.fold
+      (fun sender msg k ->
+        s.senders.(k) <- sender;
+        s.msgs.(k) <- msg;
+        s.standing.(k) <-
+          (standing_of_list t.id msg.Message.antlist
+          lor if Node_id.Set.mem sender t.view then 8 else 0);
+        k + 1)
+      t.msg_set 0
+
+let standing s sender = s.standing.(search s.senders sender 0 s.n_senders)
+let sender_in_view st = st land 8 <> 0
+
+(* Some sender advertises [v] in its view — a view-mate only, when
+   [mates]. *)
+let rec advertised s ~mates v k =
+  k < s.n_senders
+  && ((((not mates) || sender_in_view s.standing.(k))
+      && Node_id.Set.mem v s.msgs.(k).Message.view)
+     || advertised s ~mates v (k + 1))
+
+(* The index of [lst] in [s]: its id-sorted levels merged in distance
+   order, so a repeated id keeps its closest usable position.  Each level
+   is gathered into [ints] as [(id lsl 1) lor double] and merged into the
+   index from the back, in place.  Reused while asked about the
+   physically same list, until [release]. *)
+let own_index s lst =
+  if s.own_of != lst then begin
+    let total = ref 0 in
+    for i = 0 to Antlist.size lst - 1 do
+      total := !total + Antlist.level_size lst i
+    done;
+    s.own_ids <- grown s.own_ids !total 0;
+    s.own_usable <- grown s.own_usable !total 0;
+    s.ints <- grown s.ints !total 0;
+    let ids = s.own_ids and usable = s.own_usable and lvl = s.ints in
+    let n = ref 0 in
+    for pos = 0 to Antlist.size lst - 1 do
+      let m =
+        Antlist.fold_level lst pos ~init:0 ~f:(fun k v mark ->
+            lvl.(k) <- (v lsl 1) lor if mark = Mark.Double then 1 else 0;
+            k + 1)
+      in
+      let i = ref (!n - 1) and j = ref (m - 1) and k = ref (!n + m - 1) in
+      while !j >= 0 do
+        let v = lvl.(!j) asr 1 and here = if lvl.(!j) land 1 = 1 then -1 else pos in
+        if !i >= 0 && Node_id.compare ids.(!i) v > 0 then begin
+          ids.(!k) <- ids.(!i);
+          usable.(!k) <- usable.(!i);
+          decr i
+        end
+        else begin
+          if !i >= 0 && Node_id.equal ids.(!i) v then begin
+            usable.(!k) <- (if usable.(!i) >= 0 then usable.(!i) else here);
+            decr i
+          end
+          else usable.(!k) <- here;
+          ids.(!k) <- v;
+          decr j
+        end;
+        decr k
+      done;
+      let gap = !k - !i and tail = !n + m - 1 - !k in
+      if gap > 0 then begin
+        Array.blit ids (!k + 1) ids (!i + 1) tail;
+        Array.blit usable (!k + 1) usable (!i + 1) tail
+      end;
+      n := !n + m - gap
+    done;
+    s.own_of <- lst;
+    s.own_n <- !n
+  end
+
+(* Whether the indexed list holds [v], and its closest position there
+   not double-marked (-1: none). *)
+let own_mem s v = search s.own_ids v 0 s.own_n >= 0
+
+let own_usable s v =
+  let i = search s.own_ids v 0 s.own_n in
+  if i < 0 then -1 else s.own_usable.(i)
+
+(* Forget this compute's messages, priorities and list, once the table
+   has been copied out. *)
+let release s =
+  Array.fill s.msgs 0 s.n_senders no_msg;
+  Array.fill s.vals_a 0 s.table_n Priority.lowest;
+  s.n_senders <- 0;
+  s.table_n <- 0;
+  s.own_of <- Antlist.empty;
+  s.own_n <- 0
 
 (* [v] has a Clear entry at some depth of [lst] (any occurrence, not just
    the closest: raw lists may repeat an id across levels). *)
@@ -274,7 +547,8 @@ let clear_level_ids lst i =
   Antlist.fold_level lst i ~init:Node_id.Set.empty ~f:(fun acc id mark ->
       if mark = Mark.Clear then Node_id.Set.add id acc else acc)
 
-let good_list t ~sender lst =
+(* [st] is the sender's standing ([standing_of_list]). *)
+let good_list_st t ~st ~sender lst =
   (* The sender's list is usable when it acknowledges me: unmarked or
      single-marked among its neighbors (list.1, the triple handshake), or —
      beyond the paper's letter — Clear at any depth: then the sender
@@ -282,16 +556,14 @@ let good_list t ~sender lst =
      replacing its list by a single-marked stub would evict an established
      member whenever mobility creates a fresh direct link between two
      group-mates (DESIGN.md Section 5). *)
-  let self_ok =
-    Antlist.fold_level lst 1 ~init:false ~f:(fun acc id mark ->
-        acc || (Node_id.equal id t.id && mark <> Mark.Double))
-    || clear_anywhere lst t.id
-  in
+  let self_ok = st land 3 <= 1 || clear_somewhere st in
   self_ok
   && Antlist.level_size lst 0 = 1
   && Antlist.fold_level lst 0 ~init:false ~f:(fun _ id _ -> Node_id.equal id sender)
   && Antlist.clear_size lst <= t.config.Config.dmax + 1
   && not (Antlist.has_empty_level lst)
+
+let good_list t ~sender lst = good_list_st t ~st:(standing_of_list t.id lst) ~sender lst
 
 (* compatibleList relates established group extents (Proposition 13's
    setting has stabilized groups, where lists and groups coincide).  During
@@ -303,55 +575,50 @@ let good_list t ~sender lst =
    the too-far contest and by joint admission instead (DESIGN.md
    Section 5). *)
 
-(* Established nodes: my view plus every view advertised in msgSet. *)
-let established_set t =
-  Node_id.Map.fold
-    (fun _ msg acc -> Node_id.Set.union msg.Message.view acc)
-    t.msg_set t.view
+(* Established nodes: my view plus every view advertised in msgSet
+   ([s] filled by [fill_standings]). *)
+let established t s v = Node_id.Set.mem v t.view || advertised s ~mates:false v 0
 
 (* Extent of my established group: farthest established clear node in my
    current list. *)
-let established_extent t ~established =
+let established_extent t s =
   Antlist.fold_entries t.antlist ~init:0 ~f:(fun acc v pos mark ->
-      if mark = Mark.Clear && Node_id.Set.mem v established then max acc pos else acc)
+      if mark = Mark.Clear && pos > acc && established t s v then pos else acc)
 
 (* Extent of the sender's established group beyond mine: farthest of the
    sender's view members, at its position in the sender's list, that I do
    not already hold (goodList forces the sender to echo me and my members
    back; counting that echo would inflate the estimate). *)
-let foreign_view_extent t ~sender_view lst =
+let foreign_view_extent t s ~sender_view lst =
   (* Marked entries count as known too: they only occur at levels 0-1 of my
      list, i.e. they are physically adjacent, so a sender echoing them back
-     is not stretching the merge.  One max-tracking pass; -1 encodes "no
-     foreign member" without materializing the position list. *)
+     is not stretching the merge.  One max-tracking pass against the index
+     of my list; -1 encodes "no foreign member" without materializing the
+     position list. *)
+  own_index s t.antlist;
   let best =
     Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
         if
           mark = Mark.Clear
           && Node_id.Set.mem v sender_view
           && (not (Node_id.equal v t.id))
-          && not (Antlist.mem t.antlist v)
+          && not (own_mem s v)
         then max best pos
         else best)
   in
   if best < 0 then None else Some best
 
 (* [env] memoizes the sender-independent half of the admission tests for
-   one compute: the established set spans every advertised view in this
-   round's msgSet, so it is the same for all of the round's senders, and
-   computing it per sender made compatibleList the dominant allocation
-   site of the whole protocol at VANET scale. *)
-let compatible_env t =
-  lazy
-    (let established = established_set t in
-     (established, established_extent t ~established))
+   one compute: the extent of my established group, the same for all of
+   the round's senders. *)
+let compatible_env t s = lazy (established_extent t s)
 
-let compatible_list_env t ~env ~sender_view lst =
+let compatible_list_env t s ~env ~sender_view lst =
   let dmax = t.config.Config.dmax in
-  match foreign_view_extent t ~sender_view lst with
+  match foreign_view_extent t s ~sender_view lst with
   | None -> true (* nothing new: accepting cannot stretch the group *)
   | Some q ->
-      let established, p = Lazy.force env in
+      let p = Lazy.force env in
       if p + q + 1 <= dmax then true
       else if not t.config.Config.compat_shortcut_enabled then false
       else
@@ -364,9 +631,7 @@ let compatible_list_env t ~env ~sender_view lst =
           if i > p then false
           else
             let li =
-              Node_id.Set.filter
-                (fun v -> Node_id.Set.mem v established)
-                (clear_level_ids t.antlist i)
+              Node_id.Set.filter (established t s) (clear_level_ids t.antlist i)
             in
             ((not (Node_id.Set.is_empty li))
             && Node_id.Set.subset li list1
@@ -377,7 +642,9 @@ let compatible_list_env t ~env ~sender_view lst =
         scan 1
 
 let compatible_list t ~sender_view lst =
-  compatible_list_env t ~env:(compatible_env t) ~sender_view lst
+  let s = Domain.DLS.get scratch_key in
+  fill_standings t s;
+  compatible_list_env t s ~env:(compatible_env t s) ~sender_view lst
 
 (* Lines 1-9 of compute(): strip link-local marks, then replace unusable
    lists by a single-marked sender (goodList) and incompatible ones by a
@@ -398,9 +665,9 @@ let same_group t sender (msg : Message.t) =
          && Node_id.Set.mem v t.view)
        msg.view
 
-let check_each_incoming t =
+let check_each_incoming t s =
   let tracing = Trace.enabled t.trace in
-  let env = compatible_env t in
+  let env = compatible_env t s in
   t.restricts <- 0;
   Node_id.Map.mapi
     (fun sender msg ->
@@ -418,21 +685,12 @@ let check_each_incoming t =
          level 1; a Clear occurrence at any depth means it already computes
          me as a group member over symmetric paths, which is as good an
          acknowledgment as the level-1 handshake (DESIGN.md Section 5). *)
-      let my_mark =
-        match
-          List.find_map
-            (fun e ->
-              if Node_id.equal e.Antlist.id t.id then Some e.Antlist.mark else None)
-            (Antlist.level raw 1)
-        with
-        | Some m -> Some m
-        | None -> if clear_anywhere raw t.id then Some Mark.Clear else None
-      in
+      let st = standing s sender in
       let incompatible () =
         (not (same_group t sender msg))
-        && not (compatible_list_env t ~env ~sender_view:msg.Message.view raw)
+        && not (compatible_list_env t s ~env ~sender_view:msg.Message.view raw)
       in
-      match my_mark with
+      match my_mark st with
       | None ->
           (* The sender does not list me: asymmetric link, handshake step. *)
           Antlist.singleton_marked sender Mark.Single
@@ -446,7 +704,8 @@ let check_each_incoming t =
             Antlist.singleton_marked sender Mark.Double
           else Antlist.singleton_marked sender Mark.Single
       | Some Mark.Clear | Some Mark.Single ->
-          if not (good_list t ~sender raw) then Antlist.singleton_marked sender Mark.Single
+          if not (good_list_st t ~st ~sender raw) then
+            Antlist.singleton_marked sender Mark.Single
           else if incompatible () then Antlist.singleton_marked sender Mark.Double
           else begin
             if tracing && not (Node_id.Set.mem sender t.view) then
@@ -459,6 +718,27 @@ let check_each_incoming t =
           end)
     t.msg_set
 
+(* The first [k] ids of [buf], sorted and deduplicated, as a fresh array. *)
+let sorted_ids buf k =
+  let a = Array.sub buf 0 k in
+  Array.sort Node_id.compare a;
+  let w = ref 0 in
+  for r = 0 to k - 1 do
+    if !w = 0 || not (Node_id.equal a.(!w - 1) a.(r)) then begin
+      a.(!w) <- a.(r);
+      incr w
+    end
+  done;
+  if !w = k then a else Array.sub a 0 !w
+
+(* Two sorted id arrays share no id. *)
+let rec disjoint (a : Node_id.t array) (b : Node_id.t array) i j =
+  i >= Array.length a
+  || j >= Array.length b
+  ||
+  let c = Node_id.compare a.(i) b.(j) in
+  c <> 0 && if c < 0 then disjoint a b (i + 1) j else disjoint a b i (j + 1)
+
 (* Joint admission: compatibleList only relates each sender to the local
    node, so a node between two groups can pass both tests and bridge them
    into a union whose diameter violation is invisible to it (both sides are
@@ -467,7 +747,7 @@ let check_each_incoming t =
    ext1 + ext2 + 2 <= Dmax.  Established senders (already in the view) are
    never rejected here — they are the group compatibleList protects — and
    among new senders the oldest group is kept (DESIGN.md Section 5). *)
-let cross_check t checked =
+let cross_check t s checked =
   (* Senders already rejected by the individual checks (their list was
      replaced by a marked singleton) are not being admitted, so they
      neither need joint clearance nor may veto anybody else. *)
@@ -508,17 +788,9 @@ let cross_check t checked =
      when the next admission race begins (the 6-path bridge livelock).
      Speculative list entries outside the sender's view are ignored
      here; individual checks and the too-far contest police those. *)
-  (* First usable (non-Double) occurrence of each id in my list, built once
-     per cross check — [my_level] runs per foreign entry, and the per-call
-     list scan it replaces was quadratic in the list size. *)
-  let my_level_tbl =
-    lazy
-      (let h = Hashtbl.create 16 in
-       Antlist.fold_entries t.antlist ~init:() ~f:(fun () u pos mark ->
-           if mark <> Mark.Double && not (Hashtbl.mem h u) then Hashtbl.add h u pos);
-       h)
-  in
-  let my_level v = Hashtbl.find_opt (Lazy.force my_level_tbl) v in
+  (* Closest usable (non-Double) position of each id in my list: the
+     per-compute index, searched per foreign entry. *)
+  own_index s t.antlist;
   let foreign_part sender =
     match Node_id.Map.find_opt sender t.msg_set with
     | None -> None
@@ -540,37 +812,45 @@ let cross_check t checked =
            (the lockstep grid3x3 cycle).  Genuinely off-board meetings are
            strictly shorter than the me-route and survive the filter.
 
-           Reach set and extent are accumulated in the one pass over the
-           sender's entries (this runs per sender per compute, and the
-           intermediate foreign/position lists it used to build were a top
-           allocation site); -1 encodes "no established foreign member". *)
-        let sender_level_of_me =
-          match Antlist.find msg.Message.antlist t.id with
-          | Some (pos, _) -> Some pos
-          | None -> None
-        in
+           Reach and extent are accumulated in the one pass over the
+           sender's entries, the reach ids gathered into the scratch and
+           kept as a sorted array; -1 encodes "no established foreign
+           member". *)
+        let lst = msg.Message.antlist in
+        let me_pos = closest_pos (standing s sender) in
         let echo v pos =
-          match (sender_level_of_me, my_level v) with
-          | Some mp, Some lv -> pos >= mp + lv
-          | _ -> false
+          me_pos >= 0
+          &&
+          let lv = own_usable s v in
+          lv >= 0 && pos >= me_pos + lv
         in
-        let reach = ref Node_id.Set.empty in
-        let ext = ref (-1) in
-        Antlist.fold_entries msg.Message.antlist ~init:() ~f:(fun () v pos mark ->
+        let total = ref 0 in
+        for i = 0 to Antlist.size lst - 1 do
+          total := !total + Antlist.level_size lst i
+        done;
+        s.ints <- grown s.ints !total 0;
+        let buf = s.ints in
+        let k = ref 0 and ext = ref (-1) in
+        Antlist.fold_entries lst ~init:() ~f:(fun () v pos mark ->
             if mark <> Mark.Double && not (Node_id.Set.mem v my_ids) then begin
-              if not (echo v pos) then reach := Node_id.Set.add v !reach;
+              if not (echo v pos) then begin
+                buf.(!k) <- v;
+                incr k
+              end;
               if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then
                 ext := max !ext pos
             end);
-        if !ext < 0 then None else Some (!reach, max !ext 0)
-  in
-  let order_key sender =
-    match Node_id.Map.find_opt sender t.msg_set with
-    | Some msg -> (msg.Message.group_priority, sender)
-    | None -> (Priority.lowest, sender)
+        if !ext < 0 then None else Some (sorted_ids buf !k, !ext)
   in
   let fresh =
-    List.sort (fun (a, _) (b, _) -> compare (order_key a) (order_key b)) fresh
+    List.map
+      (fun (sender, _) ->
+        match Node_id.Map.find_opt sender t.msg_set with
+        | Some msg -> (msg.Message.group_priority, sender)
+        | None -> (Priority.lowest, sender))
+      fresh
+    |> List.sort (fun (pa, a) (pb, b) ->
+           match Priority.compare pa pb with 0 -> Node_id.compare a b | c -> c)
   in
   let dmax = t.config.Config.dmax in
   let accepted = ref [] in
@@ -581,12 +861,12 @@ let cross_check t checked =
       | Some fp -> accepted := fp :: !accepted)
     in_view;
   List.fold_left
-    (fun checked (sender, _) ->
+    (fun checked (_, sender) ->
       match foreign_part sender with
       | None -> checked
       | Some (ids, ext) ->
           let compatible_with (ids', ext') =
-            (not (Node_id.Set.disjoint ids ids')) || ext + ext' + 2 <= dmax
+            (not (disjoint ids ids' 0 0)) || ext + ext' + 2 <= dmax
           in
           if List.for_all compatible_with !accepted then (
             accepted := (ids, ext) :: !accepted;
@@ -595,9 +875,9 @@ let cross_check t checked =
             Node_id.Map.add sender (Antlist.singleton_marked sender Mark.Double) checked)
     checked fresh
 
-let check_incoming t =
-  let checked = check_each_incoming t in
-  if t.config.Config.joint_admission_enabled then cross_check t checked else checked
+let check_incoming t s =
+  let checked = check_each_incoming t s in
+  if t.config.Config.joint_admission_enabled then cross_check t s checked else checked
 
 let fold_ant t lists =
   Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal lists);
@@ -632,11 +912,7 @@ let defense_priority t ~providers =
   else t.own_priority
 
 let too_far_priority t ~w ~providers =
-  let pw =
-    match Hashtbl.find_opt t.prio_table w with
-    | Some p -> p
-    | None -> Priority.lowest
-  in
+  let pw = match known_priority t w with Some p -> p | None -> Priority.lowest in
   (pw, defense_priority t ~providers)
 
 (* Lines 14-29: resolve the Dmax+2 overflow.  Providers of a winning too-far
@@ -789,17 +1065,12 @@ let update_quarantine t lst =
    - a current view-mate advertises it in its own view (approval has
      propagated from its entry edge).
    Retention is presence-based as before: the gate applies to new
-   admissions only, so it cannot evict anybody. *)
-let admission_evidence t =
-  Node_id.Map.fold
-    (fun sender msg acc ->
-      let acc =
-        if clear_anywhere msg.Message.antlist t.id then Node_id.Set.add sender acc
-        else acc
-      in
-      if Node_id.Set.mem sender t.view then Node_id.Set.union msg.Message.view acc
-      else acc)
-    t.msg_set Node_id.Set.empty
+   admissions only, so it cannot evict anybody.  Asked per candidate of
+   the msgSet arrays ([fill_standings]); no evidence set is built. *)
+let evident s v =
+  (let k = search s.senders v 0 s.n_senders in
+   k >= 0 && clear_somewhere s.standing.(k))
+  || advertised s ~mates:true v 0
 
 (* Continuous membership re-validation (DESIGN.md Section 5, item 15; part
    of the admission gate).  The counter-evidence is strictly firsthand
@@ -871,13 +1142,13 @@ let conflicted_set t =
    me when the member sits several hops away and the mates that used to
    relay it are gone.  Ages the starvation counters against the current
    evidence and returns the members to drop. *)
-let starved_set t ~evidence =
+let starved_set t s =
   let window = Priority.cooldown_window ~dmax:t.config.Config.dmax in
   t.starve <-
     Node_id.Set.fold
       (fun v acc ->
         if Node_id.equal v t.id then acc
-        else if Node_id.Set.mem v evidence then acc
+        else if evident s v then acc
         else
           let age =
             match Node_id.Map.find_opt v t.starve with Some a -> a | None -> 0
@@ -889,19 +1160,17 @@ let starved_set t ~evidence =
     (fun v age acc -> if age >= window then Node_id.Set.add v acc else acc)
     t.starve Node_id.Set.empty
 
-let compute_view t lst ~evidence ~conflicted =
+let compute_view t s lst ~conflicted =
   Antlist.fold_entries lst ~init:Node_id.Set.empty ~f:(fun acc v _ mark ->
-      let quarantined =
-        match Node_id.Map.find_opt v t.quarantine with Some 0 -> false | _ -> true
+      let admitted =
+        mark = Mark.Clear
+        && (match Node_id.Map.find_opt v t.quarantine with Some 0 -> true | _ -> false)
+        && (Node_id.equal v t.id
+           || (not t.config.Config.admission_gate_enabled)
+           || (Node_id.Set.mem v t.view || evident s v)
+              && not (Node_id.Set.mem v conflicted))
       in
-      let admissible =
-        Node_id.equal v t.id
-        || (not t.config.Config.admission_gate_enabled)
-        || (Node_id.Set.mem v t.view || Node_id.Set.mem v evidence)
-           && not (Node_id.Set.mem v conflicted)
-      in
-      if mark = Mark.Clear && (not quarantined) && admissible then Node_id.Set.add v acc
-      else acc)
+      if admitted then Node_id.Set.add v acc else acc)
 
 let update_priorities t lst ~clock =
   (* Oldness accrues only while the node is truly alone: in a group (view
@@ -930,10 +1199,22 @@ let update_priorities t lst ~clock =
       else if not (in_group || merging) then
         t.own_priority <- Priority.bump (Priority.sync t.own_priority clock)
   | Config.Lowest_id -> ());
-  Hashtbl.filter_map_inplace
-    (fun v p -> if Node_id.equal v t.id || Antlist.mem lst v then Some p else None)
-    t.prio_table;
-  Hashtbl.replace t.prio_table t.id t.own_priority
+  (* Keep the list members' entries and the own one, now the updated own
+     priority, compacting the merge scratch in place before copying the
+     table out at its exact size. *)
+  let ids = t.prio_ids and vals = t.prio_vals in
+  let w = ref 0 in
+  for r = 0 to t.prio_n - 1 do
+    let v = ids.(r) in
+    if Node_id.equal v t.id || Antlist.mem lst v then begin
+      ids.(!w) <- v;
+      vals.(!w) <- (if Node_id.equal v t.id then t.own_priority else vals.(r));
+      incr w
+    end
+  done;
+  t.prio_ids <- Array.sub ids 0 !w;
+  t.prio_vals <- Array.sub vals 0 !w;
+  t.prio_n <- !w
 
 (* Mark handshake and quarantine transitions, derived by diffing the
    protocol state across one compute — the list marks and the quarantine
@@ -1003,6 +1284,64 @@ let count_quarantine_transitions t ~old_q =
             else if ko = 0 && k > 0 then Registry.Counter.incr t.metrics.m_q_enter)
     t.quarantine
 
+(* The known priorities of the list members, filtered out of the table;
+   the table's own arrays when it holds nothing else (between computes
+   they are exact-size and never written again). *)
+let build_message t =
+  let n = t.prio_n in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if Antlist.mem t.antlist t.prio_ids.(i) then incr kept
+  done;
+  let priority_ids, priorities =
+    if !kept = n && Array.length t.prio_ids = n then (t.prio_ids, t.prio_vals)
+    else begin
+      let ids = Array.make !kept 0 and vals = Array.make !kept Priority.lowest in
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        if Antlist.mem t.antlist t.prio_ids.(i) then begin
+          ids.(!k) <- t.prio_ids.(i);
+          vals.(!k) <- t.prio_vals.(i);
+          incr k
+        end
+      done;
+      (ids, vals)
+    end
+  in
+  Message.make ~sender:t.id ~antlist:t.antlist ~priority_ids ~priorities
+    ~group_priority:(group_priority t) ~view:t.view
+
+let rec same_priorities_from (a : Message.t) (b : Message.t) i =
+  i < 0
+  || Node_id.equal a.Message.priority_ids.(i) b.Message.priority_ids.(i)
+     && Priority.equal a.Message.priorities.(i) b.Message.priorities.(i)
+     && same_priorities_from a b (i - 1)
+
+let same_priorities (a : Message.t) (b : Message.t) =
+  (a.Message.priority_ids == b.Message.priority_ids
+  && a.Message.priorities == b.Message.priorities)
+  || Array.length a.Message.priority_ids = Array.length b.Message.priority_ids
+     && same_priorities_from a b (Array.length a.Message.priority_ids - 1)
+
+(* The previous message is returned physically while nothing it is built
+   from changed, so receivers see [==] inputs and can elide in turn. *)
+let make_message t =
+  if t.msg_fresh then t.last_msg
+  else begin
+    let m = t.last_msg and msg = build_message t in
+    t.msg_fresh <- true;
+    if
+      m.Message.antlist == msg.Message.antlist
+      && m.Message.view == msg.Message.view
+      && Priority.equal m.Message.group_priority msg.Message.group_priority
+      && same_priorities m msg
+    then m
+    else begin
+      t.last_msg <- msg;
+      msg
+    end
+  end
+
 (* Timer state ages on every compute, so a fixpoint has none of it. *)
 let settled t =
   t.oldness_hold = 0 && Node_id.Map.is_empty t.contest_hold
@@ -1015,6 +1354,7 @@ let compute t =
   Registry.Counter.incr t.metrics.m_compute;
   let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
   let same_inputs = ingest t in
+  let lap = Registry.Timer.lap t.metrics.m_ingest_ns m_t0 in
   match t.fixpoint with
   | Some (_, step) when same_inputs && not (Trace.enabled t.trace) ->
       Registry.Counter.incr t.metrics.m_cache_hit;
@@ -1025,20 +1365,23 @@ let compute t =
   | _ ->
   let dmax = t.config.Config.dmax in
   let old_priority = t.own_priority and was_settled = settled t in
-  let clock = merge_priority_tables t in
+  let s = Domain.DLS.get scratch_key in
+  let clock = merge_priority_tables t s in
   t.contest_hold <-
     Node_id.Map.filter_map
       (fun _ (k, cut) -> if k > 1 then Some (k - 1, cut) else None)
       t.contest_hold;
-  let evidence = admission_evidence t in
+  let lap = Registry.Timer.lap t.metrics.m_priority_ns lap in
+  fill_standings t s;
   let conflicted =
     if t.config.Config.admission_gate_enabled then begin
       update_conflicts t;
-      Node_id.Set.union (conflicted_set t) (starved_set t ~evidence)
+      Node_id.Set.union (conflicted_set t) (starved_set t s)
     end
     else Node_id.Set.empty
   in
-  let checked = check_incoming t in
+  let checked = check_incoming t s in
+  let lap = Registry.Timer.lap t.metrics.m_admission_ns lap in
   let folded =
     match t.fold_cache with
     | Some (key, v) when Node_id.Map.equal Antlist.equal key checked ->
@@ -1053,15 +1396,17 @@ let compute t =
         v
   in
   let candidate = Antlist.truncate folded (dmax + 2) in
+  let lap = Registry.Timer.lap t.metrics.m_fold_phase_ns lap in
   let final_list, too_far_conflict, rejected_senders, contest_wins =
     resolve_too_far t checked ~folded candidate
   in
   let final_list = Antlist.truncate final_list (dmax + 1) in
+  let lap = Registry.Timer.lap t.metrics.m_contest_ns lap in
   let old_list = t.antlist in
   let old_q = t.quarantine in
   update_quarantine t final_list;
   let old_view = t.view in
-  let new_view = compute_view t final_list ~evidence ~conflicted in
+  let new_view = compute_view t s final_list ~conflicted in
   if Trace.enabled t.trace then begin
     emit_transitions t ~old_list ~old_q ~new_list:final_list;
     if not (Node_id.Set.equal new_view old_view) then begin
@@ -1093,6 +1438,7 @@ let compute t =
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
   update_priorities t final_list ~clock;
+  release s;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
   let step = { view_added; view_removed; too_far_conflict; rejected_senders; contest_wins } in
@@ -1114,35 +1460,13 @@ let compute t =
         (Node_id.Set.cardinal new_view)
     end
   end;
+  let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
+  (* The next message is built here, where its cost is attributed:
+     [make_message] then returns it until the state changes again. *)
+  ignore (make_message t);
+  ignore (Registry.Timer.lap t.metrics.m_message_ns lap);
   Registry.Timer.stop t.metrics.m_compute_ns m_t0;
   step
-
-let build_message t =
-  let priorities =
-    Antlist.fold_entries t.antlist ~init:Node_id.Map.empty ~f:(fun acc v _ _ ->
-        match Hashtbl.find_opt t.prio_table v with
-        | None -> acc
-        | Some p -> Node_id.Map.add v p acc)
-  in
-  Message.make ~sender:t.id ~antlist:t.antlist ~priorities
-    ~group_priority:(group_priority t) ~view:t.view
-
-(* The previous message is returned physically while nothing it is built
-   from changed, so receivers see [==] inputs and can elide in turn. *)
-let make_message t =
-  match t.last_msg with
-  | Some m when t.msg_fresh -> m
-  | prev -> (
-      let msg = build_message t in
-      t.msg_fresh <- true;
-      match prev with
-      | Some m
-        when m.Message.antlist == msg.Message.antlist
-             && m.Message.view == msg.Message.view
-             && Priority.equal m.Message.group_priority msg.Message.group_priority
-             && Node_id.Map.equal Priority.equal m.Message.priorities msg.Message.priorities ->
-          m
-      | _ -> t.last_msg <- Some msg; msg)
 
 let convictions t = conflicted_set t
 
@@ -1160,7 +1484,12 @@ let corrupt_quarantine t qs =
 let corrupt_priority t p = invalidate t; t.own_priority <- p
 
 let corrupt_priority_table t ps =
-  invalidate t; List.iter (fun (v, p) -> Hashtbl.replace t.prio_table v p) ps
+  invalidate t;
+  let table = List.init t.prio_n (fun i -> (t.prio_ids.(i), t.prio_vals.(i))) in
+  let ids, vals = Message.priority_arrays (table @ ps) in
+  t.prio_ids <- ids;
+  t.prio_vals <- vals;
+  t.prio_n <- Array.length ids
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>node %a: list=%a@ view=%a pr=%a@]" Node_id.pp t.id Antlist.pp

@@ -38,8 +38,10 @@ val create :
     during {!compute}; timestamps come from whatever clock the driving
     runtime last set on the sink.  [metrics] (default
     {!Dgs_metrics.Registry.null}) receives the node's counters, the
-    [grp_view_size] histogram and the [grp_compute_ns]/[grp_fold_ns]
-    phase timers (families listed in {!Dgs_metrics.Names}); handles are
+    [grp_view_size] histogram, the [grp_compute_ns]/[grp_fold_ns]
+    timers and the seven contiguous [grp_compute_*_ns] phase timers that
+    sum to [grp_compute_ns] (families listed in {!Dgs_metrics.Names});
+    handles are
     resolved once here, so a disabled registry costs one load + branch
     per site inside {!compute}. *)
 
@@ -89,7 +91,10 @@ val compute : t -> step_info
 (** Procedure [compute()] of the paper: check incoming lists (goodList,
     compatibleList), fold the [ant] operator, resolve too-far conflicts by
     priority, update quarantines, the view and the priorities; finally reset
-    [msgSet].
+    [msgSet] and build the next message, which {!make_message} returns.
+    The full path runs on per-domain scratch buffers (priority merge,
+    sender standings, own-list index), so a node may be computed on any
+    domain, one compute at a time.
 
     {b Elision.}  A compute is a deterministic function of the node state
     and [msgSet].  When the previous compute was a fixpoint (list, view,
@@ -106,7 +111,8 @@ val compute : t -> step_info
 
 val make_message : t -> Message.t
 (** The message to broadcast: list, view, group priority and the known
-    priorities of the list members.  While the state it is built from is
+    priorities of the list members (the node's table filtered against its
+    list, as id-sorted arrays).  While the state it is built from is
     unchanged — after an elided {!compute}, or a full one that left an
     equal message — the previous message is returned physically, so
     receivers see [==] inputs; a repeated call on a quiet node allocates

@@ -13,7 +13,10 @@
     where the antlist is [/]-separated levels of [,]-separated entries,
     an entry being a decimal id with mark suffix [']/[''], priorities are
     [,]-separated [id:oldness.id] pairs, and the view is [,]-separated
-    ids.  {!of_string} is total: any malformed frame yields [None], never
+    ids.  Every id, wherever it appears, must lie in [[0, 2^60)] (the
+    range {!Antlist} packs); priorities are read with the semantics of a
+    left [Map.add] fold — any order, last binding of an id wins.
+    {!of_string} is total: any malformed frame yields [None], never
     an exception — a corrupted frame is equivalent to a lost one, and a
     frame corrupted into validity is handled by the protocol's own checks
     ([goodList] and friends), exactly like a corrupted memory. *)

@@ -11,6 +11,13 @@ let grp_ant_merge_total = "grp_ant_merge_total"
 let grp_restrict_clear_total = "grp_restrict_clear_total"
 let grp_compute_ns = "grp_compute_ns"
 let grp_fold_ns = "grp_fold_ns"
+let grp_compute_ingest_ns = "grp_compute_ingest_ns"
+let grp_compute_priority_ns = "grp_compute_priority_ns"
+let grp_compute_admission_ns = "grp_compute_admission_ns"
+let grp_compute_fold_ns = "grp_compute_fold_ns"
+let grp_compute_contest_ns = "grp_compute_contest_ns"
+let grp_compute_update_ns = "grp_compute_update_ns"
+let grp_compute_message_ns = "grp_compute_message_ns"
 
 (* Protocol events *)
 let grp_quarantine_enter_total = "grp_quarantine_enter_total"
@@ -60,6 +67,13 @@ let all =
     grp_restrict_clear_total;
     grp_compute_ns;
     grp_fold_ns;
+    grp_compute_ingest_ns;
+    grp_compute_priority_ns;
+    grp_compute_admission_ns;
+    grp_compute_fold_ns;
+    grp_compute_contest_ns;
+    grp_compute_update_ns;
+    grp_compute_message_ns;
     grp_quarantine_enter_total;
     grp_quarantine_admit_total;
     grp_gate_conviction_total;

@@ -13,6 +13,19 @@ val grp_ant_merge_total : string
 val grp_restrict_clear_total : string
 val grp_compute_ns : string
 val grp_fold_ns : string
+
+(** The seven contiguous phases of a compute, summing to
+    [grp_compute_ns]: inbox ingest, priority-table merge, admission
+    (per-sender checks, cross check, evidence and conflicts), ant fold,
+    too-far contest, quarantine/view/priority update, message build. *)
+
+val grp_compute_ingest_ns : string
+val grp_compute_priority_ns : string
+val grp_compute_admission_ns : string
+val grp_compute_fold_ns : string
+val grp_compute_contest_ns : string
+val grp_compute_update_ns : string
+val grp_compute_message_ns : string
 val grp_quarantine_enter_total : string
 val grp_quarantine_admit_total : string
 val grp_gate_conviction_total : string

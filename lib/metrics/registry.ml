@@ -38,6 +38,17 @@ module Timer = struct
       if d > tm.max then tm.max <- d
     end
 
+  let lap tm t0 =
+    if tm.on then begin
+      let t1 = now_ns () in
+      let d = t1 -. t0 in
+      tm.spans <- tm.spans + 1;
+      tm.total <- tm.total +. d;
+      if d > tm.max then tm.max <- d;
+      t1
+    end
+    else 0.0
+
   let time tm f =
     let t0 = start tm in
     Fun.protect ~finally:(fun () -> stop tm t0) f

@@ -71,6 +71,12 @@ module Timer : sig
   val stop : t -> float -> unit
   (** Record one span from a {!start} token; no-op when disabled. *)
 
+  val lap : t -> float -> float
+  (** [lap tm t0] records the span from [t0] to now and returns now as the
+      token of the next span: consecutive phases timed with one clock read
+      per boundary, so their spans sum exactly to the whole.  [0.0] and
+      no clock read when disabled. *)
+
   val time : t -> (unit -> 'a) -> 'a
   (** [time tm f] runs [f ()] inside a {!start}/{!stop} pair (also on
       exceptions). *)

@@ -285,6 +285,119 @@ let prop_queries_match_scan =
       && Antlist.entries l = entries
       && Antlist.well_formed l = well_formed)
 
+(* --- reference model ---
+
+   A plain list-of-levels of [(id, mark)] pairs defines what every
+   operation means, on raw inputs with duplicate ids and all three marks:
+   - within a level an id appears once, with its most severe mark (a
+     same-level tie in a merge keeps the most severe mark);
+   - across levels the first (closest) occurrence of an id wins;
+   - a merge stops at a level emptied by that deduplication;
+   - [strip_marked] keeps interior empty levels, trimming trailing ones;
+   - [restrict_clear] compacts empty levels away. *)
+module Model = struct
+  type t = (Node_id.t * Mark.t) list list
+
+  let norm_level lvl =
+    List.sort_uniq compare (List.map fst lvl)
+    |> List.map (fun id ->
+           ( id,
+             List.fold_left
+               (fun m (v, m') -> if v = id then Mark.max m m' else m)
+               Mark.Clear lvl ))
+
+  let of_raw raw : t = List.map norm_level raw
+
+  let rec nth_level (l : t) i =
+    match (l, i) with [], _ -> [] | x :: _, 0 -> x | _ :: r, i -> nth_level r (i - 1)
+
+  let merge (a : t) (b : t) : t =
+    let n = max (List.length a) (List.length b) in
+    let rec go i seen =
+      if i >= n then []
+      else
+        let lvl =
+          norm_level (nth_level a i @ nth_level b i)
+          |> List.filter (fun (id, _) -> not (List.mem id seen))
+        in
+        if lvl = [] then [] else lvl :: go (i + 1) (List.map fst lvl @ seen)
+    in
+    go 0 []
+
+  let shift (l : t) : t = if l = [] then [] else [] :: l
+  let ant a b = merge a (shift b)
+
+  let truncate (l : t) k =
+    if k = 0 then []
+    else if k < 0 || k >= List.length l then l
+    else List.filteri (fun i _ -> i < k) l
+
+  let rec trim_trailing (l : t) : t =
+    match List.rev l with [] :: r -> trim_trailing (List.rev r) | _ -> l
+
+  let strip_marked ~keep (l : t) : t =
+    trim_trailing (List.map (List.filter (fun (id, m) -> m = Mark.Clear || id = keep)) l)
+
+  let restrict_clear (l : t) : t =
+    List.map (List.filter (fun (_, m) -> m = Mark.Clear)) l
+    |> List.filter (fun lvl -> lvl <> [])
+
+  let clear_size (l : t) =
+    List.fold_left max 0
+      (List.mapi
+         (fun i lvl -> if List.exists (fun (_, m) -> m = Mark.Clear) lvl then i + 1 else 0)
+         l)
+
+  let has_empty_level (l : t) = List.mem [] l
+
+  let well_formed (l : t) =
+    let ids = List.concat_map (List.map fst) l in
+    (not (has_empty_level l))
+    && List.length ids = List.length (List.sort_uniq compare ids)
+    && List.for_all Fun.id
+         (List.mapi
+            (fun i lvl -> i <= 1 || List.for_all (fun (_, m) -> m = Mark.Clear) lvl)
+            l)
+end
+
+let model_of (l : Antlist.t) : Model.t =
+  List.map (List.map (fun e -> (e.Antlist.id, e.Antlist.mark))) (Antlist.levels l)
+
+let gen_model_case =
+  QCheck.Gen.(
+    let* a = gen_raw_levels and* b = gen_raw_levels in
+    let* keep = int_bound 7 and* k = int_range (-1) 6 in
+    return (a, b, keep, k))
+
+let prop_reference_model =
+  QCheck.Test.make ~name:"operations agree with the list-of-levels reference model"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b, keep, k) ->
+         Printf.sprintf "a=%s b=%s keep=%d k=%d" (print_raw_levels a)
+           (print_raw_levels b) keep k)
+       gen_model_case)
+    (fun (ra, rb, keep, k) ->
+      let a = Antlist.of_levels ra and b = Antlist.of_levels rb in
+      let ma = Model.of_raw ra and mb = Model.of_raw rb in
+      let sign x = compare x 0 in
+      let agrees name l m =
+        model_of l = m || QCheck.Test.fail_reportf "%s: got %s" name (Antlist.to_string l)
+      in
+      model_of a = ma
+      && agrees "merge" (Antlist.merge a b) (Model.merge ma mb)
+      && agrees "ant" (Antlist.ant a b) (Model.ant ma mb)
+      && agrees "shift" (Antlist.shift a) (Model.shift ma)
+      && agrees "strip_marked" (Antlist.strip_marked ~keep a) (Model.strip_marked ~keep ma)
+      && agrees "restrict_clear" (Antlist.restrict_clear a) (Model.restrict_clear ma)
+      && agrees "truncate" (Antlist.truncate a k) (Model.truncate ma k)
+      && sign (Antlist.compare a b) = sign (compare ma mb)
+      && Antlist.equal a b = (ma = mb)
+      && Antlist.clear_size a = Model.clear_size ma
+      && Antlist.has_empty_level a = Model.has_empty_level ma
+      && Antlist.well_formed a = Model.well_formed ma
+      && Antlist.well_formed (Antlist.merge a b) = Model.well_formed (Model.merge ma mb))
+
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -295,6 +408,7 @@ let qcheck_suite =
       prop_merge_positions_min;
       prop_shift_increments;
       prop_queries_match_scan;
+      prop_reference_model;
     ]
 
 (* --- algebra laws over the fuzzer's generators --- *)
@@ -424,6 +538,34 @@ let test_queries_zero_alloc () =
   check_int "hits" 20_000 !hits;
   Alcotest.(check (float 0.0)) "minor words delta" 0.0 delta
 
+(* [ant] allocates its output and nothing else: the outer array and
+   each level it built (levels carried over from an input are shared), no
+   block per entry.  The inputs exercise every merge branch: same-level
+   ties with different marks, deduplication across levels, a level only
+   the shifted side has. *)
+let test_ant_alloc () =
+  let c id = (id, Mark.Clear) in
+  let own = Antlist.of_levels [ [ c 0 ]; [ c 1; (4, Mark.Single) ]; [ c 7 ] ] in
+  let from = Antlist.of_levels [ [ c 4 ]; [ c 0; (7, Mark.Double); c 9 ]; [ c 3; c 8 ] ] in
+  let r = Antlist.ant own from in
+  check "merged" true
+    (Antlist.equal r
+       (Antlist.of_levels
+          [ [ c 0 ]; [ c 1; (4, Mark.Single) ]; [ (7, Mark.Double); c 9 ]; [ c 3; c 8 ] ]));
+  (* A header plus one word per slot: the outer array (4 levels, 5 words);
+     level 0 is [own]'s, level 3 [from]'s last level, both shared; levels
+     1 and 2 are unions of two input levels, 3 words each. *)
+  let words = 5 + 3 + 3 in
+  ignore (Antlist.ant own from);
+  let iters = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (Antlist.ant own from))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  Alcotest.(check (float 0.0)) "minor words per ant = its output arrays" (float_of_int words)
+    per_call
+
 let arbitrary_suite =
   [
     ("arb: merge well-formed", `Quick, test_arb_merge_well_formed);
@@ -457,5 +599,6 @@ let suite =
     ("restrict_clear", `Quick, test_restrict_clear);
     ("compare/equal", `Quick, test_compare_equal);
     ("mem and well_formed allocate nothing", `Quick, test_queries_zero_alloc);
+    ("ant allocates only its output arrays", `Quick, test_ant_alloc);
   ]
   @ qcheck_suite @ arbitrary_suite

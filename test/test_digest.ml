@@ -1,0 +1,122 @@
+(* Per-round state-digest fence.  Two pinned runs hash, every round,
+   every node's antlist, view, quarantine table, own priority and the
+   message it would send now (its wire frame, so the gossiped
+   priorities are covered) into one MD5 per round, and compare the
+   sequence with the committed expectation in [test/fixtures/].  The
+   counter fence in [test/dune] only sees aggregates, which can coincide
+   while the state underneath diverges; a digest cannot.
+
+   The runs mirror the counter fence's instances:
+   - [Sharded] on the highway of [grp_sim vanet -n 300 --rounds 40
+     --jobs 2 --shards 2] (seed 42, 10 warmup rounds, then 40 mobility
+     steps), every round digested;
+   - [Rounds] on [grp_sim converge -t rgg -n 200 -s 3], up to
+     quiescence.
+
+   A refactor must leave both sequences unchanged.  On a mismatch the
+   actual sequence is written next to the test binary as
+   [<fixture>.actual]; an intended behaviour change copies it over the
+   fixture and says why. *)
+
+module Rounds = Dgs_sim.Rounds
+module Sharded = Dgs_sim.Sharded
+module Mobility = Dgs_mobility.Mobility
+module Vanet = Dgs_workload.Vanet
+module Harness = Dgs_workload.Harness
+module Rng = Dgs_util.Rng
+open Dgs_core
+
+let node_state buf nd =
+  let set s =
+    Node_id.Set.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) s
+  in
+  let p = Grp_node.own_priority nd in
+  Buffer.add_string buf (string_of_int (Grp_node.id nd));
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Antlist.to_string (Grp_node.antlist nd));
+  Buffer.add_string buf " v=";
+  set (Grp_node.view nd);
+  Buffer.add_string buf " q=";
+  Node_id.Map.iter
+    (fun v k -> Buffer.add_string buf (Printf.sprintf "%d:%d," v k))
+    (Grp_node.quarantines nd);
+  Buffer.add_string buf (Printf.sprintf " pr=%d.%d " p.Priority.oldness p.Priority.id);
+  Buffer.add_string buf (Wire.to_string (Grp_node.make_message nd));
+  Buffer.add_char buf '\n'
+
+let round_digest ~node ids =
+  let buf = Buffer.create 4096 in
+  List.iter (fun v -> node_state buf (node v)) ids;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let vanet_digests () =
+  let seed = 42 and n = 300 and range = 2.0 and speed = 0.15 and jitter = 0.1 in
+  let rng = Rng.create seed in
+  let mob =
+    Mobility.create (Rng.split rng) ~n (Vanet.spec_of Vanet.Highway ~n ~range ~speed)
+  in
+  let config = Config.make ~dmax:3 () in
+  let shard_of = Sharded.spatial_partition ~shards:2 ~range (Mobility.positions mob) in
+  let t =
+    Sharded.create ~config ~shards:2 ~jobs:2 ~seed ~shard_of (Mobility.graph mob ~range)
+  in
+  let ids = Sharded.node_ids t in
+  let digest () = round_digest ~node:(Sharded.node t) ids in
+  let warm =
+    List.init 10 (fun _ ->
+        ignore (Sharded.round ~jitter t);
+        digest ())
+  in
+  let measured =
+    List.init 40 (fun _ ->
+        Mobility.step mob ~dt:1.0;
+        Sharded.set_graph t (Mobility.graph mob ~range);
+        ignore (Sharded.round ~jitter t);
+        digest ())
+  in
+  warm @ measured
+
+let converge_digests () =
+  let seed = 3 and dmax = 3 in
+  let g = Harness.rgg ~seed ~n:200 () in
+  let t = Rounds.create ~config:(Config.make ~dmax ()) g in
+  let ids = Rounds.node_ids t in
+  let acc = ref [] in
+  let on_round _ = acc := round_digest ~node:(Rounds.node t) ids :: !acc in
+  ignore
+    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Rng.create seed) ~on_round
+       ~confirm:(dmax + 5) ~max_rounds:10_000 t);
+  List.rev !acc
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let fence fixture digests () =
+  let actual = List.mapi (fun i d -> Printf.sprintf "%d %s" (i + 1) d) (digests ()) in
+  let path = Filename.concat "fixtures" fixture in
+  let expected = if Sys.file_exists path then read_lines path else [] in
+  if actual <> expected then begin
+    Out_channel.with_open_text (fixture ^ ".actual") (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff = function
+      | a :: at, e :: et ->
+          if a = e then first_diff (at, et) else Printf.sprintf "%S, expected %S" a e
+      | a :: _, [] -> Printf.sprintf "extra round %S" a
+      | [], e :: _ -> Printf.sprintf "missing round %S" e
+      | [], [] -> "none"
+    in
+    Alcotest.failf "%s: per-round state digests diverge at %s (%d rounds vs %d)" fixture
+      (first_diff (actual, expected)) (List.length actual) (List.length expected)
+  end
+
+let suite =
+  [
+    ( "vanet n=300 highway (Sharded) per-round digests",
+      `Quick,
+      fence "vanet-n300-digests.expected" vanet_digests );
+    ( "converge rgg n=200 s=3 (Rounds) per-round digests",
+      `Quick,
+      fence "converge-n200-digests.expected" converge_digests );
+  ]

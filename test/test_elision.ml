@@ -81,7 +81,9 @@ let same_node a b =
   && Node_id.Set.equal (Grp_node.convictions a) (Grp_node.convictions b)
   && Node_id.equal ma.Message.sender mb.Message.sender
   && Antlist.equal ma.Message.antlist mb.Message.antlist
-  && Node_id.Map.equal Priority.equal ma.Message.priorities mb.Message.priorities
+  && List.equal
+       (fun (u, p) (v, q) -> Node_id.equal u v && Priority.equal p q)
+       (Message.priority_bindings ma) (Message.priority_bindings mb)
   && Priority.equal ma.Message.group_priority mb.Message.group_priority
   && Node_id.Set.equal ma.Message.view mb.Message.view
 
@@ -99,8 +101,8 @@ let render_node n =
   in
   let m = Grp_node.make_message n in
   let prios =
-    Node_id.Map.fold (fun v p acc -> Printf.sprintf "%d:%s" v (pr p) :: acc)
-      m.Message.priorities []
+    List.rev_map (fun (v, p) -> Printf.sprintf "%d:%s" v (pr p))
+      (Message.priority_bindings m)
   in
   Printf.sprintf "view=%s list=%s q=[%s] pr=%s known=[%s] conv=%s | msg %d %s [%s] %s %s"
     (set (Grp_node.view n)) (Antlist.to_string lst) (String.concat ";" q)
@@ -327,6 +329,25 @@ let test_make_message_zero_alloc () =
   Alcotest.(check bool) "physically the same message" true !same;
   Alcotest.(check (float 1e-9)) "minor words delta" 0.0 delta
 
+(* A message rebuilt for a changed list allocates its two priority
+   arrays and its record, nothing per entry: the middle of the quiet path
+   loses node 2 from its list, so the table's entries for 0 and 1 are
+   filtered into fresh 2-slot arrays (3 words each), plus the 7-word
+   record. *)
+let test_rebuilt_message_alloc () =
+  let nodes = quiet_path () in
+  let middle = nodes.(1) in
+  let before = Grp_node.make_message middle in
+  Grp_node.corrupt_list middle
+    (Antlist.of_levels [ [ (1, Mark.Clear) ]; [ (0, Mark.Clear) ] ]);
+  let w0 = Gc.minor_words () in
+  let m = Grp_node.make_message middle in
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "a new message" true (m != before);
+  Alcotest.(check (list int)) "priorities of the list members" [ 0; 1 ]
+    (List.map fst (Message.priority_bindings m));
+  Alcotest.(check (float 0.0)) "minor words" 13.0 delta
+
 (* An elided compute allocates nothing but [ingest]'s map: for the
    degree-2 middle node, two 6-word map nodes plus the root rebuilt by
    the second add (18 words).  The pin allows 12 words per neighbor. *)
@@ -363,6 +384,7 @@ let suite =
   [
     ("elision on ≡ off on pinned cases", `Quick, test_pinned_cases);
     ("quiet make_message allocates nothing", `Quick, test_make_message_zero_alloc);
+    ("rebuilt message allocates arrays and record only", `Quick, test_rebuilt_message_alloc);
     ("elided compute allocates only ingest's map", `Quick, test_elided_compute_alloc);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_elision_transparent ]

@@ -232,7 +232,7 @@ let test_message_contents () =
   check "list included" true (Antlist.equal m.Message.antlist (Grp_node.antlist a));
   check "priorities cover list ids" true
     (Node_id.Set.for_all
-       (fun v -> Node_id.Map.mem v m.Message.priorities)
+       (fun v -> List.mem_assoc v (Message.priority_bindings m))
        (Antlist.ids m.Message.antlist));
   Alcotest.check ids "view advertised" (Grp_node.view a) m.Message.view
 
@@ -394,11 +394,7 @@ let revalidation_cases =
 let test_membership_revalidation () =
   let dmax = 2 in
   let window = Priority.cooldown_window ~dmax in
-  let prios ids =
-    List.fold_left
-      (fun acc v -> Node_id.Map.add v (Priority.initial v) acc)
-      Node_id.Map.empty ids
-  in
+  let prios ids = Message.priority_arrays (List.map (fun v -> (v, Priority.initial v)) ids) in
   List.iter
     (fun (name, gate, b_view, c_sends, expect_kept) ->
       let cfg = Config.make ~admission_gate_enabled:gate ~dmax () in
@@ -418,7 +414,8 @@ let test_membership_revalidation () =
              ~antlist:
                (Antlist.of_levels
                   [ [ (1, Mark.Clear) ]; [ (0, Mark.Clear); (2, Mark.Clear) ] ])
-             ~priorities:(prios [ 1; 0; 2 ])
+             ~priority_ids:(fst (prios [ 1; 0; 2 ]))
+             ~priorities:(snd (prios [ 1; 0; 2 ]))
              ~group_priority:(Priority.initial 0)
              ~view:(Node_id.set_of_list b_view));
         if c_sends then
@@ -429,7 +426,8 @@ let test_membership_revalidation () =
                ~antlist:
                  (Antlist.of_levels
                     [ [ (2, Mark.Clear) ]; [ (0, Mark.Clear); (1, Mark.Clear) ] ])
-               ~priorities:(prios [ 2; 0; 1 ])
+               ~priority_ids:(fst (prios [ 2; 0; 1 ]))
+               ~priorities:(snd (prios [ 2; 0; 1 ]))
                ~group_priority:(Priority.initial 2)
                ~view:(Node_id.Set.singleton 2));
         ignore (Grp_node.compute a)

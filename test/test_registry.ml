@@ -26,6 +26,7 @@ let test_null_noop () =
   let tok = Registry.Timer.start tm in
   check "disabled start reads no clock" true (tok = 0.0);
   Registry.Timer.stop tm tok;
+  check "disabled lap reads no clock" true (Registry.Timer.lap tm tok = 0.0);
   check_int "disabled timer records nothing" 0 (Registry.Timer.count tm);
   let h = Registry.histogram Registry.null "grp_view_size" in
   Registry.Hist.observe_int h 3;
@@ -343,6 +344,54 @@ let test_doc_vocabulary () =
     (List.sort compare Names.all)
     documented
 
+(* The seven compute phases are laps of one clock over the compute, so on
+   a converge run (cold start, contests, quiet tail with elided computes)
+   they sum to [grp_compute_ns]; each full phase fires once per full
+   compute, ingest once per compute. *)
+let test_compute_phases_sum () =
+  let module Rounds = Dgs_sim.Rounds in
+  let module Config = Dgs_core.Config in
+  let reg = Registry.create () in
+  let g = Dgs_workload.Harness.rgg ~seed:7 ~n:60 () in
+  let t = Rounds.create ~config:(Config.make ~dmax:3 ()) ~metrics:reg g in
+  ignore
+    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Dgs_util.Rng.create 7) ~confirm:8
+       ~max_rounds:2000 t);
+  let s = Registry.snapshot reg in
+  let timer name =
+    match List.assoc_opt name s.Registry.timers with
+    | Some st -> st
+    | None -> Alcotest.failf "timer %s missing" name
+  in
+  let phases =
+    Names.
+      [
+        grp_compute_ingest_ns;
+        grp_compute_priority_ns;
+        grp_compute_admission_ns;
+        grp_compute_fold_ns;
+        grp_compute_contest_ns;
+        grp_compute_update_ns;
+        grp_compute_message_ns;
+      ]
+  in
+  let whole = timer Names.grp_compute_ns in
+  let sum = List.fold_left (fun acc n -> acc +. (timer n).Registry.total_ns) 0.0 phases in
+  let computes = List.assoc Names.grp_compute_total s.Registry.counters in
+  let elided = List.assoc Names.grp_compute_cache_hit_total s.Registry.counters in
+  check_int "ingest spans = computes" computes
+    (timer Names.grp_compute_ingest_ns).Registry.spans;
+  check "some computes elided" true (elided > 0);
+  List.iter
+    (fun n -> check (n ^ " spans > 0") true ((timer n).Registry.spans > 0))
+    phases;
+  check
+    (Printf.sprintf "phases sum %.0f ns within 5%% of grp_compute_ns %.0f ns" sum
+       whole.Registry.total_ns)
+    true
+    (whole.Registry.total_ns > 0.0
+    && Float.abs (sum -. whole.Registry.total_ns) <= 0.05 *. whole.Registry.total_ns)
+
 let suite =
   [
     ("null registry is a no-op", `Quick, test_null_noop);
@@ -359,4 +408,5 @@ let suite =
     ("prometheus exposition", `Quick, test_prometheus);
     ("counters agree with traced event counts", `Quick, test_counters_match_trace);
     ("doc vocabulary", `Quick, test_doc_vocabulary);
+    ("compute phase timers sum to grp_compute_ns", `Quick, test_compute_phases_sum);
   ]

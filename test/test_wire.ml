@@ -15,20 +15,21 @@ let sample_message () =
         [ (12, Mark.Clear) ];
       ]
   in
-  let priorities =
-    List.fold_left
-      (fun m (v, o) -> Node_id.Map.add v (Priority.make ~oldness:o ~id:v) m)
-      Node_id.Map.empty
-      [ (3, 5); (1, 2); (7, 40); (9, 0); (12, 11) ]
+  let priority_ids, priorities =
+    Message.priority_arrays
+      (List.map
+         (fun (v, o) -> (v, Priority.make ~oldness:o ~id:v))
+         [ (3, 5); (1, 2); (7, 40); (9, 0); (12, 11) ])
   in
-  Message.make ~sender:3 ~antlist ~priorities
+  Message.make ~sender:3 ~antlist ~priority_ids ~priorities
     ~group_priority:(Priority.make ~oldness:2 ~id:1)
     ~view:(Node_id.set_of_list [ 1; 3; 12 ])
 
 let messages_equal (a : Message.t) (b : Message.t) =
   a.Message.sender = b.Message.sender
   && Antlist.equal a.Message.antlist b.Message.antlist
-  && Node_id.Map.equal Priority.equal a.Message.priorities b.Message.priorities
+  && a.Message.priority_ids = b.Message.priority_ids
+  && Array.for_all2 Priority.equal a.Message.priorities b.Message.priorities
   && Priority.equal a.Message.group_priority b.Message.group_priority
   && Node_id.Set.equal a.Message.view b.Message.view
 
@@ -41,7 +42,7 @@ let test_roundtrip () =
 let test_roundtrip_minimal () =
   let m =
     Message.make ~sender:0 ~antlist:(Antlist.singleton 0)
-      ~priorities:(Node_id.Map.singleton 0 (Priority.initial 0))
+      ~priority_ids:[| 0 |] ~priorities:[| Priority.initial 0 |]
       ~group_priority:(Priority.initial 0)
       ~view:(Node_id.Set.singleton 0)
   in
@@ -70,6 +71,50 @@ let test_rejects_garbage () =
       "GRP1|-1|0|0:0.0|0.0|0";
       "GRP1|0|0|0:0.0|0.0|a,b";
     ]
+
+(* Antlist entries pack an id with its mark into one int, so ids must lie
+   in [0, 2^60): a frame naming a larger id anywhere is unparseable, like
+   any other malformed frame; the largest packable id survives. *)
+let test_id_range () =
+  let big = "1152921504606846976" (* 2^60, 19 digits *)
+  and top = "1152921504606846975" in
+  List.iter
+    (fun s -> check (Printf.sprintf "rejects %S" s) true (Wire.of_string s = None))
+    [
+      Printf.sprintf "GRP1|%s|%s|0:0.0|0.0|0" big big;
+      Printf.sprintf "GRP1|0|0/%s'|0:0.0|0.0|0" big;
+      Printf.sprintf "GRP1|0|0|%s:0.0|0.0|0" big;
+      Printf.sprintf "GRP1|0|0|0:0.%s|0.0|0" big;
+      Printf.sprintf "GRP1|0|0|0:0.0|0.0|0,%s" big;
+      "GRP1|0|0|0:0.0|0.0|9999999999999999999";
+    ];
+  let frame = Printf.sprintf "GRP1|%s|%s/0''|%s:4.%s|0.0|%s" top top top top top in
+  match Wire.of_string frame with
+  | None -> Alcotest.fail "largest packable id rejected"
+  | Some m ->
+      let id = int_of_string top in
+      check "sender" true (m.Message.sender = id);
+      check "entry and mark" true
+        (Antlist.find m.Message.antlist id = Some (0, Mark.Clear)
+        && Antlist.find m.Message.antlist 0 = Some (1, Mark.Double));
+      check "priority" true
+        (Message.priority_bindings m = [ (id, Priority.make ~oldness:4 ~id) ]);
+      check "reprinted" true
+        (Wire.to_string m = frame)
+
+(* Priorities parse into id-sorted arrays with the semantics of a left
+   [Map.add] fold: any input order, and the last binding of a repeated id
+   wins. *)
+let test_duplicate_priority_key () =
+  match Wire.of_string "GRP1|3|3/1|3:2.3,1:5.1,1:7.1|2.1|1,3" with
+  | None -> Alcotest.fail "frame with a repeated priority key rejected"
+  | Some m ->
+      check "sorted, last binding wins" true
+        (Message.priority_bindings m
+        = [ (1, Priority.make ~oldness:7 ~id:1); (3, Priority.make ~oldness:2 ~id:3) ]);
+      check "arrays" true
+        (m.Message.priority_ids = [| 1; 3 |]
+        && Array.length m.Message.priorities = 2)
 
 let test_live_message_roundtrip () =
   (* Messages produced by running protocol nodes survive the wire. *)
@@ -116,13 +161,14 @@ let prop_roundtrip_random =
         [ [ (sender, Mark.Clear) ]; List.map (fun v -> (v, Mark.Clear)) others ]
       in
       let antlist = Antlist.of_levels (List.filter (fun l -> l <> []) levels) in
-      let priorities =
-        Dgs_core.Node_id.Set.fold
-          (fun v m -> Node_id.Map.add v (Priority.make ~oldness:(v * 3) ~id:v) m)
-          (Antlist.ids antlist) Node_id.Map.empty
+      let priority_ids, priorities =
+        Message.priority_arrays
+          (List.map
+             (fun v -> (v, Priority.make ~oldness:(v * 3) ~id:v))
+             (Node_id.Set.elements (Antlist.ids antlist)))
       in
       return
-        (Message.make ~sender ~antlist ~priorities
+        (Message.make ~sender ~antlist ~priority_ids ~priorities
            ~group_priority:(Priority.make ~oldness:1 ~id:sender)
            ~view:(Antlist.clear_ids antlist)))
   in
@@ -163,6 +209,8 @@ let suite =
     ("minimal roundtrip", `Quick, test_roundtrip_minimal);
     ("frame shape", `Quick, test_frame_shape);
     ("rejects garbage", `Quick, test_rejects_garbage);
+    ("ids beyond 2^60 rejected", `Quick, test_id_range);
+    ("repeated priority key: last wins", `Quick, test_duplicate_priority_key);
     ("live message roundtrip", `Quick, test_live_message_roundtrip);
     ("corrupt preserves length", `Quick, test_corrupt_changes_bytes);
     prop_parser_total;
