@@ -111,6 +111,16 @@ let rec find_from t id pos =
 let find t id = find_from t id 0
 let mem t id = not (absent_above t id (Array.length t))
 
+let rec undoubled_from t id pos =
+  if pos >= Array.length t then -1
+  else begin
+    let l = t.(pos) in
+    let j = search l id 0 (Array.length l) in
+    if j >= 0 && l.(j) land 3 <> 2 then pos else undoubled_from t id (pos + 1)
+  end
+
+let closest_undoubled t id = undoubled_from t id 0
+
 let rec fold_level_entries f (l : int array) pos j acc =
   if j >= Array.length l then acc
   else begin

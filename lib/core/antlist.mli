@@ -82,6 +82,10 @@ val mem : t -> Node_id.t -> bool
 val find : t -> Node_id.t -> (int * Mark.t) option
 (** Position and mark of the closest occurrence of a node, if present. *)
 
+val closest_undoubled : t -> Node_id.t -> int
+(** Position of the closest occurrence of a node that is not
+    double-marked; -1 when there is none.  Allocation-free. *)
+
 val fold_entries : t -> init:'a -> f:('a -> Node_id.t -> int -> Mark.t -> 'a) -> 'a
 (** Fold over all entries as [(id, position, mark)] in {!entries} order,
     without materializing them. *)

@@ -269,18 +269,14 @@ let lid_of_sender t sender =
   match Hashtbl.find_opt t.msg_lid sender with Some l -> l | None -> -1
 
 (* Per-domain scratch of the full compute path.  A domain runs one
-   compute at a time and nothing here outlives it (the own-list index is
-   keyed by the physical list it describes), so the buffers are shared by
-   every node the domain runs: per-node buffers would grow the live heap
-   with the network.
+   compute at a time and nothing here outlives it, so the buffers are
+   shared by every node the domain runs: per-node buffers would grow the
+   live heap with the network.
    - [ids_a]/[vals_a]: the table the priority merge builds in place.
    - [senders]/[msgs]/[standing]: this compute's msgSet in id order, and
      how each sender's list holds the computing node
      ([standing_of_list]).
-   - [own_*]: the index of [own_of] — every id of that list, in id order,
-     with its closest position not double-marked (-1: none).
-   - [ints]: a gather buffer (of the own list's levels, and of the cross
-     check's reach sets).
+   - [ints]: a gather buffer for the cross check's reach sets.
    Buffers grow to the largest need seen, never shrink, and
    [release] drops their references into a compute's messages, so
    between computes they keep nothing else alive. *)
@@ -293,10 +289,6 @@ type scratch = {
   mutable msgs : Message.t array;
   mutable standing : int array;
   mutable n_senders : int;
-  mutable own_of : Antlist.t;
-  mutable own_ids : Node_id.t array;
-  mutable own_usable : int array;
-  mutable own_n : int;
   mutable ints : int array;
 }
 
@@ -315,10 +307,6 @@ let scratch_key =
         msgs = [||];
         standing = [||];
         n_senders = 0;
-        own_of = Antlist.empty;
-        own_ids = [||];
-        own_usable = [||];
-        own_n = 0;
         ints = [||];
       })
 
@@ -468,75 +456,13 @@ let rec advertised s ~mates v k =
       && Node_id.Set.mem v s.msgs.(k).Message.view)
      || advertised s ~mates v (k + 1))
 
-(* The index of [lst] in [s]: its id-sorted levels merged in distance
-   order, so a repeated id keeps its closest usable position.  Each level
-   is gathered into [ints] as [(id lsl 1) lor double] and merged into the
-   index from the back, in place.  Reused while asked about the
-   physically same list, until [release]. *)
-let own_index s lst =
-  if s.own_of != lst then begin
-    let total = ref 0 in
-    for i = 0 to Antlist.size lst - 1 do
-      total := !total + Antlist.level_size lst i
-    done;
-    s.own_ids <- grown s.own_ids !total 0;
-    s.own_usable <- grown s.own_usable !total 0;
-    s.ints <- grown s.ints !total 0;
-    let ids = s.own_ids and usable = s.own_usable and lvl = s.ints in
-    let n = ref 0 in
-    for pos = 0 to Antlist.size lst - 1 do
-      let m =
-        Antlist.fold_level lst pos ~init:0 ~f:(fun k v mark ->
-            lvl.(k) <- (v lsl 1) lor if mark = Mark.Double then 1 else 0;
-            k + 1)
-      in
-      let i = ref (!n - 1) and j = ref (m - 1) and k = ref (!n + m - 1) in
-      while !j >= 0 do
-        let v = lvl.(!j) asr 1 and here = if lvl.(!j) land 1 = 1 then -1 else pos in
-        if !i >= 0 && Node_id.compare ids.(!i) v > 0 then begin
-          ids.(!k) <- ids.(!i);
-          usable.(!k) <- usable.(!i);
-          decr i
-        end
-        else begin
-          if !i >= 0 && Node_id.equal ids.(!i) v then begin
-            usable.(!k) <- (if usable.(!i) >= 0 then usable.(!i) else here);
-            decr i
-          end
-          else usable.(!k) <- here;
-          ids.(!k) <- v;
-          decr j
-        end;
-        decr k
-      done;
-      let gap = !k - !i and tail = !n + m - 1 - !k in
-      if gap > 0 then begin
-        Array.blit ids (!k + 1) ids (!i + 1) tail;
-        Array.blit usable (!k + 1) usable (!i + 1) tail
-      end;
-      n := !n + m - gap
-    done;
-    s.own_of <- lst;
-    s.own_n <- !n
-  end
-
-(* Whether the indexed list holds [v], and its closest position there
-   not double-marked (-1: none). *)
-let own_mem s v = search s.own_ids v 0 s.own_n >= 0
-
-let own_usable s v =
-  let i = search s.own_ids v 0 s.own_n in
-  if i < 0 then -1 else s.own_usable.(i)
-
-(* Forget this compute's messages, priorities and list, once the table
-   has been copied out. *)
+(* Forget this compute's messages and priorities, once the table has
+   been copied out. *)
 let release s =
   Array.fill s.msgs 0 s.n_senders no_msg;
   Array.fill s.vals_a 0 s.table_n Priority.lowest;
   s.n_senders <- 0;
-  s.table_n <- 0;
-  s.own_of <- Antlist.empty;
-  s.own_n <- 0
+  s.table_n <- 0
 
 (* [v] has a Clear entry at some depth of [lst] (any occurrence, not just
    the closest: raw lists may repeat an id across levels). *)
@@ -589,20 +515,18 @@ let established_extent t s =
    sender's view members, at its position in the sender's list, that I do
    not already hold (goodList forces the sender to echo me and my members
    back; counting that echo would inflate the estimate). *)
-let foreign_view_extent t s ~sender_view lst =
+let foreign_view_extent t ~sender_view lst =
   (* Marked entries count as known too: they only occur at levels 0-1 of my
      list, i.e. they are physically adjacent, so a sender echoing them back
-     is not stretching the merge.  One max-tracking pass against the index
-     of my list; -1 encodes "no foreign member" without materializing the
-     position list. *)
-  own_index s t.antlist;
+     is not stretching the merge.  One max-tracking pass; -1 encodes "no
+     foreign member" without materializing the position list. *)
   let best =
     Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
         if
           mark = Mark.Clear
           && Node_id.Set.mem v sender_view
           && (not (Node_id.equal v t.id))
-          && not (own_mem s v)
+          && not (Antlist.mem t.antlist v)
         then max best pos
         else best)
   in
@@ -615,7 +539,7 @@ let compatible_env t s = lazy (established_extent t s)
 
 let compatible_list_env t s ~env ~sender_view lst =
   let dmax = t.config.Config.dmax in
-  match foreign_view_extent t s ~sender_view lst with
+  match foreign_view_extent t ~sender_view lst with
   | None -> true (* nothing new: accepting cannot stretch the group *)
   | Some q ->
       let p = Lazy.force env in
@@ -644,7 +568,9 @@ let compatible_list_env t s ~env ~sender_view lst =
 let compatible_list t ~sender_view lst =
   let s = Domain.DLS.get scratch_key in
   fill_standings t s;
-  compatible_list_env t s ~env:(compatible_env t s) ~sender_view lst
+  let ok = compatible_list_env t s ~env:(compatible_env t s) ~sender_view lst in
+  release s;
+  ok
 
 (* Lines 1-9 of compute(): strip link-local marks, then replace unusable
    lists by a single-marked sender (goodList) and incompatible ones by a
@@ -788,9 +714,6 @@ let cross_check t s checked =
      when the next admission race begins (the 6-path bridge livelock).
      Speculative list entries outside the sender's view are ignored
      here; individual checks and the too-far contest police those. *)
-  (* Closest usable (non-Double) position of each id in my list: the
-     per-compute index, searched per foreign entry. *)
-  own_index s t.antlist;
   let foreign_part sender =
     match Node_id.Map.find_opt sender t.msg_set with
     | None -> None
@@ -821,7 +744,7 @@ let cross_check t s checked =
         let echo v pos =
           me_pos >= 0
           &&
-          let lv = own_usable s v in
+          let lv = Antlist.closest_undoubled t.antlist v in
           lv >= 0 && pos >= me_pos + lv
         in
         let total = ref 0 in

@@ -93,7 +93,7 @@ val compute : t -> step_info
     priority, update quarantines, the view and the priorities; finally reset
     [msgSet] and build the next message, which {!make_message} returns.
     The full path runs on per-domain scratch buffers (priority merge,
-    sender standings, own-list index), so a node may be computed on any
+    sender standings, reach sets), so a node may be computed on any
     domain, one compute at a time.
 
     {b Elision.}  A compute is a deterministic function of the node state

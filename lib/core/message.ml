@@ -13,10 +13,6 @@ let make ~sender ~antlist ~priority_ids ~priorities ~group_priority ~view =
   { sender; antlist; priority_ids; priorities; group_priority; view }
 
 let priority_arrays bindings =
-  let rec increasing = function
-    | (u, _) :: ((v, _) :: _ as rest) -> Node_id.compare u v < 0 && increasing rest
-    | _ -> true
-  in
   (* Stable on the reversed input: the last binding of an id comes first. *)
   let rec dedup = function
     | (u, p) :: ((v, _) :: _ as rest) when Node_id.equal u v ->
@@ -25,10 +21,7 @@ let priority_arrays bindings =
     | [] -> []
   in
   let kept =
-    if increasing bindings then bindings
-    else
-      dedup
-        (List.stable_sort (fun (u, _) (v, _) -> Node_id.compare u v) (List.rev bindings))
+    dedup (List.stable_sort (fun (u, _) (v, _) -> Node_id.compare u v) (List.rev bindings))
   in
   let n = List.length kept in
   let ids = Array.make n 0 and vals = Array.make n Priority.lowest in

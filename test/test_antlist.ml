@@ -269,6 +269,12 @@ let prop_queries_match_scan =
       let find id =
         List.find_map (fun (v, pos, m) -> if v = id then Some (pos, m) else None) entries
       in
+      let undoubled id =
+        Option.value ~default:(-1)
+          (List.find_map
+             (fun (v, pos, m) -> if v = id && m <> Mark.Double then Some pos else None)
+             entries)
+      in
       let set_of p = Node_id.Set.of_list (List.filter_map p entries) in
       let ids = List.map (fun (id, _, _) -> id) entries in
       let well_formed =
@@ -277,7 +283,10 @@ let prop_queries_match_scan =
         && List.for_all (fun (_, pos, m) -> pos <= 1 || m = Mark.Clear) entries
       in
       List.for_all
-        (fun id -> Antlist.find l id = find id && Antlist.mem l id = (find id <> None))
+        (fun id ->
+          Antlist.find l id = find id
+          && Antlist.mem l id = (find id <> None)
+          && Antlist.closest_undoubled l id = undoubled id)
         (List.init 10 Fun.id)
       && Node_id.Set.equal (Antlist.ids l) (set_of (fun (id, _, _) -> Some id))
       && Node_id.Set.equal (Antlist.clear_ids l)
