@@ -11,8 +11,8 @@ type entry = { id : Node_id.t; mark : Mark.t }
    after construction, so suffixes and untouched levels are shared freely
    between values ([merge]/[truncate]/[strip_marked] reuse input arrays
    whenever a pass changes nothing — which is the common case once the
-   protocol has stabilized, and what makes the steady-state equality checks
-   in [Grp_node]'s fold cache O(1) physical comparisons). *)
+   protocol has stabilized, and what makes [Grp_node]'s steady-state
+   equality checks O(1) physical comparisons). *)
 type t = int array array
 
 let severity = function Mark.Clear -> 0 | Mark.Single -> 1 | Mark.Double -> 2

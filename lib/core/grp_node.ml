@@ -111,16 +111,6 @@ type t = {
   (* Computes during which the own oldness is frozen after this node's
      priority defended a pairing in a too-far contest. *)
   mutable oldness_hold : int;
-  (* Dirty-neighbor cache over the ant fold: the checked input map of the
-     previous compute and the list it folded to.  The fold is a pure
-     function of that map (plus the constant own id), so when no checked
-     input changed since the last fire — every round of the stabilized
-     phase, where senders re-advertise structurally identical lists — the
-     merge pipeline is skipped entirely.  Structural sharing in [Antlist]
-     keeps a quiescent node's list physically stable across rounds, which
-     collapses the map comparison to pointer checks.  See DESIGN.md
-     Section 9. *)
-  mutable fold_cache : (Antlist.t Node_id.Map.t * Antlist.t) option;
   (* Compute elision (DESIGN.md Section 9): [msg_set] and result of the
      last full compute if it left the state it reads unchanged; per node,
      as [Sharded] runs nodes on several domains.  [restricts]: lists it
@@ -165,7 +155,6 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     starve = Node_id.Map.empty;
     contest_hold = Node_id.Map.empty;
     oldness_hold = 0;
-    fold_cache = None;
     fixpoint = None;
     restricts = 0;
     (* What [make_message] builds for a fresh node. *)
@@ -1139,12 +1128,12 @@ let update_priorities t lst ~clock =
   t.prio_vals <- Array.sub vals 0 !w;
   t.prio_n <- !w
 
-(* Mark handshake and quarantine transitions, derived by diffing the
+(* Mark handshake and quarantine transitions are derived by diffing the
    protocol state across one compute — the list marks and the quarantine
    table are the canonical handshake state, so diffing them reports exactly
    the transitions that happened regardless of which code path caused
-   them. *)
-let emit_transitions t ~old_list ~old_q ~new_list =
+   them.  The mark diff is trace-branch only. *)
+let emit_mark_transitions t ~old_list ~new_list =
   let mark_name = function
     | Mark.Single -> "single"
     | Mark.Double -> "double"
@@ -1172,39 +1161,30 @@ let emit_transitions t ~old_list ~old_q ~new_list =
                      peer = v;
                      mark = mark_name m;
                      cause = lid_of_sender t v;
-                   }));
-  Node_id.Map.iter
-    (fun v k ->
-      if not (Node_id.equal v t.id) then
-        match Node_id.Map.find_opt v old_q with
-        | None ->
-            if k > 0 then
-              Trace.emit t.trace
-                (Trace.Quarantine_enter
-                   { node = t.id; member = v; remaining = k; cause = lid_of_sender t v })
-        | Some ko ->
-            if ko > 0 && k = 0 then
-              Trace.emit t.trace
-                (Trace.Quarantine_admit
-                   { node = t.id; member = v; cause = lid_of_sender t v })
-            else if ko = 0 && k > 0 then
-              Trace.emit t.trace
-                (Trace.Quarantine_enter
-                   { node = t.id; member = v; remaining = k; cause = lid_of_sender t v }))
-    t.quarantine
+                   }))
 
-(* Quarantine transitions, diffed with the same semantics as
-   [emit_transitions] but counted instead of traced (and cheaper: no event
-   allocation).  Only called when the registry is live. *)
-let count_quarantine_transitions t ~old_q =
+(* One walk of the quarantine diff feeds both the counters (inert on a
+   null registry) and, when [tracing], the trace.  A member new to the
+   table counts as previously admitted. *)
+let quarantine_transitions t ~old_q ~tracing =
   Node_id.Map.iter
     (fun v k ->
-      if not (Node_id.equal v t.id) then
-        match Node_id.Map.find_opt v old_q with
-        | None -> if k > 0 then Registry.Counter.incr t.metrics.m_q_enter
-        | Some ko ->
-            if ko > 0 && k = 0 then Registry.Counter.incr t.metrics.m_q_admit
-            else if ko = 0 && k > 0 then Registry.Counter.incr t.metrics.m_q_enter)
+      if not (Node_id.equal v t.id) then begin
+        let ko = Option.value (Node_id.Map.find_opt v old_q) ~default:0 in
+        if k > 0 && ko = 0 then begin
+          Registry.Counter.incr t.metrics.m_q_enter;
+          if tracing then
+            Trace.emit t.trace
+              (Trace.Quarantine_enter
+                 { node = t.id; member = v; remaining = k; cause = lid_of_sender t v })
+        end
+        else if k = 0 && ko > 0 then begin
+          Registry.Counter.incr t.metrics.m_q_admit;
+          if tracing then
+            Trace.emit t.trace
+              (Trace.Quarantine_admit { node = t.id; member = v; cause = lid_of_sender t v })
+        end
+      end)
     t.quarantine
 
 (* The known priorities of the list members, filtered out of the table;
@@ -1271,16 +1251,19 @@ let settled t =
   && Node_id.Map.is_empty t.conflict && Node_id.Map.is_empty t.starve
 
 (* Elision: same inputs repeat a fixpoint, so return its result and replay
-   its counters (the fold cache would hit).  Off under tracing: a traced
-   fixpoint still emits events. *)
+   the counters its full compute bumps.  A repeat counts as a cache hit
+   whether elided or not, so traced and untraced runs count alike.  Off
+   under tracing: a traced fixpoint still emits events. *)
 let compute t =
   Registry.Counter.incr t.metrics.m_compute;
   let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
   let same_inputs = ingest t in
   let lap = Registry.Timer.lap t.metrics.m_ingest_ns m_t0 in
+  Registry.Counter.incr
+    (if same_inputs then t.metrics.m_cache_hit else t.metrics.m_cache_miss);
   match t.fixpoint with
   | Some (_, step) when same_inputs && not (Trace.enabled t.trace) ->
-      Registry.Counter.incr t.metrics.m_cache_hit;
+      Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal t.msg_set);
       Registry.Counter.add t.metrics.m_restrict t.restricts;
       t.msg_set <- Node_id.Map.empty;
       Registry.Timer.stop t.metrics.m_compute_ns m_t0;
@@ -1305,19 +1288,9 @@ let compute t =
   in
   let checked = check_incoming t s in
   let lap = Registry.Timer.lap t.metrics.m_admission_ns lap in
-  let folded =
-    match t.fold_cache with
-    | Some (key, v) when Node_id.Map.equal Antlist.equal key checked ->
-        Registry.Counter.incr t.metrics.m_cache_hit;
-        v
-    | _ ->
-        Registry.Counter.incr t.metrics.m_cache_miss;
-        let f_t0 = Registry.Timer.start t.metrics.m_fold_ns in
-        let v = fold_ant t checked in
-        Registry.Timer.stop t.metrics.m_fold_ns f_t0;
-        t.fold_cache <- Some (checked, v);
-        v
-  in
+  let f_t0 = Registry.Timer.start t.metrics.m_fold_ns in
+  let folded = fold_ant t checked in
+  Registry.Timer.stop t.metrics.m_fold_ns f_t0;
   let candidate = Antlist.truncate folded (dmax + 2) in
   let lap = Registry.Timer.lap t.metrics.m_fold_phase_ns lap in
   let final_list, too_far_conflict, rejected_senders, contest_wins =
@@ -1330,8 +1303,10 @@ let compute t =
   update_quarantine t final_list;
   let old_view = t.view in
   let new_view = compute_view t s final_list ~conflicted in
-  if Trace.enabled t.trace then begin
-    emit_transitions t ~old_list ~old_q ~new_list:final_list;
+  let tracing = Trace.enabled t.trace in
+  if tracing then emit_mark_transitions t ~old_list ~new_list:final_list;
+  if tracing || t.metrics.m_on then quarantine_transitions t ~old_q ~tracing;
+  if tracing then begin
     if not (Node_id.Set.equal new_view old_view) then begin
       let added = Node_id.Set.elements (Node_id.Set.diff new_view old_view) in
       let removed = Node_id.Set.elements (Node_id.Set.diff old_view new_view) in
@@ -1356,8 +1331,9 @@ let compute t =
     end
   end;
   (* Preserve physical identity when nothing changed: the stable list is
-     re-broadcast as-is, so next round's equality checks (here and in every
-     receiver's fold cache) are pointer comparisons. *)
+     re-broadcast as-is, so next round's equality checks (here, in
+     [make_message] and in every receiver's [ingest]) are pointer
+     comparisons. *)
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
   update_priorities t final_list ~clock;
@@ -1373,15 +1349,10 @@ let compute t =
      then Some (t.msg_set, step) else None);
   t.msg_fresh <- false;
   t.msg_set <- Node_id.Map.empty;
-  if t.metrics.m_on then begin
-    count_quarantine_transitions t ~old_q;
-    if not (Node_id.Set.equal new_view old_view) then begin
-      Registry.Counter.add t.metrics.m_view_add (Node_id.Set.cardinal view_added);
-      Registry.Counter.add t.metrics.m_view_remove
-        (Node_id.Set.cardinal view_removed);
-      Registry.Hist.observe_int t.metrics.m_view_size
-        (Node_id.Set.cardinal new_view)
-    end
+  if t.metrics.m_on && not (Node_id.Set.equal new_view old_view) then begin
+    Registry.Counter.add t.metrics.m_view_add (Node_id.Set.cardinal view_added);
+    Registry.Counter.add t.metrics.m_view_remove (Node_id.Set.cardinal view_removed);
+    Registry.Hist.observe_int t.metrics.m_view_size (Node_id.Set.cardinal new_view)
   end;
   let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
   (* The next message is built here, where its cost is attributed:

@@ -104,7 +104,7 @@ val compute : t -> step_info
     skipped: it returns the previous {!step_info} (physically) and
     replays the counters the full compute would bump
     ([grp_compute_total], [grp_compute_cache_hit_total],
-    [grp_restrict_clear_total]).  An elided compute allocates nothing
+    [grp_ant_merge_total], [grp_restrict_clear_total]).  An elided compute allocates nothing
     beyond the [msgSet] map.  An enabled trace sink disables the
     elision, since a traced fixpoint compute still emits events, and
     every [corrupt_*] hook invalidates it. *)

@@ -49,67 +49,3 @@ let max_leaders g =
   let t = Max_iter.create ~own:(fun v -> v) g in
   let steps = match Max_iter.run_to_fixpoint t with Some s -> s | None -> -1 in
   (List.map (fun v -> (v, Max_iter.value t v)) (Graph.nodes g), steps)
-
-module Ancestors = struct
-  type t = Graph.Int_set.t list
-
-  let equal a b = List.equal Graph.Int_set.equal a b
-
-  (* ⊕: positionwise union keeping only each id's first occurrence;
-     the unmarked core of Dgs_core.Antlist.merge. *)
-  let combine a b =
-    let rec union a b =
-      match (a, b) with
-      | [], rest | rest, [] -> rest
-      | la :: ra, lb :: rb -> Graph.Int_set.union la lb :: union ra rb
-    in
-    let seen = Hashtbl.create 16 in
-    (* First occurrence wins; a level emptied by the deduplication
-       truncates the list, as in [Dgs_core.Antlist] (deeper distance
-       claims lost their support). *)
-    let rec dedup = function
-      | [] -> []
-      | s :: rest ->
-          let s' = Graph.Int_set.filter (fun v -> not (Hashtbl.mem seen v)) s in
-          if Graph.Int_set.is_empty s' then []
-          else begin
-            Graph.Int_set.iter (fun v -> Hashtbl.replace seen v ()) s';
-            s' :: dedup rest
-          end
-    in
-    dedup (union a b)
-
-  let transform l = if l = [] then [] else Graph.Int_set.empty :: l
-  let singleton v = [ Graph.Int_set.singleton v ]
-
-  let truncate l k =
-    let rec take k = function
-      | [] -> []
-      | x :: r -> if k = 0 then [] else x :: take (k - 1) r
-    in
-    take k l
-
-  let pp ppf l =
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-         (fun ppf s ->
-           Format.fprintf ppf "{%a}"
-             (Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-                Format.pp_print_int)
-             (Graph.Int_set.elements s)))
-      l
-end
-
-let ancestor_lists ?dmax g =
-  let bound = match dmax with Some d -> d + 1 | None -> Graph.node_count g in
-  let module A = struct
-    include Ancestors
-
-    let transform l = truncate (Ancestors.transform l) bound
-  end in
-  let module It = Roperator.Make (A) in
-  let t = It.create ~own:(fun v -> Ancestors.singleton v) g in
-  let steps = match It.run_to_fixpoint t with Some s -> s | None -> -1 in
-  (List.map (fun v -> (v, It.value t v)) (Graph.nodes g), steps)

@@ -37,21 +37,3 @@ val leaders : Dgs_graph.Graph.t -> (int * int) list * int
 module Max_id : Roperator.S with type t = int
 
 val max_leaders : Dgs_graph.Graph.t -> (int * int) list * int
-
-(** The [ant] operator over lists of ancestor sets, packaged as an
-    r-operator instance: [combine = ⊕] and [transform = r] of the paper's
-    Section 4.2 (re-exported from the protocol core's sibling
-    implementation via plain int-set lists, marks omitted). *)
-module Ancestors : sig
-  include Roperator.S with type t = Dgs_graph.Graph.Int_set.t list
-
-  val singleton : int -> t
-  val truncate : t -> int -> t
-end
-
-val ancestor_lists :
-  ?dmax:int -> Dgs_graph.Graph.t -> (int * Dgs_graph.Graph.Int_set.t list) list * int
-(** Every node's levels of ancestors up to [dmax] (default: no bound,
-    i.e. graph diameter), computed by the register-model iteration; level
-    [i] of node [v]'s list is exactly the set of nodes at distance [i]
-    at the fixpoint. *)

@@ -11,6 +11,7 @@ let () =
       ("sim", Test_sim.suite);
       ("sharded", Test_sharded.suite);
       ("elision", Test_elision.suite);
+      ("reference", Test_reference.suite);
       ("digest", Test_digest.suite);
       ("spec", Test_spec.suite);
       ("spatial", Test_spatial.suite);

@@ -7,6 +7,9 @@ module Paths = Dgs_graph.Paths
 module Roperator = Dgs_ralgebra.Roperator
 module Instances = Dgs_ralgebra.Instances
 module Rng = Dgs_util.Rng
+module Antlist = Dgs_core.Antlist
+module Mark = Dgs_core.Mark
+module Arbitrary = Dgs_check.Arbitrary
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -122,27 +125,95 @@ let test_max_leaders () =
   check_int "component of 2" 4 (List.assoc 2 values);
   check_int "isolated" 0 (List.assoc 0 values)
 
-(* --- ancestor lists (the ant substrate) --- *)
+(* --- ancestor lists: Antlist's own ⊕ and r as an instance --- *)
+
+(* GRP's [ant l1 l2 = l1 ⊕ r l2] over the protocol's own lists:
+   [combine = Antlist.merge], [transform = Antlist.shift] truncated at
+   [bound] levels (Dmax+1 in the protocol). *)
+module Ancestors (B : sig
+  val bound : int
+end) =
+struct
+  type t = Antlist.t
+
+  let equal = Antlist.equal
+  let combine = Antlist.merge
+  let transform l = Antlist.truncate (Antlist.shift l) B.bound
+  let pp = Antlist.pp
+end
+
+module Ant_laws = Roperator.Laws (Ancestors (struct
+  let bound = max_int
+end))
+
+(* Unmarked, gap-free lists with distinct ids, from one seed. *)
+let clear_list seed = Antlist.restrict_clear (Arbitrary.well_formed_antlist (Rng.create seed))
+
+let prop_ancestor_laws =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"ancestor ⊕ commutative, idempotent; r inflationary" ~count:300
+       QCheck.(int_range 1 1_000_000)
+       (fun seed ->
+         let a = clear_list seed and b = clear_list (seed + 1_000_003) in
+         Ant_laws.commutative a b && Ant_laws.idempotent a
+         && (Antlist.is_empty a || Ant_laws.r_inflationary a)))
+
+(* Where [Antlist] departs from the algebra: a level emptied by the
+   deduplication truncates the merge (DESIGN.md Section 5).  That costs
+   associativity, so [compute] folds msgSet in one fixed order (by
+   sender id); and [r a ⊕ r b] meets an empty level 0 and truncates to
+   nothing, so [r] is an endomorphism only in the [ant] form the
+   iteration uses, [x ⊕ r y] with [x] non-empty. *)
+let test_ancestor_gap_truncation () =
+  let l = Antlist.of_levels in
+  let a = l [ [ (1, Mark.Clear) ]; [ (2, Mark.Clear) ]; [ (6, Mark.Clear) ] ] in
+  let b = l [ [ (2, Mark.Clear) ] ] in
+  let c = l [ [ (3, Mark.Clear) ]; [ (7, Mark.Clear) ] ] in
+  check "not associative across a gap" false (Ant_laws.associative a b c);
+  Alcotest.(check string) "(a ⊕ b) ⊕ c" "({1,2,3},{7})"
+    (Antlist.to_string (Antlist.merge (Antlist.merge a b) c));
+  check "r a ⊕ r b is empty" true
+    (Antlist.is_empty (Antlist.merge (Antlist.shift a) (Antlist.shift b)));
+  check "not an endomorphism of ⊕" false (Ant_laws.endomorphism a b)
+
+(* Every node's levels of ancestors under [bound] (default: unbounded),
+   iterated to the silent fixpoint by [Roperator.Make]. *)
+let ancestor_lists ?(bound = max_int) g =
+  let module It = Roperator.Make (Ancestors (struct
+    let bound = bound
+  end)) in
+  let t = It.create ~own:Antlist.singleton g in
+  check "silent" true (It.run_to_fixpoint t <> None);
+  List.map (fun v -> (v, It.value t v)) (Graph.nodes g)
+
+(* Level [i] of [v]'s list is exactly the nodes at distance [i] from [v],
+   for every level the list has; unbounded lists reach every node. *)
+let bfs_layers g ~bounded (v, lst) =
+  List.for_all
+    (fun i ->
+      Graph.Int_set.equal (Antlist.level_ids lst i)
+        (Graph.Int_set.of_list (List.filter (fun u -> Paths.dist g v u = i) (Graph.nodes g))))
+    (List.init (Antlist.size lst) Fun.id)
+  && (bounded
+     || List.for_all
+          (fun u -> Paths.dist g v u >= Paths.infinity || Antlist.mem lst u)
+          (Graph.nodes g))
 
 let test_ancestor_lists_are_bfs_layers () =
   let g = Gen.ring 7 in
-  let values, _ = Instances.ancestor_lists g in
   List.iter
-    (fun (v, levels) ->
-      List.iteri
-        (fun i level ->
-          Graph.Int_set.iter
-            (fun u -> check_int (Printf.sprintf "level of %d from %d" u v) i (Paths.dist g v u))
-            level)
-        levels)
-    values
+    (fun (v, lst) ->
+      check (Printf.sprintf "layers of %d" v) true (bfs_layers g ~bounded:false (v, lst));
+      check_int (Printf.sprintf "levels of %d" v) 4 (Antlist.size lst))
+    (ancestor_lists g)
 
 let test_ancestor_lists_truncated () =
   let g = Gen.line 8 in
-  let values, _ = Instances.ancestor_lists ~dmax:2 g in
   List.iter
-    (fun (_, levels) -> check "bounded by dmax+1" true (List.length levels <= 3))
-    values
+    (fun (v, lst) ->
+      check "bounded by dmax+1" true (Antlist.size lst <= 3);
+      check (Printf.sprintf "layers of %d" v) true (bfs_layers g ~bounded:true (v, lst)))
+    (ancestor_lists ~bound:3 g)
 
 let prop_ancestor_layers =
   QCheck_alcotest.to_alcotest
@@ -151,14 +222,7 @@ let prop_ancestor_layers =
        (fun n ->
          let rng = Rng.create (n * 13) in
          let g = Gen.erdos_renyi rng ~n ~p:0.3 in
-         let values, _ = Instances.ancestor_lists g in
-         List.for_all
-           (fun (v, levels) ->
-             List.for_all
-               (fun (i, level) ->
-                 Graph.Int_set.for_all (fun u -> Paths.dist g v u = i) level)
-               (List.mapi (fun i l -> (i, l)) levels))
-           values))
+         List.for_all (bfs_layers g ~bounded:false) (ancestor_lists g)))
 
 let test_fixpoint_silent () =
   (* Once silent, further steps change nothing. *)
@@ -183,6 +247,8 @@ let suite =
     ("ghost minimum sticks (non-strict)", `Quick, test_leaders_ghost_minimum_sticks);
     ("ghost distance flushed (strict)", `Quick, test_dist_ghost_flushed);
     ("max-id flooding", `Quick, test_max_leaders);
+    prop_ancestor_laws;
+    ("ancestor gap truncation", `Quick, test_ancestor_gap_truncation);
     ("ancestor lists = BFS layers", `Quick, test_ancestor_lists_are_bfs_layers);
     ("ancestor lists truncated", `Quick, test_ancestor_lists_truncated);
     prop_ancestor_layers;
