@@ -899,6 +899,17 @@ let vanet_cmd =
     in
     Arg.conv (parse, fun ppf sc -> Format.pp_print_string ppf (Vanet.scenario_name sc))
   in
+  (* Reject an out-of-domain float at parse time, as a usage error, rather
+     than as an uncaught [Invalid_argument] from deep inside the run. *)
+  let checked_float ~expected ok =
+    let parse s =
+      match Arg.conv_parser Arg.float s with
+      | Ok x when ok x -> Ok x
+      | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+      | Error _ as e -> e
+    in
+    Arg.conv (parse, Arg.conv_printer Arg.float)
+  in
   let run scenario n dmax seed speed range rounds warmup oracle oracle_every naive_graph
       jobs shards jitter profile profile_out metrics_file =
     let jobs = resolve_jobs jobs in
@@ -943,7 +954,10 @@ let vanet_cmd =
     Arg.(value & opt float 0.15 & info [ "speed" ] ~docv:"SPEED" ~doc:"Mean vehicle speed.")
   in
   let range =
-    Arg.(value & opt float 2.0 & info [ "range" ] ~docv:"RANGE" ~doc:"Radio range (unit-disk radius).")
+    Arg.(
+      value
+      & opt (checked_float ~expected:"a finite number > 0" (fun r -> Float.is_finite r && r > 0.0)) 2.0
+      & info [ "range" ] ~docv:"RANGE" ~doc:"Radio range (unit-disk radius), finite and > 0.")
   in
   let rounds =
     Arg.(value & opt int 50 & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Measured rounds.")
@@ -986,7 +1000,8 @@ let vanet_cmd =
   in
   let jitter =
     Arg.(
-      value & opt float 0.1
+      value
+      & opt (checked_float ~expected:"a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)) 0.1
       & info [ "jitter" ] ~docv:"P"
           ~doc:
             "Per-node probability of skipping a compute each round (the \

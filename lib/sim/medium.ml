@@ -137,22 +137,12 @@ let create ~engine ~rng ?(loss = 0.0) ?(delay_min = 0.001) ?(delay_max = 0.01)
 let schedule_delivery t ~at ~src ~dst ~lid msg =
   Engine.schedule_deliver t.engine ~at ~src ~dst ~gen:t.stats_gen ~lid msg
 
-(* Mint a campaign-unique lineage id for one broadcast by [src]:
-   [(src lsl 20) lor k] with [k] the per-source send counter.  Because a
-   node only ever broadcasts on its home shard's medium, the counter —
-   and hence the id — is independent of how a sharded run is
-   partitioned. *)
-let mint_lid t ~src =
-  let k = match Hashtbl.find_opt t.lids src with Some k -> k | None -> 0 in
-  Hashtbl.replace t.lids src (k + 1);
-  (src lsl 20) lor k
-
 let broadcast t ~src msg =
   t.broadcasts <- t.broadcasts + 1;
   Registry.Counter.incr t.m_broadcast;
   let lid =
     if Trace.enabled t.trace then begin
-      let lid = mint_lid t ~src in
+      let lid = Trace.mint_lid t.lids ~src in
       Trace.set_time t.trace (Engine.now t.engine);
       Trace.emit t.trace (Trace.Msg_sent { src; lid });
       lid
@@ -178,14 +168,6 @@ let broadcast t ~src msg =
         end)
     (t.audience src);
   lid
-
-let inject t ~at ~src ~dst ~lid msg =
-  (* A copy whose send already happened elsewhere (on another shard's
-     medium, which counted the broadcast, minted [lid] and emitted
-     [Msg_sent]): no loss or delay draw here — the sending shard's channel
-     decided those — just delivery at the prescribed absolute time with
-     standard accounting. *)
-  schedule_delivery t ~at ~src ~dst ~lid msg
 
 let set_loss t loss =
   if loss < 0.0 || loss > 1.0 then invalid_arg "Medium.set_loss: loss out of [0,1]";

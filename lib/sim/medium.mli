@@ -86,20 +86,8 @@ val broadcast : 'msg t -> src:int -> 'msg -> int
     suppressed); each copy independently subject to loss and delay.
     Returns the broadcast's freshly minted lineage id — [-1] when tracing
     is off (ids are only minted, and the per-source counters only
-    touched, under an enabled sink).  Ids are campaign-unique and
-    partition-independent: [(src lsl 20) lor k] with [k] the per-source
-    send counter. *)
-
-val inject : 'msg t -> at:float -> src:int -> dst:int -> lid:int -> 'msg -> unit
-(** Schedule delivery of a single directed copy at absolute time [at],
-    with the standard delivery-time accounting (deliver callback, stats,
-    [Msg_delivered]/[Msg_dropped] trace events) but {e no} loss or delay
-    draw and no [Msg_sent] — the send already happened on another medium
-    (e.g. a neighbouring shard's, which counted the broadcast, minted
-    [lid] and decided loss and delay).  Raises [Invalid_argument] when
-    [at] is in the past.  Used by {!Sharded} to re-materialize
-    boundary-crossing copies on the destination shard, [lid] riding the
-    barrier exchange so cross-shard lineage survives. *)
+    touched, under an enabled sink).  Ids are campaign-unique: minted by
+    {!Dgs_trace.Trace.mint_lid} from the medium's per-source counters. *)
 
 val set_loss : 'msg t -> float -> unit
 (** Change the loss probability for subsequent broadcasts.  Raises

@@ -89,18 +89,8 @@ let round ?(loss = 0.0) ?(jitter = 0.0) ?(corruption = 0.0) ?(sends = 1) ?rng t 
   for _ = 1 to sends do
     List.iter
       (fun (src, msg) ->
-        (* Same minting scheme as [Medium.broadcast]; each of the [sends]
-           transmissions is its own lineage. *)
-        let lid =
-          if tracing then begin
-            let k =
-              match Hashtbl.find_opt t.lids src with Some k -> k | None -> 0
-            in
-            Hashtbl.replace t.lids src (k + 1);
-            (src lsl 20) lor k
-          end
-          else -1
-        in
+        (* Each of the [sends] transmissions is its own lineage. *)
+        let lid = if tracing then Trace.mint_lid t.lids ~src else -1 in
         if tracing then Trace.emit t.trace (Trace.Msg_sent { src; lid });
         Graph.iter_neighbors t.graph src (fun dst ->
             t.sent <- t.sent + 1;

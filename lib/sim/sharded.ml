@@ -7,20 +7,31 @@ module Spatial_grid = Dgs_util.Spatial_grid
 module Geom = Dgs_util.Geom
 open Dgs_core
 
-(* One logical shard: its own engine, its own medium, the protocol nodes
-   homed to it.  During the two parallel phases of a round a shard is
-   touched by exactly one worker domain; between phases everything is
-   published through Pool's Domain.join / Domain.spawn pair, so no field
-   here needs synchronization. *)
+(* Trace-time offset of a round's deliveries and computes: a round's
+   sends are stamped at its tick, everything it delivers and computes at
+   [tick + delta], strictly before the next tick. *)
+let delta = 0.5
+
+(* One logical shard: the protocol nodes homed to it.  During the two
+   parallel phases of a round a shard is touched by exactly one worker
+   domain; between phases everything is published through Pool's
+   Domain.join / Domain.spawn pair, so no field here needs
+   synchronization. *)
 type shard = {
   sx : int;
-  engine : Message.t Engine.t;
-  medium : Message.t Medium.t;
   nodes : (Node_id.t, Grp_node.t) Hashtbl.t;
   trace : Trace.t;
   metrics : Registry.t;
+  (* Per-source send counters behind lineage-id minting, touched only when
+     tracing.  A node only ever broadcasts on its home shard, so its ids
+     do not depend on the partition. *)
+  lids : (Node_id.t, int) Hashtbl.t;
   (* Graph nodes homed here, sorted — the per-round iteration order. *)
   mutable locals : Node_id.t array;
+  (* This round's message and lineage id of each [locals] entry, built in
+     phase A and delivered to same-shard neighbours in phase B. *)
+  mutable msgs : Message.t array;
+  mutable msg_lids : int array;
   (* Boundary copies produced this round: (src, dst, lineage id, message),
      dst homed on another shard.  Drained by the barrier exchange; the
      lineage id rides along so cross-shard provenance survives. *)
@@ -39,7 +50,6 @@ type t = {
   config : Config.t;
   shards : shard array;
   jobs : int;
-  delta : float;
   shard_of : Node_id.t -> int;
   (* Home shard of every node ever seen; written only on the main thread
      (create/set_graph), read freely during the parallel phases. *)
@@ -86,60 +96,21 @@ let refresh_locals t =
       sh.locals <- a)
     t.shards
 
-let create ~config ?(shards = 1) ?(jobs = 1) ?(delta = 0.5) ?(seed = 1)
-    ?shard_of ?make_trace ?make_metrics graph =
+let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
+    ?make_metrics graph =
   if shards < 1 then invalid_arg "Sharded.create: shards must be >= 1";
-  if not (delta > 0.0 && delta < 1.0) then
-    invalid_arg "Sharded.create: delta must be in (0, 1)";
-  let jobs = max 1 jobs in
-  let root = Rng.create seed in
-  let node_master = Rng.split_at root 0 in
-  (* Per the tentpole contract each shard owns an RNG split by shard
-     index.  It feeds the shard's medium, whose draws are semantically
-     inert here (loss 0, delay_min = delay_max), so results stay a
-     function of the node set alone — the partition-invariance the
-     byte-identical [--jobs] contract rests on. *)
-  let shard_master = Rng.split_at root 1 in
+  let node_master = Rng.split_at (Rng.create seed) 0 in
   let shard_of = match shard_of with Some f -> f | None -> fun v -> v mod shards in
-  let t_ref = ref None in
   let make_shard sx =
-    let trace = match make_trace with Some f -> f sx | None -> Trace.null in
-    let metrics = match make_metrics with Some f -> f sx | None -> Registry.null in
-    let engine = Engine.create ~trace ~metrics () in
-    let nodes = Hashtbl.create 64 in
-    let medium =
-      Medium.create ~engine
-        ~rng:(Rng.split_at shard_master sx)
-        ~loss:0.0 ~delay_min:delta ~delay_max:delta ~trace ~metrics
-        ~audience:(fun src ->
-          (* Local neighbors only, in ascending order; boundary-crossing
-             copies ride the outbox instead. *)
-          match !t_ref with
-          | None -> []
-          | Some t ->
-              Dgs_util.Int_set.fold
-                (fun dst acc ->
-                  if Hashtbl.find t.home dst = sx then dst :: acc else acc)
-                (Graph.neighbors t.graph src) []
-              |> List.rev)
-        ~deliver:(fun ~dst ~lid msg ->
-          (* find + Not_found rather than find_opt: this runs once per
-             delivered copy and must not allocate a [Some]. *)
-          match Hashtbl.find nodes dst with
-          | node ->
-              Grp_node.receive_lid node ~lid msg;
-              true
-          | exception Not_found -> false)
-        ()
-    in
     {
       sx;
-      engine;
-      medium;
-      nodes;
-      trace;
-      metrics;
+      nodes = Hashtbl.create 64;
+      trace = (match make_trace with Some f -> f sx | None -> Trace.null);
+      metrics = (match make_metrics with Some f -> f sx | None -> Registry.null);
+      lids = Hashtbl.create 64;
       locals = [||];
+      msgs = [||];
+      msg_lids = [||];
       outbox = [];
       infos = [];
       sent = 0;
@@ -151,8 +122,7 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(delta = 0.5) ?(seed = 1)
     {
       config;
       shards = Array.init shards make_shard;
-      jobs;
-      delta;
+      jobs = max 1 jobs;
       shard_of;
       home = Hashtbl.create 64;
       rngs = Hashtbl.create 64;
@@ -164,7 +134,6 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(delta = 0.5) ?(seed = 1)
       deliver_s = 0.0;
     }
   in
-  t_ref := Some t;
   List.iter (ensure_node t) (Graph.nodes graph);
   refresh_locals t;
   t
@@ -202,40 +171,32 @@ let views t =
 
 let messages_sent t = Array.fold_left (fun acc sh -> acc + sh.sent) 0 t.shards
 
-let medium_stats t =
-  Array.fold_left
-    (fun (acc : Medium.stats) sh ->
-      let s = Medium.stats sh.medium in
-      {
-        Medium.broadcasts = acc.Medium.broadcasts + s.Medium.broadcasts;
-        deliveries = acc.Medium.deliveries + s.Medium.deliveries;
-        losses = acc.Medium.losses + s.Medium.losses;
-        drops = acc.Medium.drops + s.Medium.drops;
-      })
-    { Medium.broadcasts = 0; deliveries = 0; losses = 0; drops = 0 }
-    t.shards
-
 (* Phase A (parallel): at the round tick every local node builds its
-   message and broadcasts it — local copies are scheduled on the shard's
-   own medium at [now + delta], boundary copies go to the outbox. *)
+   message; copies to neighbours homed on another shard go to the
+   outbox. *)
 let phase_broadcast t sh =
   let t0 = Unix.gettimeofday () in
-  Engine.run_until sh.engine t.now;
-  Array.iter
-    (fun v ->
-      let msg = Grp_node.make_message (Hashtbl.find sh.nodes v) in
-      let lid = Medium.broadcast sh.medium ~src:v msg in
-      let deg = ref 0 in
-      Graph.iter_neighbors t.graph v (fun dst ->
-          incr deg;
-          if Hashtbl.find t.home dst <> sh.sx then
-            sh.outbox <- (v, dst, lid, msg) :: sh.outbox);
-      sh.sent <- sh.sent + !deg)
-    sh.locals;
+  let tracing = Trace.enabled sh.trace in
+  sh.msg_lids <- Array.make (Array.length sh.locals) (-1);
+  sh.msgs <-
+    Array.mapi
+      (fun i v ->
+        let msg = Grp_node.make_message (Hashtbl.find sh.nodes v) in
+        if tracing then begin
+          sh.msg_lids.(i) <- Trace.mint_lid sh.lids ~src:v;
+          Trace.set_time sh.trace t.now;
+          Trace.emit sh.trace (Trace.Msg_sent { src = v; lid = sh.msg_lids.(i) })
+        end;
+        Graph.iter_neighbors t.graph v (fun dst ->
+            sh.sent <- sh.sent + 1;
+            if Hashtbl.find t.home dst <> sh.sx then
+              sh.outbox <- (v, dst, sh.msg_lids.(i), msg) :: sh.outbox);
+        msg)
+      sh.locals;
   sh.last_broadcast_s <- Unix.gettimeofday () -. t0
 
 (* Barrier (main thread): route every boundary copy to its destination
-   shard and fix the injection order to ascending (src, dst) — the round
+   shard and fix the delivery order to ascending (src, dst) — the round
    tick is constant within a round, so this is the deterministic
    (tick, src, dst) merge order. *)
 let exchange t =
@@ -257,17 +218,31 @@ let exchange t =
   t.barrier_s <- t.barrier_s +. (Unix.gettimeofday () -. t0);
   incoming
 
-(* Phase B (parallel): inject the boundary copies, schedule the computes,
-   and run the shard to [now + delta].  Engine seq order puts every
-   delivery (local copies scheduled in phase A, injections scheduled
-   first here) before every compute at the same tick, so a compute sees
-   all of this round's messages — exactly the Rounds schedule. *)
+(* Phase B (parallel): deliver the local copies (sources ascending, then
+   neighbours ascending), then the sorted boundary copies, then run every
+   compute the jitter does not skip — so a compute sees all of this
+   round's messages, exactly the Rounds schedule.  Stamps are set per
+   event, as in phase A, so a shard with nothing to do leaves its trace
+   clock alone. *)
 let phase_deliver t jitter sh incoming =
   let t0 = Unix.gettimeofday () in
-  let at = t.now +. t.delta in
-  List.iter
-    (fun (src, dst, lid, msg) -> Medium.inject sh.medium ~at ~src ~dst ~lid msg)
-    incoming;
+  let tracing = Trace.enabled sh.trace in
+  let at = t.now +. delta in
+  let deliver src dst lid msg =
+    Grp_node.receive_lid (Hashtbl.find sh.nodes dst) ~lid msg;
+    if tracing then begin
+      Trace.set_time sh.trace at;
+      Trace.emit sh.trace (Trace.Msg_delivered { src; dst; cause = lid })
+    end
+  in
+  Array.iteri
+    (fun i src ->
+      Graph.iter_neighbors t.graph src (fun dst ->
+          if Hashtbl.find t.home dst = sh.sx then
+            deliver src dst sh.msg_lids.(i) sh.msgs.(i)))
+    sh.locals;
+  List.iter (fun (src, dst, lid, msg) -> deliver src dst lid msg) incoming;
+  sh.msgs <- [||];
   Array.iter
     (fun v ->
       (* One jitter draw per node per round from the node's own stream —
@@ -275,13 +250,10 @@ let phase_deliver t jitter sh incoming =
          whether jitter is off or absent. *)
       let skip = jitter > 0.0 && Rng.bernoulli (Hashtbl.find t.rngs v) jitter in
       if not skip then begin
-        let node = Hashtbl.find sh.nodes v in
-        ignore
-          (Engine.schedule_at sh.engine at (fun () ->
-               sh.infos <- (v, Grp_node.compute node) :: sh.infos))
+        if tracing then Trace.set_time sh.trace at;
+        sh.infos <- (v, Grp_node.compute (Hashtbl.find sh.nodes v)) :: sh.infos
       end)
     sh.locals;
-  Engine.run_until sh.engine at;
   sh.last_deliver_s <- Unix.gettimeofday () -. t0
 
 let round ?(jitter = 0.0) t =

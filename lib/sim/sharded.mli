@@ -2,37 +2,34 @@
 
     The node set is partitioned into [shards] logical shards (spatially,
     via {!spatial_partition}, or by any caller-supplied assignment); each
-    shard owns its own {!Engine}, {!Medium} and protocol nodes, and up to
-    [jobs] worker domains execute the shards through
-    {!Dgs_parallel.Pool}.  A round runs in two globally synchronized
-    phases:
+    shard owns the protocol nodes homed to it, and up to [jobs] worker
+    domains execute the shards through {!Dgs_parallel.Pool}.  A round is
+    the synchronous broadcast → deliver → compute loop of {!Rounds},
+    split into two globally synchronized parallel phases:
 
     + {b broadcast} (parallel) — at the round tick every node builds its
-      message; copies to same-shard neighbors are scheduled on the
-      shard's medium at [tick + delta], copies whose destination is homed
-      on another shard go to the shard's outbox;
+      message; copies whose destination is homed on another shard go to
+      the shard's outbox;
     + {b barrier exchange} (main thread) — outboxes are routed to the
       destination shards and sorted into ascending [(src, dst)] order
       (the round tick is constant, so this is the deterministic
       [(tick, src, dst)] merge order of the [--jobs] contract);
-    + {b deliver + compute} (parallel) — boundary copies are injected at
-      [tick + delta] ({!Medium.inject}), computes are scheduled behind
-      them at the same tick, and each shard runs its engine to
-      [tick + delta].
+    + {b deliver + compute} (parallel) — each shard hands its same-shard
+      copies to {!Dgs_core.Grp_node.receive_lid} (sources ascending, then
+      neighbours ascending), then the boundary copies, then runs its
+      computes.
 
-    Because both parallel phases join before the next begins and every
-    in-round delay equals [delta < 1], no in-flight message can skip a
-    barrier; a compute sees exactly this round's messages, reproducing
-    the {!Rounds} schedule.  With [jitter = 0] the per-node final state
-    is identical to {!Rounds.round} on the same graph sequence.
+    Both parallel phases join before the next begins, so a compute sees
+    exactly this round's messages.  With [jitter = 0] the per-node final
+    state is identical to {!Rounds.round} on the same graph sequence.
+    Traced events of a round are stamped with its tick (sends) or with
+    [tick + 0.5] (deliveries, protocol events).
 
     {b Determinism.}  Results are a function of [(seed, graph sequence,
     jitter)] only — never of [shards] or [jobs].  Every
     behavior-affecting draw (compute jitter) comes from a per-node stream
-    ([Rng.split_at] keyed by node id); each shard's medium does own an
-    RNG split by shard index, but its draws are semantically inert (loss
-    0, [delay_min = delay_max = delta]).  Message delivery per receiver
-    is order-insensitive (one message per sender per round, keyed by
+    ([Rng.split_at] keyed by node id).  Message delivery per receiver is
+    order-insensitive (one message per sender per round, keyed by
     sender), so the local/boundary split cannot be observed by the
     protocol.  The QCheck partition-invariance property and the
     jobs∈{1,2,4} byte-identity test pin this contract.
@@ -47,7 +44,6 @@ val create :
   config:Dgs_core.Config.t ->
   ?shards:int ->
   ?jobs:int ->
-  ?delta:float ->
   ?seed:int ->
   ?shard_of:(Dgs_core.Node_id.t -> int) ->
   ?make_trace:(int -> Dgs_trace.Trace.t) ->
@@ -60,12 +56,10 @@ val create :
     registries are only ever touched by one worker at a time.  [shards]
     (default 1) is the number of logical shards, [jobs] (default 1,
     clamped to ≥ 1) the number of worker domains executing them; results
-    do not depend on either.  [delta] (default 0.5) is the in-round
-    delivery delay, required in (0, 1) so deliveries land strictly
-    between round ticks.  [make_trace] / [make_metrics] (defaults: null)
+    do not depend on either.  [make_trace] / [make_metrics] (defaults: null)
     build one sink / registry per shard index; merge the per-shard
     registries with {!Dgs_metrics.Registry.merge}.
-    @raise Invalid_argument on [shards < 1] or [delta] outside (0, 1). *)
+    @raise Invalid_argument on [shards < 1]. *)
 
 val config : t -> Dgs_core.Config.t
 val graph : t -> Dgs_graph.Graph.t
@@ -106,11 +100,6 @@ val messages_sent : t -> int
 (** Total directed deliveries attempted so far, summed over shards —
     same accounting as {!Rounds.messages_sent}. *)
 
-val medium_stats : t -> Medium.stats
-(** Per-shard {!Medium.stats} summed: [broadcasts] counts one send per
-    node per round, [deliveries] every directed copy (local and
-    boundary-injected alike). *)
-
 val barrier_s : t -> float
 (** Cumulative wall-clock seconds spent in the main-thread barrier
     exchange (routing + sorting boundary copies) — the coordination
@@ -118,7 +107,7 @@ val barrier_s : t -> float
 
 val broadcast_s : t -> float
 (** Cumulative wall-clock seconds of the parallel broadcast phase
-    (message build + send scheduling), measured on the main thread around
+    (message build + outbox fill), measured on the main thread around
     the fork/join — one leg of the Vanet profile lane's round-time
     attribution. *)
 

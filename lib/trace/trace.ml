@@ -104,6 +104,11 @@ let cause_of = function
 
 let lid_of = function Msg_sent { lid; _ } -> lid | _ -> -1
 
+let mint_lid counters ~src =
+  let k = match Hashtbl.find_opt counters src with Some k -> k | None -> 0 in
+  Hashtbl.replace counters src (k + 1);
+  (src lsl 20) lor k
+
 let pp_ints ppf ids =
   Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int ids))
 

@@ -123,6 +123,13 @@ val lid_of : event -> int
 (** The lineage id {e minted} by the event: the [lid] of a {!Msg_sent},
     [-1] for every other constructor. *)
 
+val mint_lid : (int, int) Hashtbl.t -> src:int -> int
+(** [mint_lid counters ~src] mints the lineage id of [src]'s next
+    broadcast, [(src lsl 20) lor k] with [k] the per-source send counter
+    kept in [counters] (bumped here).  A runtime keeps one table per
+    sending context and calls this only when tracing is enabled, so an
+    untraced run never touches it. *)
+
 val pp_event : Format.formatter -> event -> unit
 
 (** {1 Sinks} *)

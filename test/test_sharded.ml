@@ -1,8 +1,6 @@
 (* Sharded executor: partition invariance, the Rounds-equivalence anchor,
    and the byte-identical --jobs contract extended to one simulation. *)
 
-module Engine = Dgs_sim.Engine
-module Medium = Dgs_sim.Medium
 module Rounds = Dgs_sim.Rounds
 module Sharded = Dgs_sim.Sharded
 module Graph = Dgs_graph.Graph
@@ -37,10 +35,26 @@ let test_sharded_equals_rounds () =
   Sharded.run s 12;
   check "views match Rounds" true (views_equal (Rounds.views r) (Sharded.views s));
   check_int "messages match Rounds" (Rounds.messages_sent r) (Sharded.messages_sent s);
-  let stats = Sharded.medium_stats s in
-  check_int "every attempted copy delivered (loss 0)"
-    (Sharded.messages_sent s) stats.Medium.deliveries;
-  check_int "one broadcast per node per round" (24 * 12) stats.Medium.broadcasts
+  check_int "one copy per directed edge per round"
+    (12 * 2 * Graph.edge_count g) (Sharded.messages_sent s)
+
+(* Traced, a run sends once per node per round, delivers every copy it
+   counts, and records no engine bookkeeping: the round runs without an
+   event agenda. *)
+let test_traced_round () =
+  let g = Harness.rgg ~seed:5 ~n:24 () in
+  let ring = Trace.Ring.create ~capacity:65536 in
+  let s = Sharded.create ~config ~make_trace:(fun _ -> Trace.Ring.sink ring) g in
+  Sharded.run s 12;
+  let count kind =
+    List.length
+      (List.filter (fun (_, ev) -> Trace.kind ev = kind) (Trace.Ring.contents ring))
+  in
+  check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
+  check_int "one Msg_sent per node per round" (24 * 12) (count "Msg_sent");
+  check_int "every counted copy delivered (loss 0)"
+    (Sharded.messages_sent s) (count "Msg_delivered");
+  check_int "no engine events" 0 (count "Event_scheduled" + count "Event_fired")
 
 (* Degenerate partitions: everything on one shard, and one node per
    shard, bracket the partition space. *)
@@ -107,7 +121,7 @@ let test_jobs_byte_identity () =
   let g0 = Harness.rgg ~seed:21 ~n () in
   let g1 = Harness.rgg ~seed:22 ~n () in
   let kinds =
-    [ "Msg_sent"; "Msg_delivered"; "Event_scheduled"; "Event_fired"; "View_changed" ]
+    [ "Msg_sent"; "Msg_delivered"; "Mark_set"; "Quarantine_enter"; "View_changed" ]
   in
   let run jobs =
     let shards = 4 in
@@ -215,6 +229,7 @@ let test_vanet_jobs_smoke () =
 let suite =
   [
     ("sharded equals rounds at jitter 0", `Quick, test_sharded_equals_rounds);
+    ("traced round sends, delivers, no engine", `Quick, test_traced_round);
     ("vanet --jobs smoke", `Quick, test_vanet_jobs_smoke);
     ("degenerate partitions", `Quick, test_degenerate_partitions);
     ("jobs byte identity", `Quick, test_jobs_byte_identity);

@@ -221,21 +221,6 @@ let test_medium_reset_fences_inflight () =
   check_int "fresh window counts its own copies" 2 s.Medium.deliveries;
   check_int "fresh window broadcast" 1 s.Medium.broadcasts
 
-let test_medium_inject () =
-  let engine, medium, received = make_medium ~audience:(fun _ -> []) () in
-  Medium.inject medium ~at:0.5 ~src:7 ~dst:1 ~lid:(-1) "remote";
-  Engine.run_until engine 0.25;
-  check_int "not before its time" 0 (List.length !received);
-  Engine.run_until engine 1.0;
-  Alcotest.(check (list (pair int string)))
-    "delivered at the prescribed time" [ (1, "remote") ] !received;
-  let s = Medium.stats medium in
-  check_int "counts as a delivery" 1 s.Medium.deliveries;
-  check_int "not as a local broadcast" 0 s.Medium.broadcasts;
-  check_int "no loss draw" 0 s.Medium.losses;
-  Alcotest.(check (list int)) "per-dest cell updated" [ 1 ]
-    (List.map (fun d -> d.Medium.dst) (Medium.stats_by_dest medium))
-
 (* --- rounds runner --- *)
 
 let test_rounds_message_count () =
@@ -781,7 +766,6 @@ let suite =
     ("medium loss rate", `Quick, test_medium_loss_rate);
     ("medium stats reset", `Quick, test_medium_stats_reset);
     ("medium reset fences in-flight", `Quick, test_medium_reset_fences_inflight);
-    ("medium inject", `Quick, test_medium_inject);
     ("rounds message count", `Quick, test_rounds_message_count);
     ("rounds stabilizes a pair", `Quick, test_rounds_stabilizes_pair);
     ("rounds loss needs rng", `Quick, test_rounds_loss_requires_rng);
