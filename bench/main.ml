@@ -274,25 +274,14 @@ let bench_maxmin =
     (Staged.stage (fun () -> Dgs_baselines.Maxmin.run ~d:2 g))
 
 let bench_engine =
-  (* Simulator datapath micro rows: scheduling plus firing one event
-     through the arena/calendar agenda — a closure thunk, then the typed
-     delivery record the medium hot path uses (allocation-free once warm;
-     the zero-alloc pin in test_sim.ml asserts that, these rows price it). *)
+  (* Simulator datapath micro row: scheduling plus firing one closure
+     event — the cost every timer and every directed copy pays. *)
   let module Engine = Dgs_sim.Engine in
-  let e_thunk : unit Engine.t = Engine.create () in
-  let e_del : int Engine.t = Engine.create () in
-  Engine.set_deliver e_del (fun ~src:_ ~dst:_ ~gen:_ ~lid:_ (_ : int) -> ());
-  [
-    Test.make ~name:"engine: schedule+fire thunk"
-      (Staged.stage (fun () ->
-           ignore (Engine.schedule_after e_thunk 0.0 ignore);
-           ignore (Engine.step e_thunk)));
-    Test.make ~name:"engine: schedule+fire delivery"
-      (Staged.stage (fun () ->
-           Engine.schedule_deliver e_del ~at:(Engine.now e_del) ~src:1 ~dst:2
-             ~gen:0 ~lid:(-1) 7;
-           ignore (Engine.step e_del)));
-  ]
+  let e = Engine.create () in
+  Test.make ~name:"engine: schedule+fire thunk"
+    (Staged.stage (fun () ->
+         Engine.schedule_after e 0.0 ignore;
+         Engine.run_until e (Engine.now e)))
 
 let bench_receive =
   (* The receive side of one directed copy: appending a message to the
@@ -319,7 +308,7 @@ let micro_benchmarks ~quick () =
       bench_churn_step;
       bench_maxmin;
     ]
-    @ bench_engine @ [ bench_receive ]
+    @ [ bench_engine; bench_receive ]
   in
   let quota = Time.second (if quick then 0.05 else 0.5) in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 100) () in

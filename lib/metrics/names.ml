@@ -41,7 +41,6 @@ let medium_delivery_ns = "medium_delivery_ns"
 (* Engine *)
 let engine_schedule_total = "engine_schedule_total"
 let engine_fire_total = "engine_fire_total"
-let engine_cancel_total = "engine_cancel_total"
 
 (* Checker *)
 let oracle_poll_total = "oracle_poll_total"
@@ -91,7 +90,6 @@ let all =
     medium_delivery_ns;
     engine_schedule_total;
     engine_fire_total;
-    engine_cancel_total;
     oracle_poll_total;
     oracle_poll_ns;
     fuzz_run_total;

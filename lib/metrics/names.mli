@@ -43,7 +43,6 @@ val medium_loss_rate : string
 val medium_delivery_ns : string
 val engine_schedule_total : string
 val engine_fire_total : string
-val engine_cancel_total : string
 val oracle_poll_total : string
 val oracle_poll_ns : string
 val fuzz_run_total : string

@@ -15,7 +15,7 @@ type dest_stats = {
 type cell = { mutable d : int; mutable l : int; mutable x : int }
 
 type 'msg t = {
-  engine : 'msg Engine.t;
+  engine : Engine.t;
   rng : Rng.t;
   trace : Trace.t;
   mutable loss : float;
@@ -23,7 +23,6 @@ type 'msg t = {
   delay_max : float;
   audience : int -> int list;
   deliver : dst:int -> lid:int -> 'msg -> bool;
-  per_dst_stats : bool;
   (* Per-source broadcast counters backing lineage-id minting.  Touched
      only in the trace-enabled branch of [broadcast]: an untraced run
      never reads or writes it, so the table stays empty and the hot path
@@ -60,25 +59,22 @@ let cell_of t dst =
    copy (destination may have deactivated or been removed in flight, or
    the frame may be corrupted out of the grammar); only copies it accepts
    count as deliveries, so [deliveries] agrees with what
-   [Grp_node.receive] saw.  This is the engine's delivery handler —
-   installed once at creation, dispatched without any per-copy closure. *)
+   [Grp_node.receive] saw. *)
 let deliver_copy t ~src ~dst ~gen ~lid msg =
   let m_t0 = Registry.Timer.start t.m_delivery_ns in
   let accepted = t.deliver ~dst ~lid msg in
   Registry.Timer.stop t.m_delivery_ns m_t0;
-  let current_window = gen = t.stats_gen in
-  if accepted then begin
-    Registry.Counter.incr t.m_delivery;
-    if current_window then begin
+  if accepted then Registry.Counter.incr t.m_delivery
+  else Registry.Counter.incr t.m_drop;
+  if gen = t.stats_gen then begin
+    let c = cell_of t dst in
+    if accepted then begin
       t.deliveries <- t.deliveries + 1;
-      if t.per_dst_stats then (cell_of t dst).d <- (cell_of t dst).d + 1
+      c.d <- c.d + 1
     end
-  end
-  else begin
-    Registry.Counter.incr t.m_drop;
-    if current_window then begin
+    else begin
       t.drops <- t.drops + 1;
-      if t.per_dst_stats then (cell_of t dst).x <- (cell_of t dst).x + 1
+      c.x <- c.x + 1
     end
   end;
   if Trace.enabled t.trace then begin
@@ -89,53 +85,47 @@ let deliver_copy t ~src ~dst ~gen ~lid msg =
   end
 
 let create ~engine ~rng ?(loss = 0.0) ?(delay_min = 0.001) ?(delay_max = 0.01)
-    ?(trace = Trace.null) ?(metrics = Registry.null) ?(per_dst_stats = false)
-    ~audience ~deliver () =
+    ?(trace = Trace.null) ?(metrics = Registry.null) ~audience ~deliver () =
   if loss < 0.0 || loss > 1.0 then invalid_arg "Medium.create: loss out of [0,1]";
   if delay_min < 0.0 || delay_max < delay_min then
     invalid_arg "Medium.create: bad delay bounds";
   let m_loss_rate = Registry.gauge metrics Names.medium_loss_rate in
   Registry.Gauge.set m_loss_rate loss;
-  let t =
-    {
-      engine;
-      rng;
-      trace;
-      loss;
-      delay_min;
-      delay_max;
-      audience;
-      deliver;
-      per_dst_stats;
-      broadcasts = 0;
-      deliveries = 0;
-      losses = 0;
-      drops = 0;
-      stats_gen = 0;
-      lids = Hashtbl.create 64;
-      by_dest = Hashtbl.create 64;
-      m_broadcast = Registry.counter metrics Names.medium_broadcast_total;
-      m_delivery = Registry.counter metrics Names.medium_delivery_total;
-      m_loss = Registry.counter metrics Names.medium_loss_total;
-      m_drop = Registry.counter metrics Names.medium_drop_total;
-      m_loss_rate;
-      m_delivery_ns = Registry.timer metrics Names.medium_delivery_ns;
-    }
-  in
-  Engine.set_deliver engine (fun ~src ~dst ~gen ~lid msg ->
-      deliver_copy t ~src ~dst ~gen ~lid msg);
-  t
+  {
+    engine;
+    rng;
+    trace;
+    loss;
+    delay_min;
+    delay_max;
+    audience;
+    deliver;
+    broadcasts = 0;
+    deliveries = 0;
+    losses = 0;
+    drops = 0;
+    stats_gen = 0;
+    lids = Hashtbl.create 64;
+    by_dest = Hashtbl.create 64;
+    m_broadcast = Registry.counter metrics Names.medium_broadcast_total;
+    m_delivery = Registry.counter metrics Names.medium_delivery_total;
+    m_loss = Registry.counter metrics Names.medium_loss_total;
+    m_drop = Registry.counter metrics Names.medium_drop_total;
+    m_loss_rate;
+    m_delivery_ns = Registry.timer metrics Names.medium_delivery_ns;
+  }
 
-(* Schedule one directed copy for delivery at absolute time [at] as a
-   typed engine event — no per-copy closure.  The stats generation is
-   captured now, at schedule time: if [reset_stats] runs while the copy
-   is in flight, the copy is still delivered to the protocol (the frame
-   is already in the air), still traced, and still counted in the
-   cumulative registry — but it no longer belongs to the new stats
+(* Schedule one directed copy after [delay].  The closure captures the
+   stats generation now, at schedule time: if [reset_stats] runs while
+   the copy is in flight, the copy is still delivered to the protocol
+   (the frame is already in the air), still traced, and still counted in
+   the cumulative registry — but it no longer belongs to the new stats
    window, so the windowed counters and the per-destination cells skip
    it. *)
-let schedule_delivery t ~at ~src ~dst ~lid msg =
-  Engine.schedule_deliver t.engine ~at ~src ~dst ~gen:t.stats_gen ~lid msg
+let schedule_delivery t ~delay ~src ~dst ~lid msg =
+  let gen = t.stats_gen in
+  Engine.schedule_after t.engine delay (fun () ->
+      deliver_copy t ~src ~dst ~gen ~lid msg)
 
 let broadcast t ~src msg =
   t.broadcasts <- t.broadcasts + 1;
@@ -155,16 +145,14 @@ let broadcast t ~src msg =
         if Rng.bernoulli t.rng t.loss then begin
           t.losses <- t.losses + 1;
           Registry.Counter.incr t.m_loss;
-          if t.per_dst_stats then begin
-            let c = cell_of t dst in
-            c.l <- c.l + 1
-          end;
+          let c = cell_of t dst in
+          c.l <- c.l + 1;
           if Trace.enabled t.trace then
             Trace.emit t.trace (Trace.Msg_lost { src; dst; cause = lid })
         end
         else begin
           let delay = Rng.float_in t.rng t.delay_min t.delay_max in
-          schedule_delivery t ~at:(Engine.now t.engine +. delay) ~src ~dst ~lid msg
+          schedule_delivery t ~delay ~src ~dst ~lid msg
         end)
     (t.audience src);
   lid

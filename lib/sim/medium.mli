@@ -51,14 +51,13 @@ type dest_stats = {
 }
 
 val create :
-  engine:'msg Engine.t ->
+  engine:Engine.t ->
   rng:Dgs_util.Rng.t ->
   ?loss:float ->
   ?delay_min:float ->
   ?delay_max:float ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->
-  ?per_dst_stats:bool ->
   audience:(int -> int list) ->
   deliver:(dst:int -> lid:int -> 'msg -> bool) ->
   unit ->
@@ -72,14 +71,7 @@ val create :
     [metrics] (default {!Dgs_metrics.Registry.null}) receives the
     [medium_*] counter families mirroring {!stats}, the
     [medium_loss_rate] gauge, and the [medium_delivery_ns] timer around
-    the [deliver] callback.  [per_dst_stats] (default [false]) turns on
-    the per-destination breakdown behind {!stats_by_dest}; off, the hot
-    path skips the per-copy cell lookup entirely and {!stats_by_dest}
-    returns [[]].
-
-    The medium installs itself as the engine's delivery handler
-    ({!Engine.set_deliver}): directed copies ride typed engine events,
-    one medium per engine. *)
+    the [deliver] callback.  Each directed copy is one {!Engine} event. *)
 
 val broadcast : 'msg t -> src:int -> 'msg -> int
 (** Send one message to the current audience of [src] (self-delivery is
@@ -99,8 +91,7 @@ val stats : 'msg t -> stats
 val stats_by_dest : 'msg t -> dest_stats list
 (** Per-receiver delivery/loss/drop breakdown, sorted by node id — the
     ground truth a trace's per-destination [Msg_delivered] / [Msg_lost] /
-    [Msg_dropped] counts are validated against.  Empty unless the medium
-    was created with [~per_dst_stats:true]. *)
+    [Msg_dropped] counts are validated against. *)
 
 val reset_stats : 'msg t -> unit
 (** Zero all counters, including the per-destination breakdown, and start

@@ -13,7 +13,7 @@ type stats = {
 }
 
 type t = {
-  engine : Message.t Engine.t;
+  engine : Engine.t;
   rng : Rng.t;
   config : Config.t;
   trace : Trace.t;
@@ -68,34 +68,32 @@ let gen_live t v gen =
    (both bump the generation), and chains are only started at install and
    reactivation. *)
 let rec schedule_compute t v gen delay =
-  ignore
-    (Engine.schedule_after t.engine delay (fun () ->
-         if gen_live t v gen && is_active t v then begin
-           let n = node t v in
-           if Trace.enabled t.trace then
-             Trace.set_time t.trace (Engine.now t.engine);
-           let info = Grp_node.compute n in
-           t.computes <- t.computes + 1;
-           t.view_additions <-
-             t.view_additions + Node_id.Set.cardinal info.Grp_node.view_added;
-           t.view_removals <-
-             t.view_removals + Node_id.Set.cardinal info.Grp_node.view_removed;
-           if info.Grp_node.too_far_conflict then
-             t.too_far_conflicts <- t.too_far_conflicts + 1;
-           (match t.observer with
-           | Some f -> f ~time:(Engine.now t.engine) n info
-           | None -> ());
-           schedule_compute t v gen t.tau_c
-         end))
+  Engine.schedule_after t.engine delay (fun () ->
+      if gen_live t v gen && is_active t v then begin
+        let n = node t v in
+        if Trace.enabled t.trace then
+          Trace.set_time t.trace (Engine.now t.engine);
+        let info = Grp_node.compute n in
+        t.computes <- t.computes + 1;
+        t.view_additions <-
+          t.view_additions + Node_id.Set.cardinal info.Grp_node.view_added;
+        t.view_removals <-
+          t.view_removals + Node_id.Set.cardinal info.Grp_node.view_removed;
+        if info.Grp_node.too_far_conflict then
+          t.too_far_conflicts <- t.too_far_conflicts + 1;
+        (match t.observer with
+        | Some f -> f ~time:(Engine.now t.engine) n info
+        | None -> ());
+        schedule_compute t v gen t.tau_c
+      end)
 
 let rec schedule_send t v gen delay =
-  ignore
-    (Engine.schedule_after t.engine delay (fun () ->
-         if gen_live t v gen && is_active t v then begin
-           ignore
-             (Medium.broadcast (medium t) ~src:v (Grp_node.make_message (node t v)));
-           schedule_send t v gen t.tau_s
-         end))
+  Engine.schedule_after t.engine delay (fun () ->
+      if gen_live t v gen && is_active t v then begin
+        ignore
+          (Medium.broadcast (medium t) ~src:v (Grp_node.make_message (node t v)));
+        schedule_send t v gen t.tau_s
+      end)
 
 let start_timers t v =
   let gen = fresh_gen t in
@@ -167,11 +165,8 @@ let create ~engine ~rng ~config ?(tau_c = 1.0) ?(tau_s = 0.4) ?(loss = 0.0)
   in
   t.medium <-
     Some
-      (* Per-destination accounting stays on here: the executor's
-         check_monotone_stats oracle cross-checks the per-dest sums
-         against the aggregates on every poll. *)
       (Medium.create ~engine ~rng:(Rng.split rng) ~loss ~delay_min ~delay_max ~trace
-         ~metrics ~per_dst_stats:true ~audience ~deliver ());
+         ~metrics ~audience ~deliver ());
   List.iter (install_node t) nodes;
   t
 

@@ -26,7 +26,7 @@ type stats = {
 }
 
 val create :
-  engine:Dgs_core.Message.t Engine.t ->
+  engine:Engine.t ->
   rng:Dgs_util.Rng.t ->
   config:Dgs_core.Config.t ->
   ?tau_c:float ->
@@ -50,7 +50,7 @@ val create :
     Raises [Invalid_argument] on [tau_s > tau_c] or a corruption rate
     outside [\[0,1\]]. *)
 
-val engine : t -> Dgs_core.Message.t Engine.t
+val engine : t -> Engine.t
 (** The engine driving this runtime's timers. *)
 
 val node : t -> Dgs_core.Node_id.t -> Dgs_core.Grp_node.t
@@ -88,7 +88,7 @@ val add_node : t -> Dgs_core.Node_id.t -> unit
 
 val remove_node : t -> Dgs_core.Node_id.t -> unit
 (** Fully retire a node: its protocol state is discarded, its timers are
-    cancelled, and copies in flight to it are counted as drops.  Unlike
+    retired by generation as in {!deactivate}, and copies in flight to it are counted as drops.  Unlike
     {!deactivate} the node is forgotten — a later {!add_node} of the same
     id starts from scratch.  No-op for unknown ids. *)
 

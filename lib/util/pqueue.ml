@@ -1,14 +1,8 @@
 type ('prio, 'a) node = { key : 'prio; value : 'a; mutable children : ('prio, 'a) node list }
 
-type ('prio, 'a) t = {
-  cmp : 'prio -> 'prio -> int;
-  mutable root : ('prio, 'a) node option;
-  mutable size : int;
-}
+type ('prio, 'a) t = { cmp : 'prio -> 'prio -> int; mutable root : ('prio, 'a) node option }
 
-let create ~cmp = { cmp; root = None; size = 0 }
-let is_empty t = t.root = None
-let length t = t.size
+let create ~cmp = { cmp; root = None }
 
 let meld cmp a b =
   if cmp a.key b.key <= 0 then (
@@ -20,10 +14,7 @@ let meld cmp a b =
 
 let add t key value =
   let n = { key; value; children = [] } in
-  t.root <- (match t.root with None -> Some n | Some r -> Some (meld t.cmp r n));
-  t.size <- t.size + 1
-
-let peek t = match t.root with None -> None | Some r -> Some (r.key, r.value)
+  t.root <- (match t.root with None -> Some n | Some r -> Some (meld t.cmp r n))
 
 (* Two-pass pairing merge of the root's children. *)
 let rec merge_pairs cmp = function
@@ -33,17 +24,6 @@ let rec merge_pairs cmp = function
       let ab = meld cmp a b in
       match merge_pairs cmp rest with None -> Some ab | Some r -> Some (meld cmp ab r))
 
-let pop t =
-  match t.root with
-  | None -> None
-  | Some r ->
-      t.root <- merge_pairs t.cmp r.children;
-      t.size <- t.size - 1;
-      Some (r.key, r.value)
-
-let pop_exn t =
-  match pop t with None -> invalid_arg "Pqueue.pop_exn: empty queue" | Some x -> x
-
 (* Conditional pop: the peek and the pop share one root traversal, so a
    horizon-bounded event loop pays a single heap operation per event
    instead of peek-then-pop's two. *)
@@ -51,23 +31,5 @@ let pop_if t pred =
   match t.root with
   | Some r when pred r.key ->
       t.root <- merge_pairs t.cmp r.children;
-      t.size <- t.size - 1;
       Some (r.key, r.value)
   | _ -> None
-
-let min_key_exn t =
-  match t.root with
-  | None -> invalid_arg "Pqueue.min_key_exn: empty queue"
-  | Some r -> r.key
-
-let clear t =
-  t.root <- None;
-  t.size <- 0
-
-let to_sorted_list t =
-  let rec copy_node n = { key = n.key; value = n.value; children = List.map copy_node n.children } in
-  let c =
-    { cmp = t.cmp; root = (match t.root with None -> None | Some r -> Some (copy_node r)); size = t.size }
-  in
-  let rec drain acc = match pop c with None -> List.rev acc | Some kv -> drain (kv :: acc) in
-  drain []

@@ -1,8 +1,7 @@
 (** Polymorphic min-priority queue (pairing heap).
 
-    Used by the discrete-event engine for its event agenda and by graph
-    algorithms.  Operations are amortized O(log n) for [pop] and O(1) for
-    [add]. *)
+    The discrete-event engine's event agenda.  [add] is O(1) and
+    [pop_if] amortized O(log n). *)
 
 type ('prio, 'a) t
 (** Mutable queue holding values of type ['a] keyed by ['prio]. *)
@@ -10,36 +9,11 @@ type ('prio, 'a) t
 val create : cmp:('prio -> 'prio -> int) -> ('prio, 'a) t
 (** [create ~cmp] makes an empty queue ordered by [cmp] (smallest first). *)
 
-val is_empty : ('prio, 'a) t -> bool
-
-val length : ('prio, 'a) t -> int
-(** Number of queued elements, O(1). *)
-
 val add : ('prio, 'a) t -> 'prio -> 'a -> unit
 (** Insert an element. *)
 
-val peek : ('prio, 'a) t -> ('prio * 'a) option
-(** Smallest element, if any, without removing it. *)
-
-val pop : ('prio, 'a) t -> ('prio * 'a) option
-(** Remove and return the smallest element. *)
-
-val pop_exn : ('prio, 'a) t -> 'prio * 'a
-(** Like {!pop} but raises [Invalid_argument] on an empty queue. *)
-
 val pop_if : ('prio, 'a) t -> ('prio -> bool) -> ('prio * 'a) option
 (** [pop_if t pred] removes and returns the smallest element when [pred]
-    holds on its key, and returns [None] (removing nothing) otherwise —
-    a peek and a pop fused into one root traversal, for horizon-bounded
-    event loops that would otherwise traverse the heap twice per event. *)
-
-val min_key_exn : ('prio, 'a) t -> 'prio
-(** Key of the smallest element without removing it — the existing key
-    value, not a copy, so callers on allocation-free paths can compare
-    against it.  Raises [Invalid_argument] on an empty queue. *)
-
-val clear : ('prio, 'a) t -> unit
-
-val to_sorted_list : ('prio, 'a) t -> ('prio * 'a) list
-(** Drain a copy of the queue into an ordered list (for inspection in
-    tests); the queue itself is unchanged. *)
+    holds on its key, and returns [None] (removing nothing) otherwise,
+    including on an empty queue — a peek and a pop fused into one root
+    traversal. *)

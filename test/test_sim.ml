@@ -20,9 +20,9 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_engine_order () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule_at e 3.0 (fun () -> log := 3 :: !log));
-  ignore (Engine.schedule_at e 1.0 (fun () -> log := 1 :: !log));
-  ignore (Engine.schedule_at e 2.0 (fun () -> log := 2 :: !log));
+  Engine.schedule_at e 3.0 (fun () -> log := 3 :: !log);
+  Engine.schedule_at e 1.0 (fun () -> log := 1 :: !log);
+  Engine.schedule_at e 2.0 (fun () -> log := 2 :: !log);
   Engine.run_until e 10.0;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   check_float "clock at horizon" 10.0 (Engine.now e)
@@ -31,7 +31,7 @@ let test_engine_fifo_ties () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule_at e 1.0 (fun () -> log := i :: !log))
+    Engine.schedule_at e 1.0 (fun () -> log := i :: !log)
   done;
   Engine.run_until e 2.0;
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -39,28 +39,20 @@ let test_engine_fifo_ties () =
 let test_engine_horizon () =
   let e = Engine.create () in
   let fired = ref false in
-  ignore (Engine.schedule_at e 5.0 (fun () -> fired := true));
+  Engine.schedule_at e 5.0 (fun () -> fired := true);
   Engine.run_until e 4.0;
   check "not yet" false !fired;
   Engine.run_until e 5.0;
   check "now fired" true !fired
-
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let id = Engine.schedule_at e 1.0 (fun () -> fired := true) in
-  Engine.cancel e id;
-  Engine.run_until e 2.0;
-  check "cancelled" false !fired
 
 let test_engine_cascading () =
   let e = Engine.create () in
   let count = ref 0 in
   let rec tick () =
     incr count;
-    if !count < 5 then ignore (Engine.schedule_after e 1.0 tick)
+    if !count < 5 then Engine.schedule_after e 1.0 tick
   in
-  ignore (Engine.schedule_after e 1.0 tick);
+  Engine.schedule_after e 1.0 tick;
   Engine.run_until e 100.0;
   check_int "self-rescheduling chain" 5 !count
 
@@ -68,81 +60,41 @@ let test_engine_past_rejected () =
   let e = Engine.create () in
   Engine.run_until e 5.0;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> ignore (Engine.schedule_at e 1.0 (fun () -> ())))
+    (fun () -> Engine.schedule_at e 1.0 (fun () -> ()))
 
-let test_engine_run_all_guard () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let rec forever () =
-    incr count;
-    ignore (Engine.schedule_after e 1.0 forever)
-  in
-  ignore (Engine.schedule_after e 1.0 forever);
-  Engine.run_all e ~max_events:50;
-  check_int "bounded" 50 !count
-
-(* [run_all]'s budget bounds agenda pops, not fired callbacks: a cancelled
-   prefix consumes budget too, so a pathological agenda full of cancelled
-   entries cannot do unbounded work inside the guard. *)
-let test_engine_run_all_cancelled_budget () =
-  let e = Engine.create () in
-  let fired = ref 0 in
-  let cancelled_ids = ref [] in
-  for i = 1 to 10 do
-    cancelled_ids :=
-      Engine.schedule_at e (float_of_int i) (fun () -> assert false)
-      :: !cancelled_ids
-  done;
-  ignore (Engine.schedule_at e 11.0 (fun () -> incr fired));
-  ignore (Engine.schedule_at e 12.0 (fun () -> incr fired));
-  List.iter (Engine.cancel e) !cancelled_ids;
-  Engine.run_all e ~max_events:10;
-  check_int "budget consumed by cancelled pops" 0 !fired;
-  check_int "cancelled prefix reclaimed" 0 (Engine.cancelled_backlog e);
-  Engine.run_all e ~max_events:10;
-  check_int "remaining events fire on the next budget" 2 !fired
-
-(* A cancelled entry at or before the horizon must not cause the event
-   behind it — possibly beyond the horizon — to fire. *)
-let test_engine_run_until_cancelled_prefix () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let id = Engine.schedule_at e 1.0 (fun () -> assert false) in
-  ignore (Engine.schedule_at e 5.0 (fun () -> fired := true));
-  Engine.cancel e id;
-  Engine.run_until e 2.0;
-  check "beyond-horizon event untouched" false !fired;
-  check_int "cancelled entry reclaimed" 0 (Engine.cancelled_backlog e);
-  check_float "clock advanced to horizon" 2.0 (Engine.now e);
-  Engine.run_until e 5.0;
-  check "fires once in range" true !fired
-
-(* Skipped (cancelled) pops neither fire nor emit [Event_fired]:
-   [Engine.fired], the count the dgs_check fire-budget oracle reads,
-   equals the [Event_fired] count of a traced twin, so the budget
-   semantics are unchanged by run_all counting cancelled pops. *)
-let test_engine_skips_emit_no_fire_events () =
+(* [Engine.fired], the count the dgs_check fire-budget oracle reads,
+   equals the [Event_fired] count of a traced run and of an untraced
+   twin.  Schedule ids are [0..n-1] in call order, and events fire in
+   [(time, id)] order — including one scheduled at the current time from
+   inside a callback, which fires after the same-time events queued
+   before it. *)
+let test_engine_fired_matches_trace () =
   let run trace =
     let e = Engine.create ~trace () in
-    let ids =
-      List.init 3 (fun i ->
-          Engine.schedule_at e (float_of_int (i + 1)) (fun () -> ()))
-    in
-    ignore (Engine.schedule_at e 4.0 (fun () -> ()));
-    List.iter (Engine.cancel e) ids;
-    Engine.run_all e ~max_events:10;
+    List.iter (fun at -> Engine.schedule_at e at ignore) [ 2.0; 1.0; 2.0; 3.0 ];
+    Engine.schedule_at e 1.0 (fun () -> Engine.schedule_after e 0.0 ignore);
+    Engine.schedule_at e 1.0 ignore;
+    Engine.run_until e 5.0;
     Engine.fired e
   in
   let ring = Trace.Ring.create ~capacity:64 in
   let traced_fires = run (Trace.Ring.sink ring) in
-  let count kind =
-    List.length
-      (List.filter (fun (_, ev) -> Trace.kind ev = kind) (Trace.Ring.contents ring))
+  let ids kind =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Trace.Event_scheduled { id; _ } when kind = `Scheduled -> Some id
+        | Trace.Event_fired { id; _ } when kind = `Fired -> Some id
+        | _ -> None)
+      (Trace.Ring.contents ring)
   in
-  check_int "only real fires traced" 1 (count "Event_fired");
-  check_int "all schedules traced" 4 (count "Event_scheduled");
-  check_int "traced engine counts its fires" 1 traced_fires;
-  check_int "untraced twin fires as often" (count "Event_fired") (run Trace.null)
+  let fired = ids `Fired in
+  check_int "traced engine counts its fires" (List.length fired) traced_fires;
+  check_int "untraced twin fires as often" traced_fires (run Trace.null);
+  Alcotest.(check (list int)) "schedule ids are 0..n-1" (List.init 7 Fun.id)
+    (ids `Scheduled);
+  Alcotest.(check (list int)) "fires in (time, id) order" [ 1; 4; 5; 6; 0; 2; 3 ]
+    fired
 
 (* --- medium --- *)
 
@@ -150,10 +102,8 @@ let make_medium ?(loss = 0.0) ~audience () =
   let engine = Engine.create () in
   let received = ref [] in
   let medium =
-    (* Per-destination accounting is opt-in since the datapath flattening;
-       these tests assert on [stats_by_dest], so they opt in. *)
     Medium.create ~engine ~rng:(Rng.create 1) ~loss ~delay_min:0.001 ~delay_max:0.01
-      ~per_dst_stats:true ~audience
+      ~audience
       ~deliver:(fun ~dst ~lid:_ msg ->
         received := (dst, msg) :: !received;
         true)
@@ -535,194 +485,7 @@ let test_net_inflight_drop_accounting () =
   check_int "trace agrees with the medium's drop counter" after.Medium.drops
     traced_drops
 
-(* --- engine equivalence vs the vendored closure engine --- *)
-
-(* The arena/calendar engine must be observationally identical to the
-   closure-per-event engine it replaced (vendored in engine_reference.ml):
-   same fire order and payloads, same clocks, same trace streams, same
-   pending/backlog accounting — under arbitrary interleavings of
-   scheduling, typed deliveries, cancellation (including from inside
-   callbacks), step, run_until and run_all. *)
-
-module type ENGINE_S = sig
-  type 'msg t
-  type event_id
-
-  val create : ?start:float -> ?trace:Trace.t -> unit -> 'msg t
-  val now : 'msg t -> float
-  val schedule_after : 'msg t -> float -> (unit -> unit) -> event_id
-  val set_deliver :
-    'msg t -> (src:int -> dst:int -> gen:int -> lid:int -> 'msg -> unit) -> unit
-
-  val schedule_deliver :
-    'msg t -> at:float -> src:int -> dst:int -> gen:int -> lid:int -> 'msg -> unit
-
-  val cancel : 'msg t -> event_id -> unit
-  val cancelled_backlog : 'msg t -> int
-  val pending : 'msg t -> int
-  val step : 'msg t -> bool
-  val run_until : 'msg t -> float -> unit
-  val run_all : 'msg t -> max_events:int -> unit
-end
-
-module Prod_engine : ENGINE_S = struct
-  include Engine
-
-  let create ?start ?trace () = Engine.create ?start ?trace ()
-end
-
-module Ref_engine : ENGINE_S = Engine_reference
-
-type script_cmd =
-  | Thunk of float  (** plain callback after a delay *)
-  | Cascade of float * float  (** callback that schedules a child *)
-  | Cancel_on_fire of float * int  (** callback that cancels handle #k *)
-  | Deliver of float * int * int * int  (** typed delivery: delay, src, dst, msg *)
-  | Cancel of int  (** cancel handle #k now *)
-  | Run_until of float  (** advance by a delay *)
-  | Step
-  | Run_all of int
-
-let show_cmd = function
-  | Thunk d -> Printf.sprintf "Thunk %g" d
-  | Cascade (d, d2) -> Printf.sprintf "Cascade (%g, %g)" d d2
-  | Cancel_on_fire (d, k) -> Printf.sprintf "Cancel_on_fire (%g, %d)" d k
-  | Deliver (d, src, dst, m) -> Printf.sprintf "Deliver (%g, %d, %d, %d)" d src dst m
-  | Cancel k -> Printf.sprintf "Cancel %d" k
-  | Run_until d -> Printf.sprintf "Run_until %g" d
-  | Step -> "Step"
-  | Run_all b -> Printf.sprintf "Run_all %d" b
-
-module Drive (E : ENGINE_S) = struct
-  (* Interpret a script, returning the observation log and the trace
-     stream.  Everything observable is recorded: callback identities in
-     fire order, delivery payloads, step results, and after every command
-     the pending/backlog counts and the clock. *)
-  let run script =
-    let log = ref [] in
-    let out s = log := s :: !log in
-    let tlog = ref [] in
-    let trace =
-      Trace.make (fun ~time ev ->
-          tlog := Format.asprintf "%g %a" time Trace.pp_event ev :: !tlog)
-    in
-    let e = E.create ~trace () in
-    E.set_deliver e (fun ~src ~dst ~gen ~lid m ->
-        out
-          (Printf.sprintf "deliver %d->%d g%d l%d m%d @%g" src dst gen lid m
-             (E.now e)));
-    (* Handles in allocation order (most recent first); callbacks allocate
-       tokens and push handles at fire time, so an equivalence violation
-       shows up as diverging logs rather than driver nondeterminism. *)
-    let handles = ref [] and n_handles = ref 0 in
-    let push h =
-      handles := h :: !handles;
-      incr n_handles
-    in
-    let nth_handle k =
-      if !n_handles = 0 then None else Some (List.nth !handles (k mod !n_handles))
-    in
-    let tok = ref 0 in
-    let fresh () =
-      let t = !tok in
-      incr tok;
-      t
-    in
-    let fire kind token () = out (Printf.sprintf "%s %d @%g" kind token (E.now e)) in
-    List.iter
-      (fun c ->
-        (match c with
-        | Thunk d ->
-            let token = fresh () in
-            push (E.schedule_after e d (fire "thunk" token))
-        | Cascade (d, d2) ->
-            let token = fresh () in
-            push
-              (E.schedule_after e d (fun () ->
-                   fire "cascade" token ();
-                   let child = fresh () in
-                   push (E.schedule_after e d2 (fire "child" child))))
-        | Cancel_on_fire (d, k) ->
-            let token = fresh () in
-            push
-              (E.schedule_after e d (fun () ->
-                   fire "canceller" token ();
-                   match nth_handle k with
-                   | None -> ()
-                   | Some h -> E.cancel e h))
-        | Deliver (d, src, dst, m) ->
-            (* The payload doubles as the lineage id so the equivalence
-               log also pins lid plumbing. *)
-            E.schedule_deliver e ~at:(E.now e +. d) ~src ~dst ~gen:0 ~lid:m m
-        | Cancel k -> (
-            match nth_handle k with None -> () | Some h -> E.cancel e h)
-        | Run_until d -> E.run_until e (E.now e +. d)
-        | Step -> out (Printf.sprintf "step %b" (E.step e))
-        | Run_all b -> E.run_all e ~max_events:b);
-        out
-          (Printf.sprintf "| pending=%d backlog=%d now=%g" (E.pending e)
-             (E.cancelled_backlog e) (E.now e)))
-      script;
-    E.run_all e ~max_events:10_000;
-    out
-      (Printf.sprintf "end pending=%d backlog=%d now=%g" (E.pending e)
-         (E.cancelled_backlog e) (E.now e));
-    (List.rev !log, List.rev !tlog)
-end
-
-module Drive_prod = Drive (Prod_engine)
-module Drive_ref = Drive (Ref_engine)
-
-let gen_script =
-  QCheck.Gen.(
-    let delay = oneofl [ 0.0; 0.25; 0.5; 1.0; 2.0 ] in
-    let cmd =
-      frequency
-        [
-          (3, map (fun d -> Thunk d) delay);
-          (2, map2 (fun d d2 -> Cascade (d, d2)) delay delay);
-          (1, map2 (fun d k -> Cancel_on_fire (d, k)) delay (int_bound 12));
-          (3, map3 (fun d s m -> Deliver (d, s, s + 1, m)) delay (int_bound 5) (int_bound 99));
-          (2, map (fun k -> Cancel k) (int_bound 12));
-          (2, map (fun d -> Run_until d) delay);
-          (1, return Step);
-          (1, map (fun b -> Run_all b) (int_bound 8));
-        ]
-    in
-    list_size (int_range 1 40) cmd)
-
-let print_script script = String.concat "; " (List.map show_cmd script)
-
-let engine_equivalence =
-  QCheck.Test.make ~name:"arena engine ≡ closure engine (log + trace)" ~count:300
-    (QCheck.make ~print:print_script gen_script)
-    (fun script -> Drive_prod.run script = Drive_ref.run script)
-
 (* --- zero-allocation pins --- *)
-
-(* The delivery datapath must not allocate once warm: a steady-state
-   burst of typed deliveries through the arena and the calendar bucket —
-   trace and metrics off — moves [Gc.minor_words] by exactly zero.  The
-   burst carries {e live} lineage ids through the provenance slot (the
-   null-sink discipline disables minting and stamping, not the field),
-   pinning that provenance-present-but-disabled stays allocation-free. *)
-let test_engine_delivery_zero_alloc () =
-  let e = Engine.create () in
-  let hits = ref 0 in
-  Engine.set_deliver e (fun ~src:_ ~dst:_ ~gen:_ ~lid:_ (_ : int) -> incr hits);
-  (* Warm-up: grow the arena, the calendar bucket and the free list. *)
-  for i = 1 to 20_000 do
-    Engine.schedule_deliver e ~at:1.0 ~src:i ~dst:i ~gen:0 ~lid:((i lsl 20) lor 7) 7
-  done;
-  Engine.run_until e 1.0;
-  let w0 = Gc.minor_words () in
-  for i = 1 to 20_000 do
-    Engine.schedule_deliver e ~at:2.0 ~src:i ~dst:i ~gen:0 ~lid:((i lsl 20) lor 9) 7
-  done;
-  Engine.run_until e 2.0;
-  let delta = Gc.minor_words () -. w0 in
-  check_int "all delivered" 40_000 !hits;
-  check_float "minor words delta" 0.0 delta
 
 (* [Grp_node.receive] appends to the reusable flat inbox: after the
    buffer has grown to the burst size, receiving is pure array writes.
@@ -753,13 +516,9 @@ let suite =
     ("engine time order", `Quick, test_engine_order);
     ("engine fifo on ties", `Quick, test_engine_fifo_ties);
     ("engine horizon", `Quick, test_engine_horizon);
-    ("engine cancel", `Quick, test_engine_cancel);
     ("engine cascading events", `Quick, test_engine_cascading);
     ("engine rejects the past", `Quick, test_engine_past_rejected);
-    ("engine run_all guard", `Quick, test_engine_run_all_guard);
-    ("engine run_all cancelled budget", `Quick, test_engine_run_all_cancelled_budget);
-    ("engine run_until cancelled prefix", `Quick, test_engine_run_until_cancelled_prefix);
-    ("engine skips emit no fire events", `Quick, test_engine_skips_emit_no_fire_events);
+    ("engine fires match the trace", `Quick, test_engine_fired_matches_trace);
     ("medium broadcast", `Quick, test_medium_broadcast);
     ("medium excludes sender", `Quick, test_medium_excludes_sender);
     ("medium total loss", `Quick, test_medium_loss);
@@ -785,7 +544,5 @@ let suite =
     ("net in-flight drop accounting", `Quick, test_net_inflight_drop_accounting);
     ("rounds runner is deterministic", `Quick, test_rounds_deterministic);
     ("net runtime is deterministic", `Quick, test_net_deterministic);
-    ("engine delivery burst allocates nothing", `Quick, test_engine_delivery_zero_alloc);
     ("receive burst allocates nothing", `Quick, test_receive_zero_alloc);
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ engine_equivalence ]

@@ -191,7 +191,7 @@ let test_trace_counts_match_medium () =
   let engine = Engine.create () in
   let medium =
     Medium.create ~engine ~rng:(Rng.create 11) ~loss:0.4 ~delay_min:0.001
-      ~delay_max:0.01 ~per_dst_stats:true
+      ~delay_max:0.01
       ~trace:(Trace.Ring.sink ring)
       ~audience:(fun _ -> [ 1; 2; 3 ])
       ~deliver:(fun ~dst ~lid:_ _ -> dst <> 3)
@@ -232,24 +232,6 @@ let test_trace_counts_match_medium () =
   check "some of each" true
     (s.Medium.deliveries > 0 && s.Medium.losses > 0 && s.Medium.drops > 0);
   check_int "node 3 consumed nothing" 0 (count ~node:3 "Msg_delivered")
-
-(* --- engine cancel backlog (leak regression) --- *)
-
-let test_engine_cancel_backlog () =
-  let e = Engine.create () in
-  let id = Engine.schedule_at e 1.0 (fun () -> ()) in
-  Engine.run_until e 2.0;
-  Engine.cancel e id;
-  check_int "cancel after fire retains nothing" 0 (Engine.cancelled_backlog e);
-  let keep = Engine.schedule_at e 3.0 (fun () -> ()) in
-  let drop = Engine.schedule_at e 3.0 (fun () -> ()) in
-  Engine.cancel e drop;
-  Engine.cancel e drop;
-  ignore keep;
-  check_int "pending cancellation tracked once" 1 (Engine.cancelled_backlog e);
-  Engine.run_until e 4.0;
-  check_int "backlog drains on pop" 0 (Engine.cancelled_backlog e);
-  check_int "agenda empty" 0 (Engine.pending e)
 
 (* --- E1: the View_changed stream pins down convergence --- *)
 
@@ -403,7 +385,6 @@ let suite =
     ("jsonl provenance backward-compat", `Quick, test_jsonl_provenance_compat);
     ("rotating sink", `Quick, test_rotating_sink);
     ("traced counts match medium stats", `Quick, test_trace_counts_match_medium);
-    ("engine cancel backlog regression", `Quick, test_engine_cancel_backlog);
     ("E1 View_changed sequence", `Quick, test_e1_view_changed_sequence);
     ("monitor timeline", `Quick, test_monitor_timeline);
     ("doc vocabulary", `Quick, test_doc_vocabulary);

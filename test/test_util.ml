@@ -129,57 +129,25 @@ let test_invalid_args () =
 
 (* --- pqueue --- *)
 
+let drain q =
+  let rec go acc =
+    match Pqueue.pop_if q (fun _ -> true) with
+    | None -> List.rev acc
+    | Some (k, _) -> go (k :: acc)
+  in
+  go []
+
 let test_pqueue_order () =
   let q = Pqueue.create ~cmp:compare in
   List.iter (fun k -> Pqueue.add q k (string_of_int k)) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Pqueue.pop q with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
-
-let test_pqueue_length () =
-  let q = Pqueue.create ~cmp:compare in
-  check_int "empty" 0 (Pqueue.length q);
-  Pqueue.add q 1 ();
-  Pqueue.add q 2 ();
-  check_int "two" 2 (Pqueue.length q);
-  ignore (Pqueue.pop q);
-  check_int "one" 1 (Pqueue.length q);
-  Pqueue.clear q;
-  check_int "cleared" 0 (Pqueue.length q);
-  check "is_empty" true (Pqueue.is_empty q)
-
-let test_pqueue_peek () =
-  let q = Pqueue.create ~cmp:compare in
-  check "peek empty" true (Pqueue.peek q = None);
-  Pqueue.add q 3 "c";
-  Pqueue.add q 1 "a";
-  check "peek min" true (Pqueue.peek q = Some (1, "a"));
-  check_int "peek does not remove" 2 (Pqueue.length q)
-
-let test_pqueue_pop_exn () =
-  let q = Pqueue.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Pqueue.pop_exn: empty queue")
-    (fun () -> ignore (Pqueue.pop_exn q))
-
-let test_pqueue_to_sorted_list () =
-  let q = Pqueue.create ~cmp:compare in
-  List.iter (fun k -> Pqueue.add q k k) [ 3; 1; 2 ];
-  Alcotest.(check (list (pair int int)))
-    "sorted copy"
-    [ (1, 1); (2, 2); (3, 3) ]
-    (Pqueue.to_sorted_list q);
-  check_int "original intact" 3 (Pqueue.length q)
+  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] (drain q)
 
 let test_pqueue_random_vs_sort () =
   let rng = Rng.create 18 in
   let q = Pqueue.create ~cmp:compare in
   let keys = List.init 500 (fun _ -> Rng.int rng 1000) in
   List.iter (fun k -> Pqueue.add q k ()) keys;
-  let rec drain acc =
-    match Pqueue.pop q with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "matches sort" (List.sort compare keys) (drain [])
+  Alcotest.(check (list int)) "matches sort" (List.sort compare keys) (drain q)
 
 let test_pqueue_pop_if () =
   let q = Pqueue.create ~cmp:compare in
@@ -187,78 +155,9 @@ let test_pqueue_pop_if () =
   List.iter (fun k -> Pqueue.add q k k) [ 3; 1; 2 ];
   check "pred rejects min: nothing removed" true
     (Pqueue.pop_if q (fun k -> k > 1) = None);
-  check_int "still full" 3 (Pqueue.length q);
   check "pred accepts min" true (Pqueue.pop_if q (fun k -> k <= 1) = Some (1, 1));
-  check_int "one removed" 2 (Pqueue.length q);
-  check "next min" true (Pqueue.pop_if q (fun k -> k <= 2) = Some (2, 2))
-
-let test_pqueue_min_key_exn () =
-  let q = Pqueue.create ~cmp:compare in
-  Alcotest.check_raises "empty" (Invalid_argument "Pqueue.min_key_exn: empty queue")
-    (fun () -> ignore (Pqueue.min_key_exn q));
-  List.iter (fun k -> Pqueue.add q k ()) [ 7; 4; 9 ];
-  check_int "min key" 4 (Pqueue.min_key_exn q);
-  check_int "peek only" 3 (Pqueue.length q)
-
-(* --- calendar --- *)
-
-module Calendar = Dgs_util.Calendar
-
-(* The two-lane agenda must pop in exactly the (time, seq) order of a
-   plain heap, whatever mix of bucket and heap lanes the adds used. *)
-let calendar_matches_heap times =
-  let cal = Calendar.create () in
-  let q = Pqueue.create ~cmp:compare in
-  List.iteri
-    (fun seq time ->
-      Calendar.add cal ~time ~seq seq;
-      Pqueue.add q (time, seq) seq)
-    times;
-  let rec drain acc =
-    let v = Calendar.pop_min cal in
-    if v < 0 then List.rev acc else drain ((Calendar.last_time cal, v) :: acc)
-  in
-  let rec drain_heap acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some ((time, _), v) -> drain_heap ((time, v) :: acc)
-  in
-  (drain [], drain_heap [])
-
-let test_calendar_order_mixed_lanes () =
-  (* Same-timestamp runs (bucket lane) interleaved with stragglers that
-     force the heap lane, including a return to an earlier bucket time. *)
-  let times = [ 1.0; 1.0; 3.0; 1.0; 2.0; 2.0; 0.5; 2.0; 2.0; 4.0; 2.0 ] in
-  let got, want = calendar_matches_heap times in
-  check "bit-identical fire order" true (got = want)
-
-let test_calendar_order_random () =
-  let rng = Rng.create 29 in
-  for _ = 1 to 20 do
-    let n = 1 + Rng.int rng 60 in
-    let times = List.init n (fun _ -> float_of_int (Rng.int rng 8) /. 2.0) in
-    let got, want = calendar_matches_heap times in
-    check "random schedule matches heap" true (got = want)
-  done
-
-let test_calendar_pop_upto () =
-  let cal = Calendar.create () in
-  Calendar.add cal ~time:1.0 ~seq:0 10;
-  Calendar.add cal ~time:3.0 ~seq:1 30;
-  check_int "beyond horizon: nothing" (-1) (Calendar.pop_upto cal ~horizon:0.5);
-  check_int "bucket front within horizon" 10 (Calendar.pop_upto cal ~horizon:1.0);
-  check_int "heap entry beyond horizon" (-1) (Calendar.pop_upto cal ~horizon:2.0);
-  check_int "heap entry within horizon" 30 (Calendar.pop_upto cal ~horizon:3.0);
-  check_int "empty" (-1) (Calendar.pop_upto cal ~horizon:99.0);
-  check "length drained" true (Calendar.is_empty cal)
-
-let test_calendar_last_time_cell () =
-  let cal = Calendar.create () in
-  let cell = Calendar.last_time_cell cal in
-  Calendar.add cal ~time:2.5 ~seq:0 1;
-  ignore (Calendar.pop_min cal);
-  check_float "cell tracks last_time" (Calendar.last_time cal) cell.(0);
-  check_float "value" 2.5 cell.(0)
+  check "next min" true (Pqueue.pop_if q (fun k -> k <= 2) = Some (2, 2));
+  Alcotest.(check (list int)) "rest" [ 3 ] (drain q)
 
 (* --- stats --- *)
 
@@ -334,17 +233,8 @@ let suite =
     ("rng pick", `Quick, test_pick);
     ("rng invalid args", `Quick, test_invalid_args);
     ("pqueue ordered drain", `Quick, test_pqueue_order);
-    ("pqueue length/clear", `Quick, test_pqueue_length);
-    ("pqueue peek", `Quick, test_pqueue_peek);
-    ("pqueue pop_exn", `Quick, test_pqueue_pop_exn);
-    ("pqueue to_sorted_list", `Quick, test_pqueue_to_sorted_list);
     ("pqueue random vs sort", `Quick, test_pqueue_random_vs_sort);
     ("pqueue pop_if", `Quick, test_pqueue_pop_if);
-    ("pqueue min_key_exn", `Quick, test_pqueue_min_key_exn);
-    ("calendar mixed lanes vs heap", `Quick, test_calendar_order_mixed_lanes);
-    ("calendar random vs heap", `Quick, test_calendar_order_random);
-    ("calendar pop_upto horizon", `Quick, test_calendar_pop_upto);
-    ("calendar last_time cell", `Quick, test_calendar_last_time_cell);
     ("stats mean", `Quick, test_stats_mean);
     ("stats stddev", `Quick, test_stats_stddev);
     ("stats percentile", `Quick, test_stats_percentile);
