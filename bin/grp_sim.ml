@@ -490,7 +490,6 @@ let fuzz_cmd =
         "grp_sim: fuzz --trace records a single replay; use it with --replay\n";
       exit 2
     end;
-    let oracle = { Dgs_check.Oracle.default with strict_continuity = strict } in
     match replay with
     | Some path -> (
         let sc =
@@ -509,7 +508,8 @@ let fuzz_cmd =
             let r =
               with_trace_sink ?trace_max_mb trace_file trace_filter
                 (fun sink _ring ->
-                  Dgs_check.Fuzz.replay ~oracle ~trace:sink ~metrics:reg sc)
+                  Dgs_check.Fuzz.replay ~strict_continuity:strict ~trace:sink
+                    ~metrics:reg sc)
             in
             Format.printf "%a@." Dgs_check.Oracle.pp_report r;
             (match metrics_file with
@@ -521,7 +521,7 @@ let fuzz_cmd =
             exit (if Dgs_check.Oracle.failed r || not r.Dgs_check.Oracle.stabilized then 1 else 0))
     | None ->
         let s =
-          Dgs_check.Fuzz.campaign ~oracle ~jobs ~seed ~runs ~max_actions
+          Dgs_check.Fuzz.campaign ~strict_continuity:strict ~jobs ~seed ~runs ~max_actions
             ~metrics:(metrics_file <> None) ~coverage ()
         in
         Format.printf "%a@." Dgs_check.Fuzz.pp_summary s;

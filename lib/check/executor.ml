@@ -14,6 +14,9 @@ let tau_c = 1.0
 let tau_s = 0.4
 let initial_grace = 20.0
 
+(* Simulated seconds granted to reach quiescence after the script. *)
+let quiescence_budget = 150.0
+
 (* Unit-disk radius and box for scheduled mobility models: the box area
    grows with the node count so the fuzzing-sized scenarios (3-9 nodes)
    keep a mean degree that makes both merges and partitions reachable. *)
@@ -59,12 +62,11 @@ let stats_monotone (p : net_stats) (s : net_stats) =
   && s.medium.Medium.losses >= p.medium.Medium.losses
   && s.medium.Medium.drops >= p.medium.Medium.drops
 
-let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
+let run ?(strict_continuity = false) ?(protocol = Fun.id)
     ?(trace = Trace.null) ?(metrics = Dgs_metrics.Registry.null) ?on_observe
     (sc : Scenario.t) : Oracle.report =
   let module Registry = Dgs_metrics.Registry in
   let module Names = Dgs_metrics.Names in
-  let cfg = oracle in
   let m_poll = Registry.counter metrics Names.oracle_poll_total in
   let m_poll_ns = Registry.timer metrics Names.oracle_poll_ns in
   let engine = Engine.create ~trace ~metrics () in
@@ -126,28 +128,24 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
   List.iter begin_episode (Graph.nodes graph);
   let prev_stats = ref None in
   Net.on_step net (fun ~time node info ->
-      if cfg.Oracle.check_well_formed then begin
-        let l = Grp_node.antlist node in
-        if not (Antlist.well_formed l) then
-          add "well_formed" time
-            (Printf.sprintf "node %d computed ill-formed list %s"
-               (Grp_node.id node) (Antlist.to_string l))
-      end;
-      if cfg.Oracle.check_monotone_stats then begin
-        let s = Net.stats net in
-        (match !prev_stats with
-        | Some p when not (stats_monotone p s) ->
-            add "monotone_stats" time "a runtime counter decreased"
-        | _ -> ());
-        prev_stats := Some s
-      end;
+      let l = Grp_node.antlist node in
+      if not (Antlist.well_formed l) then
+        add "well_formed" time
+          (Printf.sprintf "node %d computed ill-formed list %s" (Grp_node.id node)
+             (Antlist.to_string l));
+      let s = Net.stats net in
+      (match !prev_stats with
+      | Some p when not (stats_monotone p s) ->
+          add "monotone_stats" time "a runtime counter decreased"
+      | _ -> ());
+      prev_stats := Some s;
       let removed = info.Grp_node.view_removed in
-      if cfg.Oracle.check_continuity && not (Node_id.Set.is_empty removed) then begin
+      if not (Node_id.Set.is_empty removed) then begin
         let calm =
           !current_loss = 0.0 && !current_corruption = 0.0
           && time >= !calm_from
         in
-        if cfg.Oracle.strict_continuity || calm then
+        if strict_continuity || calm then
           add "continuity" time
             (Format.asprintf "node %d evicted %a%s" (Grp_node.id node)
                Node_id.pp_set removed
@@ -289,11 +287,8 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
     current_corruption := 0.0;
     disrupt ()
   end;
-  let confirm =
-    if cfg.Oracle.confirm_window > 0 then cfg.Oracle.confirm_window
-    else sc.dmax + 5
-  in
-  let deadline = Engine.now engine +. cfg.Oracle.quiescence_budget in
+  let confirm = sc.dmax + 5 in
+  let deadline = Engine.now engine +. quiescence_budget in
   let poll () =
     Registry.Counter.incr m_poll;
     (match on_observe with
@@ -328,7 +323,7 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
      quiescence).  Each candidate period must hold over max(2p, confirm)
      consecutive polls ending at the deadline. *)
   let livelock_period =
-    if stabilized || not cfg.Oracle.check_livelock then None
+    if stabilized then None
     else begin
       let arr = Array.of_list !history in
       let n = Array.length arr in
@@ -368,42 +363,30 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
   let c = Configuration.make ~graph:g_active ~views:(Net.views net) in
   let pv v = Format.asprintf "%a" Predicates.pp_violation v in
   if stabilized then begin
-    if cfg.Oracle.check_agreement then (
-      match Predicates.agreement c with
-      | Some v -> add "agreement" t_end (pv v)
-      | None -> ());
-    if cfg.Oracle.check_safety then (
-      match Predicates.safety ~dmax:sc.dmax c with
-      | Some v -> add "safety" t_end (pv v)
-      | None -> ())
+    (match Predicates.agreement c with
+    | Some v -> add "agreement" t_end (pv v)
+    | None -> ());
+    match Predicates.safety ~dmax:sc.dmax c with
+    | Some v -> add "safety" t_end (pv v)
+    | None -> ()
   end;
-  let maximality_gap =
-    stabilized
-    &&
-    match Predicates.maximality ~dmax:sc.dmax c with
-    | Some v ->
-        if cfg.Oracle.check_maximality then add "maximality" t_end (pv v);
-        true
-    | None -> false
-  in
+  let maximality_gap = stabilized && Predicates.maximality ~dmax:sc.dmax c <> None in
   (* Cross-check the medium's aggregate counters against the per-dest
      breakdown (the two are maintained independently). *)
   let stats = Net.stats net in
   let m = stats.Net.medium in
-  if cfg.Oracle.check_monotone_stats then begin
-    let d, l, x =
-      List.fold_left
-        (fun (d, l, x) (ds : Medium.dest_stats) ->
-          (d + ds.Medium.dst_deliveries, l + ds.Medium.dst_losses, x + ds.Medium.dst_drops))
-        (0, 0, 0)
-        (Net.medium_stats_by_dest net)
-    in
-    if (d, l, x) <> (m.Medium.deliveries, m.Medium.losses, m.Medium.drops) then
-      add "stats_consistency" t_end
-        (Printf.sprintf
-           "per-dest sums (%d,%d,%d) != aggregate (deliveries=%d, losses=%d, drops=%d)"
-           d l x m.Medium.deliveries m.Medium.losses m.Medium.drops)
-  end;
+  let d, l, x =
+    List.fold_left
+      (fun (d, l, x) (ds : Medium.dest_stats) ->
+        (d + ds.Medium.dst_deliveries, l + ds.Medium.dst_losses, x + ds.Medium.dst_drops))
+      (0, 0, 0)
+      (Net.medium_stats_by_dest net)
+  in
+  if (d, l, x) <> (m.Medium.deliveries, m.Medium.losses, m.Medium.drops) then
+    add "stats_consistency" t_end
+      (Printf.sprintf
+         "per-dest sums (%d,%d,%d) != aggregate (deliveries=%d, losses=%d, drops=%d)"
+         d l x m.Medium.deliveries m.Medium.losses m.Medium.drops);
   (* Engine-fire budget: close the still-open episodes, then compare. *)
   Hashtbl.iter
     (fun _ t0 -> budget := !budget +. ((t_end -. t0) *. rate) +. 4.0)
@@ -412,7 +395,7 @@ let run ?(oracle = Oracle.default) ?(protocol = Fun.id)
   let fire_budget =
     int_of_float (Float.ceil !budget) + m.Medium.deliveries + m.Medium.drops
   in
-  if cfg.Oracle.check_engine_budget && fires > fire_budget then
+  if fires > fire_budget then
     add "engine_budget" t_end
       (Printf.sprintf
          "engine executed %d callbacks but the schedule only justifies %d — timer leak?"

@@ -27,14 +27,17 @@ val initial_grace : float
     first legitimate configuration without false eviction alarms. *)
 
 val run :
-  ?oracle:Oracle.config ->
+  ?strict_continuity:bool ->
   ?protocol:(Dgs_core.Config.t -> Dgs_core.Config.t) ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->
   ?on_observe:(time:float -> Dgs_spec.Configuration.t -> unit) ->
   Scenario.t ->
   Oracle.report
-(** [protocol] post-processes the protocol configuration built from the
+(** [strict_continuity] (default [false]) makes every eviction a
+    continuity violation, calm window or not (see {!Oracle}).
+
+    [protocol] post-processes the protocol configuration built from the
     scenario (default: identity).  Used by ablation tests to replay a
     pinned scenario with a protocol mechanism switched off — e.g. proving
     that a regression script livelocks again without the contest

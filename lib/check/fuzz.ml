@@ -24,7 +24,8 @@ type summary = {
   coverage : Coverage.report option;
 }
 
-let replay ?oracle ?trace ?metrics sc = Executor.run ?oracle ?trace ?metrics sc
+let replay ?strict_continuity ?trace ?metrics sc =
+  Executor.run ?strict_continuity ?trace ?metrics sc
 
 (* One whole task: generate, execute, judge, and (on failure) shrink.
    A pure function of [(master state, run index)] — per-run randomness is
@@ -41,14 +42,15 @@ let replay ?oracle ?trace ?metrics sc = Executor.run ?oracle ?trace ?metrics sc
    [domain_reg], the per-domain registry of whichever pool worker claimed
    the task.  Shrink replays run unmetered: the per-run snapshot describes
    the original execution only. *)
-let execute_one ~oracle ~shrink_attempts ~with_metrics domain_reg run sc =
+let execute_one ~strict_continuity ~shrink_attempts ~with_metrics domain_reg run
+    sc =
   let d_runs = Registry.counter domain_reg Names.fuzz_run_total in
   let d_failures = Registry.counter domain_reg Names.fuzz_failure_total in
   let d_run_ns = Registry.timer domain_reg Names.fuzz_run_ns in
   let reg = if with_metrics then Registry.create () else Registry.null in
   Registry.Counter.incr d_runs;
   let t0 = Registry.Timer.start d_run_ns in
-  let report = Executor.run ~oracle ~metrics:reg sc in
+  let report = Executor.run ~strict_continuity ~metrics:reg sc in
   Registry.Timer.stop d_run_ns t0;
   let failure =
     match report.Oracle.violations with
@@ -56,7 +58,7 @@ let execute_one ~oracle ~shrink_attempts ~with_metrics domain_reg run sc =
     | v0 :: _ ->
         Registry.Counter.incr d_failures;
         let still_fails sc' =
-          let r = Executor.run ~oracle sc' in
+          let r = Executor.run ~strict_continuity sc' in
           List.exists
             (fun v -> String.equal v.Oracle.check v0.Oracle.check)
             r.Oracle.violations
@@ -69,11 +71,11 @@ let execute_one ~oracle ~shrink_attempts ~with_metrics domain_reg run sc =
   let snap = if with_metrics then Some (Registry.snapshot reg) else None in
   (sc, report, failure, snap)
 
-let run_one ~oracle ~shrink_attempts ~max_actions ~master ~with_metrics
-    domain_reg run =
+let run_one ~strict_continuity ~shrink_attempts ~max_actions ~master
+    ~with_metrics domain_reg run =
   let rng = Rng.split_at master run in
   let sc = Scenario.generate rng ~max_actions in
-  execute_one ~oracle ~shrink_attempts ~with_metrics domain_reg run sc
+  execute_one ~strict_continuity ~shrink_attempts ~with_metrics domain_reg run sc
 
 (* Generations per weight update in guided mode.  Generation happens in
    the caller with the weights current at the start of the batch, the
@@ -83,8 +85,8 @@ let run_one ~oracle ~shrink_attempts ~max_actions ~master ~with_metrics
    of [jobs] and of worker interleaving. *)
 let coverage_batch = 50
 
-let guided ~oracle ~shrink_attempts ~jobs ~make ~evolve ~runs ~max_actions
-    ~master =
+let guided ~strict_continuity ~shrink_attempts ~jobs ~make ~evolve ~runs
+    ~max_actions ~master =
   let cov = Coverage.create () in
   let results = ref [] in
   let domain_regs = ref [] in
@@ -103,8 +105,8 @@ let guided ~oracle ~shrink_attempts ~jobs ~make ~evolve ~runs ~max_actions
       Pool.map_ctx ~jobs ~make b (fun dreg i ->
           (* Per-run metrics are always live here: the coverage signature
              is read off the run's snapshot. *)
-          execute_one ~oracle ~shrink_attempts ~with_metrics:true dreg
-            (start + i) scs.(i))
+          execute_one ~strict_continuity ~shrink_attempts ~with_metrics:true
+            dreg (start + i) scs.(i))
     in
     let sigs =
       List.mapi
@@ -119,19 +121,19 @@ let guided ~oracle ~shrink_attempts ~jobs ~make ~evolve ~runs ~max_actions
   done;
   (List.rev !results, List.rev !domain_regs, Some (Coverage.report cov))
 
-let campaign ?(oracle = Oracle.default) ?(shrink_attempts = 400) ?(jobs = 1)
+let campaign ?(strict_continuity = false) ?(shrink_attempts = 400) ?(jobs = 1)
     ?(metrics = false) ?(coverage = false) ?(evolve = true) ~seed ~runs
     ~max_actions ?(on_run = fun _ _ _ -> ()) () =
   let master = Rng.create seed in
   let make () = if metrics then Registry.create () else Registry.null in
   let results, domain_regs, coverage_report =
     if coverage then
-      guided ~oracle ~shrink_attempts ~jobs ~make ~evolve ~runs ~max_actions
-        ~master
+      guided ~strict_continuity ~shrink_attempts ~jobs ~make ~evolve ~runs
+        ~max_actions ~master
     else
       let r, d =
         Pool.map_ctx ~jobs ~make runs
-          (run_one ~oracle ~shrink_attempts ~max_actions ~master
+          (run_one ~strict_continuity ~shrink_attempts ~max_actions ~master
              ~with_metrics:metrics)
       in
       (r, d, None)

@@ -51,7 +51,7 @@ type summary = {
 }
 
 val campaign :
-  ?oracle:Oracle.config ->
+  ?strict_continuity:bool ->
   ?shrink_attempts:int ->
   ?jobs:int ->
   ?metrics:bool ->
@@ -90,7 +90,7 @@ val campaign :
     weight evolution. *)
 
 val replay :
-  ?oracle:Oracle.config ->
+  ?strict_continuity:bool ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->
   Scenario.t ->

@@ -1,32 +1,3 @@
-type config = {
-  check_well_formed : bool;
-  check_monotone_stats : bool;
-  check_continuity : bool;
-  strict_continuity : bool;
-  check_engine_budget : bool;
-  check_agreement : bool;
-  check_safety : bool;
-  check_maximality : bool;
-  check_livelock : bool;
-  quiescence_budget : float;
-  confirm_window : int;
-}
-
-let default =
-  {
-    check_well_formed = true;
-    check_monotone_stats = true;
-    check_continuity = true;
-    strict_continuity = false;
-    check_engine_budget = true;
-    check_agreement = true;
-    check_safety = true;
-    check_maximality = false;
-    check_livelock = true;
-    quiescence_budget = 150.0;
-    confirm_window = 0;
-  }
-
 type violation = { check : string; time : float; detail : string }
 
 type report = {
@@ -48,44 +19,41 @@ type report = {
 
 let failed r = r.violations <> []
 
+module Json = Dgs_util.Json
+
 (* Machine-readable report encoding: every field, every violation, fixed
    key order, deterministic number formatting — two reports are equal iff
    their JSON strings are byte-equal, which is what the jobs=N vs jobs=1
    determinism tests compare. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 let report_to_json r =
+  let int n = Json.Num (float_of_int n) in
+  let opt f = function None -> Json.Null | Some v -> f v in
   let violation v =
-    Printf.sprintf {|{"check":"%s","time":%s,"detail":"%s"}|}
-      (json_escape v.check) (json_num v.time) (json_escape v.detail)
+    Json.Obj
+      [
+        ("check", Json.Str v.check);
+        ("time", Json.Num v.time);
+        ("detail", Json.Str v.detail);
+      ]
   in
-  let opt to_s = function None -> "null" | Some v -> to_s v in
-  Printf.sprintf
-    {|{"violations":[%s],"stabilized":%b,"quiesce_time":%s,"livelock_period":%s,"maximality_gap":%b,"groups":%d,"evictions":%d,"computes":%d,"broadcasts":%d,"deliveries":%d,"drops":%d,"losses":%d,"engine_fires":%d,"engine_fire_budget":%d}|}
-    (String.concat "," (List.map violation r.violations))
-    r.stabilized
-    (opt json_num r.quiesce_time)
-    (opt string_of_int r.livelock_period)
-    r.maximality_gap r.groups r.evictions r.computes r.broadcasts r.deliveries
-    r.drops r.losses r.engine_fires r.engine_fire_budget
+  Json.to_string
+    (Json.Obj
+       [
+         ("violations", Json.Arr (List.map violation r.violations));
+         ("stabilized", Json.Bool r.stabilized);
+         ("quiesce_time", opt (fun t -> Json.Num t) r.quiesce_time);
+         ("livelock_period", opt int r.livelock_period);
+         ("maximality_gap", Json.Bool r.maximality_gap);
+         ("groups", int r.groups);
+         ("evictions", int r.evictions);
+         ("computes", int r.computes);
+         ("broadcasts", int r.broadcasts);
+         ("deliveries", int r.deliveries);
+         ("drops", int r.drops);
+         ("losses", int r.losses);
+         ("engine_fires", int r.engine_fires);
+         ("engine_fire_budget", int r.engine_fire_budget);
+       ])
 
 let pp_violation ppf v =
   Format.fprintf ppf "@[<h>[%s] t=%.3f %s@]" v.check v.time v.detail

@@ -15,39 +15,21 @@
     in a {e calm window}: the channel is currently lossless and
     uncorrupted, and enough time has passed since the last disruption
     (churn, loss episode, or a [ΠT]-breaking rewire) for the protocol to
-    have restabilized.  [strict_continuity] disables the calm-window
-    gating — useful to make any eviction a failure in targeted tests.
+    have restabilized.  [~strict_continuity:true] on {!Executor.run}
+    disables the calm-window gating — useful to make any eviction a
+    failure in targeted tests.
 
-    Maximality ([ΠM]) is recorded but does not fail a run by default: the
-    implemented [compatibleList] admission test is deliberately more
-    conservative than the paper's (see DESIGN.md Section 5 and experiment
-    E3), so mergeable groups can legitimately persist on dense
-    topologies.  Set [check_maximality] to make it a hard failure. *)
+    The quiescence phase lasts at most 150 simulated seconds; the network
+    is quiescent once its state signature is unchanged for [dmax + 5]
+    consecutive polls.  A run that exhausts the budget is scanned for a
+    livelock: a period [p >= 2] at which the polled signatures repeat over
+    [max 2p (dmax + 5)] polls.
 
-type config = {
-  check_well_formed : bool;
-  check_monotone_stats : bool;
-  check_continuity : bool;
-  strict_continuity : bool;  (** every eviction fails, calm or not *)
-  check_engine_budget : bool;
-  check_agreement : bool;
-  check_safety : bool;
-  check_maximality : bool;  (** default [false]: recorded, not failing *)
-  check_livelock : bool;
-      (** when a run exhausts its quiescence budget, scan the polled state
-          signatures for a period [p >= 2] confirmed over
-          [max 2p confirm_window] polls; a hit is a "livelock" violation *)
-  quiescence_budget : float;
-      (** simulated seconds granted to reach quiescence after the script *)
-  confirm_window : int;
-      (** consecutive unchanged signatures declaring quiescence;
-          [<= 0] means [dmax + 5] *)
-}
-
-val default : config
-(** Everything on except [strict_continuity] and [check_maximality];
-    [check_livelock] on; [quiescence_budget = 150.0]; adaptive
-    [confirm_window]. *)
+    Maximality ([ΠM]) is recorded in {!report.maximality_gap} and never
+    fails a run: the implemented [compatibleList] admission test is
+    deliberately more conservative than the paper's (see DESIGN.md
+    Section 5 and experiment E3), so mergeable groups can legitimately
+    persist on dense topologies. *)
 
 type violation = { check : string; time : float; detail : string }
 
@@ -60,8 +42,7 @@ type report = {
           which the final state signatures provably repeat, if any — a
           periodic non-quiescent run is a livelock, not mere slowness *)
   maximality_gap : bool;
-      (** mergeable groups remained at quiescence (informational unless
-          [check_maximality]) *)
+      (** mergeable groups remained at quiescence (informational only) *)
   groups : int;  (** distinct groups at the end of the run *)
   evictions : int;  (** view removals over the whole run *)
   computes : int;

@@ -56,30 +56,6 @@ let build = function
   | Loop (g, s) -> Gen.group_loop ~groups:g ~group_size:s
   | Er (n, p, seed) -> Gen.erdos_renyi (Rng.create seed) ~n ~p
 
-let mentioned = function
-  | Deactivate v | Activate v | Reset v | Remove v | Add v -> [ v ]
-  | Add_edge (u, v) | Remove_edge (u, v) -> [ u; v ]
-  | Pause _ | Set_loss _ | Mob_start _ | Mob_step _ | Ramp_loss _
-  | Ramp_corruption _ ->
-      []
-
-let universe sc =
-  let base = List.init (node_count sc.topology) Fun.id in
-  List.sort_uniq compare (base @ List.concat_map mentioned sc.actions)
-
-(* Mobility steps and ramp stairs each advance the simulation one compute
-   period (Executor.tau_c = 1.0), so they count toward the schedule's
-   simulated span like pauses do. *)
-let duration sc =
-  List.fold_left
-    (fun acc -> function
-      | Pause d -> acc +. d
-      | Mob_step k -> acc +. float_of_int (max 0 k)
-      | Ramp_loss (_, steps) | Ramp_corruption (_, steps) ->
-          acc +. float_of_int (max 1 steps)
-      | _ -> acc)
-    0.0 sc.actions
-
 type family =
   | F_pause
   | F_deactivate
@@ -272,12 +248,7 @@ let generate_weighted rng ~max_actions ~weights =
   in
   { seed; dmax; loss; corruption; topology; actions = make count [] }
 
-(* Numbers are printed so that [float_of_string] recovers them exactly:
-   integers without a fraction, everything else with 17 significant digits
-   (enough to round-trip any binary64). *)
-let num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+module Json = Dgs_util.Json
 
 let topology_to_string = function
   | Line n -> Printf.sprintf "line %d" n
@@ -288,7 +259,7 @@ let topology_to_string = function
   | Btree n -> Printf.sprintf "btree %d" n
   | Chain (g, s) -> Printf.sprintf "chain %d %d" g s
   | Loop (g, s) -> Printf.sprintf "loop %d %d" g s
-  | Er (n, p, seed) -> Printf.sprintf "er %d %s %d" n (num p) seed
+  | Er (n, p, seed) -> Printf.sprintf "er %d %s %d" n (Json.num p) seed
 
 let topology_of_string s =
   let int = int_of_string_opt and flt = float_of_string_opt in
@@ -330,21 +301,21 @@ let mob_model_of_string = function
   | _ -> None
 
 let action_to_string = function
-  | Pause d -> Printf.sprintf "pause %s" (num d)
+  | Pause d -> Printf.sprintf "pause %s" (Json.num d)
   | Deactivate v -> Printf.sprintf "deactivate %d" v
   | Activate v -> Printf.sprintf "activate %d" v
   | Reset v -> Printf.sprintf "reset %d" v
   | Remove v -> Printf.sprintf "remove %d" v
   | Add v -> Printf.sprintf "add %d" v
-  | Set_loss p -> Printf.sprintf "loss %s" (num p)
+  | Set_loss p -> Printf.sprintf "loss %s" (Json.num p)
   | Add_edge (u, v) -> Printf.sprintf "add-edge %d %d" u v
   | Remove_edge (u, v) -> Printf.sprintf "remove-edge %d %d" u v
   | Mob_start (m, speed) ->
-      Printf.sprintf "mob-start %s %s" (mob_model_to_string m) (num speed)
+      Printf.sprintf "mob-start %s %s" (mob_model_to_string m) (Json.num speed)
   | Mob_step k -> Printf.sprintf "mob-step %d" k
-  | Ramp_loss (p, steps) -> Printf.sprintf "ramp-loss %s %d" (num p) steps
+  | Ramp_loss (p, steps) -> Printf.sprintf "ramp-loss %s %d" (Json.num p) steps
   | Ramp_corruption (p, steps) ->
-      Printf.sprintf "ramp-corruption %s %d" (num p) steps
+      Printf.sprintf "ramp-corruption %s %d" (Json.num p) steps
 
 let action_of_string s =
   let int = int_of_string_opt and flt = float_of_string_opt in
@@ -379,179 +350,44 @@ let action_of_string s =
       | _ -> None)
   | _ -> None
 
-(* Our strings only ever contain [a-z0-9 .+-]; no escaping needed. *)
-let quote s = "\"" ^ s ^ "\""
-
 let to_string sc =
-  Printf.sprintf
-    {|{"seed":%d,"dmax":%d,"loss":%s,"corruption":%s,"topology":%s,"actions":[%s]}|}
-    sc.seed sc.dmax (num sc.loss) (num sc.corruption)
-    (quote (topology_to_string sc.topology))
-    (String.concat "," (List.map (fun a -> quote (action_to_string a)) sc.actions))
-
-(* Minimal parser for the subset of JSON [to_string] emits: one flat object
-   whose values are numbers, strings, or arrays of strings (same spirit as
-   the hand-rolled reader in [Dgs_trace.Trace.Jsonl] — no json dependency). *)
-type value = Num of float | Str of string | Arr of string list
-
-let parse_object (s : string) : (string * value) list option =
-  let n = String.length s in
-  let i = ref 0 in
-  let error = ref false in
-  let skip_ws () =
-    while
-      !i < n && (match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr i
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !i < n && s.[!i] = c then incr i else error := true
-  in
-  let parse_str () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let fin = ref false in
-    while (not !fin) && not !error do
-      if !i >= n then error := true
-      else
-        match s.[!i] with
-        | '"' ->
-            incr i;
-            fin := true
-        | '\\' ->
-            if !i + 1 >= n then error := true
-            else begin
-              (match s.[!i + 1] with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | _ -> error := true);
-              i := !i + 2
-            end
-        | c ->
-            Buffer.add_char b c;
-            incr i
-    done;
-    Buffer.contents b
-  in
-  let parse_num () =
-    skip_ws ();
-    let start = !i in
-    while
-      !i < n
-      && match s.[!i] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false
-    do
-      incr i
-    done;
-    if !i = start then begin
-      error := true;
-      0.0
-    end
-    else
-      match float_of_string_opt (String.sub s start (!i - start)) with
-      | Some f -> f
-      | None ->
-          error := true;
-          0.0
-  in
-  let parse_value () =
-    skip_ws ();
-    if !i >= n then begin
-      error := true;
-      Num 0.0
-    end
-    else
-      match s.[!i] with
-      | '"' -> Str (parse_str ())
-      | '[' ->
-          incr i;
-          skip_ws ();
-          if !i < n && s.[!i] = ']' then begin
-            incr i;
-            Arr []
-          end
-          else begin
-            let items = ref [] in
-            let fin = ref false in
-            while (not !fin) && not !error do
-              items := parse_str () :: !items;
-              skip_ws ();
-              if !i < n && s.[!i] = ',' then incr i
-              else begin
-                expect ']';
-                fin := true
-              end
-            done;
-            Arr (List.rev !items)
-          end
-      | _ -> Num (parse_num ())
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  if !i < n && s.[!i] = '}' then incr i
-  else begin
-    let fin = ref false in
-    while (not !fin) && not !error do
-      let k = parse_str () in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      if !i < n && s.[!i] = ',' then incr i
-      else begin
-        expect '}';
-        fin := true
-      end
-    done
-  end;
-  skip_ws ();
-  if !error || !i <> n then None else Some (List.rev !fields)
+  let int n = Json.Num (float_of_int n) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("seed", int sc.seed);
+         ("dmax", int sc.dmax);
+         ("loss", Json.Num sc.loss);
+         ("corruption", Json.Num sc.corruption);
+         ("topology", Json.Str (topology_to_string sc.topology));
+         ( "actions",
+           Json.Arr (List.map (fun a -> Json.Str (action_to_string a)) sc.actions) );
+       ])
 
 let of_string s =
-  match parse_object (String.trim s) with
-  | None -> None
-  | Some fields -> (
-      let num k =
-        match List.assoc_opt k fields with Some (Num f) -> Some f | _ -> None
-      in
-      let str k =
-        match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
-      in
-      let arr k =
-        match List.assoc_opt k fields with Some (Arr l) -> Some l | _ -> None
-      in
-      let all_actions l =
+  let ( let* ) = Option.bind in
+  let* v = Json.of_string s in
+  let num k = match Json.field k v with Some (Json.Num f) -> Some f | _ -> None in
+  let str k = match Json.field k v with Some (Json.Str s) -> Some s | _ -> None in
+  let action = function Json.Str s -> action_of_string s | _ -> None in
+  let* seed = num "seed" in
+  let* dmax = num "dmax" in
+  let* loss = num "loss" in
+  let* corruption = num "corruption" in
+  let* topology = Option.bind (str "topology") topology_of_string in
+  let* actions =
+    match Json.field "actions" v with
+    | Some (Json.Arr items) ->
         List.fold_right
-          (fun s acc ->
-            match (action_of_string s, acc) with
-            | Some a, Some acc -> Some (a :: acc)
-            | _ -> None)
-          l (Some [])
-      in
-      match
-        ( num "seed",
-          num "dmax",
-          num "loss",
-          num "corruption",
-          Option.bind (str "topology") topology_of_string,
-          Option.bind (arr "actions") all_actions )
-      with
-      | Some seed, Some dmax, Some loss, Some corruption, Some topology, Some actions
-        ->
-          Some
-            {
-              seed = int_of_float seed;
-              dmax = int_of_float dmax;
-              loss;
-              corruption;
-              topology;
-              actions;
-            }
-      | _ -> None)
+          (fun item acc ->
+            let* acc = acc in
+            let* a = action item in
+            Some (a :: acc))
+          items (Some [])
+    | _ -> None
+  in
+  let seed = int_of_float seed and dmax = int_of_float dmax in
+  Some { seed; dmax; loss; corruption; topology; actions }
 
 let save path sc =
   let oc = open_out path in

@@ -67,14 +67,6 @@ val node_count : topology -> int
 val build : topology -> Dgs_graph.Graph.t
 (** Materialize the initial topology. *)
 
-val universe : t -> int list
-(** All node ids a generated scenario may mention: the initial nodes plus
-    a few spare ids for [Add] actions. *)
-
-val duration : t -> float
-(** Total scheduled simulated span of the action phase: pauses plus one
-    compute period per mobility step and per ramp stair. *)
-
 val generate : Dgs_util.Rng.t -> max_actions:int -> t
 (** Sample a random scenario: a topology family, channel parameters and
     between 1 and [max_actions] actions.  Consumes the given generator;
@@ -134,8 +126,9 @@ val action_to_string : action -> string
 val action_of_string : string -> action option
 
 val to_string : t -> string
-(** One-line JSON object, round-tripping exactly through {!of_string}
-    (floats are printed with full precision). *)
+(** One-line JSON object, round-tripping exactly through {!of_string}:
+    floats, including those inside the topology and action strings, are
+    printed with {!Dgs_util.Json.num}. *)
 
 val of_string : string -> t option
 

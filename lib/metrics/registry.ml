@@ -237,72 +237,40 @@ let merge = List.fold_left merge2 empty_snapshot
 
 (* --- JSON --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Dgs_util.Json
 
-let json_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
-
-let obj buf fields emit =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape name);
-      Buffer.add_string buf "\":";
-      emit buf v)
-    fields;
-  Buffer.add_char buf '}'
-
-let counters_to_json s =
-  let buf = Buffer.create 256 in
-  obj buf s.counters (fun b n -> Buffer.add_string b (string_of_int n));
-  Buffer.contents buf
+let int n = Json.Num (float_of_int n)
+let obj f xs = Json.Obj (List.map (fun (k, v) -> (k, f v)) xs)
+let counters_to_json s = Json.to_string (obj int s.counters)
 
 let to_json s =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":1,\"cores\":";
-  Buffer.add_string buf (string_of_int s.cores);
-  Buffer.add_string buf ",\"jobs\":";
-  Buffer.add_string buf
-    (match s.jobs with None -> "null" | Some j -> string_of_int j);
-  Buffer.add_string buf ",\"counters\":";
-  Buffer.add_string buf (counters_to_json s);
-  Buffer.add_string buf ",\"gauges\":";
-  obj buf s.gauges (fun b v -> Buffer.add_string b (json_num v));
-  Buffer.add_string buf ",\"timers_ns\":";
-  obj buf s.timers (fun b t ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"count\":%d,\"total\":%s,\"max\":%s}" t.spans
-           (json_num t.total_ns) (json_num t.max_ns)));
-  Buffer.add_string buf ",\"histograms\":";
-  obj buf s.histograms (fun b (w, bins) ->
-      Buffer.add_string b "{\"bin_width\":";
-      Buffer.add_string b (json_num w);
-      Buffer.add_string b ",\"bins\":[";
-      List.iteri
-        (fun i (lo, c) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "[%s,%d]" (json_num lo) c))
-        bins;
-      Buffer.add_string b "]}");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let timer t =
+    Json.Obj
+      [
+        ("count", int t.spans);
+        ("total", Json.Num t.total_ns);
+        ("max", Json.Num t.max_ns);
+      ]
+  in
+  let hist (w, bins) =
+    Json.Obj
+      [
+        ("bin_width", Json.Num w);
+        ( "bins",
+          Json.Arr (List.map (fun (lo, c) -> Json.Arr [ Json.Num lo; int c ]) bins) );
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", int 1);
+         ("cores", int s.cores);
+         ("jobs", match s.jobs with None -> Json.Null | Some j -> int j);
+         ("counters", obj int s.counters);
+         ("gauges", obj (fun v -> Json.Num v) s.gauges);
+         ("timers_ns", obj timer s.timers);
+         ("histograms", obj hist s.histograms);
+       ])
 
 (* --- Prometheus text exposition --- *)
 
@@ -331,16 +299,16 @@ let to_prometheus s =
   List.iter
     (fun (name, v) ->
       type_line (family name) "gauge";
-      Buffer.add_string buf (Printf.sprintf "%s %s\n" name (json_num v)))
+      Buffer.add_string buf (Printf.sprintf "%s %s\n" name (Json.num v)))
     s.gauges;
   List.iter
     (fun (name, t) ->
       type_line (family name) "summary";
       Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name t.spans);
       Buffer.add_string buf
-        (Printf.sprintf "%s_total_ns %s\n" name (json_num t.total_ns));
+        (Printf.sprintf "%s_total_ns %s\n" name (Json.num t.total_ns));
       Buffer.add_string buf
-        (Printf.sprintf "%s_max_ns %s\n" name (json_num t.max_ns)))
+        (Printf.sprintf "%s_max_ns %s\n" name (Json.num t.max_ns)))
     s.timers;
   List.iter
     (fun (name, (w, bins)) ->
@@ -350,7 +318,7 @@ let to_prometheus s =
         (fun (lo, c) ->
           cum := !cum + c;
           Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{le=%S} %d\n" name (json_num (lo +. w)) !cum))
+            (Printf.sprintf "%s_bucket{le=%S} %d\n" name (Json.num (lo +. w)) !cum))
         bins;
       Buffer.add_string buf
         (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name !cum);
@@ -358,233 +326,47 @@ let to_prometheus s =
     s.histograms;
   Buffer.contents buf
 
-(* --- minimal JSON parser for snapshot_of_json --- *)
-
-type jv =
-  | Jnull
-  | Jnum of float
-  | Jstr of string
-  | Jarr of jv list
-  | Jobj of (string * jv) list
+(* --- reading a snapshot back --- *)
 
 exception Bad
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise Bad in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise Bad;
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'u' ->
-              (* \uXXXX: only the ASCII range our emitter produces. *)
-              if !pos + 4 >= n then raise Bad;
-              let hex = String.sub s (!pos + 1) 4 in
-              advance ();
-              advance ();
-              advance ();
-              advance ();
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-              | _ -> raise Bad)
-          | _ -> raise Bad);
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    if !pos = start then raise Bad;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some x -> x
-    | None -> raise Bad
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Jstr (parse_string ())
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          Jobj [])
-        else begin
-          let pairs = ref [] in
-          let continue = ref true in
-          while !continue do
-            skip_ws ();
-            let key = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            pairs := (key, v) :: !pairs;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance ()
-            | '}' ->
-                advance ();
-                continue := false
-            | _ -> raise Bad
-          done;
-          Jobj (List.rev !pairs)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          Jarr [])
-        else begin
-          let items = ref [] in
-          let continue = ref true in
-          while !continue do
-            items := parse_value () :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance ()
-            | ']' ->
-                advance ();
-                continue := false
-            | _ -> raise Bad
-          done;
-          Jarr (List.rev !items)
-        end
-    | 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
-          pos := !pos + 4;
-          Jnull
-        end
-        else raise Bad
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Jnum 1.0
-        end
-        else raise Bad
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Jnum 0.0
-        end
-        else raise Bad
-    | _ -> Jnum (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise Bad;
-  v
-
 let snapshot_of_json line =
-  match parse_json line with
-  | exception Bad -> None
-  | Jobj fields -> (
-      let find k = List.assoc_opt k fields in
-      let objf k =
-        match find k with Some (Jobj o) -> o | None -> [] | _ -> raise Bad
-      in
-      match
-        let cores =
-          match find "cores" with Some (Jnum x) -> int_of_float x | _ -> 0
-        in
-        let jobs =
-          match find "jobs" with
-          | Some (Jnum x) -> Some (int_of_float x)
-          | _ -> None
-        in
-        let counters =
-          List.map
-            (function k, Jnum x -> (k, int_of_float x) | _ -> raise Bad)
-            (objf "counters")
-        in
-        let gauges =
-          List.map
-            (function k, Jnum x -> (k, x) | _ -> raise Bad)
-            (objf "gauges")
-        in
-        let timers =
-          List.map
-            (function
-              | k, Jobj t ->
-                  let num key =
-                    match List.assoc_opt key t with
-                    | Some (Jnum x) -> x
-                    | _ -> raise Bad
-                  in
-                  ( k,
-                    {
-                      spans = int_of_float (num "count");
-                      total_ns = num "total";
-                      max_ns = num "max";
-                    } )
-              | _ -> raise Bad)
-            (objf "timers_ns")
-        in
-        let histograms =
-          List.map
-            (function
-              | k, Jobj h ->
-                  let w =
-                    match List.assoc_opt "bin_width" h with
-                    | Some (Jnum x) -> x
-                    | _ -> raise Bad
-                  in
-                  let bins =
-                    match List.assoc_opt "bins" h with
-                    | Some (Jarr items) ->
-                        List.map
-                          (function
-                            | Jarr [ Jnum lo; Jnum c ] -> (lo, int_of_float c)
-                            | _ -> raise Bad)
-                          items
-                    | _ -> raise Bad
-                  in
-                  (k, (w, bins))
-              | _ -> raise Bad)
-            (objf "histograms")
-        in
-        { cores; jobs; counters; gauges; timers; histograms }
-      with
-      | exception Bad -> None
-      | s -> Some s)
+  let num = function Json.Num x -> x | _ -> raise Bad in
+  let get k v = match Json.field k v with Some x -> x | None -> raise Bad in
+  let objf k v =
+    match Json.field k v with Some (Json.Obj o) -> o | None -> [] | _ -> raise Bad
+  in
+  let decode v =
+    let timer t =
+      {
+        spans = int_of_float (num (get "count" t));
+        total_ns = num (get "total" t);
+        max_ns = num (get "max" t);
+      }
+    in
+    let bin = function
+      | Json.Arr [ Json.Num lo; Json.Num c ] -> (lo, int_of_float c)
+      | _ -> raise Bad
+    in
+    let hist h =
+      match get "bins" h with
+      | Json.Arr bins -> (num (get "bin_width" h), List.map bin bins)
+      | _ -> raise Bad
+    in
+    let each f k = List.map (fun (name, x) -> (name, f x)) (objf k v) in
+    {
+      cores =
+        (match Json.field "cores" v with Some (Json.Num x) -> int_of_float x | _ -> 0);
+      jobs =
+        (match Json.field "jobs" v with
+        | Some (Json.Num x) -> Some (int_of_float x)
+        | _ -> None);
+      counters = each (fun x -> int_of_float (num x)) "counters";
+      gauges = each num "gauges";
+      timers = each timer "timers_ns";
+      histograms = each hist "histograms";
+    }
+  in
+  match Json.of_string line with
+  | Some (Json.Obj _ as v) -> ( try Some (decode v) with Bad -> None)
   | _ -> None

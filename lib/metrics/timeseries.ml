@@ -9,16 +9,9 @@ let points t = List.rev t.points
 let last t = match t.points with [] -> None | p :: _ -> Some p
 let values t = List.rev_map snd t.points
 
-(* Same quoting rule as Table.csv_escape: a series name with a delimiter in
-   it must not corrupt the header row. *)
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 let to_csv t =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf ("time," ^ csv_escape t.name ^ "\n");
+  Buffer.add_string buf ("time," ^ Table.csv_escape t.name ^ "\n");
   List.iter
     (fun (time, v) -> Buffer.add_string buf (Printf.sprintf "%f,%f\n" time v))
     (points t);

@@ -140,7 +140,6 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
 
 let config t = t.config
 let graph t = t.graph
-let shard_count t = Array.length t.shards
 let jobs t = t.jobs
 let barrier_s t = t.barrier_s
 let broadcast_s t = t.broadcast_s

@@ -64,9 +64,6 @@ val create :
 val config : t -> Dgs_core.Config.t
 val graph : t -> Dgs_graph.Graph.t
 
-val shard_count : t -> int
-(** Number of logical shards. *)
-
 val jobs : t -> int
 (** Worker domains used per parallel phase. *)
 

@@ -228,265 +228,118 @@ end
 (* --- JSONL sink --- *)
 
 module Jsonl = struct
+  module Json = Dgs_util.Json
 
-  (* %.12g round-trips every timestamp the simulators produce and never
-     prints the "1." form that is invalid JSON. *)
-  let num x =
-    if Float.is_integer x && Float.abs x < 1e15 then
-      Printf.sprintf "%.0f" x
-    else Printf.sprintf "%.12g" x
-
-  let ints ids = "[" ^ String.concat "," (List.map string_of_int ids) ^ "]"
+  let int i = Json.Num (float_of_int i)
+  let ints ids = Json.Arr (List.map int ids)
 
   (* Provenance fields are omitted at [-1] so traces recorded before the
      lineage layer (and runs without it) keep their exact old schema. *)
-  let opt name v tail = if v >= 0 then (name, string_of_int v) :: tail else tail
+  let opt name v tail = if v >= 0 then (name, int v) :: tail else tail
 
   let fields = function
-    | Msg_sent { src; lid } -> ("src", string_of_int src) :: opt "lid" lid []
+    | Msg_sent { src; lid } -> ("src", int src) :: opt "lid" lid []
     | Msg_delivered { src; dst; cause }
     | Msg_lost { src; dst; cause }
     | Msg_dropped { src; dst; cause } ->
-        ("src", string_of_int src)
-        :: ("dst", string_of_int dst)
-        :: opt "cause" cause []
+        ("src", int src) :: ("dst", int dst) :: opt "cause" cause []
     | View_changed { node; added; removed; view; cause } ->
-        ("node", string_of_int node)
+        ("node", int node)
         :: ("added", ints added)
         :: ("removed", ints removed)
         :: ("view", ints view)
         :: opt "cause" cause []
     | Quarantine_enter { node; member; remaining; cause } ->
-        ("node", string_of_int node)
-        :: ("member", string_of_int member)
-        :: ("remaining", string_of_int remaining)
+        ("node", int node)
+        :: ("member", int member)
+        :: ("remaining", int remaining)
         :: opt "cause" cause []
     | Quarantine_admit { node; member; cause } ->
-        ("node", string_of_int node)
-        :: ("member", string_of_int member)
-        :: opt "cause" cause []
+        ("node", int node) :: ("member", int member) :: opt "cause" cause []
     | Mark_set { node; peer; mark; cause } ->
-        ("node", string_of_int node)
-        :: ("peer", string_of_int peer)
-        :: ("mark", "\"" ^ mark ^ "\"")
+        ("node", int node)
+        :: ("peer", int peer)
+        :: ("mark", Json.Str mark)
         :: opt "cause" cause []
-    | Mark_cleared { node; peer; cause } ->
-        ("node", string_of_int node) :: ("peer", string_of_int peer) :: opt "cause" cause []
+    | Mark_cleared { node; peer; cause } | Gate_conviction { node; peer; cause } ->
+        ("node", int node) :: ("peer", int peer) :: opt "cause" cause []
     | Merge_attempt { node; sender; cause } | Merge_accepted { node; sender; cause } ->
-        ("node", string_of_int node)
-        :: ("sender", string_of_int sender)
-        :: opt "cause" cause []
-    | Gate_conviction { node; peer; cause } ->
-        ("node", string_of_int node) :: ("peer", string_of_int peer) :: opt "cause" cause []
+        ("node", int node) :: ("sender", int sender) :: opt "cause" cause []
     | Contest_win { node; far; cause } | Contest_freeze { node; far; cause } ->
-        ("node", string_of_int node) :: ("far", string_of_int far) :: opt "cause" cause []
-    | Topology_change { nodes; edges } ->
-        [ ("nodes", string_of_int nodes); ("edges", string_of_int edges) ]
+        ("node", int node) :: ("far", int far) :: opt "cause" cause []
+    | Topology_change { nodes; edges } -> [ ("nodes", int nodes); ("edges", int edges) ]
     | Event_scheduled { id; at } | Event_fired { id; at } ->
-        [ ("id", string_of_int id); ("at", num at) ]
+        [ ("id", int id); ("at", Json.Num at) ]
 
   let to_string time ev =
-    let buf = Buffer.create 96 in
-    Buffer.add_string buf "{\"t\":";
-    Buffer.add_string buf (num time);
-    Buffer.add_string buf ",\"ev\":\"";
-    Buffer.add_string buf (kind ev);
-    Buffer.add_char buf '"';
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf ",\"";
-        Buffer.add_string buf k;
-        Buffer.add_string buf "\":";
-        Buffer.add_string buf v)
-      (fields ev);
-    Buffer.add_char buf '}';
-    Buffer.contents buf
-
-  (* Minimal parser for the flat objects above: string, number and
-     int-array values only. *)
-  type value = Num of float | Str of string | Arr of int list
+    Json.to_string
+      (Json.Obj (("t", Json.Num time) :: ("ev", Json.Str (kind ev)) :: fields ev))
 
   exception Bad
 
-  let parse_line s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else raise Bad in
-    let advance () = incr pos in
-    let skip_ws () =
-      while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-        advance ()
-      done
+  let decode pairs =
+    let get k = match List.assoc_opt k pairs with Some v -> v | None -> raise Bad in
+    let num k = match get k with Json.Num x -> x | _ -> raise Bad in
+    let int k = int_of_float (num k) in
+    let str k = match get k with Json.Str x -> x | _ -> raise Bad in
+    let arr k =
+      match get k with
+      | Json.Arr xs ->
+          List.map (function Json.Num x -> int_of_float x | _ -> raise Bad) xs
+      | _ -> raise Bad
     in
-    let expect c =
-      skip_ws ();
-      if peek () <> c then raise Bad;
-      advance ()
+    (* Provenance fields default to -1 so pre-lineage traces load. *)
+    let prov k =
+      match List.assoc_opt k pairs with Some (Json.Num x) -> int_of_float x | _ -> -1
     in
-    let parse_string () =
-      expect '"';
-      let start = !pos in
-      while peek () <> '"' do
-        advance ()
-      done;
-      let str = String.sub s start (!pos - start) in
-      advance ();
-      str
+    let cause = prov "cause" in
+    let ev =
+      match str "ev" with
+      | "Msg_sent" -> Msg_sent { src = int "src"; lid = prov "lid" }
+      | "Msg_delivered" -> Msg_delivered { src = int "src"; dst = int "dst"; cause }
+      | "Msg_lost" -> Msg_lost { src = int "src"; dst = int "dst"; cause }
+      | "Msg_dropped" -> Msg_dropped { src = int "src"; dst = int "dst"; cause }
+      | "View_changed" ->
+          View_changed
+            {
+              node = int "node";
+              added = arr "added";
+              removed = arr "removed";
+              view = arr "view";
+              cause;
+            }
+      | "Quarantine_enter" ->
+          Quarantine_enter
+            {
+              node = int "node";
+              member = int "member";
+              remaining = int "remaining";
+              cause;
+            }
+      | "Quarantine_admit" ->
+          Quarantine_admit { node = int "node"; member = int "member"; cause }
+      | "Mark_set" ->
+          Mark_set { node = int "node"; peer = int "peer"; mark = str "mark"; cause }
+      | "Mark_cleared" -> Mark_cleared { node = int "node"; peer = int "peer"; cause }
+      | "Merge_attempt" ->
+          Merge_attempt { node = int "node"; sender = int "sender"; cause }
+      | "Merge_accepted" ->
+          Merge_accepted { node = int "node"; sender = int "sender"; cause }
+      | "Gate_conviction" ->
+          Gate_conviction { node = int "node"; peer = int "peer"; cause }
+      | "Contest_win" -> Contest_win { node = int "node"; far = int "far"; cause }
+      | "Contest_freeze" -> Contest_freeze { node = int "node"; far = int "far"; cause }
+      | "Topology_change" -> Topology_change { nodes = int "nodes"; edges = int "edges" }
+      | "Event_scheduled" -> Event_scheduled { id = int "id"; at = num "at" }
+      | "Event_fired" -> Event_fired { id = int "id"; at = num "at" }
+      | _ -> raise Bad
     in
-    let parse_number () =
-      skip_ws ();
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        advance ()
-      done;
-      if !pos = start then raise Bad;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some x -> x
-      | None -> raise Bad
-    in
-    let parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = ']' then (
-            advance ();
-            Arr [])
-          else begin
-            let items = ref [] in
-            let continue = ref true in
-            while !continue do
-              items := int_of_float (parse_number ()) :: !items;
-              skip_ws ();
-              match peek () with
-              | ',' -> advance ()
-              | ']' ->
-                  advance ();
-                  continue := false
-              | _ -> raise Bad
-            done;
-            Arr (List.rev !items)
-          end
-      | _ -> Num (parse_number ())
-    in
-    expect '{';
-    let pairs = ref [] in
-    skip_ws ();
-    if peek () = '}' then advance ()
-    else begin
-      let continue = ref true in
-      while !continue do
-        skip_ws ();
-        let key = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        pairs := (key, v) :: !pairs;
-        skip_ws ();
-        match peek () with
-        | ',' -> advance ()
-        | '}' ->
-            advance ();
-            continue := false
-        | _ -> raise Bad
-      done
-    end;
-    !pairs
+    (num "t", ev)
 
   let of_string line =
-    match parse_line line with
-    | exception Bad -> None
-    | pairs -> (
-        let num k =
-          match List.assoc_opt k pairs with Some (Num x) -> x | _ -> raise Bad
-        in
-        let int k = int_of_float (num k) in
-        (* Provenance fields default to -1 so pre-lineage traces load. *)
-        let int_def k d =
-          match List.assoc_opt k pairs with Some (Num x) -> int_of_float x | _ -> d
-        in
-        let str k =
-          match List.assoc_opt k pairs with Some (Str x) -> x | _ -> raise Bad
-        in
-        let arr k =
-          match List.assoc_opt k pairs with Some (Arr x) -> x | _ -> raise Bad
-        in
-        match
-          let time = num "t" in
-          let ev =
-            match str "ev" with
-            | "Msg_sent" -> Msg_sent { src = int "src"; lid = int_def "lid" (-1) }
-            | "Msg_delivered" ->
-                Msg_delivered
-                  { src = int "src"; dst = int "dst"; cause = int_def "cause" (-1) }
-            | "Msg_lost" ->
-                Msg_lost { src = int "src"; dst = int "dst"; cause = int_def "cause" (-1) }
-            | "Msg_dropped" ->
-                Msg_dropped
-                  { src = int "src"; dst = int "dst"; cause = int_def "cause" (-1) }
-            | "View_changed" ->
-                View_changed
-                  {
-                    node = int "node";
-                    added = arr "added";
-                    removed = arr "removed";
-                    view = arr "view";
-                    cause = int_def "cause" (-1);
-                  }
-            | "Quarantine_enter" ->
-                Quarantine_enter
-                  {
-                    node = int "node";
-                    member = int "member";
-                    remaining = int "remaining";
-                    cause = int_def "cause" (-1);
-                  }
-            | "Quarantine_admit" ->
-                Quarantine_admit
-                  { node = int "node"; member = int "member"; cause = int_def "cause" (-1) }
-            | "Mark_set" ->
-                Mark_set
-                  {
-                    node = int "node";
-                    peer = int "peer";
-                    mark = str "mark";
-                    cause = int_def "cause" (-1);
-                  }
-            | "Mark_cleared" ->
-                Mark_cleared
-                  { node = int "node"; peer = int "peer"; cause = int_def "cause" (-1) }
-            | "Merge_attempt" ->
-                Merge_attempt
-                  { node = int "node"; sender = int "sender"; cause = int_def "cause" (-1) }
-            | "Merge_accepted" ->
-                Merge_accepted
-                  { node = int "node"; sender = int "sender"; cause = int_def "cause" (-1) }
-            | "Gate_conviction" ->
-                Gate_conviction
-                  { node = int "node"; peer = int "peer"; cause = int_def "cause" (-1) }
-            | "Contest_win" ->
-                Contest_win
-                  { node = int "node"; far = int "far"; cause = int_def "cause" (-1) }
-            | "Contest_freeze" ->
-                Contest_freeze
-                  { node = int "node"; far = int "far"; cause = int_def "cause" (-1) }
-            | "Topology_change" ->
-                Topology_change { nodes = int "nodes"; edges = int "edges" }
-            | "Event_scheduled" -> Event_scheduled { id = int "id"; at = num "at" }
-            | "Event_fired" -> Event_fired { id = int "id"; at = num "at" }
-            | _ -> raise Bad
-          in
-          (time, ev)
-        with
-        | exception Bad -> None
-        | pair -> Some pair)
+    match Json.of_string line with
+    | Some (Json.Obj pairs) -> ( try Some (decode pairs) with Bad -> None)
+    | _ -> None
 
   let sink oc =
     make (fun ~time ev ->

@@ -201,20 +201,21 @@ end
 
 (** {2 JSONL sink}
 
-    One JSON object per line: [{"t":<time>,"ev":"<kind>", ...fields}].
-    The exact schema of every event is documented in
-    docs/OBSERVABILITY.md; {!Jsonl.of_string} parses exactly what
-    {!Jsonl.to_string} prints (round-trip tested).  Provenance fields
+    One JSON object per line: [{"t":<time>,"ev":"<kind>", ...fields}],
+    written and read with {!Dgs_util.Json}.  The exact schema of every
+    event is documented in docs/OBSERVABILITY.md.  Traces are lossless:
+    {!Jsonl.of_string} returns exactly the time and event
+    {!Jsonl.to_string} printed, since {!Dgs_util.Json.num} prints every
+    finite float so that it reads back exactly.  Provenance fields
     ([lid], [cause]) are omitted when [-1] and default to [-1] when
     absent, so traces recorded before the lineage layer still load. *)
 
 module Jsonl : sig
   type sink := t
 
-  val fields : event -> (string * string) list
-  (** The event's JSON fields beyond ["t"]/["ev"], as
-      [(name, serialized-value)] pairs in emission order — the schema
-      surface the docs field table is diffed against. *)
+  val fields : event -> (string * Dgs_util.Json.t) list
+  (** The event's JSON fields beyond ["t"]/["ev"], in emission order —
+      the schema surface the docs field table is diffed against. *)
 
   val to_string : float -> event -> string
   (** One line, without the trailing newline. *)

@@ -15,7 +15,6 @@ let create ?(expected = 64) ~cell () =
     invalid_arg "Spatial_grid.create: cell must be finite and positive";
   { cell; cells = Hashtbl.create expected; points = Hashtbl.create expected }
 
-let cell_size t = t.cell
 let size t = Hashtbl.length t.points
 let mem t id = Hashtbl.mem t.points id
 let position t id = Hashtbl.find_opt t.points id
@@ -72,14 +71,6 @@ let remove t id =
   | Some p ->
       Hashtbl.remove t.points id;
       bucket_remove t (cell_of t p) id
-
-let of_points ?cell ~range ps =
-  let cell =
-    match cell with Some c -> c | None -> Float.abs range
-  in
-  let t = create ~expected:(max 64 (Array.length ps)) ~cell () in
-  Array.iteri (fun i p -> insert t i p) ps;
-  t
 
 (* Queries wider than this many cells per axis degenerate to a full scan of
    the point table — still exact, and O(points) instead of O(span²). *)

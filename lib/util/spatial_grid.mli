@@ -19,9 +19,6 @@ val create : ?expected:int -> cell:float -> unit -> t
     [expected] sizes the internal tables (default 64).
     @raise Invalid_argument if [cell] is not finite and positive. *)
 
-val cell_size : t -> float
-(** Side length of the grid cells, as passed to {!create}. *)
-
 val cell_coords : t -> Geom.point -> int * int
 (** [(floor (x/cell), floor (y/cell))] — the cell a point at [p] would be
     bucketed into (clamped at extreme coordinate/cell ratios).  Exposed so
@@ -48,10 +45,6 @@ val move : t -> int -> Geom.point -> unit
 
 val remove : t -> int -> unit
 (** [remove t id] deletes the point; no-op when absent. *)
-
-val of_points : ?cell:float -> range:float -> Geom.point array -> t
-(** [of_points ~range ps] bulk-builds a grid holding point [i] at [ps.(i)],
-    with cell side [cell] (default: [abs range], the unit-disk radius). *)
 
 val iter_within : t -> Geom.point -> range:float -> (int -> Geom.point -> unit) -> unit
 (** [iter_within t p ~range f] calls [f id q] for every stored point [q]

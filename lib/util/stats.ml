@@ -49,7 +49,5 @@ let summarize xs =
         median = median xs;
       }
 
-let of_ints = List.map float_of_int
-
 let pp_summary ppf s =
   Format.fprintf ppf "%.2f ± %.2f [%.2f,%.2f]" s.mean s.stddev s.min s.max

@@ -24,8 +24,5 @@ val median : float list -> float
 val summarize : float list -> summary
 (** Full summary; all fields are 0 on the empty list. *)
 
-val of_ints : int list -> float list
-(** Convenience conversion. *)
-
 val pp_summary : Format.formatter -> summary -> unit
 (** Renders as ["mean ± sd [min,max]"] with two decimals. *)

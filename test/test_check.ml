@@ -194,12 +194,11 @@ let test_strict_eviction_shrinks () =
         ];
     }
   in
-  let oracle = { Oracle.default with Oracle.strict_continuity = true } in
-  let r = Executor.run ~oracle noisy in
+  let r = Executor.run ~strict_continuity:true noisy in
   check "oracle catches the eviction" true
     (List.exists (fun v -> v.Oracle.check = "continuity") r.Oracle.violations);
   let still_fails sc =
-    let r = Executor.run ~oracle sc in
+    let r = Executor.run ~strict_continuity:true sc in
     List.exists (fun v -> v.Oracle.check = "continuity") r.Oracle.violations
   in
   let shrunk = Shrink.minimize ~still_fails noisy in
@@ -394,17 +393,16 @@ let shrink_fingerprint_cases =
   ]
 
 let test_shrink_keeps_mobility_fingerprint () =
-  let oracle = { Oracle.default with Oracle.strict_continuity = true } in
   List.iter
     (fun (name, keeps, sc) ->
-      let r = Executor.run ~oracle sc in
+      let r = Executor.run ~strict_continuity:true sc in
       let fingerprint =
         match r.Oracle.violations with
         | v :: _ -> v.Oracle.check
         | [] -> Alcotest.failf "%s: seeded scenario did not fail" name
       in
       let still_fails sc' =
-        let r = Executor.run ~oracle sc' in
+        let r = Executor.run ~strict_continuity:true sc' in
         List.exists (fun v -> v.Oracle.check = fingerprint) r.Oracle.violations
       in
       let shrunk = Shrink.minimize ~still_fails sc in

@@ -180,9 +180,10 @@ let test_campaign_shrunk_failures_identical () =
   (* A campaign with real failures: strict continuity turns ordinary
      evictions into violations, so shrinking runs inside the pool tasks.
      The shrunk scripts must come out identical too. *)
-  let oracle = { Oracle.default with Oracle.strict_continuity = true } in
   let fingerprint jobs =
-    let s = Fuzz.campaign ~oracle ~jobs ~seed:99 ~runs:12 ~max_actions:10 () in
+    let s =
+      Fuzz.campaign ~strict_continuity:true ~jobs ~seed:99 ~runs:12 ~max_actions:10 ()
+    in
     List.map
       (fun f ->
         ( f.Fuzz.run,

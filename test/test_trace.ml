@@ -133,6 +133,24 @@ let test_jsonl_load_skips_garbage () =
       check "malformed lines skipped" true
         (Trace.Jsonl.load path = [ (1.0, Trace.Msg_sent { src = 3; lid = -1 }) ]))
 
+(* Traces are lossless: a fuzzed replay, whose engine timestamps carry
+   random per-copy delays, loads back exactly as it was emitted. *)
+let test_jsonl_lossless_replay () =
+  let module Scenario = Dgs_check.Scenario in
+  let sc = Scenario.generate (Rng.split_at (Rng.create 42) 0) ~max_actions:10 in
+  let emitted = ref [] in
+  let memory = Trace.make (fun ~time ev -> emitted := (time, ev) :: !emitted) in
+  let path = Filename.temp_file "dgs_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.Jsonl.with_file path (fun file ->
+          ignore (Dgs_check.Executor.run ~trace:(Trace.tee memory file) sc));
+      let emitted = List.rev !emitted in
+      check "events were traced" true (List.length emitted > 1000);
+      check "load returns exactly the emitted events" true
+        (Trace.Jsonl.load path = emitted))
+
 (* Backward compatibility of the provenance fields: [-1] is omitted on
    the wire, and absent fields parse back as [-1] — traces recorded
    before the lineage layer load unchanged. *)
@@ -382,6 +400,7 @@ let suite =
     ("jsonl round-trip (every event)", `Quick, test_jsonl_roundtrip);
     ("jsonl file round-trip", `Quick, test_jsonl_file_roundtrip);
     ("jsonl load skips garbage", `Quick, test_jsonl_load_skips_garbage);
+    ("jsonl replay trace is lossless", `Quick, test_jsonl_lossless_replay);
     ("jsonl provenance backward-compat", `Quick, test_jsonl_provenance_compat);
     ("rotating sink", `Quick, test_rotating_sink);
     ("traced counts match medium stats", `Quick, test_trace_counts_match_medium);

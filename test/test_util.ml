@@ -1,9 +1,10 @@
-(* Unit tests for Dgs_util: rng, pqueue, stats, geometry. *)
+(* Unit tests for Dgs_util: rng, pqueue, stats, geometry, json. *)
 
 module Rng = Dgs_util.Rng
 module Pqueue = Dgs_util.Pqueue
 module Stats = Dgs_util.Stats
 module Geom = Dgs_util.Geom
+module Json = Dgs_util.Json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -214,6 +215,99 @@ let test_geom_lerp_clamp () =
   check_float "clamp x" 0.0 c.Geom.x;
   check_float "clamp y" 10.0 c.Geom.y
 
+(* --- json --- *)
+
+(* Finite doubles: raw bit patterns (non-finite ones folded to 0), the
+   subnormal range, short decimals, sums of decimals (timestamps like
+   [0.1 +. 0.2]) and integers past 1e15. *)
+let subnormal_mask = 0x800F_FFFF_FFFF_FFFFL
+
+let gen_finite =
+  QCheck.Gen.(
+    map
+      (fun x -> if Float.is_finite x then x else 0.0)
+      (frequency
+         [
+           (3, map Int64.float_of_bits int64);
+           (1, map (fun b -> Int64.float_of_bits (Int64.logand b subnormal_mask)) int64);
+           (1, map (fun n -> float_of_int n /. 100.0) (int_range (-100_000) 100_000));
+           ( 1,
+             map2
+               (fun a b -> (float_of_int a *. 0.1) +. (float_of_int b *. 0.4))
+               small_nat small_nat );
+           (1, map float_of_int int);
+         ]))
+
+let prop_json_num_exact =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json num reads back exactly" ~count:2000
+       (QCheck.make ~print:(Printf.sprintf "%h") gen_finite)
+       (fun x ->
+         let s = Json.num x in
+         Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float x)
+         && Json.of_string s = Some (Json.Num x)))
+
+(* [Json.num] skips the [%.15g] attempt when it cannot read back; it must
+   still print exactly what the plain rule prints. *)
+let prop_json_num_rule =
+  let rule x =
+    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+    else
+      let s = Printf.sprintf "%.15g" x in
+      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json num prints the number rule" ~count:2000
+       (QCheck.make ~print:(Printf.sprintf "%h") gen_finite)
+       (fun x -> String.equal (Json.num x) (rule x)))
+
+let gen_json =
+  let open QCheck.Gen in
+  let special = oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127'; '\200' ] in
+  let str = string_size ~gen:(frequency [ (3, printable); (1, special) ]) (int_bound 6) in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun x -> Json.Num x) gen_finite;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n - 1))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n - 1)))))
+             ])
+
+let prop_json_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json of_string inverts to_string" ~count:500
+       (QCheck.make ~print:Json.to_string gen_json)
+       (fun v -> Json.of_string (Json.to_string v) = Some v))
+
+let test_json_rejects () =
+  List.iter
+    (fun (what, s) -> check (what ^ " rejected") true (Json.of_string s = None))
+    [
+      ("trailing garbage", {|{"a":1} x|});
+      ("unterminated string", {|"abc|});
+      ("bad escape", {|"a\qb"|});
+      ("non-ASCII \\u escape", {|"\u0080"|});
+      ("bare nan", "nan");
+      ("empty input", " ");
+    ];
+  check "surrounding whitespace accepted" true
+    (Json.of_string " \n[1, -2.5e3]\t"
+    = Some (Json.Arr [ Json.Num 1.0; Json.Num (-2500.0) ]));
+  check "ASCII \\u escape accepted" true
+    (Json.of_string {|"\u0041\/"|} = Some (Json.Str "A/"))
+
 let suite =
   [
     ("rng determinism", `Quick, test_determinism);
@@ -243,4 +337,8 @@ let suite =
     ("geom algebra", `Quick, test_geom_algebra);
     ("geom normalize", `Quick, test_geom_normalize);
     ("geom lerp/clamp", `Quick, test_geom_lerp_clamp);
+    prop_json_num_exact;
+    prop_json_num_rule;
+    prop_json_roundtrip;
+    ("json rejects malformed input", `Quick, test_json_rejects);
   ]
