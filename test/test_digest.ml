@@ -16,7 +16,13 @@
    A refactor must leave both sequences unchanged.  On a mismatch the
    actual sequence is written next to the test binary as
    [<fixture>.actual]; an intended behaviour change copies it over the
-   fixture and says why. *)
+   fixture and says why.
+
+   The same fence pins every per-scenario [Oracle.report_to_json] line
+   of the counter fence's campaign ([grp_sim fuzz --seed 42 --runs 250
+   --max-actions 10]): the counter fence sums registry counters over the
+   campaign, so a run's own drops, losses or engine-fire budget could
+   move unseen. *)
 
 module Rounds = Dgs_sim.Rounds
 module Sharded = Dgs_sim.Sharded
@@ -24,6 +30,8 @@ module Mobility = Dgs_mobility.Mobility
 module Vanet = Dgs_workload.Vanet
 module Harness = Dgs_workload.Harness
 module Rng = Dgs_util.Rng
+module Fuzz = Dgs_check.Fuzz
+module Oracle = Dgs_check.Oracle
 open Dgs_core
 
 let node_state buf nd =
@@ -88,6 +96,12 @@ let converge_digests () =
        ~confirm:(dmax + 5) ~max_rounds:10_000 t);
   List.rev !acc
 
+let fuzz_reports () =
+  let acc = ref [] in
+  let on_run _ _ r = acc := Oracle.report_to_json r :: !acc in
+  ignore (Fuzz.campaign ~seed:42 ~runs:250 ~max_actions:10 ~on_run ());
+  List.rev !acc
+
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
@@ -103,11 +117,11 @@ let fence fixture digests () =
     let rec first_diff = function
       | a :: at, e :: et ->
           if a = e then first_diff (at, et) else Printf.sprintf "%S, expected %S" a e
-      | a :: _, [] -> Printf.sprintf "extra round %S" a
-      | [], e :: _ -> Printf.sprintf "missing round %S" e
+      | a :: _, [] -> Printf.sprintf "extra line %S" a
+      | [], e :: _ -> Printf.sprintf "missing line %S" e
       | [], [] -> "none"
     in
-    Alcotest.failf "%s: per-round state digests diverge at %s (%d rounds vs %d)" fixture
+    Alcotest.failf "%s: lines diverge at %s (%d lines vs %d)" fixture
       (first_diff (actual, expected)) (List.length actual) (List.length expected)
   end
 
@@ -119,4 +133,7 @@ let suite =
     ( "converge rgg n=200 s=3 (Rounds) per-round digests",
       `Quick,
       fence "converge-n200-digests.expected" converge_digests );
+    ( "fuzz seed 42 250 runs per-scenario oracle reports",
+      `Quick,
+      fence "fuzz-seed42-reports.expected" fuzz_reports );
   ]
