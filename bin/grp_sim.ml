@@ -187,18 +187,17 @@ let write_metrics path snaps =
         exit 2)
 
 (* Run [k] with the sink the --trace/--trace-filter/--trace-max-mb options
-   ask for, teeing an unfiltered ring capture of the view changes out of
-   which the convergence timeline is computed. *)
+   ask for, teeing an unfiltered per-node tally of the view changes out of
+   which the view-stabilization line is computed. *)
 let with_trace_sink ?trace_max_mb trace_file trace_filter k =
-  let ring = Trace.Ring.create ~capacity:65536 in
-  let views_only = Trace.filter_kinds [ "View_changed" ] (Trace.Ring.sink ring) in
+  let tally = Monitor.view_tally () in
   let apply_filter sink =
     match trace_filter with
     | None -> sink
     | Some kinds -> Trace.filter_kinds kinds sink
   in
   match trace_file with
-  | None -> k Trace.null ring
+  | None -> k Trace.null tally
   | Some path -> (
       let with_file f =
         match trace_max_mb with
@@ -211,15 +210,17 @@ let with_trace_sink ?trace_max_mb trace_file trace_filter k =
       in
       try
         with_file (fun file_sink ->
-            let r = k (Trace.tee (apply_filter file_sink) views_only) ring in
+            let r =
+              k (Trace.tee (apply_filter file_sink) (Monitor.view_tally_sink tally)) tally
+            in
             Printf.printf "trace written to %s\n" path;
             r)
       with Sys_error msg ->
         Printf.eprintf "grp_sim: cannot write trace: %s\n" msg;
         exit 2)
 
-let report_view_stabilization ring =
-  match Monitor.view_stabilization (Trace.Ring.contents ring) with
+let report_view_stabilization tally =
+  match Monitor.view_stabilization tally with
   | [] -> ()
   | per_node ->
       let last =
@@ -255,7 +256,7 @@ let converge_term =
     else begin
       let g = tf n seed in
       let config = Config.make ~dmax () in
-      with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink ring ->
+      with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
           let reg = metrics_registry metrics_file in
           let t = Rounds.create ~config ~trace:sink ~metrics:reg g in
           let rng = Dgs_util.Rng.create seed in
@@ -311,7 +312,7 @@ let converge_term =
           report_config (Harness.snapshot t g) dmax;
           if trace_file <> None then begin
             Format.printf "%a@." Monitor.pp_timeline (Monitor.timeline monitor);
-            report_view_stabilization ring
+            report_view_stabilization tally
           end;
           match metrics_file with
           | None -> ()
@@ -373,13 +374,13 @@ let mobility_cmd =
     | Some spec ->
         let config = Config.make ~dmax () in
         let r =
-          with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink ring ->
+          with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
               let reg = metrics_registry metrics_file in
               let r =
                 Harness.run_mobility ~trace:sink ~metrics:reg ~config ~seed
                   ~spec ~n ~range:2.0 ~dt:1.0 ~rounds ()
               in
-              report_view_stabilization ring;
+              report_view_stabilization tally;
               (match metrics_file with
               | None -> ()
               | Some path ->

@@ -50,18 +50,6 @@ let mob_spec model ~n ~speed =
   | Scenario.Mob_manhattan ->
       Mobility.Manhattan { blocks_x = 3; blocks_y = 3; block = mob_range; speed }
 
-type net_stats = Net.stats
-
-let stats_monotone (p : net_stats) (s : net_stats) =
-  s.computes >= p.computes
-  && s.view_additions >= p.view_additions
-  && s.view_removals >= p.view_removals
-  && s.too_far_conflicts >= p.too_far_conflicts
-  && s.medium.Medium.broadcasts >= p.medium.Medium.broadcasts
-  && s.medium.Medium.deliveries >= p.medium.Medium.deliveries
-  && s.medium.Medium.losses >= p.medium.Medium.losses
-  && s.medium.Medium.drops >= p.medium.Medium.drops
-
 let run ?(strict_continuity = false) ?(protocol = Fun.id)
     ?(trace = Trace.null) ?(metrics = Dgs_metrics.Registry.null) ?on_observe
     (sc : Scenario.t) : Oracle.report =
@@ -126,19 +114,12 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
     | None -> ()
   in
   List.iter begin_episode (Graph.nodes graph);
-  let prev_stats = ref None in
   Net.on_step net (fun ~time node info ->
       let l = Grp_node.antlist node in
       if not (Antlist.well_formed l) then
         add "well_formed" time
           (Printf.sprintf "node %d computed ill-formed list %s" (Grp_node.id node)
              (Antlist.to_string l));
-      let s = Net.stats net in
-      (match !prev_stats with
-      | Some p when not (stats_monotone p s) ->
-          add "monotone_stats" time "a runtime counter decreased"
-      | _ -> ());
-      prev_stats := Some s;
       let removed = info.Grp_node.view_removed in
       if not (Node_id.Set.is_empty removed) then begin
         let calm =
@@ -371,22 +352,8 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
     | None -> ()
   end;
   let maximality_gap = stabilized && Predicates.maximality ~dmax:sc.dmax c <> None in
-  (* Cross-check the medium's aggregate counters against the per-dest
-     breakdown (the two are maintained independently). *)
   let stats = Net.stats net in
   let m = stats.Net.medium in
-  let d, l, x =
-    List.fold_left
-      (fun (d, l, x) (ds : Medium.dest_stats) ->
-        (d + ds.Medium.dst_deliveries, l + ds.Medium.dst_losses, x + ds.Medium.dst_drops))
-      (0, 0, 0)
-      (Net.medium_stats_by_dest net)
-  in
-  if (d, l, x) <> (m.Medium.deliveries, m.Medium.losses, m.Medium.drops) then
-    add "stats_consistency" t_end
-      (Printf.sprintf
-         "per-dest sums (%d,%d,%d) != aggregate (deliveries=%d, losses=%d, drops=%d)"
-         d l x m.Medium.deliveries m.Medium.losses m.Medium.drops);
   (* Engine-fire budget: close the still-open episodes, then compare. *)
   Hashtbl.iter
     (fun _ t0 -> budget := !budget +. ((t_end -. t0) *. rate) +. 4.0)

@@ -4,8 +4,8 @@
     Two kinds of checks run over an executed scenario:
 
     - {e Continuous} checks fire inside {!Dgs_sim.Net.on_step} after every
-      compute: list well-formedness, monotone statistics counters, and
-      (in calm windows, see below) view continuity.
+      compute: list well-formedness and (in calm windows, see below) view
+      continuity.
     - {e Quiescent} checks fire once the network has stabilized with the
       channel made lossless: the paper's static predicates [ΠA] and [ΠS],
       plus the engine-event budget that catches timer leaks.

@@ -25,7 +25,3 @@ val print : t -> unit
 (** Render to stdout with a trailing newline. *)
 
 val to_csv : t -> string
-
-val csv_escape : string -> string
-(** One CSV field: quoted, with inner quotes doubled, when it holds a
-    comma, a quote or a line break; unchanged otherwise. *)

@@ -5,15 +5,6 @@ module Names = Dgs_metrics.Names
 
 type stats = { broadcasts : int; deliveries : int; losses : int; drops : int }
 
-type dest_stats = {
-  dst : int;
-  dst_deliveries : int;
-  dst_losses : int;
-  dst_drops : int;
-}
-
-type cell = { mutable d : int; mutable l : int; mutable x : int }
-
 type 'msg t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -32,12 +23,6 @@ type 'msg t = {
   mutable deliveries : int;
   mutable losses : int;
   mutable drops : int;
-  (* Stats-window generation, carried by every in-flight copy from
-     schedule time (the Net churn-timer idiom): a copy scheduled before a
-     [reset_stats] must not leak into the counters of the window that
-     follows it, even though it is still delivered to the protocol. *)
-  mutable stats_gen : int;
-  by_dest : (int, cell) Hashtbl.t;
   m_broadcast : Registry.Counter.t;
   m_delivery : Registry.Counter.t;
   m_loss : Registry.Counter.t;
@@ -46,36 +31,22 @@ type 'msg t = {
   m_delivery_ns : Registry.Timer.t;
 }
 
-let cell_of t dst =
-  match Hashtbl.find_opt t.by_dest dst with
-  | Some c -> c
-  | None ->
-      let c = { d = 0; l = 0; x = 0 } in
-      Hashtbl.replace t.by_dest dst c;
-      c
-
-(* Fire one directed copy, [gen] being the stats window it was scheduled
-   in.  The runtime decides now whether the protocol actually sees the
-   copy (destination may have deactivated or been removed in flight, or
-   the frame may be corrupted out of the grammar); only copies it accepts
-   count as deliveries, so [deliveries] agrees with what
-   [Grp_node.receive] saw. *)
-let deliver_copy t ~src ~dst ~gen ~lid msg =
+(* Fire one directed copy.  The runtime decides now whether the protocol
+   actually sees the copy (destination may have deactivated or been
+   removed in flight, or the frame may be corrupted out of the grammar);
+   only copies it accepts count as deliveries, so [deliveries] agrees
+   with what [Grp_node.receive] saw. *)
+let deliver_copy t ~src ~dst ~lid msg =
   let m_t0 = Registry.Timer.start t.m_delivery_ns in
   let accepted = t.deliver ~dst ~lid msg in
   Registry.Timer.stop t.m_delivery_ns m_t0;
-  if accepted then Registry.Counter.incr t.m_delivery
-  else Registry.Counter.incr t.m_drop;
-  if gen = t.stats_gen then begin
-    let c = cell_of t dst in
-    if accepted then begin
-      t.deliveries <- t.deliveries + 1;
-      c.d <- c.d + 1
-    end
-    else begin
-      t.drops <- t.drops + 1;
-      c.x <- c.x + 1
-    end
+  if accepted then begin
+    t.deliveries <- t.deliveries + 1;
+    Registry.Counter.incr t.m_delivery
+  end
+  else begin
+    t.drops <- t.drops + 1;
+    Registry.Counter.incr t.m_drop
   end;
   if Trace.enabled t.trace then begin
     Trace.set_time t.trace (Engine.now t.engine);
@@ -104,9 +75,7 @@ let create ~engine ~rng ?(loss = 0.0) ?(delay_min = 0.001) ?(delay_max = 0.01)
     deliveries = 0;
     losses = 0;
     drops = 0;
-    stats_gen = 0;
     lids = Hashtbl.create 64;
-    by_dest = Hashtbl.create 64;
     m_broadcast = Registry.counter metrics Names.medium_broadcast_total;
     m_delivery = Registry.counter metrics Names.medium_delivery_total;
     m_loss = Registry.counter metrics Names.medium_loss_total;
@@ -114,18 +83,6 @@ let create ~engine ~rng ?(loss = 0.0) ?(delay_min = 0.001) ?(delay_max = 0.01)
     m_loss_rate;
     m_delivery_ns = Registry.timer metrics Names.medium_delivery_ns;
   }
-
-(* Schedule one directed copy after [delay].  The closure captures the
-   stats generation now, at schedule time: if [reset_stats] runs while
-   the copy is in flight, the copy is still delivered to the protocol
-   (the frame is already in the air), still traced, and still counted in
-   the cumulative registry — but it no longer belongs to the new stats
-   window, so the windowed counters and the per-destination cells skip
-   it. *)
-let schedule_delivery t ~delay ~src ~dst ~lid msg =
-  let gen = t.stats_gen in
-  Engine.schedule_after t.engine delay (fun () ->
-      deliver_copy t ~src ~dst ~gen ~lid msg)
 
 let broadcast t ~src msg =
   t.broadcasts <- t.broadcasts + 1;
@@ -145,14 +102,13 @@ let broadcast t ~src msg =
         if Rng.bernoulli t.rng t.loss then begin
           t.losses <- t.losses + 1;
           Registry.Counter.incr t.m_loss;
-          let c = cell_of t dst in
-          c.l <- c.l + 1;
           if Trace.enabled t.trace then
             Trace.emit t.trace (Trace.Msg_lost { src; dst; cause = lid })
         end
         else begin
           let delay = Rng.float_in t.rng t.delay_min t.delay_max in
-          schedule_delivery t ~delay ~src ~dst ~lid msg
+          Engine.schedule_after t.engine delay (fun () ->
+              deliver_copy t ~src ~dst ~lid msg)
         end)
     (t.audience src);
   lid
@@ -169,20 +125,3 @@ let stats t =
     losses = t.losses;
     drops = t.drops;
   }
-
-let stats_by_dest t =
-  Hashtbl.fold
-    (fun dst c acc ->
-      { dst; dst_deliveries = c.d; dst_losses = c.l; dst_drops = c.x } :: acc)
-    t.by_dest []
-  |> List.sort (fun a b -> compare a.dst b.dst)
-
-let reset_stats t =
-  t.broadcasts <- 0;
-  t.deliveries <- 0;
-  t.losses <- 0;
-  t.drops <- 0;
-  (* Fence out copies already in flight: they carry the old generation,
-     so they no longer touch the windowed counters. *)
-  t.stats_gen <- t.stats_gen + 1;
-  Hashtbl.reset t.by_dest

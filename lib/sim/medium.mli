@@ -24,7 +24,9 @@
     was in flight, or when the frame was corrupted out of the wire
     grammar).  Refused copies are counted as {e drops}, separate from both
     deliveries and channel losses, so [deliveries] agrees exactly with what
-    {!Dgs_core.Grp_node.receive} saw.
+    {!Dgs_core.Grp_node.receive} saw.  The four {!stats} counts run from
+    creation and never reset; they equal the [medium_*_total] registry
+    counters of a registry given to this medium alone.
 
     With a trace sink installed the medium emits
     {!Dgs_trace.Trace.Msg_sent} per broadcast and [Msg_delivered] /
@@ -41,13 +43,6 @@ type stats = {
   drops : int;
       (** per-receiver copies refused at delivery time (inactive or removed
           destination, corrupted frame) *)
-}
-
-type dest_stats = {
-  dst : int;  (** the receiving node *)
-  dst_deliveries : int;  (** copies [dst]'s protocol consumed *)
-  dst_losses : int;  (** copies addressed to [dst] the channel dropped *)
-  dst_drops : int;  (** copies refused at [dst] at delivery time *)
 }
 
 val create :
@@ -86,18 +81,4 @@ val set_loss : 'msg t -> float -> unit
     [Invalid_argument] outside [\[0,1\]]. *)
 
 val stats : 'msg t -> stats
-(** Aggregate counters since creation or the last {!reset_stats}. *)
-
-val stats_by_dest : 'msg t -> dest_stats list
-(** Per-receiver delivery/loss/drop breakdown, sorted by node id — the
-    ground truth a trace's per-destination [Msg_delivered] / [Msg_lost] /
-    [Msg_dropped] counts are validated against. *)
-
-val reset_stats : 'msg t -> unit
-(** Zero all counters, including the per-destination breakdown, and start
-    a fresh stats window.  Copies already in flight are still delivered to
-    the protocol and still traced, but are fenced out of the new window's
-    counters (each in-flight copy carries the window generation it was
-    scheduled in), so windows never bleed into each other.  The
-    cumulative [metrics] registry counters are unaffected — they count
-    since creation by design. *)
+(** Counters since creation. *)

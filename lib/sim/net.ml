@@ -6,9 +6,7 @@ open Dgs_core
 
 type stats = {
   computes : int;
-  view_additions : int;
   view_removals : int;
-  too_far_conflicts : int;
   medium : Medium.stats;
 }
 
@@ -35,9 +33,7 @@ type t = {
   mutable medium : Message.t Medium.t option;
   mutable corruption : float;
   mutable computes : int;
-  mutable view_additions : int;
   mutable view_removals : int;
-  mutable too_far_conflicts : int;
   mutable observer :
     (time:float -> Grp_node.t -> Grp_node.step_info -> unit) option;
 }
@@ -75,12 +71,8 @@ let rec schedule_compute t v gen delay =
           Trace.set_time t.trace (Engine.now t.engine);
         let info = Grp_node.compute n in
         t.computes <- t.computes + 1;
-        t.view_additions <-
-          t.view_additions + Node_id.Set.cardinal info.Grp_node.view_added;
         t.view_removals <-
           t.view_removals + Node_id.Set.cardinal info.Grp_node.view_removed;
-        if info.Grp_node.too_far_conflict then
-          t.too_far_conflicts <- t.too_far_conflicts + 1;
         (match t.observer with
         | Some f -> f ~time:(Engine.now t.engine) n info
         | None -> ());
@@ -130,9 +122,7 @@ let create ~engine ~rng ~config ?(tau_c = 1.0) ?(tau_s = 0.4) ?(loss = 0.0)
       medium = None;
       corruption;
       computes = 0;
-      view_additions = 0;
       view_removals = 0;
-      too_far_conflicts = 0;
       observer = None;
     }
   in
@@ -209,20 +199,9 @@ let on_step t f = t.observer <- Some f
 let stats t =
   {
     computes = t.computes;
-    view_additions = t.view_additions;
     view_removals = t.view_removals;
-    too_far_conflicts = t.too_far_conflicts;
     medium = Medium.stats (medium t);
   }
-
-let medium_stats_by_dest t = Medium.stats_by_dest (medium t)
-
-let reset_stats t =
-  t.computes <- 0;
-  t.view_additions <- 0;
-  t.view_removals <- 0;
-  t.too_far_conflicts <- 0;
-  Medium.reset_stats (medium t)
 
 let state_signature t =
   let buf = Buffer.create 256 in

@@ -19,10 +19,8 @@ type t
 
 type stats = {
   computes : int;  (** [compute()] invocations across all nodes *)
-  view_additions : int;  (** members entering some view *)
   view_removals : int;  (** evictions — the continuity metric *)
-  too_far_conflicts : int;  (** computes whose [Dmax+2] overflow branch fired *)
-  medium : Medium.stats;  (** channel counters for the same interval *)
+  medium : Medium.stats;  (** channel counters *)
 }
 
 val create :
@@ -111,14 +109,7 @@ val on_step :
 (** Observer invoked after every compute (continuity monitoring). *)
 
 val stats : t -> stats
-(** Counters since creation or the last {!reset_stats}. *)
-
-val medium_stats_by_dest : t -> Medium.dest_stats list
-(** Per-receiver channel breakdown (see {!Medium.stats_by_dest}) — lets
-    checkers cross-validate the aggregate counters in {!stats}. *)
-
-val reset_stats : t -> unit
-(** Zero the runtime and channel counters. *)
+(** Counters since creation. *)
 
 val state_signature : t -> string
 (** Digest of all lists, views and quarantines of active nodes; two equal

@@ -1,14 +1,3 @@
-type report = {
-  steps : int;
-  agreement_violations : int;
-  safety_violations : int;
-  maximality_violations : int;
-  pt_breaches : int;
-  continuity_breaches : int;
-  excused_breaches : int;
-  legitimate_steps : int;
-}
-
 type timeline = {
   time_to_agreement : float option;
   time_to_safety : float option;
@@ -18,8 +7,6 @@ type timeline = {
 
 type t = {
   dmax : int;
-  mutable previous : Configuration.t option;
-  mutable r : report;
   (* Time since which each predicate has held in every observation; [None]
      while it is (still) violated.  A sustained-from time, not a
      first-held time: a predicate that breaks and recovers restarts its
@@ -30,23 +17,9 @@ type t = {
   mutable legitimate_since : float option;
 }
 
-let zero =
-  {
-    steps = 0;
-    agreement_violations = 0;
-    safety_violations = 0;
-    maximality_violations = 0;
-    pt_breaches = 0;
-    continuity_breaches = 0;
-    excused_breaches = 0;
-    legitimate_steps = 0;
-  }
-
 let create ~dmax =
   {
     dmax;
-    previous = None;
-    r = zero;
     agreement_since = None;
     safety_since = None;
     maximality_since = None;
@@ -54,30 +27,9 @@ let create ~dmax =
   }
 
 let observe_at t ~time c =
-  let r = t.r in
-  let bump cond n = if cond then n + 1 else n in
   let agreement = Predicates.agreement c <> None in
   let safety = Predicates.safety ~dmax:t.dmax c <> None in
   let maximality = Predicates.maximality ~dmax:t.dmax c <> None in
-  let pt, cont =
-    match t.previous with
-    | None -> (false, false)
-    | Some p ->
-        ( Predicates.topology_preserved ~dmax:t.dmax p c <> None,
-          Predicates.continuity p c <> None )
-  in
-  t.r <-
-    {
-      steps = r.steps + 1;
-      agreement_violations = bump agreement r.agreement_violations;
-      safety_violations = bump safety r.safety_violations;
-      maximality_violations = bump maximality r.maximality_violations;
-      pt_breaches = bump pt r.pt_breaches;
-      continuity_breaches = bump cont r.continuity_breaches;
-      excused_breaches = bump (cont && pt) r.excused_breaches;
-      legitimate_steps =
-        bump (not (agreement || safety || maximality)) r.legitimate_steps;
-    };
   let update since violated =
     if violated then None else match since with None -> Some time | s -> s
   in
@@ -85,11 +37,7 @@ let observe_at t ~time c =
   t.safety_since <- update t.safety_since safety;
   t.maximality_since <- update t.maximality_since maximality;
   t.legitimate_since <-
-    update t.legitimate_since (agreement || safety || maximality);
-  t.previous <- Some c
-
-let observe t c = observe_at t ~time:(float_of_int t.r.steps) c
-let report t = t.r
+    update t.legitimate_since (agreement || safety || maximality)
 
 let timeline t =
   {
@@ -98,23 +46,6 @@ let timeline t =
     time_to_maximality = t.maximality_since;
     time_to_legitimate = t.legitimate_since;
   }
-
-let view_stabilization events =
-  let last = Hashtbl.create 32 in
-  List.iter
-    (fun (time, ev) ->
-      match ev with
-      | Dgs_trace.Trace.View_changed { node; view; _ } ->
-          let changes =
-            match Hashtbl.find_opt last node with Some (_, _, n) -> n + 1 | None -> 1
-          in
-          Hashtbl.replace last node (time, view, changes)
-      | _ -> ())
-    events;
-  Hashtbl.fold
-    (fun node (time, view, changes) acc -> (node, time, view, changes) :: acc)
-    last []
-  |> List.sort compare
 
 let pp_timeline ppf tl =
   let cell = function
@@ -129,10 +60,22 @@ let pp_timeline ppf tl =
     (cell tl.time_to_agreement) (cell tl.time_to_safety)
     (cell tl.time_to_maximality) (cell tl.time_to_legitimate)
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>steps: %d (legitimate: %d)@,\
-     violations: agreement %d, safety %d, maximality %d@,\
-     transitions: ΠT breaches %d, continuity breaches %d (excused by ΠT: %d)@]"
-    r.steps r.legitimate_steps r.agreement_violations r.safety_violations
-    r.maximality_violations r.pt_breaches r.continuity_breaches r.excused_breaches
+(* node -> (last change time, final view, changes) *)
+type view_tally = (int, float * int list * int) Hashtbl.t
+
+let view_tally () = Hashtbl.create 32
+
+let view_tally_sink tally =
+  Dgs_trace.Trace.make (fun ~time -> function
+    | Dgs_trace.Trace.View_changed { node; view; _ } ->
+        let changes =
+          match Hashtbl.find_opt tally node with Some (_, _, n) -> n + 1 | None -> 1
+        in
+        Hashtbl.replace tally node (time, view, changes)
+    | _ -> ())
+
+let view_stabilization tally =
+  Hashtbl.fold
+    (fun node (time, view, changes) acc -> (node, time, view, changes) :: acc)
+    tally []
+  |> List.sort compare

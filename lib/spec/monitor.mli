@@ -1,25 +1,13 @@
-(** Execution monitor: feed it the stream of configuration snapshots and it
-    accumulates the specification statistics — static-predicate violations
-    per round, transition classification (ΠT) and continuity accounting.
+(** Convergence monitor for the CLI's traced runs: the sustained-from time
+    of each static predicate over a stream of configuration snapshots,
+    and a per-node tally of the [View_changed] event stream.
 
-    The workload experiments embed specialized versions of this logic; the
-    monitor is the reusable form used by the CLI and by tests that assert
-    over whole executions. *)
+    Transitions ([ΠT] and [ΠC]) are judged elsewhere, where their excuse
+    can be attributed per pair: {!Dgs_workload.Harness.run_mobility} for
+    the mobility experiments, and the calm windows of the fuzzer's
+    {!Dgs_check.Executor}. *)
 
 type t
-
-type report = {
-  steps : int;
-  agreement_violations : int;
-  safety_violations : int;
-  maximality_violations : int;
-  pt_breaches : int;  (** transitions where some node's own ΠT broke *)
-  continuity_breaches : int;  (** transitions where some view lost a member *)
-  excused_breaches : int;
-      (** continuity breaches in transitions whose ΠT also broke (the
-          best-effort clause) *)
-  legitimate_steps : int;
-}
 
 type timeline = {
   time_to_agreement : float option;
@@ -34,35 +22,35 @@ type timeline = {
 val create : dmax:int -> t
 (** A monitor checking against the given diameter bound. *)
 
-val observe : t -> Configuration.t -> unit
-(** Record the next configuration; the first call sets the baseline.
-    Equivalent to {!observe_at} with the observation index as time. *)
-
 val observe_at : t -> time:float -> Configuration.t -> unit
 (** Record a configuration observed at an explicit time (simulation
     seconds under {!Dgs_sim.Net}, round number under
     {!Dgs_sim.Rounds}) — the times the {!timeline} reports. *)
-
-val report : t -> report
-(** Accumulated statistics over all observations so far. *)
 
 val timeline : t -> timeline
 (** The convergence timeline: when each predicate started to hold for
     good.  Sustained-from times, not first-held times — a predicate that
     breaks and recovers restarts its clock. *)
 
+val pp_timeline : Format.formatter -> timeline -> unit
+(** Render a {!timeline} for humans. *)
+
+type view_tally
+(** Per-node count, last change time and final view of every
+    [View_changed] seen so far.  Its size is the node count, however long
+    the run. *)
+
+val view_tally : unit -> view_tally
+(** An empty tally. *)
+
+val view_tally_sink : view_tally -> Dgs_trace.Trace.t
+(** A trace sink that folds every [View_changed] it receives into the
+    tally, stamped with the sink's time, and ignores all other events. *)
+
 val view_stabilization :
-  (float * Dgs_trace.Trace.event) list ->
-  (Dgs_core.Node_id.t * float * int list * int) list
-(** Per-node view-change summary derived from a trace:
-    [(node, last_change_time, final_view, changes)] for every node that
+  view_tally -> (Dgs_core.Node_id.t * float * int list * int) list
+(** [(node, last_change_time, final_view, changes)] for every node that
     emitted at least one [View_changed], sorted by node.  On a converged
     run each node's [final_view] equals its stable view and
     [last_change_time] is when it got there — the per-node convergence
     timeline. *)
-
-val pp_report : Format.formatter -> report -> unit
-(** Render a {!report} for humans. *)
-
-val pp_timeline : Format.formatter -> timeline -> unit
-(** Render a {!timeline} for humans. *)

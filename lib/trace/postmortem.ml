@@ -1,6 +1,5 @@
 module Table = Dgs_metrics.Table
 module Histogram = Dgs_metrics.Histogram
-module Timeseries = Dgs_metrics.Timeseries
 module Registry = Dgs_metrics.Registry
 
 module Int_map = Map.Make (Int)
@@ -244,23 +243,6 @@ let group_lifetimes t =
     t.by_node;
   h
 
-let view_changes_series ?(buckets = 20) t =
-  let buckets = max 1 buckets in
-  let span = t.t_end -. t.t_start in
-  let vc = Array.make buckets 0 in
-  List.iter
-    (fun vch ->
-      let b = bucket_of t ~buckets vch.vc_time in
-      vc.(b) <- vc.(b) + 1)
-    t.changes;
-  let s = Timeseries.create ~name:"view_changes" in
-  for b = 0 to buckets - 1 do
-    Timeseries.record_int s
-      ~time:(t.t_start +. (span *. float_of_int b /. float_of_int buckets))
-      vc.(b)
-  done;
-  s
-
 let hist_section title h =
   Printf.sprintf "%s (n=%d, mean %.2f):\n%s" title (Histogram.count h)
     (Histogram.mean h) (Histogram.render h)
@@ -297,7 +279,6 @@ let csv_exports t =
     ("evictions.csv", Table.to_csv (eviction_chains t));
     ("group_sizes.csv", hist_csv (group_sizes t));
     ("group_lifetimes.csv", hist_csv (group_lifetimes t));
-    ("view_changes.csv", Timeseries.to_csv (view_changes_series t));
   ]
 
 let snapshot_table (s : Registry.snapshot) =

@@ -52,9 +52,6 @@ val group_lifetimes : t -> Dgs_metrics.Histogram.t
     consecutive view changes plus the final stretch to the end of the
     trace. *)
 
-val view_changes_series : ?buckets:int -> t -> Dgs_metrics.Timeseries.t
-(** View changes per time bucket, for plotting. *)
-
 val render : t -> string
 (** All sections — timeline and stabilization tables, eviction chains,
     and both distributions — as one report. *)

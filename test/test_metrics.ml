@@ -2,7 +2,6 @@
 
 module Table = Dgs_metrics.Table
 module Histogram = Dgs_metrics.Histogram
-module Timeseries = Dgs_metrics.Timeseries
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -77,29 +76,6 @@ let test_histogram_render_empty () =
   check_int "still zero observations" 0 (Histogram.count h);
   Alcotest.(check (float 1e-9)) "mean of nothing is 0" 0.0 (Histogram.mean h)
 
-let test_timeseries_csv_empty () =
-  let ts = Timeseries.create ~name:"groups" in
-  Alcotest.(check string) "empty series is just the header" "time,groups\n"
-    (Timeseries.to_csv ts);
-  check "empty series has no last point" true (Timeseries.last ts = None)
-
-let test_timeseries_csv_name_escaping () =
-  let ts = Timeseries.create ~name:"odd,name" in
-  Timeseries.record ts ~time:1.0 2.0;
-  let csv = Timeseries.to_csv ts in
-  check "delimiter in series name is quoted" true
-    (Str_helpers.contains csv "time,\"odd,name\"\n")
-
-let test_timeseries () =
-  let ts = Timeseries.create ~name:"groups" in
-  Timeseries.record ts ~time:0.0 5.0;
-  Timeseries.record_int ts ~time:1.0 4;
-  check_int "length" 2 (Timeseries.length ts);
-  check "order kept" true (Timeseries.points ts = [ (0.0, 5.0); (1.0, 4.0) ]);
-  check "last" true (Timeseries.last ts = Some (1.0, 4.0));
-  check "values" true (Timeseries.values ts = [ 5.0; 4.0 ]);
-  check "csv header" true (Str_helpers.contains (Timeseries.to_csv ts) "time,groups")
-
 let suite =
   [
     ("table render", `Quick, test_table_render);
@@ -109,9 +85,6 @@ let suite =
     ("table row count", `Quick, test_table_row_count);
     ("histogram", `Quick, test_histogram);
     ("histogram bin width", `Quick, test_histogram_bin_width);
-    ("timeseries", `Quick, test_timeseries);
     ("table csv edge cases", `Quick, test_table_csv_edge_cases);
     ("histogram render empty", `Quick, test_histogram_render_empty);
-    ("timeseries csv empty", `Quick, test_timeseries_csv_empty);
-    ("timeseries csv name escaping", `Quick, test_timeseries_csv_name_escaping);
   ]

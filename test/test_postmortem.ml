@@ -147,7 +147,6 @@ let test_render_and_csv () =
       "evictions.csv";
       "group_sizes.csv";
       "group_lifetimes.csv";
-      "view_changes.csv";
     ]
     (List.map fst exports);
   List.iter

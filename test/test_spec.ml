@@ -111,44 +111,6 @@ let test_violation_report () =
       check "witness present" true (v.P.subject <> [])
   | None -> Alcotest.fail "expected violation"
 
-(* --- monitor --- *)
-
-let test_monitor_counts () =
-  let m = Dgs_spec.Monitor.create ~dmax:2 in
-  let good = cfg (Gen.line 3) [ (0, [ 0; 1; 2 ]); (1, [ 0; 1; 2 ]); (2, [ 0; 1; 2 ]) ] in
-  Dgs_spec.Monitor.observe m good;
-  Dgs_spec.Monitor.observe m good;
-  (* A member disappears while the topology is unchanged: continuity breach
-     not excused. *)
-  let shrunk = cfg (Gen.line 3) [ (0, [ 0; 1 ]); (1, [ 0; 1 ]); (2, [ 2 ]) ] in
-  Dgs_spec.Monitor.observe m shrunk;
-  let r = Dgs_spec.Monitor.report m in
-  check_int "steps" 3 r.Dgs_spec.Monitor.steps;
-  check_int "legit steps" 2 r.Dgs_spec.Monitor.legitimate_steps;
-  check_int "continuity breaches" 1 r.Dgs_spec.Monitor.continuity_breaches;
-  check_int "excused" 0 r.Dgs_spec.Monitor.excused_breaches;
-  check_int "pt breaches" 0 r.Dgs_spec.Monitor.pt_breaches;
-  (* legitimacy of the shrunk config: {0,1},{2} on a line with dmax 2 is
-     NOT maximal, so the last step is not legitimate. *)
-  check_int "maximality flagged" 1 r.Dgs_spec.Monitor.maximality_violations
-
-let test_monitor_excuses () =
-  let m = Dgs_spec.Monitor.create ~dmax:1 in
-  let pair = cfg (Gen.line 2) [ (0, [ 0; 1 ]); (1, [ 0; 1 ]) ] in
-  Dgs_spec.Monitor.observe m pair;
-  (* The edge disappears and the pair splits in the same transition: the
-     breach is excused by ΠT. *)
-  let split =
-    Cfg.make
-      ~graph:(Graph.of_edges ~nodes:[ 0; 1 ] [])
-      ~views:(cfg (Gen.line 2) [ (0, [ 0 ]); (1, [ 1 ]) ]).Cfg.views
-  in
-  Dgs_spec.Monitor.observe m split;
-  let r = Dgs_spec.Monitor.report m in
-  check_int "breach recorded" 1 r.Dgs_spec.Monitor.continuity_breaches;
-  check_int "breach excused" 1 r.Dgs_spec.Monitor.excused_breaches;
-  check_int "pt breach" 1 r.Dgs_spec.Monitor.pt_breaches
-
 let suite =
   [
     ("omega under agreement", `Quick, test_omega_agreement);
@@ -164,6 +126,4 @@ let suite =
     ("continuity", `Quick, test_continuity);
     ("best effort", `Quick, test_best_effort);
     ("violation reporting", `Quick, test_violation_report);
-    ("monitor counts", `Quick, test_monitor_counts);
-    ("monitor excuses via Î T", `Quick, test_monitor_excuses);
   ]

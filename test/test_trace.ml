@@ -204,18 +204,26 @@ let test_rotating_sink () =
 
 (* --- traced event counts vs. the medium's ground truth --- *)
 
+(* Per destination the test keeps its own tally: every broadcast reaches
+   the same audience of three, so each destination is addressed exactly
+   [sends] times, and the [deliver] callback sees every copy the channel
+   did not lose — consumed at nodes 1 and 2, refused at node 3. *)
 let test_trace_counts_match_medium () =
   let ring = Trace.Ring.create ~capacity:4096 in
   let engine = Engine.create () in
+  let sends = 200 in
+  let calls = Array.make 4 0 in
   let medium =
     Medium.create ~engine ~rng:(Rng.create 11) ~loss:0.4 ~delay_min:0.001
       ~delay_max:0.01
       ~trace:(Trace.Ring.sink ring)
       ~audience:(fun _ -> [ 1; 2; 3 ])
-      ~deliver:(fun ~dst ~lid:_ _ -> dst <> 3)
+      ~deliver:(fun ~dst ~lid:_ _ ->
+        calls.(dst) <- calls.(dst) + 1;
+        dst <> 3)
       ()
   in
-  for _ = 1 to 200 do
+  for _ = 1 to sends do
     ignore (Medium.broadcast medium ~src:0 "x")
   done;
   Engine.run_until engine 10.0;
@@ -234,19 +242,21 @@ let test_trace_counts_match_medium () =
   check_int "losses" s.Medium.losses (count "Msg_lost");
   check_int "drops" s.Medium.drops (count "Msg_dropped");
   List.iter
-    (fun d ->
-      let node = d.Medium.dst in
+    (fun node ->
+      let consumed = if node = 3 then 0 else calls.(node) in
       check_int
         (Printf.sprintf "deliveries to %d" node)
-        d.Medium.dst_deliveries
+        consumed
         (count ~node "Msg_delivered");
       check_int
         (Printf.sprintf "losses to %d" node)
-        d.Medium.dst_losses (count ~node "Msg_lost");
+        (sends - calls.(node))
+        (count ~node "Msg_lost");
       check_int
         (Printf.sprintf "drops at %d" node)
-        d.Medium.dst_drops (count ~node "Msg_dropped"))
-    (Medium.stats_by_dest medium);
+        (calls.(node) - consumed)
+        (count ~node "Msg_dropped"))
+    [ 1; 2; 3 ];
   check "some of each" true
     (s.Medium.deliveries > 0 && s.Medium.losses > 0 && s.Medium.drops > 0);
   check_int "node 3 consumed nothing" 0 (count ~node:3 "Msg_delivered")
@@ -254,16 +264,16 @@ let test_trace_counts_match_medium () =
 (* --- E1: the View_changed stream pins down convergence --- *)
 
 let test_e1_view_changed_sequence () =
-  let ring = Trace.Ring.create ~capacity:100_000 in
+  let tally = Monitor.view_tally () in
   let t =
     Rounds.create
       ~config:(Config.make ~dmax:3 ())
-      ~trace:(Trace.Ring.sink ring) (Gen.grid 3 3)
+      ~trace:(Monitor.view_tally_sink tally) (Gen.grid 3 3)
   in
   (match Rounds.run_until_stable ~jitter:0.1 ~rng:(Rng.create 42) t with
   | Some _ -> ()
   | None -> Alcotest.fail "E1 grid did not converge");
-  let stab = Monitor.view_stabilization (Trace.Ring.contents ring) in
+  let stab = Monitor.view_stabilization tally in
   Alcotest.(check (list int))
     "every node changed views at least once" (Rounds.node_ids t)
     (List.map (fun (node, _, _, _) -> node) stab);
@@ -273,6 +283,30 @@ let test_e1_view_changed_sequence () =
         (final_view = Node_id.Set.elements (Grp_node.view (Rounds.node t node)));
       check "at least one change" true (changes >= 1))
     stab
+
+(* The tally keeps every change however long the stream: 70,000 events,
+   past the 65,536-entry ring the CLI once summarized, over 7 nodes.
+   Event [k] belongs to node [k mod 7] at time [k], with view [node; k]. *)
+let test_view_tally_long_stream () =
+  let tally = Monitor.view_tally () in
+  let sink = Monitor.view_tally_sink tally in
+  let nodes = 7 and events = 70_000 in
+  for k = 0 to events - 1 do
+    let node = k mod nodes in
+    Trace.set_time sink (float_of_int k);
+    Trace.emit sink
+      (Trace.View_changed { node; added = [ k ]; removed = []; view = [ node; k ]; cause = -1 });
+    Trace.emit sink (Trace.Msg_sent { src = node; lid = k })
+  done;
+  let expected =
+    List.init nodes (fun node ->
+        let last = events - nodes + node in
+        (node, float_of_int last, [ node; last ], events / nodes))
+  in
+  let stab = Monitor.view_stabilization tally in
+  check_int "nodes" nodes (List.length stab);
+  check_int "changes" events (List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 stab);
+  check "per-node count, last time and final view" true (stab = expected)
 
 (* --- monitor timeline --- *)
 
@@ -405,6 +439,7 @@ let suite =
     ("rotating sink", `Quick, test_rotating_sink);
     ("traced counts match medium stats", `Quick, test_trace_counts_match_medium);
     ("E1 View_changed sequence", `Quick, test_e1_view_changed_sequence);
+    ("view tally counts a 70,000-event stream", `Quick, test_view_tally_long_stream);
     ("monitor timeline", `Quick, test_monitor_timeline);
     ("doc vocabulary", `Quick, test_doc_vocabulary);
     ("doc field schema", `Quick, test_doc_field_schema);
