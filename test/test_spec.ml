@@ -111,6 +111,20 @@ let test_violation_report () =
       check "witness present" true (v.P.subject <> [])
   | None -> Alcotest.fail "expected violation"
 
+(* The excuse a monitor over an execution applies to one step: a pair
+   splits in the same transition its edge disappears.  The step breaches
+   continuity and ΠT, and the best-effort clause excuses it. *)
+let test_monitor_excuses () =
+  let pair = cfg (Gen.line 2) [ (0, [ 0; 1 ]); (1, [ 0; 1 ]) ] in
+  let split =
+    Cfg.make
+      ~graph:(Graph.of_edges ~nodes:[ 0; 1 ] [])
+      ~views:(cfg (Gen.line 2) [ (0, [ 0 ]); (1, [ 1 ]) ]).Cfg.views
+  in
+  check "breach recorded" false (P.continuity pair split = None);
+  check "pt breach" false (P.topology_preserved ~dmax:1 pair split = None);
+  check "breach excused" true (P.best_effort ~dmax:1 pair split = None)
+
 let suite =
   [
     ("omega under agreement", `Quick, test_omega_agreement);
@@ -126,4 +140,5 @@ let suite =
     ("continuity", `Quick, test_continuity);
     ("best effort", `Quick, test_best_effort);
     ("violation reporting", `Quick, test_violation_report);
+    ("monitor excuses via \xC3\x8E\xC2\xA0T", `Quick, test_monitor_excuses);
   ]
