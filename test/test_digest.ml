@@ -22,7 +22,10 @@
    of the counter fence's campaign ([grp_sim fuzz --seed 42 --runs 250
    --max-actions 10]): the counter fence sums registry counters over the
    campaign, so a run's own drops, losses or engine-fire budget could
-   move unseen. *)
+   move unseen.  The unguided generator never emits mobility or ramp
+   actions, so a second report fence runs the coverage-guided campaign
+   [Fuzz.campaign ~coverage:true ~seed:7 ~runs:250 ~max_actions:10],
+   whose stream draws every [mob-*] and [ramp-*] action. *)
 
 module Rounds = Dgs_sim.Rounds
 module Sharded = Dgs_sim.Sharded
@@ -96,10 +99,10 @@ let converge_digests () =
        ~confirm:(dmax + 5) ~max_rounds:10_000 t);
   List.rev !acc
 
-let fuzz_reports () =
+let fuzz_reports ~coverage ~seed ~runs () =
   let acc = ref [] in
   let on_run _ _ r = acc := Oracle.report_to_json r :: !acc in
-  ignore (Fuzz.campaign ~seed:42 ~runs:250 ~max_actions:10 ~on_run ());
+  ignore (Fuzz.campaign ~coverage ~seed ~runs ~max_actions:10 ~on_run ());
   List.rev !acc
 
 let read_lines path =
@@ -135,5 +138,10 @@ let suite =
       fence "converge-n200-digests.expected" converge_digests );
     ( "fuzz seed 42 250 runs per-scenario oracle reports",
       `Quick,
-      fence "fuzz-seed42-reports.expected" fuzz_reports );
+      fence "fuzz-seed42-reports.expected"
+        (fuzz_reports ~coverage:false ~seed:42 ~runs:250) );
+    ( "guided fuzz seed 7 250 runs per-scenario oracle reports",
+      `Quick,
+      fence "fuzz-guided-seed7-reports.expected"
+        (fuzz_reports ~coverage:true ~seed:7 ~runs:250) );
   ]
