@@ -42,7 +42,7 @@ let () =
   let net =
     Net.create ~engine ~rng
       ~config:(Config.make ~dmax ())
-      ~tau_c:1.0 ~tau_s:0.4 ~loss:0.02
+      ~loss:0.02
       ~topology:(fun () -> graph)
       ~nodes:(Dgs_graph.Graph.nodes graph)
       ()
@@ -81,6 +81,5 @@ let () =
   let stats = Net.stats net in
   Printf.printf
     "\n%d computes, %d broadcasts, %d deliveries, %d lost frames, %d evictions\n"
-    stats.Net.computes stats.Net.medium.Dgs_sim.Medium.broadcasts
-    stats.Net.medium.Dgs_sim.Medium.deliveries stats.Net.medium.Dgs_sim.Medium.losses
+    stats.Net.computes stats.Net.broadcasts stats.Net.deliveries stats.Net.losses
     stats.Net.view_removals

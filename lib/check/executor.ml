@@ -4,14 +4,18 @@ module Rng = Dgs_util.Rng
 module Mobility = Dgs_mobility.Mobility
 module Trace = Dgs_trace.Trace
 module Engine = Dgs_sim.Engine
-module Medium = Dgs_sim.Medium
 module Net = Dgs_sim.Net
 module Configuration = Dgs_spec.Configuration
 module Predicates = Dgs_spec.Predicates
 open Dgs_core
 
-let tau_c = 1.0
-let tau_s = 0.4
+let tau_c = Net.tau_c
+let tau_s = Net.tau_s
+
+(* Initial convergence is treated as a disruption "ending" at this
+   simulated time: continuity is never enforced before
+   [initial_grace + horizon], leaving the protocol room to reach its
+   first legitimate configuration without false eviction alarms. *)
 let initial_grace = 20.0
 
 (* Simulated seconds granted to reach quiescence after the script. *)
@@ -66,7 +70,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   let graph = Scenario.build sc.topology in
   let config = protocol (Config.make ~dmax:sc.dmax ()) in
   let net =
-    Net.create ~engine ~rng ~config ~tau_c ~tau_s ~loss:sc.loss
+    Net.create ~engine ~rng ~config ~loss:sc.loss
       ~corruption:sc.corruption ~trace ~metrics
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -95,8 +99,23 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   let disrupt () =
     calm_from := max !calm_from (Engine.now engine +. horizon ())
   in
-  let current_loss = ref sc.loss in
-  let current_corruption = ref sc.corruption in
+  (* Clamp a scheduled channel rate, set it, and count a change as a
+     disruption. *)
+  let set_rate get set p =
+    let p = Float.max 0.0 (Float.min 1.0 p) in
+    let changed = p <> get net in
+    set net p;
+    if changed then disrupt ()
+  in
+  (* The final judgement and the quiescence-phase observer see the same
+     active-induced configuration; [Graph.induced] allocates a fresh
+     graph, so observers may retain or diff configurations across polls. *)
+  let active_configuration () =
+    let active = List.filter (Net.is_active net) (Net.node_ids net) in
+    Configuration.make
+      ~graph:(Graph.induced graph (Int_set.of_list active))
+      ~views:(Net.views net)
+  in
   let mob = ref None in
   (* Engine-fire budget, accumulated per activation episode. *)
   let rate = (1.0 /. tau_c) +. (1.0 /. tau_s) in
@@ -123,8 +142,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
       let removed = info.Grp_node.view_removed in
       if not (Node_id.Set.is_empty removed) then begin
         let calm =
-          !current_loss = 0.0 && !current_corruption = 0.0
-          && time >= !calm_from
+          Net.loss net = 0.0 && Net.corruption net = 0.0 && time >= !calm_from
         in
         if strict_continuity || calm then
           add "continuity" time
@@ -139,6 +157,18 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
     let c = Configuration.make ~graph:before ~views in
     let c' = Configuration.make ~graph ~views in
     Predicates.topology_preserved ~dmax:sc.dmax c c' <> None
+  in
+  (* Step a channel rate linearly to [target], one compute period per
+     step. *)
+  let ramp get set target steps =
+    let target = Float.max 0.0 (Float.min 1.0 target) in
+    let steps = max 1 (min 32 steps) in
+    let from = get net in
+    for i = 1 to steps do
+      set_rate get set
+        (from +. ((target -. from) *. float_of_int i /. float_of_int steps));
+      Net.run_until net (Engine.now engine +. tau_c)
+    done
   in
   let apply = function
     | Scenario.Pause d ->
@@ -177,13 +207,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
           (* A fresh isolated node cannot shrink anyone's view: not a
              disruption. *)
         end
-    | Scenario.Set_loss p ->
-        let p = Float.max 0.0 (Float.min 1.0 p) in
-        Net.set_loss net p;
-        if p <> !current_loss then begin
-          current_loss := p;
-          disrupt ()
-        end
+    | Scenario.Set_loss p -> set_rate Net.loss Net.set_loss p
     | Scenario.Add_edge (u, v) ->
         (* New edges only shrink distances, so ΠT keeps holding and the
            best-effort theorem says continuity must survive the merge
@@ -222,66 +246,26 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
               then disrupt ();
               Net.run_until net (Engine.now engine +. tau_c)
             done)
-    | Scenario.Ramp_loss (target, steps) ->
-        let target = Float.max 0.0 (Float.min 1.0 target) in
-        let steps = max 1 (min 32 steps) in
-        let from = !current_loss in
-        for i = 1 to steps do
-          let p = from +. ((target -. from) *. float_of_int i /. float_of_int steps) in
-          let p = Float.max 0.0 (Float.min 1.0 p) in
-          Net.set_loss net p;
-          if p <> !current_loss then begin
-            current_loss := p;
-            disrupt ()
-          end;
-          Net.run_until net (Engine.now engine +. tau_c)
-        done
+    | Scenario.Ramp_loss (target, steps) -> ramp Net.loss Net.set_loss target steps
     | Scenario.Ramp_corruption (target, steps) ->
-        let target = Float.max 0.0 (Float.min 1.0 target) in
-        let steps = max 1 (min 32 steps) in
-        let from = !current_corruption in
-        for i = 1 to steps do
-          let p = from +. ((target -. from) *. float_of_int i /. float_of_int steps) in
-          let p = Float.max 0.0 (Float.min 1.0 p) in
-          Net.set_corruption net p;
-          if p <> !current_corruption then begin
-            current_corruption := p;
-            disrupt ()
-          end;
-          Net.run_until net (Engine.now engine +. tau_c)
-        done
+        ramp Net.corruption Net.set_corruption target steps
   in
   List.iter apply sc.actions;
   (* Quiescence phase: lossless channel, wait for the state signature to
      hold still for a confirmation window. *)
-  Net.set_loss net 0.0;
-  if !current_loss <> 0.0 then begin
-    current_loss := 0.0;
-    disrupt ()
-  end;
+  set_rate Net.loss Net.set_loss 0.0;
   (* Corruption is reset the same way: quiescence is judged over a fully
      clean channel, so a livelock verdict indicts the protocol, never the
      channel (a persistent corruption stream can otherwise drive a
      perfectly periodic drop -> eviction -> re-admission cycle). *)
-  Net.set_corruption net 0.0;
-  if !current_corruption <> 0.0 then begin
-    current_corruption := 0.0;
-    disrupt ()
-  end;
+  set_rate Net.corruption Net.set_corruption 0.0;
   let confirm = sc.dmax + 5 in
   let deadline = Engine.now engine +. quiescence_budget in
   let poll () =
     Registry.Counter.incr m_poll;
-    (match on_observe with
-    | None -> ()
-    | Some f ->
-        (* Same active-induced configuration the final judgement uses;
-           Graph.induced allocates a fresh graph, so observers may retain
-           or diff configurations across polls safely. *)
-        let active = List.filter (Net.is_active net) (Net.node_ids net) in
-        let g_active = Graph.induced graph (Int_set.of_list active) in
-        f ~time:(Engine.now engine)
-          (Configuration.make ~graph:g_active ~views:(Net.views net)));
+    Option.iter
+      (fun f -> f ~time:(Engine.now engine) (active_configuration ()))
+      on_observe;
     Registry.Timer.time m_poll_ns (fun () -> Net.state_signature net)
   in
   (* Most recent signature first; only consulted if the budget runs out. *)
@@ -339,9 +323,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
         :: !violations
   | None -> ());
   (* Judge the final configuration over the active-induced topology. *)
-  let active = List.filter (Net.is_active net) (Net.node_ids net) in
-  let g_active = Graph.induced graph (Int_set.of_list active) in
-  let c = Configuration.make ~graph:g_active ~views:(Net.views net) in
+  let c = active_configuration () in
   let pv v = Format.asprintf "%a" Predicates.pp_violation v in
   if stabilized then begin
     (match Predicates.agreement c with
@@ -353,14 +335,13 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   end;
   let maximality_gap = stabilized && Predicates.maximality ~dmax:sc.dmax c <> None in
   let stats = Net.stats net in
-  let m = stats.Net.medium in
   (* Engine-fire budget: close the still-open episodes, then compare. *)
   Hashtbl.iter
     (fun _ t0 -> budget := !budget +. ((t_end -. t0) *. rate) +. 4.0)
     episodes;
   let fires = Engine.fired engine in
   let fire_budget =
-    int_of_float (Float.ceil !budget) + m.Medium.deliveries + m.Medium.drops
+    int_of_float (Float.ceil !budget) + stats.Net.deliveries + stats.Net.drops
   in
   if fires > fire_budget then
     add "engine_budget" t_end
@@ -376,10 +357,10 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
     groups = List.length (Configuration.groups c);
     evictions = stats.Net.view_removals;
     computes = stats.Net.computes;
-    broadcasts = m.Medium.broadcasts;
-    deliveries = m.Medium.deliveries;
-    drops = m.Medium.drops;
-    losses = m.Medium.losses;
+    broadcasts = stats.Net.broadcasts;
+    deliveries = stats.Net.deliveries;
+    drops = stats.Net.drops;
+    losses = stats.Net.losses;
     engine_fires = fires;
     engine_fire_budget = fire_budget;
   }

@@ -1,6 +1,6 @@
 (** Scenario replay with continuous invariant checking.
 
-    [run] builds a fresh engine/medium/net from the scenario (everything
+    [run] builds a fresh engine and {!Dgs_sim.Net} from the scenario (everything
     seeded from [scenario.seed], so two runs of the same scenario are
     bit-identical), applies the action schedule, then grants the network a
     quiescence phase with the channel made lossless and judges the final
@@ -15,16 +15,7 @@
     rescheduling forever. *)
 
 val tau_c : float
-(** Compute period used for every fuzzed run (1.0). *)
-
-val tau_s : float
-(** Send period used for every fuzzed run (0.4). *)
-
-val initial_grace : float
-(** Initial convergence is treated as a disruption "ending" at this
-    simulated time: continuity is never enforced before
-    [initial_grace + calm horizon], leaving the protocol room to reach its
-    first legitimate configuration without false eviction alarms. *)
+(** Compute period of every fuzzed run: {!Dgs_sim.Net.tau_c}. *)
 
 val run :
   ?strict_continuity:bool ->
@@ -44,7 +35,7 @@ val run :
     cooldown.  It must not change [dmax], which the scenario owns.
 
     [trace] (default {!Dgs_trace.Trace.null}) receives the full event
-    stream of the replay — engine, medium and protocol events, stamped
+    stream of the replay — engine, channel and protocol events, stamped
     with simulation time — which is what [grp_sim report] post-mortems.
 
     [on_observe] is invoked at every quiescence-phase poll with the
@@ -55,7 +46,7 @@ val run :
     retain or diff configurations across polls.
 
     [metrics] (default {!Dgs_metrics.Registry.null}) is threaded to the
-    engine, the medium and every node, and additionally receives
+    engine, the network runtime and every node, and additionally receives
     [oracle_poll_total] / [oracle_poll_ns] around each quiescence-phase
     state-signature poll.  All counters it accumulates are pure functions
     of the scenario (the simulation is deterministic per seed); only the

@@ -2,22 +2,35 @@ module Graph = Dgs_graph.Graph
 module Rng = Dgs_util.Rng
 module Trace = Dgs_trace.Trace
 module Registry = Dgs_metrics.Registry
+module Names = Dgs_metrics.Names
 open Dgs_core
+
+let tau_c = 1.0
+let tau_s = 0.4
+
+(* Per-copy delivery delay, uniform in [delay_min, delay_max]. *)
+let delay_min = 0.001
+let delay_max = 0.01
 
 type stats = {
   computes : int;
   view_removals : int;
-  medium : Medium.stats;
+  broadcasts : int;
+  deliveries : int;
+  losses : int;
+  drops : int;
 }
 
 type t = {
   engine : Engine.t;
   rng : Rng.t;
+  (* Loss and delay draws, decided at send time. *)
+  chan_rng : Rng.t;
+  (* Corruption draws and byte mutations, decided at delivery time. *)
+  corrupt_rng : Rng.t;
   config : Config.t;
   trace : Trace.t;
   metrics : Registry.t;
-  tau_c : float;
-  tau_s : float;
   topology : unit -> Graph.t;
   nodes : (Node_id.t, Grp_node.t) Hashtbl.t;
   active : (Node_id.t, unit) Hashtbl.t;
@@ -30,12 +43,26 @@ type t = {
      remove/add cycle can never resurrect an old timer. *)
   gens : (Node_id.t, int) Hashtbl.t;
   mutable next_gen : int;
-  mutable medium : Message.t Medium.t option;
+  (* Per-source broadcast counters backing lineage-id minting.  Touched
+     only in the trace-enabled branch of [broadcast]: an untraced run
+     never reads or writes it, so the table stays empty. *)
+  lids : (Node_id.t, int) Hashtbl.t;
+  mutable loss : float;
   mutable corruption : float;
   mutable computes : int;
   mutable view_removals : int;
+  mutable broadcasts : int;
+  mutable deliveries : int;
+  mutable losses : int;
+  mutable drops : int;
   mutable observer :
     (time:float -> Grp_node.t -> Grp_node.step_info -> unit) option;
+  m_broadcast : Registry.Counter.t;
+  m_delivery : Registry.Counter.t;
+  m_loss : Registry.Counter.t;
+  m_drop : Registry.Counter.t;
+  m_loss_rate : Registry.Gauge.t;
+  m_delivery_ns : Registry.Timer.t;
 }
 
 let engine t = t.engine
@@ -49,7 +76,77 @@ let views t =
       if is_active t v then Node_id.Map.add v (Grp_node.view (node t v)) acc else acc)
     Node_id.Map.empty (node_ids t)
 
-let medium t = match t.medium with Some m -> m | None -> assert false
+(* Whether the protocol consumes a copy arriving now: [false] (a drop)
+   when the destination deactivated or was removed in flight, or when
+   the frame was corrupted out of the wire grammar.  With corruption
+   enabled every copy goes through the wire format; a frame mutated
+   into validity reaches the protocol and is handled by its own
+   checks. *)
+let consume t ~dst ~lid msg =
+  match Hashtbl.find_opt t.nodes dst with
+  | Some n when is_active t dst ->
+      if t.corruption > 0.0 && Rng.bernoulli t.corrupt_rng t.corruption then begin
+        match Wire.of_string (Wire.corrupt t.corrupt_rng (Wire.to_string msg)) with
+        | Some msg' ->
+            Grp_node.receive_lid n ~lid msg';
+            true
+        | None -> false
+      end
+      else begin
+        Grp_node.receive_lid n ~lid msg;
+        true
+      end
+  | _ -> false
+
+(* Fire one directed copy; only copies the protocol consumed count as
+   deliveries, so [deliveries] agrees with what [Grp_node.receive] saw. *)
+let deliver_copy t ~src ~dst ~lid msg =
+  let m_t0 = Registry.Timer.start t.m_delivery_ns in
+  let accepted = consume t ~dst ~lid msg in
+  Registry.Timer.stop t.m_delivery_ns m_t0;
+  if accepted then begin
+    t.deliveries <- t.deliveries + 1;
+    Registry.Counter.incr t.m_delivery
+  end
+  else begin
+    t.drops <- t.drops + 1;
+    Registry.Counter.incr t.m_drop
+  end;
+  if Trace.enabled t.trace then begin
+    Trace.set_time t.trace (Engine.now t.engine);
+    Trace.emit t.trace
+      (if accepted then Trace.Msg_delivered { src; dst; cause = lid }
+       else Trace.Msg_dropped { src; dst; cause = lid })
+  end
+
+(* One copy per current neighbour, in ascending id order; loss and delay
+   are drawn now, so a copy in flight survives a later link break or
+   loss-rate change (DESIGN.md Section 5 item 18). *)
+let broadcast t src msg =
+  t.broadcasts <- t.broadcasts + 1;
+  Registry.Counter.incr t.m_broadcast;
+  let lid =
+    if Trace.enabled t.trace then begin
+      let lid = Trace.mint_lid t.lids ~src in
+      Trace.set_time t.trace (Engine.now t.engine);
+      Trace.emit t.trace (Trace.Msg_sent { src; lid });
+      lid
+    end
+    else -1
+  in
+  Graph.Int_set.iter
+    (fun dst ->
+      if Rng.bernoulli t.chan_rng t.loss then begin
+        t.losses <- t.losses + 1;
+        Registry.Counter.incr t.m_loss;
+        if Trace.enabled t.trace then
+          Trace.emit t.trace (Trace.Msg_lost { src; dst; cause = lid })
+      end
+      else
+        Engine.schedule_after t.engine
+          (Rng.float_in t.chan_rng delay_min delay_max)
+          (fun () -> deliver_copy t ~src ~dst ~lid msg))
+    (Graph.neighbors (t.topology ()) src)
 
 let fresh_gen t =
   let g = t.next_gen in
@@ -76,22 +173,21 @@ let rec schedule_compute t v gen delay =
         (match t.observer with
         | Some f -> f ~time:(Engine.now t.engine) n info
         | None -> ());
-        schedule_compute t v gen t.tau_c
+        schedule_compute t v gen tau_c
       end)
 
 let rec schedule_send t v gen delay =
   Engine.schedule_after t.engine delay (fun () ->
       if gen_live t v gen && is_active t v then begin
-        ignore
-          (Medium.broadcast (medium t) ~src:v (Grp_node.make_message (node t v)));
-        schedule_send t v gen t.tau_s
+        broadcast t v (Grp_node.make_message (node t v));
+        schedule_send t v gen tau_s
       end)
 
 let start_timers t v =
   let gen = fresh_gen t in
   Hashtbl.replace t.gens v gen;
-  schedule_compute t v gen (Rng.float t.rng t.tau_c);
-  schedule_send t v gen (Rng.float t.rng t.tau_s)
+  schedule_compute t v gen (Rng.float t.rng tau_c);
+  schedule_send t v gen (Rng.float t.rng tau_s)
 
 let install_node t v =
   Hashtbl.replace t.nodes v
@@ -99,64 +195,50 @@ let install_node t v =
   Hashtbl.replace t.active v ();
   start_timers t v
 
-let create ~engine ~rng ~config ?(tau_c = 1.0) ?(tau_s = 0.4) ?(loss = 0.0)
-    ?(corruption = 0.0) ?(delay_min = 0.001) ?(delay_max = 0.01)
+let check_rate msg p = if p < 0.0 || p > 1.0 then invalid_arg msg
+
+let create ~engine ~rng ~config ?(loss = 0.0) ?(corruption = 0.0)
     ?(trace = Trace.null) ?(metrics = Registry.null) ~topology ~nodes () =
-  if tau_s > tau_c then invalid_arg "Net.create: tau_s must be <= tau_c";
-  if corruption < 0.0 || corruption > 1.0 then
-    invalid_arg "Net.create: corruption out of [0,1]";
+  check_rate "Net.create: loss out of [0,1]" loss;
+  check_rate "Net.create: corruption out of [0,1]" corruption;
+  (* Stream order: corruption, then channel, then [rng] itself for the
+     timer phases. *)
+  let corrupt_rng = Rng.split rng in
+  let chan_rng = Rng.split rng in
+  let m_loss_rate = Registry.gauge metrics Names.medium_loss_rate in
+  Registry.Gauge.set m_loss_rate loss;
   let t =
     {
       engine;
       rng;
+      chan_rng;
+      corrupt_rng;
       config;
       trace;
       metrics;
-      tau_c;
-      tau_s;
       topology;
       nodes = Hashtbl.create 64;
       active = Hashtbl.create 64;
       gens = Hashtbl.create 64;
       next_gen = 0;
-      medium = None;
+      lids = Hashtbl.create 64;
+      loss;
       corruption;
       computes = 0;
       view_removals = 0;
+      broadcasts = 0;
+      deliveries = 0;
+      losses = 0;
+      drops = 0;
       observer = None;
+      m_broadcast = Registry.counter metrics Names.medium_broadcast_total;
+      m_delivery = Registry.counter metrics Names.medium_delivery_total;
+      m_loss = Registry.counter metrics Names.medium_loss_total;
+      m_drop = Registry.counter metrics Names.medium_drop_total;
+      m_loss_rate;
+      m_delivery_ns = Registry.timer metrics Names.medium_delivery_ns;
     }
   in
-  let audience src = Graph.Int_set.elements (Graph.neighbors (topology ()) src) in
-  let corrupt_rng = Rng.split rng in
-  (* Returns whether the protocol consumed the copy: [false] (a drop, in
-     the medium's accounting) when the destination is deactivated or
-     removed, or when the frame was corrupted out of the wire grammar. *)
-  let deliver ~dst ~lid msg =
-    if is_active t dst then
-      match Hashtbl.find_opt t.nodes dst with
-      | Some n ->
-          (* With frame corruption enabled, every delivery goes through the
-             wire format; a frame mutated out of the grammar is dropped,
-             one mutated into validity reaches the protocol and is handled
-             by its own checks. *)
-          if t.corruption > 0.0 && Rng.bernoulli corrupt_rng t.corruption then begin
-            match Wire.of_string (Wire.corrupt corrupt_rng (Wire.to_string msg)) with
-            | Some msg' ->
-                Grp_node.receive_lid n ~lid msg';
-                true
-            | None -> false
-          end
-          else begin
-            Grp_node.receive_lid n ~lid msg;
-            true
-          end
-      | None -> false
-    else false
-  in
-  t.medium <-
-    Some
-      (Medium.create ~engine ~rng:(Rng.split rng) ~loss ~delay_min ~delay_max ~trace
-         ~metrics ~audience ~deliver ());
   List.iter (install_node t) nodes;
   t
 
@@ -187,12 +269,17 @@ let remove_node t v =
   Hashtbl.remove t.nodes v;
   Hashtbl.remove t.active v;
   Hashtbl.remove t.gens v
-let set_loss t loss = Medium.set_loss (medium t) loss
 
-let set_corruption t c =
-  if c < 0.0 || c > 1.0 then invalid_arg "Net.set_corruption: rate out of [0,1]";
-  t.corruption <- c
+let set_loss t p =
+  check_rate "Net.set_loss: rate out of [0,1]" p;
+  Registry.Gauge.set t.m_loss_rate p;
+  t.loss <- p
 
+let set_corruption t p =
+  check_rate "Net.set_corruption: rate out of [0,1]" p;
+  t.corruption <- p
+
+let loss t = t.loss
 let corruption t = t.corruption
 let on_step t f = t.observer <- Some f
 
@@ -200,7 +287,10 @@ let stats t =
   {
     computes = t.computes;
     view_removals = t.view_removals;
-    medium = Medium.stats (medium t);
+    broadcasts = t.broadcasts;
+    deliveries = t.deliveries;
+    losses = t.losses;
+    drops = t.drops;
   }
 
 let state_signature t =

@@ -2,51 +2,80 @@
 
     Instantiates one {!Dgs_core.Grp_node.t} per node and drives the
     Algorithm GRP event loop on a discrete-event {!Engine}: a compute timer
-    [Tc] of period [tau_c] and a send timer [Ts] of period [tau_s ≤ tau_c]
-    per node, with random initial phases, over a lossy broadcast
-    {!Medium}.  The topology is queried through a callback so mobility is
+    [Tc] of period {!tau_c} and a send timer [Ts] of period {!tau_s} per
+    node, with random initial phases, over a lossy one-hop broadcast
+    channel.  The topology is queried through a callback so mobility is
     reflected immediately; node churn (deactivation, reset, reactivation)
     models the appearing/disappearing nodes of the paper's dynamic
     system.
 
-    A trace sink given at {!create} is installed in the medium (channel
-    events) and in every protocol node (view/quarantine/mark/merge
-    events); the runtime stamps it with the engine clock before each
-    compute, so a sink shared with the engine is not required for correct
-    timestamps. *)
+    A broadcast by [src] sends one copy to each current neighbour of
+    [src] in the topology, in ascending id order, each independently
+    subject to Bernoulli loss and a uniform delivery delay in
+    [\[0.001, 0.01\]] — a simple abstraction of the paper's unreliable
+    one-hop wireless channel (its fair-channel hypothesis corresponds to
+    loss < 1 and periodic retransmission by the sender).  Audience, loss
+    and delay are all decided at {e send} time: a copy already in flight
+    is delivered even if the link it rode disappears or the loss rate
+    changes before the delivery event fires (DESIGN.md Section 5 item
+    18).  At delivery time a copy is a {e drop}, counted apart from both
+    deliveries and channel losses, when its destination deactivated or
+    was removed in flight or when frame corruption mutated it out of the
+    wire grammar; so [deliveries] agrees exactly with what
+    {!Dgs_core.Grp_node.receive} saw.  Each directed copy is one
+    {!Engine} event.
+
+    A trace sink given at {!create} receives the channel events —
+    {!Dgs_trace.Trace.Msg_sent} per broadcast and [Msg_delivered] /
+    [Msg_lost] / [Msg_dropped] per directed copy, stamped with the
+    simulation time of the send (sends, losses) or of the delivery
+    (deliveries, drops) — and is installed in every protocol node
+    (view/quarantine/mark/merge events); the runtime stamps it with the
+    engine clock before each compute, so a sink shared with the engine is
+    not required for correct timestamps.  Broadcasts carry lineage ids
+    minted by {!Dgs_trace.Trace.mint_lid} under an enabled sink ([-1]
+    otherwise), handed to {!Dgs_core.Grp_node.receive_lid}. *)
 
 type t
+
+val tau_c : float
+(** Compute period [Tc] of every node (1.0). *)
+
+val tau_s : float
+(** Send period [Ts] of every node (0.4, so [Ts ≤ Tc]). *)
 
 type stats = {
   computes : int;  (** [compute()] invocations across all nodes *)
   view_removals : int;  (** evictions — the continuity metric *)
-  medium : Medium.stats;  (** channel counters *)
+  broadcasts : int;  (** send operations *)
+  deliveries : int;  (** per-receiver copies the protocol consumed *)
+  losses : int;  (** per-receiver channel losses *)
+  drops : int;
+      (** per-receiver copies refused at delivery time (inactive or removed
+          destination, corrupted frame) *)
 }
 
 val create :
   engine:Engine.t ->
   rng:Dgs_util.Rng.t ->
   config:Dgs_core.Config.t ->
-  ?tau_c:float ->
-  ?tau_s:float ->
   ?loss:float ->
   ?corruption:float ->
-  ?delay_min:float ->
-  ?delay_max:float ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->
   topology:(unit -> Dgs_graph.Graph.t) ->
   nodes:Dgs_core.Node_id.t list ->
   unit ->
   t
-(** Defaults: [tau_c = 1.0], [tau_s = 0.4], no loss, no frame corruption,
-    delays in [\[0.001, 0.01\]], no tracing, no metrics.  [metrics] is
-    shared by the medium and every installed (or reset) node — the engine
-    takes its own at {!Engine.create}.  Timers start with a uniform
-    phase in their period.  [corruption] is the probability that a
-    delivered frame passes through {!Dgs_core.Wire} with one byte mutated.
-    Raises [Invalid_argument] on [tau_s > tau_c] or a corruption rate
-    outside [\[0,1\]]. *)
+(** Defaults: no loss, no frame corruption, no tracing, no metrics.
+    [metrics] receives the [medium_*] channel counter families mirroring
+    {!stats}, the [medium_loss_rate] gauge and the [medium_delivery_ns]
+    timer around each delivery, and is shared by every installed (or
+    reset) node — the engine takes its own at {!Engine.create}.  Timers
+    start with a uniform phase in their period.  [corruption] is the
+    probability that a delivered frame passes through {!Dgs_core.Wire}
+    with one byte mutated.  Raises [Invalid_argument] on a loss or
+    corruption rate outside [\[0,1\]]. *)
 
 val engine : t -> Engine.t
 (** The engine driving this runtime's timers. *)
@@ -71,8 +100,7 @@ val deactivate : t -> Dgs_core.Node_id.t -> unit
     (so a later {!activate} resumes with stale state — a transient
     fault).  Its timers are retired: each pending timer fires at most once
     more as a no-op, so a deactivated node consumes no engine events while
-    down.  Copies in flight to it are counted as drops by the
-    {!Medium}. *)
+    down.  Copies in flight to it are counted as drops. *)
 
 val activate : t -> Dgs_core.Node_id.t -> unit
 (** Resume a deactivated node with fresh timer phases (no-op for unknown
@@ -91,7 +119,11 @@ val remove_node : t -> Dgs_core.Node_id.t -> unit
     id starts from scratch.  No-op for unknown ids. *)
 
 val set_loss : t -> float -> unit
-(** Change the channel loss rate mid-run. *)
+(** Change the channel loss rate for subsequent broadcasts.  Raises
+    [Invalid_argument] outside [\[0,1\]]. *)
+
+val loss : t -> float
+(** The current channel loss rate. *)
 
 val set_corruption : t -> float -> unit
 (** Change the frame-corruption probability mid-run (loss/corruption ramps

@@ -1,8 +1,7 @@
-(* Unit tests for the simulation layer: engine, medium, round runner and
-   the event-driven network runtime. *)
+(* Unit tests for the simulation layer: engine, round runner and the
+   event-driven network runtime with its broadcast channel. *)
 
 module Engine = Dgs_sim.Engine
-module Medium = Dgs_sim.Medium
 module Rounds = Dgs_sim.Rounds
 module Net = Dgs_sim.Net
 module Gen = Dgs_graph.Gen
@@ -96,51 +95,81 @@ let test_engine_fired_matches_trace () =
   Alcotest.(check (list int)) "fires in (time, id) order" [ 1; 4; 5; 6; 0; 2; 3 ]
     fired
 
-(* --- medium --- *)
+(* --- net channel --- *)
 
-let make_medium ?(loss = 0.0) ~audience () =
+let make_net ?(loss = 0.0) ?(trace = Trace.null) ~seed graph =
   let engine = Engine.create () in
-  let received = ref [] in
-  let medium =
-    Medium.create ~engine ~rng:(Rng.create 1) ~loss ~delay_min:0.001 ~delay_max:0.01
-      ~audience
-      ~deliver:(fun ~dst ~lid:_ msg ->
-        received := (dst, msg) :: !received;
-        true)
-      ()
+  let net =
+    Net.create ~engine ~rng:(Rng.create seed)
+      ~config:(Config.make ~dmax:2 ())
+      ~loss ~trace
+      ~topology:(fun () -> graph)
+      ~nodes:(Graph.nodes graph) ()
   in
-  (engine, medium, received)
+  (engine, net)
 
-let test_medium_broadcast () =
-  let engine, medium, received = make_medium ~audience:(fun _ -> [ 1; 2; 3 ]) () in
-  ignore (Medium.broadcast medium ~src:0 "hello");
-  Engine.run_until engine 1.0;
-  check_int "all neighbors" 3 (List.length !received);
-  check "payload" true (List.for_all (fun (_, m) -> m = "hello") !received)
+(* Each broadcast sends one copy to every neighbour, once: on a lossless
+   star, every broadcast's lineage id is delivered exactly once at each
+   of its sender's neighbours and nowhere else, copies sent within the
+   maximum delay (0.01) of the horizon excepted, which are still in
+   flight. *)
+let test_net_broadcast () =
+  let graph = Gen.star 4 in
+  let ring = Trace.Ring.create ~capacity:65536 in
+  let _, net = make_net ~trace:(Trace.Ring.sink ring) ~seed:1 graph in
+  let horizon = 20.0 in
+  Net.run_until net horizon;
+  let events = Trace.Ring.contents ring in
+  check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
+  let sends =
+    List.filter_map
+      (function time, Trace.Msg_sent { src; lid } -> Some (time, src, lid) | _ -> None)
+      events
+  in
+  check "hub and leaves sent" true (List.length sends > 4 * 40);
+  List.iter
+    (fun (time, src, lid) ->
+      let dsts =
+        List.filter_map
+          (function
+            | _, Trace.Msg_delivered { src = s; dst; cause } when s = src && cause = lid ->
+                Some dst
+            | _ -> None)
+          events
+        |> List.sort compare
+      in
+      let neighbours = Graph.Int_set.elements (Graph.neighbors graph src) in
+      if time <= horizon -. 0.01 then
+        Alcotest.(check (list int))
+          (Printf.sprintf "copies of broadcast %d" lid)
+          neighbours dsts
+      else
+        check "in-flight broadcast: at most one copy per neighbour" true
+          (List.sort_uniq compare dsts = dsts
+          && List.for_all (fun d -> List.mem d neighbours) dsts))
+    sends
 
-let test_medium_excludes_sender () =
-  let engine, medium, received = make_medium ~audience:(fun _ -> [ 0; 1 ]) () in
-  ignore (Medium.broadcast medium ~src:0 "x");
-  Engine.run_until engine 1.0;
-  Alcotest.(check (list int)) "no self-delivery" [ 1 ] (List.map fst !received)
+let test_net_total_loss () =
+  let graph = Gen.line 2 in
+  let _, net = make_net ~loss:1.0 ~seed:1 graph in
+  Net.run_until net 20.0;
+  let s = Net.stats net in
+  check "broadcasts counted" true (s.Net.broadcasts > 40);
+  check_int "every copy lost" s.Net.broadcasts s.Net.losses;
+  check_int "nothing delivered" 0 s.Net.deliveries;
+  check_int "nothing dropped" 0 s.Net.drops;
+  check "nobody admitted" true
+    (Node_id.Set.equal (Grp_node.view (Net.node net 0)) (Node_id.Set.singleton 0))
 
-let test_medium_loss () =
-  let engine, medium, received = make_medium ~loss:1.0 ~audience:(fun _ -> [ 1; 2 ]) () in
-  ignore (Medium.broadcast medium ~src:0 "x");
-  Engine.run_until engine 1.0;
-  check_int "all lost" 0 (List.length !received);
-  let s = Medium.stats medium in
-  check_int "losses counted" 2 s.Medium.losses;
-  check_int "broadcast counted" 1 s.Medium.broadcasts
-
-let test_medium_loss_rate () =
-  let engine, medium, received = make_medium ~loss:0.5 ~audience:(fun _ -> [ 1 ]) () in
-  for _ = 1 to 2000 do
-    ignore (Medium.broadcast medium ~src:0 "x")
-  done;
-  Engine.run_until engine 100.0;
-  let n = List.length !received in
-  check "≈ half delivered" true (n > 850 && n < 1150)
+let test_net_loss_rate () =
+  let graph = Gen.line 2 in
+  let _, net = make_net ~loss:0.5 ~seed:1 graph in
+  Net.run_until net 400.0;
+  let s = Net.stats net in
+  (* One copy per broadcast on a line of two. *)
+  check "enough copies" true (s.Net.broadcasts >= 1500);
+  let share = float_of_int s.Net.losses /. float_of_int s.Net.broadcasts in
+  check "≈ half lost" true (share > 0.425 && share < 0.575)
 
 (* --- rounds runner --- *)
 
@@ -267,7 +296,7 @@ let test_net_stats () =
   Net.run_until net 20.0;
   let s = Net.stats net in
   check "computes happened" true (s.Net.computes > 10);
-  check "messages flowed" true (s.Net.medium.Medium.deliveries > 10)
+  check "messages flowed" true (s.Net.deliveries > 10)
 
 let test_net_observer () =
   let graph = Gen.line 2 in
@@ -284,17 +313,32 @@ let test_net_observer () =
   Net.run_until net 30.0;
   check "observer saw the admissions" true (!additions >= 2)
 
-let test_net_tau_validation () =
+let test_net_rate_validation () =
   let graph = Gen.line 2 in
-  let engine = Engine.create () in
-  Alcotest.check_raises "tau_s > tau_c"
-    (Invalid_argument "Net.create: tau_s must be <= tau_c") (fun () ->
-      ignore
-        (Net.create ~engine ~rng:(Rng.create 9)
-           ~config:(Config.make ~dmax:1 ())
-           ~tau_c:1.0 ~tau_s:2.0
-           ~topology:(fun () -> graph)
-           ~nodes:[ 0; 1 ] ()))
+  let create ?loss ?corruption () =
+    ignore
+      (Net.create ~engine:(Engine.create ()) ~rng:(Rng.create 9)
+         ~config:(Config.make ~dmax:1 ())
+         ?loss ?corruption
+         ~topology:(fun () -> graph)
+         ~nodes:[ 0; 1 ] ())
+  in
+  Alcotest.check_raises "loss > 1"
+    (Invalid_argument "Net.create: loss out of [0,1]") (create ~loss:1.5);
+  Alcotest.check_raises "corruption < 0"
+    (Invalid_argument "Net.create: corruption out of [0,1]")
+    (create ~corruption:(-0.1));
+  let _, net = make_net ~seed:9 graph in
+  Alcotest.check_raises "set_loss < 0"
+    (Invalid_argument "Net.set_loss: rate out of [0,1]") (fun () ->
+      Net.set_loss net (-0.5));
+  Alcotest.check_raises "set_corruption > 1"
+    (Invalid_argument "Net.set_corruption: rate out of [0,1]") (fun () ->
+      Net.set_corruption net 2.0);
+  Net.set_loss net 0.25;
+  Net.set_corruption net 0.5;
+  check_float "loss set" 0.25 (Net.loss net);
+  check_float "corruption set" 0.5 (Net.corruption net)
 
 (* --- reproducibility --- *)
 
@@ -380,12 +424,12 @@ let test_net_churn_event_budget () =
   done;
   Net.run_until net 60.0;
   let fires = Engine.fired engine in
-  let m = (Net.stats net).Net.medium in
+  let m = Net.stats net in
   let rate = (1.0 /. 1.0) +. (1.0 /. 0.4) in
   let budget =
     int_of_float (3.0 *. 60.0 *. rate)
     + (4 * !episodes)
-    + m.Medium.deliveries + m.Medium.drops + 30
+    + m.Net.deliveries + m.Net.drops + 30
   in
   check "engine fires within churn budget" true (fires <= budget)
 
@@ -421,7 +465,7 @@ let test_net_remove_node () =
        (Node_id.set_of_list [ 0; 1; 2 ]))
 
 (* Copies in flight to a node that deactivated are refused by the runtime
-   and must surface as medium drops (with Msg_dropped emitted), never as
+   and must surface as drops (with Msg_dropped emitted), never as
    deliveries. *)
 let test_net_inflight_drop_accounting () =
   let graph = Gen.line 2 in
@@ -436,13 +480,13 @@ let test_net_inflight_drop_accounting () =
   in
   Net.run_until net 20.0;
   Net.deactivate net 1;
-  let before = (Net.stats net).Net.medium in
+  let before = Net.stats net in
   Net.run_until net 40.0;
-  let after = (Net.stats net).Net.medium in
+  let after = Net.stats net in
   check "no deliveries to a deactivated node" true
-    (after.Medium.deliveries <= before.Medium.deliveries + 1);
+    (after.Net.deliveries <= before.Net.deliveries + 1);
   check "refused copies counted as drops" true
-    (after.Medium.drops > before.Medium.drops);
+    (after.Net.drops > before.Net.drops);
   check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
   let traced_drops =
     List.length
@@ -451,7 +495,7 @@ let test_net_inflight_drop_accounting () =
          (Trace.Ring.contents ring))
   in
   check "Msg_dropped emitted" true (traced_drops > 0);
-  check_int "trace agrees with the medium's drop counter" after.Medium.drops
+  check_int "trace agrees with the drop counter" after.Net.drops
     traced_drops
 
 (* --- zero-allocation pins --- *)
@@ -488,10 +532,9 @@ let suite =
     ("engine cascading events", `Quick, test_engine_cascading);
     ("engine rejects the past", `Quick, test_engine_past_rejected);
     ("engine fires match the trace", `Quick, test_engine_fired_matches_trace);
-    ("medium broadcast", `Quick, test_medium_broadcast);
-    ("medium excludes sender", `Quick, test_medium_excludes_sender);
-    ("medium total loss", `Quick, test_medium_loss);
-    ("medium loss rate", `Quick, test_medium_loss_rate);
+    ("net broadcast reaches each neighbour once", `Quick, test_net_broadcast);
+    ("net total loss", `Quick, test_net_total_loss);
+    ("net loss rate", `Quick, test_net_loss_rate);
     ("rounds message count", `Quick, test_rounds_message_count);
     ("rounds stabilizes a pair", `Quick, test_rounds_stabilizes_pair);
     ("rounds loss needs rng", `Quick, test_rounds_loss_requires_rng);
@@ -504,7 +547,7 @@ let suite =
     ("net add node", `Quick, test_net_add_node);
     ("net stats", `Quick, test_net_stats);
     ("net observer", `Quick, test_net_observer);
-    ("net tau validation", `Quick, test_net_tau_validation);
+    ("net rate validation", `Quick, test_net_rate_validation);
     ("net deactivate retires timers", `Quick, test_net_deactivate_retires_timers);
     ("net churn event budget", `Quick, test_net_churn_event_budget);
     ("net remove node", `Quick, test_net_remove_node);

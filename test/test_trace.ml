@@ -1,12 +1,12 @@
 (* Unit and integration tests for the dgs_trace event subsystem: sinks
-   (ring, JSONL, null), the engine cancel-backlog regression, agreement
-   between a trace's per-kind event counts and the medium's own
-   per-destination stats, the E1 View_changed stream, and the doc-vocabulary diff that
-   keeps docs/OBSERVABILITY.md in sync with the event type. *)
+   (ring, JSONL, null), agreement between a trace's per-kind and
+   per-destination event counts and the network runtime's own stats, the
+   E1 View_changed stream, and the doc-vocabulary diff that keeps
+   docs/OBSERVABILITY.md in sync with the event type. *)
 
 module Trace = Dgs_trace.Trace
 module Engine = Dgs_sim.Engine
-module Medium = Dgs_sim.Medium
+module Net = Dgs_sim.Net
 module Rounds = Dgs_sim.Rounds
 module Monitor = Dgs_spec.Monitor
 module Harness = Dgs_workload.Harness
@@ -202,64 +202,70 @@ let test_rotating_sink () =
       Alcotest.(check (list int)) "previous file" [ 16; 17; 18 ] (lids (path ^ ".1"));
       Alcotest.(check (list int)) "oldest kept file" [ 13; 14; 15 ] (lids (path ^ ".2")))
 
-(* --- traced event counts vs. the medium's ground truth --- *)
+(* --- traced event counts vs. the runtime's ground truth --- *)
 
-(* Per destination the test keeps its own tally: every broadcast reaches
-   the same audience of three, so each destination is addressed exactly
-   [sends] times, and the [deliver] callback sees every copy the channel
-   did not lose — consumed at nodes 1 and 2, refused at node 3. *)
-let test_trace_counts_match_medium () =
-  let ring = Trace.Ring.create ~capacity:4096 in
+(* A lossy star with hub 0; leaf 3 is deactivated halfway, so copies
+   addressed to it become drops.  The per-kind trace counts equal
+   [Net.stats], and per leaf every hub broadcast ends in exactly one of
+   delivered, lost or dropped — copies sent within the maximum delay
+   (0.01) of the horizon excepted, which may still be in flight. *)
+let test_trace_counts_match_net () =
+  let graph = Gen.star 4 in
+  let ring = Trace.Ring.create ~capacity:65536 in
   let engine = Engine.create () in
-  let sends = 200 in
-  let calls = Array.make 4 0 in
-  let medium =
-    Medium.create ~engine ~rng:(Rng.create 11) ~loss:0.4 ~delay_min:0.001
-      ~delay_max:0.01
+  let net =
+    Net.create ~engine ~rng:(Rng.create 11)
+      ~config:(Config.make ~dmax:2 ())
+      ~loss:0.4
       ~trace:(Trace.Ring.sink ring)
-      ~audience:(fun _ -> [ 1; 2; 3 ])
-      ~deliver:(fun ~dst ~lid:_ _ ->
-        calls.(dst) <- calls.(dst) + 1;
-        dst <> 3)
-      ()
+      ~topology:(fun () -> graph)
+      ~nodes:(Dgs_graph.Graph.nodes graph) ()
   in
-  for _ = 1 to sends do
-    ignore (Medium.broadcast medium ~src:0 "x")
-  done;
-  Engine.run_until engine 10.0;
+  let horizon = 40.0 in
+  Net.run_until net (horizon /. 2.0);
+  Net.deactivate net 3;
+  Net.run_until net horizon;
   check_int "ring kept every event" (Trace.Ring.seen ring) (Trace.Ring.length ring);
-  let count ?node kind =
-    List.length
-      (List.filter
-         (fun (_, ev) ->
-           Trace.kind ev = kind
-           && (node = None || Trace.node_of ev = node))
-         (Trace.Ring.contents ring))
+  let events = Trace.Ring.contents ring in
+  let count kind = List.length (List.filter (fun (_, ev) -> Trace.kind ev = kind) events) in
+  let s = Net.stats net in
+  check_int "sends" s.Net.broadcasts (count "Msg_sent");
+  check_int "deliveries" s.Net.deliveries (count "Msg_delivered");
+  check_int "losses" s.Net.losses (count "Msg_lost");
+  check_int "drops" s.Net.drops (count "Msg_dropped");
+  let hub_sends =
+    List.filter_map
+      (function time, Trace.Msg_sent { src = 0; lid } -> Some (time, lid) | _ -> None)
+      events
   in
-  let s = Medium.stats medium in
-  check_int "sends" s.Medium.broadcasts (count "Msg_sent");
-  check_int "deliveries" s.Medium.deliveries (count "Msg_delivered");
-  check_int "losses" s.Medium.losses (count "Msg_lost");
-  check_int "drops" s.Medium.drops (count "Msg_dropped");
+  (* The hub broadcast each terminal event of [leaf] answers. *)
+  let outcomes leaf =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Trace.Msg_delivered { src = 0; dst; cause }
+        | Trace.Msg_lost { src = 0; dst; cause }
+        | Trace.Msg_dropped { src = 0; dst; cause }
+          when dst = leaf ->
+            Some cause
+        | _ -> None)
+      events
+  in
   List.iter
-    (fun node ->
-      let consumed = if node = 3 then 0 else calls.(node) in
+    (fun leaf ->
+      let answered = List.sort compare (outcomes leaf) in
+      let in_flight (time, lid) = time > horizon -. 0.01 && not (List.mem lid answered) in
+      let landed = List.filter (fun send -> not (in_flight send)) hub_sends in
       check_int
-        (Printf.sprintf "deliveries to %d" node)
-        consumed
-        (count ~node "Msg_delivered");
-      check_int
-        (Printf.sprintf "losses to %d" node)
-        (sends - calls.(node))
-        (count ~node "Msg_lost");
-      check_int
-        (Printf.sprintf "drops at %d" node)
-        (calls.(node) - consumed)
-        (count ~node "Msg_dropped"))
+        (Printf.sprintf "delivered + lost + dropped at %d" leaf)
+        (List.length landed) (List.length answered);
+      Alcotest.(check (list int))
+        (Printf.sprintf "one outcome per hub broadcast at %d" leaf)
+        (List.sort compare (List.map snd landed))
+        answered)
     [ 1; 2; 3 ];
   check "some of each" true
-    (s.Medium.deliveries > 0 && s.Medium.losses > 0 && s.Medium.drops > 0);
-  check_int "node 3 consumed nothing" 0 (count ~node:3 "Msg_delivered")
+    (s.Net.deliveries > 0 && s.Net.losses > 0 && s.Net.drops > 0)
 
 (* --- E1: the View_changed stream pins down convergence --- *)
 
@@ -437,7 +443,7 @@ let suite =
     ("jsonl replay trace is lossless", `Quick, test_jsonl_lossless_replay);
     ("jsonl provenance backward-compat", `Quick, test_jsonl_provenance_compat);
     ("rotating sink", `Quick, test_rotating_sink);
-    ("traced counts match medium stats", `Quick, test_trace_counts_match_medium);
+    ("traced counts match net stats", `Quick, test_trace_counts_match_net);
     ("E1 View_changed sequence", `Quick, test_e1_view_changed_sequence);
     ("view tally counts a 70,000-event stream", `Quick, test_view_tally_long_stream);
     ("monitor timeline", `Quick, test_monitor_timeline);
