@@ -42,8 +42,7 @@ let replay ?strict_continuity ?trace ?metrics sc =
    [domain_reg], the per-domain registry of whichever pool worker claimed
    the task.  Shrink replays run unmetered: the per-run snapshot describes
    the original execution only. *)
-let execute_one ~strict_continuity ~shrink_attempts ~with_metrics domain_reg run
-    sc =
+let execute_one ~strict_continuity ~with_metrics domain_reg run sc =
   let d_runs = Registry.counter domain_reg Names.fuzz_run_total in
   let d_failures = Registry.counter domain_reg Names.fuzz_failure_total in
   let d_run_ns = Registry.timer domain_reg Names.fuzz_run_ns in
@@ -63,19 +62,17 @@ let execute_one ~strict_continuity ~shrink_attempts ~with_metrics domain_reg run
             (fun v -> String.equal v.Oracle.check v0.Oracle.check)
             r.Oracle.violations
         in
-        let shrunk =
-          Shrink.minimize ~max_attempts:shrink_attempts ~still_fails sc
-        in
+        let shrunk = Shrink.minimize ~still_fails sc in
         Some { run; scenario = sc; shrunk; first_violation = v0; report }
   in
   let snap = if with_metrics then Some (Registry.snapshot reg) else None in
   (sc, report, failure, snap)
 
-let run_one ~strict_continuity ~shrink_attempts ~max_actions ~master
-    ~with_metrics domain_reg run =
+let run_one ~strict_continuity ~max_actions ~master ~with_metrics domain_reg
+    run =
   let rng = Rng.split_at master run in
   let sc = Scenario.generate rng ~max_actions in
-  execute_one ~strict_continuity ~shrink_attempts ~with_metrics domain_reg run sc
+  execute_one ~strict_continuity ~with_metrics domain_reg run sc
 
 (* Generations per weight update in guided mode.  Generation happens in
    the caller with the weights current at the start of the batch, the
@@ -85,8 +82,7 @@ let run_one ~strict_continuity ~shrink_attempts ~max_actions ~master
    of [jobs] and of worker interleaving. *)
 let coverage_batch = 50
 
-let guided ~strict_continuity ~shrink_attempts ~jobs ~make ~evolve ~runs
-    ~max_actions ~master =
+let guided ~strict_continuity ~jobs ~make ~evolve ~runs ~max_actions ~master =
   let cov = Coverage.create () in
   let results = ref [] in
   let domain_regs = ref [] in
@@ -105,8 +101,8 @@ let guided ~strict_continuity ~shrink_attempts ~jobs ~make ~evolve ~runs
       Pool.map_ctx ~jobs ~make b (fun dreg i ->
           (* Per-run metrics are always live here: the coverage signature
              is read off the run's snapshot. *)
-          execute_one ~strict_continuity ~shrink_attempts ~with_metrics:true
-            dreg (start + i) scs.(i))
+          execute_one ~strict_continuity ~with_metrics:true dreg (start + i)
+            scs.(i))
     in
     let sigs =
       List.mapi
@@ -121,20 +117,18 @@ let guided ~strict_continuity ~shrink_attempts ~jobs ~make ~evolve ~runs
   done;
   (List.rev !results, List.rev !domain_regs, Some (Coverage.report cov))
 
-let campaign ?(strict_continuity = false) ?(shrink_attempts = 400) ?(jobs = 1)
-    ?(metrics = false) ?(coverage = false) ?(evolve = true) ~seed ~runs
-    ~max_actions ?(on_run = fun _ _ _ -> ()) () =
+let campaign ?(strict_continuity = false) ?(jobs = 1) ?(metrics = false)
+    ?(coverage = false) ?(evolve = true) ~seed ~runs ~max_actions
+    ?(on_run = fun _ _ _ -> ()) () =
   let master = Rng.create seed in
   let make () = if metrics then Registry.create () else Registry.null in
   let results, domain_regs, coverage_report =
     if coverage then
-      guided ~strict_continuity ~shrink_attempts ~jobs ~make ~evolve ~runs
-        ~max_actions ~master
+      guided ~strict_continuity ~jobs ~make ~evolve ~runs ~max_actions ~master
     else
       let r, d =
         Pool.map_ctx ~jobs ~make runs
-          (run_one ~strict_continuity ~shrink_attempts ~max_actions ~master
-             ~with_metrics:metrics)
+          (run_one ~strict_continuity ~max_actions ~master ~with_metrics:metrics)
       in
       (r, d, None)
   in

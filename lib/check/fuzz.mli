@@ -52,7 +52,6 @@ type summary = {
 
 val campaign :
   ?strict_continuity:bool ->
-  ?shrink_attempts:int ->
   ?jobs:int ->
   ?metrics:bool ->
   ?coverage:bool ->

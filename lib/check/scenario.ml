@@ -118,7 +118,9 @@ let family_of_action = function
   | Ramp_loss _ -> F_ramp_loss
   | Ramp_corruption _ -> F_ramp_corruption
 
-let generate rng ~max_actions =
+(* The topology and channel draws both generators start with, returning
+   a scenario with no actions yet. *)
+let prelude rng =
   let seed = Rng.int rng 1_000_000_000 in
   let dmax = Rng.int_in rng 1 3 in
   let topology =
@@ -135,10 +137,17 @@ let generate rng ~max_actions =
   in
   let loss = if Rng.bernoulli rng 0.3 then Rng.float rng 0.3 else 0.0 in
   let corruption = if Rng.bernoulli rng 0.15 then Rng.float rng 0.05 else 0.0 in
-  let n = node_count topology in
-  (* A few spare ids beyond the initial range so Add can introduce genuinely
-     new nodes (and churn actions can harmlessly target unknown ids). *)
-  let node () = Rng.int rng (n + 3) in
+  { seed; dmax; loss; corruption; topology; actions = [] }
+
+(* A few spare ids beyond the initial range so Add can introduce genuinely
+   new nodes (and churn actions can harmlessly target unknown ids). *)
+let node_drawer rng sc =
+  let n = node_count sc.topology in
+  fun () -> Rng.int rng (n + 3)
+
+let generate rng ~max_actions =
+  let sc = prelude rng in
+  let node = node_drawer rng sc in
   let count = Rng.int_in rng 1 (max 1 max_actions) in
   let rec make k acc =
     if k = 0 then List.rev acc
@@ -157,14 +166,15 @@ let generate rng ~max_actions =
       in
       make (k - 1) (a :: acc)
   in
-  { seed; dmax; loss; corruption; topology; actions = make count [] }
+  { sc with actions = make count [] }
 
-(* The coverage-guided generator: same topology/channel prelude as
-   [generate], but each action's family is drawn from an explicit weight
-   vector (one weight per [families] entry, in order) instead of the fixed
+(* The coverage-guided generator: the same [prelude] as [generate], but
+   each action's family is drawn from an explicit weight vector (one
+   weight per [families] entry, in order) instead of the fixed
    percentages above — the knob the campaign-level weight evolver turns.
-   Kept separate from [generate] so the legacy uniform stream (and every
-   seed-pinned campaign built on it) stays byte-identical.
+   The action draws differ from [generate]'s, so the two generators keep
+   separate action loops: the uniform stream (and every seed-pinned
+   campaign built on it) stays byte-identical.
 
    One structural rule: a [Mob_step] before any [Mob_start] would replay
    as a no-op, so the first mobility draw of a schedule always materializes
@@ -179,24 +189,8 @@ let generate_weighted rng ~max_actions ~weights =
       if not (Float.is_finite w) || w <= 0.0 then
         invalid_arg "Scenario.generate_weighted: weights must be positive")
     weights;
-  let seed = Rng.int rng 1_000_000_000 in
-  let dmax = Rng.int_in rng 1 3 in
-  let topology =
-    match Rng.int rng 9 with
-    | 0 -> Line (Rng.int_in rng 3 8)
-    | 1 -> Ring (Rng.int_in rng 3 8)
-    | 2 -> Grid (Rng.int_in rng 2 3, Rng.int_in rng 2 3)
-    | 3 -> Star (Rng.int_in rng 3 7)
-    | 4 -> Complete (Rng.int_in rng 3 6)
-    | 5 -> Btree (Rng.int_in rng 3 9)
-    | 6 -> Chain (Rng.int_in rng 2 3, Rng.int_in rng 2 3)
-    | 7 -> Loop (3, Rng.int_in rng 2 3)
-    | _ -> Er (Rng.int_in rng 5 9, Rng.float_in rng 0.25 0.6, Rng.int rng 1_000_000)
-  in
-  let loss = if Rng.bernoulli rng 0.3 then Rng.float rng 0.3 else 0.0 in
-  let corruption = if Rng.bernoulli rng 0.15 then Rng.float rng 0.05 else 0.0 in
-  let n = node_count topology in
-  let node () = Rng.int rng (n + 3) in
+  let sc = prelude rng in
+  let node = node_drawer rng sc in
   let total = Array.fold_left ( +. ) 0.0 weights in
   let pick_family () =
     let x = Rng.float rng total in
@@ -246,7 +240,7 @@ let generate_weighted rng ~max_actions ~weights =
       in
       make (k - 1) (a :: acc)
   in
-  { seed; dmax; loss; corruption; topology; actions = make count [] }
+  { sc with actions = make count [] }
 
 module Json = Dgs_util.Json
 
@@ -387,7 +381,13 @@ let of_string s =
     | _ -> None
   in
   let seed = int_of_float seed and dmax = int_of_float dmax in
-  Some { seed; dmax; loss; corruption; topology; actions }
+  let rate p = 0.0 <= p && p <= 1.0 in
+  let buildable =
+    match build topology with _ -> true | exception Invalid_argument _ -> false
+  in
+  if dmax >= 1 && rate loss && rate corruption && buildable then
+    Some { seed; dmax; loss; corruption; topology; actions }
+  else None
 
 let save path sc =
   let oc = open_out path in

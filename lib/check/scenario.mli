@@ -131,12 +131,15 @@ val to_string : t -> string
     printed with {!Dgs_util.Json.num}. *)
 
 val of_string : string -> t option
+(** Parse {!to_string}'s encoding.  [None] on malformed JSON, an unknown
+    topology or action, [dmax < 1], a loss or corruption rate outside
+    [\[0,1\]], or a topology {!build} rejects (e.g. ["ring 2"]). *)
 
 val save : string -> t -> unit
 (** Write {!to_string} plus a trailing newline to a file. *)
 
 val load : string -> t option
-(** Read a scenario written by {!save}; [None] on parse failure.  Raises
+(** Read a scenario written by {!save}; [None] when {!of_string} is.  Raises
     [Sys_error] when the file cannot be opened. *)
 
 val equal : t -> t -> bool

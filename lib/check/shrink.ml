@@ -16,7 +16,10 @@ let chunks l n =
   in
   go 0 l []
 
-let minimize ?(max_attempts = 400) ~still_fails (sc : Scenario.t) =
+(* Replays one minimization may spend. *)
+let max_attempts = 400
+
+let minimize ~still_fails (sc : Scenario.t) =
   let attempts = ref 0 in
   let try_actions actions =
     !attempts < max_attempts

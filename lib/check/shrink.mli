@@ -10,11 +10,7 @@
     still reports a violation of the same check", so the minimized
     scenario fails for the same reason, not a different one. *)
 
-val minimize :
-  ?max_attempts:int ->
-  still_fails:(Scenario.t -> bool) ->
-  Scenario.t ->
-  Scenario.t
-(** [max_attempts] (default 400) bounds the number of replays; the best
+val minimize : still_fails:(Scenario.t -> bool) -> Scenario.t -> Scenario.t
+(** At most 400 replays are spent; the best
     scenario found so far is returned when the budget runs out.  The
     result always satisfies [still_fails] when the input does. *)

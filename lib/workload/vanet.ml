@@ -76,7 +76,7 @@ type report = {
 
 let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     ?(jitter = 0.1) ?(warmup = 10) ?(rounds = 50) ?(oracle = (`Incremental : oracle))
-    ?(oracle_every = 5) ?(cross_check_limit = 64) ?(naive_graph = false)
+    ?(oracle_every = 5) ?(naive_graph = false)
     ?(jobs = 1) ?shards ?make_trace ?make_metrics ?profile_out ~scenario ~n () =
   let jobs = if jobs <= 0 then Dgs_parallel.Pool.default_jobs () else jobs in
   let shards = match shards with Some s -> max 1 s | None -> jobs in
@@ -98,7 +98,7 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
   Sharded.run ~jitter t warmup;
   let inc =
     match oracle with
-    | `Incremental -> Some (Incremental.create ~cross_check_limit ~dmax ())
+    | `Incremental -> Some (Incremental.create ~dmax ())
     | `Full | `Off -> None
   in
   let snap = Harness.Snapshotter.create () in

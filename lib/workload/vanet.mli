@@ -73,7 +73,6 @@ val run :
   ?rounds:int ->
   ?oracle:oracle ->
   ?oracle_every:int ->
-  ?cross_check_limit:int ->
   ?naive_graph:bool ->
   ?jobs:int ->
   ?shards:int ->
@@ -86,7 +85,8 @@ val run :
   report
 (** Run one scenario.  Defaults: seed 1, dmax 3, range 2, speed 0.15,
     dt 1, jitter 0.1, warmup 10 rounds, 50 measured rounds, incremental
-    oracle every 5 rounds with cross-check limit 64.  [naive_graph] switches
+    oracle every 5 rounds with {!Dgs_spec.Incremental.create}'s default
+    cross-check limit.  [naive_graph] switches
     the per-round rebuild to the O(n²) reference scan — the baseline leg of
     the scaling comparisons.  A final poll is added when [rounds] is not a
     multiple of [oracle_every] so the verdict fields always reflect the last
