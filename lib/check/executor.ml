@@ -10,7 +10,6 @@ module Predicates = Dgs_spec.Predicates
 open Dgs_core
 
 let tau_c = Net.tau_c
-let tau_s = Net.tau_s
 
 (* Initial convergence is treated as a disruption "ending" at this
    simulated time: continuity is never enforced before
@@ -70,8 +69,8 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   let graph = Scenario.build sc.topology in
   let config = protocol (Config.make ~dmax:sc.dmax ()) in
   let net =
-    Net.create ~engine ~rng ~config ~loss:sc.loss
-      ~corruption:sc.corruption ~trace ~metrics
+    Net.create ~engine ~rng ~config ~loss:sc.loss ~corruption:sc.corruption
+      ~trace ~metrics
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
   in
@@ -118,7 +117,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   in
   let mob = ref None in
   (* Engine-fire budget, accumulated per activation episode. *)
-  let rate = (1.0 /. tau_c) +. (1.0 /. tau_s) in
+  let rate = (1.0 /. tau_c) +. (1.0 /. Net.tau_s) in
   let budget = ref 8.0 in
   let episodes = Hashtbl.create 16 in
   let begin_episode v =

@@ -118,8 +118,10 @@ let family_of_action = function
   | Ramp_loss _ -> F_ramp_loss
   | Ramp_corruption _ -> F_ramp_corruption
 
-(* The topology and channel draws both generators start with, returning
-   a scenario with no actions yet. *)
+(* The topology and channel draws both generators start with: a scenario
+   with no actions yet, and a node-id drawer with a few spare ids beyond
+   the initial range, so Add can introduce genuinely new nodes (and churn
+   actions can harmlessly target unknown ids). *)
 let prelude rng =
   let seed = Rng.int rng 1_000_000_000 in
   let dmax = Rng.int_in rng 1 3 in
@@ -137,17 +139,11 @@ let prelude rng =
   in
   let loss = if Rng.bernoulli rng 0.3 then Rng.float rng 0.3 else 0.0 in
   let corruption = if Rng.bernoulli rng 0.15 then Rng.float rng 0.05 else 0.0 in
-  { seed; dmax; loss; corruption; topology; actions = [] }
-
-(* A few spare ids beyond the initial range so Add can introduce genuinely
-   new nodes (and churn actions can harmlessly target unknown ids). *)
-let node_drawer rng sc =
-  let n = node_count sc.topology in
-  fun () -> Rng.int rng (n + 3)
+  let n = node_count topology in
+  ({ seed; dmax; loss; corruption; topology; actions = [] }, fun () -> Rng.int rng (n + 3))
 
 let generate rng ~max_actions =
-  let sc = prelude rng in
-  let node = node_drawer rng sc in
+  let sc, node = prelude rng in
   let count = Rng.int_in rng 1 (max 1 max_actions) in
   let rec make k acc =
     if k = 0 then List.rev acc
@@ -172,9 +168,8 @@ let generate rng ~max_actions =
    each action's family is drawn from an explicit weight vector (one
    weight per [families] entry, in order) instead of the fixed
    percentages above — the knob the campaign-level weight evolver turns.
-   The action draws differ from [generate]'s, so the two generators keep
-   separate action loops: the uniform stream (and every seed-pinned
-   campaign built on it) stays byte-identical.
+   Its action loop stays separate so the uniform stream (and every
+   seed-pinned campaign built on it) stays byte-identical.
 
    One structural rule: a [Mob_step] before any [Mob_start] would replay
    as a no-op, so the first mobility draw of a schedule always materializes
@@ -189,8 +184,7 @@ let generate_weighted rng ~max_actions ~weights =
       if not (Float.is_finite w) || w <= 0.0 then
         invalid_arg "Scenario.generate_weighted: weights must be positive")
     weights;
-  let sc = prelude rng in
-  let node = node_drawer rng sc in
+  let sc, node = prelude rng in
   let total = Array.fold_left ( +. ) 0.0 weights in
   let pick_family () =
     let x = Rng.float rng total in

@@ -80,7 +80,7 @@ val receive : t -> Message.t -> unit
 
 val receive_lid : t -> lid:int -> Message.t -> unit
 (** {!receive} with the copy's provenance lineage id (from
-    {!Dgs_sim.Medium}; [-1] when tracing is off).  The id lands in an int
+    {!Dgs_sim.Net}; [-1] when tracing is off).  The id lands in an int
     array parallel to the inbox, so threading it is allocation-free; it
     is only ever read under an enabled trace sink, where it becomes the
     [cause] of the decision events this message flips.  [lid] is a

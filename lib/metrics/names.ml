@@ -30,7 +30,7 @@ let grp_view_add_total = "grp_view_add_total"
 let grp_view_remove_total = "grp_view_remove_total"
 let grp_view_size = "grp_view_size"
 
-(* Medium *)
+(* Broadcast channel (Net) *)
 let medium_broadcast_total = "medium_broadcast_total"
 let medium_delivery_total = "medium_delivery_total"
 let medium_loss_total = "medium_loss_total"

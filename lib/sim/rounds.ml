@@ -11,7 +11,7 @@ type t = {
   mutable graph : Graph.t;
   nodes : (Node_id.t, Grp_node.t) Hashtbl.t;
   (* Per-source send counters backing lineage-id minting, touched only
-     when tracing is enabled (the Medium discipline). *)
+     when tracing is enabled (the Net discipline). *)
   lids : (Node_id.t, int) Hashtbl.t;
   mutable sent : int;
   mutable round_no : int;

@@ -1,8 +1,8 @@
 (** Structured protocol event tracing ([dgs_trace]).
 
     A {e trace sink} is a destination for the typed protocol events emitted
-    by the simulation stack (engine, medium, runners, and the GRP node
-    itself).  Every layer takes an optional sink at construction time and
+    by the simulation stack (engine, network runtime, runners, and the GRP
+    node itself).  Every layer takes an optional sink at construction time and
     defaults to {!null}, whose emissions compile down to a single mutable
     field read — runs that do not ask for a trace pay (almost) nothing
     (benchmarked in [bench/main.ml]; see docs/OBSERVABILITY.md).

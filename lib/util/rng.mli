@@ -2,7 +2,7 @@
 
     The simulator must be fully reproducible from a single integer seed, so
     we avoid [Stdlib.Random] global state and implement splitmix64.  Each
-    subsystem (mobility, medium, churn, workload) receives its own stream
+    subsystem (mobility, channel, churn, workload) receives its own stream
     obtained with {!split}, which keeps experiments insensitive to the order
     in which subsystems draw numbers. *)
 

@@ -69,29 +69,9 @@ let test_roundtrip_strings () =
       Scenario.Ramp_corruption (0.02, 3);
     ]
 
-(* Well-formed JSON whose values the executor cannot run: before the
-   range checks in [of_string], each crashed [grp_sim fuzz --replay] with
-   an uncaught [Invalid_argument] instead of "is not a scenario file". *)
-let test_parse_rejects_out_of_range () =
-  let scenario ?(dmax = "2") ?(loss = "0") ?(corruption = "0") topology =
-    Printf.sprintf
-      {|{"seed":1,"dmax":%s,"loss":%s,"corruption":%s,"topology":"%s","actions":[]}|}
-      dmax loss corruption topology
-  in
-  check "in range accepted" true (Scenario.of_string (scenario "ring 3") <> None);
-  List.iter
-    (fun s -> check s true (Scenario.of_string s = None))
-    [
-      scenario ~loss:"1.5" "ring 4";
-      scenario ~corruption:"-0.1" "ring 4";
-      scenario ~dmax:"0" "ring 4";
-      scenario "ring 2";
-      scenario "loop 3 0";
-    ]
-
 let test_parse_rejects_junk () =
   List.iter
-    (fun s -> check "rejected" true (Scenario.of_string s = None))
+    (fun s -> check s true (Scenario.of_string s = None))
     [
       "";
       "{}";
@@ -100,6 +80,12 @@ let test_parse_rejects_junk () =
       {|{"seed":1,"dmax":2,"loss":0,"corruption":0,"topology":"mobius 4","actions":[]}|};
       {|{"seed":1,"dmax":2,"loss":0,"corruption":0,"topology":"ring 5","actions":["explode 3"]}|};
       {|{"seed":1,"dmax":2,"loss":0,"corruption":0,"topology":"ring 5","actions":[]} trailing|};
+      (* Well-formed, but out of the range the executor can run. *)
+      {|{"seed":1,"dmax":2,"loss":1.5,"corruption":0,"topology":"ring 4","actions":[]}|};
+      {|{"seed":1,"dmax":2,"loss":0,"corruption":-0.1,"topology":"ring 4","actions":[]}|};
+      {|{"seed":1,"dmax":0,"loss":0,"corruption":0,"topology":"ring 4","actions":[]}|};
+      {|{"seed":1,"dmax":2,"loss":0,"corruption":0,"topology":"ring 2","actions":[]}|};
+      {|{"seed":1,"dmax":2,"loss":0,"corruption":0,"topology":"loop 3 0","actions":[]}|};
     ]
 
 let test_save_load () =
@@ -737,7 +723,6 @@ let suite =
     ("scenario JSON round-trip", `Quick, test_roundtrip_generated);
     ("topology/action string round-trip", `Quick, test_roundtrip_strings);
     ("parser rejects junk", `Quick, test_parse_rejects_junk);
-    ("parser rejects out-of-range scenarios", `Quick, test_parse_rejects_out_of_range);
     ("scenario save/load", `Quick, test_save_load);
     ("generator is deterministic", `Quick, test_generate_deterministic);
     ("executor smoke", `Quick, test_executor_smoke);

@@ -532,7 +532,7 @@ let suite =
     ("engine cascading events", `Quick, test_engine_cascading);
     ("engine rejects the past", `Quick, test_engine_past_rejected);
     ("engine fires match the trace", `Quick, test_engine_fired_matches_trace);
-    ("net broadcast reaches each neighbour once", `Quick, test_net_broadcast);
+    ("net broadcast reaches each once", `Quick, test_net_broadcast);
     ("net total loss", `Quick, test_net_total_loss);
     ("net loss rate", `Quick, test_net_loss_rate);
     ("rounds message count", `Quick, test_rounds_message_count);
