@@ -11,6 +11,6 @@
     scenario fails for the same reason, not a different one. *)
 
 val minimize : still_fails:(Scenario.t -> bool) -> Scenario.t -> Scenario.t
-(** At most 400 replays are spent; the best
-    scenario found so far is returned when the budget runs out.  The
-    result always satisfies [still_fails] when the input does. *)
+(** At most 400 replays are spent; the best scenario found so far is
+    returned when the budget runs out.  The result always satisfies
+    [still_fails] when the input does. *)
