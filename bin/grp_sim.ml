@@ -6,7 +6,7 @@
      mobility    run a mobility scenario and report the continuity metrics
      vanet       large-scale highway/city scenario (10k+ nodes) with the
                  spatial-grid graph rebuild and the incremental oracle
-     experiment  run one of the E1..E10 experiment suites
+     experiment  run one of the E1..E13 experiment suites
      fuzz        random churn/rewiring/loss scenarios against the invariant
                  oracles, with shrinking and replayable repro files
      report      post-mortem analysis of a recorded trace / metrics file
@@ -59,11 +59,29 @@ let topology_conv =
   in
   Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
 
+(* Reject an out-of-domain number at parse time, as a usage error naming
+   the option, rather than as an uncaught exception from deep inside the
+   run. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let checked_float = checked Arg.float
+let at_least k =
+  checked Arg.int ~expected:(Printf.sprintf "an integer >= %d" k) (fun n -> n >= k)
+
 let dmax_arg =
-  Arg.(value & opt int 3 & info [ "d"; "dmax" ] ~docv:"DMAX" ~doc:"Group diameter bound.")
+  Arg.(
+    value & opt (at_least 1) 3
+    & info [ "d"; "dmax" ] ~docv:"DMAX" ~doc:"Group diameter bound, >= 1.")
 
 let nodes_arg =
-  Arg.(value & opt int 30 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(value & opt (at_least 0) 30 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -254,7 +272,12 @@ let converge_term =
       metrics_file metrics_interval trace_list =
     if trace_list then List.iter print_endline Trace.kinds
     else begin
-      let g = tf n seed in
+      let g =
+        try tf n seed
+        with Invalid_argument msg ->
+          Printf.eprintf "grp_sim: %s\n" msg;
+          exit 2
+      in
       let config = Config.make ~dmax () in
       with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
           let reg = metrics_registry metrics_file in
@@ -900,17 +923,6 @@ let vanet_cmd =
     in
     Arg.conv (parse, fun ppf sc -> Format.pp_print_string ppf (Vanet.scenario_name sc))
   in
-  (* Reject an out-of-domain float at parse time, as a usage error, rather
-     than as an uncaught [Invalid_argument] from deep inside the run. *)
-  let checked_float ~expected ok =
-    let parse s =
-      match Arg.conv_parser Arg.float s with
-      | Ok x when ok x -> Ok x
-      | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.float)
-  in
   let run scenario n dmax seed speed range rounds warmup oracle oracle_every naive_graph
       jobs shards jitter profile profile_out metrics_file =
     let jobs = resolve_jobs jobs in
@@ -949,7 +961,9 @@ let vanet_cmd =
       & info [ "scenario" ] ~docv:"SCENARIO" ~doc:"VANET scenario: highway or city.")
   in
   let nodes =
-    Arg.(value & opt int 10_000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of vehicles.")
+    Arg.(
+      value & opt (at_least 0) 10_000
+      & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of vehicles.")
   in
   let speed =
     Arg.(value & opt float 0.15 & info [ "speed" ] ~docv:"SPEED" ~doc:"Mean vehicle speed.")
@@ -977,8 +991,8 @@ let vanet_cmd =
   in
   let oracle_every =
     Arg.(
-      value & opt int 5
-      & info [ "oracle-every" ] ~docv:"ROUNDS" ~doc:"Rounds between oracle polls.")
+      value & opt (at_least 1) 5
+      & info [ "oracle-every" ] ~docv:"ROUNDS" ~doc:"Rounds between oracle polls, >= 1.")
   in
   let naive_graph =
     Arg.(

@@ -142,39 +142,66 @@ let prelude rng =
   let n = node_count topology in
   ({ seed; dmax; loss; corruption; topology; actions = [] }, fun () -> Rng.int rng (n + 3))
 
-let generate rng ~max_actions =
+(* One action of the given family, with the same draws in both
+   generators.  [started] records whether the schedule has installed a
+   mobility model yet: a [Mob_step] before any [Mob_start] would replay as
+   a no-op, so the first mobility draw of a schedule always materializes
+   as the [Mob_start]. *)
+let draw rng node started = function
+  | F_pause -> Pause (Rng.float_in rng 0.5 12.0)
+  | F_deactivate -> Deactivate (node ())
+  | F_activate -> Activate (node ())
+  | F_reset -> Reset (node ())
+  | F_remove -> Remove (node ())
+  | F_add -> Add (node ())
+  | F_set_loss -> Set_loss (if Rng.bool rng then 0.0 else Rng.float rng 0.4)
+  | F_add_edge -> Add_edge (node (), node ())
+  | F_remove_edge -> Remove_edge (node (), node ())
+  | F_mob_step when !started -> Mob_step (Rng.int_in rng 1 6)
+  | F_mob_start | F_mob_step ->
+      started := true;
+      let models = [| Mob_waypoint; Mob_walk; Mob_highway; Mob_manhattan |] in
+      let model = models.(Rng.int rng 4) in
+      Mob_start (model, Rng.float_in rng 0.05 0.6)
+  | F_ramp_loss ->
+      let target = if Rng.bool rng then 0.0 else Rng.float rng 0.4 in
+      Ramp_loss (target, Rng.int_in rng 2 8)
+  | F_ramp_corruption -> Ramp_corruption (Rng.float rng 0.05, Rng.int_in rng 2 8)
+
+(* A scenario after the [prelude]: a drawn action count, then each action's
+   family from [pick] followed by that family's [draw]. *)
+let with_actions rng ~max_actions ~pick =
   let sc, node = prelude rng in
+  let started = ref false in
   let count = Rng.int_in rng 1 (max 1 max_actions) in
   let rec make k acc =
     if k = 0 then List.rev acc
     else
-      let a =
-        match Rng.int rng 100 with
-        | x when x < 35 -> Pause (Rng.float_in rng 0.5 12.0)
-        | x when x < 45 -> Deactivate (node ())
-        | x when x < 55 -> Activate (node ())
-        | x when x < 60 -> Reset (node ())
-        | x when x < 65 -> Remove (node ())
-        | x when x < 70 -> Add (node ())
-        | x when x < 78 -> Set_loss (if Rng.bool rng then 0.0 else Rng.float rng 0.4)
-        | x when x < 89 -> Add_edge (node (), node ())
-        | _ -> Remove_edge (node (), node ())
-      in
+      let a = draw rng node started (pick ()) in
       make (k - 1) (a :: acc)
   in
   { sc with actions = make count [] }
 
-(* The coverage-guided generator: the same [prelude] as [generate], but
-   each action's family is drawn from an explicit weight vector (one
-   weight per [families] entry, in order) instead of the fixed
-   percentages above — the knob the campaign-level weight evolver turns.
-   Its action loop stays separate so the uniform stream (and every
-   seed-pinned campaign built on it) stays byte-identical.
+(* The uniform generator draws each family from fixed percentages over the
+   nine churn/rewiring/loss families; it never draws mobility or ramps. *)
+let generate rng ~max_actions =
+  with_actions rng ~max_actions ~pick:(fun () ->
+      match Rng.int rng 100 with
+      | x when x < 35 -> F_pause
+      | x when x < 45 -> F_deactivate
+      | x when x < 55 -> F_activate
+      | x when x < 60 -> F_reset
+      | x when x < 65 -> F_remove
+      | x when x < 70 -> F_add
+      | x when x < 78 -> F_set_loss
+      | x when x < 89 -> F_add_edge
+      | _ -> F_remove_edge)
 
-   One structural rule: a [Mob_step] before any [Mob_start] would replay
-   as a no-op, so the first mobility draw of a schedule always materializes
-   as the [Mob_start]; the mob-step weight therefore also buys mobility
-   models into schedules that would otherwise never install one. *)
+(* The coverage-guided generator draws each family from an explicit weight
+   vector (one weight per [families] entry, in order) instead — the knob
+   the campaign-level weight evolver turns.  Only the family pick differs
+   from [generate]; the mob-step weight also buys mobility models into
+   schedules that would otherwise never install one. *)
 let generate_weighted rng ~max_actions ~weights =
   let nf = List.length families in
   if Array.length weights <> nf then
@@ -184,57 +211,16 @@ let generate_weighted rng ~max_actions ~weights =
       if not (Float.is_finite w) || w <= 0.0 then
         invalid_arg "Scenario.generate_weighted: weights must be positive")
     weights;
-  let sc, node = prelude rng in
   let total = Array.fold_left ( +. ) 0.0 weights in
-  let pick_family () =
-    let x = Rng.float rng total in
-    let rec go i acc =
-      if i >= nf - 1 then List.nth families (nf - 1)
-      else
-        let acc = acc +. weights.(i) in
-        if x < acc then List.nth families i else go (i + 1) acc
-    in
-    go 0 0.0
-  in
-  let mob_models = [| Mob_waypoint; Mob_walk; Mob_highway; Mob_manhattan |] in
-  let mob_start () =
-    let model = mob_models.(Rng.int rng 4) in
-    Mob_start (model, Rng.float_in rng 0.05 0.6)
-  in
-  let started = ref false in
-  let count = Rng.int_in rng 1 (max 1 max_actions) in
-  let rec make k acc =
-    if k = 0 then List.rev acc
-    else
-      let a =
-        match pick_family () with
-        | F_pause -> Pause (Rng.float_in rng 0.5 12.0)
-        | F_deactivate -> Deactivate (node ())
-        | F_activate -> Activate (node ())
-        | F_reset -> Reset (node ())
-        | F_remove -> Remove (node ())
-        | F_add -> Add (node ())
-        | F_set_loss -> Set_loss (if Rng.bool rng then 0.0 else Rng.float rng 0.4)
-        | F_add_edge -> Add_edge (node (), node ())
-        | F_remove_edge -> Remove_edge (node (), node ())
-        | F_mob_start ->
-            started := true;
-            mob_start ()
-        | F_mob_step ->
-            if !started then Mob_step (Rng.int_in rng 1 6)
-            else begin
-              started := true;
-              mob_start ()
-            end
-        | F_ramp_loss ->
-            let target = if Rng.bool rng then 0.0 else Rng.float rng 0.4 in
-            Ramp_loss (target, Rng.int_in rng 2 8)
-        | F_ramp_corruption ->
-            Ramp_corruption (Rng.float rng 0.05, Rng.int_in rng 2 8)
+  with_actions rng ~max_actions ~pick:(fun () ->
+      let x = Rng.float rng total in
+      let rec go i acc =
+        if i >= nf - 1 then List.nth families (nf - 1)
+        else
+          let acc = acc +. weights.(i) in
+          if x < acc then List.nth families i else go (i + 1) acc
       in
-      make (k - 1) (a :: acc)
-  in
-  { sc with actions = make count [] }
+      go 0 0.0)
 
 module Json = Dgs_util.Json
 

@@ -109,12 +109,13 @@ val family_of_action : action -> family
 
 val generate_weighted :
   Dgs_util.Rng.t -> max_actions:int -> weights:float array -> t
-(** Like {!generate} (same topology and channel prelude) but each
-    action's family is drawn proportionally to [weights] (one strictly
-    positive entry per {!families} element, in order; the vector need not
-    be normalized).  The first mobility draw of a schedule always
-    materializes as a [Mob_start] so a [Mob_step] never precedes its
-    model.  Raises [Invalid_argument] on a malformed weight vector. *)
+(** Like {!generate} (same topology and channel prelude, same draws per
+    family) but each action's family is drawn proportionally to [weights]
+    (one strictly positive entry per {!families} element, in order; the
+    vector need not be normalized).  The first mobility draw of a
+    schedule always materializes as a [Mob_start] so a [Mob_step] never
+    precedes its model.  Raises [Invalid_argument] on a malformed weight
+    vector. *)
 
 (** {2 Encoding} *)
 

@@ -16,6 +16,7 @@ let add t x =
   t.sum <- t.sum +. x
 
 let add_int t x = add t (float_of_int x)
+let bin_width t = t.bin_width
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
 

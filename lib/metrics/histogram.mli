@@ -8,6 +8,7 @@ val create : ?bin_width:float -> unit -> t
 
 val add : t -> float -> unit
 val add_int : t -> int -> unit
+val bin_width : t -> float
 val count : t -> int
 val mean : t -> float
 

@@ -60,29 +60,13 @@ module Timer = struct
 end
 
 module Hist = struct
-  type t = {
-    on : bool;
-    bin_width : float;
-    bins : (int, int) Hashtbl.t;
-    mutable n : int;
-  }
+  type t = { on : bool; h : Histogram.t }
 
-  let observe h x =
-    if h.on then begin
-      let bin = int_of_float (floor (x /. h.bin_width)) in
-      Hashtbl.replace h.bins bin
-        (1 + Option.value ~default:0 (Hashtbl.find_opt h.bins bin));
-      h.n <- h.n + 1
-    end
-
+  let observe h x = if h.on then Histogram.add h.h x
   let observe_int h x = observe h (float_of_int x)
-  let count h = h.n
-  let disabled = { on = false; bin_width = 1.0; bins = Hashtbl.create 1; n = 0 }
-
-  let make bin_width =
-    if bin_width <= 0.0 then
-      invalid_arg "Registry.histogram: bin width must be positive";
-    { on = true; bin_width; bins = Hashtbl.create 16; n = 0 }
+  let count h = Histogram.count h.h
+  let disabled = { on = false; h = Histogram.create () }
+  let make bin_width = { on = true; h = Histogram.create ~bin_width () }
 end
 
 type t = {
@@ -143,11 +127,12 @@ let histogram ?(bin_width = 1.0) t name =
   else
     match Hashtbl.find_opt t.hists name with
     | Some h ->
-        if h.Hist.bin_width <> bin_width then
+        let width = Histogram.bin_width h.Hist.h in
+        if width <> bin_width then
           invalid_arg
             (Printf.sprintf
                "Registry.histogram: %s already registered with bin width %g"
-               name h.Hist.bin_width);
+               name width);
         h
     | None ->
         let h = Hist.make bin_width in
@@ -185,12 +170,8 @@ let snapshot ?jobs (t : t) =
             max_ns = tm.Timer.max;
           });
     histograms =
-      sorted_bindings t.hists (fun h ->
-          ( h.Hist.bin_width,
-            Hashtbl.fold
-              (fun b c acc -> (float_of_int b *. h.Hist.bin_width, c) :: acc)
-              h.Hist.bins []
-            |> List.sort compare ));
+      sorted_bindings t.hists (fun { Hist.h; _ } ->
+          (Histogram.bin_width h, Histogram.bins h));
   }
 
 let empty_snapshot =

@@ -7,8 +7,7 @@
     time ({!counter}, {!timer}, ...); on a disabled registry every handle
     is inert and each hot-path operation ({!Counter.incr},
     {!Timer.start}/{!Timer.stop}, {!Hist.observe}) costs exactly one
-    field load and branch — benchmarked in [bench/main.ml] (the
-    "metrics disabled" rows) and documented in docs/OBSERVABILITY.md.
+    field load and branch, as documented in docs/OBSERVABILITY.md.
 
     Handles are interned by name: two [counter reg name] calls return the
     physically same handle, so independent call sites accumulate into one

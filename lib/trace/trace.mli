@@ -5,7 +5,7 @@
     node itself).  Every layer takes an optional sink at construction time and
     defaults to {!null}, whose emissions compile down to a single mutable
     field read — runs that do not ask for a trace pay (almost) nothing
-    (benchmarked in [bench/main.ml]; see docs/OBSERVABILITY.md).
+    (see docs/OBSERVABILITY.md).
 
     Timestamps are supplied by the {e driver} of the run: the discrete-event
     {!Dgs_sim.Engine} stamps sinks with simulation seconds, the synchronous

@@ -22,7 +22,3 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-
-let run_and_print ?quick ?jobs e =
-  Printf.printf "\n### %s — %s ###\n" (String.uppercase_ascii e.id) e.title;
-  List.iter Dgs_metrics.Table.print (e.run ?quick ?jobs ())

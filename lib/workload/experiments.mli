@@ -1,6 +1,5 @@
 (** Registry of the experiments — one entry per table/figure of DESIGN.md's
-    experiment index.  Both the benchmark harness and the CLI dispatch
-    through this list.
+    experiment index.  [grp_sim experiment] dispatches through this list.
 
     Every experiment is a pure function of its (hard-coded) seeds, so the
     tables are reproducible; [jobs] (default [1]) only chooses how many
@@ -8,11 +7,10 @@
     identical for every value (see {!Dgs_parallel.Pool}). *)
 
 type t = {
-  id : string;  (** "e1" .. "e11" *)
+  id : string;  (** "e1" .. "e13" *)
   title : string;
   run : ?quick:bool -> ?jobs:int -> unit -> Dgs_metrics.Table.t list;
 }
 
 val all : t list
 val find : string -> t option
-val run_and_print : ?quick:bool -> ?jobs:int -> t -> unit

@@ -8,12 +8,7 @@ module Rng = Dgs_util.Rng
 module Stats = Dgs_util.Stats
 open Dgs_core
 
-let snapshot t graph =
-  Cfg.make ~graph
-    ~views:
-      (List.fold_left
-         (fun acc v -> Node_id.Map.add v (Grp_node.view (Rounds.node t v)) acc)
-         Node_id.Map.empty (Rounds.node_ids t))
+let snapshot t graph = Cfg.make ~graph ~views:(Rounds.views t)
 
 module Snapshotter = struct
   type t = { mutable views : Node_id.Set.t Node_id.Map.t }
@@ -74,12 +69,12 @@ let group_stats c =
   in
   (n, mean)
 
-let converge ?(jitter = 0.1) ?(loss = 0.0) ?(max_rounds = 5000) ?trace ?metrics
+let converge ?(jitter = 0.1) ?(max_rounds = 5000) ?trace ?metrics
     ~config ~seed graph =
   let t = Rounds.create ~config ?trace ?metrics graph in
   let rng = Rng.create seed in
   let rounds =
-    Rounds.run_until_stable ~jitter ~loss ~rng ~confirm:(config.Config.dmax + 5)
+    Rounds.run_until_stable ~jitter ~rng ~confirm:(config.Config.dmax + 5)
       ~max_rounds t
   in
   let c = snapshot t graph in
@@ -108,13 +103,13 @@ type mobility_run = {
   stale_member_fraction : float;
 }
 
-let run_mobility ?(jitter = 0.1) ?(loss = 0.0) ?(warmup = 30) ?trace ?metrics
+let run_mobility ?(jitter = 0.1) ?(warmup = 30) ?trace ?metrics
     ~config ~seed ~spec ~n ~range ~dt ~rounds () =
   let rng = Rng.create seed in
   let mob = Mobility.create (Rng.split rng) ~n spec in
   let t = Rounds.create ~config ?trace ?metrics (Mobility.graph mob ~range) in
   for _ = 1 to warmup do
-    ignore (Rounds.round ~jitter ~loss ~rng t)
+    ignore (Rounds.round ~jitter ~rng t)
   done;
   let pt_preserving = ref 0
   and pt_violating = ref 0
@@ -145,7 +140,7 @@ let run_mobility ?(jitter = 0.1) ?(loss = 0.0) ?(warmup = 30) ?trace ?metrics
     Mobility.step mob ~dt;
     let g1 = Mobility.graph mob ~range in
     Rounds.set_graph t g1;
-    let infos = Rounds.round ~jitter ~loss ~rng t in
+    let infos = Rounds.round ~jitter ~rng t in
     (* Per-node Î T for this transition: old view, new graph. *)
     let node_pt_ok v =
       let old_view =

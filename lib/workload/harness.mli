@@ -53,7 +53,6 @@ type convergence = {
 
 val converge :
   ?jitter:float ->
-  ?loss:float ->
   ?max_rounds:int ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->
@@ -94,7 +93,6 @@ type mobility_run = {
 
 val run_mobility :
   ?jitter:float ->
-  ?loss:float ->
   ?warmup:int ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->

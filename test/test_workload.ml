@@ -1,6 +1,6 @@
 (* Smoke tests for the experiment harness: the registry is sound and the
    fast experiments produce well-formed, populated tables in quick mode
-   (the full campaign runs in bench/main.exe). *)
+   (the full campaign is `grp_sim experiment all`). *)
 
 module Experiments = Dgs_workload.Experiments
 module Table = Dgs_metrics.Table
