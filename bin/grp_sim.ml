@@ -83,6 +83,21 @@ let dmax_arg =
 let nodes_arg =
   Arg.(value & opt (at_least 0) 30 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
+let rounds_arg default =
+  Arg.(
+    value & opt (at_least 0) default
+    & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Measured rounds, >= 0.")
+
+(* Highway.create would reject a negative speed only once the run has
+   started, as an uncaught exception, and lets NaN through. *)
+let speed_arg ~default ~doc =
+  let finite_nonneg =
+    checked_float ~expected:"a finite number >= 0" (fun v -> Float.is_finite v && v >= 0.0)
+  in
+  Arg.(
+    value & opt finite_nonneg default
+    & info [ "speed" ] ~docv:"SPEED" ~doc:(doc ^ ", finite and >= 0."))
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -428,12 +443,8 @@ let mobility_cmd =
       value & opt string "highway"
       & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"Mobility model.")
   in
-  let speed =
-    Arg.(value & opt float 0.05 & info [ "speed" ] ~docv:"SPEED" ~doc:"Node speed.")
-  in
-  let rounds =
-    Arg.(value & opt int 300 & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Measured rounds.")
-  in
+  let speed = speed_arg ~default:0.05 ~doc:"Node speed" in
+  let rounds = rounds_arg 300 in
   Cmd.v
     (Cmd.info "mobility" ~doc:"Run GRP under a mobility model and report continuity.")
     Term.(
@@ -570,13 +581,14 @@ let fuzz_cmd =
   in
   let runs =
     Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of random scenarios to execute.")
+      value & opt (at_least 0) 100
+      & info [ "runs" ] ~docv:"N" ~doc:"Number of random scenarios to execute, >= 0.")
   in
   let max_actions =
     Arg.(
-      value & opt int 12
-      & info [ "max-actions" ] ~docv:"N" ~doc:"Maximum schedule length per scenario.")
+      value & opt (at_least 0) 12
+      & info [ "max-actions" ] ~docv:"N"
+          ~doc:"Maximum schedule length per scenario, >= 0.")
   in
   let replay =
     Arg.(
@@ -965,20 +977,18 @@ let vanet_cmd =
       value & opt (at_least 0) 10_000
       & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of vehicles.")
   in
-  let speed =
-    Arg.(value & opt float 0.15 & info [ "speed" ] ~docv:"SPEED" ~doc:"Mean vehicle speed.")
-  in
+  let speed = speed_arg ~default:0.15 ~doc:"Mean vehicle speed" in
   let range =
     Arg.(
       value
       & opt (checked_float ~expected:"a finite number > 0" (fun r -> Float.is_finite r && r > 0.0)) 2.0
       & info [ "range" ] ~docv:"RANGE" ~doc:"Radio range (unit-disk radius), finite and > 0.")
   in
-  let rounds =
-    Arg.(value & opt int 50 & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Measured rounds.")
-  in
+  let rounds = rounds_arg 50 in
   let warmup =
-    Arg.(value & opt int 10 & info [ "warmup" ] ~docv:"ROUNDS" ~doc:"Warmup rounds before measuring.")
+    Arg.(
+      value & opt (at_least 0) 10
+      & info [ "warmup" ] ~docv:"ROUNDS" ~doc:"Warmup rounds before measuring, >= 0.")
   in
   let oracle =
     Arg.(

@@ -250,7 +250,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
         ramp Net.corruption Net.set_corruption target steps
   in
   List.iter apply sc.actions;
-  (* Quiescence phase: lossless channel, wait for the state signature to
+  (* Quiescence phase: lossless channel, wait for the state snapshot to
      hold still for a confirmation window. *)
   set_rate Net.loss Net.set_loss 0.0;
   (* Corruption is reset the same way: quiescence is judged over a fully
@@ -267,7 +267,8 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
       on_observe;
     Registry.Timer.time m_poll_ns (fun () -> Net.state_signature net)
   in
-  (* Most recent signature first; only consulted if the budget runs out. *)
+  let same = List.equal Grp_node.same_state in
+  (* Most recent snapshot first; only consulted if the budget runs out. *)
   let history = ref [ poll () ] in
   let rec wait stable last =
     if stable >= confirm then Some (Engine.now engine)
@@ -276,13 +277,13 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
       Net.run_until net (Engine.now engine +. tau_c);
       let s = poll () in
       history := s :: !history;
-      if String.equal s last then wait (stable + 1) s else wait 0 s
+      if same s last then wait (stable + 1) s else wait 0 s
     end
   in
   let quiesce_time = wait 0 (poll ()) in
   let stabilized = quiesce_time <> None in
   let t_end = Engine.now engine in
-  (* Livelock: a non-quiescent run whose recent signatures provably repeat
+  (* Livelock: a non-quiescent run whose recent snapshots provably repeat
      with some period p >= 2 (p = 1 over a confirm window would have been
      quiescence).  Each candidate period must hold over max(2p, confirm)
      consecutive polls ending at the deadline. *)
@@ -296,7 +297,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
         window + p <= n
         &&
         let rec go i =
-          i >= window || (String.equal arr.(i) arr.(i + p) && go (i + 1))
+          i >= window || (same arr.(i) arr.(i + p) && go (i + 1))
         in
         go 0
       in

@@ -48,6 +48,6 @@ val run :
     [metrics] (default {!Dgs_metrics.Registry.null}) is threaded to the
     engine, the network runtime and every node, and additionally receives
     [oracle_poll_total] / [oracle_poll_ns] around each quiescence-phase
-    state-signature poll.  All counters it accumulates are pure functions
-    of the scenario (the simulation is deterministic per seed); only the
-    [_ns] timer values are wall clock. *)
+    poll of {!Dgs_sim.Net.state_signature}.  All counters it accumulates
+    are pure functions of the scenario (the simulation is deterministic
+    per seed); only the [_ns] timer values are wall clock. *)

@@ -19,11 +19,13 @@
     disables the calm-window gating — useful to make any eviction a
     failure in targeted tests.
 
-    The quiescence phase lasts at most 150 simulated seconds; the network
-    is quiescent once its state signature is unchanged for [dmax + 5]
-    consecutive polls.  A run that exhausts the budget is scanned for a
-    livelock: a period [p >= 2] at which the polled signatures repeat over
-    [max 2p (dmax + 5)] polls.
+    The quiescence phase lasts at most 150 simulated seconds, polled once
+    per [Tc].  A poll takes {!Dgs_sim.Net.state_signature}, one
+    {!Dgs_core.Grp_node.state} snapshot per active node; the network is
+    quiescent once consecutive snapshots are equal under
+    {!Dgs_core.Grp_node.same_state} for [dmax + 5] polls.  A run that
+    exhausts the budget is scanned for a livelock: a period [p >= 2] at
+    which the polled snapshots repeat over [max 2p (dmax + 5)] polls.
 
     Maximality ([ΠM]) is recorded in {!report.maximality_gap} and never
     fails a run: the implemented [compatibleList] admission test is
@@ -39,7 +41,7 @@ type report = {
   quiesce_time : float option;  (** simulation time of stabilization *)
   livelock_period : int option;
       (** when the run never stabilized: the shortest period [p >= 2] at
-          which the final state signatures provably repeat, if any — a
+          which the final state snapshots provably repeat, if any — a
           periodic non-quiescent run is a livelock, not mere slowness *)
   maximality_gap : bool;
       (** mergeable groups remained at quiescence (informational only) *)

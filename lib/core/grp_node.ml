@@ -172,6 +172,27 @@ let own_priority t = t.own_priority
 let quarantine_of t v = Node_id.Map.find_opt v t.quarantine
 let quarantines t = t.quarantine
 
+(* The four fields are immutable values the node replaces, never mutates,
+   so a snapshot shares them.  [compute] keeps the list and view
+   physically when they are unchanged, and an elided compute keeps the
+   quarantine table too, so the [==] tests below are the common case. *)
+type state = {
+  st_id : Node_id.t;
+  st_antlist : Antlist.t;
+  st_view : Node_id.Set.t;
+  st_quarantine : int Node_id.Map.t;
+}
+
+let state t =
+  { st_id = t.id; st_antlist = t.antlist; st_view = t.view; st_quarantine = t.quarantine }
+
+let same_state a b =
+  Node_id.equal a.st_id b.st_id
+  && Antlist.equal a.st_antlist b.st_antlist
+  && (a.st_view == b.st_view || Node_id.Set.equal a.st_view b.st_view)
+  && (a.st_quarantine == b.st_quarantine
+     || Node_id.Map.equal Int.equal a.st_quarantine b.st_quarantine)
+
 (* Index of [v] in the strictly increasing slice [ids.(lo) .. ids.(hi - 1)],
    or -1. *)
 let rec search (ids : Node_id.t array) v lo hi =

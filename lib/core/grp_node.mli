@@ -65,6 +65,22 @@ val quarantine_of : t -> Node_id.t -> int option
 val quarantines : t -> int Node_id.Map.t
 (** The whole quarantine table (stability detection, tests). *)
 
+type state
+(** A snapshot of the protocol state that quiescence detection watches:
+    the node's id, list, view and quarantine table, held by reference.
+    All four are immutable values, so taking a snapshot copies nothing. *)
+
+val state : t -> state
+(** The node's current state; a 5-word record, nothing else allocated. *)
+
+val same_state : state -> state -> bool
+(** Equal ids, lists ({!Antlist.equal}), views and quarantine tables:
+    structural equality, independent of the shape of the set and map
+    trees, tried physically first on each field.  [compute] keeps the
+    list and view physically when they are unchanged, and an elided
+    compute keeps the quarantine table too, so comparing the snapshots
+    of a quiet node costs a few pointer tests. *)
+
 val known_priority : t -> Node_id.t -> Priority.t option
 
 val pending_senders : t -> Node_id.Set.t

@@ -294,17 +294,6 @@ let stats t =
   }
 
 let state_signature t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun v ->
-      if is_active t v then begin
-        let n = node t v in
-        Buffer.add_string buf (Antlist.to_string (Grp_node.antlist n));
-        Buffer.add_string buf (Format.asprintf "%a" Node_id.pp_set (Grp_node.view n));
-        Node_id.Map.iter
-          (fun u k -> Buffer.add_string buf (Printf.sprintf "%d:%d;" u k))
-          (Grp_node.quarantines n);
-        Buffer.add_char buf '|'
-      end)
-    (node_ids t);
-  Buffer.contents buf
+  Hashtbl.fold (fun v () acc -> v :: acc) t.active []
+  |> List.sort Int.compare
+  |> List.map (fun v -> Grp_node.state (node t v))

@@ -143,7 +143,10 @@ val on_step :
 val stats : t -> stats
 (** Counters since creation. *)
 
-val state_signature : t -> string
-(** Digest of all lists, views and quarantines of active nodes; two equal
-    signatures at different times mean the protocol state is unchanged
-    (used for convergence detection). *)
+val state_signature : t -> Dgs_core.Grp_node.state list
+(** The {!Dgs_core.Grp_node.state} snapshot of every active node, in id
+    order.  Two signatures taken at different times are equal under
+    [List.equal Grp_node.same_state] exactly when the active set and
+    every list, view and quarantine table are unchanged (quiescence
+    detection).  Snapshots share the nodes' immutable state, so a poll
+    allocates a few words per active node and builds no string. *)

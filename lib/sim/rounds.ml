@@ -116,13 +116,6 @@ let run ?loss ?jitter ?corruption ?sends ?rng t n =
     ignore (round ?loss ?jitter ?corruption ?sends ?rng t)
   done
 
-let state_signature t =
-  List.map
-    (fun v ->
-      let n = node t v in
-      (v, Grp_node.antlist n, Grp_node.view n, Node_id.Map.bindings (Grp_node.quarantines n)))
-    (node_ids t)
-
 let run_until_stable ?loss ?jitter ?corruption ?sends ?rng ?on_round ?(confirm = 2)
     ?(max_rounds = 10_000) t =
   let rec go rounds stable_streak previous =
@@ -131,9 +124,13 @@ let run_until_stable ?loss ?jitter ?corruption ?sends ?rng ?on_round ?(confirm =
     else begin
       ignore (round ?loss ?jitter ?corruption ?sends ?rng t);
       (match on_round with Some f -> f (rounds + 1) | None -> ());
-      let sig_now = state_signature t in
-      let streak = if Some sig_now = previous then stable_streak + 1 else 0 in
-      go (rounds + 1) streak (Some sig_now)
+      let now = List.map (fun v -> Grp_node.state (node t v)) (node_ids t) in
+      let streak =
+        match previous with
+        | Some p when List.equal Grp_node.same_state now p -> stable_streak + 1
+        | _ -> 0
+      in
+      go (rounds + 1) streak (Some now)
     end
   in
   go 0 0 None

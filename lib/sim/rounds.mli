@@ -85,8 +85,9 @@ val run_until_stable :
   ?max_rounds:int ->
   t ->
   int option
-(** Rounds executed until every node's list and view stay unchanged for
-    [confirm] consecutive rounds (default 2); [None] when [max_rounds]
+(** Rounds executed until every node's list, view and quarantine table
+    stay unchanged ({!Dgs_core.Grp_node.same_state}) for [confirm]
+    consecutive rounds (default 2); [None] when [max_rounds]
     (default 10_000) is exhausted first.  The count excludes the
     confirmation tail.  [on_round] is invoked after each executed round
     with its 1-based index — the hook the CLI uses to feed the

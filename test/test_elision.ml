@@ -220,8 +220,9 @@ let corrupt p rng hook =
 let non_timer (s : Registry.snapshot) = (s.Registry.counters, s.Registry.histograms)
 
 (* One differential case: both sims through scenario (a)-(d), then the
-   merged counters and the non-vacuity checks.  Fails with a report. *)
-let run_case (scenario, n, seed, dmax, cooldown) =
+   merged counters and the non-vacuity checks — the elision's only when
+   [must_elide].  Fails with a report; returns the elided computes. *)
+let run_case ?(must_elide = true) (scenario, n, seed, dmax, cooldown) =
   (* (b) and (d) never wait for stability: half the size covers them *)
   let g = Harness.rgg ~seed ~n:(if scenario mod 2 = 1 then n / 2 else n) () in
   let config = Config.make ~dmax ~contest_cooldown_enabled:cooldown () in
@@ -277,7 +278,23 @@ let run_case (scenario, n, seed, dmax, cooldown) =
   if non_timer (p.on.snapshot ()) <> non_timer (p.off.snapshot ()) then
     fail "merged counters differ";
   if p.msg_reused = 0 then fail "no make_message was reused across rounds";
-  if scenario <> 1 && p.step_reused = 0 then fail "no compute was elided"
+  if must_elide && scenario <> 1 && p.step_reused = 0 then fail "no compute was elided";
+  p.step_reused
+
+(* Elided computes over the random (d) draws of one property run.  A
+   single (d) draw may elide nothing: quiet views do not make the
+   network a fixpoint — a rejected solo neighbour ages forever and its
+   priority is gossiped into every table around it, so no input repeats
+   — hence the elision is demanded of the draws together. *)
+let d_draws = ref 0
+let d_elided = ref 0
+
+let run_drawn_case ((scenario, _, _, _, _) as case) =
+  if scenario = 3 then begin
+    incr d_draws;
+    d_elided := !d_elided + run_case ~must_elide:false case
+  end
+  else ignore (run_case case)
 
 let prop_elision_transparent =
   let gen =
@@ -296,8 +313,19 @@ let prop_elision_transparent =
   QCheck.Test.make ~count:50 ~name:"compute elision on ≡ off (traced reference)"
     (QCheck.make ~print gen)
     (fun case ->
-      run_case case;
+      run_drawn_case case;
       true)
+
+let test_elision_transparent =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_elision_transparent in
+  ( name,
+    speed,
+    fun () ->
+      d_draws := 0;
+      d_elided := 0;
+      run ();
+      if !d_draws > 0 && !d_elided = 0 then
+        Alcotest.failf "no compute was elided over %d (d) draws" !d_draws )
 
 (* --- allocation and identity pins --- *)
 
@@ -382,7 +410,8 @@ let test_elided_compute_alloc () =
    The last four are (d) draws still converging 30 rounds after the cut,
    which failed the non-vacuity check while (d) ran a fixed 30 rounds. *)
 let test_pinned_cases () =
-  List.iter run_case
+  List.iter
+    (fun case -> ignore (run_case case))
     [
       (2, 41, 8265, 3, false);
       (3, 32, 834, 2, true);
@@ -390,7 +419,13 @@ let test_pinned_cases () =
       (3, 38, 5594, 3, true);
       (3, 39, 4436, 3, false);
       (3, 39, 4436, 3, true);
-    ]
+    ];
+  (* (d) draws that end their run with no compute elided (quiet views
+     are no fixpoint, see [run_drawn_case]), so they failed the per-draw
+     elision check this property once made: on ≡ off only. *)
+  List.iter
+    (fun case -> ignore (run_case ~must_elide:false case))
+    [ (3, 39, 3944, 3, true); (3, 24, 9554, 3, false) ]
 
 let suite =
   [
@@ -399,4 +434,4 @@ let suite =
     ("rebuilt message allocates arrays and record only", `Quick, test_rebuilt_message_alloc);
     ("elided compute allocates only ingest's map", `Quick, test_elided_compute_alloc);
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_elision_transparent ]
+  @ [ test_elision_transparent ]

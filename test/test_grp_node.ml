@@ -552,6 +552,84 @@ let test_view_subset_of_clear_list =
                (Grp_node.view nd))
            nodes))
 
+(* --- state snapshots --- *)
+
+module Rng = Dgs_util.Rng
+module Arbitrary = Dgs_check.Arbitrary
+
+(* The quiescence signature that snapshots replaced: list, view and
+   quarantine table rendered to one string, compared with
+   [String.equal]. *)
+let rendered n =
+  let q =
+    Node_id.Map.fold
+      (fun u k acc -> acc ^ Printf.sprintf "%d:%d;" u k)
+      (Grp_node.quarantines n) ""
+  in
+  Antlist.to_string (Grp_node.antlist n)
+  ^ Format.asprintf "%a" Node_id.pp_set (Grp_node.view n)
+  ^ q
+
+let node_with id lst view q =
+  let n = Grp_node.create ~config:(config ()) id in
+  Grp_node.corrupt_list n lst;
+  Grp_node.corrupt_view n view;
+  Grp_node.corrupt_quarantine n q;
+  n
+
+let same a b = Grp_node.same_state (Grp_node.state a) (Grp_node.state b)
+let draw_quarantine rng = List.init (Rng.int rng 4) (fun _ -> (Rng.int rng 6, Rng.int rng 3))
+
+(* Equal copies, physically distinct; the set is rebuilt in descending
+   insertion order. *)
+let rebuilt_list l =
+  Antlist.of_levels
+    (List.map (List.map (fun (e : Antlist.entry) -> (e.id, e.mark))) (Antlist.levels l))
+
+let rebuilt_view s =
+  List.fold_left (fun acc v -> Node_id.Set.add v acc) Node_id.Set.empty
+    (List.rev (Node_id.Set.elements s))
+
+(* Each field of the second node is either an equal copy of the first's
+   (the quarantine table re-inserted in descending order) or an
+   independent draw from a domain small enough to collide often. *)
+let test_same_state_is_rendered_equality =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"same_state holds exactly when the rendered states are equal"
+       ~count:500 QCheck.(int_range 1 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let lst = Arbitrary.antlist rng in
+         let view = Arbitrary.node_set rng ~max_id:4 in
+         let a = node_with 0 lst view (draw_quarantine rng) in
+         let lst' = if Rng.bool rng then rebuilt_list lst else Arbitrary.antlist rng in
+         let view' = if Rng.bool rng then rebuilt_view view else Arbitrary.node_set rng ~max_id:4 in
+         let q' =
+           if Rng.bool rng then List.rev (Node_id.Map.bindings (Grp_node.quarantines a))
+           else draw_quarantine rng
+         in
+         let id' = if Rng.int rng 8 = 0 then 1 else 0 in
+         let b = node_with id' lst' view' q' in
+         same a b = (id' = 0 && String.equal (rendered a) (rendered b))))
+
+(* Equal views and quarantine tables whose trees differ in shape — the
+   polymorphic [=] the round runner once compared tells them apart —
+   are the same state. *)
+let test_same_state_ignores_tree_shape () =
+  let up = List.init 10 Fun.id in
+  let add s v = Node_id.Set.add v s in
+  let asc = List.fold_left add Node_id.Set.empty up in
+  let desc = List.fold_left add Node_id.Set.empty (List.rev up) in
+  let q = List.map (fun v -> (v, v mod 3)) up in
+  let a = node_with 0 (Antlist.singleton 0) asc q in
+  let b = node_with 0 (Antlist.singleton 0) desc (List.rev q) in
+  check "view trees differ in shape" false (asc = desc);
+  check "quarantine trees differ in shape" false
+    (Grp_node.quarantines a = Grp_node.quarantines b);
+  check "same state" true (same a b);
+  check "a changed quarantine entry is a different state" false
+    (same a (node_with 0 (Antlist.singleton 0) desc (List.rev q @ [ (3, 2) ])))
+
 let suite =
   [
     ("create", `Quick, test_create);
@@ -583,4 +661,6 @@ let suite =
     test_view_subset_of_clear_list;
     test_cooldown_shares_provider;
     ("cooldown invariant is not vacuous", `Quick, test_cooldown_invariant_not_vacuous);
+    test_same_state_is_rendered_equality;
+    ("same_state ignores tree shape", `Quick, test_same_state_ignores_tree_shape);
   ]

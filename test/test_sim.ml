@@ -247,7 +247,35 @@ let test_net_signature_stabilizes () =
   Net.run_until net 80.0;
   let s1 = Net.state_signature net in
   Net.run_until net 100.0;
-  check "signature stable" true (String.equal s1 (Net.state_signature net))
+  check "signature stable" true
+    (List.equal Grp_node.same_state s1 (Net.state_signature net))
+
+(* A quiescence poll of a quiet 9-node network shares the nodes' state:
+   per node a 5-word snapshot and the cons cells of the id sort and the
+   result list, 26 words; rendering a node's list, view and quarantine
+   to a string would cost several hundred. *)
+let test_net_signature_alloc () =
+  let graph = Gen.grid 3 3 in
+  let engine = Engine.create () in
+  let net =
+    Net.create ~engine ~rng:(Rng.create 4)
+      ~config:(Config.make ~dmax:2 ())
+      ~topology:(fun () -> graph)
+      ~nodes:(Graph.nodes graph) ()
+  in
+  Net.run_until net 80.0;
+  let s0 = Net.state_signature net in
+  check_int "one snapshot per node" 9 (List.length s0);
+  let polls = 1000 in
+  let same = ref true in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to polls do
+    if not (List.equal Grp_node.same_state s0 (Net.state_signature net)) then same := false
+  done;
+  let per_node = (Gc.minor_words () -. w0) /. float_of_int (polls * 9) in
+  check "quiet network, equal snapshots" true !same;
+  if per_node > 32.0 then
+    Alcotest.failf "a poll allocates %.1f words per node (bound 32)" per_node
 
 let test_net_deactivate_reactivate () =
   let graph = Gen.line 3 in
@@ -369,7 +397,8 @@ let test_net_deterministic () =
     Net.run_until net 60.0;
     Net.state_signature net
   in
-  check "same seed, same event-driven execution" true (String.equal (run ()) (run ()))
+  check "same seed, same event-driven execution" true
+    (List.equal Grp_node.same_state (run ()) (run ()))
 
 (* --- net lifecycle regressions (the timer-leak bug) --- *)
 
@@ -543,6 +572,7 @@ let suite =
     ("rounds views map", `Quick, test_rounds_views_map);
     ("net converges", `Quick, test_net_converges);
     ("net signature stabilizes", `Quick, test_net_signature_stabilizes);
+    ("net signature poll allocates O(n) words", `Quick, test_net_signature_alloc);
     ("net deactivate/reactivate", `Quick, test_net_deactivate_reactivate);
     ("net add node", `Quick, test_net_add_node);
     ("net stats", `Quick, test_net_stats);
