@@ -6,7 +6,7 @@
      mobility    run a mobility scenario and report the continuity metrics
      vanet       large-scale highway/city scenario (10k+ nodes) with the
                  spatial-grid graph rebuild and the incremental oracle
-     experiment  run one of the E1..E13 experiment suites
+     experiment  run one of the experiment suites (grp_sim list names them)
      fuzz        random churn/rewiring/loss scenarios against the invariant
                  oracles, with shrinking and replayable repro files
      report      post-mortem analysis of a recorded trace / metrics file
@@ -374,74 +374,72 @@ let converge_cmd =
   Cmd.v (Cmd.info "converge" ~doc:"Run GRP on a static topology until quiescent.")
     converge_term
 
-let mobility_specs speed =
+(* Each model's parameters, as a function of the --speed option. *)
+let mobility_specs =
   [
     ( "highway",
-      Mobility.Highway
-        {
-          lanes = 3;
-          lane_gap = 0.3;
-          length = 25.0;
-          vmin = speed /. 2.0;
-          vmax = (speed *. 1.5) +. 1e-9;
-          bidirectional = true;
-        } );
+      fun speed ->
+        Mobility.Highway
+          {
+            lanes = 3;
+            lane_gap = 0.3;
+            length = 25.0;
+            vmin = speed /. 2.0;
+            vmax = (speed *. 1.5) +. 1e-9;
+            bidirectional = true;
+          } );
     ( "waypoint",
-      Mobility.Waypoint
-        {
-          xmax = 8.0;
-          ymax = 8.0;
-          vmin = (speed /. 2.0) +. 1e-9;
-          vmax = (speed *. 1.5) +. 2e-9;
-          pause = 2.0;
-        } );
-    ( "walk",
-      Mobility.Walk { xmax = 8.0; ymax = 8.0; speed; turn_sigma = 0.4 } );
+      fun speed ->
+        Mobility.Waypoint
+          {
+            xmax = 8.0;
+            ymax = 8.0;
+            vmin = (speed /. 2.0) +. 1e-9;
+            vmax = (speed *. 1.5) +. 2e-9;
+            pause = 2.0;
+          } );
+    ("walk", fun speed -> Mobility.Walk { xmax = 8.0; ymax = 8.0; speed; turn_sigma = 0.4 });
     ( "manhattan",
-      Mobility.Manhattan { blocks_x = 4; blocks_y = 4; block = 2.0; speed } );
+      fun speed -> Mobility.Manhattan { blocks_x = 4; blocks_y = 4; block = 2.0; speed } );
   ]
 
 let mobility_cmd =
   let run model n dmax seed speed rounds trace_file trace_filter trace_max_mb
       metrics_file =
-    match List.assoc_opt model (mobility_specs speed) with
-    | None ->
-        Printf.eprintf "unknown mobility model %S (try: highway, waypoint, walk, manhattan)\n"
-          model;
-        exit 1
-    | Some spec ->
-        let config = Config.make ~dmax () in
-        let r =
-          with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
-              let reg = metrics_registry metrics_file in
-              let r =
-                Harness.run_mobility ~trace:sink ~metrics:reg ~config ~seed
-                  ~spec ~n ~range:2.0 ~dt:1.0 ~rounds ()
-              in
-              report_view_stabilization tally;
-              (match metrics_file with
-              | None -> ()
-              | Some path ->
-                  write_metrics path [ Registry.snapshot ~jobs:1 reg ]);
-              r)
-        in
-        Printf.printf "mobility %s, %d nodes, Dmax=%d, speed %.3f, %d rounds\n" model n
-          dmax speed rounds;
-        Printf.printf "  \xCE\xA0T-preserving steps: %d, violating: %d\n"
-          r.Harness.pt_preserving r.Harness.pt_violating;
-        Printf.printf "  evictions under \xCE\xA0T: %d (theorem: must be 0)\n"
-          r.Harness.evictions_under_pt;
-        Printf.printf "  unjustified evictions: %d, total: %d\n"
-          r.Harness.unjustified_evictions r.Harness.evictions_total;
-        Printf.printf "  mean groups: %.1f, mean size: %.1f\n" r.Harness.mean_groups
-          r.Harness.mean_group_size;
-        Format.printf "  view lifetime: %a rounds@." Dgs_util.Stats.pp_summary
-          r.Harness.group_lifetime
+    let spec = List.assoc model mobility_specs speed in
+    let config = Config.make ~dmax () in
+    let r =
+      with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
+          let reg = metrics_registry metrics_file in
+          let r =
+            Harness.run_mobility ~trace:sink ~metrics:reg ~config ~seed ~spec ~n
+              ~range:2.0 ~dt:1.0 ~rounds ()
+          in
+          report_view_stabilization tally;
+          (match metrics_file with
+          | None -> ()
+          | Some path -> write_metrics path [ Registry.snapshot ~jobs:1 reg ]);
+          r)
+    in
+    Printf.printf "mobility %s, %d nodes, Dmax=%d, speed %.3f, %d rounds\n" model n
+      dmax speed rounds;
+    Printf.printf "  \xCE\xA0T-preserving steps: %d, violating: %d\n"
+      r.Harness.pt_preserving r.Harness.pt_violating;
+    Printf.printf "  evictions under \xCE\xA0T: %d (theorem: must be 0)\n"
+      r.Harness.evictions_under_pt;
+    Printf.printf "  unjustified evictions: %d, total: %d\n"
+      r.Harness.unjustified_evictions r.Harness.evictions_total;
+    Printf.printf "  mean groups: %.1f, mean size: %.1f\n" r.Harness.mean_groups
+      r.Harness.mean_group_size;
+    Format.printf "  view lifetime: %a rounds@." Dgs_util.Stats.pp_summary
+      r.Harness.group_lifetime
   in
   let model =
+    let names = List.map (fun (m, _) -> (m, m)) mobility_specs in
     Arg.(
-      value & opt string "highway"
-      & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"Mobility model.")
+      value & opt (enum names) "highway"
+      & info [ "m"; "model" ] ~docv:"MODEL"
+          ~doc:(Printf.sprintf "Mobility model: %s." (doc_alts_enum names)))
   in
   let speed = speed_arg ~default:0.05 ~doc:"Node speed" in
   let rounds = rounds_arg 300 in
@@ -470,7 +468,7 @@ let experiment_cmd =
   in
   (* Experiments are metered from out here — a labelled wall-clock timer
      and a table counter per suite — rather than plumbing the registry
-     through every E1..E11 driver. *)
+     through every experiment driver. *)
   let run_one reg quick jobs csv e =
     Printf.printf "\n### %s — %s ###\n" (String.uppercase_ascii e.Experiments.id)
       e.Experiments.title;
@@ -488,20 +486,20 @@ let experiment_cmd =
   let run id quick jobs csv metrics_file =
     let jobs = resolve_jobs jobs in
     let reg = metrics_registry metrics_file in
-    (match id with
-    | "all" -> List.iter (run_one reg quick jobs csv) Experiments.all
-    | _ -> (
-        match Experiments.find id with
-        | Some e -> run_one reg quick jobs csv e
-        | None ->
-            Printf.eprintf "unknown experiment %S (e1..e13 or all)\n" id;
-            exit 1));
+    List.iter (run_one reg quick jobs csv)
+      (if id = "all" then Experiments.all else Option.to_list (Experiments.find id));
     match metrics_file with
     | None -> ()
     | Some path -> write_metrics path [ Registry.snapshot ~jobs reg ]
   in
   let id =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc:"Experiment id (e1..e13, all).")
+    let ids =
+      List.map (fun id -> (id, id))
+        ("all" :: List.map (fun e -> e.Experiments.id) Experiments.all)
+    in
+    Arg.(
+      value & pos 0 (enum ids) "all"
+      & info [] ~docv:"ID" ~doc:(Printf.sprintf "Experiment id: %s." (doc_alts_enum ids)))
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sizes and fewer repetitions.")
@@ -914,19 +912,6 @@ let explain_cmd =
     Term.(const run $ trace $ eviction $ view_change $ livelock $ at $ dot)
 
 let vanet_cmd =
-  let oracle_conv =
-    let parse = function
-      | "incremental" -> Ok `Incremental
-      | "full" -> Ok `Full
-      | "off" -> Ok `Off
-      | s -> Error (`Msg (Printf.sprintf "unknown oracle %S (try: incremental, full, off)" s))
-    in
-    let print ppf o =
-      Format.pp_print_string ppf
-        (match o with `Incremental -> "incremental" | `Full -> "full" | `Off -> "off")
-    in
-    Arg.conv (parse, print)
-  in
   let scenario_conv =
     let parse s =
       match Vanet.scenario_of_string s with
@@ -935,8 +920,8 @@ let vanet_cmd =
     in
     Arg.conv (parse, fun ppf sc -> Format.pp_print_string ppf (Vanet.scenario_name sc))
   in
-  let run scenario n dmax seed speed range rounds warmup oracle oracle_every naive_graph
-      jobs shards jitter profile profile_out metrics_file =
+  let run scenario n dmax seed speed range rounds warmup oracle_every jobs shards jitter
+      profile profile_out metrics_file =
     let jobs = resolve_jobs jobs in
     (* One registry per shard, each touched only by its own worker; the
        merged counters are identical for every --jobs/--shards split of
@@ -953,8 +938,8 @@ let vanet_cmd =
               reg)
     in
     let r =
-      Vanet.run ~seed ~dmax ~range ~speed ~rounds ~warmup ~oracle ~oracle_every
-        ~naive_graph ~jobs ?shards ~jitter ?make_metrics ?profile_out ~scenario ~n ()
+      Vanet.run ~seed ~dmax ~range ~speed ~rounds ~warmup ~oracle_every ~jobs ?shards ~jitter
+        ?make_metrics ?profile_out ~scenario ~n ()
     in
     if profile then Format.printf "%a@." Vanet.pp_profile r
     else Format.printf "%a@." Vanet.pp_report r;
@@ -990,28 +975,13 @@ let vanet_cmd =
       value & opt (at_least 0) 10
       & info [ "warmup" ] ~docv:"ROUNDS" ~doc:"Warmup rounds before measuring, >= 0.")
   in
-  let oracle =
-    Arg.(
-      value & opt oracle_conv `Incremental
-      & info [ "oracle" ] ~docv:"ORACLE"
-          ~doc:
-            "Predicate checker polled during the run: incremental (cached, \
-             dirty-node driven), full (recompute everything each poll — slow \
-             beyond a few thousand nodes), or off.")
-  in
   let oracle_every =
     Arg.(
       value & opt (at_least 1) 5
-      & info [ "oracle-every" ] ~docv:"ROUNDS" ~doc:"Rounds between oracle polls, >= 1.")
-  in
-  let naive_graph =
-    Arg.(
-      value & flag
-      & info [ "naive-graph" ]
+      & info [ "oracle-every" ] ~docv:"ROUNDS"
           ~doc:
-            "Rebuild the unit-disk graph with the O(n²) all-pairs reference \
-             scan instead of the spatial hash grid (baseline for the \
-             speedup).")
+            "Rounds between polls of the incremental oracle, >= 1; the last \
+             measured round is always polled.")
   in
   let shards =
     Arg.(
@@ -1066,7 +1036,7 @@ let vanet_cmd =
           overhead).")
     Term.(
       const run $ scenario $ nodes $ dmax_arg $ seed_arg $ speed $ range $ rounds
-      $ warmup $ oracle $ oracle_every $ naive_graph $ jobs_arg $ shards $ jitter
+      $ warmup $ oracle_every $ jobs_arg $ shards $ jitter
       $ profile $ profile_out $ metrics_arg)
 
 let list_cmd =

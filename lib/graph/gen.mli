@@ -42,7 +42,7 @@ val of_positions : Dgs_util.Geom.point array -> range:float -> Graph.t
 
 val of_positions_naive : Dgs_util.Geom.point array -> range:float -> Graph.t
 (** The O(n²) all-pairs reference for {!of_positions}; kept as the equality
-    oracle in tests and the baseline in scaling benchmarks. *)
+    oracle in tests. *)
 
 val barbell : int -> int -> Graph.t
 (** Two cliques of the given sizes joined by a single edge between node 0

@@ -57,7 +57,6 @@ let step t ~dt =
   | T_manhattan m -> Manhattan.step m ~dt
 
 let graph t ~range = Dgs_graph.Gen.of_positions (positions t) ~range
-let graph_naive t ~range = Dgs_graph.Gen.of_positions_naive (positions t) ~range
 
 let spec_name = function
   | Static _ -> "static"

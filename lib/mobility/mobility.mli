@@ -1,7 +1,9 @@
 (** Unified front-end over the mobility models.
 
     A value of type {!t} animates [n] node positions; {!graph} derives the
-    unit-disk topology the simulator feeds to the protocol. *)
+    unit-disk topology the simulator feeds to the protocol, through the
+    spatial hash grid only (the all-pairs reference scan,
+    {!Dgs_graph.Gen.of_positions_naive}, is a test oracle). *)
 
 type spec =
   | Static of Dgs_util.Geom.point array
@@ -34,10 +36,6 @@ val step : t -> dt:float -> unit
 val graph : t -> range:float -> Dgs_graph.Graph.t
 (** Unit-disk graph over the current positions, resolved through the
     spatial hash grid of {!Dgs_graph.Gen.of_positions}. *)
-
-val graph_naive : t -> range:float -> Dgs_graph.Graph.t
-(** Same graph via the O(n²) all-pairs reference scan; the baseline leg of
-    the E12 scaling experiment and the VANET benchmarks. *)
 
 val spec_name : spec -> string
 

@@ -1,19 +1,7 @@
 module Table = Dgs_metrics.Table
-module Rounds = Dgs_sim.Rounds
-module Rng = Dgs_util.Rng
 module Stats = Dgs_util.Stats
 module Pool = Dgs_parallel.Pool
 open Dgs_core
-
-let wall_clock_per_round ~config ~seed g =
-  let t = Rounds.create ~config g in
-  let rng = Rng.create seed in
-  (* Warm into a busy regime, then time a batch. *)
-  Rounds.run ~jitter:0.1 ~rng t 10;
-  let t0 = Unix.gettimeofday () in
-  let batch = 30 in
-  Rounds.run ~jitter:0.1 ~rng t batch;
-  (Unix.gettimeofday () -. t0) /. float_of_int batch
 
 let run ?(quick = false) ?(jobs = 1) () =
   let sizes = if quick then [ 25; 50 ] else [ 25; 50; 100; 200 ] in
@@ -27,7 +15,6 @@ let run ?(quick = false) ?(jobs = 1) () =
           "n";
           "rounds (mean ± sd)";
           "messages (mean)";
-          "ms / round";
           "groups";
           "agree+safe";
           "maximal";
@@ -35,38 +22,24 @@ let run ?(quick = false) ?(jobs = 1) () =
   in
   List.iter
     (fun n ->
-      (* Only the convergence repetitions go on the pool: the ms/round
-         column below is a wall-clock measurement and must run alone in
-         the caller, or contending workers would inflate it. *)
       let runs =
         Pool.map ~jobs reps (fun r ->
             let seed = 4000 + (n * 10) + r in
-            let g = Harness.rgg ~seed ~n () in
-            (Harness.converge ~max_rounds:4000 ~config ~seed:(seed + 1) g, g))
+            Harness.converge ~max_rounds:4000 ~config ~seed:(seed + 1)
+              (Harness.rgg ~seed ~n ()))
       in
-      let rounds =
-        List.filter_map (fun (c, _) -> Option.map float_of_int c.Harness.rounds) runs
-      in
-      let ms =
-        let _, g = List.hd runs in
-        1000.0 *. wall_clock_per_round ~config ~seed:(4000 + n) g
-      in
+      let rounds = List.filter_map (fun c -> Option.map float_of_int c.Harness.rounds) runs in
+      let count p = List.length (List.filter p runs) in
       Table.add_row table
         [
           Table.cell_int n;
           Table.cell_summary (Stats.summarize rounds);
           Table.cell_float ~decimals:0
-            (Stats.mean
-               (List.map (fun (c, _) -> float_of_int c.Harness.messages) runs));
-          Table.cell_float ms;
+            (Stats.mean (List.map (fun c -> float_of_int c.Harness.messages) runs));
           Table.cell_float ~decimals:1
-            (Stats.mean (List.map (fun (c, _) -> float_of_int c.Harness.groups) runs));
-          Printf.sprintf "%d/%d"
-            (List.length (List.filter (fun (c, _) -> c.Harness.agree_safe) runs))
-            reps;
-          Printf.sprintf "%d/%d"
-            (List.length (List.filter (fun (c, _) -> c.Harness.legitimate) runs))
-            reps;
+            (Stats.mean (List.map (fun c -> float_of_int c.Harness.groups) runs));
+          Printf.sprintf "%d/%d" (count (fun c -> c.Harness.agree_safe)) reps;
+          Printf.sprintf "%d/%d" (count (fun c -> c.Harness.legitimate)) reps;
         ])
     sizes;
   [ table ]

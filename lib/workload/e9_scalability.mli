@@ -1,7 +1,8 @@
 (** E9 — Scalability (extension beyond the paper's scope).
 
     Convergence cost as the network grows: rounds to quiescence, directed
-    messages, wall-clock per protocol round and per-node state size.  GRP
+    messages, groups and verdicts (wall-clock per round is perfbench's
+    [converge] workload, measured with repeats).  GRP
     is fully local (per-compute work is bounded by the Dmax-neighborhood),
     so rounds should grow slowly with n while messages grow linearly. *)
 

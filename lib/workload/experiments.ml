@@ -16,8 +16,6 @@ let all =
     { id = "e8"; title = "Mechanism ablations"; run = E8_ablation.run };
     { id = "e9"; title = "Scalability with network size"; run = E9_scalability.run };
     { id = "e10"; title = "Node churn"; run = E10_churn.run };
-    { id = "e11"; title = "Parallel campaign speedup and determinism"; run = E11_parallel.run };
-    { id = "e12"; title = "Scaling: spatial grid and incremental oracle"; run = E12_scaling.run };
     { id = "e13"; title = "Coverage-guided vs uniform fuzzing"; run = E13_coverage.run };
   ]
 

@@ -2,7 +2,6 @@ module Mobility = Dgs_mobility.Mobility
 module Rounds = Dgs_sim.Rounds
 module Sharded = Dgs_sim.Sharded
 module Cfg = Dgs_spec.Configuration
-module P = Dgs_spec.Predicates
 module Incremental = Dgs_spec.Incremental
 module Graph = Dgs_graph.Graph
 module Rng = Dgs_util.Rng
@@ -40,8 +39,6 @@ let spec_of scenario ~n ~range ~speed =
       in
       Mobility.Manhattan { blocks_x = b; blocks_y = b; block = range; speed }
 
-type oracle = [ `Off | `Full | `Incremental ]
-
 type report = {
   scenario : string;
   nodes : int;
@@ -71,19 +68,17 @@ type report = {
   maximality_ok : bool;
   evictions : int;
   additions : int;
-  oracle_stats : Incremental.stats option;
+  oracle_stats : Incremental.stats;
 }
 
 let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
-    ?(jitter = 0.1) ?(warmup = 10) ?(rounds = 50) ?(oracle = (`Incremental : oracle))
-    ?(oracle_every = 5) ?(naive_graph = false)
-    ?(jobs = 1) ?shards ?make_trace ?make_metrics ?profile_out ~scenario ~n () =
+    ?(jitter = 0.1) ?(warmup = 10) ?(rounds = 50) ?(oracle_every = 5) ?(jobs = 1) ?shards
+    ?make_trace ?make_metrics ?profile_out ~scenario ~n () =
   let jobs = if jobs <= 0 then Dgs_parallel.Pool.default_jobs () else jobs in
   let shards = match shards with Some s -> max 1 s | None -> jobs in
   let rng = Rng.create seed in
   let spec = spec_of scenario ~n ~range ~speed in
   let mob = Mobility.create (Rng.split rng) ~n spec in
-  let build = if naive_graph then Mobility.graph_naive else Mobility.graph in
   let config = Config.make ~dmax () in
   (* Spatial partition from the initial placement: vehicles drift within
      their slab over a run of tens of rounds, so the boundary set stays
@@ -93,14 +88,10 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
   in
   let t =
     Sharded.create ~config ~shards ~jobs ~seed ~shard_of ?make_trace ?make_metrics
-      (build mob ~range)
+      (Mobility.graph mob ~range)
   in
   Sharded.run ~jitter t warmup;
-  let inc =
-    match oracle with
-    | `Incremental -> Some (Incremental.create ~dmax ())
-    | `Full | `Off -> None
-  in
+  let inc = Incremental.create ~dmax () in
   let snap = Harness.Snapshotter.create () in
   let snapshot g =
     Harness.Snapshotter.snapshot_views snap ~ids:(Sharded.node_ids t)
@@ -124,18 +115,10 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
   and maximality_ok = ref true in
   let poll g =
     let t0 = Unix.gettimeofday () in
-    let c = snapshot g in
-    (match (oracle, inc) with
-    | `Incremental, Some inc ->
-        let v = Incremental.check inc c in
-        agreement_ok := v.Incremental.agreement = None;
-        safety_ok := v.Incremental.safety = None;
-        maximality_ok := v.Incremental.maximality = None
-    | `Full, _ ->
-        agreement_ok := P.agreement c = None;
-        safety_ok := P.safety ~dmax c = None;
-        maximality_ok := P.maximality ~dmax c = None
-    | _ -> ());
+    let v = Incremental.check inc (snapshot g) in
+    agreement_ok := v.Incremental.agreement = None;
+    safety_ok := v.Incremental.safety = None;
+    maximality_ok := v.Incremental.maximality = None;
     incr oracle_polls;
     oracle_s := !oracle_s +. (Unix.gettimeofday () -. t0)
   in
@@ -161,7 +144,7 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
   for round = 1 to rounds do
     Mobility.step mob ~dt;
     let t0 = Unix.gettimeofday () in
-    let g = build mob ~range in
+    let g = Mobility.graph mob ~range in
     let tg = Unix.gettimeofday () in
     graph_build_s := !graph_build_s +. (tg -. t0);
     if profiling then span "graph_build" t0 tg 0;
@@ -199,13 +182,14 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
         let added = Node_id.Set.cardinal i.Grp_node.view_added in
         evictions := !evictions + removed;
         additions := !additions + added;
-        if removed > 0 || added > 0 then
-          Option.iter (fun inc -> Incremental.mark_dirty inc v) inc)
+        if removed > 0 || added > 0 then Incremental.mark_dirty inc v)
       infos;
-    if oracle <> `Off && round mod oracle_every = 0 then poll g
+    if round mod oracle_every = 0 then poll g
   done;
   let g = Sharded.graph t in
-  if oracle <> `Off && rounds mod oracle_every <> 0 then poll g;
+  (* The verdicts describe the last configuration: poll it unless the
+     loop just did, which it never has when no round was measured. *)
+  if rounds = 0 || rounds mod oracle_every <> 0 then poll g;
   let wall_s = Unix.gettimeofday () -. wall0 in
   let gc1 = Gc.quick_stat () in
   (match profile_out with
@@ -252,29 +236,25 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     maximality_ok = !maximality_ok;
     evictions = !evictions;
     additions = !additions;
-    oracle_stats = Option.map Incremental.stats inc;
+    oracle_stats = Incremental.stats inc;
   }
 
 let pp_report ppf r =
+  let s = r.oracle_stats in
   Format.fprintf ppf
     "@[<v>vanet %s: n=%d rounds=%d jobs=%d shards=%d wall=%.2fs@,\
      throughput: %.0f events/s, %.0f node·steps/s (%d messages, %d computes)@,\
      time split: graph %.2fs, rounds %.2fs, oracle %.2fs over %d polls, barrier %.2fs@,\
      topology: mean degree %.1f, %d groups@,\
-     final verdicts: agreement=%b safety=%b maximality=%b (evictions %d, additions %d)"
+     final verdicts: agreement=%b safety=%b maximality=%b (evictions %d, additions %d)@,\
+     oracle cache: %d polls, %d dirtied, %d agreements, %d omegas, %d diameters, \
+     %d pair checks@]"
     r.scenario r.nodes r.rounds r.jobs r.shards r.wall_s r.events_per_s
     r.node_steps_per_s r.messages r.computes r.graph_build_s r.round_s r.oracle_s
     r.oracle_polls r.barrier_s r.mean_degree r.groups r.agreement_ok r.safety_ok
-    r.maximality_ok r.evictions r.additions;
-  match r.oracle_stats with
-  | None -> Format.fprintf ppf "@]"
-  | Some s ->
-      Format.fprintf ppf
-        "@,oracle cache: %d polls, %d dirtied, %d agreements, %d omegas, %d \
-         diameters, %d pair checks@]"
-        s.Incremental.polls s.Incremental.dirtied s.Incremental.agreements_checked
-        s.Incremental.omegas_computed s.Incremental.diameters_computed
-        s.Incremental.pairs_checked
+    r.maximality_ok r.evictions r.additions s.Incremental.polls s.Incremental.dirtied
+    s.Incremental.agreements_checked s.Incremental.omegas_computed
+    s.Incremental.diameters_computed s.Incremental.pairs_checked
 
 let pp_profile ppf r =
   let mw w = w /. 1e6 in

@@ -4,11 +4,12 @@
     A run advances a vehicular mobility model (bidirectional highway or
     Manhattan street grid), rebuilds the unit-disk graph through the spatial
     hash grid each round, executes one protocol round per mobility step, and
-    polls an oracle on structure-shared snapshots — by default the
-    incremental checker fed with the round's view-change events.  The
+    polls the incremental checker ({!Dgs_spec.Incremental}, fed with the
+    round's view-change events) on structure-shared snapshots, so every
+    report carries the verdicts of the configuration it timed.  The
     {!report} separates wall-clock into graph build, protocol rounds and
-    oracle time, which is exactly the split the E12 scaling experiment and
-    the [vanet] benchmark rows commit. *)
+    oracle time; perfbench's [vanet_highway] workload times the same
+    phases with repeats. *)
 
 type scenario = Highway | City
 
@@ -22,10 +23,6 @@ val spec_of : scenario -> n:int -> range:float -> speed:float -> Dgs_mobility.Mo
 (** Mobility preset sized so the mean degree stays around 8 regardless of
     [n]: a 6-lane bidirectional highway of length [n·range/4], or a square
     Manhattan grid of about [sqrt (n/8)] blocks of side [range]. *)
-
-type oracle = [ `Off | `Full | `Incremental ]
-(** Which checker the periodic poll runs: none, the full {!Dgs_spec.Predicates}
-    recompute, or {!Dgs_spec.Incremental}. *)
 
 type report = {
   scenario : string;  (** {!scenario_name} of the scenario run *)
@@ -53,13 +50,12 @@ type report = {
   promoted_words_per_round : float;  (** main-domain promotion per round *)
   mean_degree : float;  (** 2·|E|/n of the final topology *)
   groups : int;  (** Ω groups in the final configuration *)
-  agreement_ok : bool;  (** ΠA at the last poll (true when oracle off) *)
+  agreement_ok : bool;  (** ΠA at the last poll *)
   safety_ok : bool;  (** ΠS at the last poll *)
   maximality_ok : bool;  (** ΠM at the last poll *)
   evictions : int;  (** view members removed across all rounds *)
   additions : int;  (** view members added across all rounds *)
-  oracle_stats : Dgs_spec.Incremental.stats option;
-      (** cache counters when the incremental oracle ran *)
+  oracle_stats : Dgs_spec.Incremental.stats;  (** the oracle's cache counters *)
 }
 
 val run :
@@ -71,9 +67,7 @@ val run :
   ?jitter:float ->
   ?warmup:int ->
   ?rounds:int ->
-  ?oracle:oracle ->
   ?oracle_every:int ->
-  ?naive_graph:bool ->
   ?jobs:int ->
   ?shards:int ->
   ?make_trace:(int -> Dgs_trace.Trace.t) ->
@@ -86,11 +80,9 @@ val run :
 (** Run one scenario.  Defaults: seed 1, dmax 3, range 2, speed 0.15,
     dt 1, jitter 0.1, warmup 10 rounds, 50 measured rounds, incremental
     oracle every 5 rounds with {!Dgs_spec.Incremental.create}'s default
-    cross-check limit.  [naive_graph] switches
-    the per-round rebuild to the O(n²) reference scan — the baseline leg of
-    the scaling comparisons.  A final poll is added when [rounds] is not a
-    multiple of [oracle_every] so the verdict fields always reflect the last
-    configuration.
+    cross-check limit.  A final poll is added when the last measured round
+    was not polled ([rounds] not a multiple of [oracle_every], or [0]), so
+    the verdict fields always reflect the last configuration.
 
     [make_trace] builds one trace sink per shard index (default: null —
     the zero-cost path), exactly as in {!Dgs_sim.Sharded.create};

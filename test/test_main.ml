@@ -22,6 +22,7 @@ let () =
       ("metrics-registry", Test_registry.suite);
       ("postmortem", Test_postmortem.suite);
       ("stabilization", Test_stabilization.suite);
+      ("census", Test_census.suite);
       ("propositions", Test_propositions.suite);
       ("continuity", Test_continuity.suite);
       ("workload", Test_workload.suite);

@@ -8,12 +8,13 @@ module Table = Dgs_metrics.Table
 let check = Alcotest.(check bool)
 
 let test_registry () =
-  check "thirteen experiments" true (List.length Experiments.all = 13);
-  List.iteri
-    (fun i e ->
-      check "ids ordered" true (e.Experiments.id = Printf.sprintf "e%d" (i + 1)))
-    Experiments.all;
+  (* Retired ids (E11, E12) are never reused, so docs and CHANGES.md keep
+     pointing at the right tables. *)
+  Alcotest.(check (list string))
+    "ids" [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e13" ]
+    (List.map (fun e -> e.Experiments.id) Experiments.all);
   check "find hit" true (Experiments.find "e5" <> None);
+  check "find retired" true (Experiments.find "e12" = None);
   check "find miss" true (Experiments.find "e99" = None)
 
 let run_quick id =
@@ -33,34 +34,10 @@ let test_e2 () = run_quick "e2"
 let test_e4 () = run_quick "e4"
 let test_e10 () = run_quick "e10"
 
-(* E12 prepares its per-size worlds on the pool: the deterministic CSV
-   columns (n for the build table, n and groups for the oracle table)
-   must be byte-identical for jobs 1 and 2.  Wall-clock cells are
-   excluded — they are real measurements and move run to run. *)
-let test_e12_jobs_determinism () =
-  let deterministic tables =
-    List.mapi
-      (fun i t ->
-        let keep = if i = 1 then 2 else 1 in
-        Table.to_csv t |> String.split_on_char '\n'
-        |> List.map (fun line ->
-               String.split_on_char ',' line
-               |> List.filteri (fun j _ -> j < keep)
-               |> String.concat ",")
-        |> String.concat "\n")
-      tables
-  in
-  let run jobs = Dgs_workload.E12_scaling.run ~quick:true ~jobs () in
-  let t1 = run 1 and t2 = run 2 in
-  Alcotest.(check (list string))
-    "deterministic columns identical across jobs" (deterministic t1)
-    (deterministic t2)
-
 let suite =
   [
     ("registry", `Quick, test_registry);
     ("e2 quick run", `Slow, test_e2);
     ("e4 quick run", `Slow, test_e4);
     ("e10 quick run", `Slow, test_e10);
-    ("e12 jobs determinism", `Slow, test_e12_jobs_determinism);
   ]
