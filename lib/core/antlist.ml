@@ -109,6 +109,21 @@ let rec find_from t id pos =
   end
 
 let find t id = find_from t id 0
+
+(* Shared results, so that [mark_at] allocates nothing. *)
+let some_clear = Some Mark.Clear
+let some_single = Some Mark.Single
+let some_double = Some Mark.Double
+
+let mark_at t pos id =
+  if pos < 0 || pos >= Array.length t then None
+  else begin
+    let l = t.(pos) in
+    let j = search l id 0 (Array.length l) in
+    if j < 0 then None
+    else match l.(j) land 3 with 0 -> some_clear | 1 -> some_single | _ -> some_double
+  end
+
 let mem t id = not (absent_above t id (Array.length t))
 
 let rec undoubled_from t id pos =
@@ -302,6 +317,213 @@ let merge_off off a b =
 let merge a b = merge_off 0 a b
 let shift t = if Array.length t = 0 then t else Array.append [| [||] |] t
 let ant l1 l2 = merge_off 1 l1 l2
+
+(* The left fold of [ant] in one table.  Folding pairwise copies the
+   growing accumulator once per list and binary-searches every emitted
+   level per entry.  Here an open-addressing table maps each id to its
+   current position and severity, packed [(pos lsl 2) lor severity] like
+   an entry, and [counts] holds the live entries per position.  An entry
+   of a list's level [j] lands at [j + 1]: it moves an id found deeper,
+   ties one found there (most severe mark) and is skipped otherwise —
+   exactly the first-occurrence rule of [merge_off].  After each list the
+   first empty position truncates, as [merge_off] would: the entries
+   beyond it are marked [dead] (the table never deletes, so probe chains
+   stay intact) and revive like new ids if a later list names them.  The
+   levels are materialized once, by [ant_fold_finish].  Per domain, like
+   [scratch]: one fold at a time, and the table only ever grows. *)
+type ant_fold = {
+  mutable keys : int array;  (* id, or [vacant] *)
+  mutable vals : int array;  (* packed position and severity, or [dead] *)
+  mutable order : int array;  (* occupied slots, in insertion order *)
+  mutable used : int;
+  mutable counts : int array;
+  mutable size : int;  (* positions of the accumulator *)
+  mutable seed : t;
+  mutable folded : bool;  (* a list was folded in *)
+}
+
+let vacant = min_int
+let dead = -1
+
+let fold_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        keys = Array.make 64 vacant;
+        vals = Array.make 64 dead;
+        order = Array.make 32 0;
+        used = 0;
+        counts = Array.make 8 0;
+        size = 0;
+        seed = empty;
+        folded = false;
+      })
+
+(* Fibonacci hashing: the product's bits from 32 up mix every bit of the
+   id, so ids that share their low bits do not collide. *)
+let slot_of (f : ant_fold) id =
+  ((id * 0x1E3779B97F4A7C15) lsr 32) land (Array.length f.keys - 1)
+
+let rec probe (keys : int array) id s =
+  let k = keys.(s) in
+  if k = id || k = vacant then s else probe keys id ((s + 1) land (Array.length keys - 1))
+
+let grow_counts (f : ant_fold) n =
+  if Array.length f.counts < n then begin
+    let c = Array.make (Int.max n (2 * Array.length f.counts)) 0 in
+    Array.blit f.counts 0 c 0 (Array.length f.counts);
+    f.counts <- c
+  end
+
+(* Double the table at half load, re-placing the occupied slots in
+   insertion order. *)
+let grow_table (f : ant_fold) =
+  let keys = f.keys and vals = f.vals and order = f.order in
+  let cap = 2 * Array.length keys in
+  f.keys <- Array.make cap vacant;
+  f.vals <- Array.make cap dead;
+  f.order <- Array.make (cap / 2) 0;
+  for i = 0 to f.used - 1 do
+    let s = order.(i) in
+    let s' = probe f.keys keys.(s) (slot_of f keys.(s)) in
+    f.keys.(s') <- keys.(s);
+    f.vals.(s') <- vals.(s);
+    f.order.(i) <- s'
+  done
+
+(* The entry [e] at position [pos]: the first-occurrence rule. *)
+let place (f : ant_fold) pos e =
+  let id = id_of e in
+  let s = probe f.keys id (slot_of f id) in
+  let v = f.vals.(s) in
+  let pe = (pos lsl 2) lor (e land 3) in
+  if f.keys.(s) = vacant || v = dead then begin
+    if f.keys.(s) = vacant then begin
+      f.keys.(s) <- id;
+      f.order.(f.used) <- s;
+      f.used <- f.used + 1
+    end;
+    f.vals.(s) <- pe;
+    f.counts.(pos) <- f.counts.(pos) + 1;
+    if 2 * f.used >= Array.length f.keys then grow_table f
+  end
+  else begin
+    let at = v lsr 2 in
+    if pos < at then begin
+      f.counts.(at) <- f.counts.(at) - 1;
+      f.counts.(pos) <- f.counts.(pos) + 1;
+      f.vals.(s) <- pe
+    end
+    else if pos = at && pe > v then f.vals.(s) <- pe
+  end
+
+let place_level f pos (l : int array) =
+  for j = 0 to Array.length l - 1 do
+    place f pos l.(j)
+  done
+
+let ant_fold_start seed =
+  let f = Domain.DLS.get fold_key in
+  for i = 0 to f.used - 1 do
+    f.keys.(f.order.(i)) <- vacant
+  done;
+  f.used <- 0;
+  Array.fill f.counts 0 f.size 0;
+  grow_counts f (Array.length seed);
+  for pos = 0 to Array.length seed - 1 do
+    place_level f pos seed.(pos)
+  done;
+  f.size <- Array.length seed;
+  f.seed <- seed;
+  f.folded <- false;
+  f
+
+(* Positions [from, size) emptied: drop every entry at or beyond
+   [from]. *)
+let cut_at (f : ant_fold) from =
+  for i = 0 to f.used - 1 do
+    let s = f.order.(i) in
+    if f.vals.(s) lsr 2 >= from then f.vals.(s) <- dead
+  done;
+  Array.fill f.counts from (f.size - from) 0;
+  f.size <- from
+
+let rec first_empty (counts : int array) i n =
+  if i >= n || counts.(i) = 0 then i else first_empty counts (i + 1) n
+
+let ant_fold_add (f : ant_fold) l =
+  let m = Array.length l in
+  if m + 1 > f.size then begin
+    grow_counts f (m + 1);
+    f.size <- m + 1
+  end;
+  for j = 0 to m - 1 do
+    place_level f (j + 1) l.(j)
+  done;
+  let gap = first_empty f.counts 0 f.size in
+  if gap < f.size then cut_at f gap;
+  f.folded <- true
+
+(* Sort [a.(lo) .. a.(hi - 1)] in place: insertion sort on short runs,
+   median-of-three quicksort above. *)
+let rec sort_range (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let x = a.(lo) and y = a.(mid) and z = a.(hi - 1) in
+    let pivot = Int.max (Int.min x y) (Int.min (Int.max x y) z) in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    sort_range a lo (!j + 1);
+    sort_range a !i hi
+  end
+
+let ant_fold_finish (f : ant_fold) =
+  let seed = f.seed in
+  f.seed <- empty;
+  if not f.folded then seed
+  else begin
+    let n = f.size in
+    let lvls = Array.make n [||] in
+    for pos = 0 to n - 1 do
+      lvls.(pos) <- Array.make f.counts.(pos) 0
+    done;
+    (* The counts become fill cursors, walked down from the newest slot,
+       so each level receives its entries in insertion order: sorted runs,
+       one per list. *)
+    for i = f.used - 1 downto 0 do
+      let s = f.order.(i) in
+      let v = f.vals.(s) in
+      if v <> dead then begin
+        let pos = v lsr 2 in
+        let c = f.counts.(pos) - 1 in
+        f.counts.(pos) <- c;
+        lvls.(pos).(c) <- (f.keys.(s) lsl 2) lor (v land 3)
+      end
+    done;
+    for pos = 0 to n - 1 do
+      sort_range lvls.(pos) 0 (Array.length lvls.(pos))
+    done;
+    lvls
+  end
 
 let truncate t k =
   let n = Array.length t in

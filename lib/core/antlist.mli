@@ -82,6 +82,10 @@ val mem : t -> Node_id.t -> bool
 val find : t -> Node_id.t -> (int * Mark.t) option
 (** Position and mark of the closest occurrence of a node, if present. *)
 
+val mark_at : t -> int -> Node_id.t -> Mark.t option
+(** [mark_at t i v]: the mark of [v] in level [i], if it is there (one
+    binary search; allocation-free). *)
+
 val closest_undoubled : t -> Node_id.t -> int
 (** Position of the closest occurrence of a node that is not
     double-marked; -1 when there is none.  Allocation-free. *)
@@ -121,6 +125,26 @@ val shift : t -> t
 
 val ant : t -> t -> t
 (** [ant l1 l2 = merge l1 (shift l2)]. *)
+
+type ant_fold
+(** A left fold of {!ant} in progress: [ant (... (ant seed l1) ...) lk]
+    in one pass over each [li], without the intermediate lists.  An
+    id-keyed table tracks every entry's closest position; after each list
+    the first empty level truncates, exactly where {!ant} would.  The
+    table is the domain's: starting a fold abandons any fold in progress
+    on the same domain. *)
+
+val ant_fold_start : t -> ant_fold
+(** Begin a fold from [seed]. *)
+
+val ant_fold_add : ant_fold -> t -> unit
+(** Fold in the next list; allocation-free once the domain's table has
+    grown to the fold's distinct ids. *)
+
+val ant_fold_finish : ant_fold -> t
+(** The fold's result, equal to the pairwise fold: the seed itself when
+    no list was added, else fresh levels (the outer array and one sorted
+    array per level, nothing else allocated). *)
 
 val truncate : t -> int -> t
 (** Keep the first [k] levels (paper line 28). *)

@@ -88,14 +88,12 @@ type t = {
   mutable quarantine : int Node_id.Map.t;
   mutable view : Node_id.Set.t;
   (* The priority table: node ids, strictly increasing, and their known
-     priorities, parallel, in the first [prio_n] slots.  Between computes
-     the arrays are exact-size and never written again, so a message may
-     share them.  During a full compute they are the domain's merge
-     scratch ([merge_priority_tables]) until [update_priorities] copies
+     priorities, parallel.  The arrays are never written again, so a
+     message may share them.  A full compute builds the next table in the
+     domain's scratch ([merge_priorities]) and [update_priorities] copies
      the surviving entries out. *)
   mutable prio_ids : Node_id.t array;
   mutable prio_vals : Priority.t array;
-  mutable prio_n : int;
   mutable own_priority : Priority.t;
   (* Membership re-validation testimony: sender -> (consecutive exclusion
      reports, computes since the last one).  See [update_conflicts]. *)
@@ -149,7 +147,6 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     view;
     prio_ids;
     prio_vals;
-    prio_n = 1;
     own_priority;
     conflict = Node_id.Map.empty;
     starve = Node_id.Map.empty;
@@ -203,7 +200,7 @@ let rec search (ids : Node_id.t array) v lo hi =
     if c = 0 then mid else if c < 0 then search ids v (mid + 1) hi else search ids v lo mid
 
 let known_priority t v =
-  let i = search t.prio_ids v 0 t.prio_n in
+  let i = search t.prio_ids v 0 (Array.length t.prio_ids) in
   if i < 0 then None else Some t.prio_vals.(i)
 
 let pending_senders t =
@@ -217,7 +214,7 @@ let pending_senders t =
    table, which allocates nothing. *)
 let group_priority t =
   let best = ref t.own_priority in
-  for i = 0 to t.prio_n - 1 do
+  for i = 0 to Array.length t.prio_ids - 1 do
     if Node_id.Set.mem t.prio_ids.(i) t.view then best := Priority.min t.prio_vals.(i) !best
   done;
   !best
@@ -282,23 +279,27 @@ let lid_of_sender t sender =
    compute at a time and nothing here outlives it, so the buffers are
    shared by every node the domain runs: per-node buffers would grow the
    live heap with the network.
-   - [ids_a]/[vals_a]: the table the priority merge builds in place.
    - [senders]/[msgs]/[standing]: this compute's msgSet in id order, and
      how each sender's list holds the computing node
      ([standing_of_list]).
+   - [tab_ids]/[tab_src]/[table_n]: the priority table the merge builds
+     ([merge_priorities]): ids, and where each one's priority lives —
+     [own] for the node's own entry, else [(k lsl 32) lor j] for entry [j]
+     of [msgs.(k)].  Plain ints, so building the table stores no pointer;
+     [heads] are the merge's per-sender read positions.
    - [ints]: a gather buffer for the cross check's reach sets.
    Buffers grow to the largest need seen, never shrink, and
    [release] drops their references into a compute's messages, so
    between computes they keep nothing else alive. *)
 type scratch = {
-  mutable ids_a : Node_id.t array;
-  mutable vals_a : Priority.t array;
-  mutable clock : int;
-  mutable table_n : int;
   mutable senders : Node_id.t array;
   mutable msgs : Message.t array;
   mutable standing : int array;
   mutable n_senders : int;
+  mutable tab_ids : Node_id.t array;
+  mutable tab_src : int array;
+  mutable table_n : int;
+  mutable heads : int array;
   mutable ints : int array;
 }
 
@@ -309,18 +310,31 @@ let no_msg =
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       {
-        ids_a = [||];
-        vals_a = [||];
-        clock = 0;
-        table_n = 0;
         senders = [||];
         msgs = [||];
         standing = [||];
         n_senders = 0;
+        tab_ids = [||];
+        tab_src = [||];
+        table_n = 0;
+        heads = [||];
         ints = [||];
       })
 
 let grown a n fill = if Array.length a >= n then a else Array.make n fill
+
+(* msgSet as id-sorted arrays. *)
+let fill_senders t s =
+  let n = Node_id.Map.cardinal t.msg_set in
+  s.senders <- grown s.senders n 0;
+  s.msgs <- grown s.msgs n no_msg;
+  s.n_senders <-
+    Node_id.Map.fold
+      (fun sender msg k ->
+        s.senders.(k) <- sender;
+        s.msgs.(k) <- msg;
+        k + 1)
+      t.msg_set 0
 
 (* The priority table is rebuilt from scratch out of the current round's
    reports: among gossiped entries the larger oldness wins (oldness only
@@ -335,96 +349,114 @@ let grown a n fill = if Array.length a >= n then a else Array.make n fill
    radius of rounds.  Returns the largest oldness heard, which is the
    Lamport clock the node syncs its own counter to while solo.
 
-   The table is the linear merge of the senders' id-sorted arrays in
-   msgSet order into the own entry: on a shared id the larger oldness
-   wins and the earlier sender keeps a tie; the own entry is never
-   replaced by gossip. *)
-let merge_sender s ~me na (msg : Message.t) =
-  let im = msg.Message.priority_ids and vm = msg.Message.priorities in
-  let nm = Array.length im in
-  if Array.length s.ids_a < na + nm then begin
-    let ids = Array.make (na + nm) 0 and vals = Array.make (na + nm) Priority.lowest in
-    Array.blit s.ids_a 0 ids 0 na;
-    Array.blit s.vals_a 0 vals 0 na;
-    s.ids_a <- ids;
-    s.vals_a <- vals
-  end;
-  let ids = s.ids_a and vals = s.vals_a in
-  (* From the back, so the table is its own output: the write index stays
-     above every unread table slot while sender entries remain. *)
-  let i = ref (na - 1) and j = ref (nm - 1) and k = ref (na + nm - 1) in
-  while !j >= 0 do
-    if !i >= 0 && Node_id.compare ids.(!i) im.(!j) > 0 then begin
-      ids.(!k) <- ids.(!i);
-      vals.(!k) <- vals.(!i);
-      decr i
-    end
-    else begin
-      let p = vm.(!j) in
-      if p.Priority.oldness > s.clock then s.clock <- p.Priority.oldness;
-      if !i >= 0 && Node_id.equal ids.(!i) im.(!j) then begin
-        let q = vals.(!i) in
-        vals.(!k) <-
-          (if Node_id.equal ids.(!i) me || q.Priority.oldness >= p.Priority.oldness then q
-           else p);
-        ids.(!k) <- ids.(!i);
-        decr i
-      end
-      else begin
-        ids.(!k) <- im.(!j);
-        vals.(!k) <- p
-      end;
-      decr j
-    end;
-    decr k
+   One k-way walk over the senders' id-sorted arrays and the own entry
+   builds the table in id order.  Each step takes the smallest unread id
+   and consumes every sender entry that names it, in msgSet order: the
+   larger oldness wins and the earlier sender keeps a tie; gossip never
+   replaces the own entry; a sender's report about itself overrides
+   gossip.  A step costs one pass over the senders' read positions, so a
+   table the senders mostly share costs about one visit per entry. *)
+let own = -1
+
+(* Double the table arrays, which then fit the most distinct ids seen. *)
+let grow_table s n =
+  let cap = Int.max 16 (2 * n) in
+  let ids = Array.make cap 0 and src = Array.make cap own in
+  Array.blit s.tab_ids 0 ids 0 n;
+  Array.blit s.tab_src 0 src 0 n;
+  s.tab_ids <- ids;
+  s.tab_src <- src
+
+let merge_priorities s ~me =
+  let k = s.n_senders in
+  s.heads <- grown s.heads k 0;
+  let heads = s.heads in
+  let next = ref me in
+  for i = 0 to k - 1 do
+    heads.(i) <- 0;
+    let ids = s.msgs.(i).Message.priority_ids in
+    if Array.length ids > 0 && ids.(0) < !next then next := ids.(0)
   done;
-  (* Slots [0, i] are untouched; close the gap of one slot per shared id
-     between them and the merged tail [k+1, na+nm). *)
-  let gap = !k - !i and tail = na + nm - 1 - !k in
-  if gap > 0 then begin
-    Array.blit ids (!k + 1) ids (!i + 1) tail;
-    Array.blit vals (!k + 1) vals (!i + 1) tail
-  end;
-  na + nm - gap
-
-let merge_priority_tables t s =
-  s.ids_a <- grown s.ids_a 1 0;
-  s.vals_a <- grown s.vals_a 1 Priority.lowest;
-  s.ids_a.(0) <- t.id;
-  s.vals_a.(0) <- t.own_priority;
-  s.clock <- 0;
-  let n = Node_id.Map.fold (fun _ msg n -> merge_sender s ~me:t.id n msg) t.msg_set 1 in
-  Node_id.Map.iter
-    (fun sender msg ->
+  let clock = ref 0 and n = ref 0 and me_left = ref true in
+  while !next <> max_int do
+    let v = !next in
+    let after = ref (if !me_left && me > v then me else max_int) in
+    let best = ref own and best_oldness = ref 0 and self = ref own in
+    for i = 0 to k - 1 do
+      let msg = s.msgs.(i) in
       let ids = msg.Message.priority_ids in
-      let j = search ids sender 0 (Array.length ids) in
-      if j >= 0 then
-        s.vals_a.(search s.ids_a sender 0 n) <- msg.Message.priorities.(j))
-    t.msg_set;
-  t.prio_ids <- s.ids_a;
-  t.prio_vals <- s.vals_a;
-  t.prio_n <- n;
-  s.table_n <- n;
-  s.clock
+      let h = heads.(i) in
+      if h < Array.length ids then begin
+        let u = ids.(h) in
+        if u = v then begin
+          let o = msg.Message.priorities.(h).Priority.oldness in
+          if o > !clock then clock := o;
+          if msg.Message.sender = v then self := (i lsl 32) lor h
+          else if !best = own || o > !best_oldness then begin
+            best := (i lsl 32) lor h;
+            best_oldness := o
+          end;
+          heads.(i) <- h + 1;
+          if h + 1 < Array.length ids && ids.(h + 1) < !after then after := ids.(h + 1)
+        end
+        else if u < !after then after := u
+      end
+    done;
+    if v = me then me_left := false;
+    if !n = Array.length s.tab_ids then grow_table s !n;
+    s.tab_ids.(!n) <- v;
+    s.tab_src.(!n) <- (if !self <> own then !self else if v = me then own else !best);
+    incr n;
+    next := !after
+  done;
+  s.table_n <- !n;
+  !clock
 
-(* How a sender's raw list holds me, from one walk over it, packed in an
-   int: bits 0-1 the severity of my level-1 entry (3: none there), bit 2
-   set when I appear Clear at some depth (raw lists may repeat an id
-   across levels), bits 4.. one plus the position of my closest
-   occurrence (0: absent).  [my_mark], [good_list], the admission
+(* The priority of table slot [i]: the own entry's is [own_priority]. *)
+let table_priority s ~own_priority i =
+  let src = s.tab_src.(i) in
+  if src = own then own_priority
+  else s.msgs.(src lsr 32).Message.priorities.(src land 0xFFFF_FFFF)
+
+(* [group_priority] on the table being built. *)
+let table_group_priority t s =
+  let best = ref t.own_priority in
+  for i = 0 to s.table_n - 1 do
+    if Node_id.Set.mem s.tab_ids.(i) t.view then
+      best := Priority.min (table_priority s ~own_priority:t.own_priority i) !best
+  done;
+  !best
+
+(* The priorities of the first [n] table slots as an exact-size array,
+   the own entry's [own_priority]. *)
+let table_priorities s ~own_priority n =
+  let vals = Array.make n own_priority in
+  for i = 0 to n - 1 do
+    if s.tab_src.(i) <> own then vals.(i) <- table_priority s ~own_priority i
+  done;
+  vals
+
+(* How a sender's raw list holds me, from one binary search per level,
+   packed in an int: bits 0-1 the severity of my level-1 entry (3: none
+   there), bit 2 set when I appear Clear at some depth (raw lists may
+   repeat an id across levels), bits 4.. one plus the position of my
+   closest occurrence (0: absent).  [my_mark], [good_list], the admission
    evidence and the cross check's split horizon all read it;
    [fill_standings] adds bit 3 for a sender in my view. *)
 let standing_of_list me lst =
-  Antlist.fold_entries lst ~init:3 ~f:(fun st v pos mark ->
-      if not (Node_id.equal v me) then st
-      else begin
-        let st = if st lsr 4 = 0 then st lor ((pos + 1) lsl 4) else st in
-        let st = if mark = Mark.Clear then st lor 4 else st in
-        if pos <> 1 then st
-        else
-          (st land lnot 3)
-          lor match mark with Mark.Clear -> 0 | Mark.Single -> 1 | Mark.Double -> 2
-      end)
+  let st = ref 3 in
+  for pos = 0 to Antlist.size lst - 1 do
+    match Antlist.mark_at lst pos me with
+    | None -> ()
+    | Some mark ->
+        if !st lsr 4 = 0 then st := !st lor ((pos + 1) lsl 4);
+        if mark = Mark.Clear then st := !st lor 4;
+        if pos = 1 then
+          st :=
+            (!st land lnot 3)
+            lor match mark with Mark.Clear -> 0 | Mark.Single -> 1 | Mark.Double -> 2
+  done;
+  !st
 
 let clear_somewhere st = st land 4 <> 0
 let closest_pos st = (st lsr 4) - 1
@@ -438,22 +470,14 @@ let my_mark st =
   | 2 -> Some Mark.Double
   | _ -> if clear_somewhere st then Some Mark.Clear else None
 
-(* msgSet as arrays, with every sender's standing. *)
+(* Every sender's standing, over the arrays of [fill_senders]. *)
 let fill_standings t s =
-  let n = Node_id.Map.cardinal t.msg_set in
-  s.senders <- grown s.senders n 0;
-  s.standing <- grown s.standing n 0;
-  s.msgs <- grown s.msgs n no_msg;
-  s.n_senders <-
-    Node_id.Map.fold
-      (fun sender msg k ->
-        s.senders.(k) <- sender;
-        s.msgs.(k) <- msg;
-        s.standing.(k) <-
-          (standing_of_list t.id msg.Message.antlist
-          lor if Node_id.Set.mem sender t.view then 8 else 0);
-        k + 1)
-      t.msg_set 0
+  s.standing <- grown s.standing s.n_senders 0;
+  for k = 0 to s.n_senders - 1 do
+    s.standing.(k) <-
+      (standing_of_list t.id s.msgs.(k).Message.antlist
+      lor if Node_id.Set.mem s.senders.(k) t.view then 8 else 0)
+  done
 
 let standing s sender = s.standing.(search s.senders sender 0 s.n_senders)
 let sender_in_view st = st land 8 <> 0
@@ -470,14 +494,29 @@ let rec advertised s ~mates v k =
    been copied out. *)
 let release s =
   Array.fill s.msgs 0 s.n_senders no_msg;
-  Array.fill s.vals_a 0 s.table_n Priority.lowest;
   s.n_senders <- 0;
   s.table_n <- 0
 
+let priority_table ~me ~own_priority msgs =
+  let s = Domain.DLS.get scratch_key in
+  let k = Array.length msgs in
+  s.msgs <- grown s.msgs k no_msg;
+  Array.blit msgs 0 s.msgs 0 k;
+  s.n_senders <- k;
+  let clock = merge_priorities s ~me in
+  let n = s.table_n in
+  let ids = Array.sub s.tab_ids 0 n and vals = table_priorities s ~own_priority n in
+  release s;
+  (ids, vals, clock)
+
 (* [v] has a Clear entry at some depth of [lst] (any occurrence, not just
    the closest: raw lists may repeat an id across levels). *)
-let clear_anywhere lst v =
-  Antlist.exists lst ~f:(fun u _ mark -> Node_id.equal u v && mark = Mark.Clear)
+let rec clear_from lst v pos =
+  pos < Antlist.size lst
+  && ((match Antlist.mark_at lst pos v with Some Mark.Clear -> true | _ -> false)
+     || clear_from lst v (pos + 1))
+
+let clear_anywhere lst v = clear_from lst v 0
 
 let clear_level_ids lst i =
   Antlist.fold_level lst i ~init:Node_id.Set.empty ~f:(fun acc id mark ->
@@ -543,16 +582,32 @@ let foreign_view_extent t ~sender_view lst =
   if best < 0 then None else Some best
 
 (* [env] memoizes the sender-independent half of the admission tests for
-   one compute: the extent of my established group, the same for all of
-   the round's senders. *)
-let compatible_env t s = lazy (established_extent t s)
+   one compute, the same for all of the round's senders, each part on
+   first use: the extent of my established group ([-1]: not yet), and
+   the established Clear members of each of my levels [1 .. extent]
+   that the shortcut compares with a sender's level 1 ([[||]]: not
+   yet). *)
+type env = { mutable extent : int; mutable established_levels : Node_id.Set.t array }
+
+let compatible_env () = { extent = -1; established_levels = [||] }
+
+let env_extent t s env =
+  if env.extent < 0 then env.extent <- established_extent t s;
+  env.extent
+
+let established_level t s env i =
+  if Array.length env.established_levels = 0 then
+    env.established_levels <-
+      Array.init (env_extent t s env + 1) (fun i ->
+          Node_id.Set.filter (established t s) (clear_level_ids t.antlist i));
+  env.established_levels.(i)
 
 let compatible_list_env t s ~env ~sender_view lst =
   let dmax = t.config.Config.dmax in
   match foreign_view_extent t ~sender_view lst with
   | None -> true (* nothing new: accepting cannot stretch the group *)
   | Some q ->
-      let p = Lazy.force env in
+      let p = env_extent t s env in
       if p + q + 1 <= dmax then true
       else if not t.config.Config.compat_shortcut_enabled then false
       else
@@ -564,9 +619,7 @@ let compatible_list_env t s ~env ~sender_view lst =
         let rec scan i =
           if i > p then false
           else
-            let li =
-              Node_id.Set.filter (established t s) (clear_level_ids t.antlist i)
-            in
+            let li = established_level t s env i in
             ((not (Node_id.Set.is_empty li))
             && Node_id.Set.subset li list1
             && p - i + 1 + q <= dmax
@@ -577,8 +630,9 @@ let compatible_list_env t s ~env ~sender_view lst =
 
 let compatible_list t ~sender_view lst =
   let s = Domain.DLS.get scratch_key in
+  fill_senders t s;
   fill_standings t s;
-  let ok = compatible_list_env t s ~env:(compatible_env t s) ~sender_view lst in
+  let ok = compatible_list_env t s ~env:(compatible_env ()) ~sender_view lst in
   release s;
   ok
 
@@ -603,7 +657,7 @@ let same_group t sender (msg : Message.t) =
 
 let check_each_incoming t s =
   let tracing = Trace.enabled t.trace in
-  let env = compatible_env t s in
+  let env = compatible_env () in
   t.restricts <- 0;
   Node_id.Map.mapi
     (fun sender msg ->
@@ -814,7 +868,9 @@ let check_incoming t s =
 
 let fold_ant t lists =
   Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal lists);
-  Node_id.Map.fold (fun _ lst acc -> Antlist.ant acc lst) lists (Antlist.singleton t.id)
+  let acc = Antlist.ant_fold_start (Antlist.singleton t.id) in
+  Node_id.Map.iter (fun _ lst -> Antlist.ant_fold_add acc lst) lists;
+  Antlist.ant_fold_finish acc
 
 (* Priority contest against the too-far node w: w's node priority against
    the priority of the local group — the strongest (minimal) priority
@@ -840,13 +896,14 @@ let fold_ant t lists =
    freeze into a stable Pi-A violation.  There the defender falls back
    to its own node priority, which keeps such disagreements churning
    until they dissolve one way or the other.  See DESIGN.md Section 5. *)
-let defense_priority t ~providers =
-  if Node_id.Set.disjoint providers t.view then group_priority t
+let defense_priority t s ~providers =
+  if Node_id.Set.disjoint providers t.view then table_group_priority t s
   else t.own_priority
 
-let too_far_priority t ~w ~providers =
-  let pw = match known_priority t w with Some p -> p | None -> Priority.lowest in
-  (pw, defense_priority t ~providers)
+let too_far_priority t s ~w ~providers =
+  let i = search s.tab_ids w 0 s.table_n in
+  let pw = if i < 0 then Priority.lowest else table_priority s ~own_priority:t.own_priority i in
+  (pw, defense_priority t s ~providers)
 
 (* Lines 14-29: resolve the Dmax+2 overflow.  Providers of a winning too-far
    node are double-marked and the list is recomputed without them; remaining
@@ -864,7 +921,7 @@ let too_far_priority t ~w ~providers =
    straddle gets and stays cut — but not against a disjoint provider set:
    displacing a second, freshly formed pairing right after the first is
    the rotation signature, and those claims are silently truncated. *)
-let resolve_too_far t checked ~folded candidate =
+let resolve_too_far t s checked ~folded candidate =
   let dmax = t.config.Config.dmax in
   if Antlist.clear_size candidate < dmax + 2 then
     (candidate, false, Node_id.Set.empty, [])
@@ -928,7 +985,7 @@ let resolve_too_far t checked ~folded candidate =
                | None -> false
           in
           if not held then begin
-            let pw, pv = too_far_priority t ~w ~providers:provider_set in
+            let pw, pv = too_far_priority t s ~w ~providers:provider_set in
             if Priority.beats ~window:(Priority.contest_window ~dmax) pw pv then begin
               List.iter
                 (fun sender ->
@@ -1105,7 +1162,7 @@ let compute_view t s lst ~conflicted =
       in
       if admitted then Node_id.Set.add v acc else acc)
 
-let update_priorities t lst ~clock =
+let update_priorities t s lst ~clock =
   (* Oldness accrues only while the node is truly alone: in a group (view
      of two or more) or actively merging (unmarked list members beyond
      itself) the clock holds.  If failed merge attempts kept aging a node,
@@ -1135,19 +1192,17 @@ let update_priorities t lst ~clock =
   (* Keep the list members' entries and the own one, now the updated own
      priority, compacting the merge scratch in place before copying the
      table out at its exact size. *)
-  let ids = t.prio_ids and vals = t.prio_vals in
   let w = ref 0 in
-  for r = 0 to t.prio_n - 1 do
-    let v = ids.(r) in
+  for r = 0 to s.table_n - 1 do
+    let v = s.tab_ids.(r) in
     if Node_id.equal v t.id || Antlist.mem lst v then begin
-      ids.(!w) <- v;
-      vals.(!w) <- (if Node_id.equal v t.id then t.own_priority else vals.(r));
+      s.tab_ids.(!w) <- v;
+      s.tab_src.(!w) <- s.tab_src.(r);
       incr w
     end
   done;
-  t.prio_ids <- Array.sub ids 0 !w;
-  t.prio_vals <- Array.sub vals 0 !w;
-  t.prio_n <- !w
+  t.prio_ids <- Array.sub s.tab_ids 0 !w;
+  t.prio_vals <- table_priorities s ~own_priority:t.own_priority !w
 
 (* Mark handshake and quarantine transitions are derived by diffing the
    protocol state across one compute — the list marks and the quarantine
@@ -1209,16 +1264,15 @@ let quarantine_transitions t ~old_q ~tracing =
     t.quarantine
 
 (* The known priorities of the list members, filtered out of the table;
-   the table's own arrays when it holds nothing else (between computes
-   they are exact-size and never written again). *)
+   the table's own arrays when it holds nothing else. *)
 let build_message t =
-  let n = t.prio_n in
+  let n = Array.length t.prio_ids in
   let kept = ref 0 in
   for i = 0 to n - 1 do
     if Antlist.mem t.antlist t.prio_ids.(i) then incr kept
   done;
   let priority_ids, priorities =
-    if !kept = n && Array.length t.prio_ids = n then (t.prio_ids, t.prio_vals)
+    if !kept = n then (t.prio_ids, t.prio_vals)
     else begin
       let ids = Array.make !kept 0 and vals = Array.make !kept Priority.lowest in
       let k = ref 0 in
@@ -1293,7 +1347,8 @@ let compute t =
   let dmax = t.config.Config.dmax in
   let old_priority = t.own_priority and was_settled = settled t in
   let s = Domain.DLS.get scratch_key in
-  let clock = merge_priority_tables t s in
+  fill_senders t s;
+  let clock = merge_priorities s ~me:t.id in
   t.contest_hold <-
     Node_id.Map.filter_map
       (fun _ (k, cut) -> if k > 1 then Some (k - 1, cut) else None)
@@ -1315,7 +1370,7 @@ let compute t =
   let candidate = Antlist.truncate folded (dmax + 2) in
   let lap = Registry.Timer.lap t.metrics.m_fold_phase_ns lap in
   let final_list, too_far_conflict, rejected_senders, contest_wins =
-    resolve_too_far t checked ~folded candidate
+    resolve_too_far t s checked ~folded candidate
   in
   let final_list = Antlist.truncate final_list (dmax + 1) in
   let lap = Registry.Timer.lap t.metrics.m_contest_ns lap in
@@ -1357,7 +1412,7 @@ let compute t =
      comparisons. *)
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
-  update_priorities t final_list ~clock;
+  update_priorities t s final_list ~clock;
   release s;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
@@ -1400,11 +1455,10 @@ let corrupt_priority t p = invalidate t; t.own_priority <- p
 
 let corrupt_priority_table t ps =
   invalidate t;
-  let table = List.init t.prio_n (fun i -> (t.prio_ids.(i), t.prio_vals.(i))) in
+  let table = List.combine (Array.to_list t.prio_ids) (Array.to_list t.prio_vals) in
   let ids, vals = Message.priority_arrays (table @ ps) in
   t.prio_ids <- ids;
-  t.prio_vals <- vals;
-  t.prio_n <- Array.length ids
+  t.prio_vals <- vals
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>node %a: list=%a@ view=%a pr=%a@]" Node_id.pp t.id Antlist.pp

@@ -109,8 +109,8 @@ val compute : t -> step_info
     priority, update quarantines, the view and the priorities; finally reset
     [msgSet] and build the next message, which {!make_message} returns.
     The full path runs on per-domain scratch buffers (priority merge,
-    sender standings, reach sets), so a node may be computed on any
-    domain, one compute at a time.
+    ant fold, sender standings, reach sets), so a node may be computed
+    on any domain, one compute at a time.
 
     {b Elision.}  A compute is a deterministic function of the node state
     and [msgSet].  When the previous compute was a fixpoint (list, view,
@@ -151,6 +151,19 @@ val compatible_list : t -> sender_view:Node_id.Set.t -> Antlist.t -> bool
     {e both} bounds [p-i+1+q <= Dmax] and [i/2+q+1 <= Dmax]; the paper's
     "either ... or" would let a lone node join a diameter-[Dmax] group,
     which its own proof of Proposition 13 excludes. *)
+
+val priority_table :
+  me:Node_id.t ->
+  own_priority:Priority.t ->
+  Message.t array ->
+  Node_id.t array * Priority.t array * int
+(** The priority table a {!compute} builds from msgSet, before the list
+    filter: [msgs] in increasing sender order (distinct senders), merged
+    with the own entry [(me, own_priority)] into id-sorted arrays, and the
+    largest oldness gossiped.  On a shared id the larger oldness wins and
+    the earlier sender keeps a tie; gossip never replaces the own entry; a
+    sender's report about itself overrides gossip.  Allocates the two
+    arrays and the triple only. *)
 
 val convictions : t -> Node_id.Set.t
 (** Nodes currently inadmissible under the membership re-validation of the

@@ -7,6 +7,13 @@ let pp = Format.pp_print_int
 module Set = Dgs_util.Int_set
 module Map = Map.Make (Int)
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = Int.equal
+  let hash v = v land max_int
+end)
+
 let set_of_list l = Set.of_list l
 
 let pp_set ppf s =

@@ -9,7 +9,7 @@ type t = {
   trace : Trace.t;
   metrics : Registry.t;
   mutable graph : Graph.t;
-  nodes : (Node_id.t, Grp_node.t) Hashtbl.t;
+  nodes : Grp_node.t Node_id.Tbl.t;
   (* Per-source send counters backing lineage-id minting, touched only
      when tracing is enabled (the Net discipline). *)
   lids : (Node_id.t, int) Hashtbl.t;
@@ -18,8 +18,8 @@ type t = {
 }
 
 let ensure_node t v =
-  if not (Hashtbl.mem t.nodes v) then
-    Hashtbl.replace t.nodes v
+  if not (Node_id.Tbl.mem t.nodes v) then
+    Node_id.Tbl.replace t.nodes v
       (Grp_node.create ~config:t.config ~trace:t.trace ~metrics:t.metrics v)
 
 let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) graph =
@@ -29,7 +29,7 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) graph =
       trace;
       metrics;
       graph;
-      nodes = Hashtbl.create 64;
+      nodes = Node_id.Tbl.create 64;
       lids = Hashtbl.create 64;
       sent = 0;
       round_no = 0;
@@ -49,7 +49,7 @@ let set_graph t g =
       (Trace.Topology_change
          { nodes = Graph.node_count g; edges = Graph.edge_count g })
 
-let node t v = Hashtbl.find t.nodes v
+let node t v = Node_id.Tbl.find t.nodes v
 let node_ids t = Graph.nodes t.graph
 
 let views t =

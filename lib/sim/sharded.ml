@@ -19,7 +19,7 @@ let delta = 0.5
    synchronization. *)
 type shard = {
   sx : int;
-  nodes : (Node_id.t, Grp_node.t) Hashtbl.t;
+  nodes : Grp_node.t Node_id.Tbl.t;
   trace : Trace.t;
   metrics : Registry.t;
   (* Per-source send counters behind lineage-id minting, touched only when
@@ -53,12 +53,12 @@ type t = {
   shard_of : Node_id.t -> int;
   (* Home shard of every node ever seen; written only on the main thread
      (create/set_graph), read freely during the parallel phases. *)
-  home : (Node_id.t, int) Hashtbl.t;
+  home : int Node_id.Tbl.t;
   (* Per-node RNG streams, split from one master by node id, so every
      behavior-affecting draw (compute jitter) is a function of the node
      alone — never of the partition.  Each stream is advanced only by its
      node's home-shard worker. *)
-  rngs : (Node_id.t, Rng.t) Hashtbl.t;
+  rngs : Rng.t Node_id.Tbl.t;
   node_master : Rng.t;
   mutable graph : Graph.t;
   mutable now : float;
@@ -73,12 +73,12 @@ type t = {
 let clamp_shard t sx = ((sx mod Array.length t.shards) + Array.length t.shards) mod Array.length t.shards
 
 let ensure_node t v =
-  if not (Hashtbl.mem t.home v) then begin
+  if not (Node_id.Tbl.mem t.home v) then begin
     let sx = clamp_shard t (t.shard_of v) in
     let sh = t.shards.(sx) in
-    Hashtbl.replace t.home v sx;
-    Hashtbl.replace t.rngs v (Rng.split_at t.node_master v);
-    Hashtbl.replace sh.nodes v
+    Node_id.Tbl.replace t.home v sx;
+    Node_id.Tbl.replace t.rngs v (Rng.split_at t.node_master v);
+    Node_id.Tbl.replace sh.nodes v
       (Grp_node.create ~config:t.config ~trace:sh.trace ~metrics:sh.metrics v)
   end
 
@@ -86,13 +86,13 @@ let refresh_locals t =
   let buckets = Array.make (Array.length t.shards) [] in
   List.iter
     (fun v ->
-      let sx = Hashtbl.find t.home v in
+      let sx = Node_id.Tbl.find t.home v in
       buckets.(sx) <- v :: buckets.(sx))
     (Graph.nodes t.graph);
   Array.iteri
     (fun sx sh ->
       let a = Array.of_list buckets.(sx) in
-      Array.sort compare a;
+      Array.sort Int.compare a;
       sh.locals <- a)
     t.shards
 
@@ -104,7 +104,7 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
   let make_shard sx =
     {
       sx;
-      nodes = Hashtbl.create 64;
+      nodes = Node_id.Tbl.create 64;
       trace = (match make_trace with Some f -> f sx | None -> Trace.null);
       metrics = (match make_metrics with Some f -> f sx | None -> Registry.null);
       lids = Hashtbl.create 64;
@@ -124,8 +124,8 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
       shards = Array.init shards make_shard;
       jobs = max 1 jobs;
       shard_of;
-      home = Hashtbl.create 64;
-      rngs = Hashtbl.create 64;
+      home = Node_id.Tbl.create 64;
+      rngs = Node_id.Tbl.create 64;
       node_master;
       graph;
       now = 0.0;
@@ -160,7 +160,7 @@ let set_graph t g =
              { nodes = Graph.node_count g; edges = Graph.edge_count g }))
     t.shards
 
-let node t v = Hashtbl.find t.shards.(Hashtbl.find t.home v).nodes v
+let node t v = Node_id.Tbl.find t.shards.(Node_id.Tbl.find t.home v).nodes v
 let node_ids t = Graph.nodes t.graph
 
 let views t =
@@ -180,7 +180,7 @@ let phase_broadcast t sh =
   sh.msgs <-
     Array.mapi
       (fun i v ->
-        let msg = Grp_node.make_message (Hashtbl.find sh.nodes v) in
+        let msg = Grp_node.make_message (Node_id.Tbl.find sh.nodes v) in
         if tracing then begin
           sh.msg_lids.(i) <- Trace.mint_lid sh.lids ~src:v;
           Trace.set_time sh.trace t.now;
@@ -188,7 +188,7 @@ let phase_broadcast t sh =
         end;
         Graph.iter_neighbors t.graph v (fun dst ->
             sh.sent <- sh.sent + 1;
-            if Hashtbl.find t.home dst <> sh.sx then
+            if Node_id.Tbl.find t.home dst <> sh.sx then
               sh.outbox <- (v, dst, sh.msg_lids.(i), msg) :: sh.outbox);
         msg)
       sh.locals;
@@ -205,13 +205,13 @@ let exchange t =
     (fun sh ->
       List.iter
         (fun ((_, dst, _, _) as copy) ->
-          let dx = Hashtbl.find t.home dst in
+          let dx = Node_id.Tbl.find t.home dst in
           incoming.(dx) <- copy :: incoming.(dx))
         sh.outbox;
       sh.outbox <- [])
     t.shards;
   let by_src_dst (s1, d1, _, _) (s2, d2, _, _) =
-    match compare s1 s2 with 0 -> compare d1 d2 | c -> c
+    match Int.compare s1 s2 with 0 -> Int.compare d1 d2 | c -> c
   in
   let incoming = Array.map (List.sort by_src_dst) incoming in
   t.barrier_s <- t.barrier_s +. (Unix.gettimeofday () -. t0);
@@ -228,7 +228,7 @@ let phase_deliver t jitter sh incoming =
   let tracing = Trace.enabled sh.trace in
   let at = t.now +. delta in
   let deliver src dst lid msg =
-    Grp_node.receive_lid (Hashtbl.find sh.nodes dst) ~lid msg;
+    Grp_node.receive_lid (Node_id.Tbl.find sh.nodes dst) ~lid msg;
     if tracing then begin
       Trace.set_time sh.trace at;
       Trace.emit sh.trace (Trace.Msg_delivered { src; dst; cause = lid })
@@ -237,7 +237,7 @@ let phase_deliver t jitter sh incoming =
   Array.iteri
     (fun i src ->
       Graph.iter_neighbors t.graph src (fun dst ->
-          if Hashtbl.find t.home dst = sh.sx then
+          if Node_id.Tbl.find t.home dst = sh.sx then
             deliver src dst sh.msg_lids.(i) sh.msgs.(i)))
     sh.locals;
   List.iter (fun (src, dst, lid, msg) -> deliver src dst lid msg) incoming;
@@ -247,10 +247,10 @@ let phase_deliver t jitter sh incoming =
       (* One jitter draw per node per round from the node's own stream —
          short-circuited at 0.0 so the streams advance identically
          whether jitter is off or absent. *)
-      let skip = jitter > 0.0 && Rng.bernoulli (Hashtbl.find t.rngs v) jitter in
+      let skip = jitter > 0.0 && Rng.bernoulli (Node_id.Tbl.find t.rngs v) jitter in
       if not skip then begin
         if tracing then Trace.set_time sh.trace at;
-        sh.infos <- (v, Grp_node.compute (Hashtbl.find sh.nodes v)) :: sh.infos
+        sh.infos <- (v, Grp_node.compute (Node_id.Tbl.find sh.nodes v)) :: sh.infos
       end)
     sh.locals;
   sh.last_deliver_s <- Unix.gettimeofday () -. t0

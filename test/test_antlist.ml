@@ -122,7 +122,10 @@ let test_ids_and_entries () =
   check_int "entries" 3 (List.length (Antlist.entries l));
   Alcotest.(check (list int)) "level ids" [ 1; 2 ]
     (Node_id.Set.elements (Antlist.level_ids l 1));
-  check "out of range level" true (Antlist.level l 7 = [])
+  check "out of range level" true (Antlist.level l 7 = []);
+  check "mark at" true (Antlist.mark_at l 1 1 = Some Mark.Single);
+  check "mark at, other level" true (Antlist.mark_at l 0 1 = None);
+  check "mark at, out of range" true (Antlist.mark_at l 7 1 = None)
 
 let test_well_formed () =
   check "good" true (Antlist.well_formed (of_clear [ [ 0 ]; [ 1; 2 ] ]));
@@ -575,6 +578,123 @@ let test_ant_alloc () =
   Alcotest.(check (float 0.0)) "minor words per ant = its output arrays" (float_of_int words)
     per_call
 
+(* --- the one-table fold against the pairwise fold of [ant] --- *)
+
+let pairwise_fold seed lists = List.fold_left Antlist.ant seed lists
+
+let one_table_fold seed lists =
+  let acc = Antlist.ant_fold_start seed in
+  List.iter (Antlist.ant_fold_add acc) lists;
+  Antlist.ant_fold_finish acc
+
+(* A raw list over ids [0, ids) — few enough that ids repeat across
+   levels and across senders — with interior empty levels, marked entries
+   anywhere, and now and then a marked singleton, the stub of a rejected
+   sender. *)
+let raw_list rng ~ids ~width =
+  if Rng.int rng 6 = 0 then
+    Antlist.singleton_marked (Rng.int rng ids)
+      (if Rng.bool rng then Mark.Single else Mark.Double)
+  else
+    Antlist.of_levels
+      (List.init (Rng.int rng 5) (fun _ ->
+           if Rng.int rng 5 = 0 then []
+           else
+             List.init
+               (1 + Rng.int rng width)
+               (fun _ ->
+                 ( Rng.int rng ids,
+                   match Rng.int rng 6 with
+                   | 0 -> Mark.Single
+                   | 1 -> Mark.Double
+                   | _ -> Mark.Clear ))))
+
+let test_arb_fold_matches_pairwise () =
+  for_all_seeds "one-table fold = left fold of ant" (fun rng ->
+      (* Narrow levels mostly; wide ones build levels past the insertion
+         sort's cutoff. *)
+      let ids, width = if Rng.int rng 4 = 0 then (64, 40) else (12, 4) in
+      let raw_list rng = raw_list rng ~ids ~width in
+      let seed =
+        match Rng.int rng 4 with
+        | 0 -> Arbitrary.antlist rng
+        | 1 -> Antlist.empty
+        | _ -> Antlist.singleton (Rng.int rng 12)
+      in
+      let lists = List.init (Rng.int rng 7) (fun _ -> raw_list rng) in
+      (* Duplicate senders: the same list twice, or a second list headed
+         by an id some earlier list is headed by. *)
+      let lists =
+        match lists with
+        | l :: _ when Rng.bool rng -> lists @ [ l ]
+        | l :: _ when Rng.bool rng -> (
+            match Antlist.level l 0 with
+            | e :: _ ->
+                lists @ [ Antlist.ant (Antlist.singleton e.Antlist.id) (raw_list rng) ]
+            | [] -> lists)
+        | _ -> lists
+      in
+      Antlist.equal (one_table_fold seed lists) (pairwise_fold seed lists))
+
+(* The fold truncates after each list, as [ant] does.  The second list
+   repeats 3 one level closer, which empties level 4 and drops 4 for
+   good; a one-shot union of all three lists would keep 4 at level 4. *)
+let test_fold_gap_truncation_witness () =
+  let lists =
+    [
+      of_clear [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ];
+      of_clear [ [ 5 ]; [ 3 ] ];
+      of_clear [ [ 6 ]; [ 7 ]; [ 8 ] ];
+    ]
+  in
+  let expected = of_clear [ [ 0 ]; [ 1; 5; 6 ]; [ 2; 3; 7 ]; [ 8 ] ] in
+  Alcotest.check al "pairwise" expected (pairwise_fold (Antlist.singleton 0) lists);
+  Alcotest.check al "one table" expected (one_table_fold (Antlist.singleton 0) lists)
+
+let test_fold_without_lists_is_seed () =
+  let seed = of_clear [ [ 0 ]; []; [ 1 ] ] in
+  check "seed returned as is" true (one_table_fold seed [] == seed)
+
+(* The fold allocates its result and nothing else: the outer array and
+   one array per level, no block per entry, once the domain's table has
+   grown to the fold's ids. *)
+let test_fold_alloc () =
+  let c id = (id, Mark.Clear) in
+  let seed = Antlist.singleton 0 in
+  let lists =
+    [
+      Antlist.of_levels [ [ c 4 ]; [ c 0; (7, Mark.Double); c 9 ]; [ c 3; c 8 ] ];
+      Antlist.of_levels [ [ c 1 ]; [ c 0; c 9 ]; [ c 5 ] ];
+      Antlist.singleton_marked 7 Mark.Single;
+      Antlist.of_levels [ [ c 2 ]; [ c 11; c 12; c 13 ] ];
+    ]
+  in
+  let r = one_table_fold seed lists in
+  Alcotest.check al "folded" (pairwise_fold seed lists) r;
+  let words =
+    Antlist.size r + 1
+    + List.fold_left (fun acc lvl -> acc + List.length lvl + 1) 0 (Antlist.levels r)
+  in
+  let rec add_all acc = function
+    | [] -> ()
+    | l :: rest ->
+        Antlist.ant_fold_add acc l;
+        add_all acc rest
+  in
+  let fold () =
+    let acc = Antlist.ant_fold_start seed in
+    add_all acc lists;
+    Antlist.ant_fold_finish acc
+  in
+  let iters = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (fold ()))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  Alcotest.(check (float 0.0)) "minor words per fold = its output arrays" (float_of_int words)
+    per_call
+
 let arbitrary_suite =
   [
     ("arb: merge well-formed", `Quick, test_arb_merge_well_formed);
@@ -586,6 +706,7 @@ let arbitrary_suite =
     ("arb: ant well-formed after strip", `Quick, test_arb_ant_well_formed);
     ("arb: strip_marked contract", `Quick, test_arb_strip_marked_claims);
     ("arb: merge dedups junk", `Quick, test_arb_merge_dedup_on_junk);
+    ("arb: one-table fold matches pairwise ant", `Quick, test_arb_fold_matches_pairwise);
   ]
 
 let suite =
@@ -609,5 +730,8 @@ let suite =
     ("compare/equal", `Quick, test_compare_equal);
     ("mem and well_formed allocate nothing", `Quick, test_queries_zero_alloc);
     ("ant allocates only its output arrays", `Quick, test_ant_alloc);
+    ("fold gap-truncation witness", `Quick, test_fold_gap_truncation_witness);
+    ("fold without lists is the seed", `Quick, test_fold_without_lists_is_seed);
+    ("fold allocates only its output arrays", `Quick, test_fold_alloc);
   ]
   @ qcheck_suite @ arbitrary_suite

@@ -630,6 +630,167 @@ let test_same_state_ignores_tree_shape () =
   check "a changed quarantine entry is a different state" false
     (same a (node_with 0 (Antlist.singleton 0) desc (List.rev q @ [ (3, 2) ])))
 
+(* --- the k-way priority merge against the pairwise merge it replaced --- *)
+
+(* The table as the fold of pairwise back-merges that [Grp_node] used to
+   build: each sender's id-sorted arrays merged into the table in msgSet
+   order (larger oldness wins, the earlier sender keeps a tie, the own
+   entry is never replaced), then every sender's report about itself
+   written over the gossip. *)
+module Pairwise_priorities = struct
+  type table = {
+    mutable ids : Node_id.t array;
+    mutable vals : Priority.t array;
+    mutable clock : int;
+  }
+
+  let rec search (ids : Node_id.t array) v lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = Node_id.compare ids.(mid) v in
+      if c = 0 then mid else if c < 0 then search ids v (mid + 1) hi else search ids v lo mid
+
+  let merge_sender s ~me na (msg : Message.t) =
+    let im = msg.Message.priority_ids and vm = msg.Message.priorities in
+    let nm = Array.length im in
+    if Array.length s.ids < na + nm then begin
+      let ids = Array.make (na + nm) 0 and vals = Array.make (na + nm) Priority.lowest in
+      Array.blit s.ids 0 ids 0 na;
+      Array.blit s.vals 0 vals 0 na;
+      s.ids <- ids;
+      s.vals <- vals
+    end;
+    let ids = s.ids and vals = s.vals in
+    let i = ref (na - 1) and j = ref (nm - 1) and k = ref (na + nm - 1) in
+    while !j >= 0 do
+      if !i >= 0 && Node_id.compare ids.(!i) im.(!j) > 0 then begin
+        ids.(!k) <- ids.(!i);
+        vals.(!k) <- vals.(!i);
+        decr i
+      end
+      else begin
+        let p = vm.(!j) in
+        if p.Priority.oldness > s.clock then s.clock <- p.Priority.oldness;
+        if !i >= 0 && Node_id.equal ids.(!i) im.(!j) then begin
+          let q = vals.(!i) in
+          vals.(!k) <-
+            (if Node_id.equal ids.(!i) me || q.Priority.oldness >= p.Priority.oldness then q
+             else p);
+          ids.(!k) <- ids.(!i);
+          decr i
+        end
+        else begin
+          ids.(!k) <- im.(!j);
+          vals.(!k) <- p
+        end;
+        decr j
+      end;
+      decr k
+    done;
+    let gap = !k - !i and tail = na + nm - 1 - !k in
+    if gap > 0 then begin
+      Array.blit ids (!k + 1) ids (!i + 1) tail;
+      Array.blit vals (!k + 1) vals (!i + 1) tail
+    end;
+    na + nm - gap
+
+  let table ~me ~own_priority (msgs : Message.t array) =
+    let s = { ids = [| me |]; vals = [| own_priority |]; clock = 0 } in
+    let n = Array.fold_left (fun n msg -> merge_sender s ~me n msg) 1 msgs in
+    Array.iter
+      (fun (msg : Message.t) ->
+        let sender = msg.Message.sender and ids = msg.Message.priority_ids in
+        let j = search ids sender 0 (Array.length ids) in
+        if j >= 0 then s.vals.(search s.ids sender 0 n) <- msg.Message.priorities.(j))
+      msgs;
+    (Array.sub s.ids 0 n, Array.sub s.vals 0 n, s.clock)
+end
+
+(* msgSet from [me]'s neighborhood: distinct senders in increasing id
+   order, each reporting a random subset of ids 0..9 with oldness in
+   0..3 (so ties are common), usually its own id among them and often
+   [me]. *)
+let random_msgset rng ~me =
+  let senders = List.filter (fun v -> v <> me && Rng.int rng 3 = 0) (List.init 10 Fun.id) in
+  Array.of_list
+    (List.map
+       (fun sender ->
+         let reported =
+           List.filter
+             (fun v -> (v = sender && Rng.int rng 4 > 0) || Rng.int rng 3 = 0)
+             (List.init 10 Fun.id)
+         in
+         let priority_ids, priorities =
+           Message.priority_arrays
+             (List.map (fun v -> (v, Priority.make ~oldness:(Rng.int rng 4) ~id:v)) reported)
+         in
+         Message.make ~sender ~antlist:(Antlist.singleton sender) ~priority_ids ~priorities
+           ~group_priority:Priority.lowest ~view:(Node_id.Set.singleton sender))
+       senders)
+
+let test_priority_merge_matches_pairwise () =
+  for seed = 0 to 999 do
+    let rng = Rng.create seed in
+    let me = Rng.int rng 10 in
+    let own_priority = Priority.make ~oldness:(Rng.int rng 4) ~id:me in
+    let msgs = random_msgset rng ~me in
+    let ids, vals, clock = Grp_node.priority_table ~me ~own_priority msgs in
+    let ids', vals', clock' = Pairwise_priorities.table ~me ~own_priority msgs in
+    (* Physically: both tables hold the reports themselves, so a tie
+       resolved to the wrong sender shows even between equal values. *)
+    if not (ids = ids' && Array.for_all2 ( == ) vals vals' && clock = clock') then
+      Alcotest.failf "seed %d: k-way table differs from the pairwise merge" seed;
+    let i = Pairwise_priorities.search ids me 0 (Array.length ids) in
+    if i < 0 || vals.(i) != own_priority then
+      Alcotest.failf "seed %d: the own entry was replaced" seed
+  done
+
+(* Shared ids, an oldness tie and self-reports, by hand: node 0 hears 1
+   and 2.  Both gossip 5 at oldness 3 (tie: the earlier sender, 1, keeps
+   it); 2 reports 1 at oldness 9 but 1's report about itself (oldness 2)
+   overrides; both gossip 0, which never replaces the own entry. *)
+let test_priority_merge_rules () =
+  let p oldness id = Priority.make ~oldness ~id in
+  let msg sender table =
+    let priority_ids, priorities = Message.priority_arrays table in
+    Message.make ~sender ~antlist:(Antlist.singleton sender) ~priority_ids ~priorities
+      ~group_priority:Priority.lowest ~view:(Node_id.Set.singleton sender)
+  in
+  let five_from_1 = p 3 5 and five_from_2 = Priority.make ~oldness:3 ~id:5 in
+  let msgs =
+    [|
+      msg 1 [ (0, p 7 0); (1, p 2 1); (5, five_from_1) ];
+      msg 2 [ (0, p 8 0); (1, p 9 1); (2, p 4 2); (5, five_from_2) ];
+    |]
+  in
+  let own_priority = p 1 0 in
+  let ids, vals, clock = Grp_node.priority_table ~me:0 ~own_priority msgs in
+  Alcotest.(check (array int)) "ids" [| 0; 1; 2; 5 |] ids;
+  check "own entry kept" true (vals.(0) == own_priority);
+  check "self-report overrides gossip" true (vals.(1) == msgs.(0).Message.priorities.(1));
+  check "sender 2 about itself" true (Priority.equal vals.(2) (p 4 2));
+  check "tie keeps the earlier sender" true (vals.(3) == five_from_1);
+  check_int "clock: largest oldness gossiped" 9 clock
+
+(* The merge stores ints only: the triple and the table copied out are
+   all it allocates once the domain's scratch has grown. *)
+let test_priority_merge_alloc () =
+  let rng = Rng.create 7 in
+  let msgs = random_msgset rng ~me:4 in
+  let own_priority = Priority.initial 4 in
+  let ids, _, _ = Grp_node.priority_table ~me:4 ~own_priority msgs in
+  let n = Array.length ids in
+  check "non-trivial table" true (n >= 5 && Array.length msgs >= 2);
+  let iters = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (Grp_node.priority_table ~me:4 ~own_priority msgs))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
+  Alcotest.(check (float 0.0)) "minor words per merge = two arrays and a triple"
+    (float_of_int ((2 * (n + 1)) + 4)) per_call
+
 let suite =
   [
     ("create", `Quick, test_create);
@@ -663,4 +824,7 @@ let suite =
     ("cooldown invariant is not vacuous", `Quick, test_cooldown_invariant_not_vacuous);
     test_same_state_is_rendered_equality;
     ("same_state ignores tree shape", `Quick, test_same_state_ignores_tree_shape);
+    ("k-way priority merge matches pairwise", `Quick, test_priority_merge_matches_pairwise);
+    ("priority merge rules", `Quick, test_priority_merge_rules);
+    ("priority merge allocates only its table", `Quick, test_priority_merge_alloc);
   ]
