@@ -921,7 +921,7 @@ let vanet_cmd =
     Arg.conv (parse, fun ppf sc -> Format.pp_print_string ppf (Vanet.scenario_name sc))
   in
   let run scenario n dmax seed speed range rounds warmup oracle_every jobs shards jitter
-      profile profile_out metrics_file =
+      metrics_file =
     let jobs = resolve_jobs jobs in
     (* One registry per shard, each touched only by its own worker; the
        merged counters are identical for every --jobs/--shards split of
@@ -939,17 +939,13 @@ let vanet_cmd =
     in
     let r =
       Vanet.run ~seed ~dmax ~range ~speed ~rounds ~warmup ~oracle_every ~jobs ?shards ~jitter
-        ?make_metrics ?profile_out ~scenario ~n ()
+        ?make_metrics ~scenario ~n ()
     in
-    if profile then Format.printf "%a@." Vanet.pp_profile r
-    else Format.printf "%a@." Vanet.pp_report r;
-    (match metrics_file with
+    Format.printf "%a@." Vanet.pp_report r;
+    match metrics_file with
     | Some path ->
         write_metrics path
           [ Registry.merge (List.map (Registry.snapshot ~jobs) !regs) ]
-    | None -> ());
-    match profile_out with
-    | Some path -> Printf.printf "profile written to %s\n" path
     | None -> ()
   in
   let scenario =
@@ -1004,40 +1000,18 @@ let vanet_cmd =
              every round, 1 disables computes entirely (delivery-path \
              measurements).")
   in
-  let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Append the round-time attribution lane to the report: the \
-             set_graph / broadcast / barrier / deliver+compute split of the \
-             round time, plus GC minor/promoted/major words per round \
-             (full-workload at --jobs 1, main domain only above).")
-  in
-  let profile_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the measured window's round-time profile as Chrome \
-             trace_event JSON to $(docv), loadable in ui.perfetto.dev or \
-             chrome://tracing: per-round graph_build / set_graph / broadcast \
-             / barrier / deliver+compute spans on lane 0 and each shard's \
-             in-worker phase spans on its own lane.")
-  in
   Cmd.v
     (Cmd.info "vanet"
        ~doc:
          "Large-scale VANET scenario: highway or Manhattan city at 10k+ \
           nodes, spatial-grid graph rebuild per round, sharded across \
           domains with --jobs, incremental oracle on structure-shared \
-          snapshots, throughput report (events/s, node·steps/s, barrier \
-          overhead).")
+          snapshots; reports message and compute counts, topology and the \
+          final verdicts.  Timing lives in perfbench's vanet_highway \
+          workload.")
     Term.(
       const run $ scenario $ nodes $ dmax_arg $ seed_arg $ speed $ range $ rounds
-      $ warmup $ oracle_every $ jobs_arg $ shards $ jitter
-      $ profile $ profile_out $ metrics_arg)
+      $ warmup $ oracle_every $ jobs_arg $ shards $ jitter $ metrics_arg)
 
 let list_cmd =
   let run () =

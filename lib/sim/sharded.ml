@@ -38,12 +38,6 @@ type shard = {
   mutable outbox : (Node_id.t * Node_id.t * int * Message.t) list;
   mutable infos : (Node_id.t * Grp_node.step_info) list;
   mutable sent : int;
-  (* Wall clock of this shard's last phase A / phase B, measured inside
-     the worker (so excluding fork/join) — the per-shard lanes of the
-     Perfetto export.  Written by the owning worker, read on the main
-     thread after the join. *)
-  mutable last_broadcast_s : float;
-  mutable last_deliver_s : float;
 }
 
 type t = {
@@ -64,8 +58,8 @@ type t = {
   mutable now : float;
   mutable barrier_s : float;
   (* Per-phase wall clock, measured on the main thread around each
-     parallel phase (so they include fork/join overhead) — the profile
-     lane's attribution of round time. *)
+     parallel phase (so they include fork/join overhead) — perfbench's
+     sim.* attribution of round time. *)
   mutable broadcast_s : float;
   mutable deliver_s : float;
 }
@@ -114,8 +108,6 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
       outbox = [];
       infos = [];
       sent = 0;
-      last_broadcast_s = 0.0;
-      last_deliver_s = 0.0;
     }
   in
   let t =
@@ -145,9 +137,6 @@ let barrier_s t = t.barrier_s
 let broadcast_s t = t.broadcast_s
 let deliver_s t = t.deliver_s
 
-let shard_phase_s t =
-  Array.map (fun sh -> (sh.last_broadcast_s, sh.last_deliver_s)) t.shards
-
 let set_graph t g =
   t.graph <- g;
   List.iter (ensure_node t) (Graph.nodes g);
@@ -174,7 +163,6 @@ let messages_sent t = Array.fold_left (fun acc sh -> acc + sh.sent) 0 t.shards
    message; copies to neighbours homed on another shard go to the
    outbox. *)
 let phase_broadcast t sh =
-  let t0 = Unix.gettimeofday () in
   let tracing = Trace.enabled sh.trace in
   sh.msg_lids <- Array.make (Array.length sh.locals) (-1);
   sh.msgs <-
@@ -191,8 +179,7 @@ let phase_broadcast t sh =
             if Node_id.Tbl.find t.home dst <> sh.sx then
               sh.outbox <- (v, dst, sh.msg_lids.(i), msg) :: sh.outbox);
         msg)
-      sh.locals;
-  sh.last_broadcast_s <- Unix.gettimeofday () -. t0
+      sh.locals
 
 (* Barrier (main thread): route every boundary copy to its destination
    shard and fix the delivery order to ascending (src, dst) — the round
@@ -224,7 +211,6 @@ let exchange t =
    event, as in phase A, so a shard with nothing to do leaves its trace
    clock alone. *)
 let phase_deliver t jitter sh incoming =
-  let t0 = Unix.gettimeofday () in
   let tracing = Trace.enabled sh.trace in
   let at = t.now +. delta in
   let deliver src dst lid msg =
@@ -252,8 +238,7 @@ let phase_deliver t jitter sh incoming =
         if tracing then Trace.set_time sh.trace at;
         sh.infos <- (v, Grp_node.compute (Node_id.Tbl.find sh.nodes v)) :: sh.infos
       end)
-    sh.locals;
-  sh.last_deliver_s <- Unix.gettimeofday () -. t0
+    sh.locals
 
 let round ?(jitter = 0.0) t =
   if jitter < 0.0 || jitter > 1.0 then

@@ -100,24 +100,18 @@ val messages_sent : t -> int
 val barrier_s : t -> float
 (** Cumulative wall-clock seconds spent in the main-thread barrier
     exchange (routing + sorting boundary copies) — the coordination
-    overhead the Vanet report splits out. *)
+    overhead in perfbench's [sim.*] attribution. *)
 
 val broadcast_s : t -> float
 (** Cumulative wall-clock seconds of the parallel broadcast phase
     (message build + outbox fill), measured on the main thread around
-    the fork/join — one leg of the Vanet profile lane's round-time
-    attribution. *)
+    the fork/join — one leg of perfbench's [sim.*] attribution of round
+    time. *)
 
 val deliver_s : t -> float
 (** Cumulative wall-clock seconds of the parallel deliver + compute
     phase, measured like {!broadcast_s}.  [broadcast_s + barrier_s +
     deliver_s] accounts for (nearly) all of a round's wall clock. *)
-
-val shard_phase_s : t -> (float * float) array
-(** Per-shard [(broadcast, deliver+compute)] wall-clock seconds of the
-    {e last} round, measured inside each worker (so excluding fork/join
-    overhead) — the per-shard lanes of the Perfetto/Chrome-trace export.
-    Index [sx] is shard [sx]. *)
 
 val spatial_partition :
   shards:int ->

@@ -3,8 +3,8 @@
     Produces the JSON object format ({"traceEvents":[...]}) with one
     complete span ([ph = "X"]) per {!span} — [ts]/[dur] in microseconds,
     one lane per [tid] — loadable in [chrome://tracing] and
-    [ui.perfetto.dev].  This is the backend of
-    [grp_sim vanet --profile-out] (docs/OBSERVABILITY.md). *)
+    [ui.perfetto.dev].  perfbench writes its [--trace 1] pass with it
+    (docs/OBSERVABILITY.md). *)
 
 type span = { name : string; ts_us : float; dur_us : float; tid : int }
 

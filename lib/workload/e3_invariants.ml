@@ -22,21 +22,6 @@ let scenarios ~quick =
 (* Leftover mergeable pairs measure the conservatism of compatibleList in
    dense regions (DESIGN.md Section 5, item 14): agreement and safety are
    hard invariants, maximality is achieved modulo those refusals. *)
-let mergeable_pairs ~dmax c =
-  let groups = Cfg.groups c in
-  let rec count = function
-    | [] -> 0
-    | g :: rest ->
-        List.length
-          (List.filter
-             (fun g' ->
-               Dgs_graph.Paths.diameter_of_set c.Cfg.graph (Node_id.Set.union g g')
-               <= dmax)
-             rest)
-        + count rest
-  in
-  count groups
-
 let run ?(quick = false) ?(jobs = 1) () =
   let window = if quick then 50 else 300 in
   let table =
@@ -81,7 +66,7 @@ let run ?(quick = false) ?(jobs = 1) () =
           (match converged with Some r -> string_of_int r | None -> "no");
           Table.cell_int window;
           Table.cell_int !violations;
-          Table.cell_int (mergeable_pairs ~dmax c);
+          Table.cell_int (Harness.mergeable_pairs ~dmax c);
           Table.cell_int (List.length groups);
           Table.cell_float ~decimals:1
             (Dgs_util.Stats.mean (List.map float_of_int sizes));

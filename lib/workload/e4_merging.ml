@@ -9,21 +9,6 @@ module Stats = Dgs_util.Stats
 module Pool = Dgs_parallel.Pool
 open Dgs_core
 
-let mergeable_pairs ~dmax c =
-  let groups = Cfg.groups c in
-  let rec count = function
-    | [] -> 0
-    | g :: rest ->
-        List.length
-          (List.filter
-             (fun g' ->
-               Dgs_graph.Paths.diameter_of_set c.Cfg.graph (Node_id.Set.union g g')
-               <= dmax)
-             rest)
-        + count rest
-  in
-  count groups
-
 let scratch_table ~quick ~jobs =
   let reps = if quick then 2 else 5 in
   let table =
@@ -50,7 +35,7 @@ let scratch_table ~quick ~jobs =
                  ~max_rounds:4000 t);
             let c = Harness.snapshot t g in
             ( List.length (Cfg.groups c),
-              mergeable_pairs ~dmax c,
+              Harness.mergeable_pairs ~dmax c,
               P.legitimate ~dmax c = None ))
       in
       Table.add_row table

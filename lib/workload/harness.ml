@@ -52,6 +52,7 @@ type convergence = {
   rounds : int option;
   messages : int;
   legitimate : bool;
+  violation : P.violation option;
   agree_safe : bool;
   groups : int;
   mean_group_size : float;
@@ -69,6 +70,21 @@ let group_stats c =
   in
   (n, mean)
 
+let mergeable_pairs ~dmax c =
+  let groups = Cfg.groups c in
+  let rec count = function
+    | [] -> 0
+    | g :: rest ->
+        List.length
+          (List.filter
+             (fun g' ->
+               Dgs_graph.Paths.diameter_of_set c.Cfg.graph (Node_id.Set.union g g')
+               <= dmax)
+             rest)
+        + count rest
+  in
+  count groups
+
 let converge ?(jitter = 0.1) ?(max_rounds = 5000) ?trace ?metrics
     ~config ~seed graph =
   let t = Rounds.create ~config ?trace ?metrics graph in
@@ -79,10 +95,12 @@ let converge ?(jitter = 0.1) ?(max_rounds = 5000) ?trace ?metrics
   in
   let c = snapshot t graph in
   let groups, mean_group_size = group_stats c in
+  let violation = P.legitimate ~dmax:config.Config.dmax c in
   {
     rounds;
     messages = Rounds.messages_sent t;
-    legitimate = P.legitimate ~dmax:config.Config.dmax c = None;
+    legitimate = violation = None;
+    violation;
     agree_safe =
       P.agreement c = None && P.safety ~dmax:config.Config.dmax c = None;
     groups;

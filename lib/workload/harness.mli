@@ -39,10 +39,19 @@ module Snapshotter : sig
       {!Dgs_sim.Rounds} accessors. *)
 end
 
+val mergeable_pairs : dmax:int -> Dgs_spec.Configuration.t -> int
+(** Unordered pairs of distinct groups of the configuration whose union
+    has diameter at most [dmax] in its graph — the merges ΠM still
+    demands (E3's and E4's "mergeable pairs left"). *)
+
 type convergence = {
   rounds : int option;  (** [None] when the round budget ran out *)
   messages : int;  (** directed deliveries attempted *)
   legitimate : bool;  (** ΠA ∧ ΠS ∧ ΠM on the final configuration *)
+  violation : Dgs_spec.Predicates.violation option;
+      (** the first of ΠA, ΠS, ΠM the final configuration violates, as
+          {!Dgs_spec.Predicates.legitimate} reports it; [None] exactly
+          when [legitimate] *)
   agree_safe : bool;
       (** ΠA ∧ ΠS only — in dense graphs ΠM can be conservatively missed
           (DESIGN.md Section 5) while agreement and safety must always

@@ -6,10 +6,11 @@
     hash grid each round, executes one protocol round per mobility step, and
     polls the incremental checker ({!Dgs_spec.Incremental}, fed with the
     round's view-change events) on structure-shared snapshots, so every
-    report carries the verdicts of the configuration it timed.  The
-    {!report} separates wall-clock into graph build, protocol rounds and
-    oracle time; perfbench's [vanet_highway] workload times the same
-    phases with repeats. *)
+    report carries the verdicts of the configuration it ran.  The
+    {!report} holds counts and verdicts only, never a clock: perfbench's
+    [vanet_highway] workload times the same loop with repeats and splits
+    it by phase ([sim.*], [graph.build_*], [mobility.step_*],
+    [spec.poll_*], [gc.*]). *)
 
 type scenario = Highway | City
 
@@ -30,24 +31,9 @@ type report = {
   rounds : int;  (** measured rounds (warmup excluded) *)
   jobs : int;  (** worker domains ([--jobs], 0 resolved to core count) *)
   shards : int;  (** logical shards the node set was partitioned into *)
-  wall_s : float;  (** wall-clock of the measured loop *)
   messages : int;  (** directed deliveries attempted *)
   computes : int;  (** node compute steps executed *)
-  events_per_s : float;  (** (messages + computes) / wall *)
-  node_steps_per_s : float;  (** n·rounds / wall *)
-  graph_build_s : float;  (** time rebuilding the unit-disk graph *)
-  set_graph_s : float;  (** time installing each round's graph into the executor *)
-  round_s : float;  (** time in protocol rounds *)
-  broadcast_s : float;  (** round time in the parallel broadcast phase *)
-  deliver_s : float;  (** round time in the parallel deliver + compute phase *)
-  oracle_s : float;  (** time in snapshot + oracle polls *)
-  barrier_s : float;  (** time in the sharded barrier exchange *)
   oracle_polls : int;  (** polls taken *)
-  minor_words_per_round : float;
-      (** main-domain minor allocation per measured round (words); covers
-          the whole run at [jobs = 1], the coordination thread only above *)
-  major_words_per_round : float;  (** main-domain major allocation per round *)
-  promoted_words_per_round : float;  (** main-domain promotion per round *)
   mean_degree : float;  (** 2·|E|/n of the final topology *)
   groups : int;  (** Ω groups in the final configuration *)
   agreement_ok : bool;  (** ΠA at the last poll *)
@@ -72,7 +58,6 @@ val run :
   ?shards:int ->
   ?make_trace:(int -> Dgs_trace.Trace.t) ->
   ?make_metrics:(int -> Dgs_metrics.Registry.t) ->
-  ?profile_out:string ->
   scenario:scenario ->
   n:int ->
   unit ->
@@ -89,28 +74,13 @@ val run :
     [make_metrics] likewise builds one metrics registry per shard index
     (default: null), covering warmup and measured rounds — merge their
     snapshots with {!Dgs_metrics.Registry.merge}.
-    [profile_out] writes the measured window's round-time profile as
-    Chrome trace_event JSON ({!Dgs_trace.Chrome_trace}): per-round
-    graph_build / set_graph / broadcast / barrier / deliver+compute
-    spans on lane 0 and each shard's in-worker phase spans on lane
-    [shard + 1].
 
     The round loop runs on {!Dgs_sim.Sharded}: the node set is cut into
     [shards] spatially compact slabs ({!Dgs_sim.Sharded.spatial_partition}
     over the initial placement) executed by [jobs] worker domains
     ([jobs <= 0] resolves to the core count; [shards] defaults to the
-    resolved [jobs]).  Verdicts, view evolution, message counts and the
-    events/s denominator are identical for every [jobs]/[shards] choice —
-    only the wall-clock split changes; [barrier_s] isolates the exchange
-    overhead. *)
+    resolved [jobs]).  The whole report except [jobs] and [shards] is
+    identical for every [jobs]/[shards] choice. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Multi-line human-readable rendering, used by [grp_sim vanet]. *)
-
-val pp_profile : Format.formatter -> report -> unit
-(** {!pp_report} followed by the round-time attribution lane: the
-    set_graph / broadcast / barrier / deliver+compute split of [round_s]
-    and the per-round GC allocation rates — what [grp_sim vanet
-    --profile] prints.  At [jobs = 1] every phase runs inline on the
-    main domain, so the GC words account for the full workload; at
-    [jobs > 1] worker-domain allocation is not included. *)

@@ -205,26 +205,18 @@ let test_spatial_partition () =
   check_int "unknown ids map to shard 0" 0 (part (n + 5))
 
 (* CI smoke for the full vanet pipeline: a small sharded scenario at
-   jobs=2 must agree with jobs=1 on every deterministic report field —
-   verdicts, message/compute/eviction counts, groups.  Wall-clock fields
-   are the only thing allowed to differ. *)
+   jobs=2 must produce the jobs=1 report — verdicts, counts, topology
+   and oracle cache alike — apart from the jobs and shards it records. *)
 let test_vanet_jobs_smoke () =
-  let deterministic (r : Dgs_workload.Vanet.report) =
-    Printf.sprintf
-      "%s n=%d rounds=%d messages=%d computes=%d groups=%d a=%b s=%b m=%b ev=%d add=%d polls=%d deg=%.3f"
-      r.Dgs_workload.Vanet.scenario r.nodes r.rounds r.messages r.computes
-      r.groups r.agreement_ok r.safety_ok r.maximality_ok r.evictions
-      r.additions r.oracle_polls r.mean_degree
-  in
   let run jobs =
     Dgs_workload.Vanet.run ~seed:11 ~rounds:8 ~warmup:5 ~jobs
       ~scenario:Dgs_workload.Vanet.Highway ~n:120 ()
   in
   let r1 = run 1 and r2 = run 2 in
-  Alcotest.(check string) "vanet jobs=2 matches jobs=1" (deterministic r1)
-    (deterministic r2);
   check_int "jobs recorded" 2 r2.Dgs_workload.Vanet.jobs;
-  check_int "shards follow jobs" 2 r2.Dgs_workload.Vanet.shards
+  check_int "shards follow jobs" 2 r2.Dgs_workload.Vanet.shards;
+  Alcotest.(check bool) "vanet jobs=2 report matches jobs=1" true
+    ({ r2 with jobs = 1; shards = 1 } = r1)
 
 let suite =
   [
