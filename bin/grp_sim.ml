@@ -104,24 +104,19 @@ let seed_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print per-node protocol state.")
 
-(* --jobs 0 means "auto": one worker per available core.  The resolved
-   value only affects wall clock — campaign and experiment output is
-   byte-identical for every jobs value (see Dgs_parallel.Pool). *)
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"JOBS"
-        ~doc:
-          "Number of worker domains for independent runs (0 = one per core). \
-           Results are identical for every value; only wall clock changes.")
+let jobs_arg ~doc =
+  Arg.(value & opt (at_least 0) 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
-let resolve_jobs jobs =
-  if jobs < 0 then begin
-    Printf.eprintf "grp_sim: --jobs must be >= 0\n";
-    exit 2
-  end
-  else if jobs = 0 then Dgs_parallel.Pool.default_jobs ()
-  else jobs
+(* The resolved value only affects wall clock — campaign and experiment
+   output is byte-identical for every jobs value (see Dgs_parallel.Pool). *)
+let independent_jobs_arg =
+  jobs_arg
+    ~doc:
+      "Number of worker domains for independent runs, >= 0 (0 = one per \
+       core).  Results are identical for every value; only wall clock \
+       changes."
+
+let resolve_jobs jobs = if jobs = 0 then Dgs_parallel.Pool.default_jobs () else jobs
 
 let trace_arg =
   Arg.(
@@ -156,11 +151,11 @@ let trace_filter_arg =
 let trace_max_mb_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 1)) None
     & info [ "trace-max-mb" ] ~docv:"MB"
         ~doc:
           "With --trace, rotate the file when it would exceed $(docv) \
-           megabytes, keeping the last 3 files (FILE, FILE.1, FILE.2 — \
+           megabytes ($(docv) >= 1), keeping the last 3 files (FILE, FILE.1, FILE.2 — \
            newest events always in FILE).  Default: unbounded.")
 
 let metrics_arg =
@@ -177,20 +172,12 @@ let metrics_arg =
 let metrics_interval_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 1)) None
     & info [ "metrics-interval" ] ~docv:"N"
         ~doc:
-          "With --metrics, also snapshot the registry every $(docv) rounds; \
+          "With --metrics, also snapshot the registry every $(docv) rounds, >= 1; \
            the file becomes a JSONL of interval snapshots followed by the \
            final one.")
-
-let trace_list_arg =
-  Arg.(
-    value & flag
-    & info [ "trace-list" ]
-        ~doc:
-          "Print the trace event kinds accepted by --trace-filter, one per \
-           line, and exit.")
 
 (* The registry the --metrics option asks for: the null registry keeps the
    whole run on the one-load-and-branch disabled path when no file was
@@ -198,26 +185,39 @@ let trace_list_arg =
 let metrics_registry metrics_file =
   if metrics_file = None then Registry.null else Registry.create ()
 
+(* Every file or directory the CLI writes is written inside [writing], with
+   one error policy: [dir], when given, is created first if missing, and a
+   failed write ends the run with "grp_sim: cannot write WHAT: REASON" and
+   exit status 2. *)
+let writing ~what ?dir write =
+  try
+    Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
+    write ()
+  with Sys_error msg ->
+    Printf.eprintf "grp_sim: cannot write %s: %s\n" what msg;
+    exit 2
+
+let write_file path content =
+  Out_channel.with_open_text path (fun oc -> output_string oc content)
+
 let write_metrics path snaps =
-  match snaps with
-  | [] -> ()
-  | _ -> (
-      let prom = Filename.check_suffix path ".prom" in
-      try
-        let oc = open_out path in
-        List.iter
-          (fun s ->
-            if prom then output_string oc (Registry.to_prometheus s)
-            else begin
-              output_string oc (Registry.to_json s);
-              output_char oc '\n'
-            end)
-          snaps;
-        close_out oc;
-        Printf.printf "metrics written to %s\n" path
-      with Sys_error msg ->
-        Printf.eprintf "grp_sim: cannot write metrics: %s\n" msg;
-        exit 2)
+  let render s =
+    if Filename.check_suffix path ".prom" then Registry.to_prometheus s
+    else Registry.to_json s ^ "\n"
+  in
+  writing ~what:"metrics" (fun () ->
+      write_file path (String.concat "" (List.map render snaps));
+      Printf.printf "metrics written to %s\n" path)
+
+(* [files] are (name, content) pairs, written into [dir]. *)
+let export_csv dir files =
+  writing ~what:"CSV" ~dir (fun () ->
+      List.iter
+        (fun (name, content) ->
+          let path = Filename.concat dir name in
+          write_file path content;
+          Printf.printf "wrote %s\n" path)
+        files)
 
 (* Run [k] with the sink the --trace/--trace-filter/--trace-max-mb options
    ask for, teeing an unfiltered per-node tally of the view changes out of
@@ -231,26 +231,19 @@ let with_trace_sink ?trace_max_mb trace_file trace_filter k =
   in
   match trace_file with
   | None -> k Trace.null tally
-  | Some path -> (
+  | Some path ->
       let with_file f =
         match trace_max_mb with
-        | Some mb when mb > 0 ->
-            Trace.Rotating.with_file path ~max_bytes:(mb * 1024 * 1024) ~keep:3 f
-        | Some _ ->
-            Printf.eprintf "grp_sim: --trace-max-mb must be positive\n";
-            exit 2
+        | Some mb -> Trace.Rotating.with_file path ~max_bytes:(mb * 1024 * 1024) ~keep:3 f
         | None -> Trace.Jsonl.with_file path f
       in
-      try
-        with_file (fun file_sink ->
-            let r =
-              k (Trace.tee (apply_filter file_sink) (Monitor.view_tally_sink tally)) tally
-            in
-            Printf.printf "trace written to %s\n" path;
-            r)
-      with Sys_error msg ->
-        Printf.eprintf "grp_sim: cannot write trace: %s\n" msg;
-        exit 2)
+      writing ~what:"trace" (fun () ->
+          with_file (fun file_sink ->
+              let r =
+                k (Trace.tee (apply_filter file_sink) (Monitor.view_tally_sink tally)) tally
+              in
+              Printf.printf "trace written to %s\n" path;
+              r))
 
 let report_view_stabilization tally =
   match Monitor.view_stabilization tally with
@@ -284,80 +277,75 @@ let report_config c dmax =
 
 let converge_term =
   let run (tname, tf) n dmax seed verbose trace_file trace_filter trace_max_mb
-      metrics_file metrics_interval trace_list =
-    if trace_list then List.iter print_endline Trace.kinds
-    else begin
-      let g =
-        try tf n seed
-        with Invalid_argument msg ->
-          Printf.eprintf "grp_sim: %s\n" msg;
-          exit 2
-      in
-      let config = Config.make ~dmax () in
-      with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
-          let reg = metrics_registry metrics_file in
-          let t = Rounds.create ~config ~trace:sink ~metrics:reg g in
-          let rng = Dgs_util.Rng.create seed in
-          let monitor = Monitor.create ~dmax in
-          let interval_snaps = ref [] in
-          let on_round =
-            (* The per-round predicate sweep behind the convergence timeline
-               is only paid for when a trace was asked for. *)
-            let monitor_hook =
-              if trace_file = None then None
-              else
+      metrics_file metrics_interval =
+    let g =
+      try tf n seed
+      with Invalid_argument msg ->
+        Printf.eprintf "grp_sim: %s\n" msg;
+        exit 2
+    in
+    let config = Config.make ~dmax () in
+    with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
+        let reg = metrics_registry metrics_file in
+        let t = Rounds.create ~config ~trace:sink ~metrics:reg g in
+        let rng = Dgs_util.Rng.create seed in
+        let monitor = Monitor.create ~dmax in
+        let interval_snaps = ref [] in
+        let on_round =
+          (* The per-round predicate sweep behind the convergence timeline
+             is only paid for when a trace was asked for. *)
+          let monitor_hook =
+            if trace_file = None then None
+            else
+              Some
+                (fun r ->
+                  Monitor.observe_at monitor ~time:(float_of_int r)
+                    (Harness.snapshot t g))
+          in
+          let metrics_hook =
+            match (metrics_file, metrics_interval) with
+            | Some _, Some k ->
                 Some
                   (fun r ->
-                    Monitor.observe_at monitor ~time:(float_of_int r)
-                      (Harness.snapshot t g))
-            in
-            let metrics_hook =
-              match (metrics_file, metrics_interval) with
-              | Some _, Some k when k > 0 ->
-                  Some
-                    (fun r ->
-                      if r mod k = 0 then
-                        interval_snaps :=
-                          Registry.snapshot ~jobs:1 reg :: !interval_snaps)
-              | _ -> None
-            in
-            match (monitor_hook, metrics_hook) with
-            | None, None -> None
-            | Some f, None | None, Some f -> Some f
-            | Some f, Some h ->
-                Some
-                  (fun r ->
-                    f r;
-                    h r)
+                    if r mod k = 0 then
+                      interval_snaps := Registry.snapshot ~jobs:1 reg :: !interval_snaps)
+            | _ -> None
           in
-          let rounds =
-            Rounds.run_until_stable ~jitter:0.1 ~rng ?on_round
-              ~confirm:(dmax + 5) ~max_rounds:10_000 t
-          in
-          Printf.printf "topology %s, %d nodes, Dmax=%d\n" tname
-            (Dgs_graph.Graph.node_count g) dmax;
-          (match rounds with
-          | Some r ->
-              Printf.printf "stabilized after %d rounds (%d messages)\n" r
-                (Rounds.messages_sent t)
-          | None -> Printf.printf "did not stabilize within the round budget\n");
-          if verbose then
-            List.iter
-              (fun v ->
-                let nd = Rounds.node t v in
-                Format.printf "  %a@." Grp_node.pp nd)
-              (Rounds.node_ids t);
-          report_config (Harness.snapshot t g) dmax;
-          if trace_file <> None then begin
-            Format.printf "%a@." Monitor.pp_timeline (Monitor.timeline monitor);
-            report_view_stabilization tally
-          end;
-          match metrics_file with
-          | None -> ()
-          | Some path ->
-              write_metrics path
-                (List.rev !interval_snaps @ [ Registry.snapshot ~jobs:1 reg ]))
-    end
+          match (monitor_hook, metrics_hook) with
+          | None, None -> None
+          | Some f, None | None, Some f -> Some f
+          | Some f, Some h ->
+              Some
+                (fun r ->
+                  f r;
+                  h r)
+        in
+        let rounds =
+          Rounds.run_until_stable ~jitter:0.1 ~rng ?on_round
+            ~confirm:(dmax + 5) ~max_rounds:10_000 t
+        in
+        Printf.printf "topology %s, %d nodes, Dmax=%d\n" tname
+          (Dgs_graph.Graph.node_count g) dmax;
+        (match rounds with
+        | Some r ->
+            Printf.printf "stabilized after %d rounds (%d messages)\n" r
+              (Rounds.messages_sent t)
+        | None -> Printf.printf "did not stabilize within the round budget\n");
+        if verbose then
+          List.iter
+            (fun v ->
+              let nd = Rounds.node t v in
+              Format.printf "  %a@." Grp_node.pp nd)
+            (Rounds.node_ids t);
+        report_config (Harness.snapshot t g) dmax;
+        if trace_file <> None then begin
+          Format.printf "%a@." Monitor.pp_timeline (Monitor.timeline monitor);
+          report_view_stabilization tally
+        end;
+        Option.iter
+          (fun path ->
+            write_metrics path (List.rev !interval_snaps @ [ Registry.snapshot ~jobs:1 reg ]))
+          metrics_file)
   in
   let topology =
     Arg.(
@@ -367,8 +355,7 @@ let converge_term =
   in
   Term.(
     const run $ topology $ nodes_arg $ dmax_arg $ seed_arg $ verbose_arg $ trace_arg
-    $ trace_filter_arg $ trace_max_mb_arg $ metrics_arg $ metrics_interval_arg
-    $ trace_list_arg)
+    $ trace_filter_arg $ trace_max_mb_arg $ metrics_arg $ metrics_interval_arg)
 
 let converge_cmd =
   Cmd.v (Cmd.info "converge" ~doc:"Run GRP on a static topology until quiescent.")
@@ -416,9 +403,9 @@ let mobility_cmd =
               ~range:2.0 ~dt:1.0 ~rounds ()
           in
           report_view_stabilization tally;
-          (match metrics_file with
-          | None -> ()
-          | Some path -> write_metrics path [ Registry.snapshot ~jobs:1 reg ]);
+          Option.iter
+            (fun path -> write_metrics path [ Registry.snapshot ~jobs:1 reg ])
+            metrics_file;
           r)
     in
     Printf.printf "mobility %s, %d nodes, Dmax=%d, speed %.3f, %d rounds\n" model n
@@ -450,22 +437,6 @@ let mobility_cmd =
       $ trace_filter_arg $ trace_max_mb_arg $ metrics_arg)
 
 let experiment_cmd =
-  let export dir e tables =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        List.iteri
-          (fun i table ->
-            let path =
-              Filename.concat dir (Printf.sprintf "%s_%d.csv" e.Experiments.id i)
-            in
-            let oc = open_out path in
-            output_string oc (Dgs_metrics.Table.to_csv table);
-            close_out oc;
-            Printf.printf "wrote %s\n" path)
-          tables
-  in
   (* Experiments are metered from out here — a labelled wall-clock timer
      and a table counter per suite — rather than plumbing the registry
      through every experiment driver. *)
@@ -481,16 +452,21 @@ let experiment_cmd =
       (Registry.counter reg Names.experiment_tables_total)
       (List.length tables);
     List.iter Dgs_metrics.Table.print tables;
-    export csv e tables
+    Option.iter
+      (fun dir ->
+        export_csv dir
+          (List.mapi
+             (fun i table ->
+               (Printf.sprintf "%s_%d.csv" e.Experiments.id i, Dgs_metrics.Table.to_csv table))
+             tables))
+      csv
   in
   let run id quick jobs csv metrics_file =
     let jobs = resolve_jobs jobs in
     let reg = metrics_registry metrics_file in
     List.iter (run_one reg quick jobs csv)
       (if id = "all" then Experiments.all else Option.to_list (Experiments.find id));
-    match metrics_file with
-    | None -> ()
-    | Some path -> write_metrics path [ Registry.snapshot ~jobs reg ]
+    Option.iter (fun path -> write_metrics path [ Registry.snapshot ~jobs reg ]) metrics_file
   in
   let id =
     let ids =
@@ -512,7 +488,7 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one of the evaluation experiments.")
-    Term.(const run $ id $ quick $ jobs_arg $ csv $ metrics_arg)
+    Term.(const run $ id $ quick $ independent_jobs_arg $ csv $ metrics_arg)
 
 let fuzz_cmd =
   let run seed runs max_actions jobs replay strict coverage repro_dir trace_file
@@ -545,9 +521,9 @@ let fuzz_cmd =
                     ~metrics:reg sc)
             in
             Format.printf "%a@." Dgs_check.Oracle.pp_report r;
-            (match metrics_file with
-            | None -> ()
-            | Some path -> write_metrics path [ Registry.snapshot ~jobs:1 reg ]);
+            Option.iter
+              (fun path -> write_metrics path [ Registry.snapshot ~jobs:1 reg ])
+              metrics_file;
             (* Non-stabilization (e.g. a livelock) is a failure even when
                no predicate fired: a repro that no longer quiesces has not
                been fixed. *)
@@ -569,11 +545,11 @@ let fuzz_cmd =
         | _ -> ());
         (match repro_dir with
         | Some dir when s.Dgs_check.Fuzz.failures <> [] ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            List.iter
-              (fun f ->
-                Printf.printf "wrote %s\n" (Dgs_check.Fuzz.save_repro ~dir f))
-              s.Dgs_check.Fuzz.failures
+            writing ~what:"repro" ~dir (fun () ->
+                List.iter
+                  (fun f ->
+                    Printf.printf "wrote %s\n" (Dgs_check.Fuzz.save_repro ~dir f))
+                  s.Dgs_check.Fuzz.failures)
         | _ -> ());
         exit (if s.Dgs_check.Fuzz.failures = [] then 0 else 1)
   in
@@ -630,7 +606,7 @@ let fuzz_cmd =
           the paper's invariants; failures are minimized to a smallest \
           still-failing script.  Exits non-zero when a violation was found.")
     Term.(
-      const run $ seed_arg $ runs $ max_actions $ jobs_arg $ replay $ strict
+      const run $ seed_arg $ runs $ max_actions $ independent_jobs_arg $ replay $ strict
       $ coverage $ repro_dir $ trace_arg $ trace_filter_arg $ trace_max_mb_arg
       $ metrics_arg)
 
@@ -661,22 +637,11 @@ let report_cmd =
         | [] ->
             Printf.eprintf "grp_sim: no trace events in %s\n" path;
             exit 2
-        | events -> (
+        | events ->
             let a = Postmortem.analyze events in
             print_string (Postmortem.render a);
             print_newline ();
-            match csv_dir with
-            | None -> ()
-            | Some dir ->
-                if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                List.iter
-                  (fun (base, content) ->
-                    let p = Filename.concat dir base in
-                    let oc = open_out p in
-                    output_string oc content;
-                    close_out oc;
-                    Printf.printf "wrote %s\n" p)
-                  (Postmortem.csv_exports a))));
+            Option.iter (fun dir -> export_csv dir (Postmortem.csv_exports a)) csv_dir));
     match metrics_file with
     | None -> ()
     | Some path -> (
@@ -750,39 +715,48 @@ let explain_cmd =
     in
     Arg.conv (parse, fun ppf n -> Format.fprintf ppf "node=%d" n)
   in
-  let write_dot dot ids dag =
-    match dot with
-    | None -> ()
-    | Some path -> (
-        try
-          let oc = open_out path in
-          output_string oc (Causal.to_dot dag ids);
-          close_out oc;
-          Printf.printf "dot written to %s\n" path
-        with Sys_error msg ->
-          Printf.eprintf "grp_sim: cannot write dot: %s\n" msg;
-          exit 2)
-  in
   let explain_chain dag ~what ~target ids dot =
     Printf.printf "%s\n" what;
     Format.printf "  matched %a@." Causal.pp_step (dag, target);
     Printf.printf "causal chain (%d hops, trace event ids in [#..]):\n"
       (List.length ids);
     Format.printf "%a@." Causal.pp_chain (dag, ids);
-    write_dot dot ids dag
+    Option.iter
+      (fun path ->
+        writing ~what:"dot" (fun () ->
+            write_file path (Causal.to_dot dag ids);
+            Printf.printf "dot written to %s\n" path))
+      dot
   in
   let run trace_file eviction view_change livelock at dot =
-    let queries =
-      (match eviction with Some _ -> 1 | None -> 0)
-      + (match view_change with Some _ -> 1 | None -> 0)
-      + if livelock then 1 else 0
+    (* --eviction and --view-change both ask for the last view change that
+       matches: an eviction of n is any view change whose removed set names
+       n. *)
+    let node_queries =
+      List.filter_map Fun.id
+        [
+          Option.map
+            (fun n ->
+              ( Printf.sprintf "eviction of node %d" n,
+                function Trace.View_changed { removed; _ } -> List.mem n removed | _ -> false ))
+            eviction;
+          Option.map
+            (fun n ->
+              ( Printf.sprintf "view change at node %d" n,
+                function Trace.View_changed { node; _ } -> node = n | _ -> false ))
+            view_change;
+        ]
     in
-    if queries <> 1 then begin
-      Printf.eprintf
-        "grp_sim explain: give exactly one of --eviction node=N, \
-         --view-change node=N, --livelock\n";
-      exit 2
-    end;
+    let query =
+      match (node_queries, livelock) with
+      | [ q ], false -> `Last q
+      | [], true -> `Livelock
+      | _ ->
+          Printf.eprintf
+            "grp_sim explain: give exactly one of --eviction node=N, \
+             --view-change node=N, --livelock\n";
+          exit 2
+    in
     let dag =
       match Causal.of_file trace_file with
       | dag -> dag
@@ -794,43 +768,18 @@ let explain_cmd =
       Printf.eprintf "grp_sim: no protocol events in %s\n" trace_file;
       exit 1
     end;
-    match (eviction, view_change) with
-    | Some n, _ -> (
-        (* An eviction of n is any view change whose removed set names n. *)
-        let is_eviction _ = function
-          | Trace.View_changed { removed; _ } -> List.mem n removed
-          | _ -> false
-        in
-        match Causal.find_last dag ?at is_eviction with
+    match query with
+    | `Last (what, matches) -> (
+        match Causal.find_last dag ?at (fun _ ev -> matches ev) with
         | None ->
-            Printf.eprintf
-              "grp_sim: no eviction of node %d found in %s%s\n" n trace_file
+            Printf.eprintf "grp_sim: no %s found in %s%s\n" what trace_file
               (match at with
               | Some t -> Printf.sprintf " at time <= %g" t
               | None -> "");
             exit 1
         | Some id ->
-            explain_chain dag
-              ~what:(Printf.sprintf "eviction of node %d:" n)
-              ~target:id (Causal.chain dag id) dot)
-    | None, Some n -> (
-        let is_vc _ = function
-          | Trace.View_changed { node; _ } -> node = n
-          | _ -> false
-        in
-        match Causal.find_last dag ?at is_vc with
-        | None ->
-            Printf.eprintf
-              "grp_sim: no view change at node %d found in %s%s\n" n trace_file
-              (match at with
-              | Some t -> Printf.sprintf " at time <= %g" t
-              | None -> "");
-            exit 1
-        | Some id ->
-            explain_chain dag
-              ~what:(Printf.sprintf "view change at node %d:" n)
-              ~target:id (Causal.chain dag id) dot)
-    | None, None -> (
+            explain_chain dag ~what:(what ^ ":") ~target:id (Causal.chain dag id) dot)
+    | `Livelock -> (
         match Causal.slice_period dag with
         | None ->
             Printf.eprintf
@@ -942,11 +891,10 @@ let vanet_cmd =
         ?make_metrics ~scenario ~n ()
     in
     Format.printf "%a@." Vanet.pp_report r;
-    match metrics_file with
-    | Some path ->
-        write_metrics path
-          [ Registry.merge (List.map (Registry.snapshot ~jobs) !regs) ]
-    | None -> ()
+    Option.iter
+      (fun path ->
+        write_metrics path [ Registry.merge (List.map (Registry.snapshot ~jobs) !regs) ])
+      metrics_file
   in
   let scenario =
     Arg.(
@@ -982,12 +930,20 @@ let vanet_cmd =
   let shards =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (at_least 1)) None
       & info [ "shards" ] ~docv:"SHARDS"
           ~doc:
-            "Logical spatial shards the node set is cut into (default: the \
-             resolved --jobs).  Results are independent of the choice; more \
+            "Logical spatial shards the node set is cut into, >= 1 (default: \
+             the resolved --jobs).  Results are independent of the choice; more \
              shards than jobs trades locality for load balance.")
+  in
+  let jobs =
+    jobs_arg
+      ~doc:
+        "Number of worker domains that run the shards of the one \
+         simulation, >= 0 (0 = one per core).  The report is identical for \
+         every value apart from its jobs= and shards= fields; only wall \
+         clock changes."
   in
   let jitter =
     Arg.(
@@ -1011,7 +967,7 @@ let vanet_cmd =
           workload.")
     Term.(
       const run $ scenario $ nodes $ dmax_arg $ seed_arg $ speed $ range $ rounds
-      $ warmup $ oracle_every $ jobs_arg $ shards $ jitter $ metrics_arg)
+      $ warmup $ oracle_every $ jobs $ shards $ jitter $ metrics_arg)
 
 let list_cmd =
   let run () =

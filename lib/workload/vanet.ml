@@ -62,7 +62,7 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     ?(jitter = 0.1) ?(warmup = 10) ?(rounds = 50) ?(oracle_every = 5) ?(jobs = 1) ?shards
     ?make_trace ?make_metrics ~scenario ~n () =
   let jobs = if jobs <= 0 then Dgs_parallel.Pool.default_jobs () else jobs in
-  let shards = match shards with Some s -> max 1 s | None -> jobs in
+  let shards = Option.value shards ~default:jobs in
   let rng = Rng.create seed in
   let spec = spec_of scenario ~n ~range ~speed in
   let mob = Mobility.create (Rng.split rng) ~n spec in

@@ -79,7 +79,7 @@ val run :
     [shards] spatially compact slabs ({!Dgs_sim.Sharded.spatial_partition}
     over the initial placement) executed by [jobs] worker domains
     ([jobs <= 0] resolves to the core count; [shards] defaults to the
-    resolved [jobs]).  The whole report except [jobs] and [shards] is
+    resolved [jobs] and must be [>= 1], else [Invalid_argument]).  The whole report except [jobs] and [shards] is
     identical for every [jobs]/[shards] choice. *)
 
 val pp_report : Format.formatter -> report -> unit

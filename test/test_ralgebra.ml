@@ -4,8 +4,6 @@
 module Graph = Dgs_graph.Graph
 module Gen = Dgs_graph.Gen
 module Paths = Dgs_graph.Paths
-module Roperator = Dgs_ralgebra.Roperator
-module Instances = Dgs_ralgebra.Instances
 module Rng = Dgs_util.Rng
 module Antlist = Dgs_core.Antlist
 module Mark = Dgs_core.Mark
