@@ -118,6 +118,16 @@ let independent_jobs_arg =
 
 let resolve_jobs jobs = if jobs = 0 then Dgs_parallel.Pool.default_jobs () else jobs
 
+(* [requires ~opt ~partner a p] is [a]; giving [--opt] without [--partner],
+   which it only qualifies, is a usage error naming both. *)
+let requires ~opt ~partner a p =
+  let check a p =
+    match (a, p) with
+    | Some _, None -> `Error (true, Printf.sprintf "option '--%s' requires '--%s'" opt partner)
+    | _ -> `Ok a
+  in
+  Term.(ret (const check $ a $ p))
+
 let trace_arg =
   Arg.(
     value
@@ -139,24 +149,28 @@ let trace_filter_conv =
   Arg.conv (parse, fun ppf names -> Format.pp_print_string ppf (String.concat "," names))
 
 let trace_filter_arg =
-  Arg.(
-    value
-    & opt (some trace_filter_conv) None
-    & info [ "trace-filter" ] ~docv:"KINDS"
-        ~doc:
-          "Comma-separated event kinds to keep in the trace file (e.g. \
-           'view_changed,quarantine_admit'); case-insensitive.  Default: all \
-           kinds.")
+  requires ~opt:"trace-filter" ~partner:"trace"
+    Arg.(
+      value
+      & opt (some trace_filter_conv) None
+      & info [ "trace-filter" ] ~docv:"KINDS"
+          ~doc:
+            "With --trace, comma-separated event kinds to keep in the trace file \
+             (e.g. 'view_changed,quarantine_admit'); case-insensitive.  Default: \
+             all kinds.")
+    trace_arg
 
 let trace_max_mb_arg =
-  Arg.(
-    value
-    & opt (some (at_least 1)) None
-    & info [ "trace-max-mb" ] ~docv:"MB"
-        ~doc:
-          "With --trace, rotate the file when it would exceed $(docv) \
-           megabytes ($(docv) >= 1), keeping the last 3 files (FILE, FILE.1, FILE.2 — \
-           newest events always in FILE).  Default: unbounded.")
+  requires ~opt:"trace-max-mb" ~partner:"trace"
+    Arg.(
+      value
+      & opt (some (at_least 1)) None
+      & info [ "trace-max-mb" ] ~docv:"MB"
+          ~doc:
+            "With --trace, rotate the file when it would exceed $(docv) \
+             megabytes ($(docv) >= 1), keeping the last 3 files (FILE, FILE.1, FILE.2 — \
+             newest events always in FILE).  Default: unbounded.")
+    trace_arg
 
 let metrics_arg =
   Arg.(
@@ -170,14 +184,16 @@ let metrics_arg =
            recorded).  See docs/OBSERVABILITY.md for the schema.")
 
 let metrics_interval_arg =
-  Arg.(
-    value
-    & opt (some (at_least 1)) None
-    & info [ "metrics-interval" ] ~docv:"N"
-        ~doc:
-          "With --metrics, also snapshot the registry every $(docv) rounds, >= 1; \
-           the file becomes a JSONL of interval snapshots followed by the \
-           final one.")
+  requires ~opt:"metrics-interval" ~partner:"metrics"
+    Arg.(
+      value
+      & opt (some (at_least 1)) None
+      & info [ "metrics-interval" ] ~docv:"N"
+          ~doc:
+            "With --metrics, also snapshot the registry every $(docv) rounds, >= 1; \
+             the file becomes a JSONL of interval snapshots followed by the \
+             final one.")
+    metrics_arg
 
 (* The registry the --metrics option asks for: the null registry keeps the
    whole run on the one-load-and-branch disabled path when no file was
@@ -185,17 +201,21 @@ let metrics_interval_arg =
 let metrics_registry metrics_file =
   if metrics_file = None then Registry.null else Registry.create ()
 
+(* End the run with "grp_sim: MESSAGE" on stderr and exit status 2. *)
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("grp_sim: " ^ msg); exit 2) fmt
+
+(* Every file the CLI reads is read inside [reading]: one that cannot be
+   read ends the run with "grp_sim: REASON". *)
+let reading read = try read () with Sys_error msg -> fail "%s" msg
+
 (* Every file or directory the CLI writes is written inside [writing], with
    one error policy: [dir], when given, is created first if missing, and a
-   failed write ends the run with "grp_sim: cannot write WHAT: REASON" and
-   exit status 2. *)
+   failed write ends the run with "grp_sim: cannot write WHAT: REASON". *)
 let writing ~what ?dir write =
   try
     Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
     write ()
-  with Sys_error msg ->
-    Printf.eprintf "grp_sim: cannot write %s: %s\n" what msg;
-    exit 2
+  with Sys_error msg -> fail "cannot write %s: %s" what msg
 
 let write_file path content =
   Out_channel.with_open_text path (fun oc -> output_string oc content)
@@ -209,15 +229,14 @@ let write_metrics path snaps =
       write_file path (String.concat "" (List.map render snaps));
       Printf.printf "metrics written to %s\n" path)
 
-(* [files] are (name, content) pairs, written into [dir]. *)
+(* [files] are (name, content) pairs, written into [dir]; returns the
+   announcement of the written paths, for the caller to print once its own
+   output is out. *)
 let export_csv dir files =
+  let paths = List.map (fun (name, _) -> Filename.concat dir name) files in
   writing ~what:"CSV" ~dir (fun () ->
-      List.iter
-        (fun (name, content) ->
-          let path = Filename.concat dir name in
-          write_file path content;
-          Printf.printf "wrote %s\n" path)
-        files)
+      List.iter2 (fun path (_, content) -> write_file path content) paths files);
+  fun () -> List.iter (Printf.printf "wrote %s\n") paths
 
 (* Run [k] with the sink the --trace/--trace-filter/--trace-max-mb options
    ask for, teeing an unfiltered per-node tally of the view changes out of
@@ -278,12 +297,7 @@ let report_config c dmax =
 let converge_term =
   let run (tname, tf) n dmax seed verbose trace_file trace_filter trace_max_mb
       metrics_file metrics_interval =
-    let g =
-      try tf n seed
-      with Invalid_argument msg ->
-        Printf.eprintf "grp_sim: %s\n" msg;
-        exit 2
-    in
+    let g = try tf n seed with Invalid_argument msg -> fail "%s" msg in
     let config = Config.make ~dmax () in
     with_trace_sink ?trace_max_mb trace_file trace_filter (fun sink tally ->
         let reg = metrics_registry metrics_file in
@@ -291,39 +305,18 @@ let converge_term =
         let rng = Dgs_util.Rng.create seed in
         let monitor = Monitor.create ~dmax in
         let interval_snaps = ref [] in
-        let on_round =
+        let on_round r =
           (* The per-round predicate sweep behind the convergence timeline
              is only paid for when a trace was asked for. *)
-          let monitor_hook =
-            if trace_file = None then None
-            else
-              Some
-                (fun r ->
-                  Monitor.observe_at monitor ~time:(float_of_int r)
-                    (Harness.snapshot t g))
-          in
-          let metrics_hook =
-            match (metrics_file, metrics_interval) with
-            | Some _, Some k ->
-                Some
-                  (fun r ->
-                    if r mod k = 0 then
-                      interval_snaps := Registry.snapshot ~jobs:1 reg :: !interval_snaps)
-            | _ -> None
-          in
-          match (monitor_hook, metrics_hook) with
-          | None, None -> None
-          | Some f, None | None, Some f -> Some f
-          | Some f, Some h ->
-              Some
-                (fun r ->
-                  f r;
-                  h r)
+          if trace_file <> None then
+            Monitor.observe_at monitor ~time:(float_of_int r) (Harness.snapshot t g);
+          Option.iter
+            (fun k ->
+              if r mod k = 0 then
+                interval_snaps := Registry.snapshot ~jobs:1 reg :: !interval_snaps)
+            metrics_interval
         in
-        let rounds =
-          Rounds.run_until_stable ~jitter:0.1 ~rng ?on_round
-            ~confirm:(dmax + 5) ~max_rounds:10_000 t
-        in
+        let rounds = Rounds.run_until_stable ~jitter:0.1 ~rng ~on_round t in
         Printf.printf "topology %s, %d nodes, Dmax=%d\n" tname
           (Dgs_graph.Graph.node_count g) dmax;
         (match rounds with
@@ -400,7 +393,7 @@ let mobility_cmd =
           let reg = metrics_registry metrics_file in
           let r =
             Harness.run_mobility ~trace:sink ~metrics:reg ~config ~seed ~spec ~n
-              ~range:2.0 ~dt:1.0 ~rounds ()
+              ~rounds ()
           in
           report_view_stabilization tally;
           Option.iter
@@ -458,7 +451,8 @@ let experiment_cmd =
           (List.mapi
              (fun i table ->
                (Printf.sprintf "%s_%d.csv" e.Experiments.id i, Dgs_metrics.Table.to_csv table))
-             tables))
+             tables)
+          ())
       csv
   in
   let run id quick jobs csv metrics_file =
@@ -494,23 +488,10 @@ let fuzz_cmd =
   let run seed runs max_actions jobs replay strict coverage repro_dir trace_file
       trace_filter trace_max_mb metrics_file =
     let jobs = resolve_jobs jobs in
-    if trace_file <> None && replay = None then begin
-      Printf.eprintf
-        "grp_sim: fuzz --trace records a single replay; use it with --replay\n";
-      exit 2
-    end;
     match replay with
     | Some path -> (
-        let sc =
-          try Dgs_check.Scenario.load path
-          with Sys_error msg ->
-            Printf.eprintf "grp_sim: %s\n" msg;
-            exit 2
-        in
-        match sc with
-        | None ->
-            Printf.eprintf "grp_sim: %s is not a scenario file\n" path;
-            exit 2
+        match reading (fun () -> Dgs_check.Scenario.load path) with
+        | None -> fail "%s is not a scenario file" path
         | Some sc ->
             Format.printf "replaying %a@." Dgs_check.Scenario.pp sc;
             let reg = metrics_registry metrics_file in
@@ -607,64 +588,48 @@ let fuzz_cmd =
           still-failing script.  Exits non-zero when a violation was found.")
     Term.(
       const run $ seed_arg $ runs $ max_actions $ independent_jobs_arg $ replay $ strict
-      $ coverage $ repro_dir $ trace_arg $ trace_filter_arg $ trace_max_mb_arg
-      $ metrics_arg)
+      $ coverage $ repro_dir
+      $ requires ~opt:"trace" ~partner:"replay" trace_arg replay
+      $ trace_filter_arg $ trace_max_mb_arg $ metrics_arg)
 
 let report_cmd =
-  let read_lines path =
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
   let run trace_file metrics_file csv_dir =
-    if trace_file = None && metrics_file = None then begin
-      Printf.eprintf "grp_sim report: need --trace FILE and/or --metrics FILE\n";
-      exit 2
-    end;
+    if trace_file = None && metrics_file = None then
+      fail "report: need --trace FILE and/or --metrics FILE";
     (match trace_file with
     | None -> ()
     | Some path -> (
-        match Trace.Jsonl.load path with
-        | exception Sys_error msg ->
-            Printf.eprintf "grp_sim: %s\n" msg;
-            exit 2
-        | [] ->
-            Printf.eprintf "grp_sim: no trace events in %s\n" path;
-            exit 2
+        match reading (fun () -> Trace.Jsonl.load path) with
+        | [] -> fail "no trace events in %s" path
         | events ->
+            (* The CSV files are written before anything is printed, so a
+               failed write reports nothing but the failure. *)
             let a = Postmortem.analyze events in
+            let announce =
+              Option.fold ~none:ignore
+                ~some:(fun dir -> export_csv dir (Postmortem.csv_exports a))
+                csv_dir
+            in
             print_string (Postmortem.render a);
             print_newline ();
-            Option.iter (fun dir -> export_csv dir (Postmortem.csv_exports a)) csv_dir));
+            announce ()));
     match metrics_file with
     | None -> ()
     | Some path -> (
-        match read_lines path with
-        | exception Sys_error msg ->
-            Printf.eprintf "grp_sim: %s\n" msg;
-            exit 2
-        | lines -> (
-            let snaps =
-              List.filter_map Registry.snapshot_of_json
-                (List.filter (fun l -> String.trim l <> "") lines)
-            in
-            match snaps with
-            | [] ->
-                Printf.eprintf
-                  "grp_sim: no metrics snapshots parsed from %s (JSON/JSONL \
-                   as written by --metrics; .prom files are not readable \
-                   back)\n"
-                  path;
-                exit 2
-            | _ ->
-                print_string (Postmortem.render_snapshots snaps);
-                print_newline ()))
+        let text = reading (fun () -> In_channel.with_open_text path In_channel.input_all) in
+        let snaps =
+          List.filter_map Registry.snapshot_of_json
+            (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text))
+        in
+        match snaps with
+        | [] ->
+            fail
+              "no metrics snapshots parsed from %s (JSON/JSONL as written by --metrics; \
+               .prom files are not readable back)"
+              path
+        | _ ->
+            print_string (Postmortem.render_snapshots snaps);
+            print_newline ())
   in
   let trace =
     Arg.(
@@ -698,7 +663,7 @@ let report_cmd =
           per-node view stabilization, eviction chains and group size / \
           lifetime distributions from a trace file, plus rendered metrics \
           snapshots — without re-running the simulation.")
-    Term.(const run $ trace $ metrics $ csv)
+    Term.(const run $ trace $ metrics $ requires ~opt:"csv" ~partner:"trace" csv trace)
 
 let explain_cmd =
   let module Causal = Dgs_trace.Causal in
@@ -751,19 +716,9 @@ let explain_cmd =
       match (node_queries, livelock) with
       | [ q ], false -> `Last q
       | [], true -> `Livelock
-      | _ ->
-          Printf.eprintf
-            "grp_sim explain: give exactly one of --eviction node=N, \
-             --view-change node=N, --livelock\n";
-          exit 2
+      | _ -> fail "explain: give exactly one of --eviction node=N, --view-change node=N, --livelock"
     in
-    let dag =
-      match Causal.of_file trace_file with
-      | dag -> dag
-      | exception Sys_error msg ->
-          Printf.eprintf "grp_sim: %s\n" msg;
-          exit 2
-    in
+    let dag = reading (fun () -> Causal.of_file trace_file) in
     if Causal.size dag = 0 then begin
       Printf.eprintf "grp_sim: no protocol events in %s\n" trace_file;
       exit 1
@@ -987,22 +942,62 @@ let list_cmd =
        ~doc:"List topologies, experiments, trace event kinds and metric families.")
     Term.(const run $ const ())
 
+(* cmdliner binds an unambiguous prefix of a long option to that option,
+   with no switch to turn it off, so a removed switch silently became a
+   surviving one (`vanet --oracle 3` ran with --oracle-every 3).  Every long
+   option must be spelled out in full: one that is not exactly an option of
+   the chosen subcommand, as its plain-text manual lists them, is a usage
+   error.  An unknown or ambiguous subcommand is left to cmdliner. *)
+let reject_prefixes root cmds argv =
+  let cmd_end =
+    if Array.length argv > 1 && not (String.starts_with ~prefix:"-" argv.(1)) then 2 else 1
+  in
+  let known c = String.starts_with ~prefix:argv.(1) (Cmd.name c) in
+  let given =
+    Array.to_list (Array.sub argv cmd_end (Array.length argv - cmd_end))
+    |> List.filter (fun a -> String.length a > 2 && String.starts_with ~prefix:"--" a)
+    |> List.map (fun a -> List.hd (String.split_on_char '=' a))
+  in
+  let buf = Buffer.create 8192 in
+  let ppf = Format.formatter_of_buffer buf in
+  let manual = Array.append (Array.sub argv 0 cmd_end) [| "--help=plain" |] in
+  if given <> []
+     && (cmd_end = 1 || List.exists known cmds)
+     && Cmd.eval_value ~help:ppf ~err:ppf ~argv:manual root = Ok `Help
+  then begin
+    Format.pp_print_flush ppf ();
+    let names =
+      String.split_on_char '\n' (Buffer.contents buf)
+      |> List.filter (String.starts_with ~prefix:"       -")
+      |> List.concat_map (fun line ->
+             String.split_on_char ' ' (String.map (function ',' | '=' | '[' -> ' ' | c -> c) line))
+    in
+    Option.iter
+      (fun a ->
+        Printf.eprintf
+          "grp_sim: unknown option '%s'; long options are spelled out in full (see --help)\n" a;
+        exit Cmd.Exit.cli_error)
+      (List.find_opt (fun a -> not (List.mem a names)) given)
+  end
+
 let () =
   let doc = "Best-effort group service in dynamic networks (GRP) — simulator" in
   let info = Cmd.info "grp_sim" ~version:"1.0.0" ~doc in
   (* With no subcommand, run the quickstart scenario (converge on the
      default topology) so `grp_sim --trace run.jsonl` traces out of the
      box. *)
-  exit
-    (Cmd.eval
-       (Cmd.group ~default:converge_term info
-          [
-            converge_cmd;
-            mobility_cmd;
-            vanet_cmd;
-            experiment_cmd;
-            fuzz_cmd;
-            report_cmd;
-            explain_cmd;
-            list_cmd;
-          ]))
+  let cmds =
+    [
+      converge_cmd;
+      mobility_cmd;
+      vanet_cmd;
+      experiment_cmd;
+      fuzz_cmd;
+      report_cmd;
+      explain_cmd;
+      list_cmd;
+    ]
+  in
+  let root = Cmd.group ~default:converge_term info cmds in
+  reject_prefixes root cmds Sys.argv;
+  exit (Cmd.eval root)

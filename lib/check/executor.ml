@@ -258,7 +258,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
      channel (a persistent corruption stream can otherwise drive a
      perfectly periodic drop -> eviction -> re-admission cycle). *)
   set_rate Net.corruption Net.set_corruption 0.0;
-  let confirm = sc.dmax + 5 in
+  let confirm = Grp_node.quiet_rounds config in
   let deadline = Engine.now engine +. quiescence_budget in
   let poll () =
     Registry.Counter.incr m_poll;

@@ -23,9 +23,10 @@
     per [Tc].  A poll takes {!Dgs_sim.Net.state_signature}, one
     {!Dgs_core.Grp_node.state} snapshot per active node; the network is
     quiescent once consecutive snapshots are equal under
-    {!Dgs_core.Grp_node.same_state} for [dmax + 5] polls.  A run that
-    exhausts the budget is scanned for a livelock: a period [p >= 2] at
-    which the polled snapshots repeat over [max 2p (dmax + 5)] polls.
+    {!Dgs_core.Grp_node.same_state} for {!Dgs_core.Grp_node.quiet_rounds}
+    ([dmax + 5]) polls.  A run that exhausts the budget is scanned for a
+    livelock: a period [p >= 2] at which the polled snapshots repeat over
+    [max 2p (dmax + 5)] polls.
 
     Maximality ([ΠM]) is recorded in {!report.maximality_gap} and never
     fails a run: the implemented [compatibleList] admission test is

@@ -190,6 +190,8 @@ let same_state a b =
   && (a.st_quarantine == b.st_quarantine
      || Node_id.Map.equal Int.equal a.st_quarantine b.st_quarantine)
 
+let quiet_rounds (config : Config.t) = config.dmax + 5
+
 (* Index of [v] in the strictly increasing slice [ids.(lo) .. ids.(hi - 1)],
    or -1. *)
 let rec search (ids : Node_id.t array) v lo hi =

@@ -81,6 +81,15 @@ val same_state : state -> state -> bool
     compute keeps the quarantine table too, so comparing the snapshots
     of a quiet node costs a few pointer tests. *)
 
+val quiet_rounds : Config.t -> int
+(** The quiescence rule every runner stops on: a network has settled once
+    every node's {!state} stayed {!same_state} for [dmax + 5] consecutive
+    rounds (or [Tc] polls).  No settled run of the n <= 5 census, the
+    n = 6 lockstep census or E2 moved again in 200 to 2000 more rounds.
+    Known limit: the gate and cooldown windows
+    ([Priority.cooldown_window], 2·Dmax+2) exceed it for Dmax > 3, and
+    {!state} cannot see their counters (DESIGN.md Section 5, item 21). *)
+
 val known_priority : t -> Node_id.t -> Priority.t option
 
 val pending_senders : t -> Node_id.Set.t

@@ -116,8 +116,9 @@ let run ?loss ?jitter ?corruption ?sends ?rng t n =
     ignore (round ?loss ?jitter ?corruption ?sends ?rng t)
   done
 
-let run_until_stable ?loss ?jitter ?corruption ?sends ?rng ?on_round ?(confirm = 2)
+let run_until_stable ?loss ?jitter ?corruption ?sends ?rng ?on_round
     ?(max_rounds = 10_000) t =
+  let confirm = Grp_node.quiet_rounds t.config in
   let rec go rounds stable_streak previous =
     if stable_streak >= confirm then Some (rounds - stable_streak)
     else if rounds >= max_rounds then None

@@ -81,15 +81,17 @@ val run_until_stable :
   ?sends:int ->
   ?rng:Dgs_util.Rng.t ->
   ?on_round:(int -> unit) ->
-  ?confirm:int ->
   ?max_rounds:int ->
   t ->
   int option
 (** Rounds executed until every node's list, view and quarantine table
-    stay unchanged ({!Dgs_core.Grp_node.same_state}) for [confirm]
-    consecutive rounds (default 2); [None] when [max_rounds]
-    (default 10_000) is exhausted first.  The count excludes the
-    confirmation tail.  [on_round] is invoked after each executed round
+    stay unchanged ({!Dgs_core.Grp_node.same_state}) for
+    {!Dgs_core.Grp_node.quiet_rounds} (Dmax+5) consecutive rounds;
+    [None] when [max_rounds] (default 10_000) is exhausted first.  The
+    count excludes the confirmation tail, so [Some r] means [r + Dmax + 5]
+    rounds were executed.  Sound on every run it was checked on, but blind
+    to the gate and cooldown counters, whose 2·Dmax+2 window exceeds it for
+    Dmax > 3.  [on_round] is invoked after each executed round
     with its 1-based index — the hook the CLI uses to feed the
     {!Dgs_spec.Monitor} a per-round configuration snapshot. *)
 

@@ -8,10 +8,10 @@
 
 type span = { name : string; ts_us : float; dur_us : float; tid : int }
 
-val to_string : ?pid:int -> ?thread_names:(int * string) list -> span list -> string
-(** Serialize; [thread_names] adds one [ph = "M"] [thread_name] metadata
-    row per [(tid, label)] so viewers label the lanes.  [pid] defaults
-    to 0. *)
+val to_string : ?thread_names:(int * string) list -> span list -> string
+(** Serialize, every event in process 0; [thread_names] adds one
+    [ph = "M"] [thread_name] metadata row per [(tid, label)] so viewers
+    label the lanes. *)
 
-val write : string -> ?pid:int -> ?thread_names:(int * string) list -> span list -> unit
+val write : string -> ?thread_names:(int * string) list -> span list -> unit
 (** [write path ... spans] writes {!to_string} to [path]. *)

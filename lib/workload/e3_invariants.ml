@@ -44,8 +44,7 @@ let run ?(quick = false) ?(jobs = 1) () =
         let t = Rounds.create ~config g in
         let rng = Rng.create 42 in
         let converged =
-          Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:(dmax + 5)
-            ~max_rounds:5000 t
+          Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:5000 t
         in
         let violations = ref 0 in
         for _ = 1 to window do

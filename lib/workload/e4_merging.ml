@@ -30,9 +30,7 @@ let scratch_table ~quick ~jobs =
         Pool.map ~jobs reps (fun r ->
             let t = Rounds.create ~config g in
             let rng = Rng.create (100 + r) in
-            ignore
-              (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:(dmax + 5)
-                 ~max_rounds:4000 t);
+            ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:4000 t);
             let c = Harness.snapshot t g in
             ( List.length (Cfg.groups c),
               Harness.mergeable_pairs ~dmax c,
@@ -86,9 +84,7 @@ let latency_table ~quick ~jobs =
             done;
             let t = Rounds.create ~config g in
             let rng = Rng.create (500 + r) in
-            ignore
-              (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:(dmax + 5)
-                 ~max_rounds:2000 t);
+            ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:2000 t);
             Graph.add_edge g 0 s1;
             Rounds.set_graph t g;
             let merged_at = ref None in

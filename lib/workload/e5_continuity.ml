@@ -59,7 +59,7 @@ let run ?(quick = false) ?(jobs = 1) () =
         let r =
           Harness.run_mobility ~warmup:150 ~config
             ~seed:(int_of_float (speed *. 1000.0) + 3)
-            ~spec ~n ~range:2.0 ~dt:1.0 ~rounds ()
+            ~spec ~n ~rounds ()
         in
         [
           name;

@@ -112,8 +112,7 @@ let run ?(quick = false) ?(jobs = 1) () =
     Pool.mapi_list ~jobs specs (fun (name, spec) ->
         let seed = 77 in
         let grp =
-          Harness.run_mobility ~warmup:150 ~config ~seed ~spec ~n ~range:2.0
-            ~dt:1.0 ~rounds ()
+          Harness.run_mobility ~warmup:150 ~config ~seed ~spec ~n ~rounds ()
         in
         let grp_rate x = 100.0 *. float_of_int x /. float_of_int (n * rounds) in
         let grp_row =
@@ -127,8 +126,7 @@ let run ?(quick = false) ?(jobs = 1) () =
           ]
         in
         let snapshots =
-          Harness.graph_snapshots ~seed ~spec ~n ~range:2.0 ~dt:1.0 ~every:1
-            ~rounds
+          Harness.graph_snapshots ~seed ~spec ~n ~every:1 ~rounds
         in
         let baseline_rows =
           List.map

@@ -27,7 +27,7 @@ let variants =
    livelocks (DESIGN.md Section 5, item 8). *)
 let lockstep_grid config =
   let t = Rounds.create ~config (Gen.grid 4 4) in
-  Rounds.run_until_stable ~confirm:8 ~max_rounds:1500 t <> None
+  Rounds.run_until_stable ~max_rounds:1500 t <> None
 
 let run ?(quick = false) ?(jobs = 1) () =
   let reps = if quick then 2 else 4 in
@@ -62,7 +62,6 @@ let run ?(quick = false) ?(jobs = 1) () =
             (Mobility.Waypoint
                { xmax = 10.0; ymax = 10.0; vmin = 0.01; vmax = 0.05; pause = 4.0 })
           ~n:(if quick then 15 else 30)
-          ~range:2.0 ~dt:1.0
           ~rounds:(if quick then 60 else 250)
           ()
       in

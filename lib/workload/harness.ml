@@ -89,10 +89,7 @@ let converge ?(jitter = 0.1) ?(max_rounds = 5000) ?trace ?metrics
     ~config ~seed graph =
   let t = Rounds.create ~config ?trace ?metrics graph in
   let rng = Rng.create seed in
-  let rounds =
-    Rounds.run_until_stable ~jitter ~rng ~confirm:(config.Config.dmax + 5)
-      ~max_rounds t
-  in
+  let rounds = Rounds.run_until_stable ~jitter ~rng ~max_rounds t in
   let c = snapshot t graph in
   let groups, mean_group_size = group_stats c in
   let violation = P.legitimate ~dmax:config.Config.dmax c in
@@ -121,8 +118,11 @@ type mobility_run = {
   stale_member_fraction : float;
 }
 
-let run_mobility ?(jitter = 0.1) ?(warmup = 30) ?trace ?metrics
-    ~config ~seed ~spec ~n ~range ~dt ~rounds () =
+(* Every mobility run is one unit-time step per round, over a unit-disk
+   graph of radius 2, under jitter 0.1. *)
+let jitter = 0.1 and range = 2.0 and dt = 1.0
+
+let run_mobility ?(warmup = 30) ?trace ?metrics ~config ~seed ~spec ~n ~rounds () =
   let rng = Rng.create seed in
   let mob = Mobility.create (Rng.split rng) ~n spec in
   let t = Rounds.create ~config ?trace ?metrics (Mobility.graph mob ~range) in
@@ -250,7 +250,7 @@ let run_mobility ?(jitter = 0.1) ?(warmup = 30) ?trace ?metrics
        else float_of_int !stale_pairs /. float_of_int !member_pairs);
   }
 
-let graph_snapshots ~seed ~spec ~n ~range ~dt ~every ~rounds =
+let graph_snapshots ~seed ~spec ~n ~every ~rounds =
   let rng = Rng.create seed in
   let mob = Mobility.create (Rng.split rng) ~n spec in
   let out = ref [ Mobility.graph mob ~range ] in

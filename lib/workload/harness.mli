@@ -101,7 +101,6 @@ type mobility_run = {
 }
 
 val run_mobility :
-  ?jitter:float ->
   ?warmup:int ->
   ?trace:Dgs_trace.Trace.t ->
   ?metrics:Dgs_metrics.Registry.t ->
@@ -109,25 +108,23 @@ val run_mobility :
   seed:int ->
   spec:Dgs_mobility.Mobility.spec ->
   n:int ->
-  range:float ->
-  dt:float ->
   rounds:int ->
   unit ->
   mobility_run
-(** One protocol round per mobility step of [dt].  [warmup] rounds
-    (default 30) let the initial convergence finish before measuring. *)
+(** One protocol round, under jitter 0.1, per unit-time mobility step;
+    nodes are linked within radio range 2.0.  [warmup] rounds (default
+    30) let the initial convergence finish before measuring. *)
 
 val graph_snapshots :
   seed:int ->
   spec:Dgs_mobility.Mobility.spec ->
   n:int ->
-  range:float ->
-  dt:float ->
   every:int ->
   rounds:int ->
   Dgs_graph.Graph.t list
-(** The topology trace alone (one snapshot every [every] steps) — used to
-    feed the reclustering baselines with exactly the workload GRP saw. *)
+(** The topology trace alone (one snapshot every [every] steps of the
+    same unit time and range as {!run_mobility}) — used to feed the
+    reclustering baselines with exactly the workload GRP saw. *)
 
 val rgg :
   seed:int -> n:int -> ?density:float -> unit -> Dgs_graph.Graph.t

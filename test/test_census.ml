@@ -49,29 +49,27 @@ let seed ~mask ~dmax = (mask * 7) + dmax
 
 let lockstep ~mask:_ ~dmax g =
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
-  let settled = Rounds.run_until_stable ~confirm:3 ~max_rounds:400 t <> None in
+  let settled = Rounds.run_until_stable ~max_rounds:400 t <> None in
   judge ~dmax ~settled g (Rounds.views t)
 
 let jitter ~mask ~dmax g =
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
   let rng = Rng.create (seed ~mask ~dmax) in
-  let settled =
-    Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:20 ~max_rounds:400 t <> None
-  in
+  let settled = Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:400 t <> None in
   judge ~dmax ~settled g (Rounds.views t)
 
 (* The paper's own timer model: Tc/Ts timers with random phases on the
-   event-driven runtime, polled once per Tc until 20 consecutive polls
-   see the same protocol state, for at most 400 Tc. *)
+   event-driven runtime, polled once per Tc until [Grp_node.quiet_rounds]
+   consecutive polls see the same protocol state, for at most 400 Tc. *)
 let net ~mask ~dmax g =
+  let config = Config.make ~dmax () in
   let net =
-    Net.create ~engine:(Engine.create ()) ~rng:(Rng.create (seed ~mask ~dmax))
-      ~config:(Config.make ~dmax ())
+    Net.create ~engine:(Engine.create ()) ~rng:(Rng.create (seed ~mask ~dmax)) ~config
       ~topology:(fun () -> g)
       ~nodes:(Graph.nodes g) ()
   in
   let rec settles k prev quiet =
-    quiet >= 20
+    quiet >= Grp_node.quiet_rounds config
     || k <= 400
        && begin
             Net.run_until net (float_of_int k *. Net.tau_c);

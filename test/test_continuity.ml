@@ -30,7 +30,7 @@ let highway speed =
     }
 
 let run ?(config = Config.make ~dmax:3 ()) ?(n = 20) ?(rounds = 150) ?warmup ~seed spec =
-  Harness.run_mobility ?warmup ~config ~seed ~spec ~n ~range:2.0 ~dt:1.0 ~rounds ()
+  Harness.run_mobility ?warmup ~config ~seed ~spec ~n ~rounds ()
 
 let test_static_no_evictions () =
   (* Zero mobility, measured after full convergence: ΠT always holds and
@@ -111,14 +111,8 @@ let test_harness_accounting () =
   check "lifetimes measured" true (r.Harness.group_lifetime.Dgs_util.Stats.count > 0)
 
 let test_graph_snapshots_deterministic () =
-  let s1 =
-    Harness.graph_snapshots ~seed:11 ~spec:(waypoint 0.05) ~n:10 ~range:2.0 ~dt:1.0
-      ~every:5 ~rounds:20
-  in
-  let s2 =
-    Harness.graph_snapshots ~seed:11 ~spec:(waypoint 0.05) ~n:10 ~range:2.0 ~dt:1.0
-      ~every:5 ~rounds:20
-  in
+  let s1 = Harness.graph_snapshots ~seed:11 ~spec:(waypoint 0.05) ~n:10 ~every:5 ~rounds:20 in
+  let s2 = Harness.graph_snapshots ~seed:11 ~spec:(waypoint 0.05) ~n:10 ~every:5 ~rounds:20 in
   check_int "snapshot count" 5 (List.length s1);
   check "same seed, same trace" true
     (List.for_all2 Dgs_graph.Graph.equal s1 s2)

@@ -95,8 +95,7 @@ let converge_digests () =
   let acc = ref [] in
   let on_round _ = acc := round_digest ~node:(Rounds.node t) ids :: !acc in
   ignore
-    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Rng.create seed) ~on_round
-       ~confirm:(dmax + 5) ~max_rounds:10_000 t);
+    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Rng.create seed) ~on_round t);
   List.rev !acc
 
 let fuzz_reports ~coverage ~seed ~runs () =

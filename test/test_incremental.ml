@@ -123,7 +123,7 @@ let test_steady_state_is_cached () =
   let g = Gen.grid 4 4 in
   let t = Rounds.create ~config g in
   let rng = Rng.create 3 in
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:8 t);
+  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
   let inc = Incremental.create ~dmax () in
   let snap = Harness.Snapshotter.create () in
   checked_poll inc (Harness.Snapshotter.snapshot snap t g);
@@ -143,7 +143,7 @@ let test_mark_dirty_forces_recheck () =
   let g = Gen.grid 4 4 in
   let t = Rounds.create ~config g in
   let rng = Rng.create 3 in
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:8 t);
+  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
   let inc = Incremental.create ~dmax () in
   let snap = Harness.Snapshotter.create () in
   checked_poll inc (Harness.Snapshotter.snapshot snap t g);
@@ -159,7 +159,7 @@ let test_mark_all_dirty_resets () =
   let g = Gen.ring 6 in
   let t = Rounds.create ~config g in
   let rng = Rng.create 5 in
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:8 t);
+  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
   let inc = Incremental.create ~dmax () in
   let snap = Harness.Snapshotter.create () in
   checked_poll inc (Harness.Snapshotter.snapshot snap t g);
@@ -208,7 +208,7 @@ let test_snapshotter_equals_plain_snapshot () =
 let test_snapshotter_shares_structure () =
   let t = Rounds.create ~config (Gen.ring 8) in
   let rng = Rng.create 17 in
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:8 t);
+  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
   let g = Rounds.graph t in
   let snap = Harness.Snapshotter.create () in
   let c1 = Harness.Snapshotter.snapshot snap t g in

@@ -25,8 +25,7 @@ let snapshot t g =
          (fun acc v -> Node_id.Map.add v (Grp_node.view (Rounds.node t v)) acc)
          Node_id.Map.empty (Rounds.node_ids t))
 
-let settle ?(max_rounds = 4000) ~dmax t rng =
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:(dmax + 5) ~max_rounds t)
+let settle t rng = ignore (Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:4000 t)
 
 (* Proposition 1 (Dmax): every execution reaches a suffix where every list
    has at most Dmax+1 levels — in fact the bound holds after every
@@ -60,7 +59,7 @@ let prop_2_exist () =
   let g = Gen.ring 8 in
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
   let rng = Rng.create 2 in
-  settle ~dmax t rng;
+  settle t rng;
   (* Inject ghosts 100+v into every list and view. *)
   List.iter
     (fun v ->
@@ -70,7 +69,7 @@ let prop_2_exist () =
            [ [ (v, Mark.Clear) ]; [ (100 + v, Mark.Clear) ]; [ (200 + v, Mark.Clear) ] ]);
       Grp_node.corrupt_quarantine n [ (100 + v, 0); (200 + v, 0) ])
     (Rounds.node_ids t);
-  settle ~dmax t rng;
+  settle t rng;
   for _ = 1 to 20 do
     ignore (Rounds.round ~jitter:0.1 ~rng t);
     List.iter
@@ -90,7 +89,7 @@ let props_3_to_6_subgraphs () =
   let g = Gen.line 7 in
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
   let rng = Rng.create 3 in
-  settle ~dmax t rng;
+  settle t rng;
   (* Stability reached: check the suffix properties over a window. *)
   for _ = 1 to 15 do
     ignore (Rounds.round ~jitter:0.1 ~rng t);
@@ -133,7 +132,7 @@ let props_7_8_12_legitimacy () =
     (fun (g, dmax, seed) ->
       let t = Rounds.create ~config:(Config.make ~dmax ()) g in
       let rng = Rng.create seed in
-      settle ~dmax t rng;
+      settle t rng;
       match P.legitimate ~dmax (snapshot t g) with
       | None -> ()
       | Some v -> Alcotest.failf "legitimacy: %a" P.pp_violation v)
@@ -153,12 +152,12 @@ let props_9_to_11_merge_progress () =
   let g = Graph.of_edges [ (0, 1); (2, 3) ] in
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
   let rng = Rng.create 9 in
-  settle ~dmax t rng;
+  settle t rng;
   let groups_before = List.length (Cfg.groups (snapshot t g)) in
   check "two groups before" true (groups_before = 2);
   Graph.add_edge g 1 2;
   Rounds.set_graph t g;
-  settle ~dmax t rng;
+  settle t rng;
   let groups_after = List.length (Cfg.groups (snapshot t g)) in
   check "ndg decreased (Props 9-11)" true (groups_after < groups_before)
 
@@ -171,13 +170,13 @@ let prop_13_compatibility () =
   let legal = Gen.barbell 4 4 in
   let t = Rounds.create ~config:(Config.make ~dmax ()) legal in
   let rng = Rng.create 10 in
-  settle ~dmax t rng;
+  settle t rng;
   check "legal merge happens" true
     (List.length (Cfg.groups (snapshot t legal)) = 1);
   (* Illegal for dmax 2: the same shape must stay two groups. *)
   let dmax' = 2 in
   let t' = Rounds.create ~config:(Config.make ~dmax:dmax' ()) (Gen.barbell 4 4) in
-  settle ~dmax:dmax' t' rng;
+  settle t' rng;
   let c = snapshot t' (Gen.barbell 4 4) in
   check "illegal merge refused" true (List.length (Cfg.groups c) >= 2);
   check "still safe" true (P.safety ~dmax:dmax' c = None)
@@ -189,7 +188,7 @@ let prop_14_continuity_static () =
   let g = Dgs_workload.Harness.rgg ~seed:11 ~n:20 () in
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
   let rng = Rng.create 11 in
-  settle ~dmax t rng;
+  settle t rng;
   for _ = 1 to 60 do
     let infos = Rounds.round ~jitter:0.1 ~rng t in
     Node_id.Map.iter

@@ -355,7 +355,7 @@ let test_compute_phases_sum () =
   let g = Dgs_workload.Harness.rgg ~seed:7 ~n:60 () in
   let t = Rounds.create ~config:(Config.make ~dmax:3 ()) ~metrics:reg g in
   ignore
-    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Dgs_util.Rng.create 7) ~confirm:8
+    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Dgs_util.Rng.create 7)
        ~max_rounds:2000 t);
   let s = Registry.snapshot reg in
   let timer name =

@@ -179,14 +179,23 @@ let test_rounds_message_count () =
   (* line 0-1-2: directed deliveries = 2*edges = 4. *)
   check_int "messages" 4 (Rounds.messages_sent t)
 
+(* The message count pins the quiescence rule: a settled pair has run
+   its [r] rounds plus a Dmax+5 confirmation tail, two deliveries each. *)
 let test_rounds_stabilizes_pair () =
-  let t = Rounds.create ~config:(Config.make ~dmax:1 ()) (Gen.line 2) in
-  match Rounds.run_until_stable t with
-  | Some r ->
-      check "fast" true (r <= 5);
-      Alcotest.(check bool) "paired" true
-        (Node_id.Set.equal (Grp_node.view (Rounds.node t 0)) (Node_id.set_of_list [ 0; 1 ]))
-  | None -> Alcotest.fail "did not stabilize"
+  List.iter
+    (fun dmax ->
+      let t = Rounds.create ~config:(Config.make ~dmax ()) (Gen.line 2) in
+      match Rounds.run_until_stable t with
+      | Some r ->
+          check "fast" true (r <= 5);
+          Alcotest.(check bool) "paired" true
+            (Node_id.Set.equal (Grp_node.view (Rounds.node t 0)) (Node_id.set_of_list [ 0; 1 ]));
+          check_int
+            (Printf.sprintf "dmax %d deliveries" dmax)
+            (2 * (r + dmax + 5))
+            (Rounds.messages_sent t)
+      | None -> Alcotest.fail "did not stabilize")
+    [ 1; 3 ]
 
 let test_rounds_loss_requires_rng () =
   let t = Rounds.create ~config:(Config.make ~dmax:1 ()) (Gen.line 2) in

@@ -25,9 +25,7 @@ let assert_legitimate ?(dmax = 2) ?(seed = 42) ?(max_rounds = 4000) name g =
   let config = Config.make ~dmax () in
   let t = Rounds.create ~config g in
   let rng = Rng.create seed in
-  let stable =
-    Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:(dmax + 6) ~max_rounds t
-  in
+  let stable = Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds t in
   check (name ^ " stabilizes") true (stable <> None);
   (match P.legitimate ~dmax (snapshot t g) with
   | None -> ()
@@ -84,7 +82,7 @@ let test_erdos_renyi () =
     let t = Rounds.create ~config g in
     let jrng = Rng.create (seed * 3) in
     let stable =
-      Rounds.run_until_stable ~jitter:0.12 ~rng:jrng ~confirm:8 ~max_rounds:4000 t
+      Rounds.run_until_stable ~jitter:0.12 ~rng:jrng ~max_rounds:4000 t
     in
     check "er stabilizes" true (stable <> None);
     let c = snapshot t g in
@@ -102,7 +100,7 @@ let test_lockstep_deterministic_cases () =
     (fun (name, g, dmax) ->
       let config = Config.make ~dmax () in
       let t = Rounds.create ~config g in
-      let stable = Rounds.run_until_stable ~confirm:(dmax + 4) ~max_rounds:2000 t in
+      let stable = Rounds.run_until_stable ~max_rounds:2000 t in
       check (name ^ " lockstep") true (stable <> None);
       check
         (name ^ " lockstep legitimate")
@@ -142,7 +140,7 @@ let test_corrupted_initial_state () =
       Grp_node.corrupt_priority_table n
         [ (100 + v, Priority.make ~oldness:0 ~id:(100 + v)) ])
     (Rounds.node_ids t);
-  let stable = Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:4000 t in
+  let stable = Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:4000 t in
   check "recovers from corruption" true (stable <> None);
   let c = snapshot t g in
   (match P.legitimate ~dmax c with
@@ -166,7 +164,7 @@ let test_group_split_on_edge_loss () =
   Graph.remove_edge g 1 2;
   Rounds.set_graph t g;
   let rng = Rng.create 5 in
-  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:2000 t);
+  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:2000 t);
   let c = snapshot t g in
   check "split legitimate" true (P.legitimate ~dmax c = None);
   check "two groups" true (List.length (Cfg.groups c) = 2)
@@ -177,10 +175,10 @@ let test_groups_merge_on_edge_gain () =
   let config = Config.make ~dmax () in
   let t = Rounds.create ~config g in
   let rng = Rng.create 6 in
-  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:2000 t);
+  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:2000 t);
   Graph.add_edge g 1 2;
   Rounds.set_graph t g;
-  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:2000 t);
+  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:2000 t);
   let c = snapshot t g in
   check "merged legitimate" true (P.legitimate ~dmax c = None);
   check "single group" true (List.length (Cfg.groups c) = 1)
@@ -192,7 +190,7 @@ let test_node_departure () =
   Graph.remove_node g 2;
   Rounds.set_graph t g;
   let rng = Rng.create 7 in
-  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:2000 t);
+  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:2000 t);
   let c = snapshot t g in
   check "survivors legitimate" true (P.legitimate ~dmax c = None);
   check "departed forgotten" true
@@ -210,9 +208,9 @@ let test_rejoin_with_stale_state () =
   Graph.remove_node g' 3;
   Rounds.set_graph t g';
   let rng = Rng.create 8 in
-  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:2000 t);
+  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:2000 t);
   Rounds.set_graph t g;
-  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~confirm:8 ~max_rounds:2000 t);
+  ignore (Rounds.run_until_stable ~jitter:0.12 ~rng ~max_rounds:2000 t);
   let c = snapshot t g in
   check "rejoin legitimate" true (P.legitimate ~dmax c = None);
   check "everyone back" true
@@ -268,7 +266,7 @@ let test_random_dynamics_invariants () =
           (Grp_node.view n))
       (Rounds.node_ids t)
   done;
-  let stable = Rounds.run_until_stable ~jitter:0.1 ~rng ~confirm:8 ~max_rounds:3000 t in
+  let stable = Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:3000 t in
   check "re-stabilizes after the dynamics stop" true (stable <> None);
   (* Random graphs can land in dense configurations where maximality is
      conservatively missed (DESIGN.md Section 5); agreement and safety are
