@@ -23,6 +23,7 @@ module Rounds = Dgs_sim.Rounds
 module Cfg = Dgs_spec.Configuration
 module P = Dgs_spec.Predicates
 module Monitor = Dgs_spec.Monitor
+module Membership = Dgs_spec.Membership
 module Mobility = Dgs_mobility.Mobility
 module Harness = Dgs_workload.Harness
 module Vanet = Dgs_workload.Vanet
@@ -242,7 +243,7 @@ let export_csv dir files =
    ask for, teeing an unfiltered per-node tally of the view changes out of
    which the view-stabilization line is computed. *)
 let with_trace_sink ?trace_max_mb trace_file trace_filter k =
-  let tally = Monitor.view_tally () in
+  let tally = Postmortem.view_tally () in
   let apply_filter sink =
     match trace_filter with
     | None -> sink
@@ -259,13 +260,13 @@ let with_trace_sink ?trace_max_mb trace_file trace_filter k =
       writing ~what:"trace" (fun () ->
           with_file (fun file_sink ->
               let r =
-                k (Trace.tee (apply_filter file_sink) (Monitor.view_tally_sink tally)) tally
+                k (Trace.tee (apply_filter file_sink) (Postmortem.view_tally_sink tally)) tally
               in
               Printf.printf "trace written to %s\n" path;
               r))
 
 let report_view_stabilization tally =
-  match Monitor.view_stabilization tally with
+  match Postmortem.view_stabilization tally with
   | [] -> ()
   | per_node ->
       let last =
@@ -407,12 +408,13 @@ let mobility_cmd =
       r.Harness.pt_preserving r.Harness.pt_violating;
     Printf.printf "  evictions under \xCE\xA0T: %d (theorem: must be 0)\n"
       r.Harness.evictions_under_pt;
+    let churn = r.Harness.churn in
     Printf.printf "  unjustified evictions: %d, total: %d\n"
-      r.Harness.unjustified_evictions r.Harness.evictions_total;
+      churn.Membership.unjustified_evictions churn.Membership.evictions;
     Printf.printf "  mean groups: %.1f, mean size: %.1f\n" r.Harness.mean_groups
       r.Harness.mean_group_size;
     Format.printf "  view lifetime: %a rounds@." Dgs_util.Stats.pp_summary
-      r.Harness.group_lifetime
+      churn.Membership.lifetime
   in
   let model =
     let names = List.map (fun (m, _) -> (m, m)) mobility_specs in

@@ -1,66 +1,10 @@
-module Graph = Dgs_graph.Graph
-open Dgs_core
-
 type algorithm = Maxmin of int | Lowest_id of int
 
 let algorithm_name = function
   | Maxmin d -> Printf.sprintf "maxmin(d=%d)" d
   | Lowest_id k -> Printf.sprintf "lowest-id(k=%d)" k
 
-let heads_and_views algorithm g =
+let cluster algorithm g =
   match algorithm with
-  | Maxmin d ->
-      let r = Maxmin.run ~d g in
-      (r.Maxmin.head, Maxmin.views r)
-  | Lowest_id k ->
-      let r = Lowest_id.run ~k g in
-      (r.Lowest_id.head, Lowest_id.views r)
-
-let cluster algorithm g = snd (heads_and_views algorithm g)
-
-type churn = {
-  steps : int;
-  reaffiliations : int;
-  membership_changes : int;
-  evictions : int;
-}
-
-let replay algorithm snapshots =
-  let acc = ref { steps = 0; reaffiliations = 0; membership_changes = 0; evictions = 0 } in
-  let prev = ref None in
-  List.iter
-    (fun g ->
-      let heads, views = heads_and_views algorithm g in
-      let alive = Node_id.Set.of_list (Graph.nodes g) in
-      (match !prev with
-      | None -> ()
-      | Some (heads0, views0, alive0) ->
-          let survivors = Node_id.Set.inter alive alive0 in
-          Node_id.Set.iter
-            (fun v ->
-              let c = !acc in
-              let h0 = Node_id.Map.find_opt v heads0
-              and h1 = Node_id.Map.find_opt v heads in
-              let w0 =
-                Option.value ~default:Node_id.Set.empty (Node_id.Map.find_opt v views0)
-              and w1 =
-                Option.value ~default:Node_id.Set.empty (Node_id.Map.find_opt v views)
-              in
-              let reaff = if h0 <> h1 then 1 else 0 in
-              let change = if not (Node_id.Set.equal w0 w1) then 1 else 0 in
-              let evicted =
-                Node_id.Set.exists
-                  (fun u -> Node_id.Set.mem u survivors && not (Node_id.Set.mem u w1))
-                  w0
-              in
-              acc :=
-                {
-                  steps = c.steps + 1;
-                  reaffiliations = c.reaffiliations + reaff;
-                  membership_changes = c.membership_changes + change;
-                  evictions = (c.evictions + if evicted then 1 else 0);
-                })
-            survivors);
-      prev := Some (heads, views, alive))
-    snapshots;
-  !acc
+  | Maxmin d -> Maxmin.views (Maxmin.run ~d g)
+  | Lowest_id k -> Lowest_id.views (Lowest_id.run ~k g)

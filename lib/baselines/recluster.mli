@@ -1,10 +1,10 @@
 (** Periodic-reclustering adapter.
 
     The k-clustering baselines are static algorithms; on a dynamic topology
-    they are deployed by re-running them every period.  This module replays
-    a sequence of topology snapshots through a clustering function and
-    reports the per-node cluster views at each step, so the workload layer
-    can measure membership churn with the same metrics as GRP. *)
+    they are deployed by re-running them every period.  This module names
+    the two algorithms and clusters one snapshot into per-node views, which
+    {!Dgs_workload.E6_baselines} replays through the same membership ledger
+    as GRP. *)
 
 type algorithm =
   | Maxmin of int  (** Max-Min with parameter d *)
@@ -15,19 +15,3 @@ val algorithm_name : algorithm -> string
 val cluster :
   algorithm -> Dgs_graph.Graph.t -> Dgs_core.Node_id.Set.t Dgs_core.Node_id.Map.t
 (** One-shot clustering of a snapshot, as a views map. *)
-
-type churn = {
-  steps : int;
-  reaffiliations : int;
-      (** node steps where the clusterhead changed *)
-  membership_changes : int;
-      (** node steps where the view (cluster composition) changed *)
-  evictions : int;
-      (** node steps where some previous co-member disappeared from the
-          node's cluster while both nodes survived — the event GRP's
-          continuity forbids under ΠT *)
-}
-
-val replay : algorithm -> Dgs_graph.Graph.t list -> churn
-(** Recluster every snapshot and accumulate churn between consecutive
-    ones. *)

@@ -59,23 +59,3 @@ let pp_timeline ppf tl =
      time to legitimacy (all three): %s@]"
     (cell tl.time_to_agreement) (cell tl.time_to_safety)
     (cell tl.time_to_maximality) (cell tl.time_to_legitimate)
-
-(* node -> (last change time, final view, changes) *)
-type view_tally = (int, float * int list * int) Hashtbl.t
-
-let view_tally () = Hashtbl.create 32
-
-let view_tally_sink tally =
-  Dgs_trace.Trace.make (fun ~time -> function
-    | Dgs_trace.Trace.View_changed { node; view; _ } ->
-        let changes =
-          match Hashtbl.find_opt tally node with Some (_, _, n) -> n + 1 | None -> 1
-        in
-        Hashtbl.replace tally node (time, view, changes)
-    | _ -> ())
-
-let view_stabilization tally =
-  Hashtbl.fold
-    (fun node (time, view, changes) acc -> (node, time, view, changes) :: acc)
-    tally []
-  |> List.sort compare

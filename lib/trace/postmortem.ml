@@ -2,15 +2,26 @@ module Table = Dgs_metrics.Table
 module Histogram = Dgs_metrics.Histogram
 module Registry = Dgs_metrics.Registry
 
-module Int_map = Map.Make (Int)
+(* node -> (last change time, final view, changes) *)
+type view_tally = (int, float * int list * int) Hashtbl.t
 
-type view_change = {
-  vc_time : float;
-  vc_node : int;
-  vc_added : int list;
-  vc_removed : int list;
-  vc_view : int list;
-}
+let view_tally () = Hashtbl.create 32
+
+let tally_view_change tally ~time = function
+  | Trace.View_changed { node; view; _ } ->
+      let changes =
+        match Hashtbl.find_opt tally node with Some (_, _, n) -> n + 1 | None -> 1
+      in
+      Hashtbl.replace tally node (time, view, changes)
+  | _ -> ()
+
+let view_tally_sink tally = Trace.make (tally_view_change tally)
+
+let view_stabilization tally =
+  Hashtbl.fold
+    (fun node (time, view, changes) acc -> (node, time, view, changes) :: acc)
+    tally []
+  |> List.sort compare
 
 type t = {
   events : (float * Trace.event) list;
@@ -18,9 +29,8 @@ type t = {
   t_start : float;
   t_end : float;
   node_list : int list;
-  changes : view_change list;  (* in emission order *)
-  (* per node: view changes in emission order *)
-  by_node : view_change list Int_map.t;
+  changes : (int * float) list;  (* (node, time) of each view change, in emission order *)
+  tally : view_tally;
   dag : Causal.t Lazy.t;
 }
 
@@ -34,29 +44,16 @@ let analyze events =
   in
   let nodes = Hashtbl.create 64 in
   let changes = ref [] in
-  let by_node = ref Int_map.empty in
+  let tally = view_tally () in
   List.iter
     (fun (time, ev) ->
       (match Trace.node_of ev with
       | Some v -> Hashtbl.replace nodes v ()
       | None -> ());
-      match ev with
-      | Trace.View_changed { node; added; removed; view; _ } ->
-          let vc =
-            {
-              vc_time = time;
-              vc_node = node;
-              vc_added = added;
-              vc_removed = removed;
-              vc_view = view;
-            }
-          in
-          changes := vc :: !changes;
-          by_node :=
-            Int_map.update node
-              (fun l -> Some (vc :: Option.value ~default:[] l))
-              !by_node
-      | _ -> ())
+      (match ev with
+      | Trace.View_changed { node; _ } -> changes := (node, time) :: !changes
+      | _ -> ());
+      tally_view_change tally ~time ev)
     events;
   {
     events;
@@ -65,7 +62,7 @@ let analyze events =
     t_end;
     node_list = Hashtbl.fold (fun v () acc -> v :: acc) nodes [] |> List.sort compare;
     changes = List.rev !changes;
-    by_node = Int_map.map List.rev !by_node;
+    tally;
     dag = lazy (Causal.build events);
   }
 
@@ -85,9 +82,7 @@ let bucket_of t ~buckets time =
       (int_of_float (float_of_int buckets *. (time -. t.t_start) /. span))
 
 let last_change_time t node =
-  match Int_map.find_opt node t.by_node with
-  | Some (_ :: _ as l) -> Some (List.nth l (List.length l - 1)).vc_time
-  | _ -> None
+  Option.map (fun (time, _, _) -> time) (Hashtbl.find_opt t.tally node)
 
 let convergence_timeline ?(buckets = 20) t =
   let buckets = max 1 buckets in
@@ -161,18 +156,17 @@ let stabilization t =
   in
   List.iter
     (fun v ->
-      match Int_map.find_opt v t.by_node with
-      | Some (_ :: _ as l) ->
-          let final = List.nth l (List.length l - 1) in
+      match Hashtbl.find_opt t.tally v with
+      | Some (time, view, changes) ->
           Table.add_row table
             [
               Table.cell_int v;
-              Table.cell_int (List.length l);
-              Table.cell_float ~decimals:2 final.vc_time;
-              Table.cell_int (List.length final.vc_view);
-              ids_to_string final.vc_view;
+              Table.cell_int changes;
+              Table.cell_float ~decimals:2 time;
+              Table.cell_int (List.length view);
+              ids_to_string view;
             ]
-      | _ ->
+      | None ->
           Table.add_row table
             [ Table.cell_int v; Table.cell_int 0; "-"; "-"; "?" ])
     t.node_list;
@@ -214,12 +208,7 @@ let eviction_chains t =
   table
 
 let final_views t =
-  Int_map.fold
-    (fun _ l acc ->
-      match l with
-      | [] -> acc
-      | _ -> List.sort compare (List.nth l (List.length l - 1)).vc_view :: acc)
-    t.by_node []
+  Hashtbl.fold (fun _ (_, view, _) acc -> List.sort compare view :: acc) t.tally []
 
 let group_sizes t =
   let h = Histogram.create () in
@@ -230,17 +219,17 @@ let group_sizes t =
 
 let group_lifetimes t =
   let h = Histogram.create () in
-  Int_map.iter
-    (fun _ l ->
-      let rec spans = function
-        | a :: (b :: _ as rest) ->
-            Histogram.add h (b.vc_time -. a.vc_time);
-            spans rest
-        | [ last ] -> Histogram.add h (t.t_end -. last.vc_time)
-        | [] -> ()
-      in
-      spans l)
-    t.by_node;
+  (* Node by node, each node's changes in emission order. *)
+  let rec spans = function
+    | (v, a) :: ((w, b) :: _ as rest) when v = w ->
+        Histogram.add h (b -. a);
+        spans rest
+    | (_, last) :: rest ->
+        Histogram.add h (t.t_end -. last);
+        spans rest
+    | [] -> ()
+  in
+  spans (List.stable_sort (fun (v, _) (w, _) -> compare v w) t.changes);
   h
 
 let hist_section title h =

@@ -13,6 +13,33 @@
     seconds under {!Dgs_sim.Engine}, round numbers under
     {!Dgs_sim.Rounds}. *)
 
+(** {2 Per-node view stabilization}
+
+    One fold of the [View_changed] stream, run over a recorded trace by
+    {!analyze} and live, teed beside the trace file, by [grp_sim converge]
+    and [grp_sim mobility]. *)
+
+type view_tally
+(** Per-node count, last change time and final view of every
+    [View_changed] seen so far.  Its size is the node count, however long
+    the run. *)
+
+val view_tally : unit -> view_tally
+(** An empty tally. *)
+
+val view_tally_sink : view_tally -> Trace.t
+(** A trace sink that folds every [View_changed] it receives into the
+    tally, stamped with the sink's time, and ignores all other events. *)
+
+val view_stabilization : view_tally -> (int * float * int list * int) list
+(** [(node, last_change_time, final_view, changes)] for every node that
+    emitted at least one [View_changed], sorted by node.  On a converged
+    run each node's [final_view] equals its stable view and
+    [last_change_time] is when it got there — the per-node convergence
+    timeline. *)
+
+(** {2 Trace analysis} *)
+
 type t
 (** An analyzed trace. *)
 

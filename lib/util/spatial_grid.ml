@@ -15,10 +15,6 @@ let create ?(expected = 64) ~cell () =
     invalid_arg "Spatial_grid.create: cell must be finite and positive";
   { cell; cells = Hashtbl.create expected; points = Hashtbl.create expected }
 
-let size t = Hashtbl.length t.points
-let mem t id = Hashtbl.mem t.points id
-let position t id = Hashtbl.find_opt t.points id
-
 (* Quotients are clamped before flooring so extreme coordinate/cell ratios
    cannot overflow int conversion.  The clamp is monotone and 1-Lipschitz,
    so two points within [range] still land within [span] cells of each
@@ -34,43 +30,14 @@ let coord t v =
 let cell_of t (p : Geom.point) = (coord t p.x, coord t p.y)
 let cell_coords = cell_of
 
-let bucket_add t key id =
+let insert t id p =
+  if Hashtbl.mem t.points id then
+    invalid_arg "Spatial_grid.insert: id already present";
+  Hashtbl.replace t.points id p;
+  let key = cell_of t p in
   match Hashtbl.find_opt t.cells key with
   | Some b -> b := id :: !b
   | None -> Hashtbl.add t.cells key (ref [ id ])
-
-let bucket_remove t key id =
-  match Hashtbl.find_opt t.cells key with
-  | None -> ()
-  | Some b ->
-      b := List.filter (fun i -> i <> id) !b;
-      if !b = [] then Hashtbl.remove t.cells key
-
-let insert t id p =
-  if Hashtbl.mem t.points id then
-    invalid_arg "Spatial_grid.insert: id already present (use move)";
-  Hashtbl.replace t.points id p;
-  bucket_add t (cell_of t p) id
-
-let move t id p =
-  match Hashtbl.find_opt t.points id with
-  | None ->
-      Hashtbl.replace t.points id p;
-      bucket_add t (cell_of t p) id
-  | Some old ->
-      let oc = cell_of t old and nc = cell_of t p in
-      Hashtbl.replace t.points id p;
-      if oc <> nc then begin
-        bucket_remove t oc id;
-        bucket_add t nc id
-      end
-
-let remove t id =
-  match Hashtbl.find_opt t.points id with
-  | None -> ()
-  | Some p ->
-      Hashtbl.remove t.points id;
-      bucket_remove t (cell_of t p) id
 
 (* Queries wider than this many cells per axis degenerate to a full scan of
    the point table — still exact, and O(points) instead of O(span²). *)
@@ -102,11 +69,3 @@ let iter_within t (p : Geom.point) ~range f =
       done
     done
   end
-
-let fold_within t p ~range f init =
-  let acc = ref init in
-  iter_within t p ~range (fun id q -> acc := f id q !acc);
-  !acc
-
-let stats t =
-  Hashtbl.fold (fun _ b (cells, mx) -> (cells + 1, max mx (List.length !b))) t.cells (0, 0)

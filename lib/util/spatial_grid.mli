@@ -25,26 +25,9 @@ val cell_coords : t -> Geom.point -> int * int
     spatial partitioners (e.g. {!Dgs_sim}'s shard assignment) can cut the
     node set along the same cell boundaries the neighbor index uses. *)
 
-val size : t -> int
-(** Number of points currently stored. *)
-
-val mem : t -> int -> bool
-(** [mem t id] is [true] iff [id] is currently stored. *)
-
-val position : t -> int -> Geom.point option
-(** Last position stored for [id], if any. *)
-
 val insert : t -> int -> Geom.point -> unit
 (** [insert t id p] stores a new point.
-    @raise Invalid_argument if [id] is already present (use {!move}). *)
-
-val move : t -> int -> Geom.point -> unit
-(** [move t id p] repositions an existing point, rebucketing it only when it
-    crosses a cell boundary.  Inserts [id] if it was absent, so a mobility
-    step can blindly [move] every node. *)
-
-val remove : t -> int -> unit
-(** [remove t id] deletes the point; no-op when absent. *)
+    @raise Invalid_argument if [id] is already present. *)
 
 val iter_within : t -> Geom.point -> range:float -> (int -> Geom.point -> unit) -> unit
 (** [iter_within t p ~range f] calls [f id q] for every stored point [q]
@@ -52,9 +35,3 @@ val iter_within : t -> Geom.point -> range:float -> (int -> Geom.point -> unit) 
     same {!Geom.dist2} float expression, as the naive all-pairs scan, so
     callers get bit-for-bit identical adjacency decisions.  Order is
     unspecified; each point is reported once. *)
-
-val fold_within : t -> Geom.point -> range:float -> (int -> Geom.point -> 'a -> 'a) -> 'a -> 'a
-(** Fold variant of {!iter_within}. *)
-
-val stats : t -> int * int
-(** [(occupied_cells, max_bucket)] — occupancy snapshot for diagnostics. *)

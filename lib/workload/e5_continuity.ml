@@ -1,6 +1,7 @@
 module Table = Dgs_metrics.Table
 module Mobility = Dgs_mobility.Mobility
 module Pool = Dgs_parallel.Pool
+module Membership = Dgs_spec.Membership
 open Dgs_core
 
 let run ?(quick = false) ?(jobs = 1) () =
@@ -67,8 +68,8 @@ let run ?(quick = false) ?(jobs = 1) () =
           Table.cell_int r.Harness.pt_preserving;
           Table.cell_int r.Harness.pt_violating;
           Table.cell_int r.Harness.evictions_under_pt;
-          Table.cell_int r.Harness.unjustified_evictions;
-          Table.cell_int r.Harness.evictions_total;
+          Table.cell_int r.Harness.churn.Membership.unjustified_evictions;
+          Table.cell_int r.Harness.churn.Membership.evictions;
           Table.cell_float ~decimals:1 r.Harness.mean_groups;
         ])
   in

@@ -72,7 +72,7 @@ let run ?(quick = false) ?(jobs = 1) () =
           Table.cell_float ~decimals:1 (Stats.mean rgg_rounds);
           (if grid_ok then "converges" else "LIVELOCK");
           Table.cell_int mob.Harness.evictions_under_pt;
-          Table.cell_int mob.Harness.unjustified_evictions;
+          Table.cell_int mob.Harness.churn.Dgs_spec.Membership.unjustified_evictions;
         ])
     variants;
   [ table ]

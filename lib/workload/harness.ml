@@ -3,9 +3,9 @@ module Gen = Dgs_graph.Gen
 module Rounds = Dgs_sim.Rounds
 module Cfg = Dgs_spec.Configuration
 module P = Dgs_spec.Predicates
+module Membership = Dgs_spec.Membership
 module Mobility = Dgs_mobility.Mobility
 module Rng = Dgs_util.Rng
-module Stats = Dgs_util.Stats
 open Dgs_core
 
 let snapshot t graph = Cfg.make ~graph ~views:(Rounds.views t)
@@ -109,13 +109,9 @@ type mobility_run = {
   pt_preserving : int;
   pt_violating : int;
   evictions_under_pt : int;
-  unjustified_evictions : int;
-  evictions_total : int;
-  additions_total : int;
   mean_groups : float;
   mean_group_size : float;
-  group_lifetime : Stats.summary;
-  stale_member_fraction : float;
+  churn : Membership.summary;
 }
 
 (* Every mobility run is one unit-time step per round, over a unit-disk
@@ -126,128 +122,63 @@ let run_mobility ?(warmup = 30) ?trace ?metrics ~config ~seed ~spec ~n ~rounds (
   let rng = Rng.create seed in
   let mob = Mobility.create (Rng.split rng) ~n spec in
   let t = Rounds.create ~config ?trace ?metrics (Mobility.graph mob ~range) in
-  for _ = 1 to warmup do
-    ignore (Rounds.round ~jitter ~rng t)
-  done;
+  Rounds.run ~jitter ~rng t warmup;
+  let dmax = config.Config.dmax in
+  let ledger = Membership.create ~dmax (snapshot t (Rounds.graph t)) in
   let pt_preserving = ref 0
   and pt_violating = ref 0
   and evictions_under_pt = ref 0
-  and unjustified_evictions = ref 0
-  and evictions_total = ref 0
-  and additions_total = ref 0
   and group_count_sum = ref 0.0
   and group_size_sum = ref 0.0 in
-  (* Per-node age of the current view composition, for lifetimes. *)
-  let view_age = Hashtbl.create 64 in
-  let lifetimes = ref [] in
-  let dmax = config.Config.dmax in
-  (* Î T attribution is per node: a node's transition is clean when its own
-     view keeps induced diameter <= Dmax in the new topology.  The protocol
-     reacts to a breach with up to 2*Dmax+2 computes of lag (mark
-     propagation, quarantine, the compute pipeline), so an eviction counts
-     against the theorem only when the evicting node's Î T held over that
-     whole horizon -- otherwise it is a reaction to its breach.  A global
-     classifier would be vacuous at scale: in a large network somebody is
-     always mid-merge. *)
+  (* ΠT attribution is per node: a node's transition is clean when its own
+     view keeps induced diameter <= Dmax in the new topology (the ledger's
+     [breached]).  The protocol reacts to a breach with up to 2*Dmax+2
+     computes of lag (mark propagation, quarantine, the compute pipeline),
+     so an eviction counts against the theorem only when the evicting
+     node's ΠT held over that whole horizon -- otherwise it is a reaction
+     to its breach.  A global classifier would be vacuous at scale: in a
+     large network somebody is always mid-merge. *)
   let horizon = (2 * dmax) + 2 in
   let clean_streak : (Node_id.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let member_pairs = ref 0 and stale_pairs = ref 0 in
   for _ = 1 to rounds do
-    let g0 = Rounds.graph t in
-    let c0 = snapshot t g0 in
     Mobility.step mob ~dt;
-    let g1 = Mobility.graph mob ~range in
-    Rounds.set_graph t g1;
-    let infos = Rounds.round ~jitter ~rng t in
-    (* Per-node Î T for this transition: old view, new graph. *)
-    let node_pt_ok v =
-      let old_view =
-        match Node_id.Map.find_opt v c0.Cfg.views with
-        | Some s -> s
-        | None -> Node_id.Set.singleton v
-      in
-      Dgs_graph.Paths.diameter_of_set g1 old_view <= dmax
+    let g = Mobility.graph mob ~range in
+    Rounds.set_graph t g;
+    ignore (Rounds.round ~jitter ~rng t);
+    let c = snapshot t g in
+    let step = Membership.observe ledger c in
+    List.iter
+      (fun v ->
+        Hashtbl.replace clean_streak v
+          (if Node_id.Set.mem v step.Membership.breached then 0
+           else 1 + Option.value ~default:horizon (Hashtbl.find_opt clean_streak v)))
+      (Cfg.nodes c);
+    if Node_id.Set.is_empty step.Membership.breached then incr pt_preserving
+    else incr pt_violating;
+    let clean v =
+      Option.value ~default:0 (Hashtbl.find_opt clean_streak v) >= horizon
     in
-    let all_clean = ref true in
-    List.iter
-      (fun v ->
-        if node_pt_ok v then
-          Hashtbl.replace clean_streak v
-            (1 + Option.value ~default:horizon (Hashtbl.find_opt clean_streak v))
-        else begin
-          all_clean := false;
-          Hashtbl.replace clean_streak v 0
-        end)
-      (Rounds.node_ids t);
-    if !all_clean then incr pt_preserving else incr pt_violating;
-    let streak_of v = Option.value ~default:0 (Hashtbl.find_opt clean_streak v) in
+    (* Theorem accounting is per pair: the eviction of u from v violates
+       ΠT => ΠC only when both sides' views stayed within Dmax over the
+       whole reaction horizon — an eviction propagated from the evictee's
+       own breach is a reaction to it. *)
     Node_id.Map.iter
-      (fun v i ->
-        let removed = Node_id.Set.cardinal i.Grp_node.view_removed in
-        let added = Node_id.Set.cardinal i.Grp_node.view_added in
-        evictions_total := !evictions_total + removed;
-        additions_total := !additions_total + added;
-        if removed > 0 then begin
-          (* Theorem accounting is per pair: the eviction of u from v
-             violates Î T => Î C only when both sides' views stayed within
-             Dmax over the whole reaction horizon — an eviction propagated
-             from the evictee's own breach is a reaction to it. *)
-          if streak_of v >= horizon then
-            Node_id.Set.iter
-              (fun u ->
-                if streak_of u >= horizon then incr evictions_under_pt)
-              i.Grp_node.view_removed;
-          (* Unjustified: the node's own Î T held on this very transition --
-             nothing forced the eviction. *)
-          if node_pt_ok v then
-            unjustified_evictions := !unjustified_evictions + removed
-        end)
-      infos;
-    (* View lifetimes: a change closes the node's current stretch. *)
-    List.iter
-      (fun v ->
-        let view = Grp_node.view (Rounds.node t v) in
-        match Hashtbl.find_opt view_age v with
-        | Some (prev, age) when Node_id.Set.equal prev view ->
-            Hashtbl.replace view_age v (prev, age + 1)
-        | Some (_, age) ->
-            lifetimes := float_of_int age :: !lifetimes;
-            Hashtbl.replace view_age v (view, 1)
-        | None -> Hashtbl.replace view_age v (view, 1))
-      (Rounds.node_ids t);
-    let c1 = snapshot t g1 in
-    let count, mean = group_stats c1 in
+      (fun v removed ->
+        if clean v then
+          Node_id.Set.iter (fun u -> if clean u then incr evictions_under_pt) removed)
+      step.Membership.evicted;
+    let count, mean = group_stats c in
     group_count_sum := !group_count_sum +. float_of_int count;
-    group_size_sum := !group_size_sum +. mean;
-    (* Stale membership: view members farther than Dmax in the current
-       topology — the freshness GRP's evictions buy. *)
-    List.iter
-      (fun v ->
-        Node_id.Set.iter
-          (fun u ->
-            if u <> v then begin
-              incr member_pairs;
-              if Dgs_graph.Paths.dist g1 v u > dmax then incr stale_pairs
-            end)
-          (Grp_node.view (Rounds.node t v)))
-      (Rounds.node_ids t)
+    group_size_sum := !group_size_sum +. mean
   done;
-  (* Close the open stretches so long-lived views are not dropped. *)
-  Hashtbl.iter (fun _ (_, age) -> lifetimes := float_of_int age :: !lifetimes) view_age;
   {
     steps = rounds;
     pt_preserving = !pt_preserving;
     pt_violating = !pt_violating;
     evictions_under_pt = !evictions_under_pt;
-    unjustified_evictions = !unjustified_evictions;
-    evictions_total = !evictions_total;
-    additions_total = !additions_total;
     mean_groups = !group_count_sum /. float_of_int (max 1 rounds);
     mean_group_size = !group_size_sum /. float_of_int (max 1 rounds);
-    group_lifetime = Stats.summarize !lifetimes;
-    stale_member_fraction =
-      (if !member_pairs = 0 then 0.0
-       else float_of_int !stale_pairs /. float_of_int !member_pairs);
+    churn = Membership.summary ledger;
   }
 
 let graph_snapshots ~seed ~spec ~n ~every ~rounds =

@@ -80,24 +80,17 @@ type mobility_run = {
   pt_violating : int;
   evictions_under_pt : int;
       (** view evictions while ΠT has held over the protocol's whole
-          reaction horizon (Dmax+2 rounds) — the best-effort theorem says
+          reaction horizon (2·Dmax+2 rounds) — the best-effort theorem says
           this must be 0; evictions during or shortly after a breach are
           reactions to it and attributed to the breach *)
-  unjustified_evictions : int;
-      (** evicted members still within Dmax of the evictor in the current
-          topology — the "groups split needlessly" events the paper's
-          continuity is designed to prevent *)
-  evictions_total : int;
-  additions_total : int;
   mean_groups : float;
   mean_group_size : float;
-  group_lifetime : Dgs_util.Stats.summary;
-      (** rounds a node's view composition persists between changes *)
-  stale_member_fraction : float;
-      (** fraction of (node, view member) pairs whose distance exceeds
-          Dmax in the current topology — the freshness GRP's evictions
-          buy; reclustering baselines accumulate staleness between their
-          periodic recomputations *)
+  churn : Dgs_spec.Membership.summary;
+      (** the run's {!Dgs_spec.Membership} ledger: evictions, additions,
+          view lifetimes, stale members, and unjustified evictions —
+          members dropped by a node whose view before the round still had
+          diameter ≤ Dmax in the round's graph, so nothing in the topology
+          forced them out *)
 }
 
 val run_mobility :

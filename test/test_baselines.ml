@@ -6,6 +6,8 @@ module Paths = Dgs_graph.Paths
 module Maxmin = Dgs_baselines.Maxmin
 module Lowest_id = Dgs_baselines.Lowest_id
 module Recluster = Dgs_baselines.Recluster
+module E6 = Dgs_workload.E6_baselines
+module Membership = Dgs_spec.Membership
 open Dgs_core
 
 let check = Alcotest.(check bool)
@@ -119,20 +121,26 @@ let test_cluster_views () =
   let views = Recluster.cluster (Recluster.Lowest_id 2) g in
   check_int "all nodes" 6 (Node_id.Map.cardinal views)
 
+(* Baselines replayed through E6's path into the membership ledger. *)
+let replay algo snapshots =
+  let configs = E6.reclustered algo ~period:1 snapshots in
+  E6.replay ~dmax:4 ~start:(List.hd configs) configs
+
 let test_replay_static_no_churn () =
   let g = Gen.grid 3 3 in
-  let churn = Recluster.replay (Recluster.Maxmin 2) [ g; g; g ] in
-  check_int "no reaffiliation on a static trace" 0 churn.Recluster.reaffiliations;
-  check_int "no eviction" 0 churn.Recluster.evictions;
-  check "node steps counted" true (churn.Recluster.steps = 18)
+  let m = replay (Recluster.Maxmin 2) [ g; g; g ] in
+  check_int "no eviction" 0 m.Membership.evictions;
+  check_int "no addition" 0 m.Membership.additions;
+  check_int "node rounds counted" 27 m.Membership.node_rounds
 
 let test_replay_detects_churn () =
   let g1 = Gen.line 6 in
   let g2 = Graph.copy g1 in
   Graph.remove_edge g2 2 3;
   Graph.add_edge g2 0 5;
-  let churn = Recluster.replay (Recluster.Lowest_id 2) [ g1; g2 ] in
-  check "some membership change" true (churn.Recluster.membership_changes > 0)
+  let m = replay (Recluster.Lowest_id 2) [ g1; g2 ] in
+  check "some membership change" true
+    (m.Membership.evictions + m.Membership.additions > 0)
 
 let test_algorithm_names () =
   check "maxmin name" true (Recluster.algorithm_name (Recluster.Maxmin 2) = "maxmin(d=2)");

@@ -3,6 +3,10 @@
 
 module Mobility = Dgs_mobility.Mobility
 module Harness = Dgs_workload.Harness
+module Membership = Dgs_spec.Membership
+module Configuration = Dgs_spec.Configuration
+module Trace = Dgs_trace.Trace
+module E6 = Dgs_workload.E6_baselines
 open Dgs_core
 
 let check = Alcotest.(check bool)
@@ -39,7 +43,7 @@ let test_static_no_evictions () =
      conservative ΠT classifier flags.) *)
   let r = run ~warmup:250 ~seed:1 (waypoint 0.0) in
   check_int "all steps \xCE\xA0T-ok" r.Harness.steps r.Harness.pt_preserving;
-  check_int "no evictions at all" 0 r.Harness.evictions_total
+  check_int "no evictions at all" 0 r.Harness.churn.Membership.evictions
 
 let test_theorem_waypoint () =
   (* Waypoint mobility in a box creates conflict hotspots where several
@@ -53,7 +57,7 @@ let test_theorem_waypoint () =
       let r = run ~seed (waypoint speed) in
       (* Allowance: up to 5% of all evictions (and never more than a
          handful) — the measured residual of concurrent-merge races. *)
-      let allowance = max 2 (r.Harness.evictions_total / 20) in
+      let allowance = max 2 (r.Harness.churn.Membership.evictions / 20) in
       ignore speed;
       check
         (Printf.sprintf "evictions under \xCE\xA0T bounded (waypoint v=%.2f seed=%d)"
@@ -76,7 +80,7 @@ let test_breaches_do_evict () =
      (the service is best-effort, not magic). *)
   let r = run ~seed:7 (waypoint 0.15) in
   check "\xCE\xA0T gets broken" true (r.Harness.pt_violating > 0);
-  check "evictions happen on breaches" true (r.Harness.evictions_total > 0)
+  check "evictions happen on breaches" true (r.Harness.churn.Membership.evictions > 0)
 
 let test_mobility_runs_form_groups () =
   let r = run ~seed:8 (highway 0.03) in
@@ -101,14 +105,57 @@ let test_quarantine_ablation_hurts () =
       (waypoint 0.05)
   in
   check "quarantine reduces unjustified evictions" true
-    (with_q.Harness.unjustified_evictions < without_q.Harness.unjustified_evictions)
+    (with_q.Harness.churn.Membership.unjustified_evictions
+    < without_q.Harness.churn.Membership.unjustified_evictions)
 
 let test_harness_accounting () =
   let r = run ~seed:10 ~rounds:60 (waypoint 0.05) in
   check_int "steps recorded" 60 r.Harness.steps;
   check_int "transition classes partition the steps" 60
     (r.Harness.pt_preserving + r.Harness.pt_violating);
-  check "lifetimes measured" true (r.Harness.group_lifetime.Dgs_util.Stats.count > 0)
+  check "lifetimes measured" true
+    (r.Harness.churn.Membership.lifetime.Dgs_util.Stats.count > 0)
+
+(* GRP's own per-round views, read back from the run's trace and laid
+   over the topology trace E6 replays the baselines on, go through E6's
+   replay path into the ledger: the result must be exactly what
+   [run_mobility] reported, so GRP and the baselines are scored by one
+   definition. *)
+let test_replay_matches_run_mobility () =
+  let config = Config.make ~dmax:3 () and seed = 13 and n = 15 in
+  let warmup = 30 and rounds = 60 and spec = waypoint 0.08 in
+  let changed = Hashtbl.create 256 in
+  let trace =
+    Trace.make (fun ~time -> function
+      | Trace.View_changed { node; view; _ } ->
+          Hashtbl.add changed (int_of_float time) (node, Node_id.set_of_list view)
+      | _ -> ())
+  in
+  let r = Harness.run_mobility ~warmup ~trace ~config ~seed ~spec ~n ~rounds () in
+  let views = ref Node_id.Map.empty in
+  let replay_round k =
+    List.iter (fun (v, view) -> views := Node_id.Map.add v view !views)
+      (Hashtbl.find_all changed k)
+  in
+  for k = 1 to warmup do replay_round k done;
+  let configs =
+    List.mapi
+      (fun k graph ->
+        if k > 0 then replay_round (warmup + k);
+        Configuration.make ~graph ~views:!views)
+      (Harness.graph_snapshots ~seed ~spec ~n ~every:1 ~rounds)
+  in
+  let m = E6.replay ~dmax:3 ~start:(List.hd configs) (List.tl configs) in
+  let c = r.Harness.churn in
+  check "GRP evicted, some of it unjustified" true
+    (c.Membership.evictions > 0 && c.Membership.unjustified_evictions > 0);
+  check_int "evictions" c.Membership.evictions m.Membership.evictions;
+  check_int "unjustified" c.Membership.unjustified_evictions
+    m.Membership.unjustified_evictions;
+  check_int "node rounds" c.Membership.node_rounds m.Membership.node_rounds;
+  check "lifetime summary" true (c.Membership.lifetime = m.Membership.lifetime);
+  Alcotest.(check (float 0.0)) "stale fraction" c.Membership.stale_member_fraction
+    m.Membership.stale_member_fraction
 
 let test_graph_snapshots_deterministic () =
   let s1 = Harness.graph_snapshots ~seed:11 ~spec:(waypoint 0.05) ~n:10 ~every:5 ~rounds:20 in
@@ -131,6 +178,7 @@ let suite =
     ("groups form under mobility", `Quick, test_mobility_runs_form_groups);
     ("quarantine ablation hurts", `Slow, test_quarantine_ablation_hurts);
     ("harness accounting", `Quick, test_harness_accounting);
+    ("E6 replay of GRP's views = run_mobility", `Quick, test_replay_matches_run_mobility);
     ("graph snapshots deterministic", `Quick, test_graph_snapshots_deterministic);
     ("rgg helper", `Quick, test_rgg_helper);
   ]

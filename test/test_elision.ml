@@ -159,7 +159,7 @@ let compare_nodes p =
       Hashtbl.replace p.last_msg v m)
     (p.on.ids ())
 
-(* One round on both sims; returns whether no view moved. *)
+(* One round on both sims. *)
 let step p =
   p.round <- p.round + 1;
   let a = p.on.step () and b = p.off.step () in
@@ -173,17 +173,24 @@ let step p =
       | _ -> ());
       Hashtbl.replace p.last_step v i)
     a;
-  compare_nodes p;
-  Node_id.Map.for_all
-    (fun _ (i : Grp_node.step_info) ->
-      Node_id.Set.is_empty i.view_added && Node_id.Set.is_empty i.view_removed)
-    a
+  compare_nodes p
 
-let rec run_quiet p ~quiet ~budget =
-  if quiet < 10 && budget > 0 then
-    run_quiet p ~quiet:(if step p then quiet + 1 else 0) ~budget:(budget - 1)
+(* Rounds until the network has settled by the runners' rule
+   ([Grp_node.quiet_rounds] rounds of unchanged state), within [budget]. *)
+let run_quiet p ~config ~budget =
+  let states () = List.map (fun v -> Grp_node.state (p.on.node v)) (p.on.ids ()) in
+  let rec go before ~quiet ~budget =
+    if quiet < Grp_node.quiet_rounds config && budget > 0 then begin
+      step p;
+      let now = states () in
+      go now
+        ~quiet:(if List.equal Grp_node.same_state before now then quiet + 1 else 0)
+        ~budget:(budget - 1)
+    end
+  in
+  go (states ()) ~quiet:0 ~budget
 
-let run p k = for _ = 1 to k do ignore (step p) done
+let run p k = for _ = 1 to k do step p done
 
 (* Each of the five fault hooks, with the same drawn arguments on both
    sides, on a node of the (by now quiet) network. *)
@@ -242,16 +249,16 @@ let run_case ?(must_elide = true) (scenario, n, seed, dmax, cooldown) =
   (match scenario with
   | 0 ->
       (* (a) stabilize, then every fault hook on a quiet node *)
-      run_quiet p ~quiet:0 ~budget:300;
+      run_quiet p ~config ~budget:300;
       for hook = 0 to 4 do
         corrupt p rng hook;
-        ignore (step p)
+        step p
       done;
       run p 60
   | 1 -> (* (b) lossy, corrupting, double-send rounds *) run p 60
   | 2 ->
       (* (c) stabilize, then lose one edge *)
-      run_quiet p ~quiet:0 ~budget:300;
+      run_quiet p ~config ~budget:300;
       let edges = Array.of_list (Graph.edges g) in
       let u, w = edges.(Rng.int rng (Array.length edges)) in
       let g' = Graph.copy g in
@@ -274,7 +281,7 @@ let run_case ?(must_elide = true) (scenario, n, seed, dmax, cooldown) =
       p.off.set_graph (Graph.copy g');
       (* until quiet, within 300 rounds: some draws are still converging
          30 rounds after the cut, with nothing yet to elide *)
-      run_quiet p ~quiet:0 ~budget:300);
+      run_quiet p ~config ~budget:300);
   if non_timer (p.on.snapshot ()) <> non_timer (p.off.snapshot ()) then
     fail "merged counters differ";
   if p.msg_reused = 0 then fail "no make_message was reused across rounds";

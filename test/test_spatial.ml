@@ -19,23 +19,23 @@ let test_create_validates_cell () =
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
-let test_insert_query_remove () =
+let ids_within g p ~range =
+  let ids = ref [] in
+  Grid.iter_within g p ~range (fun id _ -> ids := id :: !ids);
+  List.sort compare !ids
+
+let test_insert_query () =
   let g = Grid.create ~cell:1.0 () in
-  check_int "empty" 0 (Grid.size g);
+  Alcotest.(check (list int)) "empty" [] (ids_within g Geom.origin ~range:10.0);
   Grid.insert g 7 (Geom.make 0.5 0.5);
   Grid.insert g 8 (Geom.make (-3.2) 4.1);
-  check "mem" true (Grid.mem g 7);
-  check "position" true (Grid.position g 8 = Some (Geom.make (-3.2) 4.1));
-  check_int "size" 2 (Grid.size g);
+  Alcotest.(check (list int)) "both stored" [ 7; 8 ]
+    (ids_within g Geom.origin ~range:10.0);
+  Alcotest.(check (list int)) "each at its position" [ 8 ]
+    (ids_within g (Geom.make (-3.2) 4.1) ~range:0.0);
   Alcotest.check_raises "duplicate insert"
-    (Invalid_argument "Spatial_grid.insert: id already present (use move)")
-    (fun () -> Grid.insert g 7 Geom.origin);
-  Grid.remove g 7;
-  check "gone" false (Grid.mem g 7);
-  Grid.remove g 7 (* no-op *)
-
-let ids_within g p ~range =
-  List.sort compare (Grid.fold_within g p ~range (fun id _ acc -> id :: acc) [])
+    (Invalid_argument "Spatial_grid.insert: id already present")
+    (fun () -> Grid.insert g 7 Geom.origin)
 
 let test_query_inclusive_boundary () =
   let g = Grid.create ~cell:1.0 () in
@@ -46,22 +46,6 @@ let test_query_inclusive_boundary () =
   Alcotest.(check (list int))
     "<= range, not <" [ 0; 1 ]
     (ids_within g Geom.origin ~range:1.0)
-
-let test_move_across_cells () =
-  let g = Grid.create ~cell:1.0 () in
-  Grid.insert g 0 (Geom.make 0.5 0.5);
-  Grid.move g 0 (Geom.make 5.5 5.5);
-  Alcotest.(check (list int)) "not at old cell" []
-    (ids_within g (Geom.make 0.5 0.5) ~range:1.0);
-  Alcotest.(check (list int)) "at new cell" [ 0 ]
-    (ids_within g (Geom.make 5.5 5.5) ~range:1.0);
-  (* move of an absent id inserts *)
-  Grid.move g 1 (Geom.make 5.0 5.0);
-  check_int "blind move inserts" 2 (Grid.size g);
-  (* same-cell move keeps the point findable *)
-  Grid.move g 0 (Geom.make 5.6 5.6);
-  Alcotest.(check (list int)) "same-cell move" [ 0; 1 ]
-    (ids_within g (Geom.make 5.5 5.5) ~range:1.0)
 
 let test_negative_coordinates () =
   let g = Grid.create ~cell:1.0 () in
@@ -81,15 +65,6 @@ let test_wide_query_falls_back_to_scan () =
   Grid.insert g 2 (Geom.make 100.0 100.0);
   Alcotest.(check (list int)) "wide query" [ 0; 1 ]
     (ids_within g Geom.origin ~range:5.0)
-
-let test_stats () =
-  let g = Grid.create ~cell:1.0 () in
-  Grid.insert g 0 (Geom.make 0.1 0.1);
-  Grid.insert g 1 (Geom.make 0.2 0.2);
-  Grid.insert g 2 (Geom.make 9.0 9.0);
-  let cells, max_bucket = Grid.stats g in
-  check_int "occupied cells" 2 cells;
-  check_int "max bucket" 2 max_bucket
 
 (* --- of_positions: grid vs naive reference --- *)
 
@@ -163,12 +138,10 @@ let prop_grid_equals_naive_uniform =
 let suite =
   [
     ("create validates cell", `Quick, test_create_validates_cell);
-    ("insert / query / remove", `Quick, test_insert_query_remove);
+    ("insert / query", `Quick, test_insert_query);
     ("query boundary is inclusive", `Quick, test_query_inclusive_boundary);
-    ("move across cells", `Quick, test_move_across_cells);
     ("negative coordinates", `Quick, test_negative_coordinates);
     ("wide query falls back to scan", `Quick, test_wide_query_falls_back_to_scan);
-    ("occupancy stats", `Quick, test_stats);
     ("of_positions edge cases", `Quick, test_of_positions_edge_cases);
   ]
   @ List.map QCheck_alcotest.to_alcotest

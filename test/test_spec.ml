@@ -5,6 +5,7 @@ module Graph = Dgs_graph.Graph
 module Gen = Dgs_graph.Gen
 module Cfg = Dgs_spec.Configuration
 module P = Dgs_spec.Predicates
+module Membership = Dgs_spec.Membership
 open Dgs_core
 
 let check = Alcotest.(check bool)
@@ -125,6 +126,55 @@ let test_monitor_excuses () =
   check "pt breach" false (P.topology_preserved ~dmax:1 pair split = None);
   check "breach excused" true (P.best_effort ~dmax:1 pair split = None)
 
+(* --- the membership ledger --- *)
+
+(* On the path 0-1-2-3 at Dmax 2, node 0 drops its whole view
+   {0,1,2,3}: members 1 and 2 are still within two hops, but the old
+   view has diameter 3 in the current graph, so its ΠT failed and the
+   eviction is justified.  Node 1 drops 2 from {1,2}, whose diameter is
+   1: nothing forced it. *)
+let test_membership_unjustified_rule () =
+  let g = Gen.line 4 in
+  let ledger =
+    Membership.create ~dmax:2
+      (cfg g [ (0, [ 0; 1; 2; 3 ]); (1, [ 1; 2 ]); (2, [ 2 ]); (3, [ 3 ]) ])
+  in
+  let step =
+    Membership.observe ledger (cfg g [ (0, [ 0 ]); (1, [ 1 ]); (2, [ 2 ]); (3, [ 3 ]) ])
+  in
+  Alcotest.check ids "per-node \xCE\xA0T breach" (Node_id.Set.singleton 0)
+    step.Membership.breached;
+  Alcotest.(check (list (pair int (list int))))
+    "evictors and their evictions"
+    [ (0, [ 1; 2; 3 ]); (1, [ 2 ]) ]
+    (List.map
+       (fun (v, s) -> (v, Node_id.Set.elements s))
+       (Node_id.Map.bindings step.Membership.evicted));
+  let m = Membership.summary ledger in
+  check_int "evictions" 4 m.Membership.evictions;
+  check_int "additions" 0 m.Membership.additions;
+  check_int "only node 1's eviction is unjustified" 1 m.Membership.unjustified_evictions;
+  check_int "node rounds" 4 m.Membership.node_rounds
+
+(* Lifetimes count rounds per unchanged view, the open stretches
+   included; a member farther than Dmax is stale. *)
+let test_membership_lifetime_and_stale () =
+  let g = Gen.line 4 in
+  let apart = cfg g [ (0, [ 0; 3 ]); (3, [ 0; 3 ]) ] in
+  let ledger = Membership.create ~dmax:2 (cfg g []) in
+  List.iter
+    (fun c -> ignore (Membership.observe ledger c))
+    [ apart; apart; cfg g [] ];
+  let m = Membership.summary ledger in
+  check_int "additions" 2 m.Membership.additions;
+  check_int "evictions" 2 m.Membership.evictions;
+  (* nodes 0 and 3: a 2-round stretch, then a 1-round one; 1 and 2: 3 *)
+  Alcotest.(check (float 1e-9)) "mean lifetime" 2.0
+    m.Membership.lifetime.Dgs_util.Stats.mean;
+  check_int "stretches" 6 m.Membership.lifetime.Dgs_util.Stats.count;
+  Alcotest.(check (float 1e-9)) "every shared pair is stale" 1.0
+    m.Membership.stale_member_fraction
+
 let suite =
   [
     ("omega under agreement", `Quick, test_omega_agreement);
@@ -140,5 +190,8 @@ let suite =
     ("continuity", `Quick, test_continuity);
     ("best effort", `Quick, test_best_effort);
     ("violation reporting", `Quick, test_violation_report);
+    ("membership: unjustified means the old view kept \xCE\xA0T", `Quick,
+      test_membership_unjustified_rule);
+    ("membership: lifetimes and stale members", `Quick, test_membership_lifetime_and_stale);
     ("monitor excuses via \xC3\x8E\xC2\xA0T", `Quick, test_monitor_excuses);
   ]

@@ -9,6 +9,7 @@ module Engine = Dgs_sim.Engine
 module Net = Dgs_sim.Net
 module Rounds = Dgs_sim.Rounds
 module Monitor = Dgs_spec.Monitor
+module Postmortem = Dgs_trace.Postmortem
 module Harness = Dgs_workload.Harness
 module Gen = Dgs_graph.Gen
 module Rng = Dgs_util.Rng
@@ -270,16 +271,16 @@ let test_trace_counts_match_net () =
 (* --- E1: the View_changed stream pins down convergence --- *)
 
 let test_e1_view_changed_sequence () =
-  let tally = Monitor.view_tally () in
+  let tally = Postmortem.view_tally () in
   let t =
     Rounds.create
       ~config:(Config.make ~dmax:3 ())
-      ~trace:(Monitor.view_tally_sink tally) (Gen.grid 3 3)
+      ~trace:(Postmortem.view_tally_sink tally) (Gen.grid 3 3)
   in
   (match Rounds.run_until_stable ~jitter:0.1 ~rng:(Rng.create 42) t with
   | Some _ -> ()
   | None -> Alcotest.fail "E1 grid did not converge");
-  let stab = Monitor.view_stabilization tally in
+  let stab = Postmortem.view_stabilization tally in
   Alcotest.(check (list int))
     "every node changed views at least once" (Rounds.node_ids t)
     (List.map (fun (node, _, _, _) -> node) stab);
@@ -294,8 +295,8 @@ let test_e1_view_changed_sequence () =
    past the 65,536-entry ring the CLI once summarized, over 7 nodes.
    Event [k] belongs to node [k mod 7] at time [k], with view [node; k]. *)
 let test_view_tally_long_stream () =
-  let tally = Monitor.view_tally () in
-  let sink = Monitor.view_tally_sink tally in
+  let tally = Postmortem.view_tally () in
+  let sink = Postmortem.view_tally_sink tally in
   let nodes = 7 and events = 70_000 in
   for k = 0 to events - 1 do
     let node = k mod nodes in
@@ -309,7 +310,7 @@ let test_view_tally_long_stream () =
         let last = events - nodes + node in
         (node, float_of_int last, [ node; last ], events / nodes))
   in
-  let stab = Monitor.view_stabilization tally in
+  let stab = Postmortem.view_stabilization tally in
   check_int "nodes" nodes (List.length stab);
   check_int "changes" events (List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 stab);
   check "per-node count, last time and final view" true (stab = expected)
