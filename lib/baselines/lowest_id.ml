@@ -9,24 +9,24 @@ type result = {
 
 let run ~k g =
   if k < 1 then invalid_arg "Lowest_id.run: k must be >= 1";
-  let assigned = Hashtbl.create 64 in
+  let assigned = Node_id.Tbl.create 64 in
   let head = ref Node_id.Map.empty in
   let clusters = ref Node_id.Map.empty in
   List.iter
     (fun v ->
-      if not (Hashtbl.mem assigned v) then begin
+      if not (Node_id.Tbl.mem assigned v) then begin
         (* v is the smallest unassigned id: it heads a new cluster. *)
         let dist = Paths.bfs g v in
         let members =
-          Hashtbl.fold
+          Node_id.Tbl.fold
             (fun u d acc ->
-              if d <= k && not (Hashtbl.mem assigned u) then Node_id.Set.add u acc
+              if d <= k && not (Node_id.Tbl.mem assigned u) then Node_id.Set.add u acc
               else acc)
             dist Node_id.Set.empty
         in
         Node_id.Set.iter
           (fun u ->
-            Hashtbl.replace assigned u ();
+            Node_id.Tbl.replace assigned u ();
             head := Node_id.Map.add u v !head)
           members;
         clusters := Node_id.Map.add v members !clusters

@@ -63,28 +63,34 @@ let metrics_of reg =
     m_message_ns = Registry.timer reg Names.grp_compute_message_ns;
   }
 
+(* A disabled registry hands out the same inert handles for every name,
+   so the nodes created on it share one record. *)
+let null_metrics = metrics_of Registry.null
+
 type t = {
   id : Node_id.t;
   config : Config.t;
   trace : Trace.t;
   metrics : metrics;
   mutable antlist : Antlist.t;
-  (* Raw arrival buffer: messages land here in order, duplicates and all,
-     at zero allocation per copy (amortized — the array doubles).  At the
-     top of [compute] the buffer is folded into [msg_set], keeping the
-     last message per sender — exactly the map the old per-receive
-     [Map.add] built, at a fraction of the per-message cost. *)
+  (* Raw arrival buffer: messages land in [inbox.(0 .. inbox_n - 1)] in
+     order, duplicates and all, at zero allocation per copy (amortized —
+     the array doubles).  At the top of [compute] the buffer is folded
+     into [msg_set], keeping the last message per sender — exactly the
+     map the old per-receive [Map.add] built, at a fraction of the
+     per-message cost.  Every other slot holds [no_msg], so the buffer
+     keeps alive only the messages no compute has read yet. *)
   mutable inbox : Message.t array;
   mutable inbox_n : int;
-  (* Provenance lineage of each inbox entry, parallel to [inbox]. Written
-     unconditionally (an int store is free and keeps [receive] branch-
-     free); only ever read under an enabled trace sink. *)
+  (* Provenance lineage of each inbox entry, parallel to [inbox].
+     Allocated and written only under an enabled trace sink (the sink of
+     a node never changes), where it is the only reader; untraced, it
+     stays the empty array. *)
   mutable inbox_lid : int array;
   mutable msg_set : Message.t Node_id.Map.t;
   (* sender -> lineage of the message [ingest] kept from it this compute.
-     Reset and filled only under an enabled trace sink; an untraced run
-     never touches it. *)
-  msg_lid : (Node_id.t, int) Hashtbl.t;
+     Rebuilt only under an enabled trace sink; untraced, it stays empty. *)
+  mutable msg_lid : int Node_id.Map.t;
   mutable quarantine : int Node_id.Map.t;
   mutable view : Node_id.Set.t;
   (* The priority table: node ids, strictly increasing, and their known
@@ -136,13 +142,13 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     id;
     config;
     trace;
-    metrics = metrics_of metrics;
+    metrics = (if Registry.enabled metrics then metrics_of metrics else null_metrics);
     antlist;
     inbox = [||];
     inbox_n = 0;
     inbox_lid = [||];
     msg_set = Node_id.Map.empty;
-    msg_lid = Hashtbl.create 16;
+    msg_lid = Node_id.Map.empty;
     quarantine = Node_id.Map.singleton id 0;
     view;
     prio_ids;
@@ -221,25 +227,30 @@ let group_priority t =
   done;
   !best
 
+(* What an inbox slot or a scratch message slot holds when it holds no
+   message: a shared constant, so an unused slot keeps nothing alive. *)
+let no_msg =
+  Message.make ~sender:(-1) ~antlist:Antlist.empty ~priority_ids:[||] ~priorities:[||]
+    ~group_priority:Priority.lowest ~view:Node_id.Set.empty
+
 (* [lid] is a required labelled int on purpose: an optional argument
    would box a [Some] per call and break the zero-alloc receive pin. *)
 let receive_lid t ~lid msg =
   if not (Node_id.equal msg.Message.sender t.id) then begin
-    let cap = Array.length t.inbox in
+    let cap = Array.length t.inbox and tracing = Trace.enabled t.trace in
     if t.inbox_n = cap then begin
       let ncap = if cap = 0 then 8 else 2 * cap in
-      if cap = 0 then t.inbox <- Array.make ncap msg
-      else begin
-        let a = Array.make ncap msg in
-        Array.blit t.inbox 0 a 0 cap;
-        t.inbox <- a
-      end;
-      let l = Array.make ncap (-1) in
-      Array.blit t.inbox_lid 0 l 0 cap;
-      t.inbox_lid <- l
+      let a = Array.make ncap no_msg in
+      Array.blit t.inbox 0 a 0 cap;
+      t.inbox <- a;
+      if tracing then begin
+        let l = Array.make ncap (-1) in
+        Array.blit t.inbox_lid 0 l 0 cap;
+        t.inbox_lid <- l
+      end
     end;
     t.inbox.(t.inbox_n) <- msg;
-    t.inbox_lid.(t.inbox_n) <- lid;
+    if tracing then t.inbox_lid.(t.inbox_n) <- lid;
     t.inbox_n <- t.inbox_n + 1
   end
 
@@ -249,15 +260,15 @@ let receive t msg = receive_lid t ~lid:(-1) msg
    winning (the one-message channel).  Scanning from the newest end and
    keeping the first occurrence of each sender builds exactly the map the
    old incremental [Map.add]-per-receive produced, so everything
-   downstream — including iteration order — is unchanged.  Entries are
-   left in the buffer (overwritten by the next round's arrivals); only
-   the length is reset.  Returns whether the new [msg_set] (built on the
-   empty one) maps the fixpoint's senders to physically its messages. *)
+   downstream — including iteration order — is unchanged.  The read
+   slots are then reset to [no_msg], so the buffer keeps no consumed
+   message alive.  Returns whether the new [msg_set] (built on the empty
+   one) maps the fixpoint's senders to physically its messages. *)
 let ingest t =
   let tracing = Trace.enabled t.trace in
-  if tracing then Hashtbl.reset t.msg_lid;
   let prev = match t.fixpoint with Some (p, _) -> p | None -> Node_id.Map.empty in
   let m = ref t.msg_set and same = ref (Option.is_some t.fixpoint) and kept = ref 0 in
+  let lids = ref Node_id.Map.empty in
   for i = t.inbox_n - 1 downto 0 do
     let msg = t.inbox.(i) in
     if not (Node_id.Map.mem msg.Message.sender !m) then begin
@@ -265,17 +276,19 @@ let ingest t =
       incr kept;
       if !same then
         same := (try Node_id.Map.find msg.Message.sender prev == msg with Not_found -> false);
-      if tracing then Hashtbl.replace t.msg_lid msg.Message.sender t.inbox_lid.(i)
+      if tracing then lids := Node_id.Map.add msg.Message.sender t.inbox_lid.(i) !lids
     end
   done;
   t.msg_set <- !m;
+  if tracing then t.msg_lid <- !lids;
+  Array.fill t.inbox 0 t.inbox_n no_msg;
   t.inbox_n <- 0;
   !same && !kept = Node_id.Map.cardinal prev
 
 (* Lineage of the message [ingest] kept from [sender] this compute; -1
    when it sent nothing (or tracing is off).  Trace-branch only. *)
 let lid_of_sender t sender =
-  match Hashtbl.find_opt t.msg_lid sender with Some l -> l | None -> -1
+  match Node_id.Map.find_opt sender t.msg_lid with Some l -> l | None -> -1
 
 (* Per-domain scratch of the full compute path.  A domain runs one
    compute at a time and nothing here outlives it, so the buffers are
@@ -304,10 +317,6 @@ type scratch = {
   mutable heads : int array;
   mutable ints : int array;
 }
-
-let no_msg =
-  Message.make ~sender:(-1) ~antlist:Antlist.empty ~priority_ids:[||] ~priorities:[||]
-    ~group_priority:Priority.lowest ~view:Node_id.Set.empty
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
@@ -1401,7 +1410,7 @@ let compute t =
         let c = pick added in
         let c = if c >= 0 then c else pick removed in
         if c >= 0 then c
-        else Hashtbl.fold (fun _ l acc -> max acc l) t.msg_lid (-1)
+        else Node_id.Map.fold (fun _ l acc -> max acc l) t.msg_lid (-1)
       in
       Trace.emit t.trace
         (Trace.View_changed

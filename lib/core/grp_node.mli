@@ -100,17 +100,18 @@ val receive : t -> Message.t -> unit
 (** Buffer the message for the next {!compute}; among several messages
     from one sender the last received wins (the one-message channel,
     [msgSet] of the paper).  Appends to a reusable flat buffer —
-    allocation-free once the buffer has grown to the node's degree.
+    allocation-free once the buffer has grown to the node's degree.  The
+    buffer holds a message only until the compute that reads it.
     Equivalent to {!receive_lid} with [lid = -1]. *)
 
 val receive_lid : t -> lid:int -> Message.t -> unit
 (** {!receive} with the copy's provenance lineage id (from
-    {!Dgs_sim.Net}; [-1] when tracing is off).  The id lands in an int
-    array parallel to the inbox, so threading it is allocation-free; it
-    is only ever read under an enabled trace sink, where it becomes the
-    [cause] of the decision events this message flips.  [lid] is a
-    required labelled argument — an optional one would box a [Some] per
-    delivery. *)
+    {!Dgs_sim.Net}; [-1] when tracing is off).  Under an enabled trace
+    sink the id lands in an int array parallel to the inbox, where it
+    becomes the [cause] of the decision events this message flips; on a
+    null sink it is dropped, and that array is never allocated.  Either
+    way threading it is allocation-free.  [lid] is a required labelled
+    argument — an optional one would box a [Some] per delivery. *)
 
 val compute : t -> step_info
 (** Procedure [compute()] of the paper: check incoming lists (goodList,

@@ -7,12 +7,7 @@ let pp = Format.pp_print_int
 module Set = Dgs_util.Int_set
 module Map = Map.Make (Int)
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = Int.equal
-  let hash v = v land max_int
-end)
+module Tbl = Dgs_util.Int_tbl
 
 let set_of_list l = Set.of_list l
 

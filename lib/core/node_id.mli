@@ -12,9 +12,8 @@ val pp : Format.formatter -> t -> unit
 module Set = Dgs_util.Int_set
 module Map : Map.S with type key = t
 
-module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by id, hashing an id to itself: a lookup is a
-    mask and a bucket walk, with no call into the polymorphic hash. *)
+module Tbl = Dgs_util.Int_tbl
+(** Hash tables keyed by id, hashing an id to itself. *)
 
 val set_of_list : t list -> Set.t
 val pp_set : Format.formatter -> Set.t -> unit

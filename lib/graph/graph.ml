@@ -1,35 +1,36 @@
 module Int_set = Dgs_util.Int_set
+module Tbl = Dgs_util.Int_tbl
 
-type t = (int, Int_set.t) Hashtbl.t
+type t = Int_set.t Tbl.t
 
-let create () : t = Hashtbl.create 64
-let copy = Hashtbl.copy
-let mem_node t v = Hashtbl.mem t v
-let add_node t v = if not (mem_node t v) then Hashtbl.replace t v Int_set.empty
-let neighbors t v = match Hashtbl.find_opt t v with None -> Int_set.empty | Some s -> s
+let create () : t = Tbl.create 64
+let copy = Tbl.copy
+let mem_node t v = Tbl.mem t v
+let add_node t v = if not (mem_node t v) then Tbl.replace t v Int_set.empty
+let neighbors t v = match Tbl.find_opt t v with None -> Int_set.empty | Some s -> s
 
 let remove_node t v =
   if mem_node t v then (
-    Int_set.iter (fun u -> Hashtbl.replace t u (Int_set.remove v (neighbors t u))) (neighbors t v);
-    Hashtbl.remove t v)
+    Int_set.iter (fun u -> Tbl.replace t u (Int_set.remove v (neighbors t u))) (neighbors t v);
+    Tbl.remove t v)
 
 let add_edge t u v =
   if u = v then invalid_arg "Graph.add_edge: self-loop";
   add_node t u;
   add_node t v;
-  Hashtbl.replace t u (Int_set.add v (neighbors t u));
-  Hashtbl.replace t v (Int_set.add u (neighbors t v))
+  Tbl.replace t u (Int_set.add v (neighbors t u));
+  Tbl.replace t v (Int_set.add u (neighbors t v))
 
 let remove_edge t u v =
-  if mem_node t u then Hashtbl.replace t u (Int_set.remove v (neighbors t u));
-  if mem_node t v then Hashtbl.replace t v (Int_set.remove u (neighbors t v))
+  if mem_node t u then Tbl.replace t u (Int_set.remove v (neighbors t u));
+  if mem_node t v then Tbl.replace t v (Int_set.remove u (neighbors t v))
 
 let mem_edge t u v = Int_set.mem v (neighbors t u)
-let nodes t = Hashtbl.fold (fun v _ acc -> v :: acc) t [] |> List.sort compare
-let node_count t = Hashtbl.length t
+let nodes t = Tbl.fold (fun v _ acc -> v :: acc) t [] |> List.sort compare
+let node_count t = Tbl.length t
 
 let edges t =
-  Hashtbl.fold
+  Tbl.fold
     (fun u s acc -> Int_set.fold (fun v acc -> if u < v then (u, v) :: acc else acc) s acc)
     t []
   |> List.sort compare

@@ -1,17 +1,19 @@
+module Tbl = Dgs_util.Int_tbl
+
 let infinity = max_int / 4
 
 let bfs g src =
-  let dist = Hashtbl.create 64 in
+  let dist = Tbl.create 64 in
   if Graph.mem_node g src then (
-    Hashtbl.replace dist src 0;
+    Tbl.replace dist src 0;
     let q = Queue.create () in
     Queue.add src q;
     while not (Queue.is_empty q) do
       let v = Queue.pop q in
-      let dv = Hashtbl.find dist v in
+      let dv = Tbl.find dist v in
       Graph.iter_neighbors g v (fun u ->
-          if not (Hashtbl.mem dist u) then (
-            Hashtbl.replace dist u (dv + 1);
+          if not (Tbl.mem dist u) then (
+            Tbl.replace dist u (dv + 1);
             Queue.add u q))
     done);
   dist
@@ -20,7 +22,7 @@ let dist g u v =
   if u = v && Graph.mem_node g u then 0
   else
     let d = bfs g u in
-    match Hashtbl.find_opt d v with None -> infinity | Some k -> k
+    match Tbl.find_opt d v with None -> infinity | Some k -> k
 
 let dist_within g set u v =
   if (not (Graph.Int_set.mem u set)) || not (Graph.Int_set.mem v set) then infinity
@@ -28,20 +30,20 @@ let dist_within g set u v =
 
 let eccentricity g v =
   let d = bfs g v in
-  Hashtbl.fold (fun _ k acc -> max k acc) d 0
+  Tbl.fold (fun _ k acc -> max k acc) d 0
 
 let component_of g src =
   let d = bfs g src in
-  Hashtbl.fold (fun v _ acc -> Graph.Int_set.add v acc) d Graph.Int_set.empty
+  Tbl.fold (fun v _ acc -> Graph.Int_set.add v acc) d Graph.Int_set.empty
 
 let components g =
-  let seen = Hashtbl.create 64 in
+  let seen = Tbl.create 64 in
   let comps =
     Graph.fold_nodes g ~init:[] ~f:(fun acc v ->
-        if Hashtbl.mem seen v then acc
+        if Tbl.mem seen v then acc
         else
           let c = component_of g v in
-          Graph.Int_set.iter (fun u -> Hashtbl.replace seen u ()) c;
+          Graph.Int_set.iter (fun u -> Tbl.replace seen u ()) c;
           c :: acc)
   in
   List.sort (fun a b -> compare (Graph.Int_set.min_elt a) (Graph.Int_set.min_elt b)) comps
@@ -63,24 +65,24 @@ let diameter_of_set g set = diameter (Graph.induced g set)
 let shortest_path g src dst =
   if not (Graph.mem_node g src && Graph.mem_node g dst) then None
   else
-    let parent = Hashtbl.create 64 in
-    let seen = Hashtbl.create 64 in
-    Hashtbl.replace seen src ();
+    let parent = Tbl.create 64 in
+    let seen = Tbl.create 64 in
+    Tbl.replace seen src ();
     let q = Queue.create () in
     Queue.add src q;
     let found = ref (src = dst) in
     while (not !found) && not (Queue.is_empty q) do
       let v = Queue.pop q in
       Graph.iter_neighbors g v (fun u ->
-          if not (Hashtbl.mem seen u) then (
-            Hashtbl.replace seen u ();
-            Hashtbl.replace parent u v;
+          if not (Tbl.mem seen u) then (
+            Tbl.replace seen u ();
+            Tbl.replace parent u v;
             if u = dst then found := true;
             Queue.add u q))
     done;
     if not !found then None
     else
       let rec build v acc =
-        if v = src then v :: acc else build (Hashtbl.find parent v) (v :: acc)
+        if v = src then v :: acc else build (Tbl.find parent v) (v :: acc)
       in
       Some (build dst [])

@@ -6,7 +6,7 @@
 val infinity : int
 (** Sentinel distance, larger than any path length (max_int / 4). *)
 
-val bfs : Graph.t -> int -> (int, int) Hashtbl.t
+val bfs : Graph.t -> int -> int Dgs_util.Int_tbl.t
 (** [bfs g src] maps every reachable node to its hop distance from [src].
     Unreachable nodes are absent. *)
 

@@ -32,8 +32,8 @@ type t = {
   trace : Trace.t;
   metrics : Registry.t;
   topology : unit -> Graph.t;
-  nodes : (Node_id.t, Grp_node.t) Hashtbl.t;
-  active : (Node_id.t, unit) Hashtbl.t;
+  nodes : Grp_node.t Node_id.Tbl.t;
+  active : unit Node_id.Tbl.t;
   (* Liveness generation of each installed node's timers.  A timer callback
      captures the generation current when it was scheduled and dies silently
      when the node's generation has moved on — deactivation and removal bump
@@ -41,7 +41,7 @@ type t = {
      forever (the pre-fix leak: a deactivated node kept burning two engine
      events per period indefinitely).  Generations are globally unique so a
      remove/add cycle can never resurrect an old timer. *)
-  gens : (Node_id.t, int) Hashtbl.t;
+  gens : int Node_id.Tbl.t;
   mutable next_gen : int;
   (* Per-source broadcast counters backing lineage-id minting.  Touched
      only in the trace-enabled branch of [broadcast]: an untraced run
@@ -66,9 +66,9 @@ type t = {
 }
 
 let engine t = t.engine
-let node t v = Hashtbl.find t.nodes v
-let node_ids t = Hashtbl.fold (fun v _ acc -> v :: acc) t.nodes [] |> List.sort compare
-let is_active t v = Hashtbl.mem t.active v
+let node t v = Node_id.Tbl.find t.nodes v
+let node_ids t = Node_id.Tbl.fold (fun v _ acc -> v :: acc) t.nodes [] |> List.sort compare
+let is_active t v = Node_id.Tbl.mem t.active v
 
 let views t =
   List.fold_left
@@ -83,7 +83,7 @@ let views t =
    into validity reaches the protocol and is handled by its own
    checks. *)
 let consume t ~dst ~lid msg =
-  match Hashtbl.find_opt t.nodes dst with
+  match Node_id.Tbl.find_opt t.nodes dst with
   | Some n when is_active t dst ->
       if t.corruption > 0.0 && Rng.bernoulli t.corrupt_rng t.corruption then begin
         match Wire.of_string (Wire.corrupt t.corrupt_rng (Wire.to_string msg)) with
@@ -154,7 +154,7 @@ let fresh_gen t =
   g
 
 let gen_live t v gen =
-  match Hashtbl.find_opt t.gens v with Some g -> g = gen | None -> false
+  match Node_id.Tbl.find_opt t.gens v with Some g -> g = gen | None -> false
 
 (* Timers only run for active nodes: a live generation implies the node has
    neither been deactivated nor removed since the timer chain was started
@@ -185,14 +185,14 @@ let rec schedule_send t v gen delay =
 
 let start_timers t v =
   let gen = fresh_gen t in
-  Hashtbl.replace t.gens v gen;
+  Node_id.Tbl.replace t.gens v gen;
   schedule_compute t v gen (Rng.float t.rng tau_c);
   schedule_send t v gen (Rng.float t.rng tau_s)
 
 let install_node t v =
-  Hashtbl.replace t.nodes v
+  Node_id.Tbl.replace t.nodes v
     (Grp_node.create ~config:t.config ~trace:t.trace ~metrics:t.metrics v);
-  Hashtbl.replace t.active v ();
+  Node_id.Tbl.replace t.active v ();
   start_timers t v
 
 let check_rate msg p = if p < 0.0 || p > 1.0 then invalid_arg msg
@@ -217,9 +217,9 @@ let create ~engine ~rng ~config ?(loss = 0.0) ?(corruption = 0.0)
       trace;
       metrics;
       topology;
-      nodes = Hashtbl.create 64;
-      active = Hashtbl.create 64;
-      gens = Hashtbl.create 64;
+      nodes = Node_id.Tbl.create 64;
+      active = Node_id.Tbl.create 64;
+      gens = Node_id.Tbl.create 64;
       next_gen = 0;
       lids = Hashtbl.create 64;
       loss;
@@ -245,30 +245,30 @@ let create ~engine ~rng ~config ?(loss = 0.0) ?(corruption = 0.0)
 let run_until t horizon = Engine.run_until t.engine horizon
 
 let deactivate t v =
-  if Hashtbl.mem t.active v then begin
-    Hashtbl.remove t.active v;
+  if Node_id.Tbl.mem t.active v then begin
+    Node_id.Tbl.remove t.active v;
     (* Bump to a generation no timer carries: the node's pending timers
        fire at most once more as no-ops and stop rescheduling. *)
-    Hashtbl.replace t.gens v (fresh_gen t)
+    Node_id.Tbl.replace t.gens v (fresh_gen t)
   end
 
 let activate t v =
-  if Hashtbl.mem t.nodes v && not (Hashtbl.mem t.active v) then begin
-    Hashtbl.replace t.active v ();
+  if Node_id.Tbl.mem t.nodes v && not (Node_id.Tbl.mem t.active v) then begin
+    Node_id.Tbl.replace t.active v ();
     start_timers t v
   end
 
 let reset_node t v =
-  if Hashtbl.mem t.nodes v then
-    Hashtbl.replace t.nodes v
+  if Node_id.Tbl.mem t.nodes v then
+    Node_id.Tbl.replace t.nodes v
       (Grp_node.create ~config:t.config ~trace:t.trace ~metrics:t.metrics v)
 
-let add_node t v = if not (Hashtbl.mem t.nodes v) then install_node t v
+let add_node t v = if not (Node_id.Tbl.mem t.nodes v) then install_node t v
 
 let remove_node t v =
-  Hashtbl.remove t.nodes v;
-  Hashtbl.remove t.active v;
-  Hashtbl.remove t.gens v
+  Node_id.Tbl.remove t.nodes v;
+  Node_id.Tbl.remove t.active v;
+  Node_id.Tbl.remove t.gens v
 
 let set_loss t p =
   check_rate "Net.set_loss: rate out of [0,1]" p;
@@ -294,6 +294,6 @@ let stats t =
   }
 
 let state_signature t =
-  Hashtbl.fold (fun v () acc -> v :: acc) t.active []
+  Node_id.Tbl.fold (fun v () acc -> v :: acc) t.active []
   |> List.sort Int.compare
   |> List.map (fun v -> Grp_node.state (node t v))

@@ -71,7 +71,7 @@ let observe t c =
           (fun u ->
             if u <> v then begin
               t.member_pairs <- t.member_pairs + 1;
-              match Hashtbl.find_opt dist u with
+              match Node_id.Tbl.find_opt dist u with
               | Some d when d <= t.dmax -> ()
               | _ -> t.stale_pairs <- t.stale_pairs + 1
             end)

@@ -75,7 +75,7 @@ let test_bfs_line () =
   let g = Gen.line 5 in
   let d = Paths.bfs g 0 in
   for i = 0 to 4 do
-    check_int (Printf.sprintf "d(0,%d)" i) i (Hashtbl.find d i)
+    check_int (Printf.sprintf "d(0,%d)" i) i (Dgs_util.Int_tbl.find d i)
   done
 
 let test_dist () =

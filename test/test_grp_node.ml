@@ -791,12 +791,52 @@ let test_priority_merge_alloc () =
   Alcotest.(check (float 0.0)) "minor words per merge = two arrays and a triple"
     (float_of_int ((2 * (n + 1)) + 4)) per_call
 
+(* A node keeps a message only until the compute that reads it: neither
+   consumed inbox slots nor the slots a growing inbox fills may hold one.
+   The messages come from throw-away peers, so the node's buffers are all
+   that could keep them alive. *)
+let peer_msg id = msg_of (Grp_node.create ~config:(config ()) id)
+
+let deliver_tracked node w senders =
+  List.iteri
+    (fun i id ->
+      let m = peer_msg id in
+      Weak.set w i (Some m);
+      Grp_node.receive node m)
+    senders
+
+let test_consumed_messages_released () =
+  let a = Grp_node.create ~config:(config ()) 1 in
+  let w = Weak.create 2 in
+  deliver_tracked a w [ 2; 3 ];
+  ignore (Grp_node.compute a);
+  Grp_node.receive a (peer_msg 2);
+  ignore (Grp_node.compute a);
+  Gc.full_major ();
+  check "sender 2's first message collected" false (Weak.check w 0);
+  check "sender 3's message collected" false (Weak.check w 1);
+  ignore (Sys.opaque_identity a)
+
+(* A message that arrived in a round whose compute was skipped stays
+   buffered, and the next compute folds it. *)
+let test_pending_message_kept () =
+  let a = Grp_node.create ~config:(config ()) 1 in
+  let w = Weak.create 1 in
+  deliver_tracked a w [ 2 ];
+  Gc.full_major ();
+  check "unread message kept" true (Weak.check w 0);
+  Alcotest.check ids "sender buffered" (Node_id.Set.singleton 2) (Grp_node.pending_senders a);
+  ignore (Grp_node.compute a);
+  check "next compute folds it" true (Antlist.mem (Grp_node.antlist a) 2)
+
 let suite =
   [
     ("create", `Quick, test_create);
     ("receive keeps last message", `Quick, test_receive_keeps_last);
     ("receive ignores self", `Quick, test_receive_ignores_self);
     ("msgSet reset after compute", `Quick, test_msgset_reset_after_compute);
+    ("consumed messages are released", `Quick, test_consumed_messages_released);
+    ("unread message is kept and folded", `Quick, test_pending_message_kept);
     ("triple handshake marks", `Quick, test_handshake_marks);
     ("quarantine delays admission", `Quick, test_quarantine_delays_admission);
     ("quarantine ablation", `Quick, test_no_quarantine_ablation);

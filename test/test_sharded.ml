@@ -218,11 +218,37 @@ let test_vanet_jobs_smoke () =
   Alcotest.(check bool) "vanet jobs=2 report matches jobs=1" true
     ({ r2 with jobs = 1; shards = 1 } = r1)
 
+(* Under steady churn the per-node protocol state is flat, so the
+   network's footprint must be too: no buffer of a node may pile up
+   messages its computes already read.  The sharded runner reaches every
+   node, so its reachable size is that footprint. *)
+let test_heap_flat_under_churn () =
+  let n = 300 and range = 2.0 and jitter = 0.1 in
+  let module Vanet = Dgs_workload.Vanet in
+  let module Mobility = Dgs_mobility.Mobility in
+  let mob =
+    Mobility.create (Rng.create 1) ~n (Vanet.spec_of Vanet.Highway ~n ~range ~speed:0.15)
+  in
+  let s = Sharded.create ~config ~seed:1 (Mobility.graph mob ~range) in
+  let run_to r0 r1 =
+    for _ = r0 + 1 to r1 do
+      Mobility.step mob ~dt:1.0;
+      Sharded.set_graph s (Mobility.graph mob ~range);
+      ignore (Sharded.round ~jitter s)
+    done;
+    Obj.reachable_words (Obj.repr s)
+  in
+  let w30 = run_to 0 30 in
+  let w150 = run_to 30 150 in
+  if float_of_int w150 > 1.15 *. float_of_int w30 then
+    Alcotest.failf "reachable words grew from %d at round 30 to %d at round 150" w30 w150
+
 let suite =
   [
     ("sharded equals rounds at jitter 0", `Quick, test_sharded_equals_rounds);
     ("traced round sends, delivers, no engine", `Quick, test_traced_round);
     ("vanet --jobs smoke", `Quick, test_vanet_jobs_smoke);
+    ("heap stays flat under churn", `Quick, test_heap_flat_under_churn);
     ("degenerate partitions", `Quick, test_degenerate_partitions);
     ("jobs byte identity", `Quick, test_jobs_byte_identity);
     ("spatial partition slabs", `Quick, test_spatial_partition);
