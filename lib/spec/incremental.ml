@@ -1,4 +1,5 @@
 module Graph = Dgs_graph.Graph
+module Int_tbl = Dgs_util.Int_tbl
 open Dgs_core
 
 type verdicts = {
@@ -7,372 +8,157 @@ type verdicts = {
   maximality : Predicates.violation option;
 }
 
-type stats = {
-  polls : int;
-  dirtied : int;
-  agreements_checked : int;
-  omegas_computed : int;
-  diameters_computed : int;
-  pairs_checked : int;
-  cross_checks : int;
-}
+type stats = { polls : int; dirtied : int; full_passes : int; cross_checks : int }
 
 exception Mismatch of string
 
-type diam_entry = { d_members : Node_id.Set.t; d_ok : bool; d_at : int }
-
-type pair_entry = {
-  p_a : Node_id.Set.t;
-  p_b : Node_id.Set.t;
-  p_verdict : Predicates.violation option;
-  p_at : int;
-}
+(* What the previous poll saw of one node.  Neighbor sets and views are
+   immutable, so keeping them is safe even when the caller mutates the
+   graph in place between polls. *)
+type seen = { adj : Node_id.Set.t; view : Node_id.Set.t }
 
 type t = {
   dmax : int;
   cross_check_limit : int;
-  marked : (Node_id.t, unit) Hashtbl.t;
-  mutable fresh : bool;
-  (* Snapshot of the previously polled configuration.  Neighbor sets and
-     views are immutable, so storing them per node is safe even when the
-     caller mutates the graph object in place between polls. *)
-  prev_adj : (Node_id.t, Node_id.Set.t) Hashtbl.t;
-  prev_views : (Node_id.t, Node_id.Set.t) Hashtbl.t;
-  (* Per-node caches and the reverse dependency index.  deps_of.(v) is
-     {v} ∪ view(v) as of the last recomputation; index.(u) lists the nodes
-     whose cached verdicts depend on u. *)
-  agreement_cache : (Node_id.t, Predicates.violation option) Hashtbl.t;
-  safety_cache : (Node_id.t, Predicates.violation option) Hashtbl.t;
-  omega_cache : (Node_id.t, Node_id.Set.t) Hashtbl.t;
-  deps_of : (Node_id.t, Node_id.Set.t) Hashtbl.t;
-  index : (Node_id.t, (Node_id.t, unit) Hashtbl.t) Hashtbl.t;
-  last_dirty : (Node_id.t, int) Hashtbl.t;
-  (* Group-level caches, keyed by the group's minimum member. *)
-  diam_cache : (Node_id.t, diam_entry) Hashtbl.t;
-  pair_cache : (Node_id.t * Node_id.t, pair_entry) Hashtbl.t;
-  (* Verdicts of the previous poll: returned outright when the diff phase
-     proves the configuration unchanged. *)
-  mutable last_result : verdicts option;
-  mutable poll_no : int;
-  mutable s_dirtied : int;
-  mutable s_agreements : int;
-  mutable s_omegas : int;
-  mutable s_diameters : int;
-  mutable s_pairs : int;
-  mutable s_cross : int;
+  marked : unit Int_tbl.t;
+  prev : seen Int_tbl.t;
+  mutable last : verdicts option;
+  mutable polls : int;
+  mutable dirtied : int;
+  mutable full_passes : int;
+  mutable cross_checks : int;
 }
 
 let create ?(cross_check_limit = 64) ~dmax () =
   {
     dmax;
     cross_check_limit;
-    marked = Hashtbl.create 64;
-    fresh = true;
-    prev_adj = Hashtbl.create 64;
-    prev_views = Hashtbl.create 64;
-    agreement_cache = Hashtbl.create 64;
-    safety_cache = Hashtbl.create 64;
-    omega_cache = Hashtbl.create 64;
-    deps_of = Hashtbl.create 64;
-    index = Hashtbl.create 64;
-    last_dirty = Hashtbl.create 64;
-    diam_cache = Hashtbl.create 16;
-    pair_cache = Hashtbl.create 16;
-    last_result = None;
-    poll_no = 0;
-    s_dirtied = 0;
-    s_agreements = 0;
-    s_omegas = 0;
-    s_diameters = 0;
-    s_pairs = 0;
-    s_cross = 0;
+    marked = Int_tbl.create 16;
+    prev = Int_tbl.create 64;
+    last = None;
+    polls = 0;
+    dirtied = 0;
+    full_passes = 0;
+    cross_checks = 0;
   }
 
-let mark_dirty t v = Hashtbl.replace t.marked v ()
+let mark_dirty t v = Int_tbl.replace t.marked v ()
 
-let mark_all_dirty t =
-  t.fresh <- true;
-  Hashtbl.reset t.marked
+(* Nodes dirty since the previous poll, each counted once: new, departed,
+   or present and marked or with a changed adjacency or view. *)
+let count_dirty t c =
+  let graph = c.Configuration.graph in
+  let same a b = a == b || Node_id.Set.equal a b in
+  let changed v =
+    Int_tbl.mem t.marked v
+    ||
+    match Int_tbl.find_opt t.prev v with
+    | None -> true
+    | Some s ->
+        not (same s.adj (Graph.neighbors graph v) && same s.view (Configuration.view c v))
+  in
+  let gone v = not (Graph.mem_node graph v) in
+  let n = Graph.fold_nodes graph ~init:0 ~f:(fun n v -> if changed v then n + 1 else n) in
+  Int_tbl.fold (fun v _ n -> if gone v then n + 1 else n) t.prev n
 
-let reset_caches t =
-  Hashtbl.reset t.agreement_cache;
-  Hashtbl.reset t.safety_cache;
-  Hashtbl.reset t.omega_cache;
-  Hashtbl.reset t.deps_of;
-  Hashtbl.reset t.index;
-  Hashtbl.reset t.last_dirty;
-  Hashtbl.reset t.diam_cache;
-  Hashtbl.reset t.pair_cache;
-  Hashtbl.reset t.prev_adj;
-  Hashtbl.reset t.prev_views;
-  t.last_result <- None
-
-let invalidate t v =
-  Hashtbl.remove t.agreement_cache v;
-  Hashtbl.remove t.safety_cache v;
-  Hashtbl.remove t.omega_cache v
-
-let index_remove t v =
-  match Hashtbl.find_opt t.deps_of v with
-  | None -> ()
-  | Some deps ->
-      Node_id.Set.iter
-        (fun u ->
-          match Hashtbl.find_opt t.index u with
-          | None -> ()
-          | Some tbl -> Hashtbl.remove tbl v)
-        deps;
-      Hashtbl.remove t.deps_of v
-
-let index_add t v deps =
-  Node_id.Set.iter
-    (fun u ->
-      let tbl =
-        match Hashtbl.find_opt t.index u with
-        | Some tbl -> tbl
+(* All three predicates in one pass, witness for witness equal to the full
+   checkers'. *)
+let full_pass ~dmax c =
+  let graph = c.Configuration.graph in
+  let nodes = Configuration.nodes c in
+  (* ΠS.  Ω groups partition the nodes (a member of an agreed group is
+     agreed, with the same group), so each group is computed and judged
+     once, at its first node in sorted order, and named by its minimum
+     member; the first node of a failing group is the full scan's
+     witness. *)
+  let group_of = Int_tbl.create 64 and groups = Int_tbl.create 64 in
+  let safety = ref None in
+  List.iter
+    (fun v ->
+      let m =
+        match Int_tbl.find_opt group_of v with
+        | Some m -> m
         | None ->
-            let tbl = Hashtbl.create 4 in
-            Hashtbl.replace t.index u tbl;
-            tbl
+            let g = Configuration.omega c v in
+            let m = Node_id.Set.min_elt g in
+            Node_id.Set.iter (fun u -> Int_tbl.replace group_of u m) g;
+            Int_tbl.replace groups m (g, Predicates.group_diameter_ok ~dmax graph g);
+            m
       in
-      Hashtbl.replace tbl v ())
-    deps;
-  Hashtbl.replace t.deps_of v deps
+      match Int_tbl.find groups m with
+      | g, false when Option.is_none !safety ->
+          safety := Some (Predicates.safety_violation ~dmax v g)
+      | _ -> ())
+    nodes;
+  (* ΠM.  Two disjoint groups whose union is connected are joined by an
+     edge, so only such pairs can merge; trying them in (min, min) order
+     finds the full checker's first witness.  Each cross edge adds its
+     pair once, from the endpoint in the lower group. *)
+  let pairs = ref [] in
+  List.iter
+    (fun u ->
+      let mu = Int_tbl.find group_of u in
+      Graph.iter_neighbors graph u (fun w ->
+          let mw = Int_tbl.find group_of w in
+          if mu < mw then pairs := (mu, mw) :: !pairs))
+    nodes;
+  let by_mins (a, b) (a', b') = if a <> a' then Int.compare a a' else Int.compare b b' in
+  let maximality =
+    List.find_map
+      (fun (ma, mb) ->
+        let ga = fst (Int_tbl.find groups ma) and gb = fst (Int_tbl.find groups mb) in
+        if Predicates.group_diameter_ok ~dmax graph (Node_id.Set.union ga gb) then
+          Some (Predicates.merge_violation ~dmax ga gb)
+        else None)
+      (List.sort_uniq by_mins !pairs)
+  in
+  { agreement = Predicates.agreement c; safety = !safety; maximality }
 
-(* Record the dependency footprint of v's cached verdicts: itself plus its
-   current view.  Both the agreement and safety verdicts of v are functions
-   of the views and adjacency of exactly these nodes (Ω_v ⊆ {v} ∪ view v). *)
-let set_deps t c v =
-  let deps = Node_id.Set.add v (Configuration.view c v) in
-  (match Hashtbl.find_opt t.deps_of v with
-  | Some old when Node_id.Set.equal old deps -> ()
-  | _ ->
-      index_remove t v;
-      index_add t v deps)
-
-let stamp_dirty t dirty v =
-  if not (Hashtbl.mem dirty v) then begin
-    Hashtbl.replace dirty v ();
-    Hashtbl.replace t.last_dirty v t.poll_no;
-    t.s_dirtied <- t.s_dirtied + 1
-  end
-
-(* Members' last-dirty stamps decide whether a group-level cache entry from
-   poll [at] is still valid: computation happens after the diff phase, so an
-   entry computed in the same poll a member was dirtied already reflects the
-   change (hence <=, not <). *)
-let members_clean t ~at g =
-  Node_id.Set.for_all
-    (fun m ->
-      match Hashtbl.find_opt t.last_dirty m with
-      | None -> true
-      | Some stamp -> stamp <= at)
-    g
+let cross_check t c result =
+  t.cross_checks <- t.cross_checks + 1;
+  let full =
+    {
+      agreement = Predicates.agreement c;
+      safety = Predicates.safety ~dmax:t.dmax c;
+      maximality = Predicates.maximality ~dmax:t.dmax c;
+    }
+  in
+  let pp_v ppf = function
+    | None -> Format.fprintf ppf "ok"
+    | Some v -> Predicates.pp_violation ppf v
+  in
+  let differ name a b =
+    if a <> b then
+      raise
+        (Mismatch
+           (Format.asprintf "%s: incremental %a vs full %a (poll %d)" name pp_v a pp_v b
+              t.polls))
+  in
+  differ "agreement" result.agreement full.agreement;
+  differ "safety" result.safety full.safety;
+  differ "maximality" result.maximality full.maximality
 
 let check t c =
-  t.poll_no <- t.poll_no + 1;
-  let graph = c.Configuration.graph in
-  let cur_nodes = Configuration.nodes c in
-  let dirty = Hashtbl.create 64 in
-  if t.fresh then begin
-    reset_caches t;
-    t.fresh <- false;
-    Hashtbl.reset t.marked;
-    List.iter (fun v -> stamp_dirty t dirty v) cur_nodes
-  end
-  else begin
-    Hashtbl.iter (fun v () -> stamp_dirty t dirty v) t.marked;
-    Hashtbl.reset t.marked;
-    (* Diff against the previous snapshot: new nodes, adjacency changes,
-       view changes, departed nodes. *)
-    List.iter
-      (fun v ->
-        (match Hashtbl.find_opt t.prev_adj v with
-        | None -> stamp_dirty t dirty v
-        | Some ps ->
-            let ns = Graph.neighbors graph v in
-            if not (ps == ns || Node_id.Set.equal ps ns) then stamp_dirty t dirty v);
-        match Hashtbl.find_opt t.prev_views v with
-        | None -> ()
-        | Some pv ->
-            let cv = Configuration.view c v in
-            if not (pv == cv || Node_id.Set.equal pv cv) then stamp_dirty t dirty v)
-      cur_nodes;
-    Hashtbl.iter
-      (fun v _ -> if not (Graph.mem_node graph v) then stamp_dirty t dirty v)
-      t.prev_adj
-  end;
-  match t.last_result with
-  | Some r when Hashtbl.length dirty = 0 ->
-      (* The diff found no new, changed or departed node: the configuration
-         is identical to the previous poll's, so its verdicts (and the
-         prev_adj/prev_views snapshot) still stand — a quiescent poll costs
-         one scan over the nodes and nothing else. *)
+  t.polls <- t.polls + 1;
+  let dirty = count_dirty t c in
+  Int_tbl.clear t.marked;
+  t.dirtied <- t.dirtied + dirty;
+  match t.last with
+  | Some r when dirty = 0 ->
+      (* Nothing changed since the previous poll, so its verdicts and
+         snapshot still stand. *)
       r
   | _ ->
-  (* Invalidate every cached verdict a dirty node can influence. *)
-  Hashtbl.iter
-    (fun d () ->
-      invalidate t d;
-      match Hashtbl.find_opt t.index d with
-      | None -> ()
-      | Some deps -> Hashtbl.iter (fun v () -> invalidate t v) deps)
-    dirty;
-  let node_set = Node_id.Set.of_list cur_nodes in
-  (* ΠA: same sorted-node scan as Predicates.agreement, memoized per node. *)
-  let agreement_of v =
-    match Hashtbl.find_opt t.agreement_cache v with
-    | Some r -> r
-    | None ->
-        let r = Predicates.agreement_at c ~nodes:node_set v in
-        set_deps t c v;
-        Hashtbl.replace t.agreement_cache v r;
-        t.s_agreements <- t.s_agreements + 1;
-        r
-  in
-  let rec first_violation f = function
-    | [] -> None
-    | v :: rest -> ( match f v with Some _ as s -> s | None -> first_violation f rest)
-  in
-  let agreement = first_violation agreement_of cur_nodes in
-  (* Ω groups.  Distinct Ω groups are pairwise disjoint (an agreed group is
-     each member's own view, and a member of an agreed group is agreed), so
-     keying by minimum member is an exact dedup — same sorted list as
-     Configuration.groups. *)
-  let omega_of v =
-    match Hashtbl.find_opt t.omega_cache v with
-    | Some g -> g
-    | None ->
-        let g = Configuration.omega c v in
-        set_deps t c v;
-        Hashtbl.replace t.omega_cache v g;
-        t.s_omegas <- t.s_omegas + 1;
-        g
-  in
-  let gmin = Hashtbl.create (List.length cur_nodes) in
-  let group_by_min = Hashtbl.create 16 in
-  let groups_rev = ref [] in
-  List.iter
-    (fun v ->
-      let g = omega_of v in
-      let m = Node_id.Set.min_elt g in
-      Hashtbl.replace gmin v m;
-      if not (Hashtbl.mem group_by_min m) then begin
-        Hashtbl.replace group_by_min m g;
-        groups_rev := m :: !groups_rev
-      end)
-    cur_nodes;
-  (* ΠS: per-node verdicts built from a shared group-diameter cache. *)
-  let diam_ok g =
-    let m = Node_id.Set.min_elt g in
-    let recompute () =
-      let ok = Predicates.group_diameter_ok ~dmax:t.dmax graph g in
-      Hashtbl.replace t.diam_cache m { d_members = g; d_ok = ok; d_at = t.poll_no };
-      t.s_diameters <- t.s_diameters + 1;
-      ok
-    in
-    match Hashtbl.find_opt t.diam_cache m with
-    | Some e when Node_id.Set.equal e.d_members g && members_clean t ~at:e.d_at g ->
-        e.d_ok
-    | _ -> recompute ()
-  in
-  let safety_of v =
-    match Hashtbl.find_opt t.safety_cache v with
-    | Some r -> r
-    | None ->
-        let g = omega_of v in
-        let r =
-          if diam_ok g then None else Some (Predicates.safety_violation ~dmax:t.dmax v g)
-        in
-        set_deps t c v;
-        Hashtbl.replace t.safety_cache v r;
-        r
-  in
-  let safety = first_violation safety_of cur_nodes in
-  (* ΠM: only group pairs joined by a cross edge can merge — two disjoint
-     groups whose union stays connected (a prerequisite for a finite union
-     diameter) must have a direct edge between them.  Enumerating edges
-     therefore finds every mergeable pair; scanning candidates in (min,min)
-     lexicographic order reproduces the full checker's first witness. *)
-  let cand = Hashtbl.create 16 in
-  List.iter
-    (fun u ->
-      let mu = Hashtbl.find gmin u in
-      Node_id.Set.iter
-        (fun w ->
-          if w > u then begin
-            let mw = Hashtbl.find gmin w in
-            if mu <> mw then
-              Hashtbl.replace cand (if mu < mw then (mu, mw) else (mw, mu)) ()
-          end)
-        (Graph.neighbors graph u))
-    cur_nodes;
-  let cand_list = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) cand []) in
-  let pair_verdict (ma, mb) =
-    let ga = Hashtbl.find group_by_min ma and gb = Hashtbl.find group_by_min mb in
-    let recompute () =
-      let verdict =
-        if Predicates.group_diameter_ok ~dmax:t.dmax graph (Node_id.Set.union ga gb)
-        then Some (Predicates.merge_violation ~dmax:t.dmax ga gb)
-        else None
-      in
-      Hashtbl.replace t.pair_cache (ma, mb)
-        { p_a = ga; p_b = gb; p_verdict = verdict; p_at = t.poll_no };
-      t.s_pairs <- t.s_pairs + 1;
-      verdict
-    in
-    match Hashtbl.find_opt t.pair_cache (ma, mb) with
-    | Some e
-      when Node_id.Set.equal e.p_a ga && Node_id.Set.equal e.p_b gb
-           && members_clean t ~at:e.p_at ga
-           && members_clean t ~at:e.p_at gb ->
-        e.p_verdict
-    | _ -> recompute ()
-  in
-  let maximality = first_violation pair_verdict cand_list in
-  let result = { agreement; safety; maximality } in
-  (* Cross-check on small topologies: the incremental verdicts must equal a
-     full recompute, witness for witness. *)
-  let n = List.length cur_nodes in
-  if n <= t.cross_check_limit then begin
-    t.s_cross <- t.s_cross + 1;
-    let full =
-      {
-        agreement = Predicates.agreement c;
-        safety = Predicates.safety ~dmax:t.dmax c;
-        maximality = Predicates.maximality ~dmax:t.dmax c;
-      }
-    in
-    let pp_v ppf = function
-      | None -> Format.fprintf ppf "ok"
-      | Some v -> Predicates.pp_violation ppf v
-    in
-    let differ name a b =
-      if a <> b then
-        raise
-          (Mismatch
-             (Format.asprintf "%s: incremental %a vs full %a (poll %d)" name pp_v a
-                pp_v b t.poll_no))
-    in
-    differ "agreement" result.agreement full.agreement;
-    differ "safety" result.safety full.safety;
-    differ "maximality" result.maximality full.maximality
-  end;
-  (* Snapshot for the next poll's diff. *)
-  Hashtbl.reset t.prev_adj;
-  Hashtbl.reset t.prev_views;
-  List.iter
-    (fun v ->
-      Hashtbl.replace t.prev_adj v (Graph.neighbors graph v);
-      Hashtbl.replace t.prev_views v (Configuration.view c v))
-    cur_nodes;
-  (* Bound drift in the group-level caches under heavy churn. *)
-  if Hashtbl.length t.pair_cache > (4 * List.length cand_list) + 256 then
-    Hashtbl.reset t.pair_cache;
-  if Hashtbl.length t.diam_cache > (4 * Hashtbl.length group_by_min) + 256 then
-    Hashtbl.reset t.diam_cache;
-  t.last_result <- Some result;
-  result
+      let r = full_pass ~dmax:t.dmax c in
+      t.full_passes <- t.full_passes + 1;
+      let graph = c.Configuration.graph in
+      if Graph.node_count graph <= t.cross_check_limit then cross_check t c r;
+      Int_tbl.clear t.prev;
+      Graph.iter_nodes graph (fun v ->
+          Int_tbl.replace t.prev v
+            { adj = Graph.neighbors graph v; view = Configuration.view c v });
+      t.last <- Some r;
+      r
 
 let legitimate v =
   match v.agreement with
@@ -381,11 +167,8 @@ let legitimate v =
 
 let stats t =
   {
-    polls = t.poll_no;
-    dirtied = t.s_dirtied;
-    agreements_checked = t.s_agreements;
-    omegas_computed = t.s_omegas;
-    diameters_computed = t.s_diameters;
-    pairs_checked = t.s_pairs;
-    cross_checks = t.s_cross;
+    polls = t.polls;
+    dirtied = t.dirtied;
+    full_passes = t.full_passes;
+    cross_checks = t.cross_checks;
   }

@@ -1,30 +1,29 @@
-(** Incremental oracle checking of the static predicates [ΠA], [ΠS], [ΠM].
+(** Oracle polls of the static predicates [ΠA], [ΠS], [ΠM] over a run.
 
-    The full checkers in {!Predicates} re-run BFS/diameter extraction over
-    the whole configuration at every poll, which dominates large-scenario
-    runs.  This module keeps per-node verdicts, [Ω] groups, group diameters
-    and group-pair mergeability verdicts cached between polls, and
-    re-evaluates only what a {e dirty} node can influence.
-
-    Nodes become dirty two ways: explicitly, via {!mark_dirty} wired to
-    engine events (a round's view additions/removals, a topology change), and
-    implicitly, by diffing the polled configuration against the previous one
-    (per-node view and adjacency equality).  The implicit diff is always on,
-    so marks are an optimization hint, never a soundness requirement — an
-    unmarked change is still caught.
+    Each {!check} first diffs every node's adjacency and view against the
+    previous poll.  That diff is the checker's only shortcut: when no node
+    is new, departed, marked or changed, the previous verdicts still stand
+    and the poll costs one scan over the nodes.  Otherwise the poll runs one
+    full pass and keeps no other state across polls: the sorted [ΠA] scan of
+    {!Predicates.agreement}, one [Ω] and one diameter check per distinct
+    group for [ΠS], and one union check per group pair joined by an edge,
+    in (min, min) order, for [ΠM].  Under mobility nearly every node is
+    dirty at every poll, so caching per-node or per-group verdicts across
+    polls saves nothing there.
 
     Verdicts are {e structurally identical} to the full checkers': the same
     scan orders, the same violation constructors, the same first witness.
-    On configurations of at most [cross_check_limit] nodes, every poll also
-    runs the full checkers and raises {!Mismatch} on any disagreement — the
-    cross-check the tentpole keeps on small topologies.
+    On configurations of at most [cross_check_limit] nodes, every full pass
+    is also compared with the full checkers and raises {!Mismatch} on any
+    disagreement.
 
-    Caveat: the checker snapshots per-node neighbor sets (immutable) rather
-    than the graph object, so callers may mutate a graph in place between
+    The checker snapshots per-node neighbor sets (immutable) rather than
+    the graph object, so callers may mutate a graph in place between
     polls; each poll sees the then-current adjacency. *)
 
 type t
-(** Mutable checker state: caches, dirty marks, and the previous snapshot. *)
+(** Mutable checker state: the previous poll's snapshot and verdicts, the
+    pending marks and the counters. *)
 
 type verdicts = {
   agreement : Predicates.violation option;  (** [ΠA], as {!Predicates.agreement} *)
@@ -36,38 +35,29 @@ type verdicts = {
 type stats = {
   polls : int;  (** calls to {!check} *)
   dirtied : int;  (** dirty nodes across all polls (marks + diffs) *)
-  agreements_checked : int;  (** per-node [ΠA] verdicts recomputed *)
-  omegas_computed : int;  (** [Ω_v] recomputations *)
-  diameters_computed : int;  (** group-diameter BFS batches run *)
-  pairs_checked : int;  (** group-pair mergeability checks run *)
-  cross_checks : int;  (** polls that also ran the full checkers *)
+  full_passes : int;  (** polls that ran the full pass *)
+  cross_checks : int;  (** full passes also compared with the full checkers *)
 }
-(** Cumulative work counters; the gap between [polls × n] and the
-    recomputation counters is the work the caches saved. *)
+(** Cumulative work counters: [polls - full_passes] polls were answered by
+    the diff alone. *)
 
 exception Mismatch of string
 (** Raised by {!check} when the small-topology cross-check finds the
     incremental and full verdicts disagreeing (a checker bug by definition). *)
 
 val create : ?cross_check_limit:int -> dmax:int -> unit -> t
-(** A fresh checker for diameter bound [dmax].  Polls on configurations of
-    at most [cross_check_limit] nodes (default 64) are cross-checked against
-    the full {!Predicates}; pass [0] to disable. *)
+(** A fresh checker for diameter bound [dmax].  Full passes on
+    configurations of at most [cross_check_limit] nodes (default 64) are
+    cross-checked against the full {!Predicates}; pass [0] to disable. *)
 
 val mark_dirty : t -> Dgs_core.Node_id.t -> unit
-(** Hint that a node's view or adjacency changed since the last poll.
-    Redundant with the built-in configuration diff, but lets event sources
-    (e.g. {!Dgs_sim.Rounds.round} step infos) pre-seed the dirty set. *)
-
-val mark_all_dirty : t -> unit
-(** Drop every cache; the next poll recomputes from scratch. *)
+(** Count a node as dirty at the next poll, forcing a full pass.  The diff
+    already sees every adjacency and view change still standing at the
+    poll; a mark adds only changes undone before it. *)
 
 val check : t -> Configuration.t -> verdicts
-(** Evaluate all three static predicates on [c], reusing cached verdicts for
-    nodes, groups and pairs that no dirty node touches.  A poll whose diff
-    finds nothing changed (no mark, no adjacency, view or membership change)
-    returns the previous poll's verdicts after one scan over the nodes — a
-    quiescent network costs O(n) per poll, not a recompute.
+(** Evaluate all three static predicates on [c]: the previous verdicts when
+    the diff finds nothing dirty, a full pass otherwise.
     @raise Mismatch if the small-topology cross-check disagrees. *)
 
 val legitimate : verdicts -> Predicates.violation option

@@ -1,5 +1,5 @@
 module Graph = Dgs_graph.Graph
-module Paths = Dgs_graph.Paths
+module Int_tbl = Dgs_util.Int_tbl
 open Dgs_core
 
 type violation = { predicate : string; subject : Node_id.t list; detail : string }
@@ -14,11 +14,6 @@ let fail predicate subject detail = Some { predicate; subject; detail }
 let find_map_nodes c f =
   let rec go = function [] -> None | v :: rest -> (match f v with None -> go rest | s -> s) in
   go (Configuration.nodes c)
-
-(* The per-node / per-pair primitives below are shared with the incremental
-   checker (Incremental), which replays them on dirty nodes only.  Both
-   checkers must produce structurally identical violations, so the full
-   predicates are themselves written on top of these primitives. *)
 
 let agreement_at c ~nodes v =
   let vw = Configuration.view c v in
@@ -43,8 +38,37 @@ let agreement c =
   let node_set = Node_id.Set.of_list (Configuration.nodes c) in
   find_map_nodes c (fun v -> agreement_at c ~nodes:node_set v)
 
+(* The induced diameter is at most [dmax] iff a BFS from every member,
+   kept inside the members and stopped at depth [dmax], reaches them all.
+   Ids absent from the graph are not members, as in [Graph.induced].
+   [seen u] is the last source whose BFS reached member [u]. *)
 let group_diameter_ok ~dmax graph group =
-  Paths.diameter_of_set graph group <= dmax
+  let seen = Int_tbl.create 16 in
+  Node_id.Set.iter (fun u -> if Graph.mem_node graph u then Int_tbl.replace seen u (-1)) group;
+  let size = Int_tbl.length seen in
+  let reaches_all src =
+    Int_tbl.replace seen src src;
+    let rec level depth frontier reached =
+      if reached = size then true
+      else if depth = dmax || frontier = [] then false
+      else begin
+        let next = ref [] and reached = ref reached in
+        List.iter
+          (fun v ->
+            Graph.iter_neighbors graph v (fun u ->
+                match Int_tbl.find seen u with
+                | s when s <> src ->
+                    Int_tbl.replace seen u src;
+                    incr reached;
+                    next := u :: !next
+                | _ | (exception Not_found) -> ()))
+          frontier;
+        level (depth + 1) !next !reached
+      end
+    in
+    level 0 [ src ] 1
+  in
+  size <= 1 || Node_id.Set.for_all (fun v -> (not (Int_tbl.mem seen v)) || reaches_all v) group
 
 let safety_violation ~dmax v g =
   {

@@ -29,21 +29,17 @@ val maximality : dmax:int -> Configuration.t -> violation option
 val legitimate : dmax:int -> Configuration.t -> violation option
 (** [ΠA ∧ ΠS ∧ ΠM] — the stabilization target. *)
 
-(** {2 Per-node primitives}
+(** {2 Shared primitives}
 
-    Shared with {!Incremental}, which re-evaluates them on dirty nodes only.
-    Both checkers build violations from the same constructors, so their
-    verdicts are structurally identical. *)
-
-val agreement_at : Configuration.t -> nodes:Dgs_core.Node_id.Set.t -> Dgs_core.Node_id.t -> violation option
-(** [ΠA] at one node: [nodes] is the configuration's node set (precomputed
-    once per scan).  {!agreement} is the first [Some] over sorted nodes. *)
-
-val safety_at : dmax:int -> Configuration.t -> Dgs_core.Node_id.t -> violation option
-(** [ΠS] at one node: computes [Ω_v] and its induced diameter. *)
+    {!Incremental} builds its verdicts from these, so they are structurally
+    identical to the full checkers'. *)
 
 val group_diameter_ok : dmax:int -> Dgs_graph.Graph.t -> Dgs_core.Node_id.Set.t -> bool
-(** Whether a member set induces a connected subgraph of diameter ≤ [dmax]. *)
+(** Whether a member set induces a connected subgraph of diameter ≤ [dmax]
+    (ids absent from the graph are ignored): a BFS from each member, inside
+    the set and bounded at depth [dmax], must reach every other member.
+    The one test of "fits within Dmax" for ΠS, ΠM, ΠT, the membership
+    ledger and the experiments. *)
 
 val safety_violation : dmax:int -> Dgs_core.Node_id.t -> Dgs_core.Node_id.Set.t -> violation
 (** The violation {!safety} reports when [Ω_v] fails {!group_diameter_ok}. *)

@@ -77,9 +77,7 @@ let mergeable_pairs ~dmax c =
     | g :: rest ->
         List.length
           (List.filter
-             (fun g' ->
-               Dgs_graph.Paths.diameter_of_set c.Cfg.graph (Node_id.Set.union g g')
-               <= dmax)
+             (fun g' -> P.group_diameter_ok ~dmax c.Cfg.graph (Node_id.Set.union g g'))
              rest)
         + count rest
   in

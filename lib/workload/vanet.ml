@@ -105,13 +105,10 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     let g = Mobility.graph mob ~range in
     Sharded.set_graph t g;
     Node_id.Map.iter
-      (fun v i ->
+      (fun _ i ->
         incr computes;
-        let removed = Node_id.Set.cardinal i.Grp_node.view_removed in
-        let added = Node_id.Set.cardinal i.Grp_node.view_added in
-        evictions := !evictions + removed;
-        additions := !additions + added;
-        if removed > 0 || added > 0 then Incremental.mark_dirty inc v)
+        evictions := !evictions + Node_id.Set.cardinal i.Grp_node.view_removed;
+        additions := !additions + Node_id.Set.cardinal i.Grp_node.view_added)
       (Sharded.round ~jitter t);
     if round mod oracle_every = 0 then poll g
   done;
@@ -147,10 +144,7 @@ let pp_report ppf r =
      work: %d messages, %d computes@,\
      topology: mean degree %.1f, %d groups@,\
      final verdicts: agreement=%b safety=%b maximality=%b (evictions %d, additions %d)@,\
-     oracle cache: %d polls, %d dirtied, %d agreements, %d omegas, %d diameters, \
-     %d pair checks@]"
+     oracle: %d polls, %d dirtied, %d full passes@]"
     r.scenario r.nodes r.rounds r.jobs r.shards r.messages r.computes r.mean_degree
     r.groups r.agreement_ok r.safety_ok r.maximality_ok r.evictions r.additions
-    s.Incremental.polls s.Incremental.dirtied s.Incremental.agreements_checked
-    s.Incremental.omegas_computed s.Incremental.diameters_computed
-    s.Incremental.pairs_checked
+    s.Incremental.polls s.Incremental.dirtied s.Incremental.full_passes

@@ -41,7 +41,7 @@ type report = {
   maximality_ok : bool;  (** ΠM at the last poll *)
   evictions : int;  (** view members removed across all rounds *)
   additions : int;  (** view members added across all rounds *)
-  oracle_stats : Dgs_spec.Incremental.stats;  (** the oracle's cache counters *)
+  oracle_stats : Dgs_spec.Incremental.stats;  (** the oracle's work counters *)
 }
 
 val run :

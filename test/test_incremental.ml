@@ -1,7 +1,7 @@
 (* Incremental oracle checking: agreement with the full Predicates recompute
    (the checker's own cross-check raises Mismatch on any divergence, so the
-   tests below mostly have to *drive* it through churn), cache-effectiveness
-   pins, and the structure-shared Snapshotter. *)
+   tests below mostly have to *drive* it through churn), the diff's
+   shortcut on quiescent polls, and the structure-shared Snapshotter. *)
 
 module Graph = Dgs_graph.Graph
 module Gen = Dgs_graph.Gen
@@ -117,58 +117,80 @@ let test_corpus_agreement () =
       check (f ^ ": observed polls") true (!polls > 0))
     files
 
-(* --- cache effectiveness: a quiescent network costs nothing to re-poll --- *)
+(* --- the diff: a quiescent network costs no full pass to re-poll --- *)
 
-let test_steady_state_is_cached () =
+let settled_grid () =
   let g = Gen.grid 4 4 in
   let t = Rounds.create ~config g in
   let rng = Rng.create 3 in
   ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
-  let inc = Incremental.create ~dmax () in
   let snap = Harness.Snapshotter.create () in
-  checked_poll inc (Harness.Snapshotter.snapshot snap t g);
+  fun () -> Harness.Snapshotter.snapshot snap t g
+
+let test_steady_state_skips_full_pass () =
+  let poll = settled_grid () in
+  let inc = Incremental.create ~dmax () in
+  let first = Incremental.check inc (poll ()) in
   let s1 = Incremental.stats inc in
+  check_int "first poll dirties every node" 16 s1.Incremental.dirtied;
+  check_int "first poll runs a full pass" 1 s1.Incremental.full_passes;
   for _ = 1 to 5 do
-    checked_poll inc (Harness.Snapshotter.snapshot snap t g)
+    check "previous verdicts returned" true (Incremental.check inc (poll ()) == first)
   done;
   let s2 = Incremental.stats inc in
   check_int "no node re-dirtied" s1.Incremental.dirtied s2.Incremental.dirtied;
-  check_int "no omega recomputed" s1.Incremental.omegas_computed s2.Incremental.omegas_computed;
-  check_int "no diameter recomputed" s1.Incremental.diameters_computed
-    s2.Incremental.diameters_computed;
-  check_int "no pair recheck" s1.Incremental.pairs_checked s2.Incremental.pairs_checked;
+  check_int "no full pass" s1.Incremental.full_passes s2.Incremental.full_passes;
+  check_int "no cross-check" s1.Incremental.cross_checks s2.Incremental.cross_checks;
   check_int "six polls" (s1.Incremental.polls + 5) s2.Incremental.polls
 
 let test_mark_dirty_forces_recheck () =
-  let g = Gen.grid 4 4 in
-  let t = Rounds.create ~config g in
-  let rng = Rng.create 3 in
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
+  let poll = settled_grid () in
   let inc = Incremental.create ~dmax () in
-  let snap = Harness.Snapshotter.create () in
-  checked_poll inc (Harness.Snapshotter.snapshot snap t g);
+  checked_poll inc (poll ());
   let s1 = Incremental.stats inc in
   Incremental.mark_dirty inc 0;
-  checked_poll inc (Harness.Snapshotter.snapshot snap t g);
+  checked_poll inc (poll ());
   let s2 = Incremental.stats inc in
-  check "marked node rechecked" true
-    (s2.Incremental.omegas_computed > s1.Incremental.omegas_computed);
-  check_int "one more dirty" (s1.Incremental.dirtied + 1) s2.Incremental.dirtied
+  check_int "marked node forces a full pass" (s1.Incremental.full_passes + 1)
+    s2.Incremental.full_passes;
+  check_int "and is cross-checked" (s1.Incremental.cross_checks + 1)
+    s2.Incremental.cross_checks;
+  check_int "one more dirty" (s1.Incremental.dirtied + 1) s2.Incremental.dirtied;
+  checked_poll inc (poll ());
+  check_int "the mark is spent" s2.Incremental.full_passes
+    (Incremental.stats inc).Incremental.full_passes
 
-let test_mark_all_dirty_resets () =
-  let g = Gen.ring 6 in
-  let t = Rounds.create ~config g in
-  let rng = Rng.create 5 in
-  ignore (Rounds.run_until_stable ~jitter:0.1 ~rng t);
-  let inc = Incremental.create ~dmax () in
+(* --- past the default cross-check limit: a churning 300-vehicle highway --- *)
+
+(* The default limit (64 nodes) never cross-checks a mobility run, where
+   nearly every node is dirty at every poll; force it on a sharded
+   highway, polled every 5 rounds as Vanet.run does. *)
+let test_highway_equals_full () =
+  let n = 300 and range = 2.0 and jitter = 0.1 in
+  let module Vanet = Dgs_workload.Vanet in
+  let module Mobility = Dgs_mobility.Mobility in
+  let module Sharded = Dgs_sim.Sharded in
+  let mob =
+    Mobility.create (Rng.create 1) ~n (Vanet.spec_of Vanet.Highway ~n ~range ~speed:0.15)
+  in
+  let s = Sharded.create ~config ~shards:2 ~seed:1 (Mobility.graph mob ~range) in
+  let inc = Incremental.create ~cross_check_limit:max_int ~dmax () in
   let snap = Harness.Snapshotter.create () in
-  checked_poll inc (Harness.Snapshotter.snapshot snap t g);
-  let s1 = Incremental.stats inc in
-  Incremental.mark_all_dirty inc;
-  checked_poll inc (Harness.Snapshotter.snapshot snap t g);
-  let s2 = Incremental.stats inc in
-  check "full recompute" true
-    (s2.Incremental.omegas_computed >= s1.Incremental.omegas_computed + 6)
+  for round = 1 to 40 do
+    Mobility.step mob ~dt:1.0;
+    let g = Mobility.graph mob ~range in
+    Sharded.set_graph s g;
+    ignore (Sharded.round ~jitter s);
+    if round mod 5 = 0 then
+      checked_poll inc
+        (Harness.Snapshotter.snapshot_views snap ~ids:(Sharded.node_ids s)
+           ~view:(fun v -> Grp_node.view (Sharded.node s v))
+           g)
+  done;
+  let st = Incremental.stats inc in
+  check_int "eight polls" 8 st.Incremental.polls;
+  check_int "every poll a cross-checked full pass" 8 st.Incremental.cross_checks;
+  check "nearly every node dirty" true (st.Incremental.dirtied >= 8 * n * 9 / 10)
 
 (* --- verdict plumbing --- *)
 
@@ -242,9 +264,10 @@ let suite =
     ("churn agreement: clique chain", `Quick, test_churn_cliquechain);
     ("node departure and return", `Quick, test_node_churn);
     ("regression corpus: incremental = full at every poll", `Quick, test_corpus_agreement);
-    ("steady state is fully cached", `Quick, test_steady_state_is_cached);
+    ("steady state skips the full pass", `Quick, test_steady_state_skips_full_pass);
     ("mark_dirty forces recheck", `Quick, test_mark_dirty_forces_recheck);
-    ("mark_all_dirty resets caches", `Quick, test_mark_all_dirty_resets);
+    ("300-vehicle highway: incremental = full at every poll", `Quick,
+      test_highway_equals_full);
     ("legitimate follows the full order", `Quick, test_legitimate_order);
     ("snapshotter = plain snapshot", `Quick, test_snapshotter_equals_plain_snapshot);
     ("snapshotter shares unchanged views", `Quick, test_snapshotter_shares_structure);

@@ -206,7 +206,7 @@ let test_spatial_partition () =
 
 (* CI smoke for the full vanet pipeline: a small sharded scenario at
    jobs=2 must produce the jobs=1 report — verdicts, counts, topology
-   and oracle cache alike — apart from the jobs and shards it records. *)
+   and oracle counters alike — apart from the jobs and shards it records. *)
 let test_vanet_jobs_smoke () =
   let run jobs =
     Dgs_workload.Vanet.run ~seed:11 ~rounds:8 ~warmup:5 ~jobs

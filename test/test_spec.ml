@@ -3,6 +3,7 @@
 
 module Graph = Dgs_graph.Graph
 module Gen = Dgs_graph.Gen
+module Paths = Dgs_graph.Paths
 module Cfg = Dgs_spec.Configuration
 module P = Dgs_spec.Predicates
 module Membership = Dgs_spec.Membership
@@ -175,6 +176,33 @@ let test_membership_lifetime_and_stale () =
   Alcotest.(check (float 1e-9)) "every shared pair is stale" 1.0
     m.Membership.stale_member_fraction
 
+(* The bounded BFS answers the question the unbounded diameter of the
+   induced subgraph does.  Members are drawn from 0..11 on graphs of at
+   most 9 nodes, so sets are empty, singletons, disconnected or hold ids
+   absent from the graph. *)
+let prop_group_diameter_bounded =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 9 in
+      let node = int_bound (max 0 (n - 1)) in
+      let* edges = list_size (int_range 0 (2 * n)) (pair node node) in
+      let* members = list_size (int_range 0 7) (int_bound 11) in
+      let* dmax = int_range 0 4 in
+      return (n, List.filter (fun (u, v) -> u <> v) edges, members, dmax))
+  in
+  let print (n, edges, members, dmax) =
+    Printf.sprintf "n=%d dmax=%d edges=[%s] members=[%s]" n dmax
+      (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges))
+      (String.concat ";" (List.map string_of_int members))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"group_diameter_ok = induced diameter <= dmax"
+    (QCheck.make ~print gen)
+    (fun (n, edges, members, dmax) ->
+      let g = Graph.of_edges ~nodes:(List.init n Fun.id) edges in
+      let s = Node_id.set_of_list members in
+      P.group_diameter_ok ~dmax g s = (Paths.diameter_of_set g s <= dmax))
+
 let suite =
   [
     ("omega under agreement", `Quick, test_omega_agreement);
@@ -195,3 +223,4 @@ let suite =
     ("membership: lifetimes and stale members", `Quick, test_membership_lifetime_and_stale);
     ("monitor excuses via \xC3\x8E\xC2\xA0T", `Quick, test_monitor_excuses);
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_group_diameter_bounded ]
