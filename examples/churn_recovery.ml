@@ -10,7 +10,6 @@
    Run with: dune exec examples/churn_recovery.exe *)
 
 module Gen = Dgs_graph.Gen
-module Engine = Dgs_sim.Engine
 module Net = Dgs_sim.Net
 module Cfg = Dgs_spec.Configuration
 module P = Dgs_spec.Predicates
@@ -37,10 +36,9 @@ let settle net until = Net.run_until net until
 
 let () =
   let graph = Gen.grid 3 3 in
-  let engine = Engine.create () in
   let rng = Dgs_util.Rng.create 7 in
   let net =
-    Net.create ~engine ~rng
+    Net.create ~rng
       ~config:(Config.make ~dmax ())
       ~loss:0.02
       ~topology:(fun () -> graph)

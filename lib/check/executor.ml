@@ -3,7 +3,6 @@ module Int_set = Dgs_util.Int_set
 module Rng = Dgs_util.Rng
 module Mobility = Dgs_mobility.Mobility
 module Trace = Dgs_trace.Trace
-module Engine = Dgs_sim.Engine
 module Net = Dgs_sim.Net
 module Configuration = Dgs_spec.Configuration
 module Predicates = Dgs_spec.Predicates
@@ -60,7 +59,6 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   let module Names = Dgs_metrics.Names in
   let m_poll = Registry.counter metrics Names.oracle_poll_total in
   let m_poll_ns = Registry.timer metrics Names.oracle_poll_ns in
-  let engine = Engine.create ~trace ~metrics () in
   let rng = Rng.create sc.seed in
   (* Derived without advancing [rng]: mobility consumes its own stream, so
      scenarios (and their on-disk repros) that never install a model replay
@@ -69,7 +67,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   let graph = Scenario.build sc.topology in
   let config = protocol (Config.make ~dmax:sc.dmax ()) in
   let net =
-    Net.create ~engine ~rng ~config ~loss:sc.loss ~corruption:sc.corruption
+    Net.create ~rng ~config ~loss:sc.loss ~corruption:sc.corruption
       ~trace ~metrics
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -96,7 +94,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   in
   let calm_from = ref (initial_grace +. horizon ()) in
   let disrupt () =
-    calm_from := max !calm_from (Engine.now engine +. horizon ())
+    calm_from := max !calm_from (Net.now net +. horizon ())
   in
   (* Clamp a scheduled channel rate, set it, and count a change as a
      disruption. *)
@@ -122,13 +120,13 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   let episodes = Hashtbl.create 16 in
   let begin_episode v =
     if not (Hashtbl.mem episodes v) then
-      Hashtbl.replace episodes v (Engine.now engine)
+      Hashtbl.replace episodes v (Net.now net)
   in
   let end_episode v =
     match Hashtbl.find_opt episodes v with
     | Some t0 ->
         Hashtbl.remove episodes v;
-        budget := !budget +. ((Engine.now engine -. t0) *. rate) +. 4.0
+        budget := !budget +. ((Net.now net -. t0) *. rate) +. 4.0
     | None -> ()
   in
   List.iter begin_episode (Graph.nodes graph);
@@ -166,12 +164,12 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
     for i = 1 to steps do
       set_rate get set
         (from +. ((target -. from) *. float_of_int i /. float_of_int steps));
-      Net.run_until net (Engine.now engine +. tau_c)
+      Net.run_until net (Net.now net +. tau_c)
     done
   in
   let apply = function
     | Scenario.Pause d ->
-        if d > 0.0 then Net.run_until net (Engine.now engine +. d)
+        if d > 0.0 then Net.run_until net (Net.now net +. d)
     | Scenario.Deactivate v ->
         if Net.is_active net v then begin
           end_episode v;
@@ -243,7 +241,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
               let before = Graph.copy graph in
               if Mobility.Driver.apply driver graph && topology_broken before
               then disrupt ();
-              Net.run_until net (Engine.now engine +. tau_c)
+              Net.run_until net (Net.now net +. tau_c)
             done)
     | Scenario.Ramp_loss (target, steps) -> ramp Net.loss Net.set_loss target steps
     | Scenario.Ramp_corruption (target, steps) ->
@@ -259,11 +257,11 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
      perfectly periodic drop -> eviction -> re-admission cycle). *)
   set_rate Net.corruption Net.set_corruption 0.0;
   let confirm = Grp_node.quiet_rounds config in
-  let deadline = Engine.now engine +. quiescence_budget in
+  let deadline = Net.now net +. quiescence_budget in
   let poll () =
     Registry.Counter.incr m_poll;
     Option.iter
-      (fun f -> f ~time:(Engine.now engine) (active_configuration ()))
+      (fun f -> f ~time:(Net.now net) (active_configuration ()))
       on_observe;
     Registry.Timer.time m_poll_ns (fun () -> Net.state_signature net)
   in
@@ -271,10 +269,10 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   (* Most recent snapshot first; only consulted if the budget runs out. *)
   let history = ref [ poll () ] in
   let rec wait stable last =
-    if stable >= confirm then Some (Engine.now engine)
-    else if Engine.now engine >= deadline then None
+    if stable >= confirm then Some (Net.now net)
+    else if Net.now net >= deadline then None
     else begin
-      Net.run_until net (Engine.now engine +. tau_c);
+      Net.run_until net (Net.now net +. tau_c);
       let s = poll () in
       history := s :: !history;
       if same s last then wait (stable + 1) s else wait 0 s
@@ -282,7 +280,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   in
   let quiesce_time = wait 0 (poll ()) in
   let stabilized = quiesce_time <> None in
-  let t_end = Engine.now engine in
+  let t_end = Net.now net in
   (* Livelock: a non-quiescent run whose recent snapshots provably repeat
      with some period p >= 2 (p = 1 over a confirm window would have been
      quiescence).  Each candidate period must hold over max(2p, confirm)
@@ -339,7 +337,7 @@ let run ?(strict_continuity = false) ?(protocol = Fun.id)
   Hashtbl.iter
     (fun _ t0 -> budget := !budget +. ((t_end -. t0) *. rate) +. 4.0)
     episodes;
-  let fires = Engine.fired engine in
+  let fires = Net.fired net in
   let fire_budget =
     int_of_float (Float.ceil !budget) + stats.Net.deliveries + stats.Net.drops
   in

@@ -1,6 +1,6 @@
 (** Scenario replay with continuous invariant checking.
 
-    [run] builds a fresh engine and {!Dgs_sim.Net} from the scenario (everything
+    [run] builds a fresh {!Dgs_sim.Net} from the scenario (everything
     seeded from [scenario.seed], so two runs of the same scenario are
     bit-identical), applies the action schedule, then grants the network a
     quiescence phase with the channel made lossless and judges the final
@@ -35,8 +35,8 @@ val run :
     cooldown.  It must not change [dmax], which the scenario owns.
 
     [trace] (default {!Dgs_trace.Trace.null}) receives the full event
-    stream of the replay — engine, channel and protocol events, stamped
-    with simulation time — which is what [grp_sim report] post-mortems.
+    stream of the replay — channel and protocol events, stamped with
+    simulation time — which is what [grp_sim report] post-mortems.
 
     [on_observe] is invoked at every quiescence-phase poll with the
     simulation time and the same active-induced configuration the final
@@ -46,7 +46,7 @@ val run :
     retain or diff configurations across polls.
 
     [metrics] (default {!Dgs_metrics.Registry.null}) is threaded to the
-    engine, the network runtime and every node, and additionally receives
+    network runtime, its engine and every node, and additionally receives
     [oracle_poll_total] / [oracle_poll_ns] around each quiescence-phase
     poll of {!Dgs_sim.Net.state_signature}.  All counters it accumulates
     are pure functions of the scenario (the simulation is deterministic

@@ -292,7 +292,14 @@ let action_to_string = function
       Printf.sprintf "ramp-corruption %s %d" (Json.num p) steps
 
 let action_of_string s =
-  let int = int_of_string_opt and flt = float_of_string_opt in
+  let int = int_of_string_opt in
+  (* A non-finite pause never ends and a NaN rate passes every range
+     clamp, so neither is a schedule. *)
+  let flt x =
+    match float_of_string_opt x with
+    | Some f when Float.is_finite f -> Some f
+    | _ -> None
+  in
   match String.split_on_char ' ' (String.trim s) with
   | [ "pause"; d ] -> Option.map (fun d -> Pause d) (flt d)
   | [ "deactivate"; v ] -> Option.map (fun v -> Deactivate v) (int v)

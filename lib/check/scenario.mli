@@ -121,10 +121,10 @@ val generate_weighted :
 
 val topology_to_string : topology -> string
 val topology_of_string : string -> topology option
-val mob_model_to_string : mob_model -> string
-val mob_model_of_string : string -> mob_model option
 val action_to_string : action -> string
 val action_of_string : string -> action option
+(** Inverse of {!action_to_string}.  [None] on an unknown keyword, a
+    malformed count, or a non-finite number ([pause inf], [loss nan]). *)
 
 val to_string : t -> string
 (** One-line JSON object, round-tripping exactly through {!of_string}:

@@ -93,10 +93,10 @@ let of_positions positions ~range =
     (* Inserting point i only after querying it guarantees every reported
        candidate has a smaller id, mirroring the naive scan's j < i loop;
        the distance test itself lives in Spatial_grid.iter_within and is
-       the same inclusive [dist2 <= range²] expression. *)
+       the same inclusive [dist2 <= cell²] expression, [cell² = range²]. *)
     for i = 0 to n - 1 do
       Graph.add_node g i;
-      Spatial_grid.iter_within grid positions.(i) ~range (fun j _ ->
+      Spatial_grid.iter_within grid positions.(i) (fun j _ ->
           Graph.add_edge g i j);
       Spatial_grid.insert grid i positions.(i)
     done;

@@ -1,4 +1,4 @@
-(** Shortest paths, eccentricities and components on {!Graph.t}.
+(** Hop distances, eccentricities and connectivity on {!Graph.t}.
 
     Distances are hop counts; unreachable pairs are {!infinity} (the paper
     sets [d_X(u,v) = +∞] when no path exists inside the subgraph [X]). *)
@@ -14,10 +14,6 @@ val dist : Graph.t -> int -> int -> int
 (** Hop distance, or {!infinity} when disconnected or either node is
     absent. *)
 
-val dist_within : Graph.t -> Graph.Int_set.t -> int -> int -> int
-(** [dist_within g set u v] is the distance using only nodes of [set]
-    (the paper's [d_X(u,v)]). *)
-
 val eccentricity : Graph.t -> int -> int
 (** Max distance from a node to any other node of its component. *)
 
@@ -30,10 +26,3 @@ val diameter_of_set : Graph.t -> Graph.Int_set.t -> int
 
 val is_connected : Graph.t -> bool
 (** Vacuously true for the empty graph. *)
-
-val components : Graph.t -> Graph.Int_set.t list
-(** Connected components, each sorted internally; the list is sorted by
-    smallest member. *)
-
-val shortest_path : Graph.t -> int -> int -> int list option
-(** One shortest path as the node sequence from source to target. *)

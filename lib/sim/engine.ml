@@ -1,32 +1,29 @@
 module Pqueue = Dgs_util.Pqueue
-module Trace = Dgs_trace.Trace
 module Registry = Dgs_metrics.Registry
 module Names = Dgs_metrics.Names
 
-(* One closure per event on a pairing heap keyed by [(time, id)].  The id
-   is a single monotonic counter: it breaks same-time ties in insertion
-   order and is the id the trace reports. *)
+(* One closure per event on a pairing heap keyed by [(time, seq)].  [seq]
+   is a single monotonic counter that breaks same-time ties in insertion
+   order. *)
 type t = {
   agenda : (float * int, unit -> unit) Pqueue.t;
-  trace : Trace.t;
   m_schedule : Registry.Counter.t;
   m_fire : Registry.Counter.t;
   mutable clock : float;
-  mutable next_id : int;
+  mutable seq : int;
   mutable fired : int;
 }
 
 let cmp (t1, i1) (t2, i2) =
   match Float.compare t1 t2 with 0 -> Int.compare i1 i2 | c -> c
 
-let create ?(trace = Trace.null) ?(metrics = Registry.null) () =
+let create ?(metrics = Registry.null) () =
   {
     agenda = Pqueue.create ~cmp;
-    trace;
     m_schedule = Registry.counter metrics Names.engine_schedule_total;
     m_fire = Registry.counter metrics Names.engine_fire_total;
     clock = 0.0;
-    next_id = 0;
+    seq = 0;
     fired = 0;
   }
 
@@ -35,12 +32,9 @@ let fired t = t.fired
 
 let schedule_at t time f =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  Pqueue.add t.agenda (time, id) f;
-  Registry.Counter.incr t.m_schedule;
-  if Trace.enabled t.trace then
-    Trace.emit t.trace (Trace.Event_scheduled { id; at = time })
+  Pqueue.add t.agenda (time, t.seq) f;
+  t.seq <- t.seq + 1;
+  Registry.Counter.incr t.m_schedule
 
 let schedule_after t delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
@@ -51,14 +45,10 @@ let run_until t horizon =
   let rec loop () =
     match Pqueue.pop_if t.agenda due with
     | None -> ()
-    | Some ((time, id), f) ->
+    | Some ((time, _), f) ->
         t.clock <- time;
         t.fired <- t.fired + 1;
         Registry.Counter.incr t.m_fire;
-        if Trace.enabled t.trace then begin
-          Trace.set_time t.trace time;
-          Trace.emit t.trace (Trace.Event_fired { id; at = time })
-        end;
         f ();
         loop ()
   in

@@ -65,7 +65,8 @@ type t = {
   m_delivery_ns : Registry.Timer.t;
 }
 
-let engine t = t.engine
+let now t = Engine.now t.engine
+let fired t = Engine.fired t.engine
 let node t v = Node_id.Tbl.find t.nodes v
 let node_ids t = Node_id.Tbl.fold (fun v _ acc -> v :: acc) t.nodes [] |> List.sort compare
 let is_active t v = Node_id.Tbl.mem t.active v
@@ -113,7 +114,7 @@ let deliver_copy t ~src ~dst ~lid msg =
     Registry.Counter.incr t.m_drop
   end;
   if Trace.enabled t.trace then begin
-    Trace.set_time t.trace (Engine.now t.engine);
+    Trace.set_time t.trace (now t);
     Trace.emit t.trace
       (if accepted then Trace.Msg_delivered { src; dst; cause = lid }
        else Trace.Msg_dropped { src; dst; cause = lid })
@@ -128,7 +129,7 @@ let broadcast t src msg =
   let lid =
     if Trace.enabled t.trace then begin
       let lid = Trace.mint_lid t.lids ~src in
-      Trace.set_time t.trace (Engine.now t.engine);
+      Trace.set_time t.trace (now t);
       Trace.emit t.trace (Trace.Msg_sent { src; lid });
       lid
     end
@@ -165,13 +166,13 @@ let rec schedule_compute t v gen delay =
       if gen_live t v gen && is_active t v then begin
         let n = node t v in
         if Trace.enabled t.trace then
-          Trace.set_time t.trace (Engine.now t.engine);
+          Trace.set_time t.trace (now t);
         let info = Grp_node.compute n in
         t.computes <- t.computes + 1;
         t.view_removals <-
           t.view_removals + Node_id.Set.cardinal info.Grp_node.view_removed;
         (match t.observer with
-        | Some f -> f ~time:(Engine.now t.engine) n info
+        | Some f -> f ~time:(now t) n info
         | None -> ());
         schedule_compute t v gen tau_c
       end)
@@ -195,12 +196,10 @@ let install_node t v =
   Node_id.Tbl.replace t.active v ();
   start_timers t v
 
-let check_rate msg p = if p < 0.0 || p > 1.0 then invalid_arg msg
-
-let create ~engine ~rng ~config ?(loss = 0.0) ?(corruption = 0.0)
-    ?(trace = Trace.null) ?(metrics = Registry.null) ~topology ~nodes () =
-  check_rate "Net.create: loss out of [0,1]" loss;
-  check_rate "Net.create: corruption out of [0,1]" corruption;
+let create ~rng ~config ?(loss = 0.0) ?(corruption = 0.0) ?(trace = Trace.null)
+    ?(metrics = Registry.null) ~topology ~nodes () =
+  Rng.check_rate "Net.create: loss" loss;
+  Rng.check_rate "Net.create: corruption" corruption;
   (* Stream order: corruption, then channel, then [rng] itself for the
      timer phases. *)
   let corrupt_rng = Rng.split rng in
@@ -209,7 +208,7 @@ let create ~engine ~rng ~config ?(loss = 0.0) ?(corruption = 0.0)
   Registry.Gauge.set m_loss_rate loss;
   let t =
     {
-      engine;
+      engine = Engine.create ~metrics ();
       rng;
       chan_rng;
       corrupt_rng;
@@ -271,12 +270,12 @@ let remove_node t v =
   Node_id.Tbl.remove t.gens v
 
 let set_loss t p =
-  check_rate "Net.set_loss: rate out of [0,1]" p;
+  Rng.check_rate "Net.set_loss: rate" p;
   Registry.Gauge.set t.m_loss_rate p;
   t.loss <- p
 
 let set_corruption t p =
-  check_rate "Net.set_corruption: rate out of [0,1]" p;
+  Rng.check_rate "Net.set_corruption: rate" p;
   t.corruption <- p
 
 let loss t = t.loss

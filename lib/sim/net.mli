@@ -25,16 +25,17 @@
     {!Dgs_core.Grp_node.receive} saw.  Each directed copy is one
     {!Engine} event.
 
-    A trace sink given at {!create} receives the channel events —
-    {!Dgs_trace.Trace.Msg_sent} per broadcast and [Msg_delivered] /
-    [Msg_lost] / [Msg_dropped] per directed copy, stamped with the
-    simulation time of the send (sends, losses) or of the delivery
-    (deliveries, drops) — and is installed in every protocol node
-    (view/quarantine/mark/merge events); the runtime stamps it with the
-    engine clock before each compute, so a sink shared with the engine is
-    not required for correct timestamps.  Broadcasts carry lineage ids
-    minted by {!Dgs_trace.Trace.mint_lid} under an enabled sink ([-1]
-    otherwise), handed to {!Dgs_core.Grp_node.receive_lid}. *)
+    A runtime owns its engine: {!now} is its clock and {!fired} the
+    number of callbacks it has run.  A trace sink given at {!create}
+    receives the channel events — {!Dgs_trace.Trace.Msg_sent} per
+    broadcast and [Msg_delivered] / [Msg_lost] / [Msg_dropped] per
+    directed copy, stamped with the simulation time of the send (sends,
+    losses) or of the delivery (deliveries, drops) — and is installed in
+    every protocol node (view/quarantine/mark/merge events); the runtime
+    stamps it with {!now} before each compute, send and delivery, the
+    only callbacks that emit.  Broadcasts carry lineage ids minted by
+    {!Dgs_trace.Trace.mint_lid} under an enabled sink ([-1] otherwise),
+    handed to {!Dgs_core.Grp_node.receive_lid}. *)
 
 type t
 
@@ -56,7 +57,6 @@ type stats = {
 }
 
 val create :
-  engine:Engine.t ->
   rng:Dgs_util.Rng.t ->
   config:Dgs_core.Config.t ->
   ?loss:float ->
@@ -70,15 +70,19 @@ val create :
 (** Defaults: no loss, no frame corruption, no tracing, no metrics.
     [metrics] receives the [medium_*] channel counter families mirroring
     {!stats}, the [medium_loss_rate] gauge and the [medium_delivery_ns]
-    timer around each delivery, and is shared by every installed (or
-    reset) node — the engine takes its own at {!Engine.create}.  Timers
-    start with a uniform phase in their period.  [corruption] is the
-    probability that a delivered frame passes through {!Dgs_core.Wire}
-    with one byte mutated.  Raises [Invalid_argument] on a loss or
-    corruption rate outside [\[0,1\]]. *)
+    timer around each delivery, is shared by every installed (or reset)
+    node, and is handed to the runtime's {!Engine}.  Timers start with a
+    uniform phase in their period.  [corruption] is the probability that
+    a delivered frame passes through {!Dgs_core.Wire} with one byte
+    mutated.  Raises [Invalid_argument] on a loss or corruption rate
+    outside [\[0,1\]] or NaN ({!Dgs_util.Rng.check_rate}). *)
 
-val engine : t -> Engine.t
-(** The engine driving this runtime's timers. *)
+val now : t -> float
+(** Current simulation time of the runtime's engine. *)
+
+val fired : t -> int
+(** Engine callbacks executed since {!create} ({!Engine.fired}) — the
+    count the [dgs_check] fire-budget oracle reads. *)
 
 val node : t -> Dgs_core.Node_id.t -> Dgs_core.Grp_node.t
 (** Protocol state of one node.  Raises [Not_found] for unknown ids. *)
@@ -93,7 +97,7 @@ val views : t -> Dgs_core.Node_id.Set.t Dgs_core.Node_id.Map.t
 (** Views of the active nodes. *)
 
 val run_until : t -> float -> unit
-(** Advance the underlying engine. *)
+(** Advance the runtime's engine to the given time ({!Engine.run_until}). *)
 
 val deactivate : t -> Dgs_core.Node_id.t -> unit
 (** The node stops sending, receiving and computing; its memory is kept
@@ -120,7 +124,7 @@ val remove_node : t -> Dgs_core.Node_id.t -> unit
 
 val set_loss : t -> float -> unit
 (** Change the channel loss rate for subsequent broadcasts.  Raises
-    [Invalid_argument] outside [\[0,1\]]. *)
+    [Invalid_argument] outside [\[0,1\]] or on NaN. *)
 
 val loss : t -> float
 (** The current channel loss rate. *)
@@ -129,7 +133,7 @@ val set_corruption : t -> float -> unit
 (** Change the frame-corruption probability mid-run (loss/corruption ramps
     in fuzzed schedules).  Copies already in flight are judged with the
     rate current at their delivery time.  Raises [Invalid_argument]
-    outside [\[0,1\]]. *)
+    outside [\[0,1\]] or on NaN. *)
 
 val corruption : t -> float
 (** The current frame-corruption probability. *)

@@ -43,11 +43,7 @@ let graph t = t.graph
 
 let set_graph t g =
   t.graph <- g;
-  List.iter (ensure_node t) (Graph.nodes g);
-  if Trace.enabled t.trace then
-    Trace.emit t.trace
-      (Trace.Topology_change
-         { nodes = Graph.node_count g; edges = Graph.edge_count g })
+  List.iter (ensure_node t) (Graph.nodes g)
 
 let node t v = Node_id.Tbl.find t.nodes v
 let node_ids t = Graph.nodes t.graph
@@ -59,6 +55,9 @@ let views t =
 
 let round ?(loss = 0.0) ?(jitter = 0.0) ?(corruption = 0.0) ?(sends = 1) ?rng t =
   if sends < 1 then invalid_arg "Rounds.round: sends must be >= 1";
+  Rng.check_rate "Rounds.round: loss" loss;
+  Rng.check_rate "Rounds.round: jitter" jitter;
+  Rng.check_rate "Rounds.round: corruption" corruption;
   let tracing = Trace.enabled t.trace in
   t.round_no <- t.round_no + 1;
   if tracing then Trace.set_time t.trace (float_of_int t.round_no);

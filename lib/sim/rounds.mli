@@ -29,8 +29,8 @@ val set_graph : t -> Dgs_graph.Graph.t -> unit
 (** Install a new topology (dynamic network).  Nodes present in the new
     graph but unknown to the runner are created fresh; protocol state of
     departed nodes is kept in case they come back (a node that reappears
-    with stale state is exactly a transient fault).  Emits
-    {!Dgs_trace.Trace.Topology_change} with the new graph's size. *)
+    with stale state is exactly a transient fault).  Emits no trace
+    event: the topology shows in the channel events of the next round. *)
 
 val node : t -> Dgs_core.Node_id.t -> Dgs_core.Grp_node.t
 (** Raises [Not_found] for unknown ids. *)
@@ -61,7 +61,9 @@ val round :
     [Ts <= Tc]: under loss a neighbor misses a compute period only when
     all its transmissions in it are lost.  [corruption] routes each
     delivery through the {!Dgs_core.Wire} frame format with one byte
-    flipped with the given probability; unparsable frames are dropped. *)
+    flipped with the given probability; unparsable frames are dropped.
+    Raises [Invalid_argument] when [sends < 1] or a rate is outside
+    [\[0,1\]] or NaN. *)
 
 val run :
   ?loss:float ->

@@ -140,14 +140,7 @@ let deliver_s t = t.deliver_s
 let set_graph t g =
   t.graph <- g;
   List.iter (ensure_node t) (Graph.nodes g);
-  refresh_locals t;
-  Array.iter
-    (fun sh ->
-      if Trace.enabled sh.trace then
-        Trace.emit sh.trace
-          (Trace.Topology_change
-             { nodes = Graph.node_count g; edges = Graph.edge_count g }))
-    t.shards
+  refresh_locals t
 
 let node t v = Node_id.Tbl.find t.shards.(Node_id.Tbl.find t.home v).nodes v
 let node_ids t = Graph.nodes t.graph
@@ -241,8 +234,7 @@ let phase_deliver t jitter sh incoming =
     sh.locals
 
 let round ?(jitter = 0.0) t =
-  if jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Sharded.round: jitter out of [0,1]";
+  Rng.check_rate "Sharded.round: jitter" jitter;
   let n = Array.length t.shards in
   let t0 = Unix.gettimeofday () in
   ignore (Pool.map ~jobs:t.jobs n (fun sx -> phase_broadcast t t.shards.(sx)));

@@ -23,7 +23,10 @@
     exactly this round's messages.  With [jitter = 0] the per-node final
     state is identical to {!Rounds.round} on the same graph sequence.
     Traced events of a round are stamped with its tick (sends) or with
-    [tick + 0.5] (deliveries, protocol events).
+    [tick + 0.5] (deliveries, protocol events).  Every traced event
+    belongs to the shard of the node it is about, so the merged
+    per-shard traces hold the same events for every [shards] and
+    [jobs].
 
     {b Determinism.}  Results are a function of [(seed, graph sequence,
     jitter)] only — never of [shards] or [jobs].  Every
@@ -70,7 +73,8 @@ val jobs : t -> int
 val set_graph : t -> Dgs_graph.Graph.t -> unit
 (** Install a new topology.  New nodes are created fresh and homed by
     the partition function; departed nodes keep their state in case they
-    come back, exactly as in {!Rounds.set_graph}. *)
+    come back, exactly as in {!Rounds.set_graph}.  Emits no trace
+    event. *)
 
 val node : t -> Dgs_core.Node_id.t -> Dgs_core.Grp_node.t
 (** Raises [Not_found] for unknown ids. *)
@@ -88,7 +92,7 @@ val round :
     each node's compute independently, drawn from the node's own stream —
     one draw per node per round, so the skip pattern is
     partition-invariant.
-    @raise Invalid_argument when [jitter] is outside [0, 1]. *)
+    @raise Invalid_argument when [jitter] is outside [0, 1] or NaN. *)
 
 val run : ?jitter:float -> t -> int -> unit
 (** [run t n] executes [n] rounds, discarding the per-round step infos. *)

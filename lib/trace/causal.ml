@@ -1,9 +1,8 @@
 (* Message-lineage DAG over a recorded trace.
 
-   Nodes are the protocol events of the trace (engine bookkeeping and
-   topology swaps carry no provenance and are excluded — they are also
-   the only events whose multiplicity depends on the shard count, so the
-   DAG is identical for every --jobs/shards).  Edges:
+   Every event of the trace is a node: each is about one node of the
+   network and is emitted by that node's shard, so the DAG is identical
+   for every --jobs/shards.  Edges:
 
    - [Msg_sent] with lineage [L]  ->  every event whose [cause] is [L]
      (the deliveries/losses of the broadcast's directed copies and the
@@ -35,12 +34,6 @@ type t = {
   children : int list array;  (* ascending *)
 }
 
-let keep ev =
-  match ev with
-  | Trace.Event_scheduled _ | Trace.Event_fired _ | Trace.Topology_change _ ->
-      false
-  | _ -> true
-
 (* Causal order of event kinds inside one timestamp: the broadcast
    happens before its directed copies are delivered, which happen before
    the decisions those deliveries feed. *)
@@ -50,7 +43,6 @@ let kind_rank = function
   | _ -> 2
 
 let build evs =
-  let evs = List.filter (fun (_, ev) -> keep ev) evs in
   let tagged =
     List.map (fun (t, ev) -> (t, Trace.Jsonl.to_string t ev, ev)) evs
   in

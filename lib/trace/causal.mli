@@ -8,10 +8,10 @@
     broadcast — so a backward walk crosses compute boundaries and can
     trace a whole livelock rotation.
 
-    Only protocol events enter the DAG; engine bookkeeping
-    ([Event_scheduled]/[Event_fired]) and [Topology_change] are excluded
-    — they carry no provenance, and they are the only events whose
-    multiplicity depends on the shard count.  Event ids are canonical
+    Every event is a node of the DAG: each kind in {!Trace.kinds} is
+    about one network node and is emitted once whatever the shard count
+    (traces recorded before the engine and topology kinds were retired
+    load without them, {!Trace.Jsonl.of_string}).  Event ids are canonical
     (sorted by time, then kind — broadcasts before deliveries before
     decisions, so same-tick traces keep every edge pointing backward —
     then serialized form), so sharded runs at any
@@ -27,7 +27,7 @@ val of_file : string -> t
 (** {!build} over {!Trace.Jsonl.load}. *)
 
 val size : t -> int
-(** Number of DAG nodes (protocol events). *)
+(** Number of DAG nodes (events). *)
 
 val event : t -> int -> float * Trace.event
 (** The event behind an id.  Ids are [0 .. size - 1] in canonical

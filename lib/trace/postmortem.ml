@@ -47,9 +47,7 @@ let analyze events =
   let tally = view_tally () in
   List.iter
     (fun (time, ev) ->
-      (match Trace.node_of ev with
-      | Some v -> Hashtbl.replace nodes v ()
-      | None -> ());
+      Hashtbl.replace nodes (Trace.node_of ev) ();
       (match ev with
       | Trace.View_changed { node; _ } -> changes := (node, time) :: !changes
       | _ -> ());

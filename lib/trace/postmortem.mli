@@ -10,7 +10,7 @@
     regression script.
 
     Times are whatever clock the producing driver stamped: simulation
-    seconds under {!Dgs_sim.Engine}, round numbers under
+    seconds under {!Dgs_sim.Net}, round numbers under
     {!Dgs_sim.Rounds}. *)
 
 (** {2 Per-node view stabilization}
@@ -87,11 +87,8 @@ val csv_exports : t -> (string * string) list
 (** [(basename, csv content)] pairs for [--csv]: the three tables plus
     both distributions. *)
 
-val snapshot_table : Dgs_metrics.Registry.snapshot -> Dgs_metrics.Table.t
-(** Table "metrics snapshot": one row per counter, gauge, timer (count /
-    total / max / mean ns) and histogram family in a metrics snapshot,
-    prefixed by the host header (cores, jobs). *)
-
 val render_snapshots : Dgs_metrics.Registry.snapshot list -> string
-(** {!snapshot_table} for each snapshot (a metrics JSONL may hold interval
-    snapshots or per-scenario lines), rendered in order. *)
+(** Table "metrics snapshot" for each snapshot (a metrics JSONL may hold
+    interval snapshots or per-scenario lines), rendered in order: one row
+    per counter, gauge, timer (count / total / max / mean ns) and
+    histogram family, titled with the host header (cores, jobs). *)

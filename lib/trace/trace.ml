@@ -25,9 +25,6 @@ type event =
   | Gate_conviction of { node : int; peer : int; cause : int }
   | Contest_win of { node : int; far : int; cause : int }
   | Contest_freeze of { node : int; far : int; cause : int }
-  | Topology_change of { nodes : int; edges : int }
-  | Event_scheduled of { id : int; at : float }
-  | Event_fired of { id : int; at : float }
 
 let kind = function
   | Msg_sent _ -> "Msg_sent"
@@ -44,9 +41,6 @@ let kind = function
   | Gate_conviction _ -> "Gate_conviction"
   | Contest_win _ -> "Contest_win"
   | Contest_freeze _ -> "Contest_freeze"
-  | Topology_change _ -> "Topology_change"
-  | Event_scheduled _ -> "Event_scheduled"
-  | Event_fired _ -> "Event_fired"
 
 let kinds =
   [
@@ -64,14 +58,11 @@ let kinds =
     "Gate_conviction";
     "Contest_win";
     "Contest_freeze";
-    "Topology_change";
-    "Event_scheduled";
-    "Event_fired";
   ]
 
 let node_of = function
-  | Msg_sent { src; _ } -> Some src
-  | Msg_delivered { dst; _ } | Msg_lost { dst; _ } | Msg_dropped { dst; _ } -> Some dst
+  | Msg_sent { src; _ } -> src
+  | Msg_delivered { dst; _ } | Msg_lost { dst; _ } | Msg_dropped { dst; _ } -> dst
   | View_changed { node; _ }
   | Quarantine_enter { node; _ }
   | Quarantine_admit { node; _ }
@@ -82,8 +73,7 @@ let node_of = function
   | Gate_conviction { node; _ }
   | Contest_win { node; _ }
   | Contest_freeze { node; _ } ->
-      Some node
-  | Topology_change _ | Event_scheduled _ | Event_fired _ -> None
+      node
 
 let cause_of = function
   | Msg_delivered { cause; _ }
@@ -100,7 +90,7 @@ let cause_of = function
   | Contest_win { cause; _ }
   | Contest_freeze { cause; _ } ->
       cause
-  | Msg_sent _ | Topology_change _ | Event_scheduled _ | Event_fired _ -> -1
+  | Msg_sent _ -> -1
 
 let lid_of = function Msg_sent { lid; _ } -> lid | _ -> -1
 
@@ -139,10 +129,6 @@ let pp_event ppf = function
       Format.fprintf ppf "Contest_win(node=%d,far=%d)" node far
   | Contest_freeze { node; far; _ } ->
       Format.fprintf ppf "Contest_freeze(node=%d,far=%d)" node far
-  | Topology_change { nodes; edges } ->
-      Format.fprintf ppf "Topology_change(nodes=%d,edges=%d)" nodes edges
-  | Event_scheduled { id; at } -> Format.fprintf ppf "Event_scheduled(id=%d,at=%g)" id at
-  | Event_fired { id; at } -> Format.fprintf ppf "Event_fired(id=%d,at=%g)" id at
 
 (* --- sink handles --- *)
 
@@ -267,9 +253,6 @@ module Jsonl = struct
         ("node", int node) :: ("sender", int sender) :: opt "cause" cause []
     | Contest_win { node; far; cause } | Contest_freeze { node; far; cause } ->
         ("node", int node) :: ("far", int far) :: opt "cause" cause []
-    | Topology_change { nodes; edges } -> [ ("nodes", int nodes); ("edges", int edges) ]
-    | Event_scheduled { id; at } | Event_fired { id; at } ->
-        [ ("id", int id); ("at", Json.Num at) ]
 
   let to_string time ev =
     Json.to_string
@@ -329,9 +312,6 @@ module Jsonl = struct
           Gate_conviction { node = int "node"; peer = int "peer"; cause }
       | "Contest_win" -> Contest_win { node = int "node"; far = int "far"; cause }
       | "Contest_freeze" -> Contest_freeze { node = int "node"; far = int "far"; cause }
-      | "Topology_change" -> Topology_change { nodes = int "nodes"; edges = int "edges" }
-      | "Event_scheduled" -> Event_scheduled { id = int "id"; at = num "at" }
-      | "Event_fired" -> Event_fired { id = int "id"; at = num "at" }
       | _ -> raise Bad
     in
     (num "t", ev)

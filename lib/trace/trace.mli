@@ -1,14 +1,14 @@
 (** Structured protocol event tracing ([dgs_trace]).
 
     A {e trace sink} is a destination for the typed protocol events emitted
-    by the simulation stack (engine, network runtime, runners, and the GRP
-    node itself).  Every layer takes an optional sink at construction time and
+    by the simulation stack (network runtime, runners, and the GRP node
+    itself).  Every layer takes an optional sink at construction time and
     defaults to {!null}, whose emissions compile down to a single mutable
     field read — runs that do not ask for a trace pay (almost) nothing
     (see docs/OBSERVABILITY.md).
 
-    Timestamps are supplied by the {e driver} of the run: the discrete-event
-    {!Dgs_sim.Engine} stamps sinks with simulation seconds, the synchronous
+    Timestamps are supplied by the {e driver} of the run: the event-driven
+    {!Dgs_sim.Net} stamps sinks with simulation seconds, the synchronous
     {!Dgs_sim.Rounds} runner with the round number.  Components that have no
     clock of their own (notably {!Dgs_core.Grp_node}) emit at whatever time
     the driver last {!set_time}.
@@ -30,7 +30,8 @@
     [lid] (packed [(src lsl 20) lor counter]; [-1] when tracing is
     disabled), and every derived event carries the lineage of the message
     that caused it in [cause] ([-1] = no recorded cause).  {!Causal}
-    reconstructs the broadcast→delivery→decision DAG from these fields. *)
+    reconstructs the broadcast→delivery→decision DAG from these fields;
+    every event is about one node and is a node of that DAG. *)
 
 type event =
   | Msg_sent of { src : int; lid : int }
@@ -94,14 +95,6 @@ type event =
   | Contest_freeze of { node : int; far : int; cause : int }
       (** A too-far contest over [far] at [node] was frozen by the
           oldness-hold cooldown. *)
-  | Topology_change of { nodes : int; edges : int }
-      (** The communication graph was replaced (mobility step, churn);
-          carries the new graph's size. *)
-  | Event_scheduled of { id : int; at : float }
-      (** Engine-level: callback [id] was put on the agenda for time
-          [at]. *)
-  | Event_fired of { id : int; at : float }
-      (** Engine-level: callback [id] executed at time [at]. *)
 
 val kind : event -> string
 (** Constructor name of the event, e.g. ["Msg_delivered"]. *)
@@ -110,10 +103,10 @@ val kinds : string list
 (** Every constructor name, in declaration order.  This is the vocabulary
     docs/OBSERVABILITY.md documents; a unit test diffs the two. *)
 
-val node_of : event -> int option
-(** The node an event is attributed to ([dst] for deliveries and losses,
-    [src] for sends, [node] for protocol events, [None] for engine and
-    topology events) — the node set {!Postmortem} reports on. *)
+val node_of : event -> int
+(** The node an event is attributed to ([dst] for deliveries, losses and
+    drops, [src] for sends, [node] for protocol events) — the node set
+    {!Postmortem} reports on. *)
 
 val cause_of : event -> int
 (** The lineage id of the message that caused the event; [-1] when the
@@ -221,7 +214,9 @@ module Jsonl : sig
   (** One line, without the trailing newline. *)
 
   val of_string : string -> (float * event) option
-  (** Parse one line; [None] on malformed input or an unknown [ev]. *)
+  (** Parse one line; [None] on malformed input or an unknown [ev] — the
+      engine and topology kinds ([Event_scheduled], [Event_fired],
+      [Topology_change]) of older traces included. *)
 
   val sink : out_channel -> sink
   (** Write one line per event; the caller owns (flushes, closes) the
@@ -232,7 +227,7 @@ module Jsonl : sig
       and closes the file, also on exceptions. *)
 
   val load : string -> (float * event) list
-  (** Read a JSONL trace back; malformed lines are skipped. *)
+  (** Read a JSONL trace back; lines {!of_string} rejects are skipped. *)
 end
 
 (** {2 Rotating JSONL sink}

@@ -58,6 +58,10 @@ let float_in t lo hi = lo +. float t (hi -. lo)
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
+(* Written so that NaN fails: every comparison with NaN is false. *)
+let check_rate what p =
+  if not (0.0 <= p && p <= 1.0) then invalid_arg (what ^ " out of [0,1]")
+
 let gaussian t ~mu ~sigma =
   let rec nonzero () =
     let u = float t 1.0 in
@@ -65,14 +69,6 @@ let gaussian t ~mu ~sigma =
   in
   let u1 = nonzero () and u2 = float t 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let exponential t ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u <= 0.0 then nonzero () else u
-  in
-  -.log (nonzero ()) /. rate
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

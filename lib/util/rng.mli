@@ -27,9 +27,6 @@ val split_at : t -> int -> t
 val copy : t -> t
 (** [copy t] duplicates the current state without advancing it. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
@@ -48,11 +45,15 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+val check_rate : string -> float -> unit
+(** [check_rate what p] returns when [0 <= p <= 1] and raises
+    [Invalid_argument (what ^ " out of [0,1]")] otherwise, NaN included —
+    the one validation of every probability a runner hands to
+    {!bernoulli}.  [what] names the caller and the rate, e.g.
+    ["Net.set_loss: rate"]. *)
+
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate (Box–Muller). *)
-
-val exponential : t -> rate:float -> float
-(** Exponential deviate with parameter [rate]. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

@@ -17,9 +17,9 @@ let create ?(expected = 64) ~cell () =
 
 (* Quotients are clamped before flooring so extreme coordinate/cell ratios
    cannot overflow int conversion.  The clamp is monotone and 1-Lipschitz,
-   so two points within [range] still land within [span] cells of each
-   other and query coverage is preserved; far-apart points sharing a
-   clamped cell merely become candidates that the distance test rejects. *)
+   so two points within one cell side still land in adjacent cells and
+   query coverage is preserved; far-apart points sharing a clamped cell
+   merely become candidates that the distance test rejects. *)
 let quot_limit = 1e15
 
 let coord t v =
@@ -39,33 +39,22 @@ let insert t id p =
   | Some b -> b := id :: !b
   | None -> Hashtbl.add t.cells key (ref [ id ])
 
-(* Queries wider than this many cells per axis degenerate to a full scan of
-   the point table — still exact, and O(points) instead of O(span²). *)
-let span_limit = 2_000
-
-let scan_all t p ~r2 f =
-  Hashtbl.iter (fun id q -> if Geom.dist2 p q <= r2 then f id q) t.points
-
-let iter_within t (p : Geom.point) ~range f =
-  (* Same inclusive test and float expression as the naive all-pairs scan
-     in Gen.of_positions, so decisions agree bit for bit. *)
-  let r2 = range *. range in
-  let s = Float.abs range /. t.cell in
-  if not (Float.is_finite s) || s >= float_of_int span_limit then
-    scan_all t p ~r2 f
-  else begin
-    let span = int_of_float (Float.ceil s) in
-    let cx, cy = cell_of t p in
-    for dx = -span to span do
-      for dy = -span to span do
-        match Hashtbl.find_opt t.cells (cx + dx, cy + dy) with
-        | None -> ()
-        | Some b ->
-            List.iter
-              (fun id ->
-                let q = Hashtbl.find t.points id in
-                if Geom.dist2 p q <= r2 then f id q)
-              !b
-      done
+(* Two points at most one cell side apart lie in the same or adjacent
+   cells, so the 3x3 block around [p] holds every candidate.  Same
+   inclusive test and float expression as the naive all-pairs scan in
+   Gen.of_positions, so decisions agree bit for bit. *)
+let iter_within t (p : Geom.point) f =
+  let r2 = t.cell *. t.cell in
+  let cx, cy = cell_of t p in
+  for dx = -1 to 1 do
+    for dy = -1 to 1 do
+      match Hashtbl.find_opt t.cells (cx + dx, cy + dy) with
+      | None -> ()
+      | Some b ->
+          List.iter
+            (fun id ->
+              let q = Hashtbl.find t.points id in
+              if Geom.dist2 p q <= r2 then f id q)
+            !b
     done
-  end
+  done

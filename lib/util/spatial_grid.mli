@@ -1,11 +1,10 @@
 (** Spatial hash grid over 2D points for unit-disk neighbor queries.
 
-    The plane is partitioned into square cells of side [cell]; each occupied
-    cell keeps the ids of the points inside it.  A range query at radius [r]
-    only inspects the [O((r / cell + 1)²)] cells overlapping the query disk,
-    so with [cell] equal to the unit-disk radius a query touches at most a
-    3×3 block of cells — the per-cell candidate lookup that replaces the
-    O(n²) all-pairs scan in {!Dgs_graph.Gen.of_positions}.
+    The plane is partitioned into square cells of side [cell], the
+    unit-disk radius; each occupied cell keeps the ids of the points
+    inside it.  A query at radius [cell] only inspects the 3×3 block of
+    cells around the query point — the per-cell candidate lookup that
+    replaces the O(n²) all-pairs scan in {!Dgs_graph.Gen.of_positions}.
 
     Points are identified by integer ids chosen by the caller and may sit at
     arbitrary finite coordinates (negative included); coincident points are
@@ -29,9 +28,9 @@ val insert : t -> int -> Geom.point -> unit
 (** [insert t id p] stores a new point.
     @raise Invalid_argument if [id] is already present. *)
 
-val iter_within : t -> Geom.point -> range:float -> (int -> Geom.point -> unit) -> unit
-(** [iter_within t p ~range f] calls [f id q] for every stored point [q]
-    with [dist2 p q <= range *. range] — the same inclusive test, on the
-    same {!Geom.dist2} float expression, as the naive all-pairs scan, so
-    callers get bit-for-bit identical adjacency decisions.  Order is
-    unspecified; each point is reported once. *)
+val iter_within : t -> Geom.point -> (int -> Geom.point -> unit) -> unit
+(** [iter_within t p f] calls [f id q] for every stored point [q] with
+    [dist2 p q <= cell *. cell] — the same inclusive test, on the same
+    {!Geom.dist2} float expression, as the naive all-pairs scan at radius
+    [cell] (or [-. cell]), so callers get bit-for-bit identical adjacency
+    decisions.  Order is unspecified; each point is reported once. *)

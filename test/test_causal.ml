@@ -14,15 +14,12 @@ let check_ints = Alcotest.(check (list int))
 let lid src k = (src lsl 20) lor k
 
 (* A two-node exchange: node 1's broadcast is delivered to 2, flips 2's
-   view, which feeds 2's next broadcast, delivered back to 1.  Engine
-   bookkeeping is interleaved to check it stays out of the DAG. *)
+   view, which feeds 2's next broadcast, delivered back to 1. *)
 let sample_exchange () =
   [
-    (0.0, Trace.Event_scheduled { id = 1; at = 0.5 });
     (0.5, Trace.Msg_sent { src = 1; lid = lid 1 1 });
     (0.6, Trace.Msg_delivered { src = 1; dst = 2; cause = lid 1 1 });
     (0.6, Trace.View_changed { node = 2; added = [ 1 ]; removed = []; view = [ 1; 2 ]; cause = lid 1 1 });
-    (0.7, Trace.Event_fired { id = 1; at = 0.7 });
     (1.5, Trace.Msg_sent { src = 2; lid = lid 2 1 });
     (1.6, Trace.Msg_lost { src = 2; dst = 1; cause = lid 2 1 });
     (2.5, Trace.Msg_sent { src = 2; lid = lid 2 2 });
@@ -32,7 +29,7 @@ let sample_exchange () =
 
 let test_build_edges () =
   let t = Causal.build (sample_exchange ()) in
-  check_int "bookkeeping events excluded" 8 (Causal.size t);
+  check_int "every event is a node" 8 (Causal.size t);
   (* Canonical order: time, then serialized form.  Id 0 is the first
      Msg_sent. *)
   (match Causal.event t 0 with
@@ -160,8 +157,7 @@ let test_slice_and_dot () =
    4 ways — per-shard sinks, a topology change mid-run — must build the
    byte-identical causal DAG ([Causal.signature]).  This is the
    observability face of the Sharded determinism contract: canonical ids
-   absorb the shard interleaving and the per-shard multiplicity of
-   engine bookkeeping events. *)
+   absorb the shard interleaving. *)
 let test_sharded_dag_identity () =
   let config = Config.make ~dmax:3 () in
   let g0 = Harness.rgg ~seed:11 ~n:18 () in
@@ -189,6 +185,29 @@ let test_sharded_dag_identity () =
   Alcotest.(check string) "shards=4 builds the same DAG" one four;
   check "the DAG is non-trivial" true (String.length one > 200)
 
+(* A trace recorded before the engine and topology kinds were retired
+   builds the DAG of the same trace with those lines stripped: the loader
+   skips them like any line it cannot parse. *)
+let test_legacy_trace_signature () =
+  let path = Filename.concat "fixtures" "sample-trace.jsonl" in
+  let lines =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic |> String.split_on_char '\n')
+  in
+  let retired l =
+    List.exists (Str_helpers.contains l)
+      [ {|"ev":"Event_scheduled"|}; {|"ev":"Event_fired"|}; {|"ev":"Topology_change"|} ]
+  in
+  check "the fixture holds engine lines" true (List.exists retired lines);
+  let stripped =
+    List.filter (fun l -> not (retired l)) lines |> List.filter_map Trace.Jsonl.of_string
+  in
+  Alcotest.(check string) "legacy trace = stripped trace"
+    (Causal.signature (Causal.build stripped))
+    (Causal.signature (Causal.of_file path))
+
 let suite =
   [
     Alcotest.test_case "build edges" `Quick test_build_edges;
@@ -201,4 +220,6 @@ let suite =
     Alcotest.test_case "slice and dot export" `Quick test_slice_and_dot;
     Alcotest.test_case "sharded DAG identity (jobs 1/2/4)" `Quick
       test_sharded_dag_identity;
+    Alcotest.test_case "legacy trace builds the stripped trace's DAG" `Quick
+      test_legacy_trace_signature;
   ]

@@ -15,7 +15,6 @@ module Graph = Dgs_graph.Graph
 module Paths = Dgs_graph.Paths
 module Rounds = Dgs_sim.Rounds
 module Net = Dgs_sim.Net
-module Engine = Dgs_sim.Engine
 module Cfg = Dgs_spec.Configuration
 module P = Dgs_spec.Predicates
 module Rng = Dgs_util.Rng
@@ -64,7 +63,7 @@ let jitter ~mask ~dmax g =
 let net ~mask ~dmax g =
   let config = Config.make ~dmax () in
   let net =
-    Net.create ~engine:(Engine.create ()) ~rng:(Rng.create (seed ~mask ~dmax)) ~config
+    Net.create ~rng:(Rng.create (seed ~mask ~dmax)) ~config
       ~topology:(fun () -> g)
       ~nodes:(Graph.nodes g) ()
   in

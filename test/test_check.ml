@@ -29,6 +29,28 @@ let test_roundtrip_generated () =
         Alcotest.failf "unparseable own output: %s" (Scenario.to_string sc)
   done
 
+(* A non-finite number is no schedule: [pause inf] would replay forever,
+   and a NaN rate slips through every range clamp. *)
+let test_action_rejects_non_finite () =
+  List.iter
+    (fun line ->
+      check ("rejected: " ^ line) true (Scenario.action_of_string line = None))
+    [
+      "pause inf";
+      "pause nan";
+      "loss nan";
+      "loss -inf";
+      "mob-start walk inf";
+      "ramp-loss nan 3";
+      "ramp-corruption infinity 2";
+    ];
+  check "a finite pause parses" true
+    (Scenario.action_of_string "pause 1e3" = Some (Scenario.Pause 1000.0));
+  check "a scenario with pause inf is rejected" true
+    (Scenario.of_string
+       {|{"seed":1,"dmax":1,"loss":0,"corruption":0,"topology":"line 3","actions":["pause inf"]}|}
+    = None)
+
 let test_roundtrip_strings () =
   List.iter
     (fun t ->
@@ -722,6 +744,7 @@ let suite =
   [
     ("scenario JSON round-trip", `Quick, test_roundtrip_generated);
     ("topology/action string round-trip", `Quick, test_roundtrip_strings);
+    ("action parser rejects non-finite numbers", `Quick, test_action_rejects_non_finite);
     ("parser rejects junk", `Quick, test_parse_rejects_junk);
     ("scenario save/load", `Quick, test_save_load);
     ("generator is deterministic", `Quick, test_generate_deterministic);

@@ -287,8 +287,6 @@ let test_counters_match_trace () =
       (Names.medium_broadcast_total, "Msg_sent");
       (Names.grp_quarantine_enter_total, "Quarantine_enter");
       (Names.grp_quarantine_admit_total, "Quarantine_admit");
-      (Names.engine_fire_total, "Event_fired");
-      (Names.engine_schedule_total, "Event_scheduled");
     ];
   check "computes happened" true (counter Names.grp_compute_total > 0);
   check_int "cache hits + misses = computes"

@@ -39,8 +39,8 @@ let test_sharded_equals_rounds () =
     (12 * 2 * Graph.edge_count g) (Sharded.messages_sent s)
 
 (* Traced, a run sends once per node per round, delivers every copy it
-   counts, and records no engine bookkeeping: the round runs without an
-   event agenda. *)
+   counts, and records nothing but events about its graph's nodes: the
+   round runs without an event agenda. *)
 let test_traced_round () =
   let g = Harness.rgg ~seed:5 ~n:24 () in
   let ring = Trace.Ring.create ~capacity:65536 in
@@ -54,7 +54,64 @@ let test_traced_round () =
   check_int "one Msg_sent per node per round" (24 * 12) (count "Msg_sent");
   check_int "every counted copy delivered (loss 0)"
     (Sharded.messages_sent s) (count "Msg_delivered");
-  check_int "no engine events" 0 (count "Event_scheduled" + count "Event_fired")
+  check "every event is about a graph node" true
+    (List.for_all
+       (fun (_, ev) -> Graph.mem_node g (Trace.node_of ev))
+       (Trace.Ring.contents ring))
+
+(* The jitter probability is checked before the round runs, NaN
+   included. *)
+let test_round_rejects_bad_jitter () =
+  let s = Sharded.create ~config (Harness.rgg ~seed:5 ~n:12 ()) in
+  List.iter
+    (fun jitter ->
+      Alcotest.check_raises (Printf.sprintf "jitter %g" jitter)
+        (Invalid_argument "Sharded.round: jitter out of [0,1]") (fun () ->
+          ignore (Sharded.round ~jitter s)))
+    [ Float.nan; 1.5; -0.1 ];
+  check_int "no rejected round ran" 0 (Sharded.messages_sent s)
+
+(* A traced highway under churn, its topology replaced every round and its
+   computes jittered, writes the same trace lines at every shard and job
+   count once the per-shard sinks are merged: every event is emitted once,
+   by the shard of the node it is about. *)
+let test_traced_highway_lines () =
+  let n = 60 and range = 2.0 in
+  let module Vanet = Dgs_workload.Vanet in
+  let module Mobility = Dgs_mobility.Mobility in
+  let lines (shards, jobs) =
+    let mob =
+      Mobility.create (Rng.create 3) ~n (Vanet.spec_of Vanet.Highway ~n ~range ~speed:0.15)
+    in
+    let rings = Array.init shards (fun _ -> Trace.Ring.create ~capacity:200_000) in
+    let s =
+      Sharded.create ~config ~shards ~jobs ~seed:3
+        ~shard_of:(Sharded.spatial_partition ~shards ~range (Mobility.positions mob))
+        ~make_trace:(fun sx -> Trace.Ring.sink rings.(sx))
+        (Mobility.graph mob ~range)
+    in
+    for _ = 1 to 15 do
+      Mobility.step mob ~dt:1.0;
+      Sharded.set_graph s (Mobility.graph mob ~range);
+      ignore (Sharded.round ~jitter:0.1 s)
+    done;
+    Array.iter
+      (fun r -> check_int "ring kept every event" (Trace.Ring.seen r) (Trace.Ring.length r))
+      rings;
+    Array.to_list rings
+    |> List.concat_map Trace.Ring.contents
+    |> List.map (fun (t, ev) -> Trace.Jsonl.to_string t ev)
+    |> List.sort String.compare
+  in
+  let reference = lines (1, 1) in
+  check "the trace holds view changes" true
+    (List.exists (fun l -> Str_helpers.contains l "View_changed") reference);
+  List.iter
+    (fun ((shards, jobs) as sj) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "shards=%d jobs=%d writes the shards=1 lines" shards jobs)
+        reference (lines sj))
+    [ (2, 1); (2, 2); (4, 2) ]
 
 (* Degenerate partitions: everything on one shard, and one node per
    shard, bracket the partition space. *)
@@ -247,6 +304,10 @@ let suite =
   [
     ("sharded equals rounds at jitter 0", `Quick, test_sharded_equals_rounds);
     ("traced round sends, delivers, no engine", `Quick, test_traced_round);
+    ( "traced highway lines match across shards and jobs",
+      `Quick,
+      test_traced_highway_lines );
+    ("round rejects a NaN or out-of-range jitter", `Quick, test_round_rejects_bad_jitter);
     ("vanet --jobs smoke", `Quick, test_vanet_jobs_smoke);
     ("heap stays flat under churn", `Quick, test_heap_flat_under_churn);
     ("degenerate partitions", `Quick, test_degenerate_partitions);

@@ -61,52 +61,37 @@ let test_engine_past_rejected () =
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
     (fun () -> Engine.schedule_at e 1.0 (fun () -> ()))
 
-(* [Engine.fired], the count the dgs_check fire-budget oracle reads,
-   equals the [Event_fired] count of a traced run and of an untraced
-   twin.  Schedule ids are [0..n-1] in call order, and events fire in
-   [(time, id)] order — including one scheduled at the current time from
-   inside a callback, which fires after the same-time events queued
-   before it. *)
-let test_engine_fired_matches_trace () =
-  let run trace =
-    let e = Engine.create ~trace () in
-    List.iter (fun at -> Engine.schedule_at e at ignore) [ 2.0; 1.0; 2.0; 3.0 ];
-    Engine.schedule_at e 1.0 (fun () -> Engine.schedule_after e 0.0 ignore);
-    Engine.schedule_at e 1.0 ignore;
-    Engine.run_until e 5.0;
-    Engine.fired e
-  in
-  let ring = Trace.Ring.create ~capacity:64 in
-  let traced_fires = run (Trace.Ring.sink ring) in
-  let ids kind =
-    List.filter_map
-      (fun (_, ev) ->
-        match ev with
-        | Trace.Event_scheduled { id; _ } when kind = `Scheduled -> Some id
-        | Trace.Event_fired { id; _ } when kind = `Fired -> Some id
-        | _ -> None)
-      (Trace.Ring.contents ring)
-  in
-  let fired = ids `Fired in
-  check_int "traced engine counts its fires" (List.length fired) traced_fires;
-  check_int "untraced twin fires as often" traced_fires (run Trace.null);
-  Alcotest.(check (list int)) "schedule ids are 0..n-1" (List.init 7 Fun.id)
-    (ids `Scheduled);
-  Alcotest.(check (list int)) "fires in (time, id) order" [ 1; 4; 5; 6; 0; 2; 3 ]
-    fired
+(* Events fire in [(time, schedule order)] order — including one scheduled
+   at the current time from inside a callback, which fires after the
+   same-time events queued before it — and [Engine.fired], the count the
+   dgs_check fire-budget oracle reads, is the number of callbacks that
+   ran. *)
+let test_engine_fire_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let record label () = log := label :: !log in
+  List.iter
+    (fun (at, label) -> Engine.schedule_at e at (record label))
+    [ (2.0, "a"); (1.0, "b"); (2.0, "c"); (3.0, "d") ];
+  Engine.schedule_at e 1.0 (fun () ->
+      record "e" ();
+      Engine.schedule_after e 0.0 (record "e'"));
+  Engine.schedule_at e 1.0 (record "f");
+  Engine.schedule_at e 9.0 (record "beyond the horizon");
+  Engine.run_until e 5.0;
+  let ran = List.rev !log in
+  Alcotest.(check (list string)) "fires in (time, schedule order)"
+    [ "b"; "e"; "f"; "e'"; "a"; "c"; "d" ] ran;
+  check_int "fired counts the callbacks that ran" (List.length ran) (Engine.fired e)
 
 (* --- net channel --- *)
 
 let make_net ?(loss = 0.0) ?(trace = Trace.null) ~seed graph =
-  let engine = Engine.create () in
-  let net =
-    Net.create ~engine ~rng:(Rng.create seed)
-      ~config:(Config.make ~dmax:2 ())
-      ~loss ~trace
-      ~topology:(fun () -> graph)
-      ~nodes:(Graph.nodes graph) ()
-  in
-  (engine, net)
+  Net.create ~rng:(Rng.create seed)
+    ~config:(Config.make ~dmax:2 ())
+    ~loss ~trace
+    ~topology:(fun () -> graph)
+    ~nodes:(Graph.nodes graph) ()
 
 (* Each broadcast sends one copy to every neighbour, once: on a lossless
    star, every broadcast's lineage id is delivered exactly once at each
@@ -116,7 +101,7 @@ let make_net ?(loss = 0.0) ?(trace = Trace.null) ~seed graph =
 let test_net_broadcast () =
   let graph = Gen.star 4 in
   let ring = Trace.Ring.create ~capacity:65536 in
-  let _, net = make_net ~trace:(Trace.Ring.sink ring) ~seed:1 graph in
+  let net = make_net ~trace:(Trace.Ring.sink ring) ~seed:1 graph in
   let horizon = 20.0 in
   Net.run_until net horizon;
   let events = Trace.Ring.contents ring in
@@ -151,7 +136,7 @@ let test_net_broadcast () =
 
 let test_net_total_loss () =
   let graph = Gen.line 2 in
-  let _, net = make_net ~loss:1.0 ~seed:1 graph in
+  let net = make_net ~loss:1.0 ~seed:1 graph in
   Net.run_until net 20.0;
   let s = Net.stats net in
   check "broadcasts counted" true (s.Net.broadcasts > 40);
@@ -163,7 +148,7 @@ let test_net_total_loss () =
 
 let test_net_loss_rate () =
   let graph = Gen.line 2 in
-  let _, net = make_net ~loss:0.5 ~seed:1 graph in
+  let net = make_net ~loss:0.5 ~seed:1 graph in
   Net.run_until net 400.0;
   let s = Net.stats net in
   (* One copy per broadcast on a line of two. *)
@@ -203,6 +188,26 @@ let test_rounds_loss_requires_rng () =
     (Invalid_argument "Rounds.round: loss > 0 requires an rng") (fun () ->
       ignore (Rounds.round ~loss:0.5 t))
 
+(* Every rate a round draws from is checked before the round runs, NaN
+   included: unchecked, a jitter above 1 would skip every compute and a
+   negative loss deliver everything. *)
+let test_rounds_rate_validation () =
+  let t = Rounds.create ~config:(Config.make ~dmax:1 ()) (Gen.line 2) in
+  let rng = Rng.create 1 in
+  List.iter
+    (fun (msg, round) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (round ())))
+    [
+      ("Rounds.round: jitter out of [0,1]", fun () -> Rounds.round ~jitter:1.5 ~rng t);
+      ("Rounds.round: loss out of [0,1]", fun () -> Rounds.round ~loss:(-0.5) ~rng t);
+      ( "Rounds.round: corruption out of [0,1]",
+        fun () -> Rounds.round ~corruption:Float.nan ~rng t );
+      ("Rounds.round: jitter out of [0,1]", fun () -> Rounds.round ~jitter:Float.nan ~rng t);
+    ];
+  check_int "no rejected round ran" 0 (Rounds.messages_sent t);
+  ignore (Rounds.round ~loss:1.0 ~jitter:0.0 ~corruption:0.0 ~rng t);
+  check_int "rates at the bounds run" 2 (Rounds.messages_sent t)
+
 let test_rounds_sends_multiplies () =
   let t = Rounds.create ~config:(Config.make ~dmax:2 ()) (Gen.line 3) in
   ignore (Rounds.round ~sends:3 t);
@@ -230,9 +235,8 @@ let test_rounds_views_map () =
 
 let test_net_converges () =
   let graph = Gen.line 3 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 3)
+    Net.create ~rng:(Rng.create 3)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -246,9 +250,8 @@ let test_net_converges () =
 
 let test_net_signature_stabilizes () =
   let graph = Gen.ring 6 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 4)
+    Net.create ~rng:(Rng.create 4)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -265,9 +268,8 @@ let test_net_signature_stabilizes () =
    to a string would cost several hundred. *)
 let test_net_signature_alloc () =
   let graph = Gen.grid 3 3 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 4)
+    Net.create ~rng:(Rng.create 4)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -288,9 +290,8 @@ let test_net_signature_alloc () =
 
 let test_net_deactivate_reactivate () =
   let graph = Gen.line 3 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 5)
+    Net.create ~rng:(Rng.create 5)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -307,9 +308,8 @@ let test_net_deactivate_reactivate () =
 
 let test_net_add_node () =
   let graph = Gen.line 2 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 6)
+    Net.create ~rng:(Rng.create 6)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -323,9 +323,8 @@ let test_net_add_node () =
 
 let test_net_stats () =
   let graph = Gen.line 2 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 7)
+    Net.create ~rng:(Rng.create 7)
       ~config:(Config.make ~dmax:1 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -337,9 +336,8 @@ let test_net_stats () =
 
 let test_net_observer () =
   let graph = Gen.line 2 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 8)
+    Net.create ~rng:(Rng.create 8)
       ~config:(Config.make ~dmax:1 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -354,7 +352,7 @@ let test_net_rate_validation () =
   let graph = Gen.line 2 in
   let create ?loss ?corruption () =
     ignore
-      (Net.create ~engine:(Engine.create ()) ~rng:(Rng.create 9)
+      (Net.create ~rng:(Rng.create 9)
          ~config:(Config.make ~dmax:1 ())
          ?loss ?corruption
          ~topology:(fun () -> graph)
@@ -365,13 +363,21 @@ let test_net_rate_validation () =
   Alcotest.check_raises "corruption < 0"
     (Invalid_argument "Net.create: corruption out of [0,1]")
     (create ~corruption:(-0.1));
-  let _, net = make_net ~seed:9 graph in
+  Alcotest.check_raises "loss NaN"
+    (Invalid_argument "Net.create: loss out of [0,1]") (create ~loss:Float.nan);
+  let net = make_net ~seed:9 graph in
   Alcotest.check_raises "set_loss < 0"
     (Invalid_argument "Net.set_loss: rate out of [0,1]") (fun () ->
       Net.set_loss net (-0.5));
   Alcotest.check_raises "set_corruption > 1"
     (Invalid_argument "Net.set_corruption: rate out of [0,1]") (fun () ->
       Net.set_corruption net 2.0);
+  Alcotest.check_raises "set_loss NaN"
+    (Invalid_argument "Net.set_loss: rate out of [0,1]") (fun () ->
+      Net.set_loss net Float.nan);
+  Alcotest.check_raises "set_corruption NaN"
+    (Invalid_argument "Net.set_corruption: rate out of [0,1]") (fun () ->
+      Net.set_corruption net Float.nan);
   Net.set_loss net 0.25;
   Net.set_corruption net 0.5;
   check_float "loss set" 0.25 (Net.loss net);
@@ -395,9 +401,8 @@ let test_rounds_deterministic () =
 let test_net_deterministic () =
   let run () =
     let graph = Gen.ring 8 in
-    let engine = Engine.create () in
-    let net =
-      Net.create ~engine ~rng:(Rng.create 321)
+      let net =
+      Net.create ~rng:(Rng.create 321)
         ~config:(Config.make ~dmax:2 ())
         ~loss:0.05
         ~topology:(fun () -> graph)
@@ -419,9 +424,8 @@ let test_net_deterministic () =
    deliveries. *)
 let test_net_deactivate_retires_timers () =
   let graph = Gen.line 3 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 11)
+    Net.create ~rng:(Rng.create 11)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -430,10 +434,10 @@ let test_net_deactivate_retires_timers () =
   Net.deactivate net 0;
   Net.deactivate net 1;
   Net.deactivate net 2;
-  let fired_before = Engine.fired engine in
+  let fired_before = Net.fired net in
   let computes_before = (Net.stats net).Net.computes in
   Net.run_until net 110.0;
-  let extra = Engine.fired engine - fired_before in
+  let extra = Net.fired net - fired_before in
   check "retired timers stop firing" true (extra <= 20);
   check_int "no computes while everyone is down" computes_before
     (Net.stats net).Net.computes
@@ -445,23 +449,22 @@ let test_net_deactivate_retires_timers () =
    times the remaining run time. *)
 let test_net_churn_event_budget () =
   let graph = Gen.line 3 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 12)
+    Net.create ~rng:(Rng.create 12)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
   in
   let episodes = ref 3 in
   for _ = 1 to 20 do
-    Net.run_until net (Engine.now engine +. 1.0);
+    Net.run_until net (Net.now net +. 1.0);
     Net.deactivate net 1;
-    Net.run_until net (Engine.now engine +. 1.0);
+    Net.run_until net (Net.now net +. 1.0);
     Net.activate net 1;
     incr episodes
   done;
   Net.run_until net 60.0;
-  let fires = Engine.fired engine in
+  let fires = Net.fired net in
   let m = Net.stats net in
   let rate = (1.0 /. 1.0) +. (1.0 /. 0.4) in
   let budget =
@@ -473,9 +476,8 @@ let test_net_churn_event_budget () =
 
 let test_net_remove_node () =
   let graph = Gen.line 3 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 13)
+    Net.create ~rng:(Rng.create 13)
       ~config:(Config.make ~dmax:2 ())
       ~topology:(fun () -> graph)
       ~nodes:(Graph.nodes graph) ()
@@ -508,9 +510,8 @@ let test_net_remove_node () =
 let test_net_inflight_drop_accounting () =
   let graph = Gen.line 2 in
   let ring = Trace.Ring.create ~capacity:65536 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 14)
+    Net.create ~rng:(Rng.create 14)
       ~config:(Config.make ~dmax:2 ())
       ~trace:(Trace.Ring.sink ring)
       ~topology:(fun () -> graph)
@@ -569,13 +570,14 @@ let suite =
     ("engine horizon", `Quick, test_engine_horizon);
     ("engine cascading events", `Quick, test_engine_cascading);
     ("engine rejects the past", `Quick, test_engine_past_rejected);
-    ("engine fires match the trace", `Quick, test_engine_fired_matches_trace);
+    ("engine fire order and count", `Quick, test_engine_fire_order);
     ("net broadcast reaches each once", `Quick, test_net_broadcast);
     ("net total loss", `Quick, test_net_total_loss);
     ("net loss rate", `Quick, test_net_loss_rate);
     ("rounds message count", `Quick, test_rounds_message_count);
     ("rounds stabilizes a pair", `Quick, test_rounds_stabilizes_pair);
     ("rounds loss needs rng", `Quick, test_rounds_loss_requires_rng);
+    ("rounds rejects rates outside [0,1] and NaN", `Quick, test_rounds_rate_validation);
     ("rounds sends multiplier", `Quick, test_rounds_sends_multiplies);
     ("rounds set_graph adds nodes", `Quick, test_rounds_set_graph_adds_nodes);
     ("rounds views map", `Quick, test_rounds_views_map);

@@ -19,20 +19,20 @@ let test_create_validates_cell () =
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
-let ids_within g p ~range =
+(* A query's radius is the grid's cell side. *)
+let ids_within g p =
   let ids = ref [] in
-  Grid.iter_within g p ~range (fun id _ -> ids := id :: !ids);
+  Grid.iter_within g p (fun id _ -> ids := id :: !ids);
   List.sort compare !ids
 
 let test_insert_query () =
   let g = Grid.create ~cell:1.0 () in
-  Alcotest.(check (list int)) "empty" [] (ids_within g Geom.origin ~range:10.0);
+  Alcotest.(check (list int)) "empty" [] (ids_within g Geom.origin);
   Grid.insert g 7 (Geom.make 0.5 0.5);
   Grid.insert g 8 (Geom.make (-3.2) 4.1);
-  Alcotest.(check (list int)) "both stored" [ 7; 8 ]
-    (ids_within g Geom.origin ~range:10.0);
+  Alcotest.(check (list int)) "near the origin" [ 7 ] (ids_within g Geom.origin);
   Alcotest.(check (list int)) "each at its position" [ 8 ]
-    (ids_within g (Geom.make (-3.2) 4.1) ~range:0.0);
+    (ids_within g (Geom.make (-3.2) 4.1));
   Alcotest.check_raises "duplicate insert"
     (Invalid_argument "Spatial_grid.insert: id already present")
     (fun () -> Grid.insert g 7 Geom.origin)
@@ -41,11 +41,11 @@ let test_query_inclusive_boundary () =
   let g = Grid.create ~cell:1.0 () in
   Grid.insert g 0 Geom.origin;
   Grid.insert g 1 (Geom.make 1.0 0.0);
-  (* exactly at range *)
+  (* exactly one cell side away *)
   Grid.insert g 2 (Geom.make 1.0000001 0.0);
   Alcotest.(check (list int))
     "<= range, not <" [ 0; 1 ]
-    (ids_within g Geom.origin ~range:1.0)
+    (ids_within g Geom.origin)
 
 let test_negative_coordinates () =
   let g = Grid.create ~cell:1.0 () in
@@ -54,17 +54,7 @@ let test_negative_coordinates () =
   (* the points straddle cell (-1,-1) / (0,0); floor (not truncate) keeps
      them in distinct cells yet both within one cell of each other *)
   Alcotest.(check (list int)) "across the origin" [ 0; 1 ]
-    (ids_within g (Geom.make 0.0 0.0) ~range:1.5)
-
-let test_wide_query_falls_back_to_scan () =
-  (* range/cell far beyond the span limit: the query degenerates to a full
-     table scan and must still be exact. *)
-  let g = Grid.create ~cell:1e-6 () in
-  Grid.insert g 0 Geom.origin;
-  Grid.insert g 1 (Geom.make 3.0 4.0);
-  Grid.insert g 2 (Geom.make 100.0 100.0);
-  Alcotest.(check (list int)) "wide query" [ 0; 1 ]
-    (ids_within g Geom.origin ~range:5.0)
+    (ids_within g (Geom.make 0.0 0.0))
 
 (* --- of_positions: grid vs naive reference --- *)
 
@@ -141,7 +131,6 @@ let suite =
     ("insert / query", `Quick, test_insert_query);
     ("query boundary is inclusive", `Quick, test_query_inclusive_boundary);
     ("negative coordinates", `Quick, test_negative_coordinates);
-    ("wide query falls back to scan", `Quick, test_wide_query_falls_back_to_scan);
     ("of_positions edge cases", `Quick, test_of_positions_edge_cases);
   ]
   @ List.map QCheck_alcotest.to_alcotest

@@ -5,7 +5,6 @@
    docs/OBSERVABILITY.md in sync with the event type. *)
 
 module Trace = Dgs_trace.Trace
-module Engine = Dgs_sim.Engine
 module Net = Dgs_sim.Net
 module Rounds = Dgs_sim.Rounds
 module Monitor = Dgs_spec.Monitor
@@ -40,9 +39,6 @@ let samples : (float * Trace.event) list =
     (2.5, Gate_conviction { node = 4; peer = 9; cause = 3 });
     (2.5, Contest_win { node = 4; far = 9; cause = 3 });
     (2.5, Contest_freeze { node = 4; far = 9; cause = 3 });
-    (12.0, Topology_change { nodes = 30; edges = 71 });
-    (0.42, Event_scheduled { id = 117; at = 1.402 });
-    (1.402, Event_fired { id = 117; at = 1.402 });
   ]
 
 let test_samples_cover_vocabulary () =
@@ -134,8 +130,8 @@ let test_jsonl_load_skips_garbage () =
       check "malformed lines skipped" true
         (Trace.Jsonl.load path = [ (1.0, Trace.Msg_sent { src = 3; lid = -1 }) ]))
 
-(* Traces are lossless: a fuzzed replay, whose engine timestamps carry
-   random per-copy delays, loads back exactly as it was emitted. *)
+(* Traces are lossless: a fuzzed replay, whose simulation timestamps
+   carry random per-copy delays, loads back exactly as it was emitted. *)
 let test_jsonl_lossless_replay () =
   let module Scenario = Dgs_check.Scenario in
   let sc = Scenario.generate (Rng.split_at (Rng.create 42) 0) ~max_actions:10 in
@@ -171,7 +167,15 @@ let test_jsonl_provenance_compat () =
     = Some
         ( 3.0,
           Trace.View_changed
-            { node = 4; added = [ 2 ]; removed = []; view = [ 2; 4 ]; cause = -1 } ))
+            { node = 4; added = [ 2 ]; removed = []; view = [ 2; 4 ]; cause = -1 } ));
+  List.iter
+    (fun line ->
+      check ("retired kind skipped: " ^ line) true (Trace.Jsonl.of_string line = None))
+    [
+      {|{"t":0,"ev":"Event_scheduled","id":0,"at":0.99}|};
+      {|{"t":0.99,"ev":"Event_fired","id":0,"at":0.99}|};
+      {|{"t":12,"ev":"Topology_change","nodes":30,"edges":71}|};
+    ]
 
 (* --- rotating JSONL sink --- *)
 
@@ -213,9 +217,8 @@ let test_rotating_sink () =
 let test_trace_counts_match_net () =
   let graph = Gen.star 4 in
   let ring = Trace.Ring.create ~capacity:65536 in
-  let engine = Engine.create () in
   let net =
-    Net.create ~engine ~rng:(Rng.create 11)
+    Net.create ~rng:(Rng.create 11)
       ~config:(Config.make ~dmax:2 ())
       ~loss:0.4
       ~trace:(Trace.Ring.sink ring)

@@ -93,11 +93,6 @@ let test_gaussian_moments () =
   check "gaussian mean" true (abs_float (mean -. 3.0) < 0.1);
   check "gaussian sd" true (abs_float (sd -. 2.0) < 0.1)
 
-let test_exponential_mean () =
-  let t = Rng.create 13 in
-  let xs = List.init 20_000 (fun _ -> Rng.exponential t ~rate:2.0) in
-  check "exponential mean 1/rate" true (abs_float (Stats.mean xs -. 0.5) < 0.05)
-
 let test_shuffle_permutes () =
   let t = Rng.create 14 in
   let a = Array.init 50 (fun i -> i) in
@@ -127,6 +122,16 @@ let test_invalid_args () =
     (fun () -> ignore (Rng.int t 0));
   Alcotest.check_raises "empty range" (Invalid_argument "Rng.int_in: empty range")
     (fun () -> ignore (Rng.int_in t 3 2))
+
+(* The one probability check: the closed unit interval passes, anything
+   else — NaN and the infinities included — names its caller. *)
+let test_check_rate () =
+  List.iter (Rng.check_rate "Test: p") [ 0.0; 0.25; 1.0 ];
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "%h rejected" p)
+        (Invalid_argument "Test: p out of [0,1]") (fun () -> Rng.check_rate "Test: p" p))
+    [ -0.5; 1.5; Float.nan; Float.infinity; Float.neg_infinity; -0.0 -. epsilon_float ]
 
 (* --- pqueue --- *)
 
@@ -309,11 +314,11 @@ let suite =
     ("rng split independence", `Quick, test_split_independence);
     ("rng copy", `Quick, test_copy_preserves);
     ("rng gaussian moments", `Quick, test_gaussian_moments);
-    ("rng exponential mean", `Quick, test_exponential_mean);
     ("rng shuffle permutes", `Quick, test_shuffle_permutes);
     ("rng permutation", `Quick, test_permutation);
     ("rng pick", `Quick, test_pick);
     ("rng invalid args", `Quick, test_invalid_args);
+    ("rng check_rate rejects NaN and out-of-range rates", `Quick, test_check_rate);
     ("pqueue ordered drain", `Quick, test_pqueue_order);
     ("pqueue random vs sort", `Quick, test_pqueue_random_vs_sort);
     ("pqueue pop_if", `Quick, test_pqueue_pop_if);

@@ -182,9 +182,8 @@ let prop_roundtrip_random =
 
 let test_net_with_corruption_still_converges () =
   let graph = Dgs_graph.Gen.line 3 in
-  let engine = Dgs_sim.Engine.create () in
   let net =
-    Dgs_sim.Net.create ~engine ~rng:(Rng.create 11)
+    Dgs_sim.Net.create ~rng:(Rng.create 11)
       ~config:(Config.make ~dmax:2 ())
       ~corruption:0.1
       ~topology:(fun () -> graph)
