@@ -13,6 +13,11 @@
    - [Rounds] on [grp_sim converge -t rgg -n 200 -s 3], up to
      quiescence.
 
+   A third run fences the lossy [Rounds] schedule, which neither
+   instance exercises: a 30-node random geometric graph for 60 rounds at
+   loss 0.1, corruption 0.05, two sends per round and jitter 0.1, every
+   draw from one rng.
+
    A refactor must leave both sequences unchanged.  On a mismatch the
    actual sequence is written next to the test binary as
    [<fixture>.actual]; an intended behaviour change copies it over the
@@ -98,6 +103,14 @@ let converge_digests () =
     (Rounds.run_until_stable ~jitter:0.1 ~rng:(Rng.create seed) ~on_round t);
   List.rev !acc
 
+let lossy_digests () =
+  let seed = 5 in
+  let t = Rounds.create ~config:(Config.make ~dmax:3 ()) (Harness.rgg ~seed ~n:30 ()) in
+  let ids = Rounds.node_ids t and rng = Rng.create seed in
+  List.init 60 (fun _ ->
+      ignore (Rounds.round ~loss:0.1 ~corruption:0.05 ~sends:2 ~jitter:0.1 ~rng t);
+      round_digest ~node:(Rounds.node t) ids)
+
 let fuzz_reports ~coverage ~seed ~runs () =
   let acc = ref [] in
   let on_run _ _ r = acc := Oracle.report_to_json r :: !acc in
@@ -135,6 +148,9 @@ let suite =
     ( "converge rgg n=200 s=3 (Rounds) per-round digests",
       `Quick,
       fence "converge-n200-digests.expected" converge_digests );
+    ( "lossy rgg n=30 s=5 (Rounds) per-round digests",
+      `Quick,
+      fence "lossy-rounds-n30-digests.expected" lossy_digests );
     ( "fuzz seed 42 250 runs per-scenario oracle reports",
       `Quick,
       fence "fuzz-seed42-reports.expected"
