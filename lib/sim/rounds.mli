@@ -1,10 +1,12 @@
-(** Synchronous-round executor for GRP.
+(** Synchronous rounds driven by one caller rng.
 
-    One round = every active node broadcasts its message, every node
-    receives from each current neighbor (optionally subject to loss), then
-    every node runs [compute].  This is the idealized fair-channel schedule
-    (one compute timer = one round) and makes stabilization arguments and
-    tests deterministic.  The event-driven runtime {!Net} relaxes it. *)
+    One round = every node broadcasts its message, every node receives
+    from each current neighbor (optionally subject to loss and
+    corruption), then every node not skipped by jitter runs [compute]:
+    one compute timer = one round, which makes stabilization arguments
+    and tests deterministic.  The event-driven runtime {!Net} relaxes it.
+    A runner is a one-shard, one-job {!Sharded} runner whose schedule
+    ({!Sharded.step}) draws everything from the rng given to {!round}. *)
 
 type t
 
@@ -16,8 +18,8 @@ val create :
   t
 (** One protocol node per graph node.  [trace] (default
     {!Dgs_trace.Trace.null}) is installed in every node and receives the
-    channel events of each round; the runner stamps it with the round
-    number as trace time (round 1 is the first round). *)
+    channel events of each round; every event of round [r] is stamped
+    [r] (round 1 is the first round). *)
 
 val config : t -> Dgs_core.Config.t
 (** The protocol configuration the nodes were created with. *)
@@ -54,16 +56,19 @@ val round :
     compute independently with the given probability, emulating the phase
     drift of real timers — perfectly synchronous rounds are an adversarial
     schedule outside the paper's timer model, under which symmetric merge
-    races can livelock (DESIGN.md Section 5).  [rng] required when
-    either is > 0; skipped nodes keep accumulating messages (one-message
+    races can livelock (DESIGN.md Section 5).  [rng] required when a
+    rate is > 0; skipped nodes keep accumulating messages (one-message
     channel per sender), exactly as a slow timer would.  [sends] (default
     1) transmissions happen per compute round, modelling the paper's
     [Ts <= Tc]: under loss a neighbor misses a compute period only when
     all its transmissions in it are lost.  [corruption] routes each
     delivery through the {!Dgs_core.Wire} frame format with one byte
-    flipped with the given probability; unparsable frames are dropped.
-    Raises [Invalid_argument] when [sends < 1] or a rate is outside
-    [\[0,1\]] or NaN. *)
+    flipped with the given probability; unparsable frames are dropped
+    (traced [Msg_dropped]).  Draw order: per copy, in (send, src, dst)
+    order, a loss draw, then a corruption draw if the copy was not lost;
+    then one jitter draw per node in id order.  Raises [Invalid_argument],
+    before the round changes any state, when [sends < 1], a rate is
+    outside [\[0,1\]] or NaN, or a rate is positive without [rng]. *)
 
 val run :
   ?loss:float ->
@@ -98,4 +103,4 @@ val run_until_stable :
     {!Dgs_spec.Monitor} a per-round configuration snapshot. *)
 
 val messages_sent : t -> int
-(** Total directed message deliveries attempted so far. *)
+(** Total directed copies sent so far (every transmission counted). *)

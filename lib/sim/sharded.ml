@@ -7,10 +7,9 @@ module Spatial_grid = Dgs_util.Spatial_grid
 module Geom = Dgs_util.Geom
 open Dgs_core
 
-(* Trace-time offset of a round's deliveries and computes: a round's
-   sends are stamped at its tick, everything it delivers and computes at
-   [tick + delta], strictly before the next tick. *)
-let delta = 0.5
+(* [Deliver] is the copy as sent, so a channel that leaves a copy alone
+   allocates nothing. *)
+type fate = Lose | Drop | Deliver | Deliver_as of Message.t
 
 (* One logical shard: the protocol nodes homed to it.  During the two
    parallel phases of a round a shard is touched by exactly one worker
@@ -28,8 +27,10 @@ type shard = {
   lids : (Node_id.t, int) Hashtbl.t;
   (* Graph nodes homed here, sorted — the per-round iteration order. *)
   mutable locals : Node_id.t array;
-  (* This round's message and lineage id of each [locals] entry, built in
-     phase A and delivered to same-shard neighbours in phase B. *)
+  (* This round's message of each [locals] entry, built in phase A and
+     delivered to same-shard neighbours in phase B, and the lineage id of
+     each of its transmissions: send [s] of entry [i] at
+     [s * Array.length locals + i]. *)
   mutable msgs : Message.t array;
   mutable msg_lids : int array;
   (* Boundary copies produced this round: (src, dst, lineage id, message),
@@ -55,7 +56,8 @@ type t = {
   rngs : Rng.t Node_id.Tbl.t;
   node_master : Rng.t;
   mutable graph : Graph.t;
-  mutable now : float;
+  (* Rounds run so far: round r stamps every event it traces with r. *)
+  mutable round_no : int;
   mutable barrier_s : float;
   (* Per-phase wall clock, measured on the main thread around each
      parallel phase (so they include fork/join overhead) — perfbench's
@@ -120,7 +122,7 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
       rngs = Node_id.Tbl.create 64;
       node_master;
       graph;
-      now = 0.0;
+      round_no = 0;
       barrier_s = 0.0;
       broadcast_s = 0.0;
       deliver_s = 0.0;
@@ -152,32 +154,34 @@ let views t =
 
 let messages_sent t = Array.fold_left (fun acc sh -> acc + sh.sent) 0 t.shards
 
-(* Phase A (parallel): at the round tick every local node builds its
-   message; copies to neighbours homed on another shard go to the
-   outbox. *)
-let phase_broadcast t sh =
-  let tracing = Trace.enabled sh.trace in
-  sh.msg_lids <- Array.make (Array.length sh.locals) (-1);
+(* Phase A (parallel): every local node builds its message and mints
+   one lineage id per transmission; copies to neighbours homed on another
+   shard go to the outbox (one transmission when there are several
+   shards). *)
+let phase_broadcast t ~sends sh =
+  let tracing = Trace.enabled sh.trace and n = Array.length sh.locals in
+  if tracing then Trace.set_time sh.trace (float_of_int t.round_no);
+  sh.msg_lids <- Array.make (sends * n) (-1);
   sh.msgs <-
     Array.mapi
       (fun i v ->
         let msg = Grp_node.make_message (Node_id.Tbl.find sh.nodes v) in
-        if tracing then begin
-          sh.msg_lids.(i) <- Trace.mint_lid sh.lids ~src:v;
-          Trace.set_time sh.trace t.now;
-          Trace.emit sh.trace (Trace.Msg_sent { src = v; lid = sh.msg_lids.(i) })
-        end;
+        if tracing then
+          for s = 0 to sends - 1 do
+            let lid = Trace.mint_lid sh.lids ~src:v in
+            sh.msg_lids.((s * n) + i) <- lid;
+            Trace.emit sh.trace (Trace.Msg_sent { src = v; lid })
+          done;
         Graph.iter_neighbors t.graph v (fun dst ->
-            sh.sent <- sh.sent + 1;
+            sh.sent <- sh.sent + sends;
             if Node_id.Tbl.find t.home dst <> sh.sx then
               sh.outbox <- (v, dst, sh.msg_lids.(i), msg) :: sh.outbox);
         msg)
       sh.locals
 
 (* Barrier (main thread): route every boundary copy to its destination
-   shard and fix the delivery order to ascending (src, dst) — the round
-   tick is constant within a round, so this is the deterministic
-   (tick, src, dst) merge order. *)
+   shard and fix the delivery order to ascending (src, dst) — the
+   deterministic merge order of the [--jobs] contract. *)
 let exchange t =
   let t0 = Unix.gettimeofday () in
   let incoming = Array.make (Array.length t.shards) [] in
@@ -197,61 +201,73 @@ let exchange t =
   t.barrier_s <- t.barrier_s +. (Unix.gettimeofday () -. t0);
   incoming
 
-(* Phase B (parallel): deliver the local copies (sources ascending, then
-   neighbours ascending), then the sorted boundary copies, then run every
-   compute the jitter does not skip — so a compute sees all of this
-   round's messages, exactly the Rounds schedule.  Stamps are set per
-   event, as in phase A, so a shard with nothing to do leaves its trace
-   clock alone. *)
-let phase_deliver t jitter sh incoming =
-  let tracing = Trace.enabled sh.trace in
-  let at = t.now +. delta in
+(* Phase B (parallel): deliver the local copies (transmissions, then
+   sources, then neighbours ascending), each through [channel] when there
+   is one, then the sorted boundary copies, then run the computes of the
+   [active] nodes — so a compute sees all of this round's messages. *)
+let phase_deliver t ~sends ~channel ~active sh incoming =
+  let tracing = Trace.enabled sh.trace and n = Array.length sh.locals in
   let deliver src dst lid msg =
     Grp_node.receive_lid (Node_id.Tbl.find sh.nodes dst) ~lid msg;
-    if tracing then begin
-      Trace.set_time sh.trace at;
-      Trace.emit sh.trace (Trace.Msg_delivered { src; dst; cause = lid })
-    end
+    if tracing then Trace.emit sh.trace (Trace.Msg_delivered { src; dst; cause = lid })
   in
-  Array.iteri
-    (fun i src ->
-      Graph.iter_neighbors t.graph src (fun dst ->
-          if Node_id.Tbl.find t.home dst = sh.sx then
-            deliver src dst sh.msg_lids.(i) sh.msgs.(i)))
-    sh.locals;
+  for s = 0 to sends - 1 do
+    Array.iteri
+      (fun i src ->
+        let lid = sh.msg_lids.((s * n) + i) and msg = sh.msgs.(i) in
+        Graph.iter_neighbors t.graph src (fun dst ->
+            if Node_id.Tbl.find t.home dst = sh.sx then
+              match channel with
+              | None -> deliver src dst lid msg
+              | Some ch -> (
+                  match ch msg with
+                  | Deliver -> deliver src dst lid msg
+                  | Deliver_as m -> deliver src dst lid m
+                  | Lose ->
+                      if tracing then
+                        Trace.emit sh.trace (Trace.Msg_lost { src; dst; cause = lid })
+                  | Drop ->
+                      if tracing then
+                        Trace.emit sh.trace (Trace.Msg_dropped { src; dst; cause = lid }))))
+      sh.locals
+  done;
   List.iter (fun (src, dst, lid, msg) -> deliver src dst lid msg) incoming;
   sh.msgs <- [||];
   Array.iter
     (fun v ->
-      (* One jitter draw per node per round from the node's own stream —
-         short-circuited at 0.0 so the streams advance identically
-         whether jitter is off or absent. *)
-      let skip = jitter > 0.0 && Rng.bernoulli (Node_id.Tbl.find t.rngs v) jitter in
-      if not skip then begin
-        if tracing then Trace.set_time sh.trace at;
-        sh.infos <- (v, Grp_node.compute (Node_id.Tbl.find sh.nodes v)) :: sh.infos
-      end)
+      if active v then
+        sh.infos <- (v, Grp_node.compute (Node_id.Tbl.find sh.nodes v)) :: sh.infos)
     sh.locals
 
-let round ?(jitter = 0.0) t =
-  Rng.check_rate "Sharded.round: jitter" jitter;
+let step ?(sends = 1) ?channel ~active t =
   let n = Array.length t.shards in
+  if sends < 1 then invalid_arg "Sharded.step: sends must be >= 1";
+  if n > 1 && (sends > 1 || Option.is_some channel) then
+    invalid_arg "Sharded.step: a channel or sends > 1 needs a single shard";
+  t.round_no <- t.round_no + 1;
   let t0 = Unix.gettimeofday () in
-  ignore (Pool.map ~jobs:t.jobs n (fun sx -> phase_broadcast t t.shards.(sx)));
+  ignore (Pool.map ~jobs:t.jobs n (fun sx -> phase_broadcast t ~sends t.shards.(sx)));
   t.broadcast_s <- t.broadcast_s +. (Unix.gettimeofday () -. t0);
   let incoming = exchange t in
   let t1 = Unix.gettimeofday () in
   ignore
     (Pool.map ~jobs:t.jobs n (fun sx ->
-         phase_deliver t jitter t.shards.(sx) incoming.(sx)));
+         phase_deliver t ~sends ~channel ~active t.shards.(sx) incoming.(sx)));
   t.deliver_s <- t.deliver_s +. (Unix.gettimeofday () -. t1);
-  t.now <- t.now +. 1.0;
   Array.fold_left
     (fun acc sh ->
       let l = sh.infos in
       sh.infos <- [];
       List.fold_left (fun acc (v, i) -> Node_id.Map.add v i acc) acc l)
     Node_id.Map.empty t.shards
+
+let round ?(jitter = 0.0) t =
+  Rng.check_rate "Sharded.round: jitter" jitter;
+  (* One jitter draw per node per round from the node's own stream —
+     short-circuited at 0.0 so the streams advance identically whether
+     jitter is off or absent. *)
+  step t ~active:(fun v ->
+      not (jitter > 0.0 && Rng.bernoulli (Node_id.Tbl.find t.rngs v) jitter))
 
 let run ?jitter t n =
   for _ = 1 to n do

@@ -1,45 +1,44 @@
-(** Sharded synchronous-round executor: one simulation, many domains.
+(** The synchronous-round executor: one broadcast → deliver → compute
+    loop, sharded across domains.
 
     The node set is partitioned into [shards] logical shards (spatially,
     via {!spatial_partition}, or by any caller-supplied assignment); each
     shard owns the protocol nodes homed to it, and up to [jobs] worker
-    domains execute the shards through {!Dgs_parallel.Pool}.  A round is
-    the synchronous broadcast → deliver → compute loop of {!Rounds},
-    split into two globally synchronized parallel phases:
+    domains execute the shards through {!Dgs_parallel.Pool}.  A round
+    runs in two globally synchronized parallel phases:
 
-    + {b broadcast} (parallel) — at the round tick every node builds its
-      message; copies whose destination is homed on another shard go to
-      the shard's outbox;
+    + {b broadcast} (parallel) — every node builds its message; copies
+      whose destination is homed on another shard go to the shard's
+      outbox;
     + {b barrier exchange} (main thread) — outboxes are routed to the
       destination shards and sorted into ascending [(src, dst)] order
-      (the round tick is constant, so this is the deterministic
-      [(tick, src, dst)] merge order of the [--jobs] contract);
+      (the deterministic merge order of the [--jobs] contract);
     + {b deliver + compute} (parallel) — each shard hands its same-shard
       copies to {!Dgs_core.Grp_node.receive_lid} (sources ascending, then
-      neighbours ascending), then the boundary copies, then runs its
-      computes.
+      neighbours ascending), then the boundary copies, then runs the
+      computes of its active nodes.
 
     Both parallel phases join before the next begins, so a compute sees
-    exactly this round's messages.  With [jitter = 0] the per-node final
-    state is identical to {!Rounds.round} on the same graph sequence.
-    Traced events of a round are stamped with its tick (sends) or with
-    [tick + 0.5] (deliveries, protocol events).  Every traced event
-    belongs to the shard of the node it is about, so the merged
-    per-shard traces hold the same events for every [shards] and
-    [jobs].
+    exactly this round's messages.  Every event round [r] traces is
+    stamped [r], counting from 1.  Every traced event belongs to the
+    shard of the node it is about, so the merged per-shard traces hold
+    the same events for every [shards] and [jobs].
 
-    {b Determinism.}  Results are a function of [(seed, graph sequence,
-    jitter)] only — never of [shards] or [jobs].  Every
-    behavior-affecting draw (compute jitter) comes from a per-node stream
-    ([Rng.split_at] keyed by node id).  Message delivery per receiver is
-    order-insensitive (one message per sender per round, keyed by
-    sender), so the local/boundary split cannot be observed by the
-    protocol.  The QCheck partition-invariance property and the
-    jobs∈{1,2,4} byte-identity test pin this contract.
+    {!round} is the fair-channel schedule with per-node jitter;
+    {!step} takes the schedule from the caller: [sends] transmissions per
+    round, a per-copy channel and the set of nodes that compute.
+    {!Rounds} is {!step} on one shard, driven by one caller rng.
 
-    The idealized fair channel only: no loss, corruption or multi-send —
-    those belong to {!Rounds} and {!Net}.  Lossy sharded channels would
-    need per-{e edge} RNG streams to stay partition-invariant. *)
+    {b Determinism.}  Results of {!round} are a function of
+    [(seed, graph sequence, jitter)] only — never of [shards] or
+    [jobs].  Every behavior-affecting draw (compute jitter) comes from a
+    per-node stream ([Rng.split_at] keyed by node id).  Message delivery
+    per receiver is order-insensitive (one message per sender per round,
+    keyed by sender), so the local/boundary split cannot be observed by
+    the protocol.  The QCheck partition-invariance property and the
+    jobs∈{1,2,4} byte-identity test pin this contract.  A caller channel
+    or several sends need one shard: a lossy channel that does not
+    depend on the partition needs per-{e edge} RNG streams. *)
 
 type t
 
@@ -73,8 +72,8 @@ val jobs : t -> int
 val set_graph : t -> Dgs_graph.Graph.t -> unit
 (** Install a new topology.  New nodes are created fresh and homed by
     the partition function; departed nodes keep their state in case they
-    come back, exactly as in {!Rounds.set_graph}.  Emits no trace
-    event. *)
+    come back (a node that reappears with stale state is exactly a
+    transient fault).  Emits no trace event. *)
 
 val node : t -> Dgs_core.Node_id.t -> Dgs_core.Grp_node.t
 (** Raises [Not_found] for unknown ids. *)
@@ -85,12 +84,40 @@ val node_ids : t -> Dgs_core.Node_id.t list
 val views : t -> Dgs_core.Node_id.Set.t Dgs_core.Node_id.Map.t
 (** Current views of the nodes in the graph. *)
 
+(** What the channel does with one directed copy. *)
+type fate =
+  | Lose  (** Lost in the channel: traced [Msg_lost]. *)
+  | Drop
+      (** Reached the destination's runtime but refused before the
+          protocol saw it, e.g. a frame corrupted out of the wire grammar:
+          traced [Msg_dropped]. *)
+  | Deliver  (** Delivered as sent: traced [Msg_delivered]. *)
+  | Deliver_as of Dgs_core.Message.t
+      (** Delivered altered (a corrupted frame that still parses): traced
+          [Msg_delivered]. *)
+
+val step :
+  ?sends:int ->
+  ?channel:(Dgs_core.Message.t -> fate) ->
+  active:(Dgs_core.Node_id.t -> bool) ->
+  t ->
+  Dgs_core.Grp_node.step_info Dgs_core.Node_id.Map.t
+(** Execute one round under the caller's schedule and report the step
+    outcome of each node that computed.  Every node broadcasts [sends]
+    (default 1) times, each transmission its own lineage; [channel]
+    (default: deliver every copy) decides each copy's fate, called in
+    (transmission, source, destination) order; then every node for which
+    [active] holds computes, called in ascending id order after every
+    copy.  Nodes that do not compute keep accumulating messages, exactly
+    as a slow timer would.
+    @raise Invalid_argument when [sends < 1], or when a [channel] or
+    [sends > 1] is given to a runner with more than one shard. *)
+
 val round :
   ?jitter:float -> t -> Dgs_core.Grp_node.step_info Dgs_core.Node_id.Map.t
-(** Execute one round and report each node's step outcome (jitter-skipped
-    nodes are absent, as in {!Rounds.round}).  [jitter] (default 0) skips
-    each node's compute independently, drawn from the node's own stream —
-    one draw per node per round, so the skip pattern is
+(** {!step} with the fair channel and one send: [jitter] (default 0)
+    skips each node's compute independently, drawn from the node's own
+    stream — one draw per node per round, so the skip pattern is
     partition-invariant.
     @raise Invalid_argument when [jitter] is outside [0, 1] or NaN. *)
 
@@ -98,8 +125,8 @@ val run : ?jitter:float -> t -> int -> unit
 (** [run t n] executes [n] rounds, discarding the per-round step infos. *)
 
 val messages_sent : t -> int
-(** Total directed deliveries attempted so far, summed over shards —
-    same accounting as {!Rounds.messages_sent}. *)
+(** Total directed copies sent so far (every transmission counted),
+    summed over shards. *)
 
 val barrier_s : t -> float
 (** Cumulative wall-clock seconds spent in the main-thread barrier

@@ -10,8 +10,8 @@
     regression script.
 
     Times are whatever clock the producing driver stamped: simulation
-    seconds under {!Dgs_sim.Net}, round numbers under
-    {!Dgs_sim.Rounds}. *)
+    seconds under {!Dgs_sim.Net}, round numbers under {!Dgs_sim.Rounds}
+    and {!Dgs_sim.Sharded}. *)
 
 (** {2 Per-node view stabilization}
 

@@ -9,7 +9,8 @@
 
     Timestamps are supplied by the {e driver} of the run: the event-driven
     {!Dgs_sim.Net} stamps sinks with simulation seconds, the synchronous
-    {!Dgs_sim.Rounds} runner with the round number.  Components that have no
+    round loop ({!Dgs_sim.Sharded}, {!Dgs_sim.Rounds}) every event of round
+    [r] with [r].  Components that have no
     clock of their own (notably {!Dgs_core.Grp_node}) emit at whatever time
     the driver last {!set_time}.
 

@@ -1,5 +1,4 @@
 module Mobility = Dgs_mobility.Mobility
-module Rounds = Dgs_sim.Rounds
 module Sharded = Dgs_sim.Sharded
 module Cfg = Dgs_spec.Configuration
 module Incremental = Dgs_spec.Incremental

@@ -4,8 +4,8 @@
     A run advances a vehicular mobility model (bidirectional highway or
     Manhattan street grid), rebuilds the unit-disk graph through the spatial
     hash grid each round, executes one protocol round per mobility step, and
-    polls the incremental checker ({!Dgs_spec.Incremental}, fed with the
-    round's view-change events) on structure-shared snapshots, so every
+    polls the incremental checker ({!Dgs_spec.Incremental}) on
+    structure-shared snapshots of the graph and views, so every
     report carries the verdicts of the configuration it ran.  The
     {!report} holds counts and verdicts only, never a clock: perfbench's
     [vanet_highway] workload times the same loop with repeats and splits

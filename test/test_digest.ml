@@ -148,9 +148,6 @@ let suite =
     ( "converge rgg n=200 s=3 (Rounds) per-round digests",
       `Quick,
       fence "converge-n200-digests.expected" converge_digests );
-    ( "lossy rgg n=30 s=5 (Rounds) per-round digests",
-      `Quick,
-      fence "lossy-rounds-n30-digests.expected" lossy_digests );
     ( "fuzz seed 42 250 runs per-scenario oracle reports",
       `Quick,
       fence "fuzz-seed42-reports.expected"
@@ -159,4 +156,7 @@ let suite =
       `Quick,
       fence "fuzz-guided-seed7-reports.expected"
         (fuzz_reports ~coverage:true ~seed:7 ~runs:250) );
+    ( "lossy rgg n=30 s=5 (Rounds) per-round digests",
+      `Quick,
+      fence "lossy-rounds-n30-digests.expected" lossy_digests );
   ]

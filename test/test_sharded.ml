@@ -39,13 +39,26 @@ let test_sharded_equals_rounds () =
     (12 * 2 * Graph.edge_count g) (Sharded.messages_sent s)
 
 (* Traced, a run sends once per node per round, delivers every copy it
-   counts, and records nothing but events about its graph's nodes: the
-   round runs without an event agenda. *)
+   counts, records nothing but events about its graph's nodes (the round
+   runs without an event agenda) and stamps every event of round r with
+   r, counting from 1. *)
 let test_traced_round () =
   let g = Harness.rgg ~seed:5 ~n:24 () in
   let ring = Trace.Ring.create ~capacity:65536 in
-  let s = Sharded.create ~config ~make_trace:(fun _ -> Trace.Ring.sink ring) g in
-  Sharded.run s 12;
+  let s =
+    Sharded.create ~config ~shards:2 ~make_trace:(fun _ -> Trace.Ring.sink ring) g
+  in
+  let ends =
+    List.init 12 (fun _ ->
+        ignore (Sharded.round s);
+        Trace.Ring.seen ring)
+  in
+  let round_of k = 1 + List.length (List.filter (fun e -> e <= k) ends) in
+  check "every event stamped with its round" true
+    (List.for_all2
+       (fun k (time, _) -> time = float_of_int (round_of k))
+       (List.init (Trace.Ring.length ring) Fun.id)
+       (Trace.Ring.contents ring));
   let count kind =
     List.length
       (List.filter (fun (_, ev) -> Trace.kind ev = kind) (Trace.Ring.contents ring))
@@ -70,6 +83,49 @@ let test_round_rejects_bad_jitter () =
           ignore (Sharded.round ~jitter s)))
     [ Float.nan; 1.5; -0.1 ];
   check_int "no rejected round ran" 0 (Sharded.messages_sent s)
+
+(* A caller channel or several sends would make a run depend on the
+   partition, so a runner with several shards refuses them before the
+   round runs. *)
+let test_step_needs_one_shard () =
+  let s = Sharded.create ~config ~shards:2 (Harness.rgg ~seed:5 ~n:12 ()) in
+  let all _ = true in
+  List.iter
+    (fun (what, step) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Sharded.step: a channel or sends > 1 needs a single shard")
+        (fun () -> ignore (step ())))
+    [
+      ("sends 2", fun () -> Sharded.step ~sends:2 ~active:all s);
+      ( "channel",
+        fun () -> Sharded.step ~channel:(fun _ -> Sharded.Deliver) ~active:all s );
+    ];
+  check_int "no rejected round ran" 0 (Sharded.messages_sent s)
+
+(* The schedule is the caller's: the channel sees every copy in
+   (send, src, dst) order, and only the active nodes compute while the
+   others keep their messages. *)
+let test_step_schedule () =
+  let s = Sharded.create ~config (Dgs_graph.Gen.line 3) in
+  let senders = ref [] in
+  let channel msg =
+    let src = msg.Message.sender in
+    senders := src :: !senders;
+    if src = 0 then Sharded.Lose else Sharded.Deliver
+  in
+  let infos = Sharded.step ~sends:2 ~channel ~active:(fun v -> v = 1) s in
+  let copies = [ 0; 1; 1; 2 ] in
+  Alcotest.(check (list int)) "copy order by sender" (copies @ copies) (List.rev !senders);
+  Alcotest.(check (list int)) "only node 1 computed" [ 1 ]
+    (List.map fst (Node_id.Map.bindings infos));
+  check_int "every transmission counted" 8 (Sharded.messages_sent s);
+  List.iter
+    (fun (v, senders) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "node %d pending" v)
+        senders
+        (Node_id.Set.elements (Grp_node.pending_senders (Sharded.node s v))))
+    [ (0, [ 1 ]); (1, []); (2, [ 1 ]) ]
 
 (* A traced highway under churn, its topology replaced every round and its
    computes jittered, writes the same trace lines at every shard and job
@@ -308,6 +364,8 @@ let suite =
       `Quick,
       test_traced_highway_lines );
     ("round rejects a NaN or out-of-range jitter", `Quick, test_round_rejects_bad_jitter);
+    ("step needs one shard for a channel or sends", `Quick, test_step_needs_one_shard);
+    ("step follows the caller's schedule", `Quick, test_step_schedule);
     ("vanet --jobs smoke", `Quick, test_vanet_jobs_smoke);
     ("heap stays flat under churn", `Quick, test_heap_flat_under_churn);
     ("degenerate partitions", `Quick, test_degenerate_partitions);

@@ -188,6 +188,54 @@ let test_rounds_loss_requires_rng () =
     (Invalid_argument "Rounds.round: loss > 0 requires an rng") (fun () ->
       ignore (Rounds.round ~loss:0.5 t))
 
+(* A positive rate without an rng is refused before the round touches
+   any state: no copy counted, no inbox filled. *)
+let test_rounds_rng_checked_up_front () =
+  List.iter
+    (fun (what, round) ->
+      let t = Rounds.create ~config:(Config.make ~dmax:1 ()) (Gen.line 3) in
+      Alcotest.check_raises what
+        (Invalid_argument ("Rounds.round: " ^ what ^ " > 0 requires an rng"))
+        (fun () -> ignore (round t));
+      check_int (what ^ ": no copy counted") 0 (Rounds.messages_sent t);
+      List.iter
+        (fun v ->
+          check
+            (Printf.sprintf "%s: node %d has no pending sender" what v)
+            true
+            (Node_id.Set.is_empty (Grp_node.pending_senders (Rounds.node t v))))
+        (Rounds.node_ids t))
+    [
+      ("jitter", fun t -> Rounds.round ~jitter:0.5 t);
+      ("loss", fun t -> Rounds.round ~loss:0.5 t);
+      ("corruption", fun t -> Rounds.round ~corruption:0.5 t);
+    ]
+
+(* A corrupted frame that no longer parses never reaches the protocol,
+   so it is traced [Msg_dropped], as under [Net]: with every copy
+   corrupted and no compute, the [Msg_delivered] events are exactly the
+   copies the nodes hold. *)
+let test_rounds_unparsable_frame_dropped () =
+  let ring = Trace.Ring.create ~capacity:4096 in
+  let t =
+    Rounds.create ~config:(Config.make ~dmax:2 ()) ~trace:(Trace.Ring.sink ring)
+      (Gen.grid 3 3)
+  in
+  ignore (Rounds.round ~corruption:1.0 ~jitter:1.0 ~rng:(Rng.create 1) t);
+  let count kind =
+    List.length
+      (List.filter (fun (_, ev) -> Trace.kind ev = kind) (Trace.Ring.contents ring))
+  in
+  let held =
+    List.fold_left
+      (fun acc v -> acc + Node_id.Set.cardinal (Grp_node.pending_senders (Rounds.node t v)))
+      0 (Rounds.node_ids t)
+  in
+  check_int "delivered = held" held (count "Msg_delivered");
+  check "some frames were dropped" true (count "Msg_dropped" > 0);
+  check_int "every copy delivered or dropped" (Rounds.messages_sent t)
+    (count "Msg_delivered" + count "Msg_dropped")
+
 (* Every rate a round draws from is checked before the round runs, NaN
    included: unchecked, a jitter above 1 would skip every compute and a
    negative loss deliver everything. *)
@@ -577,6 +625,10 @@ let suite =
     ("rounds message count", `Quick, test_rounds_message_count);
     ("rounds stabilizes a pair", `Quick, test_rounds_stabilizes_pair);
     ("rounds loss needs rng", `Quick, test_rounds_loss_requires_rng);
+    ("rounds checks the rng before the round", `Quick, test_rounds_rng_checked_up_front);
+    ( "rounds traces an unparsable frame as dropped",
+      `Quick,
+      test_rounds_unparsable_frame_dropped );
     ("rounds rejects rates outside [0,1] and NaN", `Quick, test_rounds_rate_validation);
     ("rounds sends multiplier", `Quick, test_rounds_sends_multiplies);
     ("rounds set_graph adds nodes", `Quick, test_rounds_set_graph_adds_nodes);
