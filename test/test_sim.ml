@@ -182,15 +182,9 @@ let test_rounds_stabilizes_pair () =
       | None -> Alcotest.fail "did not stabilize")
     [ 1; 3 ]
 
-let test_rounds_loss_requires_rng () =
-  let t = Rounds.create ~config:(Config.make ~dmax:1 ()) (Gen.line 2) in
-  Alcotest.check_raises "loss without rng"
-    (Invalid_argument "Rounds.round: loss > 0 requires an rng") (fun () ->
-      ignore (Rounds.round ~loss:0.5 t))
-
 (* A positive rate without an rng is refused before the round touches
    any state: no copy counted, no inbox filled. *)
-let test_rounds_rng_checked_up_front () =
+let test_rounds_loss_requires_rng () =
   List.iter
     (fun (what, round) ->
       let t = Rounds.create ~config:(Config.make ~dmax:1 ()) (Gen.line 3) in
@@ -625,7 +619,6 @@ let suite =
     ("rounds message count", `Quick, test_rounds_message_count);
     ("rounds stabilizes a pair", `Quick, test_rounds_stabilizes_pair);
     ("rounds loss needs rng", `Quick, test_rounds_loss_requires_rng);
-    ("rounds checks the rng before the round", `Quick, test_rounds_rng_checked_up_front);
     ( "rounds traces an unparsable frame as dropped",
       `Quick,
       test_rounds_unparsable_frame_dropped );
