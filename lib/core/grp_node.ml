@@ -115,11 +115,10 @@ type t = {
   (* Computes during which the own oldness is frozen after this node's
      priority defended a pairing in a too-far contest. *)
   mutable oldness_hold : int;
-  (* Compute elision (DESIGN.md Section 9): [msg_set] and result of the
-     last full compute if it left the state it reads unchanged; per node,
-     as [Sharded] runs nodes on several domains.  [restricts]: lists it
-     accepted. *)
-  mutable fixpoint : (Message.t Node_id.Map.t * step_info) option;
+  (* Compute elision (DESIGN.md Section 9): the last full compute if it
+     left the state it reads unchanged; per node, as [Sharded] runs nodes
+     on several domains.  [restricts]: lists it accepted. *)
+  mutable fixpoint : fixpoint;
   mutable restricts : int;
   (* The last [make_message] result, [msg_fresh] while still current. *)
   mutable last_msg : Message.t;
@@ -133,6 +132,18 @@ and step_info = {
   rejected_senders : Node_id.Set.t;
   contest_wins : (Node_id.t * Node_id.Set.t) list;
 }
+
+(* A fixpoint compute's result and the msgSet of the last compute that
+   repeated it.  [fp_prio_free]: its list, view and quarantine decisions
+   read no priority, so msgSets that differ from [fp_msgs] only in their
+   priorities repeat them too. *)
+and fixpoint =
+  | No_fixpoint
+  | Fixpoint of {
+      mutable fp_msgs : Message.t Node_id.Map.t;
+      fp_step : step_info;
+      fp_prio_free : bool;
+    }
 
 let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
   let own_priority = Priority.initial id in
@@ -158,7 +169,7 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     starve = Node_id.Map.empty;
     contest_hold = Node_id.Map.empty;
     oldness_hold = 0;
-    fixpoint = None;
+    fixpoint = No_fixpoint;
     restricts = 0;
     (* What [make_message] builds for a fresh node. *)
     last_msg =
@@ -262,20 +273,35 @@ let receive t msg = receive_lid t ~lid:(-1) msg
    old incremental [Map.add]-per-receive produced, so everything
    downstream — including iteration order — is unchanged.  The read
    slots are then reset to [no_msg], so the buffer keeps no consumed
-   message alive.  Returns whether the new [msg_set] (built on the empty
-   one) maps the fixpoint's senders to physically its messages. *)
+   message alive.  Returns how the new [msg_set] (built on the empty
+   one) compares with the fixpoint's: the same senders with physically
+   the same messages, or with physically the same lists and views. *)
+type repeat = Same_messages | Same_lists | Changed
+
+(* How [msg] repeats the message [prev] holds from its sender, given that
+   the ones before it repeated as [r]. *)
+let repeats prev (msg : Message.t) r =
+  match Node_id.Map.find msg.sender prev with
+  | p when p == msg -> r
+  | p when p.Message.antlist == msg.antlist && p.Message.view == msg.view -> Same_lists
+  | _ -> Changed
+  | exception Not_found -> Changed
+
 let ingest t =
   let tracing = Trace.enabled t.trace in
-  let prev = match t.fixpoint with Some (p, _) -> p | None -> Node_id.Map.empty in
-  let m = ref t.msg_set and same = ref (Option.is_some t.fixpoint) and kept = ref 0 in
+  let prev, first =
+    match t.fixpoint with
+    | Fixpoint fp -> (fp.fp_msgs, Same_messages)
+    | No_fixpoint -> (Node_id.Map.empty, Changed)
+  in
+  let m = ref t.msg_set and rep = ref first and kept = ref 0 in
   let lids = ref Node_id.Map.empty in
   for i = t.inbox_n - 1 downto 0 do
     let msg = t.inbox.(i) in
     if not (Node_id.Map.mem msg.Message.sender !m) then begin
       m := Node_id.Map.add msg.Message.sender msg !m;
       incr kept;
-      if !same then
-        same := (try Node_id.Map.find msg.Message.sender prev == msg with Not_found -> false);
+      (match !rep with Changed -> () | r -> rep := repeats prev msg r);
       if tracing then lids := Node_id.Map.add msg.Message.sender t.inbox_lid.(i) !lids
     end
   done;
@@ -283,7 +309,7 @@ let ingest t =
   if tracing then t.msg_lid <- !lids;
   Array.fill t.inbox 0 t.inbox_n no_msg;
   t.inbox_n <- 0;
-  !same && !kept = Node_id.Map.cardinal prev
+  if !kept = Node_id.Map.cardinal prev then !rep else Changed
 
 (* Lineage of the message [ingest] kept from [sender] this compute; -1
    when it sent nothing (or tracing is off).  Trace-branch only. *)
@@ -303,6 +329,9 @@ let lid_of_sender t sender =
      of [msgs.(k)].  Plain ints, so building the table stores no pointer;
      [heads] are the merge's per-sender read positions.
    - [ints]: a gather buffer for the cross check's reach sets.
+   - [prio_read]: this compute's list, view or quarantine decision read
+     a priority ([too_far_priority], or [cross_check] ordering two or
+     more fresh senders).
    Buffers grow to the largest need seen, never shrink, and
    [release] drops their references into a compute's messages, so
    between computes they keep nothing else alive. *)
@@ -316,6 +345,7 @@ type scratch = {
   mutable table_n : int;
   mutable heads : int array;
   mutable ints : int array;
+  mutable prio_read : bool;
 }
 
 let scratch_key =
@@ -330,22 +360,25 @@ let scratch_key =
         table_n = 0;
         heads = [||];
         ints = [||];
+        prio_read = false;
       })
 
 let grown a n fill = if Array.length a >= n then a else Array.make n fill
 
-(* msgSet as id-sorted arrays. *)
+let add_sender sender msg s =
+  s.senders.(s.n_senders) <- sender;
+  s.msgs.(s.n_senders) <- msg;
+  s.n_senders <- s.n_senders + 1;
+  s
+
+(* msgSet as id-sorted arrays; the fold's function is closed, so filling
+   allocates nothing. *)
 let fill_senders t s =
   let n = Node_id.Map.cardinal t.msg_set in
   s.senders <- grown s.senders n 0;
   s.msgs <- grown s.msgs n no_msg;
-  s.n_senders <-
-    Node_id.Map.fold
-      (fun sender msg k ->
-        s.senders.(k) <- sender;
-        s.msgs.(k) <- msg;
-        k + 1)
-      t.msg_set 0
+  s.n_senders <- 0;
+  ignore (Node_id.Map.fold add_sender t.msg_set s)
 
 (* The priority table is rebuilt from scratch out of the current round's
    reports: among gossiped entries the larger oldness wins (oldness only
@@ -840,6 +873,7 @@ let cross_check t s checked =
             end);
         if !ext < 0 then None else Some (sorted_ids buf !k, !ext)
   in
+  (match fresh with _ :: _ :: _ -> s.prio_read <- true | _ -> ());
   let fresh =
     List.map
       (fun (sender, _) ->
@@ -912,6 +946,7 @@ let defense_priority t s ~providers =
   else t.own_priority
 
 let too_far_priority t s ~w ~providers =
+  s.prio_read <- true;
   let i = search s.tab_ids w 0 s.table_n in
   let pw = if i < 0 then Priority.lowest else table_priority s ~own_priority:t.own_priority i in
   (pw, defense_priority t s ~providers)
@@ -1336,28 +1371,62 @@ let settled t =
   t.oldness_hold = 0 && Node_id.Map.is_empty t.contest_hold
   && Node_id.Map.is_empty t.conflict && Node_id.Map.is_empty t.starve
 
+(* The counters a repeated fixpoint's full compute would bump in its
+   admission and fold. *)
+let replay_counters t =
+  Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal t.msg_set);
+  Registry.Counter.add t.metrics.m_restrict t.restricts
+
+(* Decision reuse: the senders' lists and views repeat a fixpoint whose
+   decisions read no priority, so only the priority table and the message
+   are rebuilt.  The own priority does not move: at the fixpoint it held
+   still with the same list and view, and [settled] leaves no
+   [oldness_hold] to count down. *)
+let reuse_decisions t ~m_t0 lap =
+  let s = Domain.DLS.get scratch_key in
+  fill_senders t s;
+  let clock = merge_priorities s ~me:t.id in
+  let lap = Registry.Timer.lap t.metrics.m_priority_ns lap in
+  update_priorities t s t.antlist ~clock;
+  release s;
+  t.msg_fresh <- false;
+  t.msg_set <- Node_id.Map.empty;
+  let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
+  ignore (make_message t);
+  let lap = Registry.Timer.lap t.metrics.m_message_ns lap in
+  Registry.Timer.stop_at t.metrics.m_compute_ns m_t0 lap
+
 (* Elision: same inputs repeat a fixpoint, so return its result and replay
-   the counters its full compute bumps.  A repeat counts as a cache hit
-   whether elided or not, so traced and untraced runs count alike.  Off
-   under tracing: a traced fixpoint still emits events. *)
+   the counters its full compute bumps; inputs that differ only in their
+   priorities reuse its decisions ([reuse_decisions]).  Only a repeat of
+   the same messages counts as a cache hit, whether elided or not, so
+   traced and untraced runs count alike.  Both are off under tracing: a
+   traced fixpoint still emits events. *)
 let compute t =
   Registry.Counter.incr t.metrics.m_compute;
   let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
-  let same_inputs = ingest t in
+  let repeat = ingest t in
   let lap = Registry.Timer.lap t.metrics.m_ingest_ns m_t0 in
   Registry.Counter.incr
-    (if same_inputs then t.metrics.m_cache_hit else t.metrics.m_cache_miss);
-  match t.fixpoint with
-  | Some (_, step) when same_inputs && not (Trace.enabled t.trace) ->
-      Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal t.msg_set);
-      Registry.Counter.add t.metrics.m_restrict t.restricts;
+    (match repeat with
+    | Same_messages -> t.metrics.m_cache_hit
+    | Same_lists | Changed -> t.metrics.m_cache_miss);
+  match (t.fixpoint, repeat) with
+  | Fixpoint fp, Same_messages when not (Trace.enabled t.trace) ->
+      replay_counters t;
       t.msg_set <- Node_id.Map.empty;
-      Registry.Timer.stop t.metrics.m_compute_ns m_t0;
-      step
+      Registry.Timer.stop_at t.metrics.m_compute_ns m_t0 lap;
+      fp.fp_step
+  | Fixpoint fp, Same_lists when fp.fp_prio_free && not (Trace.enabled t.trace) ->
+      replay_counters t;
+      fp.fp_msgs <- t.msg_set;
+      reuse_decisions t ~m_t0 lap;
+      fp.fp_step
   | _ ->
   let dmax = t.config.Config.dmax in
   let old_priority = t.own_priority and was_settled = settled t in
   let s = Domain.DLS.get scratch_key in
+  s.prio_read <- false;
   fill_senders t s;
   let clock = merge_priorities s ~me:t.id in
   t.contest_hold <-
@@ -1424,6 +1493,7 @@ let compute t =
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
   update_priorities t s final_list ~clock;
+  let prio_free = not s.prio_read in
   release s;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
@@ -1433,7 +1503,8 @@ let compute t =
     (if was_settled && settled t && contest_wins = [] && t.antlist == old_list
         && t.view == old_view && t.own_priority == old_priority
         && Node_id.Map.equal Int.equal t.quarantine old_q
-     then Some (t.msg_set, step) else None);
+     then Fixpoint { fp_msgs = t.msg_set; fp_step = step; fp_prio_free = prio_free }
+     else No_fixpoint);
   t.msg_fresh <- false;
   t.msg_set <- Node_id.Map.empty;
   if t.metrics.m_on && not (Node_id.Set.equal new_view old_view) then begin
@@ -1445,14 +1516,14 @@ let compute t =
   (* The next message is built here, where its cost is attributed:
      [make_message] then returns it until the state changes again. *)
   ignore (make_message t);
-  ignore (Registry.Timer.lap t.metrics.m_message_ns lap);
-  Registry.Timer.stop t.metrics.m_compute_ns m_t0;
+  let lap = Registry.Timer.lap t.metrics.m_message_ns lap in
+  Registry.Timer.stop_at t.metrics.m_compute_ns m_t0 lap;
   step
 
 let convictions t = conflicted_set t
 
 let invalidate t =
-  t.fixpoint <- None;
+  t.fixpoint <- No_fixpoint;
   t.msg_fresh <- false
 
 let corrupt_list t lst = invalidate t; t.antlist <- lst

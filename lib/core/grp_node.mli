@@ -122,18 +122,31 @@ val compute : t -> step_info
     ant fold, sender standings, reach sets), so a node may be computed
     on any domain, one compute at a time.
 
-    {b Elision.}  A compute is a deterministic function of the node state
-    and [msgSet].  When the previous compute was a fixpoint (list, view,
-    quarantines and own priority unchanged, no contest, conflict,
-    starvation or cooldown state before or after) and this [msgSet] maps
-    the same senders to physically the same messages, the compute is
-    skipped: it returns the previous {!step_info} (physically) and
-    replays the counters the full compute would bump
-    ([grp_compute_total], [grp_compute_cache_hit_total],
-    [grp_ant_merge_total], [grp_restrict_clear_total]).  An elided compute allocates nothing
-    beyond the [msgSet] map.  An enabled trace sink disables the
-    elision, since a traced fixpoint compute still emits events, and
-    every [corrupt_*] hook invalidates it. *)
+    {b Elision and decision reuse.}  A compute is a deterministic
+    function of the node state and [msgSet].  A full compute that is a
+    fixpoint (list, view, quarantines and own priority unchanged, no
+    contest, conflict, starvation or cooldown state before or after) is
+    recorded, with whether its list, view and quarantine decisions read a
+    priority (the too-far contest, or the cross check ordering two or
+    more fresh senders).  The record is reused at two levels:
+    - when this [msgSet] maps the same senders to physically the same
+      messages, the compute is skipped: it returns the recorded
+      {!step_info} (physically) and replays the counters the full
+      compute would bump ([grp_compute_total],
+      [grp_compute_cache_hit_total], [grp_ant_merge_total],
+      [grp_restrict_clear_total]).  It allocates nothing beyond the
+      [msgSet] map;
+    - when the messages changed but their lists and views are physically
+      the recorded ones, and the recorded decisions read no priority,
+      only the priority table and the next message are rebuilt: the
+      compute returns the recorded {!step_info}, replays the same
+      counters with a cache miss in place of the hit, and records the
+      new [msgSet].  It allocates the [msgSet] map, the table's two
+      arrays and the message.  This is what keeps the neighbours of an
+      aging solo node, whose messages change only in their priorities,
+      off the full compute.
+    An enabled trace sink disables both, since a traced fixpoint compute
+    still emits events, and every [corrupt_*] hook clears the record. *)
 
 val make_message : t -> Message.t
 (** The message to broadcast: list, view, group priority and the known

@@ -1,7 +1,9 @@
 (* Compute elision: after a fixpoint compute, a node fed physically the
    same messages again skips [Grp_node.compute] and [make_message]
-   returns its previous message.  An enabled trace sink turns the
-   elision off, so a traced run is the elision-off reference: the
+   returns its previous message; fed messages whose lists and views are
+   physically the same, it rebuilds only its priority table and message
+   and reuses the fixpoint's decisions.  An enabled trace sink turns
+   both off, so a traced run is the elision-off reference: the
    differential property drives the same simulation twice and demands
    identical protocol state, step results, messages and counters.  The
    allocation pins fix what the elision buys on a quiet node. *)
@@ -24,6 +26,7 @@ type sim = {
   node : Node_id.t -> Grp_node.t;
   ids : unit -> Node_id.t list;
   step : unit -> Grp_node.step_info Node_id.Map.t;
+  graph : unit -> Graph.t;
   set_graph : Graph.t -> unit;
   snapshot : unit -> Registry.snapshot;
 }
@@ -46,6 +49,7 @@ let sharded ~config ~traced ~seed g =
     node = Sharded.node s;
     ids = (fun () -> Sharded.node_ids s);
     step = (fun () -> Sharded.round ~jitter:0.1 s);
+    graph = (fun () -> Sharded.graph s);
     set_graph = Sharded.set_graph s;
     snapshot = (fun () -> Registry.merge (List.map Registry.snapshot !regs));
   }
@@ -58,6 +62,7 @@ let lossy_rounds ~config ~traced ~seed g =
     node = Rounds.node r;
     ids = (fun () -> Rounds.node_ids r);
     step = (fun () -> Rounds.round ~loss:0.1 ~corruption:0.05 ~sends:2 ~rng r);
+    graph = (fun () -> Rounds.graph r);
     set_graph = Rounds.set_graph r;
     snapshot = (fun () -> Registry.snapshot reg);
   }
@@ -132,15 +137,19 @@ let render_steps infos =
 (* The two sims side by side, plus what the untraced one reuses: a
    [make_message] result or a step result physically equal to the
    previous round's can only come from the message cache and the
-   elision. *)
+   elision.  A reused step counts as elided when the neighbours
+   broadcast physically the same messages as at the node's previous
+   compute, and as a decision reuse when some message changed. *)
 type pair = {
   on : sim;
   off : sim;
   mutable round : int;
   mutable msg_reused : int;
   mutable step_reused : int;
+  mutable decisions_reused : int;
   last_msg : (Node_id.t, Message.t) Hashtbl.t;
   last_step : (Node_id.t, Grp_node.step_info) Hashtbl.t;
+  last_inputs : (Node_id.t, Message.t list) Hashtbl.t;
 }
 
 let fail fmt = Printf.ksprintf failwith fmt
@@ -162,16 +171,30 @@ let compare_nodes p =
 (* One round on both sims. *)
 let step p =
   p.round <- p.round + 1;
+  (* what each node broadcasts this round; the runner builds the same *)
+  let g = p.on.graph () in
+  let sent = Hashtbl.create 64 in
+  List.iter
+    (fun u -> Hashtbl.replace sent u (Grp_node.make_message (p.on.node u)))
+    (p.on.ids ());
   let a = p.on.step () and b = p.off.step () in
   if not (Node_id.Map.equal same_step a b) then
     fail "round %d: step results differ:\n  on:  %s\n  off: %s" p.round
       (render_steps a) (render_steps b);
   Node_id.Map.iter
     (fun v i ->
+      let inputs =
+        Int_set.fold (fun u acc -> Hashtbl.find sent u :: acc) (Graph.neighbors g v) []
+      in
       (match Hashtbl.find_opt p.last_step v with
-      | Some i' when i' == i -> p.step_reused <- p.step_reused + 1
+      | Some i' when i' == i -> (
+          match Hashtbl.find_opt p.last_inputs v with
+          | Some inputs' when List.equal ( == ) inputs inputs' ->
+              p.step_reused <- p.step_reused + 1
+          | _ -> p.decisions_reused <- p.decisions_reused + 1)
       | _ -> ());
-      Hashtbl.replace p.last_step v i)
+      Hashtbl.replace p.last_step v i;
+      Hashtbl.replace p.last_inputs v inputs)
     a;
   compare_nodes p
 
@@ -228,7 +251,8 @@ let non_timer (s : Registry.snapshot) = (s.Registry.counters, s.Registry.histogr
 
 (* One differential case: both sims through scenario (a)-(d), then the
    merged counters and the non-vacuity checks — the elision's only when
-   [must_elide].  Fails with a report; returns the elided computes. *)
+   [must_elide].  Fails with a report; returns the elided computes and
+   the decision reuses. *)
 let run_case ?(must_elide = true) (scenario, n, seed, dmax, cooldown) =
   (* (b) and (d) never wait for stability: half the size covers them *)
   let g = Harness.rgg ~seed ~n:(if scenario mod 2 = 1 then n / 2 else n) () in
@@ -241,8 +265,10 @@ let run_case ?(must_elide = true) (scenario, n, seed, dmax, cooldown) =
       round = 0;
       msg_reused = 0;
       step_reused = 0;
+      decisions_reused = 0;
       last_msg = Hashtbl.create 64;
       last_step = Hashtbl.create 64;
+      last_inputs = Hashtbl.create 64;
     }
   in
   let rng = Rng.create (seed + 1) in
@@ -286,22 +312,26 @@ let run_case ?(must_elide = true) (scenario, n, seed, dmax, cooldown) =
     fail "merged counters differ";
   if p.msg_reused = 0 then fail "no make_message was reused across rounds";
   if must_elide && scenario <> 1 && p.step_reused = 0 then fail "no compute was elided";
-  p.step_reused
+  (p.step_reused, p.decisions_reused)
 
-(* Elided computes over the random (d) draws of one property run.  A
-   single (d) draw may elide nothing: quiet views do not make the
-   network a fixpoint — a rejected solo neighbour ages forever and its
-   priority is gossiped into every table around it, so no input repeats
-   — hence the elision is demanded of the draws together. *)
+(* Elided computes over the random (d) draws of one property run, and
+   decision reuses over its lossless draws.  A single (d) draw may elide
+   nothing: a solo node ages on every compute, so the messages around it
+   never repeat.  Its neighbours reuse their decisions instead, and
+   draws need not keep a solo node, so both are demanded of the draws
+   together.  Under (b)'s loss a node's inputs are not its neighbours'
+   broadcasts, so [step] cannot tell its elisions from its reuses. *)
 let d_draws = ref 0
 let d_elided = ref 0
+let decisions_reused = ref 0
 
 let run_drawn_case ((scenario, _, _, _, _) as case) =
+  let elided, reused = run_case ~must_elide:(scenario <> 3) case in
+  if scenario <> 1 then decisions_reused := !decisions_reused + reused;
   if scenario = 3 then begin
     incr d_draws;
-    d_elided := !d_elided + run_case ~must_elide:false case
+    d_elided := !d_elided + elided
   end
-  else ignore (run_case case)
 
 let prop_elision_transparent =
   let gen =
@@ -330,25 +360,28 @@ let test_elision_transparent =
     fun () ->
       d_draws := 0;
       d_elided := 0;
+      decisions_reused := 0;
       run ();
       if !d_draws > 0 && !d_elided = 0 then
-        Alcotest.failf "no compute was elided over %d (d) draws" !d_draws )
+        Alcotest.failf "no compute was elided over %d (d) draws" !d_draws;
+      if !decisions_reused = 0 then Alcotest.fail "no compute reused the fixpoint's decisions" )
 
 (* --- allocation and identity pins --- *)
 
-(* A stabilized 3-node path 0-1-2, trace and metrics off, exchanging the
-   messages of a quiet round by hand. *)
+(* One synchronous round on the 3-node path 0-1-2, trace and metrics
+   off, its messages exchanged by hand; the nodes' step results. *)
+let exchange nodes =
+  let msgs = Array.map Grp_node.make_message nodes in
+  Grp_node.receive nodes.(0) msgs.(1);
+  Grp_node.receive nodes.(1) msgs.(0);
+  Grp_node.receive nodes.(1) msgs.(2);
+  Grp_node.receive nodes.(2) msgs.(1);
+  Array.map Grp_node.compute nodes
+
+(* The path stabilized at Dmax 3, where it forms one group. *)
 let quiet_path () =
   let nodes = Array.init 3 (Grp_node.create ~config) in
-  let exchange () =
-    let msgs = Array.map Grp_node.make_message nodes in
-    Grp_node.receive nodes.(0) msgs.(1);
-    Grp_node.receive nodes.(1) msgs.(0);
-    Grp_node.receive nodes.(1) msgs.(2);
-    Grp_node.receive nodes.(2) msgs.(1);
-    Array.iter (fun n -> ignore (Grp_node.compute n)) nodes
-  in
-  for _ = 1 to 40 do exchange () done;
+  for _ = 1 to 40 do ignore (exchange nodes) done;
   Alcotest.(check string) "path stabilized into one group" "{0,1,2}"
     (set (Grp_node.view nodes.(1)));
   nodes
@@ -410,6 +443,74 @@ let test_elided_compute_alloc () =
   Alcotest.(check bool) "message still reused" true
     (Grp_node.make_message middle == Grp_node.make_message middle)
 
+(* The path at Dmax 1 settles into the pair {0,1} and the solo node 2,
+   whose neighbouring group is full.  The solo node ages on every
+   compute, so its message changes every round, and so does node 1's,
+   which gossips that priority — in the priority fields only.  Nodes 0
+   and 1 decided nothing that read a priority, so each of their computes
+   rebuilds the priority table and message and returns the fixpoint's
+   step (physically); node 2's own priority moves, so it is no fixpoint
+   and computes in full.  Without decision reuse, no input repeats and
+   no step is reused. *)
+let solo_path () =
+  let nodes = Array.init 3 (Grp_node.create ~config:(Config.make ~dmax:1 ())) in
+  let steps = ref [||] in
+  for _ = 1 to 40 do steps := exchange nodes done;
+  Alcotest.(check (list string)) "views of the settled path" [ "{0,1}"; "{0,1}"; "{2}" ]
+    (List.map (fun n -> set (Grp_node.view n)) (Array.to_list nodes));
+  (nodes, !steps)
+
+let test_decision_reuse_witness () =
+  let nodes, steps = solo_path () in
+  let reused = Array.make 3 0 and msg1_changed = ref 0 in
+  let oldness () = (Grp_node.own_priority nodes.(2)).Priority.oldness in
+  let o40 = oldness () in
+  let prev = ref steps in
+  for _ = 41 to 80 do
+    let m1 = Grp_node.make_message nodes.(1) in
+    let steps = exchange nodes in
+    let m1' = Grp_node.make_message nodes.(1) in
+    if m1' != m1 then begin
+      incr msg1_changed;
+      (* only the gossiped priority of the solo node moved *)
+      Alcotest.(check bool) "node 1's list and view kept physically" true
+        (m1'.Message.antlist == m1.Message.antlist && m1'.Message.view == m1.Message.view)
+    end;
+    Array.iteri (fun v st -> if st == !prev.(v) then reused.(v) <- reused.(v) + 1) steps;
+    prev := steps
+  done;
+  Alcotest.(check int) "solo node aged every round" (o40 + 40) (oldness ());
+  Alcotest.(check int) "node 1's message changed every round" 40 !msg1_changed;
+  Alcotest.(check (list int)) "fixpoint steps returned, rounds 41-80" [ 40; 40; 0 ]
+    (Array.to_list reused)
+
+(* A decision-reuse compute allocates [ingest]'s map, the priority
+   table's two arrays and the rebuilt message, nothing per decision: for
+   the degree-2 middle node of the Dmax-1 path, the 18-word map of
+   [test_elided_compute_alloc], two 4-word arrays for its table of 0, 1
+   and the marked 2, the 7-word message record (the message is rebuilt
+   every round: it gossips the solo node's new priority): 33 words. *)
+let test_decision_reuse_alloc () =
+  let nodes, steps = solo_path () in
+  let middle = nodes.(1) in
+  let words = ref [] and reused = ref true in
+  for _ = 41 to 80 do
+    let msgs = Array.map Grp_node.make_message nodes in
+    Grp_node.receive nodes.(0) msgs.(1);
+    Grp_node.receive middle msgs.(0);
+    Grp_node.receive middle msgs.(2);
+    Grp_node.receive nodes.(2) msgs.(1);
+    let w0 = Gc.minor_words () in
+    let step = Grp_node.compute middle in
+    words := (Gc.minor_words () -. w0) :: !words;
+    if step != steps.(1) then reused := false;
+    ignore (Grp_node.compute nodes.(0));
+    ignore (Grp_node.compute nodes.(2))
+  done;
+  Alcotest.(check bool) "every compute reused the fixpoint's decisions" true !reused;
+  Alcotest.(check (list (float 0.0))) "minor words per compute" (List.init 40 (fun _ -> 33.0))
+    !words
+
 (* Cases the random property only sometimes draws, each once caught
    breaking one fixpoint condition: (c) with the cooldown off, where a
    contest can win the same way every compute; (d), where an isolated
@@ -440,5 +541,7 @@ let suite =
     ("quiet make_message allocates nothing", `Quick, test_make_message_zero_alloc);
     ("rebuilt message allocates arrays and record only", `Quick, test_rebuilt_message_alloc);
     ("elided compute allocates only ingest's map", `Quick, test_elided_compute_alloc);
+    ("priority-only changes reuse the fixpoint's decisions", `Quick, test_decision_reuse_witness);
+    ("decision reuse allocates the map, table and message only", `Quick, test_decision_reuse_alloc);
   ]
   @ [ test_elision_transparent ]

@@ -66,9 +66,16 @@ let corpus =
        (dir "regressions" @ dir (Filename.concat "regressions" "known-livelocks")))
 
 (* Small symmetric shapes, beside the corpus's ring7 and 2x2/2x3 grids:
-   lockstep rounds are their adversarial schedule. *)
+   lockstep rounds are their adversarial schedule.  The Dmax-1 path
+   settles beside a solo node that ages forever, so its neighbours reuse
+   their decisions on every compute. *)
 let pinned =
-  [ ("ring7", Gen.ring 7, 2); ("ring8", Gen.ring 8, 3); ("grid3x3", Gen.grid 3 3, 2) ]
+  [
+    ("ring7", Gen.ring 7, 2);
+    ("ring8", Gen.ring 8, 3);
+    ("grid3x3", Gen.grid 3 3, 2);
+    ("path3", Gen.line 3, 1);
+  ]
 
 let fixed () = Lazy.force corpus @ pinned
 

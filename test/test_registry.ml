@@ -342,19 +342,17 @@ let test_doc_vocabulary () =
     (List.sort compare Names.all)
     documented
 
-(* The seven compute phases are laps of one clock over the compute, so on
-   a converge run (cold start, contests, quiet tail with elided computes)
-   they sum to [grp_compute_ns]; each full phase fires once per full
-   compute, ingest once per compute. *)
-let test_compute_phases_sum () =
+(* The seven compute phases are laps of one clock over the compute, so
+   they sum to [grp_compute_ns]; the admission phase fires once per full
+   compute, ingest once per compute, and the priority phase on full
+   computes and decision reuses alike.  Two [Rounds] runs: a converge run
+   (cold start, contests, quiet tail with elided computes) and the Dmax-1
+   path 0-1-2, whose aging solo node 2 makes nodes 0 and 1 reuse their
+   decisions on every compute once settled. *)
+let check_phases_sum ~what run =
   let module Rounds = Dgs_sim.Rounds in
-  let module Config = Dgs_core.Config in
   let reg = Registry.create () in
-  let g = Dgs_workload.Harness.rgg ~seed:7 ~n:60 () in
-  let t = Rounds.create ~config:(Config.make ~dmax:3 ()) ~metrics:reg g in
-  ignore
-    (Rounds.run_until_stable ~jitter:0.1 ~rng:(Dgs_util.Rng.create 7)
-       ~max_rounds:2000 t);
+  run reg;
   let s = Registry.snapshot reg in
   let timer name =
     match List.assoc_opt name s.Registry.timers with
@@ -377,18 +375,39 @@ let test_compute_phases_sum () =
   let sum = List.fold_left (fun acc n -> acc +. (timer n).Registry.total_ns) 0.0 phases in
   let computes = List.assoc Names.grp_compute_total s.Registry.counters in
   let elided = List.assoc Names.grp_compute_cache_hit_total s.Registry.counters in
-  check_int "ingest spans = computes" computes
+  let reused =
+    (timer Names.grp_compute_priority_ns).Registry.spans
+    - (timer Names.grp_compute_admission_ns).Registry.spans
+  in
+  check_int (what ^ ": ingest spans = computes") computes
     (timer Names.grp_compute_ingest_ns).Registry.spans;
-  check "some computes elided" true (elided > 0);
+  (match what with
+  | "converge" -> check "some computes elided" true (elided > 0)
+  | _ -> check "some computes reused their decisions" true (reused > 0));
   List.iter
     (fun n -> check (n ^ " spans > 0") true ((timer n).Registry.spans > 0))
     phases;
   check
-    (Printf.sprintf "phases sum %.0f ns within 5%% of grp_compute_ns %.0f ns" sum
+    (Printf.sprintf "%s: phases sum %.0f ns within 5%% of grp_compute_ns %.0f ns" what sum
        whole.Registry.total_ns)
     true
     (whole.Registry.total_ns > 0.0
     && Float.abs (sum -. whole.Registry.total_ns) <= 0.05 *. whole.Registry.total_ns)
+
+let test_compute_phases_sum () =
+  let module Rounds = Dgs_sim.Rounds in
+  let module Config = Dgs_core.Config in
+  check_phases_sum ~what:"converge" (fun reg ->
+      let g = Dgs_workload.Harness.rgg ~seed:7 ~n:60 () in
+      let t = Rounds.create ~config:(Config.make ~dmax:3 ()) ~metrics:reg g in
+      ignore
+        (Rounds.run_until_stable ~jitter:0.1 ~rng:(Dgs_util.Rng.create 7)
+           ~max_rounds:2000 t));
+  check_phases_sum ~what:"path3" (fun reg ->
+      let t =
+        Rounds.create ~config:(Config.make ~dmax:1 ()) ~metrics:reg (Dgs_graph.Gen.line 3)
+      in
+      Rounds.run t 2000)
 
 let suite =
   [
