@@ -1377,31 +1377,27 @@ let replay_counters t =
   Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal t.msg_set);
   Registry.Counter.add t.metrics.m_restrict t.restricts
 
-(* Decision reuse: the senders' lists and views repeat a fixpoint whose
-   decisions read no priority, so only the priority table and the message
-   are rebuilt.  The own priority does not move: at the fixpoint it held
-   still with the same list and view, and [settled] leaves no
-   [oldness_hold] to count down. *)
-let reuse_decisions t ~m_t0 lap =
-  let s = Domain.DLS.get scratch_key in
-  fill_senders t s;
-  let clock = merge_priorities s ~me:t.id in
-  let lap = Registry.Timer.lap t.metrics.m_priority_ns lap in
-  update_priorities t s t.antlist ~clock;
+(* The tail of every compute that is not elided: drop the consumed msgSet
+   and build the next message, lapping the update phase from [lap] and
+   the message phase, then close [grp_compute_ns] with its own clock read,
+   so time no lap covers shows in the whole but not in the phases. *)
+let finish t s ~m_t0 lap =
   release s;
   t.msg_fresh <- false;
   t.msg_set <- Node_id.Map.empty;
   let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
+  (* The next message is built here, where its cost is attributed:
+     [make_message] then returns it until the state changes again. *)
   ignore (make_message t);
-  let lap = Registry.Timer.lap t.metrics.m_message_ns lap in
-  Registry.Timer.stop_at t.metrics.m_compute_ns m_t0 lap
+  ignore (Registry.Timer.lap t.metrics.m_message_ns lap);
+  Registry.Timer.stop t.metrics.m_compute_ns m_t0
 
 (* Elision: same inputs repeat a fixpoint, so return its result and replay
    the counters its full compute bumps; inputs that differ only in their
-   priorities reuse its decisions ([reuse_decisions]).  Only a repeat of
-   the same messages counts as a cache hit, whether elided or not, so
-   traced and untraced runs count alike.  Both are off under tracing: a
-   traced fixpoint still emits events. *)
+   priorities reuse its decisions.  Only a repeat of the same messages
+   counts as a cache hit, whether elided or not, so traced and untraced
+   runs count alike.  Both are off under tracing: a traced fixpoint still
+   emits events. *)
 let compute t =
   Registry.Counter.incr t.metrics.m_compute;
   let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
@@ -1415,12 +1411,22 @@ let compute t =
   | Fixpoint fp, Same_messages when not (Trace.enabled t.trace) ->
       replay_counters t;
       t.msg_set <- Node_id.Map.empty;
-      Registry.Timer.stop_at t.metrics.m_compute_ns m_t0 lap;
+      Registry.Timer.stop t.metrics.m_compute_ns m_t0;
       fp.fp_step
   | Fixpoint fp, Same_lists when fp.fp_prio_free && not (Trace.enabled t.trace) ->
+      (* Decision reuse: the senders' lists and views repeat a fixpoint
+         whose decisions read no priority, so only the priority table and
+         the message are rebuilt.  The own priority does not move: at the
+         fixpoint it held still with the same list and view, and
+         [settled] leaves no [oldness_hold] to count down. *)
       replay_counters t;
       fp.fp_msgs <- t.msg_set;
-      reuse_decisions t ~m_t0 lap;
+      let s = Domain.DLS.get scratch_key in
+      fill_senders t s;
+      let clock = merge_priorities s ~me:t.id in
+      let lap = Registry.Timer.lap t.metrics.m_priority_ns lap in
+      update_priorities t s t.antlist ~clock;
+      finish t s ~m_t0 lap;
       fp.fp_step
   | _ ->
   let dmax = t.config.Config.dmax in
@@ -1493,8 +1499,6 @@ let compute t =
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
   update_priorities t s final_list ~clock;
-  let prio_free = not s.prio_read in
-  release s;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
   let step = { view_added; view_removed; too_far_conflict; rejected_senders; contest_wins } in
@@ -1503,21 +1507,14 @@ let compute t =
     (if was_settled && settled t && contest_wins = [] && t.antlist == old_list
         && t.view == old_view && t.own_priority == old_priority
         && Node_id.Map.equal Int.equal t.quarantine old_q
-     then Fixpoint { fp_msgs = t.msg_set; fp_step = step; fp_prio_free = prio_free }
+     then Fixpoint { fp_msgs = t.msg_set; fp_step = step; fp_prio_free = not s.prio_read }
      else No_fixpoint);
-  t.msg_fresh <- false;
-  t.msg_set <- Node_id.Map.empty;
   if t.metrics.m_on && not (Node_id.Set.equal new_view old_view) then begin
     Registry.Counter.add t.metrics.m_view_add (Node_id.Set.cardinal view_added);
     Registry.Counter.add t.metrics.m_view_remove (Node_id.Set.cardinal view_removed);
     Registry.Hist.observe_int t.metrics.m_view_size (Node_id.Set.cardinal new_view)
   end;
-  let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
-  (* The next message is built here, where its cost is attributed:
-     [make_message] then returns it until the state changes again. *)
-  ignore (make_message t);
-  let lap = Registry.Timer.lap t.metrics.m_message_ns lap in
-  Registry.Timer.stop_at t.metrics.m_compute_ns m_t0 lap;
+  finish t s ~m_t0 lap;
   step
 
 let convictions t = conflicted_set t

@@ -30,15 +30,13 @@ module Timer = struct
 
   let start tm = if tm.on then now_ns () else 0.0
 
-  let stop_at tm t0 t1 =
+  let stop tm t0 =
     if tm.on then begin
-      let d = t1 -. t0 in
+      let d = now_ns () -. t0 in
       tm.spans <- tm.spans + 1;
       tm.total <- tm.total +. d;
       if d > tm.max then tm.max <- d
     end
-
-  let stop tm t0 = if tm.on then stop_at tm t0 (now_ns ())
 
   let lap tm t0 =
     if tm.on then begin

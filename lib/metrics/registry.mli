@@ -76,11 +76,6 @@ module Timer : sig
       per boundary, so their spans sum exactly to the whole.  [0.0] and
       no clock read when disabled. *)
 
-  val stop_at : t -> float -> float -> unit
-  (** [stop_at tm t0 t1] records one span from token [t0] to token [t1]
-      (a {!lap} result) without reading the clock, so a whole that the
-      last of its laps closes equals their sum; no-op when disabled. *)
-
   val time : t -> (unit -> 'a) -> 'a
   (** [time tm f] runs [f ()] inside a {!start}/{!stop} pair (also on
       exceptions). *)
