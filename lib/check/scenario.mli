@@ -61,9 +61,6 @@ type t = {
   actions : action list;
 }
 
-val node_count : topology -> int
-(** Nodes of the initial topology (numbered [0 .. node_count-1]). *)
-
 val build : topology -> Dgs_graph.Graph.t
 (** Materialize the initial topology. *)
 

@@ -3,13 +3,13 @@ type entry = { id : Node_id.t; mark : Mark.t }
 (* Levels in distance order, each level a sorted int array of packed
    entries [(id lsl 2) lor severity] (Clear 0, Single 1, Double 2), ids
    unique within the level (across-level uniqueness is only guaranteed for
-   values built by [merge]/[ant], see [well_formed]).  Packed order is
+   values built by the ant fold, see [well_formed]).  Packed order is
    (id, severity) order, so a level sorted by packed value is sorted by id
    and [compare] is one integer comparison per entry; the unboxed arrays
-   carry no per-entry block, and a merge meeting one id twice keeps the
-   larger packed value without allocating.  Arrays are never mutated
-   after construction, so suffixes and untouched levels are shared freely
-   between values ([merge]/[truncate]/[strip_marked] reuse input arrays
+   carry no per-entry block, and the fold meeting one id twice in a level
+   keeps the larger packed value without allocating.  Arrays are never
+   mutated after construction, so suffixes and untouched levels are shared
+   freely between values ([truncate]/[strip_marked] reuse input arrays
    whenever a pass changes nothing — which is the common case once the
    protocol has stabilized, and what makes [Grp_node]'s steady-state
    equality checks O(1) physical comparisons). *)
@@ -24,7 +24,7 @@ let empty = [||]
 let singleton id = [| [| pack id Mark.Clear |] |]
 let singleton_marked id mark = [| [| pack id mark |] |]
 
-(* Per-domain scratch for the filters and the merge: a level is built in
+(* Per-domain scratch for the mark filter: a level is built in
    it and copied out at its exact size, so a pass allocates only the
    levels it returns.  Values are shared between domains but every pass
    runs on one, so a buffer per domain is never contended. *)
@@ -58,7 +58,6 @@ let of_levels lvls =
 let decode e = { id = id_of e; mark = mark_of e }
 let levels t = Array.to_list (Array.map (fun l -> Array.to_list (Array.map decode l)) t)
 let size t = Array.length t
-let is_empty t = Array.length t = 0
 
 let rec has_clear (l : int array) j =
   j < Array.length l && (is_clear l.(j) || has_clear l (j + 1))
@@ -214,119 +213,14 @@ let strip_marked ~keep t =
 
 let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t
 
-(* Append [e] to the scratch level of [k] entries when it is a first
-   occurrence; the new entry count. *)
-let push_absent buf lvls emitted k e =
-  if absent_above lvls (id_of e) emitted then begin
-    buf.(k) <- e;
-    k + 1
-  end
-  else k
-
-(* The first occurrences in [l] — ids absent from the [emitted] levels
-   of [lvls] already built. *)
-let filter_absent buf lvls emitted (l : int array) =
-  let k = ref 0 in
-  for j = 0 to Array.length l - 1 do
-    k := push_absent buf lvls emitted !k l.(j)
-  done;
-  cut buf l !k
-
-(* Positionwise union of two non-empty levels fused with the
-   first-occurrence filter in one two-pointer pass.  One id in both keeps
-   the more severe mark: the larger packed value. *)
-let union_absent buf lvls emitted (a : int array) (b : int array) =
-  let ka = Array.length a and kb = Array.length b in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  while !i < ka && !j < kb do
-    let ea = a.(!i) and eb = b.(!j) in
-    let c = Int.compare (id_of ea) (id_of eb) in
-    if c < 0 then begin
-      k := push_absent buf lvls emitted !k ea;
-      incr i
-    end
-    else if c > 0 then begin
-      k := push_absent buf lvls emitted !k eb;
-      incr j
-    end
-    else begin
-      k := push_absent buf lvls emitted !k (if ea >= eb then ea else eb);
-      incr i;
-      incr j
-    end
-  done;
-  while !i < ka do
-    k := push_absent buf lvls emitted !k a.(!i);
-    incr i
-  done;
-  while !j < kb do
-    k := push_absent buf lvls emitted !k b.(!j);
-    incr j
-  done;
-  Array.sub buf 0 !k
-
-(* The [⊕] operator: union the levels positionwise, then keep only the
-   first occurrence of every id, walking levels in distance order.  A level
-   emptied by the deduplication means every node that supported it is in
-   fact closer, so the distance claims of the deeper levels are unreliable:
-   the list is truncated at the gap (they re-derive from better-placed
-   information on later computes).  Compacting the gap instead would
-   understate distances and leak nodes across rejected boundaries
-   (DESIGN.md Section 5).
-
-   [off] shifts [b]'s levels [off] positions deeper without materializing
-   the shift: [merge_off 1 a b] is [a ⊕ r(b)], the [ant] fold step, minus
-   one array copy per application.
-
-   An id is a first occurrence when no level already emitted holds it:
-   those levels are sorted, and ids are unique within the level being
-   built, so a binary search per emitted level decides it without any
-   side table. *)
-let merge_off off a b =
-  let na = Array.length a and nb = Array.length b in
-  let n = max na (if nb = 0 then 0 else nb + off) in
-  let lvls = Array.make n [||] in
-  let widest = ref 0 in
-  for i = 0 to na - 1 do
-    widest := max !widest (Array.length a.(i))
-  done;
-  for i = 0 to nb - 1 do
-    widest := max !widest (Array.length b.(i))
-  done;
-  let buf = scratch (2 * !widest) in
-  let emitted = ref 0 and gap = ref false in
-  while (not !gap) && !emitted < n do
-    let i = !emitted in
-    let bi = i - off in
-    let l' =
-      if i >= na then
-        if bi >= 0 && bi < nb then filter_absent buf lvls i b.(bi) else [||]
-      else if bi < 0 || bi >= nb then filter_absent buf lvls i a.(i)
-      else if Array.length a.(i) = 0 then filter_absent buf lvls i b.(bi)
-      else if Array.length b.(bi) = 0 then filter_absent buf lvls i a.(i)
-      else union_absent buf lvls i a.(i) b.(bi)
-    in
-    if Array.length l' = 0 then gap := true
-    else begin
-      lvls.(i) <- l';
-      incr emitted
-    end
-  done;
-  if !emitted = n then lvls else Array.sub lvls 0 !emitted
-
-let merge a b = merge_off 0 a b
-let shift t = if Array.length t = 0 then t else Array.append [| [||] |] t
-let ant l1 l2 = merge_off 1 l1 l2
-
-(* The left fold of [ant] in one table.  Folding pairwise copies the
-   growing accumulator once per list and binary-searches every emitted
-   level per entry.  Here an open-addressing table maps each id to its
+(* The left fold of [ant l1 l2 = l1 ⊕ r l2] in one table, with no
+   intermediate list.  An open-addressing table maps each id to its
    current position and severity, packed [(pos lsl 2) lor severity] like
    an entry, and [counts] holds the live entries per position.  An entry
-   of a list's level [j] lands at [j + 1]: it moves an id found deeper,
-   ties one found there (most severe mark) and is skipped otherwise —
-   exactly the first-occurrence rule of [merge_off].  After each list the
-   first empty position truncates, as [merge_off] would: the entries
+   of a list's level [j] lands at [j + 1] (the [r]): it moves an id found
+   deeper, ties one found there (most severe mark) and is skipped
+   otherwise — the first-occurrence rule of [⊕].  After each list the
+   first empty position truncates, as [⊕] does: the entries
    beyond it are marked [dead] (the table never deletes, so probe chains
    stay intact) and revive like new ids if a later list names them.  The
    levels are materialized once, by [ant_fold_finish].  Per domain, like
@@ -528,29 +422,6 @@ let ant_fold_finish (f : ant_fold) =
 let truncate t k =
   let n = Array.length t in
   if k = 0 then empty else if k < 0 || k >= n then t else Array.sub t 0 k
-
-(* Drop all marked entries AND compact every level that ends up (or was)
-   empty, in one pass. *)
-let restrict_clear t =
-  let out = ref [] in
-  let kept_levels = ref 0 in
-  let changed = ref false in
-  Array.iter
-    (fun l ->
-      let l' = filter_clear ~keep:min_int l in
-      if l' != l then changed := true;
-      if Array.length l' = 0 then changed := true
-      else begin
-        out := l' :: !out;
-        incr kept_levels
-      end)
-    t;
-  if not !changed then t
-  else begin
-    let arr = Array.make !kept_levels [||] in
-    List.iteri (fun i l -> arr.(!kept_levels - 1 - i) <- l) !out;
-    arr
-  end
 
 (* Entries [j..] of level [pos] are first occurrences, and Clear beyond
    position 1. *)

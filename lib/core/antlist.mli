@@ -6,9 +6,13 @@
     handshake/rejection state and never denote group members.
 
     The merge [⊕] unions the levels positionwise and keeps only the first
-    (closest) occurrence of every node id; [r] prepends an empty level
-    (shifting every distance by one); [ant l1 l2 = l1 ⊕ r l2] is the
-    strictly idempotent r-operator the protocol folds over incoming lists.
+    (closest) occurrence of every node id (a same-level tie keeps the most
+    severe mark); [r] prepends an empty level (shifting every distance by
+    one); [ant l1 l2 = l1 ⊕ r l2] is the strictly idempotent r-operator
+    the protocol folds over incoming lists.  The module implements them
+    once, as that fold ({!ant_fold_start}); the list-of-levels model in
+    the test suite ([test/antlist_model.ml]) is their executable
+    definition, and the fold is checked against its left fold of [ant].
 
     Deduplication can transiently empty an interior level (a node known at
     distance [k] through one neighbor also appears closer through another).
@@ -61,8 +65,6 @@ val clear_size : t -> int
     marked entries are not group members, so a lone node that has merely
     heard a neighbor still has extent 1. *)
 
-val is_empty : t -> bool
-
 val level : t -> int -> entry list
 (** [level t i]; empty when out of range. *)
 
@@ -114,25 +116,13 @@ val strip_marked : keep:Node_id.t -> t -> t
 val has_empty_level : t -> bool
 (** [∅ ∈ list] — any level with no entries at all. *)
 
-val merge : t -> t -> t
-(** The [⊕] operator: positionwise union, first occurrence of each id wins
-    (ties within a level keep the most severe mark).  A level emptied by the
-    deduplication truncates the result: deeper entries carry unreliable
-    distance claims and are dropped rather than pulled closer. *)
-
-val shift : t -> t
-(** The [r] endomorphism: prepend an empty level. *)
-
-val ant : t -> t -> t
-(** [ant l1 l2 = merge l1 (shift l2)]. *)
-
 type ant_fold
-(** A left fold of {!ant} in progress: [ant (... (ant seed l1) ...) lk]
+(** A left fold of [ant] in progress: [ant (... (ant seed l1) ...) lk]
     in one pass over each [li], without the intermediate lists.  An
     id-keyed table tracks every entry's closest position; after each list
-    the first empty level truncates, exactly where {!ant} would.  The
-    table is the domain's: starting a fold abandons any fold in progress
-    on the same domain. *)
+    the first empty level truncates, exactly where [⊕] does.  The table
+    is the domain's: starting a fold abandons any fold in progress on the
+    same domain. *)
 
 val ant_fold_start : t -> ant_fold
 (** Begin a fold from [seed]. *)
@@ -142,17 +132,12 @@ val ant_fold_add : ant_fold -> t -> unit
     grown to the fold's distinct ids. *)
 
 val ant_fold_finish : ant_fold -> t
-(** The fold's result, equal to the pairwise fold: the seed itself when
-    no list was added, else fresh levels (the outer array and one sorted
-    array per level, nothing else allocated). *)
+(** The fold's result, [ant (... (ant seed l1) ...) lk]: the seed itself
+    when no list was added, else fresh levels (the outer array and one
+    sorted array per level, nothing else allocated). *)
 
 val truncate : t -> int -> t
 (** Keep the first [k] levels (paper line 28). *)
-
-val restrict_clear : t -> t
-(** Drop all marked entries (no [keep] exception), compacting empty levels
-    away, in a single fused pass; used to reason about the group skeleton
-    in checkers and tests. *)
 
 val well_formed : t -> bool
 (** Invariant of lists produced by [compute]: no duplicate ids across

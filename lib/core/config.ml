@@ -23,10 +23,3 @@ let make ?(quarantine_enabled = true) ?(compat_shortcut_enabled = true)
     contest_cooldown_enabled;
     priority_mode;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "{dmax=%d; quarantine=%b; shortcut=%b; joint=%b; gate=%b; cooldown=%b; prio=%s}"
-    t.dmax t.quarantine_enabled t.compat_shortcut_enabled t.joint_admission_enabled
-    t.admission_gate_enabled t.contest_cooldown_enabled
-    (match t.priority_mode with Oldness -> "oldness" | Lowest_id -> "lowest-id")

@@ -56,5 +56,3 @@ val make :
   unit ->
   t
 (** Raises [Invalid_argument] when [dmax < 1]. *)
-
-val pp : Format.formatter -> t -> unit

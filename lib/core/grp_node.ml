@@ -179,7 +179,6 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
   }
 
 let id t = t.id
-let config t = t.config
 let view t = t.view
 let antlist t = t.antlist
 let own_priority t = t.own_priority

@@ -46,7 +46,6 @@ val create :
     per site inside {!compute}. *)
 
 val id : t -> Node_id.t
-val config : t -> Config.t
 
 val view : t -> Node_id.Set.t
 (** Current output of the protocol: unmarked list members with elapsed

@@ -17,7 +17,6 @@ type t = Clear | Single | Double
 val compare : t -> t -> int
 (** Orders by severity: [Clear < Single < Double]. *)
 
-val equal : t -> t -> bool
 
 val max : t -> t -> t
 (** Most severe of the two. *)

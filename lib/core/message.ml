@@ -34,7 +34,3 @@ let priority_arrays bindings =
 
 let priority_bindings t =
   List.init (Array.length t.priority_ids) (fun i -> (t.priority_ids.(i), t.priorities.(i)))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>msg from %a: %a (grp-pr %a)@]" Node_id.pp t.sender Antlist.pp
-    t.antlist Priority.pp t.group_priority

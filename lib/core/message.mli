@@ -41,5 +41,3 @@ val priority_arrays : (Node_id.t * Priority.t) list -> Node_id.t array * Priorit
 
 val priority_bindings : t -> (Node_id.t * Priority.t) list
 (** The reported priorities in id order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -58,12 +58,3 @@ let induced t set =
   sub
 
 let equal a b = nodes a = nodes b && edges a = edges b
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>nodes: %a@,edges: %a@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") Format.pp_print_int)
-    (nodes t)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
-    (edges t)

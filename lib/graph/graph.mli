@@ -50,5 +50,3 @@ val induced : t -> Int_set.t -> t
 
 val equal : t -> t -> bool
 (** Same node set and same edge set. *)
-
-val pp : Format.formatter -> t -> unit

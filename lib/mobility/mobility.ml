@@ -81,7 +81,6 @@ module Driver = struct
     { model = create rng ~n:(Array.length ids) spec; ids; range }
 
   let ids t = Array.to_list t.ids
-  let range t = t.range
   let positions t = positions t.model
   let step t ~dt = step t.model ~dt
 

@@ -65,6 +65,5 @@ module Driver : sig
       whether any edge changed. *)
 
   val ids : t -> int list
-  val range : t -> float
   val positions : t -> Dgs_util.Geom.point array
 end

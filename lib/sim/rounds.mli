@@ -21,9 +21,6 @@ val create :
     channel events of each round; every event of round [r] is stamped
     [r] (round 1 is the first round). *)
 
-val config : t -> Dgs_core.Config.t
-(** The protocol configuration the nodes were created with. *)
-
 val graph : t -> Dgs_graph.Graph.t
 (** The current communication topology. *)
 

@@ -66,9 +66,6 @@ val create :
 val config : t -> Dgs_core.Config.t
 val graph : t -> Dgs_graph.Graph.t
 
-val jobs : t -> int
-(** Worker domains used per parallel phase. *)
-
 val set_graph : t -> Dgs_graph.Graph.t -> unit
 (** Install a new topology.  New nodes are created fresh and homed by
     the partition function; departed nodes keep their state in case they

@@ -33,8 +33,3 @@ let groups t =
       end)
     (nodes t)
   |> List.sort (fun a b -> compare (Node_id.Set.min_elt a) (Node_id.Set.min_elt b))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list (fun ppf g -> Format.fprintf ppf "group %a" Node_id.pp_set g))
-    (groups t)

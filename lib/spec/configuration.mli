@@ -24,5 +24,3 @@ val omega : t -> Dgs_core.Node_id.t -> Dgs_core.Node_id.Set.t
 
 val groups : t -> Dgs_core.Node_id.Set.t list
 (** The distinct [Ω] groups, sorted by smallest member. *)
-
-val pp : Format.formatter -> t -> unit

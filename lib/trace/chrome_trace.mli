@@ -8,10 +8,7 @@
 
 type span = { name : string; ts_us : float; dur_us : float; tid : int }
 
-val to_string : ?thread_names:(int * string) list -> span list -> string
-(** Serialize, every event in process 0; [thread_names] adds one
-    [ph = "M"] [thread_name] metadata row per [(tid, label)] so viewers
-    label the lanes. *)
-
 val write : string -> ?thread_names:(int * string) list -> span list -> unit
-(** [write path ... spans] writes {!to_string} to [path]. *)
+(** [write path ... spans] writes the spans to [path], every event in
+    process 0; [thread_names] adds one [ph = "M"] [thread_name] metadata
+    row per [(tid, label)] so viewers label the lanes. *)

@@ -142,7 +142,6 @@ let null = { time = 0.0; enabled = false; emit_fn = (fun _ _ -> ()) }
 let make f = { time = 0.0; enabled = true; emit_fn = (fun time ev -> f ~time ev) }
 let enabled t = t.enabled
 let set_time t time = t.time <- time
-let now t = t.time
 let emit t ev = if t.enabled then t.emit_fn t.time ev
 
 let tee a b =

@@ -18,7 +18,7 @@
     for tests and post-mortem inspection), {!Jsonl} (newline-delimited JSON
     to a channel, for offline analysis) and {!Rotating} (size-capped JSONL
     with keep-last-N rotation, for long traced runs).  Sinks compose with
-    {!tee} and {!filter}.  Aggregate event counts come from the
+    {!tee} and {!filter_kinds}.  Aggregate event counts come from the
     {!Dgs_metrics.Registry} counters, not from a sink. *)
 
 (** {1 Event vocabulary}
@@ -146,18 +146,12 @@ val set_time : t -> float -> unit
 (** Advance the sink's clock; subsequent {!emit}s are stamped with this
     time.  Drivers call it, instrumented components do not. *)
 
-val now : t -> float
-(** The sink's current clock. *)
-
 val emit : t -> event -> unit
 (** Deliver [event] at the sink's current time (no-op on {!null}). *)
 
 val tee : t -> t -> t
 (** Duplicate emissions to both sinks (each stamped with the tee's own
     clock). *)
-
-val filter : (event -> bool) -> t -> t
-(** Forward only events satisfying the predicate. *)
 
 val filter_kinds : string list -> t -> t
 (** Forward only events whose {!kind} is listed (case-insensitive).

@@ -1,6 +1,1 @@
 include Set.Make (Int)
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Format.pp_print_int)
-    (elements s)

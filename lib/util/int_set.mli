@@ -2,5 +2,3 @@
     flow between them without conversion. *)
 
 include Set.S with type elt = int
-
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,7 @@
 (* A reference GRP node: procedure compute() of the paper (Section 4.3)
    with today's [Config] semantics, written as directly as the rules
-   read, on [Map]/[Set] and [Antlist]'s public operations.
+   read, on [Map]/[Set], [Antlist]'s public operations and, for the ant
+   fold, the list-of-levels model [Antlist_model].
 
    It keeps no inbox arrays, per-domain scratch, sender standings,
    compute elision, message reuse, metrics or trace, and none of
@@ -242,7 +243,14 @@ let joint_admission t checked =
 
 (* --- lines 10-29: the ant fold and the too-far contest --- *)
 
-let fold t checked = M.fold (fun _ lst acc -> Antlist.ant acc lst) checked (Antlist.singleton t.id)
+(* msgSet folded by sender id through the list-of-levels model, not
+   through [Antlist]'s one-table fold. *)
+let fold t checked =
+  Antlist_model.to_antlist
+    (M.fold
+       (fun _ lst acc -> Antlist_model.ant acc (Antlist_model.of_antlist lst))
+       checked
+       (Antlist_model.singleton t.id))
 
 let resolve_too_far t checked =
   let dmax = t.config.Config.dmax in

@@ -1,14 +1,25 @@
 (* Unit tests for the ordered-lists-of-ancestor-sets structure and the
-   ant r-operator (paper Section 4.2). *)
+   ant r-operator (paper Section 4.2).  [Antlist]'s one-table fold is the
+   only [⊕] the protocol runs; [Antlist_model] defines [⊕] and [r], and
+   the fold is checked against the model's left fold of [ant]. *)
 
 open Dgs_core
+module Model = Antlist_model
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let al = Alcotest.testable Antlist.pp Antlist.equal
 
-let of_clear levels =
-  Antlist.of_levels (List.map (List.map (fun id -> (id, Mark.Clear))) levels)
+let clear_levels levels = List.map (List.map (fun id -> (id, Mark.Clear))) levels
+let of_clear levels = Antlist.of_levels (clear_levels levels)
+
+(* [ant (... (ant seed l1) ...) lk] by the one-table fold. *)
+let one_table_fold seed lists =
+  let acc = Antlist.ant_fold_start seed in
+  List.iter (Antlist.ant_fold_add acc) lists;
+  Antlist.ant_fold_finish acc
+
+let ant l1 l2 = one_table_fold l1 [ l2 ]
 
 let test_singleton () =
   let l = Antlist.singleton 5 in
@@ -24,21 +35,20 @@ let test_singleton_marked () =
 let test_paper_example () =
   (* ({d},{b},{a,c}) ⊕ ({c},{a,e},{b}) = ({d,c},{b,a,e}) with
      d=0 b=1 a=2 c=3 e=4. *)
-  let l1 = of_clear [ [ 0 ]; [ 1 ]; [ 2; 3 ] ] in
-  let l2 = of_clear [ [ 3 ]; [ 2; 4 ]; [ 1 ] ] in
-  let merged = Antlist.merge l1 l2 in
-  Alcotest.check al "paper merge example" (of_clear [ [ 0; 3 ]; [ 1; 2; 4 ] ]) merged
+  let l1 = clear_levels [ [ 0 ]; [ 1 ]; [ 2; 3 ] ] in
+  let l2 = clear_levels [ [ 3 ]; [ 2; 4 ]; [ 1 ] ] in
+  check "paper merge example" true
+    (Model.merge l1 l2 = clear_levels [ [ 0; 3 ]; [ 1; 2; 4 ] ])
 
 let test_shift () =
-  let l = of_clear [ [ 1 ]; [ 2 ] ] in
-  let s = Antlist.shift l in
-  check_int "size grows" 3 (Antlist.size s);
-  check "entry shifted" true (Antlist.find s 1 = Some (1, Mark.Clear));
-  check "empty shift" true (Antlist.is_empty (Antlist.shift Antlist.empty))
+  let s = Model.shift (clear_levels [ [ 1 ]; [ 2 ] ]) in
+  check_int "size grows" 3 (List.length s);
+  check "entry shifted" true (Model.find s 1 = Some (1, Mark.Clear));
+  check "empty shift" true (Model.shift [] = [])
 
 let test_ant_basic () =
   (* ant((v), (u)) = ({v},{u}) — the neighbor lands at distance 1. *)
-  let r = Antlist.ant (Antlist.singleton 0) (Antlist.singleton 1) in
+  let r = ant (Antlist.singleton 0) (Antlist.singleton 1) in
   Alcotest.check al "neighbor at 1" (of_clear [ [ 0 ]; [ 1 ] ]) r
 
 let test_ant_dedupe_keeps_closest () =
@@ -46,7 +56,7 @@ let test_ant_dedupe_keeps_closest () =
      list: the closest occurrence wins. *)
   let own = of_clear [ [ 0 ]; [ 1 ] ] in
   let from_2 = of_clear [ [ 2 ]; [ 1 ] ] in
-  let r = Antlist.ant own from_2 in
+  let r = ant own from_2 in
   check "1 stays at distance 1" true (Antlist.find r 1 = Some (1, Mark.Clear));
   check "2 at distance 1" true (Antlist.find r 2 = Some (1, Mark.Clear))
 
@@ -54,7 +64,7 @@ let test_ant_self_dedupe () =
   (* The receiver's echo in the incoming list is shadowed by its own
      position-0 entry. *)
   let incoming = of_clear [ [ 1 ]; [ 0; 2 ] ] in
-  let r = Antlist.ant (Antlist.singleton 0) incoming in
+  let r = ant (Antlist.singleton 0) incoming in
   check "self at 0" true (Antlist.find r 0 = Some (0, Mark.Clear));
   check "no duplicate" true (Antlist.well_formed r);
   check "2 at distance 2" true (Antlist.find r 2 = Some (2, Mark.Clear))
@@ -66,15 +76,16 @@ let test_gap_truncation () =
   (* sender 2's list: 2 at 0, 1 at 1 (will dedupe to nothing at level 2),
      9 at 2 (claims distance 3 via a support that vanished). *)
   let incoming = of_clear [ [ 2 ]; [ 1 ]; [ 9 ] ] in
-  let r = Antlist.ant acc incoming in
+  let r = ant acc incoming in
   check "9 dropped at the gap" false (Antlist.mem r 9);
   check_int "truncated size" 2 (Antlist.size r)
 
 let test_merge_mark_severity () =
-  let a = Antlist.of_levels [ [ (1, Mark.Single) ] ] in
+  (* 1 lands at level 1 from both sides of the ⊕. *)
+  let a = Antlist.of_levels [ [ (0, Mark.Clear) ]; [ (1, Mark.Single) ] ] in
   let b = Antlist.of_levels [ [ (1, Mark.Double) ] ] in
-  let m = Antlist.merge a b in
-  check "severest mark wins in-level" true (Antlist.find m 1 = Some (0, Mark.Double))
+  let m = ant a b in
+  check "severest mark wins in-level" true (Antlist.find m 1 = Some (1, Mark.Double))
 
 let test_clear_size_ignores_marked_tail () =
   let l = Antlist.of_levels [ [ (0, Mark.Clear) ]; [ (1, Mark.Single); (2, Mark.Double) ] ] in
@@ -137,12 +148,10 @@ let test_well_formed () =
        (Antlist.of_levels [ [ (0, Mark.Clear) ]; [ (1, Mark.Clear) ]; [ (2, Mark.Single) ] ]))
 
 let test_restrict_clear () =
-  let l =
-    Antlist.of_levels [ [ (0, Mark.Clear) ]; [ (1, Mark.Double) ]; [ (2, Mark.Clear) ] ]
+  let r =
+    Model.restrict_clear [ [ (0, Mark.Clear) ]; [ (1, Mark.Double) ]; [ (2, Mark.Clear) ] ]
   in
-  let r = Antlist.restrict_clear l in
-  check "marked gone" false (Antlist.mem r 1);
-  check "clear kept" true (Antlist.mem r 0 && Antlist.mem r 2)
+  check "marked gone, empty level compacted" true (r = clear_levels [ [ 0 ]; [ 2 ] ])
 
 let test_compare_equal () =
   let a = of_clear [ [ 0 ]; [ 1 ] ] in
@@ -154,7 +163,7 @@ let test_compare_equal () =
   let d = Antlist.of_levels [ [ (0, Mark.Clear) ]; [ (1, Mark.Double) ] ] in
   check "single vs double distinguish" false (Antlist.equal c d)
 
-(* --- r-operator laws, with qcheck --- *)
+(* --- r-operator laws of the model, with qcheck --- *)
 
 (* Random unmarked lists with unique ids per list (the representation
    invariant of computed lists): the algebraic laws are about the distance
@@ -174,61 +183,61 @@ let gen_antlist =
       | k :: rest -> let (lvl, pool') = take k pool in
           List.map (fun id -> (id, Mark.Clear)) lvl :: split rest pool'
     in
-    return (Antlist.of_levels (split sizes picked)))
+    return (Model.of_raw (split sizes picked)))
 
-let arb_antlist = QCheck.make ~print:Antlist.to_string gen_antlist
+let arb_antlist = QCheck.make ~print:Model.to_string gen_antlist
+
+(* [(id, position, mark)] in position-major order. *)
+let entries (l : Model.t) =
+  List.concat (List.mapi (fun pos lvl -> List.map (fun (id, m) -> (id, pos, m)) lvl) l)
+
+let unique_ids m = List.length (entries m) = Node_id.Set.cardinal (Model.ids m)
+
+(* Every entry of [m] sits no closer than the best occurrence of its id
+   in [a] or [b]. *)
+let no_closer_than a b m =
+  List.for_all
+    (fun (id, pos, _) ->
+      let best =
+        match (Model.find a id, Model.find b id) with
+        | Some (pa, _), Some (pb, _) -> min pa pb
+        | Some (pa, _), None -> pa
+        | None, Some (pb, _) -> pb
+        | None, None -> max_int
+      in
+      pos >= best)
+    (entries m)
 
 let prop_merge_idempotent =
   QCheck.Test.make ~name:"merge idempotent: l ⊕ l has l's ids at l's positions or closer"
     ~count:200 arb_antlist (fun l ->
-      let m = Antlist.merge l l in
-      Node_id.Set.subset (Antlist.ids m) (Antlist.ids l))
+      Node_id.Set.subset (Model.ids (Model.merge l l)) (Model.ids l))
 
 let prop_ant_absorbs_self =
   QCheck.Test.make ~name:"idempotency: merge l (merge l r) = merge l r" ~count:200
     (QCheck.pair arb_antlist arb_antlist) (fun (l, r) ->
-      let lr = Antlist.merge l r in
-      Antlist.equal (Antlist.merge l lr) lr)
+      let lr = Model.merge l r in
+      Model.merge l lr = lr)
 
 let prop_merge_ids_bounded =
   QCheck.Test.make ~name:"merge ids ⊆ union of ids" ~count:200
     (QCheck.pair arb_antlist arb_antlist) (fun (a, b) ->
-      Node_id.Set.subset
-        (Antlist.ids (Antlist.merge a b))
-        (Node_id.Set.union (Antlist.ids a) (Antlist.ids b)))
+      Node_id.Set.subset (Model.ids (Model.merge a b))
+        (Node_id.Set.union (Model.ids a) (Model.ids b)))
 
 let prop_merge_no_duplicates =
   QCheck.Test.make ~name:"merge output has unique ids" ~count:200
-    (QCheck.pair arb_antlist arb_antlist) (fun (a, b) ->
-      let m = Antlist.merge a b in
-      let all = Antlist.entries m in
-      List.length all
-      = Node_id.Set.cardinal
-          (Node_id.Set.of_list (List.map (fun (id, _, _) -> id) all)))
+    (QCheck.pair arb_antlist arb_antlist) (fun (a, b) -> unique_ids (Model.merge a b))
 
 let prop_merge_positions_min =
   QCheck.Test.make ~name:"merge keeps positions no farther than either input" ~count:200
-    (QCheck.pair arb_antlist arb_antlist) (fun (a, b) ->
-      let m = Antlist.merge a b in
-      List.for_all
-        (fun (id, pos, _) ->
-          let best =
-            match (Antlist.find a id, Antlist.find b id) with
-            | Some (pa, _), Some (pb, _) -> min pa pb
-            | Some (pa, _), None -> pa
-            | None, Some (pb, _) -> pb
-            | None, None -> max_int
-          in
-          pos >= best)
-        (Antlist.entries m))
+    (QCheck.pair arb_antlist arb_antlist) (fun (a, b) -> no_closer_than a b (Model.merge a b))
 
 let prop_shift_increments =
   QCheck.Test.make ~name:"shift moves every entry one level deeper" ~count:200 arb_antlist
     (fun l ->
-      let s = Antlist.shift l in
-      List.for_all
-        (fun (id, pos, _) -> Antlist.find s id = Some (pos + 1, Mark.Clear))
-        (Antlist.entries l))
+      let s = Model.shift l in
+      List.for_all (fun (id, pos, _) -> Model.find s id = Some (pos + 1, Mark.Clear)) (entries l))
 
 (* Raw lists with marks, ids repeated within and across levels and empty
    levels — the shapes [Arbitrary] corruption feeds the protocol.  The
@@ -297,83 +306,7 @@ let prop_queries_match_scan =
       && Antlist.entries l = entries
       && Antlist.well_formed l = well_formed)
 
-(* --- reference model ---
-
-   A plain list-of-levels of [(id, mark)] pairs defines what every
-   operation means, on raw inputs with duplicate ids and all three marks:
-   - within a level an id appears once, with its most severe mark (a
-     same-level tie in a merge keeps the most severe mark);
-   - across levels the first (closest) occurrence of an id wins;
-   - a merge stops at a level emptied by that deduplication;
-   - [strip_marked] keeps interior empty levels, trimming trailing ones;
-   - [restrict_clear] compacts empty levels away. *)
-module Model = struct
-  type t = (Node_id.t * Mark.t) list list
-
-  let norm_level lvl =
-    List.sort_uniq compare (List.map fst lvl)
-    |> List.map (fun id ->
-           ( id,
-             List.fold_left
-               (fun m (v, m') -> if v = id then Mark.max m m' else m)
-               Mark.Clear lvl ))
-
-  let of_raw raw : t = List.map norm_level raw
-
-  let rec nth_level (l : t) i =
-    match (l, i) with [], _ -> [] | x :: _, 0 -> x | _ :: r, i -> nth_level r (i - 1)
-
-  let merge (a : t) (b : t) : t =
-    let n = max (List.length a) (List.length b) in
-    let rec go i seen =
-      if i >= n then []
-      else
-        let lvl =
-          norm_level (nth_level a i @ nth_level b i)
-          |> List.filter (fun (id, _) -> not (List.mem id seen))
-        in
-        if lvl = [] then [] else lvl :: go (i + 1) (List.map fst lvl @ seen)
-    in
-    go 0 []
-
-  let shift (l : t) : t = if l = [] then [] else [] :: l
-  let ant a b = merge a (shift b)
-
-  let truncate (l : t) k =
-    if k = 0 then []
-    else if k < 0 || k >= List.length l then l
-    else List.filteri (fun i _ -> i < k) l
-
-  let rec trim_trailing (l : t) : t =
-    match List.rev l with [] :: r -> trim_trailing (List.rev r) | _ -> l
-
-  let strip_marked ~keep (l : t) : t =
-    trim_trailing (List.map (List.filter (fun (id, m) -> m = Mark.Clear || id = keep)) l)
-
-  let restrict_clear (l : t) : t =
-    List.map (List.filter (fun (_, m) -> m = Mark.Clear)) l
-    |> List.filter (fun lvl -> lvl <> [])
-
-  let clear_size (l : t) =
-    List.fold_left max 0
-      (List.mapi
-         (fun i lvl -> if List.exists (fun (_, m) -> m = Mark.Clear) lvl then i + 1 else 0)
-         l)
-
-  let has_empty_level (l : t) = List.mem [] l
-
-  let well_formed (l : t) =
-    let ids = List.concat_map (List.map fst) l in
-    (not (has_empty_level l))
-    && List.length ids = List.length (List.sort_uniq compare ids)
-    && List.for_all Fun.id
-         (List.mapi
-            (fun i lvl -> i <= 1 || List.for_all (fun (_, m) -> m = Mark.Clear) lvl)
-            l)
-end
-
-let model_of (l : Antlist.t) : Model.t =
-  List.map (List.map (fun e -> (e.Antlist.id, e.Antlist.mark))) (Antlist.levels l)
+(* --- the structure against the model --- *)
 
 let gen_model_case =
   QCheck.Gen.(
@@ -394,21 +327,19 @@ let prop_reference_model =
       let ma = Model.of_raw ra and mb = Model.of_raw rb in
       let sign x = compare x 0 in
       let agrees name l m =
-        model_of l = m || QCheck.Test.fail_reportf "%s: got %s" name (Antlist.to_string l)
+        Model.of_antlist l = m
+        || QCheck.Test.fail_reportf "%s: got %s" name (Antlist.to_string l)
       in
-      model_of a = ma
-      && agrees "merge" (Antlist.merge a b) (Model.merge ma mb)
-      && agrees "ant" (Antlist.ant a b) (Model.ant ma mb)
-      && agrees "shift" (Antlist.shift a) (Model.shift ma)
+      Model.of_antlist a = ma
+      && agrees "ant fold" (ant a b) (Model.ant ma mb)
       && agrees "strip_marked" (Antlist.strip_marked ~keep a) (Model.strip_marked ~keep ma)
-      && agrees "restrict_clear" (Antlist.restrict_clear a) (Model.restrict_clear ma)
       && agrees "truncate" (Antlist.truncate a k) (Model.truncate ma k)
       && sign (Antlist.compare a b) = sign (compare ma mb)
       && Antlist.equal a b = (ma = mb)
       && Antlist.clear_size a = Model.clear_size ma
       && Antlist.has_empty_level a = Model.has_empty_level ma
       && Antlist.well_formed a = Model.well_formed ma
-      && Antlist.well_formed (Antlist.merge a b) = Model.well_formed (Model.merge ma mb))
+      && Antlist.well_formed (ant a b) = Model.well_formed (Model.ant ma mb))
 
 let qcheck_suite =
   List.map QCheck_alcotest.to_alcotest
@@ -440,22 +371,24 @@ let for_all_seeds name prop =
       Alcotest.failf "%s: fails for Rng seed %d" name seed
   done
 
+let well_formed_model rng = Model.of_antlist (Arbitrary.well_formed_antlist rng)
+
 let test_arb_merge_well_formed () =
   for_all_seeds "merge of well-formed is well-formed" (fun rng ->
-      let a = Arbitrary.well_formed_antlist rng in
-      let b = Arbitrary.well_formed_antlist rng in
-      Antlist.well_formed (Antlist.merge a b))
+      let a = well_formed_model rng in
+      let b = well_formed_model rng in
+      Model.well_formed (Model.merge a b))
 
 let test_arb_merge_commutative () =
   for_all_seeds "merge commutes on well-formed inputs" (fun rng ->
-      let a = Arbitrary.well_formed_antlist rng in
-      let b = Arbitrary.well_formed_antlist rng in
-      Antlist.equal (Antlist.merge a b) (Antlist.merge b a))
+      let a = well_formed_model rng in
+      let b = well_formed_model rng in
+      Model.merge a b = Model.merge b a)
 
 let test_arb_merge_idempotent_exact () =
   for_all_seeds "l ⊕ l = l on well-formed l" (fun rng ->
-      let l = Arbitrary.well_formed_antlist rng in
-      Antlist.equal (Antlist.merge l l) l)
+      let l = well_formed_model rng in
+      Model.merge l l = l)
 
 let test_arb_truncate_well_formed () =
   for_all_seeds "truncate preserves well-formedness" (fun rng ->
@@ -465,8 +398,7 @@ let test_arb_truncate_well_formed () =
 
 let test_arb_restrict_clear_well_formed () =
   for_all_seeds "restrict_clear preserves well-formedness" (fun rng ->
-      let l = Arbitrary.well_formed_antlist rng in
-      Antlist.well_formed (Antlist.restrict_clear l))
+      Model.well_formed (Model.restrict_clear (well_formed_model rng)))
 
 let test_arb_ant_well_formed () =
   (* The r-operator itself moves the neighbor's link-local marks to
@@ -475,8 +407,8 @@ let test_arb_ant_well_formed () =
      folding. *)
   for_all_seeds "ant over a stripped neighbor list is well-formed" (fun rng ->
       let a = Arbitrary.well_formed_antlist rng in
-      let b = Arbitrary.well_formed_antlist rng in
-      Antlist.well_formed (Antlist.ant a (Antlist.restrict_clear b)))
+      let b = Model.to_antlist (Model.restrict_clear (well_formed_model rng)) in
+      Antlist.well_formed (ant a b))
 
 let test_arb_strip_marked_claims () =
   (* strip_marked does NOT promise well-formedness (it keeps interior empty
@@ -493,46 +425,14 @@ let test_arb_strip_marked_claims () =
            (fun (id, _, mark) -> mark = Mark.Clear || id = keep)
            (Antlist.entries s))
 
-let test_arb_restrict_clear_reference () =
-  (* Pins the fused single-pass [restrict_clear] to the obvious two-pass
-     model (filter each level to Clear entries, then drop emptied levels),
-     on arbitrary — including ill-formed — inputs. *)
-  for_all_seeds "restrict_clear = filter-then-compact reference" (fun rng ->
-      let l = Arbitrary.antlist rng in
-      let reference =
-        Antlist.of_levels
-          (Antlist.levels l
-          |> List.map
-               (List.filter_map (fun e ->
-                    if e.Antlist.mark = Mark.Clear then
-                      Some (e.Antlist.id, e.Antlist.mark)
-                    else None))
-          |> List.filter (fun lvl -> lvl <> []))
-      in
-      Antlist.equal (Antlist.restrict_clear l) reference)
-
 let test_arb_merge_dedup_on_junk () =
   (* Even on ill-formed inputs, ⊕ deduplicates: unique ids, each no farther
      than its best occurrence in either input. *)
   for_all_seeds "merge dedups arbitrary (ill-formed) inputs" (fun rng ->
-      let a = Arbitrary.antlist rng in
-      let b = Arbitrary.antlist rng in
-      let m = Antlist.merge a b in
-      let all = Antlist.entries m in
-      List.length all
-      = Node_id.Set.cardinal
-          (Node_id.Set.of_list (List.map (fun (id, _, _) -> id) all))
-      && List.for_all
-           (fun (id, pos, _) ->
-             let best =
-               match (Antlist.find a id, Antlist.find b id) with
-               | Some (pa, _), Some (pb, _) -> min pa pb
-               | Some (pa, _), None -> pa
-               | None, Some (pb, _) -> pb
-               | None, None -> max_int
-             in
-             pos >= best)
-           all)
+      let a = Model.of_antlist (Arbitrary.antlist rng) in
+      let b = Model.of_antlist (Arbitrary.antlist rng) in
+      let m = Model.merge a b in
+      unique_ids m && no_closer_than a b m)
 
 (* [mem] and [well_formed] are plain searches over the levels: 10k calls
    of each move [Gc.minor_words] by exactly zero. *)
@@ -550,42 +450,10 @@ let test_queries_zero_alloc () =
   check_int "hits" 20_000 !hits;
   Alcotest.(check (float 0.0)) "minor words delta" 0.0 delta
 
-(* [ant] allocates its output and nothing else: the outer array and
-   each level it built (levels carried over from an input are shared), no
-   block per entry.  The inputs exercise every merge branch: same-level
-   ties with different marks, deduplication across levels, a level only
-   the shifted side has. *)
-let test_ant_alloc () =
-  let c id = (id, Mark.Clear) in
-  let own = Antlist.of_levels [ [ c 0 ]; [ c 1; (4, Mark.Single) ]; [ c 7 ] ] in
-  let from = Antlist.of_levels [ [ c 4 ]; [ c 0; (7, Mark.Double); c 9 ]; [ c 3; c 8 ] ] in
-  let r = Antlist.ant own from in
-  check "merged" true
-    (Antlist.equal r
-       (Antlist.of_levels
-          [ [ c 0 ]; [ c 1; (4, Mark.Single) ]; [ (7, Mark.Double); c 9 ]; [ c 3; c 8 ] ]));
-  (* A header plus one word per slot: the outer array (4 levels, 5 words);
-     level 0 is [own]'s, level 3 [from]'s last level, both shared; levels
-     1 and 2 are unions of two input levels, 3 words each. *)
-  let words = 5 + 3 + 3 in
-  ignore (Antlist.ant own from);
-  let iters = 10_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (Antlist.ant own from))
-  done;
-  let per_call = (Gc.minor_words () -. w0) /. float_of_int iters in
-  Alcotest.(check (float 0.0)) "minor words per ant = its output arrays" (float_of_int words)
-    per_call
+(* --- the one-table fold against the model's left fold of [ant] --- *)
 
-(* --- the one-table fold against the pairwise fold of [ant] --- *)
-
-let pairwise_fold seed lists = List.fold_left Antlist.ant seed lists
-
-let one_table_fold seed lists =
-  let acc = Antlist.ant_fold_start seed in
-  List.iter (Antlist.ant_fold_add acc) lists;
-  Antlist.ant_fold_finish acc
+let model_fold seed lists =
+  Model.to_antlist (Model.fold (Model.of_antlist seed) (List.map Model.of_antlist lists))
 
 (* A raw list over ids [0, ids) — few enough that ids repeat across
    levels and across senders — with interior empty levels, marked entries
@@ -630,11 +498,11 @@ let test_arb_fold_matches_pairwise () =
         | l :: _ when Rng.bool rng -> (
             match Antlist.level l 0 with
             | e :: _ ->
-                lists @ [ Antlist.ant (Antlist.singleton e.Antlist.id) (raw_list rng) ]
+                lists @ [ model_fold (Antlist.singleton e.Antlist.id) [ raw_list rng ] ]
             | [] -> lists)
         | _ -> lists
       in
-      Antlist.equal (one_table_fold seed lists) (pairwise_fold seed lists))
+      Antlist.equal (one_table_fold seed lists) (model_fold seed lists))
 
 (* The fold truncates after each list, as [ant] does.  The second list
    repeats 3 one level closer, which empties level 4 and drops 4 for
@@ -648,7 +516,7 @@ let test_fold_gap_truncation_witness () =
     ]
   in
   let expected = of_clear [ [ 0 ]; [ 1; 5; 6 ]; [ 2; 3; 7 ]; [ 8 ] ] in
-  Alcotest.check al "pairwise" expected (pairwise_fold (Antlist.singleton 0) lists);
+  Alcotest.check al "model" expected (model_fold (Antlist.singleton 0) lists);
   Alcotest.check al "one table" expected (one_table_fold (Antlist.singleton 0) lists)
 
 let test_fold_without_lists_is_seed () =
@@ -670,7 +538,7 @@ let test_fold_alloc () =
     ]
   in
   let r = one_table_fold seed lists in
-  Alcotest.check al "folded" (pairwise_fold seed lists) r;
+  Alcotest.check al "folded" (model_fold seed lists) r;
   let words =
     Antlist.size r + 1
     + List.fold_left (fun acc lvl -> acc + List.length lvl + 1) 0 (Antlist.levels r)
@@ -702,7 +570,6 @@ let arbitrary_suite =
     ("arb: merge idempotent", `Quick, test_arb_merge_idempotent_exact);
     ("arb: truncate well-formed", `Quick, test_arb_truncate_well_formed);
     ("arb: restrict_clear well-formed", `Quick, test_arb_restrict_clear_well_formed);
-    ("arb: restrict_clear matches reference", `Quick, test_arb_restrict_clear_reference);
     ("arb: ant well-formed after strip", `Quick, test_arb_ant_well_formed);
     ("arb: strip_marked contract", `Quick, test_arb_strip_marked_claims);
     ("arb: merge dedups junk", `Quick, test_arb_merge_dedup_on_junk);
@@ -729,7 +596,6 @@ let suite =
     ("restrict_clear", `Quick, test_restrict_clear);
     ("compare/equal", `Quick, test_compare_equal);
     ("mem and well_formed allocate nothing", `Quick, test_queries_zero_alloc);
-    ("ant allocates only its output arrays", `Quick, test_ant_alloc);
     ("fold gap-truncation witness", `Quick, test_fold_gap_truncation_witness);
     ("fold without lists is the seed", `Quick, test_fold_without_lists_is_seed);
     ("fold allocates only its output arrays", `Quick, test_fold_alloc);

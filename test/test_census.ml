@@ -9,7 +9,12 @@
    regressions/known-livelocks/, the list may only shrink: a failure it
    does not name fails the test, and so does a listed entry that now
    passes — a fix moves it out of the list.  It is a to-do list, not a
-   pin of expected behaviour. *)
+   pin of expected behaviour.
+
+   The census draws one jitter and one [Net] stream per case, seeded
+   [mask*7 + dmax].  The seed sweep runs the graphs on 2..4 nodes at
+   Dmax 1-3 under both schedules with seeds 1-200 each, against its own
+   may-only-shrink list, regressions/census-seeds-known-failures.txt. *)
 
 module Graph = Dgs_graph.Graph
 module Paths = Dgs_graph.Paths
@@ -21,6 +26,7 @@ module Rng = Dgs_util.Rng
 open Dgs_core
 
 let known_failures_file = Filename.concat "regressions" "census-known-failures.txt"
+let seeds_known_failures_file = Filename.concat "regressions" "census-seeds-known-failures.txt"
 
 let pairs n =
   List.concat (List.init n (fun i -> List.init (n - i - 1) (fun k -> (i, i + k + 1))))
@@ -44,26 +50,24 @@ let judge ~dmax ~settled g views =
   else
     Option.map (fun v -> v.P.predicate) (P.legitimate ~dmax (Cfg.make ~graph:g ~views))
 
-let seed ~mask ~dmax = (mask * 7) + dmax
-
-let lockstep ~mask:_ ~dmax g =
+let lockstep ~seed:_ ~dmax g =
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
   let settled = Rounds.run_until_stable ~max_rounds:400 t <> None in
   judge ~dmax ~settled g (Rounds.views t)
 
-let jitter ~mask ~dmax g =
+let jitter ~seed ~dmax g =
   let t = Rounds.create ~config:(Config.make ~dmax ()) g in
-  let rng = Rng.create (seed ~mask ~dmax) in
+  let rng = Rng.create seed in
   let settled = Rounds.run_until_stable ~jitter:0.1 ~rng ~max_rounds:400 t <> None in
   judge ~dmax ~settled g (Rounds.views t)
 
 (* The paper's own timer model: Tc/Ts timers with random phases on the
    event-driven runtime, polled once per Tc until [Grp_node.quiet_rounds]
    consecutive polls see the same protocol state, for at most 400 Tc. *)
-let net ~mask ~dmax g =
+let net ~seed ~dmax g =
   let config = Config.make ~dmax () in
   let net =
-    Net.create ~rng:(Rng.create (seed ~mask ~dmax)) ~config
+    Net.create ~rng:(Rng.create seed) ~config
       ~topology:(fun () -> g)
       ~nodes:(Graph.nodes g) ()
   in
@@ -79,11 +83,8 @@ let net ~mask ~dmax g =
   let settled = settles 1 (Net.state_signature net) 0 in
   judge ~dmax ~settled g (Net.views net)
 
-let entry schedule n mask dmax what =
-  Printf.sprintf "%s n=%d mask=%d dmax=%d %s" schedule n mask dmax what
-
-let known schedule =
-  let ic = open_in known_failures_file in
+let known file schedule =
+  let ic = open_in file in
   let rec go acc =
     match input_line ic with
     | line ->
@@ -99,23 +100,45 @@ let known schedule =
   in
   go []
 
-let census schedule run () =
+(* Every failing run of [run] on [graphs] at Dmax 1-3 against [file]'s
+   entries for [schedule]; [seeds] gives each case's seeds, and
+   [seed_field] whether an entry names its seed. *)
+let check_known ~file ~seeds ~seed_field schedule run graphs =
   let failures =
     List.concat_map
       (fun (n, mask, g) ->
-        List.filter_map
-          (fun dmax -> Option.map (entry schedule n mask dmax) (run ~mask ~dmax g))
+        List.concat_map
+          (fun dmax ->
+            List.filter_map
+              (fun seed ->
+                Option.map
+                  (fun what ->
+                    let seed = if seed_field then Printf.sprintf " seed=%d" seed else "" in
+                    Printf.sprintf "%s n=%d mask=%d dmax=%d%s %s" schedule n mask dmax seed what)
+                  (run ~seed ~dmax g))
+              (seeds ~mask ~dmax))
           [ 1; 2; 3 ])
-      (Lazy.force graphs)
+      graphs
   in
-  let known = known schedule in
+  let known = known file schedule in
   let missing_from l x = not (List.mem x l) in
   Alcotest.(check (list string))
-    "failures not in census-known-failures.txt" []
+    ("failures not in " ^ Filename.basename file) []
     (List.filter (missing_from known) failures);
   Alcotest.(check (list string))
     "listed failures that now pass (remove them from the list)" []
     (List.filter (missing_from failures) known)
+
+let census schedule run () =
+  check_known ~file:known_failures_file
+    ~seeds:(fun ~mask ~dmax -> [ (mask * 7) + dmax ])
+    ~seed_field:false schedule run (Lazy.force graphs)
+
+let seed_sweep schedule run () =
+  check_known ~file:seeds_known_failures_file
+    ~seeds:(fun ~mask:_ ~dmax:_ -> List.init 200 succ)
+    ~seed_field:true schedule run
+    (List.filter (fun (n, _, _) -> n <= 4) (Lazy.force graphs))
 
 let suite =
   [
@@ -125,4 +148,6 @@ let suite =
     ("lockstep n<=5", `Slow, census "lockstep" lockstep);
     ("jitter 0.1 n<=5", `Slow, census "jitter" jitter);
     ("net n<=5", `Slow, census "net" net);
+    ("jitter 0.1 n<=4 seeds 1-200", `Slow, seed_sweep "jitter" jitter);
+    ("net n<=4 seeds 1-200", `Slow, seed_sweep "net" net);
   ]

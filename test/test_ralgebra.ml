@@ -5,7 +5,7 @@ module Graph = Dgs_graph.Graph
 module Gen = Dgs_graph.Gen
 module Paths = Dgs_graph.Paths
 module Rng = Dgs_util.Rng
-module Antlist = Dgs_core.Antlist
+module Model = Antlist_model
 module Mark = Dgs_core.Mark
 module Arbitrary = Dgs_check.Arbitrary
 
@@ -123,21 +123,22 @@ let test_max_leaders () =
   check_int "component of 2" 4 (List.assoc 2 values);
   check_int "isolated" 0 (List.assoc 0 values)
 
-(* --- ancestor lists: Antlist's own ⊕ and r as an instance --- *)
+(* --- ancestor lists: the model's ⊕ and r as an instance --- *)
 
-(* GRP's [ant l1 l2 = l1 ⊕ r l2] over the protocol's own lists:
-   [combine = Antlist.merge], [transform = Antlist.shift] truncated at
+(* GRP's [ant l1 l2 = l1 ⊕ r l2] over lists of levels, as [Antlist_model]
+   defines it (the definition [Antlist]'s fold is checked against):
+   [combine = Model.merge], [transform = Model.shift] truncated at
    [bound] levels (Dmax+1 in the protocol). *)
 module Ancestors (B : sig
   val bound : int
 end) =
 struct
-  type t = Antlist.t
+  type t = Model.t
 
-  let equal = Antlist.equal
-  let combine = Antlist.merge
-  let transform l = Antlist.truncate (Antlist.shift l) B.bound
-  let pp = Antlist.pp
+  let equal = ( = )
+  let combine = Model.merge
+  let transform l = Model.truncate (Model.shift l) B.bound
+  let pp = Model.pp
 end
 
 module Ant_laws = Roperator.Laws (Ancestors (struct
@@ -145,7 +146,8 @@ module Ant_laws = Roperator.Laws (Ancestors (struct
 end))
 
 (* Unmarked, gap-free lists with distinct ids, from one seed. *)
-let clear_list seed = Antlist.restrict_clear (Arbitrary.well_formed_antlist (Rng.create seed))
+let clear_list seed =
+  Model.restrict_clear (Model.of_antlist (Arbitrary.well_formed_antlist (Rng.create seed)))
 
 let prop_ancestor_laws =
   QCheck_alcotest.to_alcotest
@@ -154,24 +156,23 @@ let prop_ancestor_laws =
        (fun seed ->
          let a = clear_list seed and b = clear_list (seed + 1_000_003) in
          Ant_laws.commutative a b && Ant_laws.idempotent a
-         && (Antlist.is_empty a || Ant_laws.r_inflationary a)))
+         && (a = [] || Ant_laws.r_inflationary a)))
 
-(* Where [Antlist] departs from the algebra: a level emptied by the
+(* Where GRP's lists depart from the algebra: a level emptied by the
    deduplication truncates the merge (DESIGN.md Section 5).  That costs
    associativity, so [compute] folds msgSet in one fixed order (by
    sender id); and [r a ⊕ r b] meets an empty level 0 and truncates to
    nothing, so [r] is an endomorphism only in the [ant] form the
    iteration uses, [x ⊕ r y] with [x] non-empty. *)
 let test_ancestor_gap_truncation () =
-  let l = Antlist.of_levels in
+  let l = Model.of_raw in
   let a = l [ [ (1, Mark.Clear) ]; [ (2, Mark.Clear) ]; [ (6, Mark.Clear) ] ] in
   let b = l [ [ (2, Mark.Clear) ] ] in
   let c = l [ [ (3, Mark.Clear) ]; [ (7, Mark.Clear) ] ] in
   check "not associative across a gap" false (Ant_laws.associative a b c);
   Alcotest.(check string) "(a ⊕ b) ⊕ c" "({1,2,3},{7})"
-    (Antlist.to_string (Antlist.merge (Antlist.merge a b) c));
-  check "r a ⊕ r b is empty" true
-    (Antlist.is_empty (Antlist.merge (Antlist.shift a) (Antlist.shift b)));
+    (Model.to_string (Model.merge (Model.merge a b) c));
+  check "r a ⊕ r b is empty" true (Model.merge (Model.shift a) (Model.shift b) = []);
   check "not an endomorphism of ⊕" false (Ant_laws.endomorphism a b)
 
 (* Every node's levels of ancestors under [bound] (default: unbounded),
@@ -180,7 +181,7 @@ let ancestor_lists ?(bound = max_int) g =
   let module It = Roperator.Make (Ancestors (struct
     let bound = bound
   end)) in
-  let t = It.create ~own:Antlist.singleton g in
+  let t = It.create ~own:Model.singleton g in
   check "silent" true (It.run_to_fixpoint t <> None);
   List.map (fun v -> (v, It.value t v)) (Graph.nodes g)
 
@@ -189,12 +190,13 @@ let ancestor_lists ?(bound = max_int) g =
 let bfs_layers g ~bounded (v, lst) =
   List.for_all
     (fun i ->
-      Graph.Int_set.equal (Antlist.level_ids lst i)
+      Graph.Int_set.equal
+        (Graph.Int_set.of_list (List.map fst (Model.nth_level lst i)))
         (Graph.Int_set.of_list (List.filter (fun u -> Paths.dist g v u = i) (Graph.nodes g))))
-    (List.init (Antlist.size lst) Fun.id)
+    (List.init (List.length lst) Fun.id)
   && (bounded
      || List.for_all
-          (fun u -> Paths.dist g v u >= Paths.infinity || Antlist.mem lst u)
+          (fun u -> Paths.dist g v u >= Paths.infinity || Model.find lst u <> None)
           (Graph.nodes g))
 
 let test_ancestor_lists_are_bfs_layers () =
@@ -202,14 +204,14 @@ let test_ancestor_lists_are_bfs_layers () =
   List.iter
     (fun (v, lst) ->
       check (Printf.sprintf "layers of %d" v) true (bfs_layers g ~bounded:false (v, lst));
-      check_int (Printf.sprintf "levels of %d" v) 4 (Antlist.size lst))
+      check_int (Printf.sprintf "levels of %d" v) 4 (List.length lst))
     (ancestor_lists g)
 
 let test_ancestor_lists_truncated () =
   let g = Gen.line 8 in
   List.iter
     (fun (v, lst) ->
-      check "bounded by dmax+1" true (Antlist.size lst <= 3);
+      check "bounded by dmax+1" true (List.length lst <= 3);
       check (Printf.sprintf "layers of %d" v) true (bfs_layers g ~bounded:true (v, lst)))
     (ancestor_lists ~bound:3 g)
 
