@@ -129,7 +129,6 @@ and step_info = {
   view_added : Node_id.Set.t;
   view_removed : Node_id.Set.t;
   too_far_conflict : bool;
-  rejected_senders : Node_id.Set.t;
   contest_wins : (Node_id.t * Node_id.Set.t) list;
 }
 
@@ -319,9 +318,13 @@ let lid_of_sender t sender =
    compute at a time and nothing here outlives it, so the buffers are
    shared by every node the domain runs: per-node buffers would grow the
    live heap with the network.
-   - [senders]/[msgs]/[standing]: this compute's msgSet in id order, and
-     how each sender's list holds the computing node
-     ([standing_of_list]).
+   - [senders]/[msgs]/[standing]/[lists]/[rejected]: the sender table,
+     this compute's msgSet in id order: each sender, its message, how
+     its list holds the computing node ([standing_of_list]), the list
+     admission leaves it (lines 1-9 of the paper's compute, the contest
+     cuts included) and whether that list is a marked singleton
+     replacing a rejected one.  Every per-sender step of a full compute
+     reads and writes these arrays by index.
    - [tab_ids]/[tab_src]/[table_n]: the priority table the merge builds
      ([merge_priorities]): ids, and where each one's priority lives —
      [own] for the node's own entry, else [(k lsl 32) lor j] for entry [j]
@@ -338,6 +341,8 @@ type scratch = {
   mutable senders : Node_id.t array;
   mutable msgs : Message.t array;
   mutable standing : int array;
+  mutable lists : Antlist.t array;
+  mutable rejected : bool array;
   mutable n_senders : int;
   mutable tab_ids : Node_id.t array;
   mutable tab_src : int array;
@@ -353,6 +358,8 @@ let scratch_key =
         senders = [||];
         msgs = [||];
         standing = [||];
+        lists = [||];
+        rejected = [||];
         n_senders = 0;
         tab_ids = [||];
         tab_src = [||];
@@ -364,6 +371,16 @@ let scratch_key =
 
 let grown a n fill = if Array.length a >= n then a else Array.make n fill
 
+(* Room for [n] senders in every array of the sender table. *)
+let grow_senders s n =
+  if Array.length s.senders < n then begin
+    s.senders <- Array.make n 0;
+    s.msgs <- Array.make n no_msg;
+    s.standing <- Array.make n 0;
+    s.lists <- Array.make n Antlist.empty;
+    s.rejected <- Array.make n false
+  end
+
 let add_sender sender msg s =
   s.senders.(s.n_senders) <- sender;
   s.msgs.(s.n_senders) <- msg;
@@ -373,9 +390,7 @@ let add_sender sender msg s =
 (* msgSet as id-sorted arrays; the fold's function is closed, so filling
    allocates nothing. *)
 let fill_senders t s =
-  let n = Node_id.Map.cardinal t.msg_set in
-  s.senders <- grown s.senders n 0;
-  s.msgs <- grown s.msgs n no_msg;
+  grow_senders s (Node_id.Map.cardinal t.msg_set);
   s.n_senders <- 0;
   ignore (Node_id.Map.fold add_sender t.msg_set s)
 
@@ -515,14 +530,12 @@ let my_mark st =
 
 (* Every sender's standing, over the arrays of [fill_senders]. *)
 let fill_standings t s =
-  s.standing <- grown s.standing s.n_senders 0;
   for k = 0 to s.n_senders - 1 do
     s.standing.(k) <-
       (standing_of_list t.id s.msgs.(k).Message.antlist
       lor if Node_id.Set.mem s.senders.(k) t.view then 8 else 0)
   done
 
-let standing s sender = s.standing.(search s.senders sender 0 s.n_senders)
 let sender_in_view st = st land 8 <> 0
 
 (* Some sender advertises [v] in its view — a view-mate only, when
@@ -533,17 +546,18 @@ let rec advertised s ~mates v k =
       && Node_id.Set.mem v s.msgs.(k).Message.view)
      || advertised s ~mates v (k + 1))
 
-(* Forget this compute's messages and priorities, once the table has
-   been copied out. *)
+(* Forget this compute's messages, lists and priorities, once the table
+   has been copied out. *)
 let release s =
   Array.fill s.msgs 0 s.n_senders no_msg;
+  Array.fill s.lists 0 s.n_senders Antlist.empty;
   s.n_senders <- 0;
   s.table_n <- 0
 
 let priority_table ~me ~own_priority msgs =
   let s = Domain.DLS.get scratch_key in
   let k = Array.length msgs in
-  s.msgs <- grown s.msgs k no_msg;
+  grow_senders s k;
   Array.blit msgs 0 s.msgs 0 k;
   s.n_senders <- k;
   let clock = merge_priorities s ~me in
@@ -552,12 +566,14 @@ let priority_table ~me ~own_priority msgs =
   release s;
   (ids, vals, clock)
 
+(* [v] has a Clear entry at level [pos] of [lst]. *)
+let clear_at lst pos v =
+  match Antlist.mark_at lst pos v with Some Mark.Clear -> true | _ -> false
+
 (* [v] has a Clear entry at some depth of [lst] (any occurrence, not just
    the closest: raw lists may repeat an id across levels). *)
 let rec clear_from lst v pos =
-  pos < Antlist.size lst
-  && ((match Antlist.mark_at lst pos v with Some Mark.Clear -> true | _ -> false)
-     || clear_from lst v (pos + 1))
+  pos < Antlist.size lst && (clear_at lst pos v || clear_from lst v (pos + 1))
 
 let clear_anywhere lst v = clear_from lst v 0
 
@@ -698,58 +714,61 @@ let same_group t sender (msg : Message.t) =
          && Node_id.Set.mem v t.view)
        msg.view
 
+(* Replace sender [k]'s list by the sender marked [mark]. *)
+let reject s k mark =
+  s.lists.(k) <- Antlist.singleton_marked s.senders.(k) mark;
+  s.rejected.(k) <- true
+
 let check_each_incoming t s =
   let tracing = Trace.enabled t.trace in
   let env = compatible_env () in
   t.restricts <- 0;
-  Node_id.Map.mapi
-    (fun sender msg ->
-      if tracing && not (Node_id.Set.mem sender t.view) then
-        Trace.emit t.trace
-          (Trace.Merge_attempt
-             { node = t.id; sender; cause = lid_of_sender t sender });
-      (* Admission tests run on the raw list: the sender's marked level-1
-         entries are its physical neighbors (in handshake or rejected), and
-         that adjacency evidence is what the shortcut subset test needs.
-         Marks are stripped only before the ant fold (line 2 of the
-         paper's compute), so they still never propagate. *)
-      let raw = msg.Message.antlist in
-      (* How does the sender acknowledge me?  Marked entries live in its
-         level 1; a Clear occurrence at any depth means it already computes
-         me as a group member over symmetric paths, which is as good an
-         acknowledgment as the level-1 handshake (DESIGN.md Section 5). *)
-      let st = standing s sender in
-      let incompatible () =
-        (not (same_group t sender msg))
-        && not (compatible_list_env t s ~env ~sender_view:msg.Message.view raw)
-      in
-      match my_mark st with
-      | None ->
-          (* The sender does not list me: asymmetric link, handshake step. *)
-          Antlist.singleton_marked sender Mark.Single
-      | Some Mark.Double ->
-          (* The sender rejected me.  If I reject it too, exactly one side
-             may keep the double mark, otherwise both alternate between
-             double and single forever (the (D,D) <-> (S,S) 2-cycle); the
-             lower id is the dominant rejector, the other defers to the
-             single mark of Proposition 3.  DESIGN.md Section 5. *)
-          if Node_id.compare t.id sender < 0 && incompatible () then
-            Antlist.singleton_marked sender Mark.Double
-          else Antlist.singleton_marked sender Mark.Single
-      | Some Mark.Clear | Some Mark.Single ->
-          if not (good_list_st t ~st ~sender raw) then
-            Antlist.singleton_marked sender Mark.Single
-          else if incompatible () then Antlist.singleton_marked sender Mark.Double
-          else begin
-            if tracing && not (Node_id.Set.mem sender t.view) then
-              Trace.emit t.trace
-                (Trace.Merge_accepted
-                   { node = t.id; sender; cause = lid_of_sender t sender });
-            Registry.Counter.incr t.metrics.m_restrict;
-            t.restricts <- t.restricts + 1;
-            Antlist.strip_marked ~keep:t.id raw
-          end)
-    t.msg_set
+  for k = 0 to s.n_senders - 1 do
+    let sender = s.senders.(k) and msg = s.msgs.(k) in
+    if tracing && not (Node_id.Set.mem sender t.view) then
+      Trace.emit t.trace
+        (Trace.Merge_attempt { node = t.id; sender; cause = lid_of_sender t sender });
+    (* Admission tests run on the raw list: the sender's marked level-1
+       entries are its physical neighbors (in handshake or rejected), and
+       that adjacency evidence is what the shortcut subset test needs.
+       Marks are stripped only before the ant fold (line 2 of the paper's
+       compute), so they still never propagate. *)
+    let raw = msg.Message.antlist in
+    (* How does the sender acknowledge me?  Marked entries live in its
+       level 1; a Clear occurrence at any depth means it already computes
+       me as a group member over symmetric paths, which is as good an
+       acknowledgment as the level-1 handshake (DESIGN.md Section 5). *)
+    let st = s.standing.(k) in
+    let incompatible () =
+      (not (same_group t sender msg))
+      && not (compatible_list_env t s ~env ~sender_view:msg.Message.view raw)
+    in
+    match my_mark st with
+    | None ->
+        (* The sender does not list me: asymmetric link, handshake step. *)
+        reject s k Mark.Single
+    | Some Mark.Double ->
+        (* The sender rejected me.  If I reject it too, exactly one side
+           may keep the double mark, otherwise both alternate between
+           double and single forever (the (D,D) <-> (S,S) 2-cycle); the
+           lower id is the dominant rejector, the other defers to the
+           single mark of Proposition 3.  DESIGN.md Section 5. *)
+        reject s k
+          (if Node_id.compare t.id sender < 0 && incompatible () then Mark.Double
+           else Mark.Single)
+    | Some Mark.Clear | Some Mark.Single ->
+        if not (good_list_st t ~st ~sender raw) then reject s k Mark.Single
+        else if incompatible () then reject s k Mark.Double
+        else begin
+          if tracing && not (Node_id.Set.mem sender t.view) then
+            Trace.emit t.trace
+              (Trace.Merge_accepted { node = t.id; sender; cause = lid_of_sender t sender });
+          Registry.Counter.incr t.metrics.m_restrict;
+          t.restricts <- t.restricts + 1;
+          s.lists.(k) <- Antlist.strip_marked ~keep:t.id raw;
+          s.rejected.(k) <- false
+        end
+  done
 
 (* The first [k] ids of [buf], sorted and deduplicated, as a fresh array. *)
 let sorted_ids buf k =
@@ -780,37 +799,23 @@ let rec disjoint (a : Node_id.t array) (b : Node_id.t array) i j =
    ext1 + ext2 + 2 <= Dmax.  Established senders (already in the view) are
    never rejected here — they are the group compatibleList protects — and
    among new senders the oldest group is kept (DESIGN.md Section 5). *)
-let cross_check t s checked =
-  (* Senders already rejected by the individual checks (their list was
-     replaced by a marked singleton) are not being admitted, so they
-     neither need joint clearance nor may veto anybody else. *)
-  let rejected lst sender =
-    Antlist.size lst = 1
-    && Antlist.level_size lst 0 = 1
-    && Antlist.fold_level lst 0 ~init:false ~f:(fun _ v mark ->
-           Node_id.equal v sender && Mark.is_marked mark)
-  in
-  let mates sender =
-    match Node_id.Map.find_opt sender t.msg_set with
-    | Some msg -> same_group t sender msg
-    | None -> Node_id.Set.mem sender t.view
-  in
-  let in_view, fresh =
-    Node_id.Map.fold
-      (fun sender lst (in_view, fresh) ->
-        if rejected lst sender then (in_view, fresh)
-        else if mates sender then ((sender, lst) :: in_view, fresh)
-        else (in_view, (sender, lst) :: fresh))
-      checked ([], [])
-  in
-  match fresh with
+let cross_check t s =
+  (* Senders already rejected by the individual checks are not being
+     admitted, so they neither need joint clearance nor may veto anybody
+     else. *)
+  let in_view = ref [] and fresh = ref [] in
+  for k = s.n_senders - 1 downto 0 do
+    if not s.rejected.(k) then
+      if same_group t s.senders.(k) s.msgs.(k) then in_view := k :: !in_view
+      else fresh := k :: !fresh
+  done;
+  match !fresh with
   | [] ->
-      (* Nothing new to vet: the admission fold below would return
-         [checked] unchanged, and the in-view foreign parts it consults
-         are never looked at.  In steady state every sender is a mate, so
-         this skips the whole joint-extent machinery on the common path. *)
-      checked
-  | _ :: _ ->
+      (* Nothing new to vet, and the in-view foreign parts are never
+         looked at.  In steady state every sender is a mate, so this
+         skips the whole joint-extent machinery on the common path. *)
+      ()
+  | fresh ->
   let my_ids = Node_id.Set.add t.id t.view in
   (* The foreign group a sender brings: the clear members of its own view,
      minus the established members we already hold.  "Hold" means the
@@ -820,100 +825,85 @@ let cross_check t s checked =
      leaves no foreign part at all — blinding the extent test exactly
      when the next admission race begins (the 6-path bridge livelock).
      Speculative list entries outside the sender's view are ignored
-     here; individual checks and the too-far contest police those. *)
-  let foreign_part sender =
-    match Node_id.Map.find_opt sender t.msg_set with
-    | None -> None
-    | Some msg ->
-        (* Reach: everything the sender's raw list vouches a usable
-           connection to — the overlap test joins two sides that meet
-           anywhere off-board, not only through me.  Single-marked entries
-           count (a handshake in progress is a live adjacency); double-
-           marked ones do not (a rejected edge carries no group path).
-           Extent: established (view, clear) members only, so speculative
-           tails do not block growth.
+     here; individual checks and the too-far contest police those.
 
-           Split horizon for the overlap test: an entry whose depth in the
-           sender's list is explainable as a route through me (the
-           sender's level of me plus my own level of the entry) may be
-           nothing but the echo of my previous advertisement — after a
-           failed bridge, the two sides would keep "meeting" through such
-           ghosts for a round and bypass the joint extent check forever
-           (the lockstep grid3x3 cycle).  Genuinely off-board meetings are
-           strictly shorter than the me-route and survive the filter.
+     Reach: everything the sender's raw list vouches a usable connection
+     to — the overlap test joins two sides that meet anywhere off-board,
+     not only through me.  Single-marked entries count (a handshake in
+     progress is a live adjacency); double-marked ones do not (a rejected
+     edge carries no group path).  Extent: established (view, clear)
+     members only, so speculative tails do not block growth.
 
-           Reach and extent are accumulated in the one pass over the
-           sender's entries, the reach ids gathered into the scratch and
-           kept as a sorted array; -1 encodes "no established foreign
-           member". *)
-        let lst = msg.Message.antlist in
-        let me_pos = closest_pos (standing s sender) in
-        let echo v pos =
-          me_pos >= 0
-          &&
-          let lv = Antlist.closest_undoubled t.antlist v in
-          lv >= 0 && pos >= me_pos + lv
-        in
-        let total = ref 0 in
-        for i = 0 to Antlist.size lst - 1 do
-          total := !total + Antlist.level_size lst i
-        done;
-        s.ints <- grown s.ints !total 0;
-        let buf = s.ints in
-        let k = ref 0 and ext = ref (-1) in
-        Antlist.fold_entries lst ~init:() ~f:(fun () v pos mark ->
-            if mark <> Mark.Double && not (Node_id.Set.mem v my_ids) then begin
-              if not (echo v pos) then begin
-                buf.(!k) <- v;
-                incr k
-              end;
-              if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then
-                ext := max !ext pos
-            end);
-        if !ext < 0 then None else Some (sorted_ids buf !k, !ext)
+     Split horizon for the overlap test: an entry whose depth in the
+     sender's list is explainable as a route through me (the sender's
+     level of me plus my own level of the entry) may be nothing but the
+     echo of my previous advertisement — after a failed bridge, the two
+     sides would keep "meeting" through such ghosts for a round and
+     bypass the joint extent check forever (the lockstep grid3x3 cycle).
+     Genuinely off-board meetings are strictly shorter than the me-route
+     and survive the filter.
+
+     Reach and extent are accumulated in the one pass over the sender's
+     entries, the reach ids gathered into the scratch and kept as a
+     sorted array; -1 encodes "no established foreign member". *)
+  let foreign_part k =
+    let msg = s.msgs.(k) in
+    let lst = msg.Message.antlist in
+    let me_pos = closest_pos s.standing.(k) in
+    let echo v pos =
+      me_pos >= 0
+      &&
+      let lv = Antlist.closest_undoubled t.antlist v in
+      lv >= 0 && pos >= me_pos + lv
+    in
+    let total = ref 0 in
+    for i = 0 to Antlist.size lst - 1 do
+      total := !total + Antlist.level_size lst i
+    done;
+    s.ints <- grown s.ints !total 0;
+    let buf = s.ints in
+    let n = ref 0 and ext = ref (-1) in
+    Antlist.fold_entries lst ~init:() ~f:(fun () v pos mark ->
+        if mark <> Mark.Double && not (Node_id.Set.mem v my_ids) then begin
+          if not (echo v pos) then begin
+            buf.(!n) <- v;
+            incr n
+          end;
+          if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then
+            ext := max !ext pos
+        end);
+    if !ext < 0 then None else Some (sorted_ids buf !n, !ext)
   in
   (match fresh with _ :: _ :: _ -> s.prio_read <- true | _ -> ());
-  let fresh =
-    List.map
-      (fun (sender, _) ->
-        match Node_id.Map.find_opt sender t.msg_set with
-        | Some msg -> (msg.Message.group_priority, sender)
-        | None -> (Priority.lowest, sender))
-      fresh
-    |> List.sort (fun (pa, a) (pb, b) ->
-           match Priority.compare pa pb with 0 -> Node_id.compare a b | c -> c)
+  let oldest_group_first a b =
+    let pa = s.msgs.(a).Message.group_priority and pb = s.msgs.(b).Message.group_priority in
+    match Priority.compare pa pb with 0 -> Node_id.compare s.senders.(a) s.senders.(b) | c -> c
   in
   let dmax = t.config.Config.dmax in
-  let accepted = ref [] in
+  let accepted = ref (List.filter_map foreign_part !in_view) in
   List.iter
-    (fun (sender, _) ->
-      match foreign_part sender with
+    (fun k ->
+      match foreign_part k with
       | None -> ()
-      | Some fp -> accepted := fp :: !accepted)
-    in_view;
-  List.fold_left
-    (fun checked (_, sender) ->
-      match foreign_part sender with
-      | None -> checked
       | Some (ids, ext) ->
           let compatible_with (ids', ext') =
             (not (disjoint ids ids' 0 0)) || ext + ext' + 2 <= dmax
           in
-          if List.for_all compatible_with !accepted then (
-            accepted := (ids, ext) :: !accepted;
-            checked)
-          else
-            Node_id.Map.add sender (Antlist.singleton_marked sender Mark.Double) checked)
-    checked fresh
+          if List.for_all compatible_with !accepted then accepted := (ids, ext) :: !accepted
+          else reject s k Mark.Double)
+    (List.sort oldest_group_first fresh)
 
 let check_incoming t s =
-  let checked = check_each_incoming t s in
-  if t.config.Config.joint_admission_enabled then cross_check t s checked else checked
+  check_each_incoming t s;
+  if t.config.Config.joint_admission_enabled then cross_check t s
 
-let fold_ant t lists =
-  Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal lists);
+(* Lines 10-13: the ant fold of the admitted lists, in sender id order. *)
+let fold_ant t s =
+  Registry.Counter.add t.metrics.m_ant_merge s.n_senders;
   let acc = Antlist.ant_fold_start (Antlist.singleton t.id) in
-  Node_id.Map.iter (fun _ lst -> Antlist.ant_fold_add acc lst) lists;
+  for k = 0 to s.n_senders - 1 do
+    Antlist.ant_fold_add acc s.lists.(k)
+  done;
   Antlist.ant_fold_finish acc
 
 (* Priority contest against the too-far node w: w's node priority against
@@ -966,10 +956,9 @@ let too_far_priority t s ~w ~providers =
    straddle gets and stays cut — but not against a disjoint provider set:
    displacing a second, freshly formed pairing right after the first is
    the rotation signature, and those claims are silently truncated. *)
-let resolve_too_far t s checked ~folded candidate =
+let resolve_too_far t s ~folded candidate =
   let dmax = t.config.Config.dmax in
-  if Antlist.clear_size candidate < dmax + 2 then
-    (candidate, false, Node_id.Set.empty, [])
+  if Antlist.clear_size candidate < dmax + 2 then (candidate, false, [])
   else begin
     let tracing = Trace.enabled t.trace in
     (* A contest's cause: the newest lineage among the providers'
@@ -980,27 +969,7 @@ let resolve_too_far t s checked ~folded candidate =
     in
     let cooldown = t.config.Config.contest_cooldown_enabled in
     let too_far = clear_level_ids candidate (dmax + 1) in
-    let checked = ref checked in
-    let rejected = ref Node_id.Set.empty in
     let wins = ref [] in
-    (* Per-sender facts are loop-invariant apart from cuts: hoist the
-       advertised view and the level-Dmax clear set out of the w loop
-       (recomputing the set per (w, sender) pair dominated this phase),
-       and track cut senders separately — a cut replaces the sender's list
-       by a marked singleton whose level-Dmax clear set is empty, so
-       membership in [cut] is exactly the difference the hoisting hides. *)
-    let sender_info =
-      List.rev
-        (Node_id.Map.fold
-           (fun sender lst acc ->
-             let view =
-               match Node_id.Map.find_opt sender t.msg_set with
-               | Some msg -> msg.Message.view
-               | None -> Node_id.Set.empty
-             in
-             (sender, view, clear_level_ids lst dmax) :: acc)
-           !checked [])
-    in
     Node_id.Set.iter
       (fun w ->
         (* Only providers that advertise w as an established member of
@@ -1009,20 +978,18 @@ let resolve_too_far t s checked ~folded candidate =
            of a newcomer — precisely what the quarantine exists to prevent
            (Proposition 14, case iii).  Unestablished too-far nodes are
            silently truncated; their conflict resolves at their own entry
-           point.  DESIGN.md Section 5. *)
-        let providers =
-          List.fold_left
-            (fun acc (sender, view, clear_dmax) ->
-              if
-                Node_id.Set.mem w view
-                && Node_id.Set.mem w clear_dmax
-                && not (Node_id.Set.mem sender !rejected)
-              then sender :: acc
-              else acc)
-            [] sender_info
-        in
-        if providers <> [] then begin
-          let provider_set = Node_id.Set.of_list providers in
+           point.  DESIGN.md Section 5.  A sender already cut holds a
+           marked singleton, which has no level Dmax. *)
+        let providers = ref [] in
+        for k = s.n_senders - 1 downto 0 do
+          if Node_id.Set.mem w s.msgs.(k).Message.view && clear_at s.lists.(k) dmax w then
+            providers := k :: !providers
+        done;
+        if !providers <> [] then begin
+          let provider_set =
+            List.fold_left (fun acc k -> Node_id.Set.add s.senders.(k) acc) Node_id.Set.empty
+              !providers
+          in
           let held =
             cooldown
             && match Node_id.Map.find_opt w t.contest_hold with
@@ -1032,13 +999,7 @@ let resolve_too_far t s checked ~folded candidate =
           if not held then begin
             let pw, pv = too_far_priority t s ~w ~providers:provider_set in
             if Priority.beats ~window:(Priority.contest_window ~dmax) pw pv then begin
-              List.iter
-                (fun sender ->
-                  checked :=
-                    Node_id.Map.add sender (Antlist.singleton_marked sender Mark.Double)
-                      !checked;
-                  rejected := Node_id.Set.add sender !rejected)
-                providers;
+              List.iter (fun k -> reject s k Mark.Double) !providers;
               Registry.Counter.incr t.metrics.m_contest_win;
               if tracing then
                 Trace.emit t.trace
@@ -1062,20 +1023,21 @@ let resolve_too_far t s checked ~folded candidate =
           end
         end)
       too_far;
-    (* Re-fold only when a provider was actually cut: with [checked]
+    (* Re-fold only when a provider was actually cut: with the lists
        unchanged the fold is a deterministic function of the same inputs,
        so its result is (structurally) [folded] again — and the overflow
        branch without a contest winner is by far the common case under
        mobility churn. *)
-    let lst =
-      if Node_id.Set.is_empty !rejected then Antlist.truncate folded (dmax + 1)
-      else Antlist.truncate (fold_ant t !checked) (dmax + 1)
-    in
-    (lst, true, !rejected, !wins)
+    let lst = if !wins = [] then folded else fold_ant t s in
+    (Antlist.truncate lst (dmax + 1), true, !wins)
   end
 
-(* Line 30: a quarantine counts the computes since the entry became (and
-   stayed) an unmarked list member; marked entries stay armed at Dmax. *)
+(* Line 30: a countdown per list entry.  A new entry starts at Dmax, a
+   marked one is held there, and every clear compute counts down by one,
+   the first included.  So a marked -> clear entry reaches 0 one compute
+   before a new entry would (at once at Dmax 1): the count is not the
+   computes since the entry became unmarked (DESIGN.md Section 5, item
+   10). *)
 let update_quarantine t lst =
   let dmax = t.config.Config.dmax in
   let q =
@@ -1133,7 +1095,7 @@ let evident s v =
    machinery the paper already has: marks at the entry edges, ghost
    entries aging out of the lists, the too-far contest, and the
    starvation rule below. *)
-let update_conflicts t =
+let update_conflicts t s =
   let window = Priority.cooldown_window ~dmax:t.config.Config.dmax in
   t.conflict <-
     Node_id.Map.filter_map
@@ -1143,26 +1105,20 @@ let update_conflicts t =
     clear_anywhere t.antlist v
     && match Node_id.Map.find_opt v t.quarantine with Some 0 -> true | _ -> false
   in
-  Node_id.Map.iter
-    (fun u (msg : Message.t) ->
-      if Node_id.Set.mem t.id msg.Message.view then
-        t.conflict <- Node_id.Map.remove u t.conflict
-      else if
-        Node_id.Set.mem u t.view
-        || (eligible u && Node_id.Set.cardinal msg.Message.view >= 2)
-      then
-        let n =
-          match Node_id.Map.find_opt u t.conflict with Some (n, _) -> n | None -> 0
-        in
-        if n + 1 = window then begin
-          Registry.Counter.incr t.metrics.m_conviction;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Gate_conviction
-                 { node = t.id; peer = u; cause = lid_of_sender t u })
-        end;
-        t.conflict <- Node_id.Map.add u (n + 1, 0) t.conflict)
-    t.msg_set
+  for k = 0 to s.n_senders - 1 do
+    let u = s.senders.(k) and view = s.msgs.(k).Message.view in
+    if Node_id.Set.mem t.id view then t.conflict <- Node_id.Map.remove u t.conflict
+    else if Node_id.Set.mem u t.view || (eligible u && Node_id.Set.cardinal view >= 2) then begin
+      let n = match Node_id.Map.find_opt u t.conflict with Some (n, _) -> n | None -> 0 in
+      if n + 1 = window then begin
+        Registry.Counter.incr t.metrics.m_conviction;
+        if Trace.enabled t.trace then
+          Trace.emit t.trace
+            (Trace.Gate_conviction { node = t.id; peer = u; cause = lid_of_sender t u })
+      end;
+      t.conflict <- Node_id.Map.add u (n + 1, 0) t.conflict
+    end
+  done
 
 (* Senders that have persistently excluded me for a full window. *)
 let conflicted_set t =
@@ -1442,20 +1398,20 @@ let compute t =
   fill_standings t s;
   let conflicted =
     if t.config.Config.admission_gate_enabled then begin
-      update_conflicts t;
+      update_conflicts t s;
       Node_id.Set.union (conflicted_set t) (starved_set t s)
     end
     else Node_id.Set.empty
   in
-  let checked = check_incoming t s in
+  check_incoming t s;
   let lap = Registry.Timer.lap t.metrics.m_admission_ns lap in
   let f_t0 = Registry.Timer.start t.metrics.m_fold_ns in
-  let folded = fold_ant t checked in
+  let folded = fold_ant t s in
   Registry.Timer.stop t.metrics.m_fold_ns f_t0;
   let candidate = Antlist.truncate folded (dmax + 2) in
   let lap = Registry.Timer.lap t.metrics.m_fold_phase_ns lap in
-  let final_list, too_far_conflict, rejected_senders, contest_wins =
-    resolve_too_far t s checked ~folded candidate
+  let final_list, too_far_conflict, contest_wins =
+    resolve_too_far t s ~folded candidate
   in
   let final_list = Antlist.truncate final_list (dmax + 1) in
   let lap = Registry.Timer.lap t.metrics.m_contest_ns lap in
@@ -1500,7 +1456,7 @@ let compute t =
   update_priorities t s final_list ~clock;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
-  let step = { view_added; view_removed; too_far_conflict; rejected_senders; contest_wins } in
+  let step = { view_added; view_removed; too_far_conflict; contest_wins } in
   (* A frozen contest leaves [oldness_hold > 0], so [settled] covers it. *)
   t.fixpoint <-
     (if was_settled && settled t && contest_wins = [] && t.antlist == old_list

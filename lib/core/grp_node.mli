@@ -15,13 +15,13 @@ type step_info = {
   view_added : Node_id.Set.t;
   view_removed : Node_id.Set.t;  (** non-empty only on evictions — the continuity metric *)
   too_far_conflict : bool;  (** the Dmax+2 overflow branch fired *)
-  rejected_senders : Node_id.Set.t;  (** senders double-marked this step *)
   contest_wins : (Node_id.t * Node_id.Set.t) list;
-      (** too-far contests the far node won this step, with the providers
-          that were cut — within [Priority.cooldown_window] computes of a
-          win the far node may keep winning against overlapping provider
-          sets but not against a disjoint pairing
-          ([Config.contest_cooldown_enabled]) *)
+      (** too-far contests the far node won this step, newest first, with
+          the providers that were cut (double-marked; their union is
+          every sender the contest rejected) — within
+          [Priority.cooldown_window] computes of a win the far node may
+          keep winning against overlapping provider sets but not against a
+          disjoint pairing ([Config.contest_cooldown_enabled]) *)
 }
 
 val create :
@@ -117,9 +117,10 @@ val compute : t -> step_info
     compatibleList), fold the [ant] operator, resolve too-far conflicts by
     priority, update quarantines, the view and the priorities; finally reset
     [msgSet] and build the next message, which {!make_message} returns.
-    The full path runs on per-domain scratch buffers (priority merge,
-    ant fold, sender standings, reach sets), so a node may be computed
-    on any domain, one compute at a time.
+    The full path runs on per-domain scratch buffers (the sender table,
+    where admission leaves each sender's list, the priority merge, the
+    ant fold, reach sets), so a node may be computed on any domain, one
+    compute at a time.
 
     {b Elision and decision reuse.}  A compute is a deterministic
     function of the node state and [msgSet].  A full compute that is a

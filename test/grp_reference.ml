@@ -5,12 +5,12 @@
 
    It keeps no inbox arrays, per-domain scratch, sender standings,
    compute elision, message reuse, metrics or trace, and none of
-   [Grp_node]'s shortcuts: it always re-folds after a contest cut, always
-   runs the joint admission pass and re-measures the established extent
-   for every sender.  The QCheck property in [test_reference.ml] drives
-   it and production [Grp_node]s through the same rounds and requires
-   equal state every round.  Change [Grp_node] freely; change this file
-   only when the protocol itself changes. *)
+   [Grp_node]'s shortcuts: it always re-folds after a contest, cut or
+   not, always runs the joint admission pass and re-measures the
+   established extent for every sender.  The QCheck property in
+   [test_reference.ml] drives it and production [Grp_node]s through the
+   same rounds and requires equal state every round.  Change [Grp_node]
+   freely; change this file only when the protocol itself changes. *)
 
 open Dgs_core
 module M = Node_id.Map
@@ -206,6 +206,8 @@ let foreign_part t sender =
   in
   if ext < 0 then None else Some (reach, ext)
 
+(* [checked] with the senders joint admission rejects double-marked, and
+   whether it rejected any. *)
 let joint_admission t checked =
   let dmax = t.config.Config.dmax in
   let rejected sender lst =
@@ -226,9 +228,9 @@ let joint_admission t checked =
   |> List.sort (fun (pa, a) (pb, b) ->
          match Priority.compare pa pb with 0 -> Node_id.compare a b | c -> c)
   |> List.fold_left
-       (fun checked (_, sender) ->
+       (fun (checked, any) (_, sender) ->
          match foreign_part t sender with
-         | None -> checked
+         | None -> (checked, any)
          | Some (reach, ext) ->
              if
                List.for_all
@@ -236,10 +238,10 @@ let joint_admission t checked =
                  !accepted
              then begin
                accepted := (reach, ext) :: !accepted;
-               checked
+               (checked, any)
              end
-             else M.add sender (double sender) checked)
-       checked
+             else (M.add sender (double sender) checked, true))
+       (checked, false)
 
 (* --- lines 10-29: the ant fold and the too-far contest --- *)
 
@@ -255,13 +257,13 @@ let fold t checked =
 let resolve_too_far t checked =
   let dmax = t.config.Config.dmax in
   let candidate = Antlist.truncate (fold t checked) (dmax + 2) in
-  if Antlist.clear_size candidate < dmax + 2 then (candidate, false, S.empty, [])
+  if Antlist.clear_size candidate < dmax + 2 then (candidate, false, [])
   else begin
     let cooldown = t.config.Config.contest_cooldown_enabled in
     let window = Priority.cooldown_window ~dmax in
-    let checked, rejected, wins =
+    let checked, wins =
       S.fold
-        (fun w (checked, rejected, wins) ->
+        (fun w (checked, wins) ->
           (* providers: senders whose list holds w clear at level Dmax and
              whose view names it *)
           let providers =
@@ -280,26 +282,24 @@ let resolve_too_far t checked =
             | Some (_, cut) -> S.disjoint providers cut
             | None -> false
           in
-          if S.is_empty providers || held then (checked, rejected, wins)
+          if S.is_empty providers || held then (checked, wins)
           else begin
             let pw = Option.value (M.find_opt w t.table) ~default:Priority.lowest in
             (* the group defends only against foreign providers *)
             let pv = if S.disjoint providers t.view then group_priority t else t.own in
             if Priority.beats ~window:(Priority.contest_window ~dmax) pw pv then begin
               if cooldown then t.contest_hold <- M.add w (window, providers) t.contest_hold;
-              ( S.fold (fun s c -> M.add s (double s) c) providers checked,
-                S.union rejected providers,
-                (w, providers) :: wins )
+              (S.fold (fun s c -> M.add s (double s) c) providers checked, (w, providers) :: wins)
             end
             else begin
               if cooldown then t.oldness_hold <- max t.oldness_hold window;
-              (checked, rejected, wins)
+              (checked, wins)
             end
           end)
         (clear_level candidate (dmax + 1))
-        (checked, S.empty, [])
+        (checked, [])
     in
-    (Antlist.truncate (fold t checked) (dmax + 1), true, rejected, wins)
+    (Antlist.truncate (fold t checked) (dmax + 1), true, wins)
   end
 
 (* --- the admission gate's membership re-validation --- *)
@@ -346,6 +346,19 @@ let inadmissible t =
 
 (* --- compute() --- *)
 
+(* Computes, over every reference node since the program started, in
+   which joint admission rejected a sender, in which a contest cut its
+   providers (and the list was refolded), and in which both happened:
+   the test suite requires its draws to reach each. *)
+type coverage = { mutable joint_rejections : int; mutable contest_cuts : int; mutable both : int }
+
+let coverage = { joint_rejections = 0; contest_cuts = 0; both = 0 }
+
+let tally ~joint ~cut =
+  if joint then coverage.joint_rejections <- coverage.joint_rejections + 1;
+  if cut then coverage.contest_cuts <- coverage.contest_cuts + 1;
+  if joint && cut then coverage.both <- coverage.both + 1
+
 let compute t =
   let c = t.config in
   let dmax = c.Config.dmax in
@@ -372,8 +385,11 @@ let compute t =
     M.filter_map (fun _ (k, cut) -> if k > 1 then Some (k - 1, cut) else None) t.contest_hold;
   let conflicted = if c.Config.admission_gate_enabled then inadmissible t else S.empty in
   let checked = check_each t in
-  let checked = if c.Config.joint_admission_enabled then joint_admission t checked else checked in
-  let lst, too_far_conflict, rejected_senders, contest_wins = resolve_too_far t checked in
+  let checked, joint =
+    if c.Config.joint_admission_enabled then joint_admission t checked else (checked, false)
+  in
+  let lst, too_far_conflict, contest_wins = resolve_too_far t checked in
+  tally ~joint ~cut:(contest_wins <> []);
   let lst = Antlist.truncate lst (dmax + 1) in
   (* Line 30: quarantine counts down while an entry stays an unmarked
      member; marked entries stay armed at Dmax. *)
@@ -420,6 +436,5 @@ let compute t =
     Grp_node.view_added = S.diff view old_view;
     view_removed = S.diff old_view view;
     too_far_conflict;
-    rejected_senders;
     contest_wins;
   }

@@ -120,7 +120,6 @@ let same_step (a : Grp_node.step_info) (b : Grp_node.step_info) =
   Node_id.Set.equal a.view_added b.view_added
   && Node_id.Set.equal a.view_removed b.view_removed
   && a.too_far_conflict = b.too_far_conflict
-  && Node_id.Set.equal a.rejected_senders b.rejected_senders
   && List.equal
        (fun (w, ps) (w', ps') -> Node_id.equal w w' && Node_id.Set.equal ps ps')
        a.contest_wins b.contest_wins
@@ -128,8 +127,8 @@ let same_step (a : Grp_node.step_info) (b : Grp_node.step_info) =
 let render_steps infos =
   Node_id.Map.bindings infos
   |> List.map (fun (v, (i : Grp_node.step_info)) ->
-         Printf.sprintf "%d:+%s -%s far=%b rej=%s wins=[%s]" v (set i.view_added)
-           (set i.view_removed) i.too_far_conflict (set i.rejected_senders)
+         Printf.sprintf "%d:+%s -%s far=%b wins=[%s]" v (set i.view_added)
+           (set i.view_removed) i.too_far_conflict
            (String.concat ";"
               (List.map (fun (w, ps) -> Printf.sprintf "%d<%s" w (set ps)) i.contest_wins)))
   |> String.concat " "

@@ -108,14 +108,13 @@ let same_step (a : Grp_node.step_info) (b : Grp_node.step_info) =
   Node_id.Set.equal a.view_added b.view_added
   && Node_id.Set.equal a.view_removed b.view_removed
   && a.too_far_conflict = b.too_far_conflict
-  && Node_id.Set.equal a.rejected_senders b.rejected_senders
   && List.equal
        (fun (w, ps) (w', ps') -> Node_id.equal w w' && Node_id.Set.equal ps ps')
        a.contest_wins b.contest_wins
 
 let render_step (i : Grp_node.step_info) =
-  Printf.sprintf "+%s -%s far=%b rej=%s wins=[%s]" (set i.view_added) (set i.view_removed)
-    i.too_far_conflict (set i.rejected_senders)
+  Printf.sprintf "+%s -%s far=%b wins=[%s]" (set i.view_added) (set i.view_removed)
+    i.too_far_conflict
     (String.concat ";"
        (List.map (fun (w, ps) -> Printf.sprintf "%d<%s" w (set ps)) i.contest_wins))
 
@@ -313,6 +312,24 @@ let prop_reference =
       run_case c;
       true)
 
+(* [run], failing unless its reference computes reached both list
+   writers that follow the individual checks: a joint-admission
+   rejection, a contest cut with its refold, and a compute with both.
+   Draws that never reach one compare nothing about it. *)
+let reaching_writers run () =
+  let c = R.coverage in
+  let joint = c.joint_rejections and cuts = c.contest_cuts and both = c.both in
+  run ();
+  let joint = c.joint_rejections - joint and cuts = c.contest_cuts - cuts
+  and both = c.both - both in
+  if joint = 0 || cuts = 0 || both = 0 then
+    Alcotest.failf
+      "draws miss a list writer: %d computes with a joint rejection, %d with a contest \
+       cut, %d with both"
+      joint cuts both
+
 let suite =
-  [ ("corpus and pinned graphs ≡ reference", `Quick, test_fixed_graphs) ]
-  @ List.map (QCheck_alcotest.to_alcotest ~speed_level:`Quick) [ prop_reference ]
+  List.map
+    (fun (name, speed, run) -> (name, speed, reaching_writers run))
+    (("corpus and pinned graphs ≡ reference", `Quick, test_fixed_graphs)
+    :: List.map (QCheck_alcotest.to_alcotest ~speed_level:`Quick) [ prop_reference ])
