@@ -75,11 +75,10 @@ type t = {
   mutable antlist : Antlist.t;
   (* Raw arrival buffer: messages land in [inbox.(0 .. inbox_n - 1)] in
      order, duplicates and all, at zero allocation per copy (amortized —
-     the array doubles).  At the top of [compute] the buffer is folded
-     into [msg_set], keeping the last message per sender — exactly the
-     map the old per-receive [Map.add] built, at a fraction of the
-     per-message cost.  Every other slot holds [no_msg], so the buffer
-     keeps alive only the messages no compute has read yet. *)
+     the array doubles).  At the top of [compute], [ingest] writes the
+     buffer into the domain's sender table, the last message per sender
+     winning.  Every other slot holds [no_msg], so the buffer keeps alive
+     only the messages no compute has read yet. *)
   mutable inbox : Message.t array;
   mutable inbox_n : int;
   (* Provenance lineage of each inbox entry, parallel to [inbox].
@@ -87,10 +86,6 @@ type t = {
      a node never changes), where it is the only reader; untraced, it
      stays the empty array. *)
   mutable inbox_lid : int array;
-  mutable msg_set : Message.t Node_id.Map.t;
-  (* sender -> lineage of the message [ingest] kept from it this compute.
-     Rebuilt only under an enabled trace sink; untraced, it stays empty. *)
-  mutable msg_lid : int Node_id.Map.t;
   mutable quarantine : int Node_id.Map.t;
   mutable view : Node_id.Set.t;
   (* The priority table: node ids, strictly increasing, and their known
@@ -133,13 +128,13 @@ and step_info = {
 }
 
 (* A fixpoint compute's result and the msgSet of the last compute that
-   repeated it.  [fp_prio_free]: its list, view and quarantine decisions
-   read no priority, so msgSets that differ from [fp_msgs] only in their
-   priorities repeat them too. *)
+   repeated it, in sender id order.  [fp_prio_free]: its list, view and
+   quarantine decisions read no priority, so msgSets that differ from
+   [fp_msgs] only in their priorities repeat them too. *)
 and fixpoint =
   | No_fixpoint
   | Fixpoint of {
-      mutable fp_msgs : Message.t Node_id.Map.t;
+      fp_msgs : Message.t array;
       fp_step : step_info;
       fp_prio_free : bool;
     }
@@ -157,8 +152,6 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     inbox = [||];
     inbox_n = 0;
     inbox_lid = [||];
-    msg_set = Node_id.Map.empty;
-    msg_lid = Node_id.Map.empty;
     quarantine = Node_id.Map.singleton id 0;
     view;
     prio_ids;
@@ -208,9 +201,9 @@ let same_state a b =
 let quiet_rounds (config : Config.t) = config.dmax + 5
 
 (* Index of [v] in the strictly increasing slice [ids.(lo) .. ids.(hi - 1)],
-   or -1. *)
+   or [-(p + 1)] when it is absent and belongs at index [p]. *)
 let rec search (ids : Node_id.t array) v lo hi =
-  if lo >= hi then -1
+  if lo >= hi then -(lo + 1)
   else
     let mid = (lo + hi) lsr 1 in
     let c = Node_id.compare ids.(mid) v in
@@ -265,66 +258,19 @@ let receive_lid t ~lid msg =
 
 let receive t msg = receive_lid t ~lid:(-1) msg
 
-(* Fold the arrival buffer into [msg_set], last message per sender
-   winning (the one-message channel).  Scanning from the newest end and
-   keeping the first occurrence of each sender builds exactly the map the
-   old incremental [Map.add]-per-receive produced, so everything
-   downstream — including iteration order — is unchanged.  The read
-   slots are then reset to [no_msg], so the buffer keeps no consumed
-   message alive.  Returns how the new [msg_set] (built on the empty
-   one) compares with the fixpoint's: the same senders with physically
-   the same messages, or with physically the same lists and views. *)
-type repeat = Same_messages | Same_lists | Changed
-
-(* How [msg] repeats the message [prev] holds from its sender, given that
-   the ones before it repeated as [r]. *)
-let repeats prev (msg : Message.t) r =
-  match Node_id.Map.find msg.sender prev with
-  | p when p == msg -> r
-  | p when p.Message.antlist == msg.antlist && p.Message.view == msg.view -> Same_lists
-  | _ -> Changed
-  | exception Not_found -> Changed
-
-let ingest t =
-  let tracing = Trace.enabled t.trace in
-  let prev, first =
-    match t.fixpoint with
-    | Fixpoint fp -> (fp.fp_msgs, Same_messages)
-    | No_fixpoint -> (Node_id.Map.empty, Changed)
-  in
-  let m = ref t.msg_set and rep = ref first and kept = ref 0 in
-  let lids = ref Node_id.Map.empty in
-  for i = t.inbox_n - 1 downto 0 do
-    let msg = t.inbox.(i) in
-    if not (Node_id.Map.mem msg.Message.sender !m) then begin
-      m := Node_id.Map.add msg.Message.sender msg !m;
-      incr kept;
-      (match !rep with Changed -> () | r -> rep := repeats prev msg r);
-      if tracing then lids := Node_id.Map.add msg.Message.sender t.inbox_lid.(i) !lids
-    end
-  done;
-  t.msg_set <- !m;
-  if tracing then t.msg_lid <- !lids;
-  Array.fill t.inbox 0 t.inbox_n no_msg;
-  t.inbox_n <- 0;
-  if !kept = Node_id.Map.cardinal prev then !rep else Changed
-
-(* Lineage of the message [ingest] kept from [sender] this compute; -1
-   when it sent nothing (or tracing is off).  Trace-branch only. *)
-let lid_of_sender t sender =
-  match Node_id.Map.find_opt sender t.msg_lid with Some l -> l | None -> -1
-
-(* Per-domain scratch of the full compute path.  A domain runs one
-   compute at a time and nothing here outlives it, so the buffers are
-   shared by every node the domain runs: per-node buffers would grow the
-   live heap with the network.
+(* Per-domain scratch of compute.  A domain runs one compute at a time
+   and nothing here outlives it, so the buffers are shared by every node
+   the domain runs: per-node buffers would grow the live heap with the
+   network.
    - [senders]/[msgs]/[standing]/[lists]/[rejected]: the sender table,
-     this compute's msgSet in id order: each sender, its message, how
-     its list holds the computing node ([standing_of_list]), the list
-     admission leaves it (lines 1-9 of the paper's compute, the contest
-     cuts included) and whether that list is a marked singleton
-     replacing a rejected one.  Every per-sender step of a full compute
-     reads and writes these arrays by index.
+     this compute's msgSet in id order, as [ingest] writes it: each
+     sender, its message, how its list holds the computing node
+     ([standing_of_list]), the list admission leaves it (lines 1-9 of
+     the paper's compute, the contest cuts included) and whether that
+     list is a marked singleton replacing a rejected one.  Every
+     per-sender step of compute reads and writes these arrays by index.
+   - [lids]: the lineage of each sender's message, written only under an
+     enabled trace sink, where it is the only reader ([lid_of_sender]).
    - [tab_ids]/[tab_src]/[table_n]: the priority table the merge builds
      ([merge_priorities]): ids, and where each one's priority lives —
      [own] for the node's own entry, else [(k lsl 32) lor j] for entry [j]
@@ -343,6 +289,7 @@ type scratch = {
   mutable standing : int array;
   mutable lists : Antlist.t array;
   mutable rejected : bool array;
+  mutable lids : int array;
   mutable n_senders : int;
   mutable tab_ids : Node_id.t array;
   mutable tab_src : int array;
@@ -360,6 +307,7 @@ let scratch_key =
         standing = [||];
         lists = [||];
         rejected = [||];
+        lids = [||];
         n_senders = 0;
         tab_ids = [||];
         tab_src = [||];
@@ -378,21 +326,67 @@ let grow_senders s n =
     s.msgs <- Array.make n no_msg;
     s.standing <- Array.make n 0;
     s.lists <- Array.make n Antlist.empty;
-    s.rejected <- Array.make n false
+    s.rejected <- Array.make n false;
+    s.lids <- Array.make n (-1)
   end
 
-let add_sender sender msg s =
-  s.senders.(s.n_senders) <- sender;
-  s.msgs.(s.n_senders) <- msg;
-  s.n_senders <- s.n_senders + 1;
-  s
+(* How the msgSet compares with the fixpoint's: the same senders with
+   physically the same messages, or with physically the same lists and
+   views. *)
+type repeat = Same_messages | Same_lists | Changed
 
-(* msgSet as id-sorted arrays; the fold's function is closed, so filling
-   allocates nothing. *)
-let fill_senders t s =
-  grow_senders s (Node_id.Map.cardinal t.msg_set);
-  s.n_senders <- 0;
-  ignore (Node_id.Map.fold add_sender t.msg_set s)
+let rec repeat_from s (prev : Message.t array) k r =
+  if k = s.n_senders then r
+  else
+    let p = prev.(k) and msg = s.msgs.(k) in
+    if p == msg then repeat_from s prev (k + 1) r
+    else if
+      Node_id.equal p.Message.sender msg.Message.sender
+      && p.Message.antlist == msg.Message.antlist
+      && p.Message.view == msg.Message.view
+    then repeat_from s prev (k + 1) Same_lists
+    else Changed
+
+(* Write the arrival buffer into the empty sender table, oldest first, so
+   a newer message from a sender overwrites the older one (the
+   one-message channel).  A new sender is inserted in id order; the
+   runners deliver in ascending sender order, so that is mostly an
+   append.  The read slots are then reset to [no_msg], so the buffer
+   keeps no consumed message alive.  Allocates nothing once the table
+   has grown. *)
+let ingest t s =
+  let tracing = Trace.enabled t.trace in
+  grow_senders s t.inbox_n;
+  for i = 0 to t.inbox_n - 1 do
+    let msg = t.inbox.(i) and n = s.n_senders in
+    let k = search s.senders msg.Message.sender 0 n in
+    let k =
+      if k >= 0 then k
+      else begin
+        let k = -k - 1 in
+        Array.blit s.senders k s.senders (k + 1) (n - k);
+        Array.blit s.msgs k s.msgs (k + 1) (n - k);
+        if tracing then Array.blit s.lids k s.lids (k + 1) (n - k);
+        s.senders.(k) <- msg.Message.sender;
+        s.n_senders <- n + 1;
+        k
+      end
+    in
+    s.msgs.(k) <- msg;
+    if tracing then s.lids.(k) <- t.inbox_lid.(i)
+  done;
+  Array.fill t.inbox 0 t.inbox_n no_msg;
+  t.inbox_n <- 0;
+  match t.fixpoint with
+  | Fixpoint fp when Array.length fp.fp_msgs = s.n_senders ->
+      repeat_from s fp.fp_msgs 0 Same_messages
+  | Fixpoint _ | No_fixpoint -> Changed
+
+(* Lineage of the message [ingest] kept from [sender] this compute; -1
+   when it sent nothing.  Trace-branch only. *)
+let lid_of_sender s sender =
+  let k = search s.senders sender 0 s.n_senders in
+  if k < 0 then -1 else s.lids.(k)
 
 (* The priority table is rebuilt from scratch out of the current round's
    reports: among gossiped entries the larger oldness wins (oldness only
@@ -528,7 +522,7 @@ let my_mark st =
   | 2 -> Some Mark.Double
   | _ -> if clear_somewhere st then Some Mark.Clear else None
 
-(* Every sender's standing, over the arrays of [fill_senders]. *)
+(* Every sender's standing, over the sender table. *)
 let fill_standings t s =
   for k = 0 to s.n_senders - 1 do
     s.standing.(k) <-
@@ -687,13 +681,9 @@ let compatible_list_env t s ~env ~sender_view lst =
         in
         scan 1
 
+(* Between computes the sender table is empty. *)
 let compatible_list t ~sender_view lst =
-  let s = Domain.DLS.get scratch_key in
-  fill_senders t s;
-  fill_standings t s;
-  let ok = compatible_list_env t s ~env:(compatible_env ()) ~sender_view lst in
-  release s;
-  ok
+  compatible_list_env t (Domain.DLS.get scratch_key) ~env:(compatible_env ()) ~sender_view lst
 
 (* Lines 1-9 of compute(): strip link-local marks, then replace unusable
    lists by a single-marked sender (goodList) and incompatible ones by a
@@ -727,7 +717,7 @@ let check_each_incoming t s =
     let sender = s.senders.(k) and msg = s.msgs.(k) in
     if tracing && not (Node_id.Set.mem sender t.view) then
       Trace.emit t.trace
-        (Trace.Merge_attempt { node = t.id; sender; cause = lid_of_sender t sender });
+        (Trace.Merge_attempt { node = t.id; sender; cause = lid_of_sender s sender });
     (* Admission tests run on the raw list: the sender's marked level-1
        entries are its physical neighbors (in handshake or rejected), and
        that adjacency evidence is what the shortcut subset test needs.
@@ -762,7 +752,7 @@ let check_each_incoming t s =
         else begin
           if tracing && not (Node_id.Set.mem sender t.view) then
             Trace.emit t.trace
-              (Trace.Merge_accepted { node = t.id; sender; cause = lid_of_sender t sender });
+              (Trace.Merge_accepted { node = t.id; sender; cause = lid_of_sender s sender });
           Registry.Counter.incr t.metrics.m_restrict;
           t.restricts <- t.restricts + 1;
           s.lists.(k) <- Antlist.strip_marked ~keep:t.id raw;
@@ -950,8 +940,8 @@ let too_far_priority t s ~w ~providers =
    contest may not re-age into a contestable priority right away.
    Without the hold, sparse topologies livelock: the lone loser ages,
    wins the next contest, displaces a paired node, and the new lone node
-   repeats the cycle (the ring7 repro).  Symmetrically, a far node that
-   wins here may, within the same window, keep winning against the same
+   starts the cycle again (the ring7 repro).  Symmetrically, a far node
+   that wins here may, within the same window, keep winning against the same
    providers — persistent rejection is how a geometrically infeasible
    straddle gets and stays cut — but not against a disjoint provider set:
    displacing a second, freshly formed pairing right after the first is
@@ -965,7 +955,7 @@ let resolve_too_far t s ~folded candidate =
        messages this compute — the advertisement that reported the far
        node.  Trace-branch only. *)
     let contest_cause providers =
-      Node_id.Set.fold (fun p acc -> max acc (lid_of_sender t p)) providers (-1)
+      Node_id.Set.fold (fun p acc -> max acc (lid_of_sender s p)) providers (-1)
     in
     let cooldown = t.config.Config.contest_cooldown_enabled in
     let too_far = clear_level_ids candidate (dmax + 1) in
@@ -1114,7 +1104,7 @@ let update_conflicts t s =
         Registry.Counter.incr t.metrics.m_conviction;
         if Trace.enabled t.trace then
           Trace.emit t.trace
-            (Trace.Gate_conviction { node = t.id; peer = u; cause = lid_of_sender t u })
+            (Trace.Gate_conviction { node = t.id; peer = u; cause = lid_of_sender s u })
       end;
       t.conflict <- Node_id.Map.add u (n + 1, 0) t.conflict
     end
@@ -1210,7 +1200,7 @@ let update_priorities t s lst ~clock =
    table are the canonical handshake state, so diffing them reports exactly
    the transitions that happened regardless of which code path caused
    them.  The mark diff is trace-branch only. *)
-let emit_mark_transitions t ~old_list ~new_list =
+let emit_mark_transitions t s ~old_list ~new_list =
   let mark_name = function
     | Mark.Single -> "single"
     | Mark.Double -> "double"
@@ -1228,7 +1218,7 @@ let emit_mark_transitions t ~old_list ~new_list =
             if (match old_m with Some om -> Mark.is_marked om | None -> false) then
               Trace.emit t.trace
                 (Trace.Mark_cleared
-                   { node = t.id; peer = v; cause = lid_of_sender t v })
+                   { node = t.id; peer = v; cause = lid_of_sender s v })
         | Mark.Single | Mark.Double ->
             if old_m <> Some m then
               Trace.emit t.trace
@@ -1237,13 +1227,13 @@ let emit_mark_transitions t ~old_list ~new_list =
                      node = t.id;
                      peer = v;
                      mark = mark_name m;
-                     cause = lid_of_sender t v;
+                     cause = lid_of_sender s v;
                    }))
 
 (* One walk of the quarantine diff feeds both the counters (inert on a
    null registry) and, when [tracing], the trace.  A member new to the
    table counts as previously admitted. *)
-let quarantine_transitions t ~old_q ~tracing =
+let quarantine_transitions t s ~old_q ~tracing =
   Node_id.Map.iter
     (fun v k ->
       if not (Node_id.equal v t.id) then begin
@@ -1253,13 +1243,13 @@ let quarantine_transitions t ~old_q ~tracing =
           if tracing then
             Trace.emit t.trace
               (Trace.Quarantine_enter
-                 { node = t.id; member = v; remaining = k; cause = lid_of_sender t v })
+                 { node = t.id; member = v; remaining = k; cause = lid_of_sender s v })
         end
         else if k = 0 && ko > 0 then begin
           Registry.Counter.incr t.metrics.m_q_admit;
           if tracing then
             Trace.emit t.trace
-              (Trace.Quarantine_admit { node = t.id; member = v; cause = lid_of_sender t v })
+              (Trace.Quarantine_admit { node = t.id; member = v; cause = lid_of_sender s v })
         end
       end)
     t.quarantine
@@ -1328,8 +1318,8 @@ let settled t =
 
 (* The counters a repeated fixpoint's full compute would bump in its
    admission and fold. *)
-let replay_counters t =
-  Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal t.msg_set);
+let replay_counters t s =
+  Registry.Counter.add t.metrics.m_ant_merge s.n_senders;
   Registry.Counter.add t.metrics.m_restrict t.restricts
 
 (* The tail of every compute that is not elided: drop the consumed msgSet
@@ -1339,7 +1329,6 @@ let replay_counters t =
 let finish t s ~m_t0 lap =
   release s;
   t.msg_fresh <- false;
-  t.msg_set <- Node_id.Map.empty;
   let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
   (* The next message is built here, where its cost is attributed:
      [make_message] then returns it until the state changes again. *)
@@ -1356,7 +1345,8 @@ let finish t s ~m_t0 lap =
 let compute t =
   Registry.Counter.incr t.metrics.m_compute;
   let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
-  let repeat = ingest t in
+  let s = Domain.DLS.get scratch_key in
+  let repeat = ingest t s in
   let lap = Registry.Timer.lap t.metrics.m_ingest_ns m_t0 in
   Registry.Counter.incr
     (match repeat with
@@ -1364,8 +1354,8 @@ let compute t =
     | Same_lists | Changed -> t.metrics.m_cache_miss);
   match (t.fixpoint, repeat) with
   | Fixpoint fp, Same_messages when not (Trace.enabled t.trace) ->
-      replay_counters t;
-      t.msg_set <- Node_id.Map.empty;
+      replay_counters t s;
+      release s;
       Registry.Timer.stop t.metrics.m_compute_ns m_t0;
       fp.fp_step
   | Fixpoint fp, Same_lists when fp.fp_prio_free && not (Trace.enabled t.trace) ->
@@ -1374,10 +1364,8 @@ let compute t =
          the message are rebuilt.  The own priority does not move: at the
          fixpoint it held still with the same list and view, and
          [settled] leaves no [oldness_hold] to count down. *)
-      replay_counters t;
-      fp.fp_msgs <- t.msg_set;
-      let s = Domain.DLS.get scratch_key in
-      fill_senders t s;
+      replay_counters t s;
+      Array.blit s.msgs 0 fp.fp_msgs 0 s.n_senders;
       let clock = merge_priorities s ~me:t.id in
       let lap = Registry.Timer.lap t.metrics.m_priority_ns lap in
       update_priorities t s t.antlist ~clock;
@@ -1386,9 +1374,7 @@ let compute t =
   | _ ->
   let dmax = t.config.Config.dmax in
   let old_priority = t.own_priority and was_settled = settled t in
-  let s = Domain.DLS.get scratch_key in
   s.prio_read <- false;
-  fill_senders t s;
   let clock = merge_priorities s ~me:t.id in
   t.contest_hold <-
     Node_id.Map.filter_map
@@ -1421,8 +1407,8 @@ let compute t =
   let old_view = t.view in
   let new_view = compute_view t s final_list ~conflicted in
   let tracing = Trace.enabled t.trace in
-  if tracing then emit_mark_transitions t ~old_list ~new_list:final_list;
-  if tracing || t.metrics.m_on then quarantine_transitions t ~old_q ~tracing;
+  if tracing then emit_mark_transitions t s ~old_list ~new_list:final_list;
+  if tracing || t.metrics.m_on then quarantine_transitions t s ~old_q ~tracing;
   if tracing then begin
     if not (Node_id.Set.equal new_view old_view) then begin
       let added = Node_id.Set.elements (Node_id.Set.diff new_view old_view) in
@@ -1433,14 +1419,13 @@ let compute t =
          evidence the fold consumed. *)
       let pick vs =
         List.fold_left
-          (fun acc v -> if acc >= 0 then acc else lid_of_sender t v)
+          (fun acc v -> if acc >= 0 then acc else lid_of_sender s v)
           (-1) vs
       in
       let cause =
         let c = pick added in
         let c = if c >= 0 then c else pick removed in
-        if c >= 0 then c
-        else Node_id.Map.fold (fun _ l acc -> max acc l) t.msg_lid (-1)
+        if c >= 0 then c else Array.fold_left max (-1) (Array.sub s.lids 0 s.n_senders)
       in
       Trace.emit t.trace
         (Trace.View_changed
@@ -1462,7 +1447,9 @@ let compute t =
     (if was_settled && settled t && contest_wins = [] && t.antlist == old_list
         && t.view == old_view && t.own_priority == old_priority
         && Node_id.Map.equal Int.equal t.quarantine old_q
-     then Fixpoint { fp_msgs = t.msg_set; fp_step = step; fp_prio_free = not s.prio_read }
+     then
+       let fp_msgs = Array.sub s.msgs 0 s.n_senders in
+       Fixpoint { fp_msgs; fp_step = step; fp_prio_free = not s.prio_read }
      else No_fixpoint);
   if t.metrics.m_on && not (Node_id.Set.equal new_view old_view) then begin
     Registry.Counter.add t.metrics.m_view_add (Node_id.Set.cardinal view_added);

@@ -117,10 +117,10 @@ val compute : t -> step_info
     compatibleList), fold the [ant] operator, resolve too-far conflicts by
     priority, update quarantines, the view and the priorities; finally reset
     [msgSet] and build the next message, which {!make_message} returns.
-    The full path runs on per-domain scratch buffers (the sender table,
-    where admission leaves each sender's list, the priority merge, the
-    ant fold, reach sets), so a node may be computed on any domain, one
-    compute at a time.
+    Every compute runs on per-domain scratch buffers (the sender table,
+    which holds [msgSet] and where admission leaves each sender's list,
+    the priority merge, the ant fold, reach sets), so a node may be
+    computed on any domain, one compute at a time.
 
     {b Elision and decision reuse.}  A compute is a deterministic
     function of the node state and [msgSet].  A full compute that is a
@@ -134,15 +134,14 @@ val compute : t -> step_info
       {!step_info} (physically) and replays the counters the full
       compute would bump ([grp_compute_total],
       [grp_compute_cache_hit_total], [grp_ant_merge_total],
-      [grp_restrict_clear_total]).  It allocates nothing beyond the
-      [msgSet] map;
+      [grp_restrict_clear_total]).  It allocates nothing;
     - when the messages changed but their lists and views are physically
       the recorded ones, and the recorded decisions read no priority,
       only the priority table and the next message are rebuilt: the
       compute returns the recorded {!step_info}, replays the same
       counters with a cache miss in place of the hit, and records the
-      new [msgSet].  It allocates the [msgSet] map, the table's two
-      arrays and the message.  This is what keeps the neighbours of an
+      new messages.  It allocates the table's two arrays and the
+      message.  This is what keeps the neighbours of an
       aging solo node, whose messages change only in their priorities,
       off the full compute.
     An enabled trace sink disables both, since a traced fixpoint compute
@@ -173,7 +172,8 @@ val compatible_list : t -> sender_view:Node_id.Set.t -> Antlist.t -> bool
     advertise).  Note (DESIGN.md Section 5): the shortcut disjunct requires
     {e both} bounds [p-i+1+q <= Dmax] and [i/2+q+1 <= Dmax]; the paper's
     "either ... or" would let a lone node join a diameter-[Dmax] group,
-    which its own proof of Proposition 13 excludes. *)
+    which its own proof of Proposition 13 excludes.  Between computes
+    there is no [msgSet], so the receiver's side is its own view only. *)
 
 val priority_table :
   me:Node_id.t ->

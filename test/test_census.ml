@@ -14,7 +14,10 @@
    The census draws one jitter and one [Net] stream per case, seeded
    [mask*7 + dmax].  The seed sweep runs the graphs on 2..4 nodes at
    Dmax 1-3 under both schedules with seeds 1-200 each, against its own
-   may-only-shrink list, regressions/census-seeds-known-failures.txt. *)
+   may-only-shrink list, regressions/census-seeds-known-failures.txt.
+   [long_suite] runs the graphs on 5 nodes the same way with seeds 1-20
+   against regressions/census-n5-seeds-known-failures.txt; it is not
+   part of runtest ([dune build @census]). *)
 
 module Graph = Dgs_graph.Graph
 module Paths = Dgs_graph.Paths
@@ -27,6 +30,9 @@ open Dgs_core
 
 let known_failures_file = Filename.concat "regressions" "census-known-failures.txt"
 let seeds_known_failures_file = Filename.concat "regressions" "census-seeds-known-failures.txt"
+
+let n5_seeds_known_failures_file =
+  Filename.concat "regressions" "census-n5-seeds-known-failures.txt"
 
 let pairs n =
   List.concat (List.init n (fun i -> List.init (n - i - 1) (fun k -> (i, i + k + 1))))
@@ -134,11 +140,14 @@ let census schedule run () =
     ~seeds:(fun ~mask ~dmax -> [ (mask * 7) + dmax ])
     ~seed_field:false schedule run (Lazy.force graphs)
 
-let seed_sweep schedule run () =
-  check_known ~file:seeds_known_failures_file
-    ~seeds:(fun ~mask:_ ~dmax:_ -> List.init 200 succ)
+let seed_sweep ~file ~seeds ~nodes schedule run () =
+  check_known ~file
+    ~seeds:(fun ~mask:_ ~dmax:_ -> List.init seeds succ)
     ~seed_field:true schedule run
-    (List.filter (fun (n, _, _) -> n <= 4) (Lazy.force graphs))
+    (List.filter (fun (n, _, _) -> nodes n) (Lazy.force graphs))
+
+let small_sweep = seed_sweep ~file:seeds_known_failures_file ~seeds:200 ~nodes:(fun n -> n <= 4)
+let n5_sweep = seed_sweep ~file:n5_seeds_known_failures_file ~seeds:20 ~nodes:(( = ) 5)
 
 let suite =
   [
@@ -148,6 +157,12 @@ let suite =
     ("lockstep n<=5", `Slow, census "lockstep" lockstep);
     ("jitter 0.1 n<=5", `Slow, census "jitter" jitter);
     ("net n<=5", `Slow, census "net" net);
-    ("jitter 0.1 n<=4 seeds 1-200", `Slow, seed_sweep "jitter" jitter);
-    ("net n<=4 seeds 1-200", `Slow, seed_sweep "net" net);
+    ("jitter 0.1 n<=4 seeds 1-200", `Slow, small_sweep "jitter" jitter);
+    ("net n<=4 seeds 1-200", `Slow, small_sweep "net" net);
+  ]
+
+let long_suite =
+  [
+    ("jitter 0.1 n=5 seeds 1-20", `Slow, n5_sweep "jitter" jitter);
+    ("net n=5 seeds 1-20", `Slow, n5_sweep "net" net);
   ]

@@ -10,6 +10,9 @@ let config ?(dmax = 2) () = Config.make ~dmax ()
 
 let msg_of node = Grp_node.make_message node
 
+(* The first message of a fresh node [id]. *)
+let peer_msg id = msg_of (Grp_node.create ~config:(config ()) id)
+
 (* Deliver every node's message to every other (clique round) then compute
    all; used to drive small node sets by hand. *)
 let clique_round nodes =
@@ -24,6 +27,18 @@ let test_create () =
   check "own list" true (Antlist.equal (Grp_node.antlist n) (Antlist.singleton 4));
   check "own quarantine 0" true (Grp_node.quarantine_of n 4 = Some 0)
 
+module Trace = Dgs_trace.Trace
+
+(* Events naming [v] as their sender, peer or member. *)
+let about v = function
+  | Trace.Merge_attempt { sender = u; _ }
+  | Merge_accepted { sender = u; _ }
+  | Mark_set { peer = u; _ }
+  | Mark_cleared { peer = u; _ }
+  | Quarantine_enter { member = u; _ }
+  | Quarantine_admit { member = u; _ } -> Node_id.equal u v
+  | _ -> false
+
 let test_receive_keeps_last () =
   let a = Grp_node.create ~config:(config ()) 0 in
   let b = Grp_node.create ~config:(config ()) 1 in
@@ -31,7 +46,37 @@ let test_receive_keeps_last () =
   ignore (Grp_node.compute b);
   Grp_node.receive a (msg_of b);
   Alcotest.check ids "one sender buffered" (Node_id.Set.singleton 1)
-    (Grp_node.pending_senders a)
+    (Grp_node.pending_senders a);
+  (* Sender 2's first message does not list node 0, its second does
+     (single-marked); sender 1's arrives between them, out of id order. *)
+  let n2 = Grp_node.create ~config:(config ()) 2 in
+  let older = msg_of n2 in
+  Grp_node.receive n2 (msg_of (Grp_node.create ~config:(config ()) 0));
+  ignore (Grp_node.compute n2);
+  let newer = msg_of n2 in
+  let ring = Trace.Ring.create ~capacity:64 in
+  let plain = Grp_node.create ~config:(config ()) 0
+  and traced = Grp_node.create ~config:(config ()) ~trace:(Trace.Ring.sink ring) 0 in
+  List.iter
+    (fun a ->
+      Grp_node.receive_lid a ~lid:10 older;
+      Grp_node.receive_lid a ~lid:11 (peer_msg 1);
+      Grp_node.receive_lid a ~lid:12 newer;
+      ignore (Grp_node.compute a);
+      check "the newer list acknowledges node 0: 2 turns clear" true
+        (Antlist.find (Grp_node.antlist a) 2 = Some (1, Mark.Clear));
+      check "sender 1 single-marked" true
+        (Antlist.find (Grp_node.antlist a) 1 = Some (1, Mark.Single)))
+    [ plain; traced ];
+  let causes v =
+    List.filter_map
+      (fun (_, ev) -> if about v ev then Some (Trace.cause_of ev) else None)
+      (Trace.Ring.contents ring)
+  in
+  check "events about sender 2" true (causes 2 <> []);
+  check "their cause is the newer message" true (List.for_all (( = ) 12) (causes 2));
+  check "events about sender 1 name its message" true
+    (causes 1 <> [] && List.for_all (( = ) 11) (causes 1))
 
 let test_receive_ignores_self () =
   let a = Grp_node.create ~config:(config ()) 0 in
@@ -795,8 +840,6 @@ let test_priority_merge_alloc () =
    consumed inbox slots nor the slots a growing inbox fills may hold one.
    The messages come from throw-away peers, so the node's buffers are all
    that could keep them alive. *)
-let peer_msg id = msg_of (Grp_node.create ~config:(config ()) id)
-
 let deliver_tracked node w senders =
   List.iteri
     (fun i id ->
@@ -804,6 +847,32 @@ let deliver_tracked node w senders =
       Weak.set w i (Some m);
       Grp_node.receive node m)
     senders
+
+(* The middle of the path 0-1-2 settled into one group at Dmax 3, after
+   one more compute on its neighbours' last messages, which are tracked
+   in [w], and an elided compute on them again.  The neighbours are
+   dropped: the middle node is all that is returned. *)
+let elided_middle w =
+  let nodes = Array.init 3 (Grp_node.create ~config:(config ~dmax:3 ())) in
+  for _ = 1 to 40 do
+    let msgs = Array.map msg_of nodes in
+    Grp_node.receive nodes.(0) msgs.(1);
+    Grp_node.receive nodes.(1) msgs.(0);
+    Grp_node.receive nodes.(1) msgs.(2);
+    Grp_node.receive nodes.(2) msgs.(1);
+    Array.iter (fun n -> ignore (Grp_node.compute n)) nodes
+  done;
+  let middle = nodes.(1) in
+  let deliver () =
+    Grp_node.receive middle (msg_of nodes.(0));
+    Grp_node.receive middle (msg_of nodes.(2));
+    Grp_node.compute middle
+  in
+  Weak.set w 0 (Some (msg_of nodes.(0)));
+  Weak.set w 1 (Some (msg_of nodes.(2)));
+  let step = deliver () in
+  check "elided compute" true (deliver () == step);
+  middle
 
 let test_consumed_messages_released () =
   let a = Grp_node.create ~config:(config ()) 1 in
@@ -815,7 +884,17 @@ let test_consumed_messages_released () =
   Gc.full_major ();
   check "sender 2's first message collected" false (Weak.check w 0);
   check "sender 3's message collected" false (Weak.check w 1);
-  ignore (Sys.opaque_identity a)
+  ignore (Sys.opaque_identity a);
+  (* An elided compute keeps nothing either, once a compute with fewer
+     senders has replaced its fixpoint. *)
+  let w = Weak.create 2 in
+  let middle = elided_middle w in
+  Grp_node.receive middle (peer_msg 0);
+  ignore (Grp_node.compute middle);
+  Gc.full_major ();
+  check "sender 0's elided message collected" false (Weak.check w 0);
+  check "sender 2's elided message collected" false (Weak.check w 1);
+  ignore (Sys.opaque_identity middle)
 
 (* A message that arrived in a round whose compute was skipped stays
    buffered, and the next compute folds it. *)

@@ -1,6 +1,12 @@
+(* [CENSUS_LONG=1] (the [@census] alias) adds the n = 5 census sweep,
+   which runtest leaves out for its length. *)
+let census_long =
+  if Sys.getenv_opt "CENSUS_LONG" = Some "1" then [ ("census-n5", Test_census.long_suite) ]
+  else []
+
 let () =
   Alcotest.run "dgs"
-    [
+    ([
       ("util", Test_util.suite);
       ("graph", Test_graph.suite);
       ("ralgebra", Test_ralgebra.suite);
@@ -32,3 +38,4 @@ let () =
       ("parallel", Test_parallel.suite);
       ("docs", Test_docs.suite);
     ]
+    @ census_long)
