@@ -72,10 +72,6 @@ let clear_size t =
 let level t i =
   if i < 0 || i >= Array.length t then [] else Array.to_list (Array.map decode t.(i))
 
-let level_ids t i =
-  if i < 0 || i >= Array.length t then Node_id.Set.empty
-  else Array.fold_left (fun acc e -> Node_id.Set.add (id_of e) acc) Node_id.Set.empty t.(i)
-
 (* The queries below are top-level recursions over the sorted levels
    rather than closures over the list and the id, so that [mem], [find]
    and [well_formed] allocate nothing (beyond [find]'s result). *)
@@ -124,16 +120,6 @@ let mark_at t pos id =
   end
 
 let mem t id = not (absent_above t id (Array.length t))
-
-let rec undoubled_from t id pos =
-  if pos >= Array.length t then -1
-  else begin
-    let l = t.(pos) in
-    let j = search l id 0 (Array.length l) in
-    if j >= 0 && l.(j) land 3 <> 2 then pos else undoubled_from t id (pos + 1)
-  end
-
-let closest_undoubled t id = undoubled_from t id 0
 
 let rec fold_level_entries f (l : int array) pos j acc =
   if j >= Array.length l then acc

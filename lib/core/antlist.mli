@@ -68,8 +68,6 @@ val clear_size : t -> int
 val level : t -> int -> entry list
 (** [level t i]; empty when out of range. *)
 
-val level_ids : t -> int -> Node_id.Set.t
-
 val level_size : t -> int -> int
 (** Entry count of level [i]; 0 when out of range. *)
 
@@ -87,10 +85,6 @@ val find : t -> Node_id.t -> (int * Mark.t) option
 val mark_at : t -> int -> Node_id.t -> Mark.t option
 (** [mark_at t i v]: the mark of [v] in level [i], if it is there (one
     binary search; allocation-free). *)
-
-val closest_undoubled : t -> Node_id.t -> int
-(** Position of the closest occurrence of a node that is not
-    double-marked; -1 when there is none.  Allocation-free. *)
 
 val fold_entries : t -> init:'a -> f:('a -> Node_id.t -> int -> Mark.t -> 'a) -> 'a
 (** Fold over all entries as [(id, position, mark)] in {!entries} order,

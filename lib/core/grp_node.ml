@@ -276,7 +276,18 @@ let receive t msg = receive_lid t ~lid:(-1) msg
      [own] for the node's own entry, else [(k lsl 32) lor j] for entry [j]
      of [msgs.(k)].  Plain ints, so building the table stores no pointer;
      [heads] are the merge's per-sender read positions.
-   - [ints]: a gather buffer for the cross check's reach sets.
+   - [index]: what this compute knows of each id it asks about: my view
+     and list and the senders' views, entered once per full compute
+     ([fill_standings]), then the final list ([update_quarantine]); a
+     decision reuse enters its list alone, [compatible_list] the node
+     alone ([index_node]).
+   - [extent]: the extent of my established group, measured on first
+     use by compatibleList ([-1]: not yet).
+   - [order]: the cross check's fresh senders, oldest group first.
+   - [ints]: the cross check's foreign parts: the accepted ones back to
+     back, then the candidate's ([foreign_part]).
+   The index and [ints] are ints only, so filling them stores no
+   pointer.
    - [prio_read]: this compute's list, view or quarantine decision read
      a priority ([too_far_priority], or [cross_check] ordering two or
      more fresh senders).
@@ -295,9 +306,43 @@ type scratch = {
   mutable tab_src : int array;
   mutable table_n : int;
   mutable heads : int array;
+  index : index;
+  mutable extent : int;
+  mutable order : int array;
   mutable ints : int array;
   mutable prio_read : bool;
 }
+
+(* The id index: an open-addressed table from id to flag bits, each slot
+   owned by the epoch that wrote it ([stamps]), so starting an epoch
+   empties the table without touching it.  [named] is a second stamp per
+   slot: the cross check's candidate that last named the id.  Fibonacci
+   hashing and doubling at half load, as in [Antlist]'s fold table; once
+   grown to a compute's distinct ids it allocates nothing. *)
+and index = {
+  mutable keys : int array;
+  mutable stamps : int array;
+  mutable bits : int array;
+  mutable named : int array;
+  mutable used : int;
+  mutable epoch : int;
+  mutable candidate : int;
+}
+
+(* The index's flags.  Bits [undoubled_shift..] hold one plus the
+   closest level of my list where the id is not double-marked (0:
+   none). *)
+let in_view = 1
+let in_list = 2
+let clear_in_list = 4
+let advertised = 8  (* in some sender's advertised view *)
+let mate_advertised = 16  (* in a view-mate's advertised view *)
+let acks_me = 32  (* a sender whose list holds me Clear *)
+let in_final = 64  (* in this compute's final list ... *)
+let admissible = 128  (* ... with quarantine count 0 *)
+let undoubled_shift = 8
+
+let index_capacity = 64
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
@@ -313,11 +358,111 @@ let scratch_key =
         tab_src = [||];
         table_n = 0;
         heads = [||];
+        index =
+          {
+            keys = Array.make index_capacity 0;
+            stamps = Array.make index_capacity 0;
+            bits = Array.make index_capacity 0;
+            named = Array.make index_capacity 0;
+            used = 0;
+            epoch = 0;
+            candidate = 0;
+          };
+        extent = -1;
+        order = [||];
         ints = [||];
         prio_read = false;
       })
 
 let grown a n fill = if Array.length a >= n then a else Array.make n fill
+
+let index_start ix =
+  ix.epoch <- ix.epoch + 1;
+  ix.used <- 0
+
+let slot_of (keys : int array) v = ((v * 0x1E3779B97F4A7C15) lsr 32) land (Array.length keys - 1)
+
+let rec probe_from (keys : int array) (stamps : int array) epoch v i =
+  if stamps.(i) <> epoch || keys.(i) = v then i
+  else probe_from keys stamps epoch v ((i + 1) land (Array.length keys - 1))
+
+(* The slot holding [v] this epoch, else the vacant slot it would take. *)
+let probe ix v = probe_from ix.keys ix.stamps ix.epoch v (slot_of ix.keys v)
+
+let index_grow ix =
+  let keys = ix.keys and stamps = ix.stamps and bits = ix.bits and named = ix.named in
+  let cap = 2 * Array.length keys in
+  ix.keys <- Array.make cap 0;
+  ix.stamps <- Array.make cap 0;
+  ix.bits <- Array.make cap 0;
+  ix.named <- Array.make cap 0;
+  for i = 0 to Array.length keys - 1 do
+    if stamps.(i) = ix.epoch then begin
+      let j = probe ix keys.(i) in
+      ix.keys.(j) <- keys.(i);
+      ix.stamps.(j) <- ix.epoch;
+      ix.bits.(j) <- bits.(i);
+      ix.named.(j) <- named.(i)
+    end
+  done
+
+(* The slot of [v], entered with no flags if the epoch lacks it. *)
+let index_slot ix v =
+  let i = probe ix v in
+  if ix.stamps.(i) = ix.epoch then i
+  else begin
+    ix.keys.(i) <- v;
+    ix.stamps.(i) <- ix.epoch;
+    ix.bits.(i) <- 0;
+    ix.named.(i) <- 0;
+    ix.used <- ix.used + 1;
+    if 2 * ix.used < Array.length ix.keys then i
+    else begin
+      index_grow ix;
+      probe ix v
+    end
+  end
+
+let index_add ix v b =
+  let i = index_slot ix v in
+  ix.bits.(i) <- ix.bits.(i) lor b
+
+(* [v]'s flags; 0 when the epoch has not entered it. *)
+let index_bits ix v =
+  let i = probe ix v in
+  if ix.stamps.(i) = ix.epoch then ix.bits.(i) else 0
+
+(* [Set.fold]/[Antlist.fold_entries] steps with the index as their
+   accumulator, so the walks allocate no closure. *)
+let index_viewed v ix =
+  index_add ix v in_view;
+  ix
+
+let undoubled_at b pos =
+  if b lsr undoubled_shift = 0 then b lor ((pos + 1) lsl undoubled_shift) else b
+
+let index_listed ix v pos mark =
+  let i = index_slot ix v in
+  let b = ix.bits.(i) lor in_list in
+  ix.bits.(i) <-
+    (match mark with
+    | Mark.Double -> b
+    | Mark.Single -> undoubled_at b pos
+    | Mark.Clear -> undoubled_at (b lor clear_in_list) pos);
+  ix
+
+let index_final ix v _ _ =
+  index_add ix v in_final;
+  ix
+
+(* Start an epoch with my view and list: all an index between computes,
+   when the sender table is empty, holds. *)
+let index_node t s =
+  let ix = s.index in
+  index_start ix;
+  s.extent <- -1;
+  ignore (Node_id.Set.fold index_viewed t.view ix);
+  ignore (Antlist.fold_entries t.antlist ~init:ix ~f:index_listed)
 
 (* Room for [n] senders in every array of the sender table. *)
 let grow_senders s n =
@@ -474,7 +619,7 @@ let table_priority s ~own_priority i =
 let table_group_priority t s =
   let best = ref t.own_priority in
   for i = 0 to s.table_n - 1 do
-    if Node_id.Set.mem s.tab_ids.(i) t.view then
+    if index_bits s.index s.tab_ids.(i) land in_view <> 0 then
       best := Priority.min (table_priority s ~own_priority:t.own_priority i) !best
   done;
   !best
@@ -488,20 +633,22 @@ let table_priorities s ~own_priority n =
   done;
   vals
 
-(* How a sender's raw list holds me, from one binary search per level,
-   packed in an int: bits 0-1 the severity of my level-1 entry (3: none
-   there), bit 2 set when I appear Clear at some depth (raw lists may
-   repeat an id across levels), bits 4.. one plus the position of my
+(* How a sender holds me, packed in an int.  From its raw list, one
+   binary search per level: bits 0-1 the severity of my level-1 entry (3:
+   none there), bit 2 set when I appear Clear at some depth (raw lists
+   may repeat an id across levels), bits 8.. one plus the position of my
    closest occurrence (0: absent).  [my_mark], [good_list], the admission
-   evidence and the cross check's split horizon all read it;
-   [fill_standings] adds bit 3 for a sender in my view. *)
+   evidence and the cross check's split horizon read these.
+   [fill_standings] adds what the sender's advertised view says. *)
+let pos_shift = 8
+
 let standing_of_list me lst =
   let st = ref 3 in
   for pos = 0 to Antlist.size lst - 1 do
     match Antlist.mark_at lst pos me with
     | None -> ()
     | Some mark ->
-        if !st lsr 4 = 0 then st := !st lor ((pos + 1) lsl 4);
+        if !st lsr pos_shift = 0 then st := !st lor ((pos + 1) lsl pos_shift);
         if mark = Mark.Clear then st := !st lor 4;
         if pos = 1 then
           st :=
@@ -511,7 +658,7 @@ let standing_of_list me lst =
   !st
 
 let clear_somewhere st = st land 4 <> 0
-let closest_pos st = (st lsr 4) - 1
+let closest_pos st = (st lsr pos_shift) - 1
 
 (* How the sender acknowledges me: my level-1 mark, else Clear when it
    lists me Clear deeper, else not at all. *)
@@ -522,23 +669,52 @@ let my_mark st =
   | 2 -> Some Mark.Double
   | _ -> if clear_somewhere st then Some Mark.Clear else None
 
-(* Every sender's standing, over the sender table. *)
+(* The standing's view bits: the sender is in my view; its view shares
+   a member of mine beyond the two of us; its view names me; its view
+   has one member, two or more. *)
+let sender_in_view_bit = 8
+let shares_member = 16
+let names_me = 32
+let one_member = 64
+let two_members = 128
+
+let sender_in_view st = st land sender_in_view_bit <> 0
+
+(* A sender is a group-mate when it is in our view (paper line 6) or when
+   its advertised view and ours share an established member beyond the two
+   of us — evidence that we already belong to the same group even while a
+   direct-link rejection is in force.  Group-mates bypass compatibleList
+   and joint admission; without the bypass a conservative direct rejection
+   can permanently desynchronize the views of two members of one group
+   (DESIGN.md Section 5). *)
+let group_mate st = st land (sender_in_view_bit lor shares_member) <> 0
+
+(* Fill the index for this compute: my view and list, then every
+   sender's standing, with one walk of its advertised view that enters
+   each member as advertised (by a view-mate, when the sender is in my
+   view) and a sender listing me Clear as acknowledging me. *)
 let fill_standings t s =
+  let ix = s.index and me = t.id in
+  index_node t s;
   for k = 0 to s.n_senders - 1 do
+    let sender = s.senders.(k) in
+    let st = standing_of_list me s.msgs.(k).Message.antlist in
+    if clear_somewhere st then index_add ix sender acks_me;
+    let mate = index_bits ix sender land in_view <> 0 in
+    let adv = if mate then advertised lor mate_advertised else advertised in
     s.standing.(k) <-
-      (standing_of_list t.id s.msgs.(k).Message.antlist
-      lor if Node_id.Set.mem s.senders.(k) t.view then 8 else 0)
+      Node_id.Set.fold
+        (fun v st ->
+          let i = index_slot ix v in
+          let b = ix.bits.(i) in
+          ix.bits.(i) <- b lor adv;
+          let st = if st land one_member <> 0 then st lor two_members else st lor one_member in
+          if Node_id.equal v me then st lor names_me
+          else if b land in_view <> 0 && not (Node_id.equal v sender) then st lor shares_member
+          else st)
+        s.msgs.(k).Message.view
+        (if mate then st lor sender_in_view_bit else st)
   done
-
-let sender_in_view st = st land 8 <> 0
-
-(* Some sender advertises [v] in its view — a view-mate only, when
-   [mates]. *)
-let rec advertised s ~mates v k =
-  k < s.n_senders
-  && ((((not mates) || sender_in_view s.standing.(k))
-      && Node_id.Set.mem v s.msgs.(k).Message.view)
-     || advertised s ~mates v (k + 1))
 
 (* Forget this compute's messages, lists and priorities, once the table
    has been copied out. *)
@@ -563,13 +739,6 @@ let priority_table ~me ~own_priority msgs =
 (* [v] has a Clear entry at level [pos] of [lst]. *)
 let clear_at lst pos v =
   match Antlist.mark_at lst pos v with Some Mark.Clear -> true | _ -> false
-
-(* [v] has a Clear entry at some depth of [lst] (any occurrence, not just
-   the closest: raw lists may repeat an id across levels). *)
-let rec clear_from lst v pos =
-  pos < Antlist.size lst && (clear_at lst pos v || clear_from lst v (pos + 1))
-
-let clear_anywhere lst v = clear_from lst v 0
 
 let clear_level_ids lst i =
   Antlist.fold_level lst i ~init:Node_id.Set.empty ~f:(fun acc id mark ->
@@ -603,119 +772,94 @@ let good_list t ~sender lst = good_list_st t ~st:(standing_of_list t.id lst) ~se
    the too-far contest and by joint admission instead (DESIGN.md
    Section 5). *)
 
-(* Established nodes: my view plus every view advertised in msgSet
-   ([s] filled by [fill_standings]). *)
-let established t s v = Node_id.Set.mem v t.view || advertised s ~mates:false v 0
+(* Established nodes: my view plus every view advertised in msgSet. *)
+let established ix v = index_bits ix v land (in_view lor advertised) <> 0
 
 (* Extent of my established group: farthest established clear node in my
-   current list. *)
+   current list, measured on first use in a compute. *)
 let established_extent t s =
-  Antlist.fold_entries t.antlist ~init:0 ~f:(fun acc v pos mark ->
-      if mark = Mark.Clear && pos > acc && established t s v then pos else acc)
+  if s.extent < 0 then
+    s.extent <-
+      Antlist.fold_entries t.antlist ~init:0 ~f:(fun acc v pos mark ->
+          if mark = Mark.Clear && pos > acc && established s.index v then pos else acc);
+  s.extent
 
 (* Extent of the sender's established group beyond mine: farthest of the
    sender's view members, at its position in the sender's list, that I do
    not already hold (goodList forces the sender to echo me and my members
-   back; counting that echo would inflate the estimate). *)
-let foreign_view_extent t ~sender_view lst =
-  (* Marked entries count as known too: they only occur at levels 0-1 of my
-     list, i.e. they are physically adjacent, so a sender echoing them back
-     is not stretching the merge.  One max-tracking pass; -1 encodes "no
-     foreign member" without materializing the position list. *)
-  let best =
-    Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
-        if
-          mark = Mark.Clear
-          && Node_id.Set.mem v sender_view
-          && (not (Node_id.equal v t.id))
-          && not (Antlist.mem t.antlist v)
-        then max best pos
-        else best)
-  in
-  if best < 0 then None else Some best
+   back; counting that echo would inflate the estimate).  Marked entries
+   count as held too: they only occur at levels 0-1 of my list, i.e. they
+   are physically adjacent, so a sender echoing them back is not
+   stretching the merge.  -1: no foreign member. *)
+let foreign_view_extent t s ~sender_view lst =
+  let ix = s.index in
+  Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
+      if
+        mark = Mark.Clear && pos > best
+        && (not (Node_id.equal v t.id))
+        && index_bits ix v land in_list = 0
+        && Node_id.Set.mem v sender_view
+      then pos
+      else best)
 
-(* [env] memoizes the sender-independent half of the admission tests for
-   one compute, the same for all of the round's senders, each part on
-   first use: the extent of my established group ([-1]: not yet), and
-   the established Clear members of each of my levels [1 .. extent]
-   that the shortcut compares with a sender's level 1 ([[||]]: not
-   yet). *)
-type env = { mutable extent : int; mutable established_levels : Node_id.Set.t array }
+(* Every established Clear member of level [i] of my list appears in
+   level 1 of [lst], and there is one. *)
+let level_adjacent t s lst i =
+  let ix = s.index in
+  Antlist.fold_level t.antlist i ~init:0 ~f:(fun n v mark ->
+      if n < 0 || mark <> Mark.Clear || not (established ix v) then n
+      else if Antlist.mark_at lst 1 v <> None then n + 1
+      else -1)
+  > 0
 
-let compatible_env () = { extent = -1; established_levels = [||] }
-
-let env_extent t s env =
-  if env.extent < 0 then env.extent <- established_extent t s;
-  env.extent
-
-let established_level t s env i =
-  if Array.length env.established_levels = 0 then
-    env.established_levels <-
-      Array.init (env_extent t s env + 1) (fun i ->
-          Node_id.Set.filter (established t s) (clear_level_ids t.antlist i));
-  env.established_levels.(i)
-
-let compatible_list_env t s ~env ~sender_view lst =
+let compatible t s ~sender_view lst =
   let dmax = t.config.Config.dmax in
-  match foreign_view_extent t ~sender_view lst with
-  | None -> true (* nothing new: accepting cannot stretch the group *)
-  | Some q ->
-      let p = env_extent t s env in
-      if p + q + 1 <= dmax then true
-      else if not t.config.Config.compat_shortcut_enabled then false
-      else
-        (* Shortcut disjunct of Function compatibleList / Proposition 13:
-           the sender is adjacent to the whole level i of our list, so the
-           far side of our group reaches it in p-i+1+q hops and the near
-           side in i/2+q+1 hops; both must fit (see the .mli note). *)
-        let list1 = Antlist.level_ids lst 1 in
-        let rec scan i =
-          if i > p then false
-          else
-            let li = established_level t s env i in
-            ((not (Node_id.Set.is_empty li))
-            && Node_id.Set.subset li list1
-            && p - i + 1 + q <= dmax
-            && (i / 2) + q + 1 <= dmax)
-            || scan (i + 1)
-        in
-        scan 1
+  let q = foreign_view_extent t s ~sender_view lst in
+  (* nothing new: accepting cannot stretch the group *)
+  q < 0
+  ||
+  let p = established_extent t s in
+  p + q + 1 <= dmax
+  || t.config.Config.compat_shortcut_enabled
+     &&
+     (* Shortcut disjunct of Function compatibleList / Proposition 13:
+        the sender is adjacent to the whole level i of our list, so the
+        far side of our group reaches it in p-i+1+q hops and the near
+        side in i/2+q+1 hops; both must fit (see the .mli note). *)
+     let rec scan i =
+       i <= p
+       && ((p - i + 1 + q <= dmax && (i / 2) + q + 1 <= dmax && level_adjacent t s lst i)
+          || scan (i + 1))
+     in
+     scan 1
 
-(* Between computes the sender table is empty. *)
+(* Between computes the sender table is empty, so the index holds the
+   node alone. *)
 let compatible_list t ~sender_view lst =
-  compatible_list_env t (Domain.DLS.get scratch_key) ~env:(compatible_env ()) ~sender_view lst
+  let s = Domain.DLS.get scratch_key in
+  index_node t s;
+  compatible t s ~sender_view lst
 
 (* Lines 1-9 of compute(): strip link-local marks, then replace unusable
    lists by a single-marked sender (goodList) and incompatible ones by a
    double-marked sender (compatibleList). *)
-(* A sender is a group-mate when it is in our view (paper line 6) or when
-   its advertised view and ours share an established member beyond the two
-   of us — evidence that we already belong to the same group even while a
-   direct-link rejection is in force.  Group-mates bypass compatibleList
-   and joint admission; without the bypass a conservative direct rejection
-   can permanently desynchronize the views of two members of one group
-   (DESIGN.md Section 5). *)
-let same_group t sender (msg : Message.t) =
-  Node_id.Set.mem sender t.view
-  || Node_id.Set.exists
-       (fun v ->
-         (not (Node_id.equal v t.id))
-         && (not (Node_id.equal v sender))
-         && Node_id.Set.mem v t.view)
-       msg.view
 
 (* Replace sender [k]'s list by the sender marked [mark]. *)
 let reject s k mark =
   s.lists.(k) <- Antlist.singleton_marked s.senders.(k) mark;
   s.rejected.(k) <- true
 
+(* Sender [k] is no group-mate, and its list fails compatibleList. *)
+let incompatible t s k =
+  (not (group_mate s.standing.(k)))
+  && not (compatible t s ~sender_view:s.msgs.(k).Message.view s.msgs.(k).Message.antlist)
+
 let check_each_incoming t s =
   let tracing = Trace.enabled t.trace in
-  let env = compatible_env () in
   t.restricts <- 0;
   for k = 0 to s.n_senders - 1 do
-    let sender = s.senders.(k) and msg = s.msgs.(k) in
-    if tracing && not (Node_id.Set.mem sender t.view) then
+    let sender = s.senders.(k) and st = s.standing.(k) in
+    if tracing && not (sender_in_view st) then
       Trace.emit t.trace
         (Trace.Merge_attempt { node = t.id; sender; cause = lid_of_sender s sender });
     (* Admission tests run on the raw list: the sender's marked level-1
@@ -723,16 +867,11 @@ let check_each_incoming t s =
        that adjacency evidence is what the shortcut subset test needs.
        Marks are stripped only before the ant fold (line 2 of the paper's
        compute), so they still never propagate. *)
-    let raw = msg.Message.antlist in
+    let raw = s.msgs.(k).Message.antlist in
     (* How does the sender acknowledge me?  Marked entries live in its
        level 1; a Clear occurrence at any depth means it already computes
        me as a group member over symmetric paths, which is as good an
        acknowledgment as the level-1 handshake (DESIGN.md Section 5). *)
-    let st = s.standing.(k) in
-    let incompatible () =
-      (not (same_group t sender msg))
-      && not (compatible_list_env t s ~env ~sender_view:msg.Message.view raw)
-    in
     match my_mark st with
     | None ->
         (* The sender does not list me: asymmetric link, handshake step. *)
@@ -744,13 +883,13 @@ let check_each_incoming t s =
            lower id is the dominant rejector, the other defers to the
            single mark of Proposition 3.  DESIGN.md Section 5. *)
         reject s k
-          (if Node_id.compare t.id sender < 0 && incompatible () then Mark.Double
+          (if Node_id.compare t.id sender < 0 && incompatible t s k then Mark.Double
            else Mark.Single)
     | Some Mark.Clear | Some Mark.Single ->
         if not (good_list_st t ~st ~sender raw) then reject s k Mark.Single
-        else if incompatible () then reject s k Mark.Double
+        else if incompatible t s k then reject s k Mark.Double
         else begin
-          if tracing && not (Node_id.Set.mem sender t.view) then
+          if tracing && not (sender_in_view st) then
             Trace.emit t.trace
               (Trace.Merge_accepted { node = t.id; sender; cause = lid_of_sender s sender });
           Registry.Counter.incr t.metrics.m_restrict;
@@ -760,128 +899,146 @@ let check_each_incoming t s =
         end
   done
 
-(* The first [k] ids of [buf], sorted and deduplicated, as a fresh array. *)
-let sorted_ids buf k =
-  let a = Array.sub buf 0 k in
-  Array.sort Node_id.compare a;
-  let w = ref 0 in
-  for r = 0 to k - 1 do
-    if !w = 0 || not (Node_id.equal a.(!w - 1) a.(r)) then begin
-      a.(!w) <- a.(r);
-      incr w
-    end
-  done;
-  if !w = k then a else Array.sub a 0 !w
+(* Room in [ints] for [n] more ints after the first [used], which are
+   kept. *)
+let reserve_ints s used n =
+  if Array.length s.ints < used + n then begin
+    let a = Array.make (Int.max (used + n) (2 * Array.length s.ints)) 0 in
+    Array.blit s.ints 0 a 0 used;
+    s.ints <- a
+  end
 
-(* Two sorted id arrays share no id. *)
-let rec disjoint (a : Node_id.t array) (b : Node_id.t array) i j =
-  i >= Array.length a
-  || j >= Array.length b
+(* The foreign group sender [k] brings, written to [ints] from [at]: its
+   extent ([-1]: no established foreign member), the count of its reach
+   ids, then the ids, each stamped as named by a new candidate.
+
+   The foreign group: the clear members of the sender's own view, minus
+   the established members we already hold.  "Hold" means the view, not
+   the whole clear list: after a collapsed merge the list still spans the
+   entire neighborhood (everything really is within Dmax+1 hops of a
+   bridge node), and measuring foreignness against it leaves no foreign
+   part at all — blinding the extent test exactly when the next admission
+   race begins (the 6-path bridge livelock).  Speculative list entries
+   outside the sender's view are ignored here; individual checks and the
+   too-far contest police those.
+
+   Reach: everything the sender's raw list vouches a usable connection
+   to — the overlap test joins two sides that meet anywhere off-board,
+   not only through me.  Single-marked entries count (a handshake in
+   progress is a live adjacency); double-marked ones do not (a rejected
+   edge carries no group path).  Extent: established (view, clear)
+   members only, so speculative tails do not block growth.
+
+   Split horizon for the overlap test: an entry whose depth in the
+   sender's list is explainable as a route through me (the sender's
+   level of me plus my own closest undoubled level of the entry) may be
+   nothing but the echo of my previous advertisement — after a failed
+   bridge, the two sides would keep "meeting" through such ghosts for a
+   round and bypass the joint extent check forever (the lockstep grid3x3
+   cycle).  Genuinely off-board meetings are strictly shorter than the
+   me-route and survive the filter. *)
+let foreign_part t s k at =
+  let ix = s.index and msg = s.msgs.(k) in
+  let lst = msg.Message.antlist and me_pos = closest_pos s.standing.(k) in
+  let total = ref 0 in
+  for i = 0 to Antlist.size lst - 1 do
+    total := !total + Antlist.level_size lst i
+  done;
+  reserve_ints s at (2 + !total);
+  ix.candidate <- ix.candidate + 1;
+  let buf = s.ints and n = ref 0 and ext = ref (-1) in
+  Antlist.fold_entries lst ~init:() ~f:(fun () v pos mark ->
+      if mark <> Mark.Double && not (Node_id.equal v t.id) then begin
+        let i = index_slot ix v in
+        let b = ix.bits.(i) in
+        if b land in_view = 0 then begin
+          let lv = (b lsr undoubled_shift) - 1 in
+          if not (me_pos >= 0 && lv >= 0 && pos >= me_pos + lv) then begin
+            buf.(at + 2 + !n) <- v;
+            incr n;
+            ix.named.(i) <- ix.candidate
+          end;
+          if mark = Mark.Clear && pos > !ext && Node_id.Set.mem v msg.Message.view then
+            ext := pos
+        end
+      end);
+  buf.(at) <- !ext;
+  buf.(at + 1) <- !n;
+  !ext
+
+(* [v] is one of the current candidate's reach ids. *)
+let named ix v =
+  let i = probe ix v in
+  ix.stamps.(i) = ix.epoch && ix.named.(i) = ix.candidate
+
+let rec overlaps s a stop = a < stop && (named s.index s.ints.(a) || overlaps s (a + 1) stop)
+
+(* The candidate of extent [ext] is compatible with every part in
+   [ints.(a .. stop - 1)]: it meets the part's reach, or their extents
+   meet across the local node. *)
+let rec compatible_from s ~dmax ~ext a stop =
+  a >= stop
   ||
-  let c = Node_id.compare a.(i) b.(j) in
-  c <> 0 && if c < 0 then disjoint a b (i + 1) j else disjoint a b i (j + 1)
+  let ext' = s.ints.(a) and next = a + 2 + s.ints.(a + 1) in
+  (ext + ext' + 2 <= dmax || overlaps s (a + 2) next) && compatible_from s ~dmax ~ext next stop
+
+(* Sender [a] has the older group ([Priority.compare] of the advertised
+   group priorities, the smaller id on a tie). *)
+let older_group s a b =
+  match Priority.compare s.msgs.(a).Message.group_priority s.msgs.(b).Message.group_priority with
+  | 0 -> Node_id.compare s.senders.(a) s.senders.(b) < 0
+  | c -> c < 0
 
 (* Joint admission: compatibleList only relates each sender to the local
    node, so a node between two groups can pass both tests and bridge them
    into a union whose diameter violation is invisible to it (both sides are
    within Dmax of the bridge).  Lists whose foreign parts are disjoint are
    only jointly acceptable when their extents meet across the local node:
-   ext1 + ext2 + 2 <= Dmax.  Established senders (already in the view) are
-   never rejected here — they are the group compatibleList protects — and
-   among new senders the oldest group is kept (DESIGN.md Section 5). *)
+   ext1 + ext2 + 2 <= Dmax.  Established senders (group-mates) are never
+   rejected here — they are the group compatibleList protects — and among
+   new senders the oldest group is kept (DESIGN.md Section 5).  The
+   accepted parts lie back to back in [ints]; each candidate is written
+   after them and kept there only when accepted. *)
 let cross_check t s =
   (* Senders already rejected by the individual checks are not being
      admitted, so they neither need joint clearance nor may veto anybody
      else. *)
-  let in_view = ref [] and fresh = ref [] in
-  for k = s.n_senders - 1 downto 0 do
-    if not s.rejected.(k) then
-      if same_group t s.senders.(k) s.msgs.(k) then in_view := k :: !in_view
-      else fresh := k :: !fresh
+  s.order <- grown s.order s.n_senders 0;
+  let order = s.order and fresh = ref 0 in
+  for k = 0 to s.n_senders - 1 do
+    if (not s.rejected.(k)) && not (group_mate s.standing.(k)) then begin
+      order.(!fresh) <- k;
+      incr fresh
+    end
   done;
-  match !fresh with
-  | [] ->
-      (* Nothing new to vet, and the in-view foreign parts are never
-         looked at.  In steady state every sender is a mate, so this
-         skips the whole joint-extent machinery on the common path. *)
-      ()
-  | fresh ->
-  let my_ids = Node_id.Set.add t.id t.view in
-  (* The foreign group a sender brings: the clear members of its own view,
-     minus the established members we already hold.  "Hold" means the
-     view, not the whole clear list: after a collapsed merge the list
-     still spans the entire neighborhood (everything really is within
-     Dmax+1 hops of a bridge node), and measuring foreignness against it
-     leaves no foreign part at all — blinding the extent test exactly
-     when the next admission race begins (the 6-path bridge livelock).
-     Speculative list entries outside the sender's view are ignored
-     here; individual checks and the too-far contest police those.
-
-     Reach: everything the sender's raw list vouches a usable connection
-     to — the overlap test joins two sides that meet anywhere off-board,
-     not only through me.  Single-marked entries count (a handshake in
-     progress is a live adjacency); double-marked ones do not (a rejected
-     edge carries no group path).  Extent: established (view, clear)
-     members only, so speculative tails do not block growth.
-
-     Split horizon for the overlap test: an entry whose depth in the
-     sender's list is explainable as a route through me (the sender's
-     level of me plus my own level of the entry) may be nothing but the
-     echo of my previous advertisement — after a failed bridge, the two
-     sides would keep "meeting" through such ghosts for a round and
-     bypass the joint extent check forever (the lockstep grid3x3 cycle).
-     Genuinely off-board meetings are strictly shorter than the me-route
-     and survive the filter.
-
-     Reach and extent are accumulated in the one pass over the sender's
-     entries, the reach ids gathered into the scratch and kept as a
-     sorted array; -1 encodes "no established foreign member". *)
-  let foreign_part k =
-    let msg = s.msgs.(k) in
-    let lst = msg.Message.antlist in
-    let me_pos = closest_pos s.standing.(k) in
-    let echo v pos =
-      me_pos >= 0
-      &&
-      let lv = Antlist.closest_undoubled t.antlist v in
-      lv >= 0 && pos >= me_pos + lv
-    in
-    let total = ref 0 in
-    for i = 0 to Antlist.size lst - 1 do
-      total := !total + Antlist.level_size lst i
+  (* With nothing new to vet, the mates' foreign parts are never looked
+     at: in steady state every sender is a mate, so this skips the whole
+     joint-extent machinery on the common path. *)
+  if !fresh > 0 then begin
+    let used = ref 0 in
+    for k = 0 to s.n_senders - 1 do
+      if (not s.rejected.(k)) && group_mate s.standing.(k) && foreign_part t s k !used >= 0
+      then used := !used + 2 + s.ints.(!used + 1)
     done;
-    s.ints <- grown s.ints !total 0;
-    let buf = s.ints in
-    let n = ref 0 and ext = ref (-1) in
-    Antlist.fold_entries lst ~init:() ~f:(fun () v pos mark ->
-        if mark <> Mark.Double && not (Node_id.Set.mem v my_ids) then begin
-          if not (echo v pos) then begin
-            buf.(!n) <- v;
-            incr n
-          end;
-          if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then
-            ext := max !ext pos
-        end);
-    if !ext < 0 then None else Some (sorted_ids buf !n, !ext)
-  in
-  (match fresh with _ :: _ :: _ -> s.prio_read <- true | _ -> ());
-  let oldest_group_first a b =
-    let pa = s.msgs.(a).Message.group_priority and pb = s.msgs.(b).Message.group_priority in
-    match Priority.compare pa pb with 0 -> Node_id.compare s.senders.(a) s.senders.(b) | c -> c
-  in
-  let dmax = t.config.Config.dmax in
-  let accepted = ref (List.filter_map foreign_part !in_view) in
-  List.iter
-    (fun k ->
-      match foreign_part k with
-      | None -> ()
-      | Some (ids, ext) ->
-          let compatible_with (ids', ext') =
-            (not (disjoint ids ids' 0 0)) || ext + ext' + 2 <= dmax
-          in
-          if List.for_all compatible_with !accepted then accepted := (ids, ext) :: !accepted
-          else reject s k Mark.Double)
-    (List.sort oldest_group_first fresh)
+    if !fresh >= 2 then s.prio_read <- true;
+    (* Oldest group first, by insertion: a compute has few fresh senders. *)
+    for i = 1 to !fresh - 1 do
+      let k = order.(i) and j = ref i in
+      while !j > 0 && older_group s k order.(!j - 1) do
+        order.(!j) <- order.(!j - 1);
+        decr j
+      done;
+      order.(!j) <- k
+    done;
+    let dmax = t.config.Config.dmax in
+    for i = 0 to !fresh - 1 do
+      let k = order.(i) in
+      let ext = foreign_part t s k !used in
+      if ext >= 0 then
+        if compatible_from s ~dmax ~ext 0 !used then used := !used + 2 + s.ints.(!used + 1)
+        else reject s k Mark.Double
+    done
+  end
 
 let check_incoming t s =
   check_each_incoming t s;
@@ -1027,9 +1184,10 @@ let resolve_too_far t s ~folded candidate =
    the first included.  So a marked -> clear entry reaches 0 one compute
    before a new entry would (at once at Dmax 1): the count is not the
    computes since the entry became unmarked (DESIGN.md Section 5, item
-   10). *)
-let update_quarantine t lst =
-  let dmax = t.config.Config.dmax in
+   10).  Each entry is indexed as in the final list, admissible when its
+   new count is 0 (the last occurrence decides, as in the table). *)
+let update_quarantine t s lst =
+  let dmax = t.config.Config.dmax and ix = s.index in
   let q =
     Antlist.fold_entries lst ~init:Node_id.Map.empty ~f:(fun acc v _ mark ->
         let remaining =
@@ -1041,6 +1199,11 @@ let update_quarantine t lst =
             | None -> dmax
             | Some k -> max 0 (k - 1)
         in
+        let i = index_slot ix v in
+        ix.bits.(i) <-
+          (ix.bits.(i) land lnot admissible)
+          lor in_final
+          lor if remaining = 0 then admissible else 0;
         Node_id.Map.add v remaining acc)
   in
   t.quarantine <- q
@@ -1052,12 +1215,9 @@ let update_quarantine t lst =
    - a current view-mate advertises it in its own view (approval has
      propagated from its entry edge).
    Retention is presence-based as before: the gate applies to new
-   admissions only, so it cannot evict anybody.  Asked per candidate of
-   the msgSet arrays ([fill_standings]); no evidence set is built. *)
-let evident s v =
-  (let k = search s.senders v 0 s.n_senders in
-   k >= 0 && clear_somewhere s.standing.(k))
-  || advertised s ~mates:true v 0
+   admissions only, so it cannot evict anybody.  Read off the index
+   ([fill_standings]); no evidence set is built. *)
+let evident ix v = index_bits ix v land (acks_me lor mate_advertised) <> 0
 
 (* Continuous membership re-validation (DESIGN.md Section 5, item 15; part
    of the admission gate).  The counter-evidence is strictly firsthand
@@ -1092,13 +1252,13 @@ let update_conflicts t s =
       (fun _ (n, age) -> if age >= window then None else Some (n, age + 1))
       t.conflict;
   let eligible v =
-    clear_anywhere t.antlist v
+    index_bits s.index v land clear_in_list <> 0
     && match Node_id.Map.find_opt v t.quarantine with Some 0 -> true | _ -> false
   in
   for k = 0 to s.n_senders - 1 do
-    let u = s.senders.(k) and view = s.msgs.(k).Message.view in
-    if Node_id.Set.mem t.id view then t.conflict <- Node_id.Map.remove u t.conflict
-    else if Node_id.Set.mem u t.view || (eligible u && Node_id.Set.cardinal view >= 2) then begin
+    let u = s.senders.(k) and st = s.standing.(k) in
+    if st land names_me <> 0 then t.conflict <- Node_id.Map.remove u t.conflict
+    else if sender_in_view st || (st land two_members <> 0 && eligible u) then begin
       let n = match Node_id.Map.find_opt u t.conflict with Some (n, _) -> n | None -> 0 in
       if n + 1 = window then begin
         Registry.Counter.incr t.metrics.m_conviction;
@@ -1129,7 +1289,7 @@ let starved_set t s =
     Node_id.Set.fold
       (fun v acc ->
         if Node_id.equal v t.id then acc
-        else if evident s v then acc
+        else if evident s.index v then acc
         else
           let age =
             match Node_id.Map.find_opt v t.starve with Some a -> a | None -> 0
@@ -1141,14 +1301,17 @@ let starved_set t s =
     (fun v age acc -> if age >= window then Node_id.Set.add v acc else acc)
     t.starve Node_id.Set.empty
 
+(* [lst] is the list [update_quarantine] just indexed. *)
 let compute_view t s lst ~conflicted =
+  let ix = s.index in
   Antlist.fold_entries lst ~init:Node_id.Set.empty ~f:(fun acc v _ mark ->
+      let b = index_bits ix v in
       let admitted =
         mark = Mark.Clear
-        && (match Node_id.Map.find_opt v t.quarantine with Some 0 -> true | _ -> false)
+        && b land admissible <> 0
         && (Node_id.equal v t.id
            || (not t.config.Config.admission_gate_enabled)
-           || (Node_id.Set.mem v t.view || evident s v)
+           || b land (in_view lor acks_me lor mate_advertised) <> 0
               && not (Node_id.Set.mem v conflicted))
       in
       if admitted then Node_id.Set.add v acc else acc)
@@ -1180,13 +1343,13 @@ let update_priorities t s lst ~clock =
       else if not (in_group || merging) then
         t.own_priority <- Priority.bump (Priority.sync t.own_priority clock)
   | Config.Lowest_id -> ());
-  (* Keep the list members' entries and the own one, now the updated own
-     priority, compacting the merge scratch in place before copying the
-     table out at its exact size. *)
+  (* Keep the list members' entries (indexed [in_final]) and the own one,
+     now the updated own priority, compacting the merge scratch in place
+     before copying the table out at its exact size. *)
   let w = ref 0 in
   for r = 0 to s.table_n - 1 do
     let v = s.tab_ids.(r) in
-    if Node_id.equal v t.id || Antlist.mem lst v then begin
+    if Node_id.equal v t.id || index_bits s.index v land in_final <> 0 then begin
       s.tab_ids.(!w) <- v;
       s.tab_src.(!w) <- s.tab_src.(r);
       incr w
@@ -1368,6 +1531,8 @@ let compute t =
       Array.blit s.msgs 0 fp.fp_msgs 0 s.n_senders;
       let clock = merge_priorities s ~me:t.id in
       let lap = Registry.Timer.lap t.metrics.m_priority_ns lap in
+      index_start s.index;
+      ignore (Antlist.fold_entries t.antlist ~init:s.index ~f:index_final);
       update_priorities t s t.antlist ~clock;
       finish t s ~m_t0 lap;
       fp.fp_step
@@ -1403,7 +1568,7 @@ let compute t =
   let lap = Registry.Timer.lap t.metrics.m_contest_ns lap in
   let old_list = t.antlist in
   let old_q = t.quarantine in
-  update_quarantine t final_list;
+  update_quarantine t s final_list;
   let old_view = t.view in
   let new_view = compute_view t s final_list ~conflicted in
   let tracing = Trace.enabled t.trace in

@@ -42,6 +42,21 @@ let rec nth_level (l : t) i =
 
 let ids (l : t) = Node_id.Set.of_list (List.concat_map (List.map fst) l)
 
+(* The ids of level [i], whatever their marks. *)
+let level_ids (l : t) i = Node_id.Set.of_list (List.map fst (nth_level l i))
+
+(* Position of the closest occurrence of [id] that is not double-marked;
+   -1 when there is none. *)
+let closest_undoubled (l : t) id =
+  let rec from pos = function
+    | [] -> -1
+    | lvl :: r -> (
+        match List.assoc_opt id lvl with
+        | Some (Mark.Clear | Mark.Single) -> pos
+        | Some Mark.Double | None -> from (pos + 1) r)
+  in
+  from 0 l
+
 (* Position and mark of the closest occurrence of [id]. *)
 let find (l : t) id =
   List.find_map Fun.id

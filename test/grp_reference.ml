@@ -145,7 +145,7 @@ let compatible_list t ~sender_view lst =
           (fun i ->
             let li = S.filter (established t) (clear_level t.antlist i) in
             (not (S.is_empty li))
-            && S.subset li (Antlist.level_ids lst 1)
+            && S.subset li (Antlist_model.level_ids (Antlist_model.of_antlist lst) 1)
             && p - i + 1 + q <= dmax
             && (i / 2) + q + 1 <= dmax)
           (List.init p (fun i -> i + 1))
@@ -182,10 +182,11 @@ let foreign_part t sender =
   let m = M.find sender t.msg_set in
   let mine = S.add t.id t.view in
   let me_pos = match Antlist.find m.antlist t.id with Some (pos, _) -> pos | None -> -1 in
+  let mine_levels = Antlist_model.of_antlist t.antlist in
   let echo v pos =
     me_pos >= 0
     &&
-    let lv = Antlist.closest_undoubled t.antlist v in
+    let lv = Antlist_model.closest_undoubled mine_levels v in
     lv >= 0 && pos >= me_pos + lv
   in
   let entries =

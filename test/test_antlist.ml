@@ -132,7 +132,7 @@ let test_ids_and_entries () =
     (Node_id.Set.elements (Antlist.clear_ids l));
   check_int "entries" 3 (List.length (Antlist.entries l));
   Alcotest.(check (list int)) "level ids" [ 1; 2 ]
-    (Node_id.Set.elements (Antlist.level_ids l 1));
+    (Node_id.Set.elements (Model.level_ids (Model.of_antlist l) 1));
   check "out of range level" true (Antlist.level l 7 = []);
   check "mark at" true (Antlist.mark_at l 1 1 = Some Mark.Single);
   check "mark at, other level" true (Antlist.mark_at l 0 1 = None);
@@ -298,7 +298,7 @@ let prop_queries_match_scan =
         (fun id ->
           Antlist.find l id = find id
           && Antlist.mem l id = (find id <> None)
-          && Antlist.closest_undoubled l id = undoubled id)
+          && Model.closest_undoubled (Model.of_antlist l) id = undoubled id)
         (List.init 10 Fun.id)
       && Node_id.Set.equal (Antlist.ids l) (set_of (fun (id, _, _) -> Some id))
       && Node_id.Set.equal (Antlist.clear_ids l)

@@ -509,6 +509,39 @@ let test_decision_reuse_alloc () =
   Alcotest.(check (list (float 0.0))) "minor words per compute" (List.init 40 (fun _ -> 15.0))
     !words
 
+(* A full compute of a fresh node 0 at Dmax 3 hearing three senders that
+   each head an established pair and single-mark node 0: 1 with 2, 4
+   with 5, 7 with 8.  All three pass the individual checks and are new,
+   so joint admission vets them: their parts are disjoint and of extent
+   1, 1 + 1 + 2 > 3, so it keeps the oldest group, 1's, and cuts 4 and 7.
+   Joint admission writes its reach ids, order and accepted parts into
+   the domain's scratch: of its words, 56, all are the closures of its
+   three list walks.  The rest are the admitted and rejected lists, the
+   fold, the quarantine table, view, priority table, message and step. *)
+let merge_msg sender mate =
+  let p = Priority.make ~oldness:1 ~id:sender in
+  let levels = [ [ (sender, Mark.Clear) ]; [ (0, Mark.Single); (mate, Mark.Clear) ] ] in
+  Message.make ~sender ~antlist:(Antlist.of_levels levels) ~priority_ids:[| sender |]
+    ~priorities:[| p |] ~group_priority:p
+    ~view:(Node_id.set_of_list [ sender; mate ])
+
+let test_full_compute_alloc () =
+  let msgs = [ merge_msg 1 2; merge_msg 4 5; merge_msg 7 8 ] in
+  let compute () =
+    let v = Grp_node.create ~config 0 in
+    List.iter (Grp_node.receive v) msgs;
+    let w0 = Gc.minor_words () in
+    ignore (Grp_node.compute v);
+    let words = Gc.minor_words () -. w0 in
+    (v, words)
+  in
+  (* The first compute grows the domain's scratch to this merge. *)
+  ignore (compute ());
+  let v, words = compute () in
+  Alcotest.(check string) "4 and 7 cut, 1 admitted" "({0},{1,4'',7''},{2})"
+    (Antlist.to_string (Grp_node.antlist v));
+  Alcotest.(check (float 0.0)) "minor words" 370.0 words
+
 (* Cases the random property only sometimes draws, each once caught
    breaking one fixpoint condition: (c) with the cooldown off, where a
    contest can win the same way every compute; (d), where an isolated
@@ -541,5 +574,6 @@ let suite =
     ("elided compute allocates nothing", `Quick, test_elided_compute_alloc);
     ("priority-only changes reuse the fixpoint's decisions", `Quick, test_decision_reuse_witness);
     ("decision reuse allocates the table and message only", `Quick, test_decision_reuse_alloc);
+    ("full compute of a joint admission: exact words", `Quick, test_full_compute_alloc);
   ]
   @ [ test_elision_transparent ]

@@ -199,6 +199,58 @@ let test_compatible_list_rejects_overflow () =
   check "overflowing merge refused" false
     (Grp_node.compatible_list v ~sender_view sender)
 
+(* A message from [sender] with the given raw list and view; every
+   sender's priority is the same oldness, so the smaller id is the older
+   group. *)
+let raw_msg sender levels view =
+  let p = Priority.make ~oldness:1 ~id:sender in
+  Message.make ~sender ~antlist:(Antlist.of_levels levels) ~priority_ids:[| sender |]
+    ~priorities:[| p |] ~group_priority:p ~view:(Node_id.set_of_list view)
+
+(* A corrupted own list may hold one id at several depths: here 5 is
+   Double at level 1 and Clear at level 2 of node 0's list.  Admission
+   must read both occurrences.  foreignViewExtent counts 5 as held, so a
+   sender advertising it far away does not stretch the merge.  The split
+   horizon measures the me-route to 5 through its closest undoubled level,
+   2: senders 1 and 4 (Dmax 3, extents 1 and 1, so their parts are jointly
+   acceptable only if they meet) both list 5, and whether they meet
+   depends on whether sender 1's 5 is an echo of node 0's own 5. *)
+let test_corrupt_list_repeated_id () =
+  let corrupted () =
+    let v = Grp_node.create ~config:(config ~dmax:3 ()) 0 in
+    Grp_node.corrupt_list v
+      (Antlist.of_levels [ [ (0, Mark.Clear) ]; [ (5, Mark.Double) ]; [ (5, Mark.Clear) ] ]);
+    v
+  in
+  let far5 =
+    Antlist.of_levels
+      [ [ (7, Mark.Clear) ]; [ (0, Mark.Single); (8, Mark.Clear) ]; [ (9, Mark.Clear) ];
+        [ (5, Mark.Clear) ] ]
+  in
+  check "5 is held: only 7 is foreign, nothing stretches" true
+    (Grp_node.compatible_list (corrupted ()) ~sender_view:(Node_id.set_of_list [ 5; 7 ]) far5);
+  (* Sender 4 lists 5 at level 1, one hop from itself: never an echo. *)
+  let c = Mark.Clear in
+  let b = raw_msg 4 [ [ (4, c) ]; [ (0, Mark.Single); (5, c); (6, c) ] ] [ 4; 6 ] in
+  let level_of_4 levels_of_1 =
+    let v = corrupted () in
+    Grp_node.receive v (raw_msg 1 levels_of_1 [ 1; 2 ]);
+    Grp_node.receive v b;
+    ignore (Grp_node.compute v);
+    Antlist.find (Grp_node.antlist v) 4
+  in
+  (* Sender 1 lists me at level 1, so 5 at level 3 = 1 + 2 is explainable
+     as the route through me: an echo, the parts are disjoint and the
+     younger sender, 4, is cut. *)
+  check "5 at the me-route depth is an echo: 4 rejected" true
+    (level_of_4 [ [ (1, c) ]; [ (0, Mark.Single); (2, c) ]; [ (3, c) ]; [ (5, c) ] ]
+    = Some (1, Mark.Double));
+  (* At level 2 < 1 + 2 it is a meeting off-board (level 1's double
+     entry is no route), so both senders are admitted. *)
+  check "5 nearer than the me-route is a meeting: 4 admitted" true
+    (level_of_4 [ [ (1, c) ]; [ (0, Mark.Single); (2, c) ]; [ (3, c); (5, c) ] ]
+    = Some (1, Mark.Clear))
+
 let test_pair_formation_dmax1 () =
   (* Regression: two lone nodes at Dmax=1 must form a pair (the echo of
      the receiver in the sender's list must not count as extent). *)
@@ -921,6 +973,8 @@ let suite =
     ("quarantine ablation", `Quick, test_no_quarantine_ablation);
     ("goodList", `Quick, test_good_list);
     ("compatibleList basic", `Quick, test_compatible_list_basic);
+    ("corrupted list repeating an id: held, echo at its undoubled level", `Quick,
+      test_corrupt_list_repeated_id);
     ("compatibleList rejects overflow", `Quick, test_compatible_list_rejects_overflow);
     ("pair at Dmax=1", `Quick, test_pair_formation_dmax1);
     ("triangle at Dmax=1", `Quick, test_triangle_formation_dmax1);

@@ -8,9 +8,9 @@
    sends.
 
    Production nodes run untraced, so the compute elision, message reuse,
-   the [compatible_env] memo, the refold skip and [cross_check]'s
-   empty-fresh return are all live on the production side; the
-   reference has none of them.
+   the per-compute id index and extent memo, the refold skip and
+   [cross_check]'s empty-fresh return are all live on the production
+   side; the reference has none of them.
 
    [dune build @reference-long] runs the random property with
    [QCHECK_LONG] set, at [long_factor] times its runtest count. *)
@@ -83,6 +83,7 @@ let graph_of c =
   match String.split_on_char ' ' c.graph with
   | [ "rgg"; n; seed ] ->
       Harness.rgg ~seed:(int_of_string seed) ~n:(int_of_string n) ~density:4.0 ()
+  | [ "star"; n ] -> Gen.star (int_of_string n)
   | [ "er"; n; seed ] ->
       let n = int_of_string n in
       Gen.erdos_renyi (Rng.create (int_of_string seed)) ~n ~p:(3.0 /. float_of_int n)
@@ -208,7 +209,9 @@ let corrupt_both rng ~max_id p r =
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let run_case c =
+(* With [fresh_scratch], every production compute runs on a domain of
+   its own, so it starts from fresh per-domain scratch. *)
+let run_case ?(fresh_scratch = false) c =
   let config = config_of c in
   let g = ref (graph_of c) in
   let ids = Graph.nodes !g in
@@ -250,7 +253,11 @@ let run_case c =
       (fun v ->
         if not (Node_id.Set.mem v skip) then begin
           let p = Hashtbl.find prod v and r = Hashtbl.find refn v in
-          let sp = Grp_node.compute p and sr = R.compute r in
+          let sp =
+            if fresh_scratch then Domain.join (Domain.spawn (fun () -> Grp_node.compute p))
+            else Grp_node.compute p
+          in
+          let sr = R.compute r in
           if not (same_step sp sr) then
             fail "round %d node %d: step differs\n  prod: %s\n  ref:  %s" round v
               (render_step sp) (render_step sr)
@@ -265,8 +272,8 @@ let run_case c =
       ids
   done
 
-let check_case c =
-  try run_case c with Failure msg -> Alcotest.failf "%s\n%s" (print_case c) msg
+let check_case ?fresh_scratch c =
+  try run_case ?fresh_scratch c with Failure msg -> Alcotest.failf "%s\n%s" (print_case c) msg
 
 (* Every corpus and pinned graph, lockstep and jittered, from clean and
    from arbitrary states. *)
@@ -279,6 +286,17 @@ let test_fixed_graphs () =
             { graph; dmax; flags = 0; jitter; corrupt; cut = false; seed = 17 + i; rounds = 80 })
         [ (false, false); (true, false); (false, true); (true, true) ])
     (fixed ())
+
+(* Every compute of a 100-leaf star indexes about a hundred ids, so
+   from fresh scratch the id index grows in the middle of its fills,
+   several times over. *)
+let test_index_growth () =
+  List.iter
+    (fun (jitter, corrupt) ->
+      check_case ~fresh_scratch:true
+        { graph = "star 101"; dmax = 2; flags = 0; jitter; corrupt; cut = false; seed = 5;
+          rounds = 30 })
+    [ (false, false); (true, true) ]
 
 let gen_case =
   QCheck.Gen.(
@@ -333,3 +351,4 @@ let suite =
     (fun (name, speed, run) -> (name, speed, reaching_writers run))
     (("corpus and pinned graphs ≡ reference", `Quick, test_fixed_graphs)
     :: List.map (QCheck_alcotest.to_alcotest ~speed_level:`Quick) [ prop_reference ])
+  @ [ ("id index growth: 100-leaf star ≡ reference", `Quick, test_index_growth) ]
