@@ -187,15 +187,27 @@ let filter_clear ~keep (l : int array) =
   done;
   cut buf l !k
 
+(* Every entry of [t] from level [i], entry [j] on, is Clear or [keep]'s. *)
+let rec all_kept ~keep (t : int array array) i j =
+  i >= Array.length t
+  || (j >= Array.length t.(i) && all_kept ~keep t (i + 1) 0)
+  || j < Array.length t.(i)
+     && (is_clear t.(i).(j) || id_of t.(i).(j) = keep)
+     && all_kept ~keep t i (j + 1)
+
+(* [t] itself when it strips nothing and has no trailing empty level, the
+   common case, found by a walk that allocates nothing. *)
 let strip_marked ~keep t =
-  let lvls' = Array.map (filter_clear ~keep) t in
-  let n = ref (Array.length lvls') in
-  while !n > 0 && Array.length lvls'.(!n - 1) = 0 do
-    decr n
-  done;
-  let unchanged = ref (!n = Array.length t) in
-  if !unchanged then Array.iteri (fun i l -> if l != t.(i) then unchanged := false) lvls';
-  if !unchanged then t else Array.sub lvls' 0 !n
+  let len = Array.length t in
+  if (len = 0 || Array.length t.(len - 1) > 0) && all_kept ~keep t 0 0 then t
+  else begin
+    let lvls' = Array.map (filter_clear ~keep) t in
+    let n = ref len in
+    while !n > 0 && Array.length lvls'.(!n - 1) = 0 do
+      decr n
+    done;
+    if !n = len then lvls' else Array.sub lvls' 0 !n
+  end
 
 let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t
 

@@ -115,7 +115,13 @@ type t = {
      on several domains.  [restricts]: lists it accepted. *)
   mutable fixpoint : fixpoint;
   mutable restricts : int;
-  (* The last [make_message] result, [msg_fresh] while still current. *)
+  (* [view_arr]: the members of [view] as the strictly increasing array
+     a message carries, replaced only with the view, so an unchanged view
+     is sent as physically the same array. *)
+  mutable view_arr : Node_id.t array;
+  (* The last [make_message] result, [msg_fresh] while still current:
+     every compute that is not elided rebuilds it, so it goes stale only
+     through a [corrupt_*] hook. *)
   mutable last_msg : Message.t;
   mutable msg_fresh : bool;
 }
@@ -142,6 +148,7 @@ and fixpoint =
 let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
   let own_priority = Priority.initial id in
   let antlist = Antlist.singleton id and view = Node_id.Set.singleton id in
+  let view_arr = [| id |] in
   let prio_ids = [| id |] and prio_vals = [| own_priority |] in
   {
     id;
@@ -154,6 +161,7 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     inbox_lid = [||];
     quarantine = Node_id.Map.singleton id 0;
     view;
+    view_arr;
     prio_ids;
     prio_vals;
     own_priority;
@@ -166,7 +174,7 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     (* What [make_message] builds for a fresh node. *)
     last_msg =
       Message.make ~sender:id ~antlist ~priority_ids:prio_ids ~priorities:prio_vals
-        ~group_priority:own_priority ~view;
+        ~group_priority:own_priority ~view:view_arr;
     msg_fresh = true;
   }
 
@@ -220,12 +228,22 @@ let pending_senders t =
   done;
   !acc
 
-(* The minimum over the view members' known priorities: a walk of the
-   table, which allocates nothing. *)
+(* [v] is in the strictly increasing array [ids]. *)
+let mem_sorted (ids : Node_id.t array) v = search ids v 0 (Array.length ids) >= 0
+
+(* The view as the strictly increasing array a message carries. *)
+let view_array view =
+  let a = Array.make (Node_id.Set.cardinal view) 0 in
+  ignore (Node_id.Set.fold (fun v i -> a.(i) <- v; i + 1) view 0);
+  a
+
+(* The minimum over the view members' known priorities: one table
+   search per member, no allocation. *)
 let group_priority t =
   let best = ref t.own_priority in
-  for i = 0 to Array.length t.prio_ids - 1 do
-    if Node_id.Set.mem t.prio_ids.(i) t.view then best := Priority.min t.prio_vals.(i) !best
+  for j = 0 to Array.length t.view_arr - 1 do
+    let i = search t.prio_ids t.view_arr.(j) 0 (Array.length t.prio_ids) in
+    if i >= 0 then best := Priority.min t.prio_vals.(i) !best
   done;
   !best
 
@@ -233,7 +251,7 @@ let group_priority t =
    message: a shared constant, so an unused slot keeps nothing alive. *)
 let no_msg =
   Message.make ~sender:(-1) ~antlist:Antlist.empty ~priority_ids:[||] ~priorities:[||]
-    ~group_priority:Priority.lowest ~view:Node_id.Set.empty
+    ~group_priority:Priority.lowest ~view:[||]
 
 (* [lid] is a required labelled int on purpose: an optional argument
    would box a [Some] per call and break the zero-alloc receive pin. *)
@@ -702,18 +720,22 @@ let fill_standings t s =
     if clear_somewhere st then index_add ix sender acks_me;
     let mate = index_bits ix sender land in_view <> 0 in
     let adv = if mate then advertised lor mate_advertised else advertised in
-    s.standing.(k) <-
-      Node_id.Set.fold
-        (fun v st ->
-          let i = index_slot ix v in
-          let b = ix.bits.(i) in
-          ix.bits.(i) <- b lor adv;
-          let st = if st land one_member <> 0 then st lor two_members else st lor one_member in
-          if Node_id.equal v me then st lor names_me
-          else if b land in_view <> 0 && not (Node_id.equal v sender) then st lor shares_member
-          else st)
-        s.msgs.(k).Message.view
-        (if mate then st lor sender_in_view_bit else st)
+    let view = s.msgs.(k).Message.view in
+    let st = ref (if mate then st lor sender_in_view_bit else st) in
+    (match Array.length view with
+    | 0 -> ()
+    | 1 -> st := !st lor one_member
+    | _ -> st := !st lor one_member lor two_members);
+    for j = 0 to Array.length view - 1 do
+      let v = view.(j) in
+      let i = index_slot ix v in
+      let b = ix.bits.(i) in
+      ix.bits.(i) <- b lor adv;
+      if Node_id.equal v me then st := !st lor names_me
+      else if b land in_view <> 0 && not (Node_id.equal v sender) then
+        st := !st lor shares_member
+    done;
+    s.standing.(k) <- !st
   done
 
 (* Forget this compute's messages, lists and priorities, once the table
@@ -723,6 +745,18 @@ let release s =
   Array.fill s.lists 0 s.n_senders Antlist.empty;
   s.n_senders <- 0;
   s.table_n <- 0
+
+(* [view] as an array: a sender's view array when one has the same
+   members, so a settled group's messages mostly share one, else a new
+   one. *)
+let sender_view_array s view =
+  let a = view_array view in
+  let rec find k =
+    if k = s.n_senders then a
+    else if s.msgs.(k).Message.view = a then s.msgs.(k).Message.view
+    else find (k + 1)
+  in
+  find 0
 
 let priority_table ~me ~own_priority msgs =
   let s = Domain.DLS.get scratch_key in
@@ -798,7 +832,7 @@ let foreign_view_extent t s ~sender_view lst =
         mark = Mark.Clear && pos > best
         && (not (Node_id.equal v t.id))
         && index_bits ix v land in_list = 0
-        && Node_id.Set.mem v sender_view
+        && mem_sorted sender_view v
       then pos
       else best)
 
@@ -838,7 +872,7 @@ let compatible t s ~sender_view lst =
 let compatible_list t ~sender_view lst =
   let s = Domain.DLS.get scratch_key in
   index_node t s;
-  compatible t s ~sender_view lst
+  compatible t s ~sender_view:(view_array sender_view) lst
 
 (* Lines 1-9 of compute(): strip link-local marks, then replace unusable
    lists by a single-marked sender (goodList) and incompatible ones by a
@@ -958,7 +992,7 @@ let foreign_part t s k at =
             incr n;
             ix.named.(i) <- ix.candidate
           end;
-          if mark = Mark.Clear && pos > !ext && Node_id.Set.mem v msg.Message.view then
+          if mark = Mark.Clear && pos > !ext && mem_sorted msg.Message.view v then
             ext := pos
         end
       end);
@@ -1129,7 +1163,7 @@ let resolve_too_far t s ~folded candidate =
            marked singleton, which has no level Dmax. *)
         let providers = ref [] in
         for k = s.n_senders - 1 downto 0 do
-          if Node_id.Set.mem w s.msgs.(k).Message.view && clear_at s.lists.(k) dmax w then
+          if mem_sorted s.msgs.(k).Message.view w && clear_at s.lists.(k) dmax w then
             providers := k :: !providers
         done;
         if !providers <> [] then begin
@@ -1417,14 +1451,18 @@ let quarantine_transitions t s ~old_q ~tracing =
       end)
     t.quarantine
 
-(* The known priorities of the list members, filtered out of the table;
-   the table's own arrays when it holds nothing else. *)
-let build_message t =
+(* The known priorities of the list members: the table's own arrays when
+   [listed], as a compute leaves them (cut to its list, which holds its
+   own id at level 0), else those filtered against the list. *)
+let build_message t ~listed =
   let n = Array.length t.prio_ids in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    if Antlist.mem t.antlist t.prio_ids.(i) then incr kept
-  done;
+  let kept = ref n in
+  if not listed then begin
+    kept := 0;
+    for i = 0 to n - 1 do
+      if Antlist.mem t.antlist t.prio_ids.(i) then incr kept
+    done
+  end;
   let priority_ids, priorities =
     if !kept = n then (t.prio_ids, t.prio_vals)
     else begin
@@ -1441,7 +1479,7 @@ let build_message t =
     end
   in
   Message.make ~sender:t.id ~antlist:t.antlist ~priority_ids ~priorities
-    ~group_priority:(group_priority t) ~view:t.view
+    ~group_priority:(group_priority t) ~view:t.view_arr
 
 let rec same_priorities_from (a : Message.t) (b : Message.t) i =
   i < 0
@@ -1457,22 +1495,21 @@ let same_priorities (a : Message.t) (b : Message.t) =
 
 (* The previous message is returned physically while nothing it is built
    from changed, so receivers see [==] inputs and can elide in turn. *)
-let make_message t =
-  if t.msg_fresh then t.last_msg
+let rebuild_message t ~listed =
+  let m = t.last_msg and msg = build_message t ~listed in
+  t.msg_fresh <- true;
+  if
+    m.Message.antlist == msg.Message.antlist
+    && m.Message.view == msg.Message.view
+    && Priority.equal m.Message.group_priority msg.Message.group_priority
+    && same_priorities m msg
+  then m
   else begin
-    let m = t.last_msg and msg = build_message t in
-    t.msg_fresh <- true;
-    if
-      m.Message.antlist == msg.Message.antlist
-      && m.Message.view == msg.Message.view
-      && Priority.equal m.Message.group_priority msg.Message.group_priority
-      && same_priorities m msg
-    then m
-    else begin
-      t.last_msg <- msg;
-      msg
-    end
+    t.last_msg <- msg;
+    msg
   end
+
+let make_message t = if t.msg_fresh then t.last_msg else rebuild_message t ~listed:false
 
 (* Timer state ages on every compute, so a fixpoint has none of it. *)
 let settled t =
@@ -1491,11 +1528,10 @@ let replay_counters t s =
    so time no lap covers shows in the whole but not in the phases. *)
 let finish t s ~m_t0 lap =
   release s;
-  t.msg_fresh <- false;
   let lap = Registry.Timer.lap t.metrics.m_update_ns lap in
   (* The next message is built here, where its cost is attributed:
      [make_message] then returns it until the state changes again. *)
-  ignore (make_message t);
+  ignore (rebuild_message t ~listed:true);
   ignore (Registry.Timer.lap t.metrics.m_message_ns lap);
   Registry.Timer.stop t.metrics.m_compute_ns m_t0
 
@@ -1602,10 +1638,16 @@ let compute t =
      [make_message] and in every receiver's [ingest]) are pointer
      comparisons. *)
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
-  t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
+  let view_changed = not (Node_id.Set.equal new_view old_view) in
+  if view_changed then begin
+    t.view <- new_view;
+    t.view_arr <- sender_view_array s new_view
+  end;
   update_priorities t s final_list ~clock;
-  let view_added = Node_id.Set.diff new_view old_view in
-  let view_removed = Node_id.Set.diff old_view new_view in
+  let view_added, view_removed =
+    if view_changed then (Node_id.Set.diff new_view old_view, Node_id.Set.diff old_view new_view)
+    else (Node_id.Set.empty, Node_id.Set.empty)
+  in
   let step = { view_added; view_removed; too_far_conflict; contest_wins } in
   (* A frozen contest leaves [oldness_hold > 0], so [settled] covers it. *)
   t.fixpoint <-
@@ -1616,7 +1658,7 @@ let compute t =
        let fp_msgs = Array.sub s.msgs 0 s.n_senders in
        Fixpoint { fp_msgs; fp_step = step; fp_prio_free = not s.prio_read }
      else No_fixpoint);
-  if t.metrics.m_on && not (Node_id.Set.equal new_view old_view) then begin
+  if t.metrics.m_on && view_changed then begin
     Registry.Counter.add t.metrics.m_view_add (Node_id.Set.cardinal view_added);
     Registry.Counter.add t.metrics.m_view_remove (Node_id.Set.cardinal view_removed);
     Registry.Hist.observe_int t.metrics.m_view_size (Node_id.Set.cardinal new_view)
@@ -1631,7 +1673,10 @@ let invalidate t =
   t.msg_fresh <- false
 
 let corrupt_list t lst = invalidate t; t.antlist <- lst
-let corrupt_view t v = invalidate t; t.view <- v
+let corrupt_view t v =
+  invalidate t;
+  t.view <- v;
+  t.view_arr <- view_array v
 
 let corrupt_quarantine t qs =
   invalidate t;

@@ -4,7 +4,7 @@ type t = {
   priority_ids : Node_id.t array;
   priorities : Priority.t array;
   group_priority : Priority.t;
-  view : Node_id.Set.t;
+  view : Node_id.t array;
 }
 
 let make ~sender ~antlist ~priority_ids ~priorities ~group_priority ~view =

@@ -25,7 +25,7 @@ let to_string (m : Message.t) =
     |> String.concat ","
   in
   let view =
-    Node_id.Set.elements m.Message.view |> List.map string_of_int |> String.concat ","
+    Array.to_list m.Message.view |> List.map string_of_int |> String.concat ","
   in
   String.concat "|"
     [
@@ -96,10 +96,13 @@ let parse_priorities s =
                | _ -> None))
     |> Option.map Message.priority_arrays
 
+(* A corrupted frame may repeat or reorder ids: the view is made strictly
+   increasing, as a message requires. *)
 let parse_view s =
-  if s = "" then Some Node_id.Set.empty
+  if s = "" then Some [||]
   else
-    String.split_on_char ',' s |> parse_all parse_id |> Option.map Node_id.set_of_list
+    String.split_on_char ',' s |> parse_all parse_id
+    |> Option.map (fun ids -> Array.of_list (List.sort_uniq Node_id.compare ids))
 
 let of_string s =
   match String.split_on_char '|' s with

@@ -25,12 +25,19 @@ type shard = {
      tracing.  A node only ever broadcasts on its home shard, so its ids
      do not depend on the partition. *)
   lids : (Node_id.t, int) Hashtbl.t;
-  (* Graph nodes homed here, sorted — the per-round iteration order. *)
+  (* Graph nodes homed here, sorted — the broadcast and delivery order. *)
   mutable locals : Node_id.t array;
+  (* The compute order: indices into [locals], breadth-first over the
+     shard's own subgraph, so a compute mostly reads messages and lists
+     its neighbours' computes just touched.  [act]: this round's [active]
+     answer per [locals] entry, one byte each. *)
+  mutable order : int array;
+  mutable act : Bytes.t;
   (* This round's message of each [locals] entry, built in phase A and
-     delivered to same-shard neighbours in phase B, and the lineage id of
-     each of its transmissions: send [s] of entry [i] at
-     [s * Array.length locals + i]. *)
+     delivered to same-shard neighbours in phase B, and, when tracing,
+     the lineage id of each of its transmissions: send [s] of entry [i]
+     at [s * Array.length locals + i].  Both are dropped once
+     delivered. *)
   mutable msgs : Message.t array;
   mutable msg_lids : int array;
   (* Boundary copies produced this round: (src, dst, lineage id, message),
@@ -78,6 +85,42 @@ let ensure_node t v =
       (Grp_node.create ~config:t.config ~trace:sh.trace ~metrics:sh.metrics v)
   end
 
+(* Index of [v] in the sorted [locals], or -1 when it is not homed here. *)
+let local_index (locals : Node_id.t array) v =
+  let lo = ref 0 and hi = ref (Array.length locals) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if locals.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length locals && locals.(!lo) = v then !lo else -1
+
+(* Breadth-first over the subgraph of [locals]: each tree from the
+   smallest unvisited id, neighbours ascending, boundary neighbours
+   skipped.  [order] is its own queue and the one visitor is built once,
+   so a visit allocates nothing. *)
+let bfs_order g locals =
+  let n = Array.length locals in
+  let order = Array.make n 0 and seen = Array.make n false and tail = ref 0 in
+  let visit u =
+    let j = local_index locals u in
+    if j >= 0 && not seen.(j) then begin
+      seen.(j) <- true;
+      order.(!tail) <- j;
+      incr tail
+    end
+  in
+  for root = 0 to n - 1 do
+    if not seen.(root) then begin
+      let head = ref !tail in
+      visit locals.(root);
+      while !head < !tail do
+        Graph.iter_neighbors g locals.(order.(!head)) visit;
+        incr head
+      done
+    end
+  done;
+  order
+
 let refresh_locals t =
   let buckets = Array.make (Array.length t.shards) [] in
   List.iter
@@ -89,7 +132,9 @@ let refresh_locals t =
     (fun sx sh ->
       let a = Array.of_list buckets.(sx) in
       Array.sort Int.compare a;
-      sh.locals <- a)
+      sh.locals <- a;
+      sh.order <- bfs_order t.graph a;
+      sh.act <- Bytes.make (Array.length a) '\000')
     t.shards
 
 let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
@@ -105,6 +150,8 @@ let create ~config ?(shards = 1) ?(jobs = 1) ?(seed = 1) ?shard_of ?make_trace
       metrics = (match make_metrics with Some f -> f sx | None -> Registry.null);
       lids = Hashtbl.create 64;
       locals = [||];
+      order = [||];
+      act = Bytes.empty;
       msgs = [||];
       msg_lids = [||];
       outbox = [];
@@ -160,7 +207,7 @@ let messages_sent t = Array.fold_left (fun acc sh -> acc + sh.sent) 0 t.shards
 let phase_broadcast t ~sends sh =
   let tracing = Trace.enabled sh.trace and n = Array.length sh.locals in
   if tracing then Trace.set_time sh.trace (float_of_int t.round_no);
-  sh.msg_lids <- Array.make (sends * n) (-1);
+  if tracing then sh.msg_lids <- Array.make (sends * n) (-1);
   sh.msgs <-
     Array.mapi
       (fun i v ->
@@ -174,7 +221,8 @@ let phase_broadcast t ~sends sh =
         Graph.iter_neighbors t.graph v (fun dst ->
             sh.sent <- sh.sent + sends;
             if Node_id.Tbl.find t.home dst <> sh.sx then
-              sh.outbox <- (v, dst, sh.msg_lids.(i), msg) :: sh.outbox);
+              sh.outbox <-
+                (v, dst, (if tracing then sh.msg_lids.(i) else -1), msg) :: sh.outbox);
         msg)
       sh.locals
 
@@ -202,8 +250,10 @@ let exchange t =
 
 (* Phase B (parallel): deliver the local copies (transmissions, then
    sources, then neighbours ascending), each through [channel] when there
-   is one, then the sorted boundary copies, then run the computes of the
-   [active] nodes — so a compute sees all of this round's messages. *)
+   is one, then the sorted boundary copies; ask [active] of every local
+   node in id order, then run the active nodes' computes in [order] — so
+   a compute sees all of this round's messages, and a caller's draws in
+   [active] do not depend on the compute order. *)
 let phase_deliver t ~sends ~channel ~active sh incoming =
   let tracing = Trace.enabled sh.trace and n = Array.length sh.locals in
   let deliver src dst lid msg =
@@ -213,7 +263,7 @@ let phase_deliver t ~sends ~channel ~active sh incoming =
   for s = 0 to sends - 1 do
     Array.iteri
       (fun i src ->
-        let lid = sh.msg_lids.((s * n) + i) and msg = sh.msgs.(i) in
+        let lid = if tracing then sh.msg_lids.((s * n) + i) else -1 and msg = sh.msgs.(i) in
         Graph.iter_neighbors t.graph src (fun dst ->
             if Node_id.Tbl.find t.home dst = sh.sx then
               match channel with
@@ -232,11 +282,15 @@ let phase_deliver t ~sends ~channel ~active sh incoming =
   done;
   List.iter (fun (src, dst, lid, msg) -> deliver src dst lid msg) incoming;
   sh.msgs <- [||];
+  sh.msg_lids <- [||];
+  Array.iteri (fun i v -> Bytes.set sh.act i (if active v then '\001' else '\000')) sh.locals;
   Array.iter
-    (fun v ->
-      if active v then
-        sh.infos <- (v, Grp_node.compute (Node_id.Tbl.find sh.nodes v)) :: sh.infos)
-    sh.locals
+    (fun i ->
+      if Bytes.get sh.act i <> '\000' then begin
+        let v = sh.locals.(i) in
+        sh.infos <- (v, Grp_node.compute (Node_id.Tbl.find sh.nodes v)) :: sh.infos
+      end)
+    sh.order
 
 let step ?(sends = 1) ?channel ~active t =
   let n = Array.length t.shards in

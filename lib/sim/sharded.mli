@@ -15,8 +15,12 @@
       (the deterministic merge order of the [--jobs] contract);
     + {b deliver + compute} (parallel) — each shard hands its same-shard
       copies to {!Dgs_core.Grp_node.receive_lid} (sources ascending, then
-      neighbours ascending), then the boundary copies, then runs the
-      computes of its active nodes.
+      neighbours ascending), then the boundary copies, then asks which of
+      its nodes are active, in ascending id order, and then runs their
+      computes breadth-first over the shard's own subgraph (each tree
+      from the smallest unvisited id, neighbours ascending, fixed when
+      the graph is installed), so a compute mostly reads the messages
+      and lists the computes before it just touched.
 
     Both parallel phases join before the next begins, so a compute sees
     exactly this round's messages.  Every event round [r] traces is
@@ -28,6 +32,10 @@
     {!step} takes the schedule from the caller: [sends] transmissions per
     round, a per-copy channel and the set of nodes that compute.
     {!Rounds} is {!step} on one shard, driven by one caller rng.
+
+    A compute reads and writes only its own node, so the compute order
+    cannot be observed in any result; a trace holds the events of a
+    round in compute order, the same lines whatever that order.
 
     {b Determinism.}  Results of {!round} are a function of
     [(seed, graph sequence, jitter)] only — never of [shards] or
@@ -103,10 +111,12 @@ val step :
     outcome of each node that computed.  Every node broadcasts [sends]
     (default 1) times, each transmission its own lineage; [channel]
     (default: deliver every copy) decides each copy's fate, called in
-    (transmission, source, destination) order; then every node for which
-    [active] holds computes, called in ascending id order after every
-    copy.  Nodes that do not compute keep accumulating messages, exactly
-    as a slow timer would.
+    (transmission, source, destination) order; then [active] is called
+    once per node, in ascending id order on each shard, after every copy
+    and before any compute, so a caller drawing from one rng in it draws
+    in id order; then the nodes for which it held compute, breadth-first
+    over their shard's subgraph.  Nodes that do not compute keep
+    accumulating messages, exactly as a slow timer would.
     @raise Invalid_argument when [sends < 1], or when a [channel] or
     [sends > 1] is given to a runner with more than one shard. *)
 

@@ -450,6 +450,21 @@ let test_queries_zero_alloc () =
   check_int "hits" 20_000 !hits;
   Alcotest.(check (float 0.0)) "minor words delta" 0.0 delta
 
+(* A list that strips nothing is returned as itself, found without
+   allocating: all Clear, or marked only at the kept id. *)
+let test_strip_nothing_zero_alloc () =
+  let l = of_clear [ [ 0 ]; [ 3; 5; 9 ]; [ 1; 4; 7; 8 ]; [ 2; 6 ] ] in
+  let marked = Antlist.of_levels [ [ (3, Mark.Clear) ]; [ (0, Mark.Single); (5, Mark.Clear) ] ] in
+  let same = ref true in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Antlist.strip_marked ~keep:0 l != l then same := false;
+    if Antlist.strip_marked ~keep:0 marked != marked then same := false
+  done;
+  let delta = Gc.minor_words () -. w0 in
+  check "returned physically" true !same;
+  Alcotest.(check (float 0.0)) "minor words delta" 0.0 delta
+
 (* --- the one-table fold against the model's left fold of [ant] --- *)
 
 let model_fold seed lists =
@@ -596,6 +611,7 @@ let suite =
     ("restrict_clear", `Quick, test_restrict_clear);
     ("compare/equal", `Quick, test_compare_equal);
     ("mem and well_formed allocate nothing", `Quick, test_queries_zero_alloc);
+    ("strip of an all-clear list allocates nothing", `Quick, test_strip_nothing_zero_alloc);
     ("fold gap-truncation witness", `Quick, test_fold_gap_truncation_witness);
     ("fold without lists is the seed", `Quick, test_fold_without_lists_is_seed);
     ("fold allocates only its output arrays", `Quick, test_fold_alloc);

@@ -205,7 +205,8 @@ let test_compatible_list_rejects_overflow () =
 let raw_msg sender levels view =
   let p = Priority.make ~oldness:1 ~id:sender in
   Message.make ~sender ~antlist:(Antlist.of_levels levels) ~priority_ids:[| sender |]
-    ~priorities:[| p |] ~group_priority:p ~view:(Node_id.set_of_list view)
+    ~priorities:[| p |] ~group_priority:p
+    ~view:(Array.of_list (List.sort_uniq Node_id.compare view))
 
 (* A corrupted own list may hold one id at several depths: here 5 is
    Double at level 1 and Clear at level 2 of node 0's list.  Admission
@@ -331,7 +332,8 @@ let test_message_contents () =
     (Node_id.Set.for_all
        (fun v -> List.mem_assoc v (Message.priority_bindings m))
        (Antlist.ids m.Message.antlist));
-  Alcotest.check ids "view advertised" (Grp_node.view a) m.Message.view
+  Alcotest.check ids "view advertised" (Grp_node.view a)
+    (Node_id.set_of_list (Array.to_list m.Message.view))
 
 let test_step_info_reports_changes () =
   let a = Grp_node.create ~config:(config ~dmax:1 ()) 0 in
@@ -514,7 +516,7 @@ let test_membership_revalidation () =
              ~priority_ids:(fst (prios [ 1; 0; 2 ]))
              ~priorities:(snd (prios [ 1; 0; 2 ]))
              ~group_priority:(Priority.initial 0)
-             ~view:(Node_id.set_of_list b_view));
+             ~view:(Array.of_list (List.sort_uniq Node_id.compare b_view)));
         if c_sends then
           (* c: still a direct neighbor acknowledging the link, but its
              view has moved on without me. *)
@@ -526,7 +528,7 @@ let test_membership_revalidation () =
                ~priority_ids:(fst (prios [ 2; 0; 1 ]))
                ~priorities:(snd (prios [ 2; 0; 1 ]))
                ~group_priority:(Priority.initial 2)
-               ~view:(Node_id.Set.singleton 2));
+               ~view:[| 2 |]);
         ignore (Grp_node.compute a)
       done;
       check (name ^ ": member 2 retention") expect_kept
@@ -823,7 +825,7 @@ let random_msgset rng ~me =
              (List.map (fun v -> (v, Priority.make ~oldness:(Rng.int rng 4) ~id:v)) reported)
          in
          Message.make ~sender ~antlist:(Antlist.singleton sender) ~priority_ids ~priorities
-           ~group_priority:Priority.lowest ~view:(Node_id.Set.singleton sender))
+           ~group_priority:Priority.lowest ~view:[| sender |])
        senders)
 
 let test_priority_merge_matches_pairwise () =
@@ -852,7 +854,7 @@ let test_priority_merge_rules () =
   let msg sender table =
     let priority_ids, priorities = Message.priority_arrays table in
     Message.make ~sender ~antlist:(Antlist.singleton sender) ~priority_ids ~priorities
-      ~group_priority:Priority.lowest ~view:(Node_id.Set.singleton sender)
+      ~group_priority:Priority.lowest ~view:[| sender |]
   in
   let five_from_1 = p 3 5 and five_from_2 = Priority.make ~oldness:3 ~id:5 in
   let msgs =

@@ -139,7 +139,7 @@ let render_prod ~max_id n =
     (set (Grp_node.convictions n))
     m.Message.sender (Antlist.to_string m.Message.antlist)
     (prios (Message.priority_bindings m))
-    (pr m.Message.group_priority) (set m.Message.view)
+    (pr m.Message.group_priority) (set (Node_id.set_of_list (Array.to_list m.Message.view)))
 
 let render_ref (n : R.t) =
   let m = R.message n in
@@ -169,7 +169,7 @@ let same_node ~max_id p (r : R.t) =
   && Antlist.equal m.Message.antlist mr.R.antlist
   && same_prios (Message.priority_bindings m) (Node_id.Map.bindings mr.R.priorities)
   && Priority.equal m.Message.group_priority mr.R.group_priority
-  && Node_id.Set.equal m.Message.view mr.R.view
+  && Array.to_list m.Message.view = Node_id.Set.elements mr.R.view
 
 (* --- running both sides --- *)
 

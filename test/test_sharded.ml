@@ -127,6 +127,49 @@ let test_step_schedule () =
         (Node_id.Set.elements (Grp_node.pending_senders (Sharded.node s v))))
     [ (0, [ 1 ]); (1, []); (2, [ 1 ]) ]
 
+(* On the path 0-5-1-4-2-3, breadth-first order is not id order.  A
+   shard asks [active] of each of its nodes once, in ascending id order
+   and before any compute, then runs the active nodes' computes
+   breadth-first over its own subgraph from its smallest id: 0 5 1 4 2 3
+   on one shard; on two (even and odd ids), 0 2 4 and 1 5 3, since 4-2
+   and 5-1 are the only edges inside a shard.  A round-1 compute traces
+   a merge attempt per sender, which shows the compute order. *)
+let test_breadth_first_computes () =
+  let g = Graph.of_edges [ (0, 5); (5, 1); (1, 4); (4, 2); (2, 3) ] in
+  List.iter
+    (fun (shards, asked, computed) ->
+      let rings = Array.init shards (fun _ -> Trace.Ring.create ~capacity:1024) in
+      let s =
+        Sharded.create ~config ~shards ~make_trace:(fun sx -> Trace.Ring.sink rings.(sx)) g
+      in
+      let calls = ref [] in
+      let infos =
+        Sharded.step s ~active:(fun v ->
+            calls := v :: !calls;
+            v <> 4)
+      in
+      let name what = Printf.sprintf "%d shard(s): %s" shards what in
+      Alcotest.(check (list int)) (name "active asked in id order") asked (List.rev !calls);
+      Alcotest.(check (list int)) (name "exactly the active nodes computed") [ 0; 1; 2; 3; 5 ]
+        (List.map fst (Node_id.Map.bindings infos));
+      let order =
+        Array.to_list rings
+        |> List.concat_map (fun ring ->
+               List.fold_left
+                 (fun acc (_, ev) ->
+                   match ev with
+                   | Trace.Merge_attempt { node; _ } when acc = [] || List.hd acc <> node ->
+                       node :: acc
+                   | _ -> acc)
+                 [] (Trace.Ring.contents ring)
+               |> List.rev)
+      in
+      Alcotest.(check (list int)) (name "computes breadth-first") computed order)
+    [
+      (1, [ 0; 1; 2; 3; 4; 5 ], [ 0; 5; 1; 2; 3 ]);
+      (2, [ 0; 2; 4; 1; 3; 5 ], [ 0; 2; 1; 5; 3 ]);
+    ]
+
 (* A traced highway under churn, its topology replaced every round and its
    computes jittered, writes the same trace lines at every shard and job
    count once the per-shard sinks are merged: every event is emitted once,
@@ -366,6 +409,7 @@ let suite =
     ("round rejects a NaN or out-of-range jitter", `Quick, test_round_rejects_bad_jitter);
     ("step needs one shard for a channel or sends", `Quick, test_step_needs_one_shard);
     ("step follows the caller's schedule", `Quick, test_step_schedule);
+    ("computes run breadth-first, active asked in id order", `Quick, test_breadth_first_computes);
     ("vanet --jobs smoke", `Quick, test_vanet_jobs_smoke);
     ("heap stays flat under churn", `Quick, test_heap_flat_under_churn);
     ("degenerate partitions", `Quick, test_degenerate_partitions);

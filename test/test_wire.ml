@@ -23,7 +23,7 @@ let sample_message () =
   in
   Message.make ~sender:3 ~antlist ~priority_ids ~priorities
     ~group_priority:(Priority.make ~oldness:2 ~id:1)
-    ~view:(Node_id.set_of_list [ 1; 3; 12 ])
+    ~view:[| 1; 3; 12 |]
 
 let messages_equal (a : Message.t) (b : Message.t) =
   a.Message.sender = b.Message.sender
@@ -31,7 +31,7 @@ let messages_equal (a : Message.t) (b : Message.t) =
   && a.Message.priority_ids = b.Message.priority_ids
   && Array.for_all2 Priority.equal a.Message.priorities b.Message.priorities
   && Priority.equal a.Message.group_priority b.Message.group_priority
-  && Node_id.Set.equal a.Message.view b.Message.view
+  && a.Message.view = b.Message.view
 
 let test_roundtrip () =
   let m = sample_message () in
@@ -44,7 +44,7 @@ let test_roundtrip_minimal () =
     Message.make ~sender:0 ~antlist:(Antlist.singleton 0)
       ~priority_ids:[| 0 |] ~priorities:[| Priority.initial 0 |]
       ~group_priority:(Priority.initial 0)
-      ~view:(Node_id.Set.singleton 0)
+      ~view:[| 0 |]
   in
   match Wire.of_string (Wire.to_string m) with
   | Some m' -> check "minimal roundtrip" true (messages_equal m m')
@@ -116,6 +116,13 @@ let test_duplicate_priority_key () =
         (m.Message.priority_ids = [| 1; 3 |]
         && Array.length m.Message.priorities = 2)
 
+(* A corrupted frame may repeat or reorder view ids; the view still
+   parses strictly increasing, as a message requires. *)
+let test_view_sorted () =
+  match Wire.of_string "GRP1|3|3|3:2.3|2.3|12,3,1,3" with
+  | None -> Alcotest.fail "frame with a repeated view id rejected"
+  | Some m -> check "sorted, deduplicated" true (m.Message.view = [| 1; 3; 12 |])
+
 let test_live_message_roundtrip () =
   (* Messages produced by running protocol nodes survive the wire. *)
   let config = Config.make ~dmax:2 () in
@@ -170,7 +177,7 @@ let prop_roundtrip_random =
       return
         (Message.make ~sender ~antlist ~priority_ids ~priorities
            ~group_priority:(Priority.make ~oldness:1 ~id:sender)
-           ~view:(Antlist.clear_ids antlist)))
+           ~view:(Array.of_list (Node_id.Set.elements (Antlist.clear_ids antlist)))))
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"random messages roundtrip" ~count:200
@@ -210,6 +217,7 @@ let suite =
     ("rejects garbage", `Quick, test_rejects_garbage);
     ("ids beyond 2^60 rejected", `Quick, test_id_range);
     ("repeated priority key: last wins", `Quick, test_duplicate_priority_key);
+    ("repeated or unordered view ids: sorted", `Quick, test_view_sorted);
     ("live message roundtrip", `Quick, test_live_message_roundtrip);
     ("corrupt preserves length", `Quick, test_corrupt_changes_bytes);
     prop_parser_total;
